@@ -24,7 +24,9 @@ CSV schema
 {dist_sq, test_mse, oracle_mse}; values are shortest round-trip decimals of
 64-bit floats; rows sorted by (algorithm, trial, iteration, metric); LF line
 endings, UTF-8. Files are written to a temporary name and renamed into
-place. ``IVSTREAM_THREADS`` caps trial parallelism.
+place. ``IVSTREAM_THREADS`` caps how many lockstep trial groups (at most
+four trials each) run at once in worker threads; outputs are byte-identical
+for any value.
 
 Config schema (JSON)
 --------------------

@@ -43,6 +43,13 @@ Four single-pass algorithms, each consuming one observation per step:
 All updates are pure functions of (state, sample, steps): inputs are never
 mutated. Shape errors surface as ``ValueError`` from the array operations.
 
+:data:`BATCH_KERNELS` holds the same four updates for B trials stacked along
+a leading axis, which the experiment harness advances in lockstep. Their
+products are ``np.matmul`` calls on stacked slices, which run the same BLAS
+routine per trial as the 1-d kernels, so each trial's iterates are bitwise
+equal to the 1-d kernels' (``np.einsum`` and ``.sum`` reduce in another
+order and differ in the last bit).
+
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
@@ -193,6 +200,70 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
     new_u = u - uw[:, None] * gain_u[None, :]
     new_theta = theta + gain_u * (y - w @ theta)
     return new_theta, new_gamma, new_u, new_v
+
+
+# Batched kernels: ``kernel(state, z, x, x_prime, y, alpha, beta) -> state``.
+# ``state`` is (theta, gamma), plus (U, V) for streaming 2SLS, with shapes
+# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); the sample is
+# z (B, d_z), x and x_prime (B, d_x), y (B,), and the steps are shared scalars.
+# Arguments an update does not use may be None.
+
+
+def two_sample_batch(state, z, x, x_prime, y, alpha, beta):
+    """:func:`two_sample_update` on B stacked trials (gamma passes through)."""
+    theta, gamma = state
+    resid = (x[:, None, :] @ theta[:, :, None])[:, 0] - y[:, None]
+    return theta - (alpha * resid) * x_prime, gamma
+
+
+def two_stage_batch(state, z, x, x_prime, y, alpha, beta):
+    """:func:`two_stage_update` on B stacked trials."""
+    theta, gamma = state
+    zg = z[:, None, :] @ gamma
+    pred_resid = (zg @ theta[:, :, None])[:, 0] - y[:, None]
+    zg = zg[:, 0]
+    return theta - (alpha * pred_resid) * zg, gamma - (beta * z)[:, :, None] * (zg - x)[:, None, :]
+
+
+def direct_residual_batch(state, z, x, x_prime, y, alpha, beta):
+    """:func:`direct_residual_update` on B stacked trials."""
+    theta, gamma = state
+    zg = (z[:, None, :] @ gamma)[:, 0]
+    resid = (x[:, None, :] @ theta[:, :, None])[:, 0] - y[:, None]
+    return theta - (alpha * resid) * zg, gamma - (beta * z)[:, :, None] * (zg - x)[:, None, :]
+
+
+def online_2sls_batch(state, z, x, x_prime, y, alpha, beta):
+    """:func:`online_2sls_update` on B stacked trials.
+
+    Raises ``FloatingPointError`` when any trial's rank-one denominator is
+    not positive.
+    """
+    theta, gamma, u, v = state
+    w = z[:, None, :] @ gamma
+    vz = v @ z[:, :, None]
+    denom_v = 1.0 + (z[:, None, :] @ vz)[:, 0]
+    uw = u @ w.transpose(0, 2, 1)
+    denom_u = 1.0 + (w @ uw)[:, 0]
+    if (denom_u <= 0.0).any() or (denom_v <= 0.0).any():
+        raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+    w, vz, uw = w[:, 0], vz[:, :, 0], uw[:, :, 0]
+    gain_v = vz / denom_v
+    new_v = v - vz[:, :, None] * gain_v[:, None, :]
+    new_gamma = gamma + gain_v[:, :, None] * (x - w)[:, None, :]
+    gain_u = uw / denom_u
+    new_u = u - uw[:, :, None] * gain_u[:, None, :]
+    new_theta = theta + gain_u * (y[:, None] - (w[:, None, :] @ theta[:, :, None])[:, 0])
+    return new_theta, new_gamma, new_u, new_v
+
+
+#: Batched kernel of each harness algorithm.
+BATCH_KERNELS = {
+    "two_sample_sgd": two_sample_batch,
+    "two_stage_sgd": two_stage_batch,
+    "direct_sgd": direct_residual_batch,
+    "online_2sls": online_2sls_batch,
+}
 
 
 def _as_schedule(value) -> StepSchedule:

@@ -8,14 +8,26 @@ aggregates the per-checkpoint mean and standard deviation.
 Reproducibility contract
 ------------------------
 Trial i draws from ``PCG64(mix_seed(base_seed, i))`` where ``mix_seed`` is
-the SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``. The mixing
-function and generator are fixed, so any two runs with the same base seed
-produce bitwise-identical streams regardless of how many worker threads
-execute the trials. Aggregation reduces over trials in index order, which
-makes the aggregate independent of completion order as well.
+the SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``: first its
+held-out test set (when ``test_n > 0``), then its training stream in blocks
+of 16 384 rows. The mixing function and generator are fixed, so any two runs
+with the same base seed produce bitwise-identical streams regardless of how
+trials are grouped or how many worker threads run them. Aggregation reduces
+over trials in index order, which makes the aggregate independent of
+completion order as well.
 
-Trials are the unit of parallelism; iterations within a trial are
-sequentially dependent and never parallelised.
+Lockstep groups
+---------------
+Trials share T, the schedules and the checkpoints, so the engine splits them
+into balanced groups of at most :data:`GROUP_SIZE` and advances each group
+with one batched kernel call per iteration
+(:data:`ivstream.estimators.BATCH_KERNELS`) on stacked state. Each trial keeps
+its own generator, stream digest and checkpoint metrics, and its iterates are
+bitwise equal to a run of the 1-d kernel on its stream alone, so
+:func:`run_trial` is the one-trial group. A group holds one sample block per
+trial, which bounds its memory whatever the trial count or T. Groups are the
+unit of parallelism (``max_workers`` or ``IVSTREAM_THREADS``); iterations
+within a group are sequentially dependent and never parallelised.
 """
 
 from __future__ import annotations
@@ -24,12 +36,14 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from . import estimators as est
 from . import metrics as met
-from .dgp import DgpConfig, sample_one_block, sample_two_block, test_set
+from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
 
 ALGORITHMS = ("two_sample_sgd", "two_stage_sgd", "direct_sgd", "online_2sls")
@@ -44,6 +58,13 @@ RNG_ALGORITHM = "pcg64"
 SEED_MIXER = "splitmix64"
 
 _SAMPLE_BLOCK = 16_384
+
+#: Most trials advanced by one kernel call; a group holds one sample block
+#: per trial, so this also caps the blocks held at once (per worker).
+GROUP_SIZE = 4
+
+#: Rows of a group's blocks gathered into stacked (rows, B, d) inputs at once.
+_WINDOW = 256
 
 
 def mix_seed(base_seed: int, trial_index: int) -> int:
@@ -158,17 +179,82 @@ class MetricSeries:
         return h.hexdigest()
 
 
-def _init_state(spec: ExperimentSpec):
+def trial_groups(trials: int) -> list[np.ndarray]:
+    """Trial indices in ceil(trials / GROUP_SIZE) balanced lockstep groups."""
+    return np.array_split(np.arange(trials), -(-trials // GROUP_SIZE))
+
+
+def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
     d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
-    theta = np.zeros(d_x) if spec.theta0 is None else spec.theta0.copy()
-    if spec.algorithm == "two_sample_sgd":
-        return theta, None, None, None
-    gamma = np.zeros((d_z, d_x)) if spec.gamma0 is None else spec.gamma0.copy()
+    state = [
+        np.zeros(d_x) if spec.theta0 is None else spec.theta0,
+        np.zeros((d_z, d_x)) if spec.gamma0 is None else spec.gamma0,
+    ]
     if spec.algorithm == "online_2sls":
-        u = np.eye(d_x) / spec.lam
-        v = np.eye(d_z) / spec.lam
-        return theta, gamma, u, v
-    return theta, gamma, None, None
+        state += [np.eye(d_x) / spec.lam, np.eye(d_z) / spec.lam]
+    return tuple(np.tile(a, (b,) + (1,) * a.ndim) for a in state)
+
+
+def _run_group(spec: ExperimentSpec, indices) -> list[TrialResult]:
+    """Advance the trials ``indices`` in lockstep; one result per trial.
+
+    Each trial's block is hashed as drawn, and the kernel's stacked inputs
+    are gathered from the blocks ``_WINDOW`` rows at a time, so the group
+    holds one block per trial plus a window.
+    """
+    cfg = spec.dgp
+    theta_star = cfg.theta_star
+    rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
+    tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
+    oracle_mse = [met.test_mse_arrays(theta_star, tx, ty) for tx, ty in tests]
+
+    kernel = est.BATCH_KERNELS[spec.algorithm]
+    state = _initial_state(spec, len(rngs))
+    two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
+    sample = sample_two_block if two_sample else sample_one_block
+    alphas = steps(spec.alpha, spec.T) if spec.alpha is not None else None
+    betas = steps(spec.beta, spec.T) if spec.beta is not None else None
+
+    digests = [hashlib.sha256() for _ in rngs]
+    points: list[list[met.MetricPoint]] = [[] for _ in rngs]
+    blocks: list[tuple] = []
+    cps = (*spec.checkpoints, spec.T + 1)  # the sentinel is never reached
+    cp_idx = 0
+    t = start = end = 0
+    while t < spec.T:
+        if t == end:
+            n_blk = min(_SAMPLE_BLOCK, spec.T - t)
+            blocks.clear()
+            for rng, digest in zip(rngs, digests):
+                block = sample(rng, cfg, n_blk)
+                for arr in block:
+                    digest.update(arr)
+                blocks.append(block if two_sample else (block[0], block[1], None, block[2]))
+            start, end = t, t + n_blk
+        stop = min(t + _WINDOW, end, cps[cp_idx])
+        rows = slice(t - start, stop - start)
+        z, x, xp, y = (
+            repeat(None) if blocks[0][k] is None else np.stack([blk[k][rows] for blk in blocks], axis=1)
+            for k in range(4)
+        )
+        a = repeat(None) if alphas is None else alphas[t:stop].tolist()
+        b = repeat(None) if betas is None else betas[t:stop].tolist()
+        for zi, xi, xpi, yi, ai, bi in zip(z, x, xp, y, a, b):
+            state = kernel(state, zi, xi, xpi, yi, ai, bi)
+        t = stop
+        if t == cps[cp_idx]:
+            cp_idx += 1
+            theta = state[0]
+            for j, trial in enumerate(points):
+                trial.append(
+                    met.MetricPoint(
+                        iteration=t,
+                        dist_sq=met.dist_to_opt(theta[j], theta_star),
+                        test_mse=met.test_mse_arrays(theta[j], *tests[j]) if tests else None,
+                        oracle_mse=oracle_mse[j] if tests else None,
+                    )
+                )
+    return [TrialResult(points=p, stream_digest=d.hexdigest()) for p, d in zip(points, digests)]
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
@@ -176,72 +262,12 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
 
     The held-out test set (when ``test_n > 0``) is drawn first, then the
     training stream, all from the trial's own generator. The stream digest is
-    a SHA-256 over the raw sample blocks in draw order.
+    a SHA-256 over the raw sample blocks in draw order. The result equals
+    trial ``trial_index`` of :func:`run_experiment`.
     """
     if not (0 <= trial_index < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")
-    rng = np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, trial_index)))
-    cfg = spec.dgp
-    theta_star = cfg.theta_star
-
-    tx = ty = None
-    oracle_mse = None
-    if spec.test_n > 0:
-        ts = test_set(rng, cfg, spec.test_n)
-        tx, ty = met.stack_test_set(ts)
-        oracle_mse = met.test_mse_arrays(theta_star, tx, ty)
-
-    theta, gamma, u, v = _init_state(spec)
-    two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
-    alphas = steps(spec.alpha, spec.T) if spec.alpha is not None else None
-    betas = steps(spec.beta, spec.T) if spec.beta is not None else None
-
-    digest = hashlib.sha256()
-    points: list[met.MetricPoint] = []
-    cps = spec.checkpoints
-    cp_idx = 0
-    algorithm = spec.algorithm
-    t = 0
-    while t < spec.T:
-        n_blk = min(_SAMPLE_BLOCK, spec.T - t)
-        if two_sample:
-            zb, xb, xpb, yb = sample_two_block(rng, cfg, n_blk)
-            digest.update(zb.tobytes())
-            digest.update(xb.tobytes())
-            digest.update(xpb.tobytes())
-            digest.update(yb.tobytes())
-        else:
-            zb, xb, yb = sample_one_block(rng, cfg, n_blk)
-            xpb = None
-            digest.update(zb.tobytes())
-            digest.update(xb.tobytes())
-            digest.update(yb.tobytes())
-        for i in range(n_blk):
-            t += 1
-            if algorithm == "two_sample_sgd":
-                theta = est.two_sample_update(theta, xb[i], xpb[i], yb[i], alphas[t - 1])
-            elif algorithm == "two_stage_sgd":
-                theta, gamma = est.two_stage_update(
-                    theta, gamma, zb[i], xb[i], yb[i], alphas[t - 1], betas[t - 1]
-                )
-            elif algorithm == "direct_sgd":
-                theta, gamma = est.direct_residual_update(
-                    theta, gamma, zb[i], xb[i], yb[i], alphas[t - 1], betas[t - 1]
-                )
-            else:
-                theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, zb[i], xb[i], yb[i])
-            if cp_idx < len(cps) and t == cps[cp_idx]:
-                cp_idx += 1
-                tm = met.test_mse_arrays(theta, tx, ty) if tx is not None else None
-                points.append(
-                    met.MetricPoint(
-                        iteration=t,
-                        dist_sq=met.dist_to_opt(theta, theta_star),
-                        test_mse=tm,
-                        oracle_mse=oracle_mse,
-                    )
-                )
-    return TrialResult(points=points, stream_digest=digest.hexdigest())
+    return _run_group(spec, [trial_index])[0]
 
 
 def default_workers() -> int:
@@ -255,18 +281,21 @@ def default_workers() -> int:
 
 
 def run_experiment(spec: ExperimentSpec, max_workers: int | None = None) -> MetricSeries:
-    """Run all trials (optionally across threads) and aggregate.
+    """Run all trials in lockstep groups (optionally across threads) and aggregate.
 
     Results are keyed by trial index, so the output is identical for any
     worker count.
     """
+    groups = trial_groups(spec.trials)
     workers = default_workers() if max_workers is None else max(1, int(max_workers))
-    workers = min(workers, spec.trials)
+    workers = min(workers, len(groups))
+    run = partial(_run_group, spec)
     if workers == 1:
-        results = [run_trial(spec, i) for i in range(spec.trials)]
+        per_group = list(map(run, groups))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: run_trial(spec, i), range(spec.trials)))
+            per_group = list(pool.map(run, groups))
+    results = [r for group in per_group for r in group]
     return MetricSeries(
         spec=spec,
         trials=[r.points for r in results],

@@ -131,13 +131,6 @@ class TheoryConstants:
             check_nonnegative(self.sigma1_sq, "sigma1_sq")
         if self.sigma2_sq is not None:
             check_nonnegative(self.sigma2_sq, "sigma2_sq")
-        if self.gamma_star_norm > 0.0:
-            bound = self.lambda_z * self.gamma_star_norm**2
-            if self.mu > bound * (1.0 + 1e-9):
-                raise ValueError(
-                    f"mu={self.mu} exceeds lambda_z * gamma_star_norm^2 = {bound}; "
-                    "the constants are inconsistent"
-                )
 
 
 def log_horizon_alpha(T: int, k: TheoryConstants) -> tuple[Constant, bool]:

@@ -194,6 +194,56 @@ class TestOnline2SLSUpdate:
         np.testing.assert_allclose(theta, theta_ridge, atol=1e-10)
 
 
+def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
+    """One trial's step through the 1-d kernel, in the batched kernels' state layout."""
+    if algorithm == "two_sample_sgd":
+        return est.two_sample_update(state[0], x, x_prime, y, alpha), state[1]
+    if algorithm == "two_stage_sgd":
+        return est.two_stage_update(*state, z, x, y, alpha, beta)
+    if algorithm == "direct_sgd":
+        return est.direct_residual_update(*state, z, x, y, alpha, beta)
+    return est.online_2sls_update(*state, z, x, y)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("algorithm", sorted(est.BATCH_KERNELS))
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    def test_bitwise_equal_to_1d_kernel(self, algorithm, d_x, d_z, b):
+        n = 300
+        cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
+        draws = [dgp.sample_two_block(make_rng(100 + i), cfg, n) for i in range(b)]
+        z, x, x_prime, y = (np.stack([d[k] for d in draws], axis=1) for k in range(4))
+        rng = make_rng(7)
+        trials = [[rng.standard_normal(d_x), 0.1 * rng.standard_normal((d_z, d_x))] for _ in range(b)]
+        if algorithm == "online_2sls":
+            for st in trials:
+                st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
+        state = tuple(np.stack(parts) for parts in zip(*trials))
+        kernel = est.BATCH_KERNELS[algorithm]
+        for t in range(n):
+            alpha = 0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95
+            beta = 1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95
+            state = kernel(state, z[t], x[t], x_prime[t], y[t], alpha, beta)
+            trials = [_reference_step(algorithm, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alpha, beta)
+                      for i, st in enumerate(trials)]
+        for i, st in enumerate(trials):
+            for got, want in zip(state, st):
+                assert np.isfinite(want).all()
+                np.testing.assert_array_equal(got[i], want)
+
+    def test_online_2sls_one_corrupted_trial_raises(self):
+        # Trial 1 of 3 carries U = -10 I: w^T U w = -10 |w|^2 < -1 for gamma = I.
+        b, d = 3, 2
+        u = np.stack([np.eye(d) * 10.0] * b)
+        u[1] *= -1.0
+        state = (np.zeros((b, d)), np.stack([np.eye(d)] * b), u, np.stack([np.eye(d) * 10.0] * b))
+        with pytest.raises(FloatingPointError):
+            est.online_2sls_batch(state, np.ones((b, d)), np.ones((b, d)), None, np.ones(b), None, None)
+        u[1] *= -1.0
+        est.online_2sls_batch(state, np.ones((b, d)), np.ones((b, d)), None, np.ones(b), None, None)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation
 

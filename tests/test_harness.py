@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from ivstream import dgp, harness
+from ivstream import dgp, harness, metrics
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -119,6 +121,67 @@ class TestRunExperiment:
         series = harness.run_experiment(spec, max_workers=2)
         m = series.mean("dist_sq")
         assert m[-1] < m[0]
+
+
+def _lockstep_spec(algorithm, **over):
+    two_sample = algorithm in harness.TWO_SAMPLE_ALGORITHMS
+    kw = dict(
+        dgp=(dgp.shared_confounder_config(4, 8, c=0.1) if two_sample
+             else dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)),
+        algorithm=algorithm, T=700, trials=7, base_seed=11, test_n=0 if two_sample else 30,
+        alpha=None if algorithm == "online_2sls" else Polynomial(0.2, 0.95),
+        beta=Polynomial(0.3, 0.95) if algorithm in ("two_stage_sgd", "direct_sgd") else None,
+    )
+    kw.update(over)
+    return harness.ExperimentSpec(**kw)
+
+
+class TestLockstep:
+    def test_groups_are_balanced_and_capped(self):
+        sizes = {n: [len(g) for g in harness.trial_groups(n)] for n in (1, 4, 5, 6, 7, 10, 50)}
+        assert sizes[1] == [1] and sizes[4] == [4] and sizes[5] == [3, 2]
+        assert sizes[6] == [3, 3] and sizes[7] == [4, 3] and sizes[10] == [4, 3, 3]
+        assert max(sizes[50]) == harness.GROUP_SIZE and sum(sizes[50]) == 50
+        assert np.concatenate(harness.trial_groups(10)).tolist() == list(range(10))
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_run_trial_equals_its_lockstep_trial(self, algorithm):
+        # trials=7 runs as groups 4+3; each trial alone must give the same bytes.
+        spec = _lockstep_spec(algorithm)
+        series = harness.run_experiment(spec)
+        for i in range(spec.trials):
+            res = harness.run_trial(spec, i)
+            assert res.points == series.trials[i]
+            assert res.stream_digest == series.stream_digests[i]
+        assert len(set(series.stream_digests)) == spec.trials
+
+    def test_held_out_set_drawn_from_arrays(self):
+        # The held-out set comes first in the trial's stream, as dgp.test_set draws it.
+        spec = _lockstep_spec("two_stage_sgd", trials=1)
+        rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, 0)))
+        tx, ty = metrics.stack_test_set(dgp.test_set(rng, spec.dgp, spec.test_n))
+        res = harness.run_trial(spec, 0)
+        assert res.points[0].oracle_mse == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
+
+    def test_at_most_one_block_per_trial_of_a_group(self, monkeypatch):
+        live, peak = [0], [0]
+
+        def release():
+            live[0] -= 1
+
+        def counting_block(rng, cfg, n):
+            block = dgp.sample_one_block(rng, cfg, n)
+            if n > 30:  # training blocks, not the held-out set
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                weakref.finalize(block[0], release)
+            return block
+
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
+        monkeypatch.setattr(harness, "sample_one_block", counting_block)
+        series = harness.run_experiment(_lockstep_spec("direct_sgd", trials=10))
+        assert len(series.trials) == 10
+        assert peak[0] == harness.GROUP_SIZE
 
 
 class TestFitSlope:

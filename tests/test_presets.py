@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from ivstream import presets
+from ivstream import cli, presets
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -62,3 +63,16 @@ class TestBuild:
     def test_unknown_cell(self):
         with pytest.raises(ValueError, match="cell"):
             presets.build_preset("fig2", cell="nope")
+
+
+ALL_CELLS = [(name, cell) for name in presets.PRESETS for cell in presets.preset_cells(name)]
+
+
+@pytest.mark.parametrize("name,cell", ALL_CELLS, ids=[f"{n}-{c}" for n, c in ALL_CELLS])
+def test_every_cell_runs(name, cell, tmp_path):
+    (specs,) = presets.build_preset(name, cell=cell, trials=2, T=50).values()
+    cli.run_specs_to_dir(specs, tmp_path)
+    lines = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()
+    values = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    assert len(values) == sum(s.trials * len(s.checkpoints) * (3 if s.test_n else 1) for s in specs)
+    assert np.isfinite(values).all()

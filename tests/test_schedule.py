@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ivstream import schedule
+from ivstream import presets, schedule
 from ivstream.schedule import Constant, Polynomial, TheoryConstants
 
 
@@ -103,9 +103,14 @@ class TestTwoTimescaleSchedules:
 
 
 class TestTheoryConstants:
-    def test_mu_consistency_check(self):
-        with pytest.raises(ValueError, match="mu"):
-            TheoryConstants(mu=5.0, lambda_z=1.0, gamma_star_norm=1.0)
+    def test_fig1_square_link_cells_build(self):
+        # With the square link or a confounder-mean shift, mu is not bounded by
+        # lambda_z * ||gamma_star||^2, so measured constants must not be rejected.
+        cells = [c for c in presets.preset_cells("fig1") if c.endswith("_phi_sq")]
+        assert len(cells) == 4
+        for cell in cells:
+            (specs,) = presets.build_preset("fig1", cell=cell, trials=1, T=1000).values()
+            assert isinstance(specs[0].alpha, Constant)
 
     def test_positive_fields_validated(self):
         with pytest.raises(ValueError):
