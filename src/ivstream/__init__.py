@@ -5,21 +5,16 @@ from .dgp import (
     EndogenousLinear,
     OneSample,
     SharedConfounder,
-    TwoSample,
     endogenous_linear_config,
     sample_one,
-    sample_two,
     shared_confounder_config,
     test_set,
 )
 from .estimators import (
     DirectSGDRegressor,
     Online2SLSRegressor,
-    Online2SLSState,
-    SingleStageState,
     TwoSampleSGDRegressor,
     TwoStageSGDRegressor,
-    TwoStageState,
     direct_residual_update,
     online_2sls_update,
     two_sample_update,
@@ -49,16 +44,12 @@ __all__ = [
     "MetricSeries",
     "OneSample",
     "Online2SLSRegressor",
-    "Online2SLSState",
     "Polynomial",
     "PopulationSummary",
     "SharedConfounder",
-    "SingleStageState",
     "TheoryConstants",
-    "TwoSample",
     "TwoSampleSGDRegressor",
     "TwoStageSGDRegressor",
-    "TwoStageState",
     "direct_residual_update",
     "dist_to_opt",
     "endogenous_linear_config",
@@ -71,7 +62,6 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "sample_one",
-    "sample_two",
     "shared_confounder_config",
     "step",
     "summarize",

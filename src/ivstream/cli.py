@@ -15,8 +15,8 @@ Subcommands
 ``check``
     Run the reduced-scale validation suites (gradient unbiasedness of the
     two-sample estimator, Sherman-Morrison consistency of the streaming 2SLS
-    state, determinism across worker counts) and exit non-zero on the first
-    failure.
+    state, equality of lockstep trials with trials run alone) and exit
+    non-zero on the first failure.
 
 CSV schema
 ----------
@@ -24,9 +24,7 @@ CSV schema
 {dist_sq, test_mse, oracle_mse}; values are shortest round-trip decimals of
 64-bit floats; rows sorted by (algorithm, trial, iteration, metric); LF line
 endings, UTF-8. Files are written to a temporary name and renamed into
-place. ``IVSTREAM_THREADS`` caps how many lockstep trial groups (at most
-four trials each) run at once in worker threads; outputs are byte-identical
-for any value.
+place.
 
 Config schema (JSON)
 --------------------
@@ -60,7 +58,9 @@ Required: ``dgp.family``, ``algorithm`` (or ``algorithms`` for compare),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -155,7 +155,9 @@ def _schedule_to_dict(s: StepSchedule | None) -> dict | None:
     return {"kind": "polynomial", "coeff": s.coeff, "exponent": s.exponent}
 
 
-def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, gamma0) -> StepSchedule:
+def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, constants) -> StepSchedule:
+    """Schedule ``which`` from its config entry; ``constants()`` gives the
+    process's theory constants (measured at most once per config)."""
     if d is None:
         # Dimension-scaled stable default, matching the comparison presets.
         if which == "alpha":
@@ -172,12 +174,11 @@ def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, gamma0) -> StepSche
         return Polynomial(float(d["coeff"]), float(d.get("exponent", 0.95)))
     if kind == "log_horizon":
         _reject_unknown(d, {"kind"}, f"schedule.{which}")
-        consts = theory_constants(cfg, gamma0=gamma0)
-        sched, _ = log_horizon_alpha(T, consts)
+        sched, _ = log_horizon_alpha(T, constants())
         return sched
     if kind == "two_timescale":
         _reject_unknown(d, {"kind", "iota"}, f"schedule.{which}")
-        consts = theory_constants(cfg, gamma0=gamma0, iota=float(d.get("iota", 0.1)))
+        consts = dataclasses.replace(constants(), iota=float(d.get("iota", 0.1)))
         alpha, beta = two_timescale_schedules(consts, cfg.d_z)
         return alpha if which == "alpha" else beta
     raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -231,14 +232,17 @@ def specs_from_config(
     lam = float(sched.get("lambda", est.DEFAULT_RIDGE))
 
     experiment_id = str(config.get("experiment_id", "experiment"))
+    # Each schedule, and the constants it may need, is resolved once per config.
+    constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
+    resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))
     specs = []
     try:
         for alg in algorithms:
             alpha = beta = None
             if alg in ("two_sample_sgd", "two_stage_sgd", "direct_sgd"):
-                alpha = _resolve_schedule(sched.get("alpha"), "alpha", cfg, horizon, gamma0)
+                alpha = resolved("alpha")
             if alg in ("two_stage_sgd", "direct_sgd"):
-                beta = _resolve_schedule(sched.get("beta"), "beta", cfg, horizon, gamma0)
+                beta = resolved("beta")
             specs.append(
                 ExperimentSpec(
                     dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed,
@@ -315,7 +319,7 @@ def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
-def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path, max_workers: int | None = None) -> None:
+def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
     """Run the specs, then write the joined CSV, per-algorithm CSVs, manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
@@ -323,7 +327,7 @@ def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path, max_workers: in
     per_alg: dict[str, list[tuple]] = {}
     digests: dict[str, str] = {}
     for spec in specs:
-        series = harness.run_experiment(spec, max_workers=max_workers)
+        series = harness.run_experiment(spec)
         rows = series_rows(series)
         all_rows.extend(rows)
         per_alg[spec.algorithm] = rows
@@ -394,9 +398,8 @@ def _check_sherman_morrison(corrupt_u0: bool = False, tol: float = 1e-8) -> tupl
 def _check_determinism() -> tuple[float, bool]:
     cells = presets.build_preset("fig2", cell="dx1_dz1_rho1_sig0.5", trials=4, T=2000)
     spec = cells["dx1_dz1_rho1_sig0.5"][0]
-    rows1 = series_rows(harness.run_experiment(spec, max_workers=1))
-    rows2 = series_rows(harness.run_experiment(spec, max_workers=2))
-    same = rows1 == rows2
+    alone = [harness.run_trial(spec, i).points for i in range(spec.trials)]
+    same = series_rows(harness.run_experiment(spec)) == series_rows(MetricSeries(spec=spec, trials=alone))
     return (0.0 if same else 1.0), same
 
 

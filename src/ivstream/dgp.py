@@ -30,18 +30,17 @@ defaults to a standard normal (``z_cov = I``).
 
 Two-sample oracle
 -----------------
-:func:`sample_two` returns, for one draw of Z, two draws X and X' that are
-independent conditionally on Z (X' gets a fresh confounder and fresh noise),
-with Y generated from X's noise realisation. This is the sampling interface
-required by the two-sample gradient estimator.
+:func:`sample_two_block` returns, for each draw of Z, two draws X and X'
+that are independent conditionally on Z (X' gets a fresh confounder and fresh
+noise), with Y generated from X's noise realisation. This is the sampling
+interface required by the two-sample gradient estimator.
 
 Stream layout
 -------------
 All samplers draw from a ``numpy.random.Generator`` with a frozen block
 layout (Z block first, then the noise blocks in the documented order), so a
 given seed always reproduces the same stream, independent of how trials are
-scheduled. ``sample_one``/``sample_two`` are the n = 1 case of the block
-samplers.
+scheduled. ``sample_one`` is the n = 1 case of :func:`sample_one_block`.
 """
 
 from __future__ import annotations
@@ -173,28 +172,6 @@ class OneSample:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoSample:
-    """One instrument draw with two conditionally independent regressor draws.
-
-    ``y`` is generated from ``x`` (not from ``x_prime``).
-    """
-
-    z: NDArray[np.float64]
-    x: NDArray[np.float64]
-    x_prime: NDArray[np.float64]
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", as_float_vector(self.z, name="z"))
-        object.__setattr__(self, "x", as_float_vector(self.x, name="x"))
-        object.__setattr__(self, "x_prime", as_float_vector(self.x_prime, name="x_prime"))
-        y = float(self.y)
-        if not np.isfinite(y):
-            raise ValueError("y must be finite")
-        object.__setattr__(self, "y", y)
-
-
 def identity_block(d_z: int, d_x: int) -> NDArray[np.float64]:
     """Default first-stage parameter: gamma[i, j] = 1 for i == j <= d_x, else 0."""
     g = np.zeros((d_z, d_x))
@@ -320,12 +297,6 @@ def sample_one(rng: np.random.Generator, cfg: DgpConfig) -> OneSample:
     """Draw a single observation (the n = 1 case of :func:`sample_one_block`)."""
     z, x, y = sample_one_block(rng, cfg, 1)
     return OneSample(z=z[0], x=x[0], y=float(y[0]))
-
-
-def sample_two(rng: np.random.Generator, cfg: DgpConfig) -> TwoSample:
-    """Draw a single two-sample observation."""
-    z, x, x_p, y = sample_two_block(rng, cfg, 1)
-    return TwoSample(z=z[0], x=x[0], x_prime=x_p[0], y=float(y[0]))
 
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:

@@ -58,10 +58,7 @@ algorithms compose with the wider ecosystem; fitted state lives in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.typing import NDArray
 
 from ._validation import as_float_matrix, as_float_vector, check_positive
 from .schedule import Constant, StepSchedule, step
@@ -69,63 +66,12 @@ from .schedule import Constant, StepSchedule, step
 DEFAULT_RIDGE = 0.1
 
 
-@dataclass(frozen=True, eq=False)
-class SingleStageState:
-    """State of the two-sample algorithm: the regression parameter only."""
-
-    theta: NDArray[np.float64]
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_float_vector(self.theta, name="theta"))
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStageState:
-    """State of the two-timescale algorithms: (theta, gamma)."""
-
-    theta: NDArray[np.float64]
-    gamma: NDArray[np.float64]
-
-    def __post_init__(self):
-        theta = as_float_vector(self.theta, name="theta")
-        gamma = as_float_matrix(self.gamma, name="gamma")
-        if gamma.shape[1] != theta.shape[0]:
-            raise ValueError(f"gamma shape {gamma.shape} inconsistent with theta length {theta.shape[0]}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "gamma", gamma)
-
-
-@dataclass(frozen=True, eq=False)
-class Online2SLSState:
-    """State of streaming 2SLS: (theta, gamma, U, V) and the ridge parameter."""
-
-    theta: NDArray[np.float64]
-    gamma: NDArray[np.float64]
-    u: NDArray[np.float64]
-    v: NDArray[np.float64]
-    lam: float = DEFAULT_RIDGE
-
-    def __post_init__(self):
-        theta = as_float_vector(self.theta, name="theta")
-        d_x = theta.shape[0]
-        gamma = as_float_matrix(self.gamma, name="gamma")
-        d_z = gamma.shape[0]
-        if gamma.shape[1] != d_x:
-            raise ValueError(f"gamma shape {gamma.shape} inconsistent with theta length {d_x}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "u", as_float_matrix(self.u, (d_x, d_x), "u"))
-        object.__setattr__(self, "v", as_float_matrix(self.v, (d_z, d_z), "v"))
-        check_positive(self.lam, "lam")
-
-    @classmethod
-    def initial(cls, d_x: int, d_z: int, lam: float = DEFAULT_RIDGE,
-                theta0=None, gamma0=None) -> "Online2SLSState":
-        """Fresh state with U = V = I / lam (ridge-regularised inverses)."""
-        check_positive(lam, "lam")
-        theta = np.zeros(d_x) if theta0 is None else theta0
-        gamma = np.zeros((d_z, d_x)) if gamma0 is None else gamma0
-        return cls(theta=theta, gamma=gamma, u=np.eye(d_x) / lam, v=np.eye(d_z) / lam, lam=lam)
+def _project_frobenius(gamma, radius: float | None):
+    """``gamma`` scaled onto the Frobenius ball of ``radius`` when outside it."""
+    if radius is None:
+        return gamma
+    norm = float(np.sqrt((gamma * gamma).sum()))
+    return gamma * (radius / norm) if norm > radius else gamma
 
 
 def two_sample_update(theta, x, x_prime, y: float, alpha: float):
@@ -147,11 +93,7 @@ def two_stage_update(theta, gamma, z, x, y: float, alpha: float, beta: float,
     pred_resid = zg @ theta - y
     new_theta = theta - (alpha * pred_resid) * zg
     new_gamma = gamma - (beta * z)[:, None] * (zg - x)[None, :]
-    if gamma_radius is not None:
-        norm = float(np.sqrt((new_gamma * new_gamma).sum()))
-        if norm > gamma_radius:
-            new_gamma = new_gamma * (gamma_radius / norm)
-    return new_theta, new_gamma
+    return new_theta, _project_frobenius(new_gamma, gamma_radius)
 
 
 def direct_residual_update(theta, gamma, z, x, y: float, alpha: float, beta: float,
@@ -161,11 +103,7 @@ def direct_residual_update(theta, gamma, z, x, y: float, alpha: float, beta: flo
     resid = x @ theta - y
     new_theta = theta - (alpha * resid) * zg
     new_gamma = gamma - (beta * z)[:, None] * (zg - x)[None, :]
-    if gamma_radius is not None:
-        norm = float(np.sqrt((new_gamma * new_gamma).sum()))
-        if norm > gamma_radius:
-            new_gamma = new_gamma * (gamma_radius / norm)
-    return new_theta, new_gamma
+    return new_theta, _project_frobenius(new_gamma, gamma_radius)
 
 
 def online_2sls_update(theta, gamma, u, v, z, x, y: float):
@@ -296,6 +234,12 @@ class _BaseIVRegressor:
         X = as_float_matrix(X, name="X")
         return X @ self.theta_
 
+    def _init_iterates(self, d_x: int, d_z: int) -> None:
+        """Validated (theta0, gamma0), or zeros, as the first iterates."""
+        self.theta_ = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
+        self.gamma_ = np.zeros((d_z, d_x)) if self.gamma0 is None else as_float_matrix(self.gamma0, (d_z, d_x), "gamma0")
+        self.n_iter_ = 0
+
     def _stack(self, Z, X, y):
         Z = as_float_matrix(np.atleast_2d(np.asarray(Z, dtype=float)), name="Z")
         X = as_float_matrix(np.atleast_2d(np.asarray(X, dtype=float)), name="X")
@@ -357,10 +301,7 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         z = as_float_vector(z, name="z")
         x = as_float_vector(x, name="x")
         if not hasattr(self, "theta_"):
-            d_x, d_z = x.shape[0], z.shape[0]
-            self.theta_ = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
-            self.gamma_ = np.zeros((d_z, d_x)) if self.gamma0 is None else as_float_matrix(self.gamma0, (d_z, d_x), "gamma0")
-            self.n_iter_ = 0
+            self._init_iterates(x.shape[0], z.shape[0])
         self.n_iter_ += 1
         a = step(_as_schedule(self.alpha), self.n_iter_)
         b = step(_as_schedule(self.beta), self.n_iter_)
@@ -409,11 +350,9 @@ class Online2SLSRegressor(_BaseIVRegressor):
         z = as_float_vector(z, name="z")
         x = as_float_vector(x, name="x")
         if not hasattr(self, "theta_"):
-            state = Online2SLSState.initial(x.shape[0], z.shape[0], lam=self.lam,
-                                            theta0=self.theta0, gamma0=self.gamma0)
-            self.theta_, self.gamma_ = state.theta, state.gamma
-            self.u_, self.v_ = state.u, state.v
-            self.n_iter_ = 0
+            lam = check_positive(self.lam, "lam")
+            self._init_iterates(x.shape[0], z.shape[0])
+            self.u_, self.v_ = np.eye(x.shape[0]) / lam, np.eye(z.shape[0]) / lam
         self.n_iter_ += 1
         self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(
             self.theta_, self.gamma_, self.u_, self.v_, z, x, float(y)

@@ -12,9 +12,7 @@ the SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``: first its
 held-out test set (when ``test_n > 0``), then its training stream in blocks
 of 16 384 rows. The mixing function and generator are fixed, so any two runs
 with the same base seed produce bitwise-identical streams regardless of how
-trials are grouped or how many worker threads run them. Aggregation reduces
-over trials in index order, which makes the aggregate independent of
-completion order as well.
+trials are grouped. Aggregation reduces over trials in index order.
 
 Lockstep groups
 ---------------
@@ -25,24 +23,21 @@ with one batched kernel call per iteration
 its own generator, stream digest and checkpoint metrics, and its iterates are
 bitwise equal to a run of the 1-d kernel on its stream alone, so
 :func:`run_trial` is the one-trial group. A group holds one sample block per
-trial, which bounds its memory whatever the trial count or T. Groups are the
-unit of parallelism (``max_workers`` or ``IVSTREAM_THREADS``); iterations
-within a group are sequentially dependent and never parallelised.
+trial, which bounds its memory whatever the trial count or T. Groups run one
+after another.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from . import estimators as est
 from . import metrics as met
+from ._validation import as_float_matrix, as_float_vector, check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
 
@@ -53,14 +48,13 @@ TWO_SAMPLE_ALGORITHMS = ("two_sample_sgd",)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-ENV_THREADS = "IVSTREAM_THREADS"
 RNG_ALGORITHM = "pcg64"
 SEED_MIXER = "splitmix64"
 
 _SAMPLE_BLOCK = 16_384
 
 #: Most trials advanced by one kernel call; a group holds one sample block
-#: per trial, so this also caps the blocks held at once (per worker).
+#: per trial, so this also caps the blocks held at once.
 GROUP_SIZE = 4
 
 #: Rows of a group's blocks gathered into stacked (rows, B, d) inputs at once.
@@ -132,10 +126,12 @@ class ExperimentSpec:
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
         object.__setattr__(self, "checkpoints", cps)
+        check_positive(self.lam, "lam")
+        d_x, d_z = self.dgp.d_x, self.dgp.d_z
         if self.theta0 is not None:
-            object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
+            object.__setattr__(self, "theta0", as_float_vector(self.theta0, d_x, "theta0"))
         if self.gamma0 is not None:
-            object.__setattr__(self, "gamma0", np.asarray(self.gamma0, dtype=float))
+            object.__setattr__(self, "gamma0", as_float_matrix(self.gamma0, (d_z, d_x), "gamma0"))
 
 
 @dataclass(eq=False)
@@ -270,32 +266,9 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     return _run_group(spec, [trial_index])[0]
 
 
-def default_workers() -> int:
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
-    return 1
-
-
-def run_experiment(spec: ExperimentSpec, max_workers: int | None = None) -> MetricSeries:
-    """Run all trials in lockstep groups (optionally across threads) and aggregate.
-
-    Results are keyed by trial index, so the output is identical for any
-    worker count.
-    """
-    groups = trial_groups(spec.trials)
-    workers = default_workers() if max_workers is None else max(1, int(max_workers))
-    workers = min(workers, len(groups))
-    run = partial(_run_group, spec)
-    if workers == 1:
-        per_group = list(map(run, groups))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(run, groups))
-    results = [r for group in per_group for r in group]
+def run_experiment(spec: ExperimentSpec) -> MetricSeries:
+    """Run all trials, one lockstep group after another, and aggregate."""
+    results = [r for group in trial_groups(spec.trials) for r in _run_group(spec, group)]
     return MetricSeries(
         spec=spec,
         trials=[r.points for r in results],

@@ -172,10 +172,10 @@ def theory_constants(
     """Measure schedule constants from the planted process.
 
     ``mu`` comes from the analytic summary when the link is linear and from
-    :func:`mc_moments` otherwise. The gradient-noise second moments
-    ``sigma1_sq``/``sigma2_sq`` are measured by Monte Carlo in the Frobenius
-    norm (an upper bound on the spectral-norm moments, so the step-size clamp
-    derived from them stays valid). The fast-iterate set diameter ``c_gamma``
+    :func:`mc_moments` otherwise. The gradient-noise second moment
+    ``sigma1_sq`` is measured by Monte Carlo in the Frobenius norm (an upper
+    bound on the spectral-norm moment, so the step-size clamp derived from it
+    stays valid). The fast-iterate set diameter ``c_gamma``
     covers a ball around the planted first-stage parameter that contains the
     initialisation ``gamma0`` (default zero).
 
@@ -198,21 +198,15 @@ def theory_constants(
     c_gamma = max(2.0 * gnorm_fro, float(np.linalg.norm(g0 - gamma)) + gnorm_fro)
 
     n = max(int(mc_n), 1000)
-    z, x, x_p, y = sample_two_block(rng, cfg, n)
+    z, x, x_p, _ = sample_two_block(rng, cfg, n)
     m_z = conditional_mean_x(cfg, z)
-    m_y = m_z @ cfg.theta_star
-    if not isinstance(cfg.family, EndogenousLinear):
-        m_y = m_y + cfg.family.c
-    # Frobenius-norm analogues of the gradient-noise second-moment bounds.
+    # Frobenius-norm analogue of the gradient-noise second-moment bound.
     dev_xx = x_p[:, :, None] * x[:, None, :] - m_z[:, :, None] * m_z[:, None, :]
     mm = m_z[:, :, None] * m_z[:, None, :]
     dev_mm = mm - summary.cond_xx[None, :, :]
     sigma1_sq = 2.0 * float((dev_xx**2).sum(axis=(1, 2)).mean()) + 2.0 * float(
         (dev_mm**2).sum(axis=(1, 2)).mean()
     )
-    dev_yx = x_p * y[:, None] - m_z * m_y[:, None]
-    dev_b = m_z * m_y[:, None] - summary.cond_xy[None, :]
-    sigma2_sq = float((dev_yx**2).sum(axis=1).mean()) + float((dev_b**2).sum(axis=1).mean())
 
     return TheoryConstants(
         mu=summary.mu,
@@ -223,26 +217,6 @@ def theory_constants(
         vartheta=0.0,
         iota=float(iota),
         sigma1_sq=sigma1_sq,
-        sigma2_sq=sigma2_sq,
         gamma_star_norm=gnorm_spec,
     )
 
-
-def brute_force_min_eigenvalue(a: NDArray[np.float64]) -> float:
-    """Smallest eigenvalue via the characteristic polynomial (test oracle).
-
-    Uses the Faddeev-LeVerrier recursion to build the characteristic
-    polynomial and takes the smallest real root. Independent of the
-    eigen-solver used elsewhere; intended for cross-checks on small matrices.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -(a @ m).trace() / k
-    roots = np.roots(coeffs)
-    real = roots[np.abs(roots.imag) < 1e-8 * max(1.0, np.abs(roots).max())].real
-    return float(real.min())

@@ -9,11 +9,10 @@ Two schedule shapes cover everything the streaming estimators need:
   fast and slow recursions is provided by :func:`two_timescale_schedules`.
 
 :class:`TheoryConstants` collects the model-level quantities (strong
-convexity, instrument spectrum bounds, iterate-set diameter, noise second
-moments) from which the prescribed schedules are computed. In simulation they
-are measured from the planted data-generating process by
-:func:`ivstream.oracle.theory_constants`; any field may be overridden in an
-experiment config.
+convexity, instrument spectrum bounds, iterate-set diameter, gradient-noise
+second moment) from which the prescribed schedules are computed. In
+simulation they are measured from the planted data-generating process by
+:func:`ivstream.oracle.theory_constants`.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def steps(s: StepSchedule, t_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Model constants consumed by the prescribed step-size rules.
+    """Model constants from which the prescribed step-size rules are computed.
 
     Fields
     ------
@@ -92,11 +91,9 @@ class TheoryConstants:
         instrument-noise terms.
     iota : rate-loss parameter of the polynomial schedules (exponent
         1 - iota/2).
-    sigma1_sq, sigma2_sq : second-moment bounds on the two-sample gradient
-        noise (the X'X^T part and the YX' part respectively).
+    sigma1_sq : second-moment bound on the X'X^T part of the two-sample
+        gradient noise; when given, it clamps :func:`log_horizon_alpha`.
     gamma_star_norm : spectral norm of the planted first-stage parameter.
-    c_x, c_y, c_xx, c_yx, vartheta1..4 : optional raw moment-bound
-        constants; kept for completeness, not consumed by the rules below.
     """
 
     mu: float
@@ -107,16 +104,7 @@ class TheoryConstants:
     vartheta: float = 0.0
     iota: float = 0.1
     sigma1_sq: float | None = None
-    sigma2_sq: float | None = None
     gamma_star_norm: float = 1.0
-    c_x: float | None = None
-    c_y: float | None = None
-    c_xx: float | None = None
-    c_yx: float | None = None
-    vartheta1: float | None = None
-    vartheta2: float | None = None
-    vartheta3: float | None = None
-    vartheta4: float | None = None
 
     def __post_init__(self):
         check_positive(self.mu, "mu")
@@ -129,8 +117,6 @@ class TheoryConstants:
         check_nonnegative(self.gamma_star_norm, "gamma_star_norm")
         if self.sigma1_sq is not None:
             check_nonnegative(self.sigma1_sq, "sigma1_sq")
-        if self.sigma2_sq is not None:
-            check_nonnegative(self.sigma2_sq, "sigma2_sq")
 
 
 def log_horizon_alpha(T: int, k: TheoryConstants) -> tuple[Constant, bool]:

@@ -30,7 +30,7 @@ def fig2_two_stage_series():
     cells = presets.build_preset("fig2", cell="dx1_dz1_rho1_sig0.5")
     spec = next(s for s in cells["dx1_dz1_rho1_sig0.5"] if s.algorithm == "two_stage_sgd")
     start = time.perf_counter()
-    series = harness.run_experiment(spec, max_workers=2)
+    series = harness.run_experiment(spec)
     return series, time.perf_counter() - start
 
 
@@ -56,7 +56,7 @@ def test_criterion_2_two_sample_rate():
     start = time.perf_counter()
     cells = presets.build_preset("fig1", cell="dx4_dz8_c0.1_phi_id")
     (spec,) = cells["dx4_dz8_c0.1_phi_id"]
-    series = harness.run_experiment(spec, max_workers=2)
+    series = harness.run_experiment(spec)
     elapsed = time.perf_counter() - start
     it = series.iterations
     m = series.mean("dist_sq")
@@ -89,8 +89,8 @@ def test_criterion_4_divergence_comparison():
     start = time.perf_counter()
     cells = presets.build_preset("fig3")
     specs = {s.algorithm: s for s in cells["default"]}
-    series_ts = harness.run_experiment(specs["two_stage_sgd"], max_workers=2)
-    series_dr = harness.run_experiment(specs["direct_sgd"], max_workers=2)
+    series_ts = harness.run_experiment(specs["two_stage_sgd"])
+    series_dr = harness.run_experiment(specs["direct_sgd"])
     elapsed = time.perf_counter() - start
     it = series_ts.iterations
     m_ts = series_ts.mean("dist_sq")
@@ -164,18 +164,19 @@ def test_criterion_7_test_mse_floor(fig2_two_stage_series):
 
 
 def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
-    """Identical seeds with different thread counts give byte-identical CSVs."""
+    """Identical seeds give byte-identical CSVs whether trials run alone or in
+    lockstep groups (group size 1 vs the default 4: groups 4+3+3)."""
     blobs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("IVSTREAM_THREADS", threads)
-        out = tmp_path / f"workers_{threads}"
+    for group_size in (1, harness.GROUP_SIZE):
+        monkeypatch.setattr(harness, "GROUP_SIZE", group_size)
+        out = tmp_path / f"group_{group_size}"
         rc = cli.main(["run", "--preset", "fig3", "--out", str(out),
                        "--trials", "10", "--iters", "20000"])
         assert rc == 0
         blobs.append(tuple(sorted((p.name, p.read_bytes()) for p in out.glob("*.csv"))))
     ok = blobs[0] == blobs[1]
-    _report(8, "determinism across thread counts",
-            f"{len(blobs[0])} CSV files byte-identical for 1 vs 2 workers: {ok}", ok)
+    _report(8, "determinism across lockstep group sizes",
+            f"{len(blobs[0])} CSV files byte-identical for group size 1 vs 4: {ok}", ok)
 
 
 def test_criterion_9_hand_step_oracles():

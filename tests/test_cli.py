@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ivstream import cli
+from ivstream import cli, harness, schedule
 
 
 def _write_config(path: Path, config: dict) -> str:
@@ -104,6 +104,33 @@ class TestCompare:
         assert manifest["outputs"] == ["series.csv"]
 
 
+class TestScheduleResolution:
+    def test_theory_constants_measured_once_per_config(self, monkeypatch):
+        config = {
+            "dgp": {"family": "endogenous_linear", "d_x": 1, "d_z": 2},
+            "algorithms": ["two_stage_sgd", "direct_sgd"],
+            "schedule": {"alpha": {"kind": "two_timescale"},
+                         "beta": {"kind": "two_timescale", "iota": 0.2}},
+            "T": 100, "trials": 1,
+        }
+        theory_constants = cli.theory_constants
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return theory_constants(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "theory_constants", counting)
+        specs = cli.specs_from_config(config)
+        assert len(calls) == 1
+        # The schedules equal a fresh measurement per schedule, each with its own iota.
+        cfg = specs[0].dgp
+        alpha, _ = schedule.two_timescale_schedules(theory_constants(cfg, iota=0.1), cfg.d_z)
+        _, beta = schedule.two_timescale_schedules(theory_constants(cfg, iota=0.2), cfg.d_z)
+        for spec in specs:
+            assert spec.alpha == alpha and spec.beta == beta
+
+
 class TestManifest:
     def test_round_trips_losslessly(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", dict(MINIMAL, test_n=4))
@@ -134,14 +161,21 @@ class TestConfigErrors:
         (lambda c: c["dgp"].update(family="nope"), "family"),
         (lambda c: c.update(algorithm="nope"), "algorithm"),
         (lambda c: c["dgp"].update(extra=2), "unknown"),
+        (lambda c: c.update(schedule={"lambda": 0}), "lam"),
+        (lambda c: c.update(algorithm="online_2sls", schedule={"lambda": -1.0}), "lam"),
+        (lambda c: c.update(dgp={"family": "endogenous_linear", "d_x": 4, "d_z": 4},
+                            init={"theta0": [0.0]}), "theta0"),
+        (lambda c: c.update(init={"gamma0": [[0.0, 0.0]]}), "gamma0"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
+        # A config error exits 2 before anything runs or is written.
         config = json.loads(json.dumps(MINIMAL))
         mutate(config)
         cfg = _write_config(tmp_path / "cfg.json", config)
-        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert rc != 0
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert match.lower() in capsys.readouterr().err.lower()
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
@@ -158,10 +192,11 @@ class TestConfigErrors:
 
 class TestDeterminismAcrossWorkers:
     def test_byte_identical_csv(self, tmp_path, monkeypatch):
+        # Trials run alone (group size 1) or as one lockstep group of 4.
         outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("IVSTREAM_THREADS", threads)
-            out = tmp_path / f"t{threads}"
+        for group_size in (1, harness.GROUP_SIZE):
+            monkeypatch.setattr(harness, "GROUP_SIZE", group_size)
+            out = tmp_path / f"g{group_size}"
             rc = cli.main(["run", "--preset", "fig3", "--out", str(out),
                            "--trials", "4", "--iters", "800"])
             assert rc == 0

@@ -14,9 +14,9 @@ class TestNoiseFreeLimit:
 
     def test_sample_two_degenerate_conditional_law(self, rng):
         cfg = dgp.shared_confounder_config(4, 8, c=0.0, phi="square")
-        s = dgp.sample_two(rng, cfg)
-        np.testing.assert_array_equal(s.x, s.x_prime)
-        np.testing.assert_array_equal(s.x, (s.z @ cfg.gamma_star) ** 2)
+        z, x, x_prime, _ = dgp.sample_two_block(rng, cfg, 100)
+        np.testing.assert_array_equal(x, x_prime)
+        np.testing.assert_array_equal(x, (z @ cfg.gamma_star) ** 2)
 
 
 class TestMoments:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from ivstream import dgp, estimators as est, oracle
+from ivstream import dgp, estimators as est, harness, oracle
 from ivstream.schedule import Polynomial
 
 
@@ -89,10 +89,11 @@ class TestTwoTimescaleUpdates:
             np.testing.assert_array_equal(g_a, g_b)
 
     def test_gamma_radius_projection(self):
-        theta, gamma = est.two_stage_update(np.array([0.0]), np.array([[2.0]]),
-                                            np.array([1.0]), np.array([3.0]), 5.0, 0.1, 0.1,
-                                            gamma_radius=1.0)
-        assert abs(gamma[0, 0]) == pytest.approx(1.0, rel=1e-15)
+        for kernel in (est.two_stage_update, est.direct_residual_update):
+            theta, gamma = kernel(np.array([0.0]), np.array([[2.0]]),
+                                  np.array([1.0]), np.array([3.0]), 5.0, 0.1, 0.1,
+                                  gamma_radius=1.0)
+            assert abs(gamma[0, 0]) == pytest.approx(1.0, rel=1e-15)
 
     def test_gamma_rate_trend(self):
         # Under the prescribed decay exponent the first-stage error
@@ -148,10 +149,11 @@ class TestOnline2SLSUpdate:
         np.testing.assert_array_equal(v, v0)
 
     def test_initial_state_is_scaled_identity(self):
-        state = est.Online2SLSState.initial(2, 3)
-        assert state.lam == 0.1
-        np.testing.assert_array_equal(state.v, np.eye(3) / 0.1)
-        np.testing.assert_array_equal(state.u, np.eye(2) / 0.1)
+        # A zero instrument leaves the state as initialised (see the fixed point above).
+        reg = est.Online2SLSRegressor().partial_fit(np.zeros(3), np.zeros(2), 0.0)
+        assert reg.lam == 0.1
+        np.testing.assert_array_equal(reg.v_, np.eye(3) / 0.1)
+        np.testing.assert_array_equal(reg.u_, np.eye(2) / 0.1)
 
     def test_corrupted_state_raises(self):
         with pytest.raises(FloatingPointError):
@@ -361,8 +363,7 @@ class TestRegressors:
         cfg = dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5)
         z, x, y = dgp.sample_one_block(make_rng(12), cfg, 64)
         reg = est.Online2SLSRegressor(lam=0.1)
-        state = est.Online2SLSState.initial(1, 2, lam=0.1)
-        theta, gamma, u, v = state.theta, state.gamma, state.u, state.v
+        theta, gamma, u, v = np.zeros(1), np.zeros((2, 1)), np.eye(1) / 0.1, np.eye(2) / 0.1
         for t in range(64):
             reg.partial_fit(z[t], x[t], y[t])
             theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, z[t], x[t], y[t])
@@ -381,15 +382,29 @@ class TestRegressors:
 
 
 class TestStates:
+    """Validation of the initial state a regressor or an experiment starts from."""
+
     def test_two_stage_state_shape_check(self):
-        with pytest.raises(ValueError):
-            est.TwoStageState(theta=np.zeros(2), gamma=np.zeros((3, 3)))
+        for reg in (est.TwoStageSGDRegressor(gamma0=np.zeros((3, 3))),
+                    est.Online2SLSRegressor(gamma0=np.zeros((3, 3)))):
+            with pytest.raises(ValueError, match="gamma0"):
+                reg.partial_fit(np.ones(3), np.ones(2), 1.0)
 
     def test_single_stage_state_finite_check(self):
-        with pytest.raises(ValueError):
-            est.SingleStageState(theta=np.array([np.nan]))
+        reg = est.TwoSampleSGDRegressor(theta0=np.array([np.nan]))
+        with pytest.raises(ValueError, match="theta0"):
+            reg.partial_fit(np.ones(1), np.ones(1), 1.0, np.ones(1))
 
     def test_online_2sls_state_validation(self):
-        with pytest.raises(ValueError):
-            est.Online2SLSState(theta=np.zeros(2), gamma=np.zeros((3, 2)),
-                                u=np.eye(2), v=np.eye(3), lam=0.0)
+        with pytest.raises(ValueError, match="lam"):
+            est.Online2SLSRegressor(lam=0.0).partial_fit(np.ones(3), np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="theta0"):
+            est.Online2SLSRegressor(theta0=np.zeros(3)).partial_fit(np.ones(3), np.ones(2), 1.0)
+        spec = dict(dgp=dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5),
+                    algorithm="online_2sls", T=10, trials=1, base_seed=0)
+        with pytest.raises(ValueError, match="lam"):
+            harness.ExperimentSpec(lam=0.0, **spec)
+        with pytest.raises(ValueError, match="theta0"):
+            harness.ExperimentSpec(theta0=np.zeros(3), **spec)
+        with pytest.raises(ValueError, match="gamma0"):
+            harness.ExperimentSpec(gamma0=np.zeros((2, 2)), **spec)

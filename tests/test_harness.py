@@ -97,28 +97,21 @@ class TestRunExperiment:
                                       [p.dist_sq for p in series.trials[0]])
         np.testing.assert_array_equal(series.std("dist_sq"), 0.0)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        # Trials run alone (group size 1) or in lockstep groups 3+3 agree bitwise.
         spec = _tiny_spec(trials=6)
-        s1 = harness.run_experiment(spec, max_workers=1)
-        s2 = harness.run_experiment(spec, max_workers=3)
+        s2 = harness.run_experiment(spec)
+        monkeypatch.setattr(harness, "GROUP_SIZE", 1)
+        s1 = harness.run_experiment(spec)
         np.testing.assert_array_equal(s1.values("dist_sq"), s2.values("dist_sq"))
         assert s1.stream_digests == s2.stream_digests
         assert s1.combined_stream_digest() == s2.combined_stream_digest()
-
-    def test_env_var_controls_default_workers(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_THREADS, "3")
-        assert harness.default_workers() == 3
-        monkeypatch.setenv(harness.ENV_THREADS, "junk")
-        with pytest.raises(ValueError):
-            harness.default_workers()
-        monkeypatch.delenv(harness.ENV_THREADS)
-        assert harness.default_workers() == 1
 
     def test_converging_run_improves_on_first_checkpoint(self):
         spec = _tiny_spec(T=20_000, trials=6,
                           dgp=dgp.shared_confounder_config(4, 8, c=0.1, phi="identity"),
                           algorithm="two_sample_sgd", alpha=Constant(3e-4), beta=None)
-        series = harness.run_experiment(spec, max_workers=2)
+        series = harness.run_experiment(spec)
         m = series.mean("dist_sq")
         assert m[-1] < m[0]
 
