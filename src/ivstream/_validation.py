@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -15,7 +17,7 @@ def as_float_vector(x, n: int | None = None, name: str = "x") -> NDArray[np.floa
         raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -27,9 +29,17 @@ def as_float_matrix(x, shape: tuple[int, int] | None = None, name: str = "x") ->
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
+
+
+# Coerces to a float; a non-finite one is rejected with as_float_vector's message.
+def check_finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} has non-finite entries")
+    return value
 
 
 def check_positive(value: float, name: str) -> float:

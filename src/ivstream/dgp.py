@@ -147,7 +147,8 @@ class DgpConfig:
         # Identification: gamma_star^T z_cov gamma_star must be PD.
         gzg = self.gamma_star.T @ z_cov @ self.gamma_star
         check_symmetric_pd(0.5 * (gzg + gzg.T), "gamma_star^T z_cov gamma_star")
-        object.__setattr__(self, "_z_chol", np.linalg.cholesky(z_cov))
+        # None for the identity, whose factor would leave each Z block unchanged.
+        object.__setattr__(self, "_z_chol", None if np.array_equal(z_cov, np.eye(d_z)) else np.linalg.cholesky(z_cov))
 
     @property
     def is_linear(self) -> bool:
@@ -230,7 +231,7 @@ def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[
 
 def _draw_z(rng: np.random.Generator, cfg: DgpConfig, n: int) -> NDArray[np.float64]:
     z = rng.standard_normal((n, cfg.d_z))
-    return z @ cfg._z_chol.T
+    return z if cfg._z_chol is None else z @ cfg._z_chol.T
 
 
 def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int):

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._validation import as_float_matrix, as_float_vector, check_positive
+from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
 from .schedule import Constant, StepSchedule, step
 
 DEFAULT_RIDGE = 0.1
@@ -229,16 +229,20 @@ class _BaseIVRegressor:
         if not hasattr(self, "theta_"):
             raise AttributeError(f"{type(self).__name__} is not fitted yet")
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        X = as_float_matrix(X, name="X")
-        return X @ self.theta_
+        return as_float_matrix(X[None, :] if X.ndim == 1 else X, name="X") @ self.theta_
 
     def _init_iterates(self, d_x: int, d_z: int) -> None:
         """Validated (theta0, gamma0), or zeros, as the first iterates."""
-        self.theta_ = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
-        self.gamma_ = np.zeros((d_z, d_x)) if self.gamma0 is None else as_float_matrix(self.gamma0, (d_z, d_x), "gamma0")
-        self.n_iter_ = 0
+        theta = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
+        gamma = np.zeros((d_z, d_x)) if self.gamma0 is None else as_float_matrix(self.gamma0, (d_z, d_x), "gamma0")
+        self.theta_, self.gamma_, self.n_iter_ = theta, gamma, 0
+
+    # Sets up the iterates on first use; afterwards, checks the rows' widths.
+    def _start(self, d_x: int, d_z: int) -> None:
+        if not hasattr(self, "theta_"):
+            self._init_iterates(d_x, d_z)
+        elif self.theta_.shape != (d_x,) or (hasattr(self, "gamma_") and self.gamma_.shape != (d_z, d_x)):
+            raise ValueError(f"rows have d_x={d_x}, d_z={d_z}, which do not match the fitted state")
 
     def _stack(self, Z, X, y):
         Z = as_float_matrix(np.atleast_2d(np.asarray(Z, dtype=float)), name="Z")
@@ -247,6 +251,22 @@ class _BaseIVRegressor:
         if not (Z.shape[0] == X.shape[0] == y.shape[0]):
             raise ValueError("Z, X and y must have the same number of rows")
         return Z, X, y
+
+    # ``fit`` validates the whole stream once and ``partial_fit`` its one row;
+    # both then run the subclass's ``_update``, its one loop over the kernel.
+    # ``_update`` writes the iterates and ``n_iter_`` back in a ``finally``, so
+    # after a row raises they reflect exactly the rows consumed before it.
+
+    def partial_fit(self, z, x, y: float):
+        z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
+        self._start(x.shape[0], z.shape[0])
+        return self._update((z,), (x,), (y,))
+
+    def fit(self, Z, X, y):
+        """Consume the rows of (Z, X, y) in order as a stream."""
+        Z, X, y = self._stack(Z, X, y)
+        self._start(X.shape[1], Z.shape[1])
+        return self._update(Z, X, y.tolist())
 
 
 class TwoSampleSGDRegressor(_BaseIVRegressor):
@@ -266,24 +286,33 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
         self.alpha = alpha
         self.theta0 = theta0
 
-    def partial_fit(self, z, x, y: float, x_prime) -> "TwoSampleSGDRegressor":
-        x = as_float_vector(x, name="x")
-        x_prime = as_float_vector(x_prime, n=x.shape[0], name="x_prime")
-        if not hasattr(self, "theta_"):
-            self.theta_ = np.zeros(x.shape[0]) if self.theta0 is None else as_float_vector(self.theta0, x.shape[0], "theta0")
-            self.n_iter_ = 0
-        self.n_iter_ += 1
-        a = step(_as_schedule(self.alpha), self.n_iter_)
-        self.theta_ = two_sample_update(self.theta_, x, x_prime, float(y), a)
+    def _init_iterates(self, d_x: int, d_z: int) -> None:
+        self.theta_ = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
+        self.n_iter_ = 0
+
+    def _update(self, X, X_prime, y) -> "TwoSampleSGDRegressor":
+        alpha = _as_schedule(self.alpha)
+        theta, t = self.theta_, self.n_iter_
+        try:
+            for x, x_prime, y_t in zip(X, X_prime, y):
+                theta = two_sample_update(theta, x, x_prime, y_t, step(alpha, t + 1))
+                t += 1
+        finally:
+            self.theta_, self.n_iter_ = theta, t
         return self
+
+    def partial_fit(self, z, x, y: float, x_prime) -> "TwoSampleSGDRegressor":
+        z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
+        x_prime = as_float_vector(x_prime, n=x.shape[0], name="x_prime")
+        self._start(x.shape[0], z.shape[0])
+        return self._update((x,), (x_prime,), (y,))
 
     def fit(self, Z, X, y, X_prime) -> "TwoSampleSGDRegressor":
         """Consume the rows of (Z, X, y, X_prime) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         X_prime = as_float_matrix(np.atleast_2d(np.asarray(X_prime, dtype=float)), X.shape, "X_prime")
-        for i in range(X.shape[0]):
-            self.partial_fit(Z[i], X[i], y[i], X_prime[i])
-        return self
+        self._start(X.shape[1], Z.shape[1])
+        return self._update(X, X_prime, y.tolist())
 
 
 class _TwoTimescaleRegressor(_BaseIVRegressor):
@@ -297,24 +326,15 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.gamma0 = gamma0
         self.gamma_radius = gamma_radius
 
-    def partial_fit(self, z, x, y: float):
-        z = as_float_vector(z, name="z")
-        x = as_float_vector(x, name="x")
-        if not hasattr(self, "theta_"):
-            self._init_iterates(x.shape[0], z.shape[0])
-        self.n_iter_ += 1
-        a = step(_as_schedule(self.alpha), self.n_iter_)
-        b = step(_as_schedule(self.beta), self.n_iter_)
-        self.theta_, self.gamma_ = self._kernel(
-            self.theta_, self.gamma_, z, x, float(y), a, b, gamma_radius=self.gamma_radius
-        )
-        return self
-
-    def fit(self, Z, X, y):
-        """Consume the rows of (Z, X, y) in order as a stream."""
-        Z, X, y = self._stack(Z, X, y)
-        for i in range(X.shape[0]):
-            self.partial_fit(Z[i], X[i], y[i])
+    def _update(self, Z, X, y):
+        alpha, beta, kernel, radius = _as_schedule(self.alpha), _as_schedule(self.beta), self._kernel, self.gamma_radius
+        theta, gamma, t = self.theta_, self.gamma_, self.n_iter_
+        try:
+            for z, x, y_t in zip(Z, X, y):
+                theta, gamma = kernel(theta, gamma, z, x, y_t, step(alpha, t + 1), step(beta, t + 1), radius)
+                t += 1
+        finally:
+            self.theta_, self.gamma_, self.n_iter_ = theta, gamma, t
         return self
 
 
@@ -346,22 +366,17 @@ class Online2SLSRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def partial_fit(self, z, x, y: float) -> "Online2SLSRegressor":
-        z = as_float_vector(z, name="z")
-        x = as_float_vector(x, name="x")
-        if not hasattr(self, "theta_"):
-            lam = check_positive(self.lam, "lam")
-            self._init_iterates(x.shape[0], z.shape[0])
-            self.u_, self.v_ = np.eye(x.shape[0]) / lam, np.eye(z.shape[0]) / lam
-        self.n_iter_ += 1
-        self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(
-            self.theta_, self.gamma_, self.u_, self.v_, z, x, float(y)
-        )
-        return self
+    def _init_iterates(self, d_x: int, d_z: int) -> None:
+        lam = check_positive(self.lam, "lam")
+        super()._init_iterates(d_x, d_z)
+        self.u_, self.v_ = np.eye(d_x) / lam, np.eye(d_z) / lam
 
-    def fit(self, Z, X, y) -> "Online2SLSRegressor":
-        """Consume the rows of (Z, X, y) in order as a stream."""
-        Z, X, y = self._stack(Z, X, y)
-        for i in range(X.shape[0]):
-            self.partial_fit(Z[i], X[i], y[i])
+    def _update(self, Z, X, y) -> "Online2SLSRegressor":
+        theta, gamma, u, v, t = self.theta_, self.gamma_, self.u_, self.v_, self.n_iter_
+        try:
+            for z, x, y_t in zip(Z, X, y):
+                theta, gamma, u, v = online_2sls_update(theta, gamma, u, v, z, x, y_t)
+                t += 1
+        finally:
+            self.theta_, self.gamma_, self.u_, self.v_, self.n_iter_ = theta, gamma, u, v, t
         return self

@@ -67,7 +67,8 @@ def step(s: StepSchedule, t: int) -> float:
 
 
 def steps(s: StepSchedule, t_max: int) -> np.ndarray:
-    """Vectorized step sizes for t = 1, ..., t_max (used by the trial loop)."""
+    """Vectorized step sizes for t = 1, ..., t_max (used by the trial loop); numpy's
+    SIMD ``power`` may differ from :func:`step` in the last bits (README, reproducibility)."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if isinstance(s, Constant):

@@ -19,6 +19,24 @@ class TestNoiseFreeLimit:
         np.testing.assert_array_equal(x, (z @ cfg.gamma_star) ** 2)
 
 
+class TestInstrumentDraw:
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
+    def test_identity_covariance_skips_the_factor_bit_for_bit(self, d_x, d_z):
+        # With z_cov = I the block is the raw normal draw, which is what the
+        # product with the identity factor gave, bit for bit.
+        cfg = dgp.shared_confounder_config(d_x, d_z, c=0.1, phi="identity", z_cov=np.eye(d_z))
+        z, _, _ = dgp.sample_one_block(make_rng(4), cfg, 5000)
+        raw = make_rng(4).standard_normal((5000, d_z))
+        np.testing.assert_array_equal(z, raw)
+        np.testing.assert_array_equal(z, raw @ np.linalg.cholesky(cfg.z_cov).T)
+
+    def test_other_covariance_applies_the_factor(self):
+        z_cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        cfg = dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5, z_cov=z_cov)
+        z, _, _ = dgp.sample_one_block(make_rng(4), cfg, 5000)
+        np.testing.assert_array_equal(z, make_rng(4).standard_normal((5000, 2)) @ np.linalg.cholesky(z_cov).T)
+
+
 class TestMoments:
     def test_outcome_noise_variance(self):
         # Var(Y - X) = Var(nu) = rho^2 sigma_eps^2 + 0.25 = 0.25 for rho = 0.

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,11 @@ class TestStates:
                     est.Online2SLSRegressor(gamma0=np.zeros((3, 3)))):
             with pytest.raises(ValueError, match="gamma0"):
                 reg.partial_fit(np.ones(3), np.ones(2), 1.0)
+            # A rejected start sets no iterate, so a corrected gamma0 still applies.
+            assert not hasattr(reg, "theta_")
+            reg.set_params(gamma0=np.ones((3, 2))).partial_fit(np.zeros(3), np.ones(2), 1.0)
+            assert reg.n_iter_ == 1
+            np.testing.assert_array_equal(reg.gamma_, np.ones((3, 2)))
 
     def test_single_stage_state_finite_check(self):
         reg = est.TwoSampleSGDRegressor(theta0=np.array([np.nan]))
@@ -408,3 +415,141 @@ class TestStates:
             harness.ExperimentSpec(theta0=np.zeros(3), **spec)
         with pytest.raises(ValueError, match="gamma0"):
             harness.ExperimentSpec(gamma0=np.zeros((2, 2)), **spec)
+
+
+# ---------------------------------------------------------------------------
+# one update loop: fit and partial_fit
+
+
+def _regressor(name, d_x, d_z):
+    alpha = Polynomial(0.9 / (d_x + 2.0), 0.95)
+    beta = Polynomial(1.5 / (d_z + 2.0), 0.95)
+    return {
+        "two_sample": lambda: est.TwoSampleSGDRegressor(alpha=alpha),
+        "two_stage": lambda: est.TwoStageSGDRegressor(alpha=alpha, beta=beta),
+        "direct": lambda: est.DirectSGDRegressor(alpha=alpha, beta=beta),
+        "online_2sls": lambda: est.Online2SLSRegressor(lam=0.1),
+    }[name]()
+
+
+REGRESSOR_NAMES = ("two_sample", "two_stage", "direct", "online_2sls")
+
+
+def _args(reg, z, x, y, x_prime):
+    """Positional data arguments of ``reg.fit`` / ``reg.partial_fit``."""
+    return (z, x, y, x_prime) if isinstance(reg, est.TwoSampleSGDRegressor) else (z, x, y)
+
+
+def _state(reg):
+    """Copies of the fitted attributes (``theta_``, ``n_iter_``, ...)."""
+    return {k: np.copy(v) for k, v in vars(reg).items() if k.endswith("_")}
+
+
+def _assert_same_state(a, b):
+    a, b = (_state(r) if isinstance(r, est._BaseIVRegressor) else r for r in (a, b))
+    assert sorted(a) == sorted(b)
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+
+def _stream(d_x, d_z, n, seed=31):
+    return dgp.sample_two_block(make_rng(seed), dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5), n)
+
+
+class TestOneUpdateLoop:
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (8, 16)])
+    def test_fit_equals_row_by_row_partial_fit(self, name, d_x, d_z):
+        z, x, x_prime, y = _stream(d_x, d_z, 400)
+        fitted = _regressor(name, d_x, d_z)
+        fitted.fit(*_args(fitted, z, x, y, x_prime))
+        streamed = _regressor(name, d_x, d_z)
+        for i in range(len(y)):
+            streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
+        assert fitted.n_iter_ == 400
+        _assert_same_state(fitted, streamed)
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    def test_fit_continues_the_stream(self, name):
+        # fit(A); fit(B) == fit(A || B): n_iter_ carries into the step schedule.
+        z, x, x_prime, y = _stream(2, 3, 300)
+        whole = _regressor(name, 2, 3)
+        whole.fit(*_args(whole, z, x, y, x_prime))
+        parts = _regressor(name, 2, 3)
+        parts.fit(*_args(parts, z[:120], x[:120], y[:120], x_prime[:120]))
+        parts.fit(*_args(parts, z[120:], x[120:], y[120:], x_prime[120:]))
+        _assert_same_state(parts, whole)
+
+    @pytest.mark.parametrize("name,d_x,d_z,bad", [
+        (name, d_x, d_z, bad) for name in REGRESSOR_NAMES
+        for d_x, d_z, bad in [(2, 3, "z"), (2, 3, "x"), (1, 2, "x")]
+        if not (name == "two_sample" and bad == "z")  # the two-sample update does not read z
+    ])
+    def test_mismatched_row_raises_and_keeps_state(self, name, d_x, d_z, bad):
+        # A length-3 x against d_x = 1 would broadcast silently in the kernels.
+        z, x, x_prime, y = _stream(d_x, d_z, 20)
+        reg = _regressor(name, d_x, d_z)
+        reg.fit(*_args(reg, z, x, y, x_prime))
+        before = _state(reg)
+        row = {"z": z[0], "x": x[0], "x_prime": x_prime[0]}
+        row[bad] = np.ones(row[bad].shape[0] + 2)
+        if bad == "x":
+            row["x_prime"] = row["x"]
+        with pytest.raises(ValueError):
+            reg.partial_fit(*_args(reg, row["z"], row["x"], y[0], row["x_prime"]))
+        _assert_same_state(reg, before)
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("bad_y", [np.nan, np.inf, -np.inf])
+    def test_partial_fit_rejects_non_finite_y(self, name, bad_y):
+        z, x, x_prime, y = _stream(2, 3, 5)
+        reg = _regressor(name, 2, 3)
+        with pytest.raises(ValueError, match="y has non-finite entries"):
+            reg.partial_fit(*_args(reg, z[0], x[0], bad_y, x_prime[0]))
+        assert not hasattr(reg, "theta_")
+        reg.fit(*_args(reg, z, x, y, x_prime))
+        before = _state(reg)
+        with pytest.raises(ValueError, match="y has non-finite entries"):
+            reg.partial_fit(*_args(reg, z[0], x[0], bad_y, x_prime[0]))
+        _assert_same_state(reg, before)
+        with pytest.raises(ValueError, match="y has non-finite entries"):
+            reg.fit(*_args(reg, z[:2], x[:2], [1.0, bad_y], x_prime[:2]))
+        _assert_same_state(reg, before)
+
+    def test_failed_partial_fit_is_not_counted(self):
+        z, x, _, y = _stream(2, 3, 2)
+        reg = est.Online2SLSRegressor()
+        reg.partial_fit(z[0], x[0], y[0])
+        reg.u_ = -10.0 * np.eye(2)
+        before = _state(reg)
+        with pytest.raises(FloatingPointError):
+            reg.partial_fit(z[1], x[1], y[1])
+        assert reg.n_iter_ == 1
+        _assert_same_state(reg, before)
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    def test_fit_failing_mid_stream_keeps_the_rows_consumed(self, name):
+        z, x, x_prime, y = _stream(2, 3, 200)
+        if name == "online_2sls":
+            # U = -10 I: the rank-one denominator 1 - 10|w|^2 turns negative
+            # once the growing instruments make |w| large enough.
+            start = est.Online2SLSRegressor().fit(z[:1] * 1e-3, x[:1], y[:1])
+            start.u_ = -10.0 * np.eye(2)
+            z = z * np.linspace(1e-3, 10.0, len(y))[:, None]
+            raise_on = {}
+        else:
+            # Constant steps far too large: the iterates overflow after some rows.
+            start = _regressor(name, 2, 3)
+            start.set_params(**{p: 50.0 for p in ("alpha", "beta") if p in start.get_params()})
+            raise_on = {"over": "raise", "invalid": "raise"}
+        args = _args(start, z, x, y, x_prime)
+        reg = copy.deepcopy(start)
+        with np.errstate(**raise_on), pytest.raises(FloatingPointError):
+            reg.fit(*args)
+        k = reg.n_iter_ - getattr(start, "n_iter_", 0)
+        assert 0 < k < len(y)
+        ref = copy.deepcopy(start).fit(*(a[:k] for a in args))
+        _assert_same_state(reg, ref)
+        with np.errstate(**raise_on), pytest.raises(FloatingPointError):
+            ref.partial_fit(*(a[k] for a in args))
+        _assert_same_state(reg, ref)

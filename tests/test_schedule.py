@@ -26,6 +26,19 @@ class TestStep:
         for t in (1, 2, 50, 100):
             assert arr[t - 1] == schedule.step(s, t)
 
+    def test_steps_within_one_ulp_of_scalar(self):
+        # numpy's vectorised power and libm's pow may round t**-e differently
+        # in the last bit (they do on AVX-512 builds), never by more; scaling
+        # by a coefficient other than 1 can widen that to 2 ulps of the step.
+        def ulps(coeff):
+            s = Polynomial(coeff, 0.95)
+            arr = schedule.steps(s, 100_000)
+            scalar = np.array([schedule.step(s, t) for t in range(1, 100_001)])
+            return np.abs(arr.view(np.int64) - scalar.view(np.int64)).max()
+
+        assert ulps(1.0) <= 1
+        assert ulps(0.3) <= 2
+
     def test_polynomial_positive_and_strictly_decreasing(self):
         arr = schedule.steps(Polynomial(1.7, 0.6), 1000)
         assert np.all(arr > 0)
