@@ -26,41 +26,18 @@ CSV schema
 endings, UTF-8. Files are written to a temporary name and renamed into
 place.
 
-Config schema (JSON)
---------------------
-Required: ``dgp.family``, ``algorithm`` (or ``algorithms`` for compare),
-``T``, ``trials``. Optional keys with defaults::
-
-    {
-      "experiment_id": "experiment",
-      "dgp": {
-        "family": "endogenous_linear" | "shared_confounder",
-        "d_x": 1, "d_z": 1,
-        "rho": 1.0, "sigma_eps": 0.5,          # endogenous_linear
-        "c": 0.1, "phi": "identity",           # shared_confounder
-        "theta_star": [...], "gamma_star": [[...]], "z_cov": [[...]]
-      },
-      "algorithm": "two_stage_sgd",
-      "schedule": {
-        "alpha": {"kind": "polynomial", "coeff": 0.3, "exponent": 0.95}
-                 | {"kind": "constant", "value": 0.01}
-                 | {"kind": "log_horizon"}      # log(T) / (mu T), mu measured
-                 | {"kind": "two_timescale"},   # worst-case prescription
-        "beta": {...},
-        "lambda": 0.1
-      },
-      "T": 100000, "trials": 50, "seed": 0, "test_n": 0,
-      "checkpoints": [1, 10, ...],
-      "init": {"theta0": [...], "gamma0": [[...]]}
-    }
+Configs
+-------
+``run --config`` and ``compare`` read a JSON config in the schema of
+:mod:`ivstream.presets`, which parses it and writes the manifest's resolved
+``experiments`` in the same schema; ``run --preset`` runs a preset cell's
+config.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
-import functools
 import json
 import os
 import sys
@@ -69,213 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimators as est, harness, metrics as met, presets
-from .dgp import (
-    DgpConfig,
-    EndogenousLinear,
-    endogenous_linear_config,
-    sample_one_block,
-    sample_two_block,
-    shared_confounder_config,
-)
+from . import __version__, estimators as est, harness, presets
+from .dgp import endogenous_linear_config, sample_one_block, sample_two_block, shared_confounder_config
 from .harness import ExperimentSpec, MetricSeries, RNG_ALGORITHM, SEED_MIXER
-from .oracle import grad_f, summarize, theory_constants
-from .schedule import Constant, Polynomial, StepSchedule, log_horizon_alpha, two_timescale_schedules
+from .oracle import grad_f, summarize
+from .presets import ConfigError, spec_to_dict, specs_from_config
 
 METRIC_NAMES = ("dist_sq", "test_mse", "oracle_mse")
 CSV_HEADER = "experiment_id,algorithm,trial,iteration,metric,value"
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent experiment configs."""
-
-
-# ---------------------------------------------------------------------------
-# config parsing / serialization
-
-
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _dgp_from_dict(d: dict) -> DgpConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("'dgp' must be an object")
-    _reject_unknown(
-        d,
-        {"family", "d_x", "d_z", "rho", "sigma_eps", "c", "phi", "theta_star", "gamma_star", "z_cov"},
-        "dgp",
-    )
-    family = d.get("family")
-    kw = dict(
-        theta_star=d.get("theta_star"),
-        gamma_star=d.get("gamma_star"),
-        z_cov=d.get("z_cov"),
-    )
-    d_x = int(d.get("d_x", 1))
-    d_z = int(d.get("d_z", d_x))
-    try:
-        if family == "endogenous_linear":
-            return endogenous_linear_config(d_x, d_z, rho=float(d.get("rho", 1.0)),
-                                            sigma_eps=float(d.get("sigma_eps", 0.5)), **kw)
-        if family == "shared_confounder":
-            return shared_confounder_config(d_x, d_z, c=float(d.get("c", 0.1)),
-                                            phi=d.get("phi", "identity"), **kw)
-    except ValueError as e:
-        raise ConfigError(f"invalid dgp: {e}") from e
-    raise ConfigError(f"dgp.family must be 'endogenous_linear' or 'shared_confounder', got {family!r}")
-
-
-def _dgp_to_dict(cfg: DgpConfig) -> dict:
-    d = {
-        "d_x": cfg.d_x,
-        "d_z": cfg.d_z,
-        "theta_star": cfg.theta_star.tolist(),
-        "gamma_star": cfg.gamma_star.tolist(),
-        "z_cov": cfg.z_cov.tolist(),
-    }
-    if isinstance(cfg.family, EndogenousLinear):
-        d["family"] = "endogenous_linear"
-        d["rho"] = cfg.family.rho
-        d["sigma_eps"] = cfg.family.sigma_eps
-    else:
-        d["family"] = "shared_confounder"
-        d["c"] = cfg.family.c
-        d["phi"] = cfg.family.phi
-    return d
-
-
-def _schedule_to_dict(s: StepSchedule | None) -> dict | None:
-    if s is None:
-        return None
-    if isinstance(s, Constant):
-        return {"kind": "constant", "value": s.alpha}
-    return {"kind": "polynomial", "coeff": s.coeff, "exponent": s.exponent}
-
-
-def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, constants) -> StepSchedule:
-    """Schedule ``which`` from its config entry; ``constants()`` gives the
-    process's theory constants (measured at most once per config)."""
-    if d is None:
-        # Dimension-scaled stable default, matching the comparison presets.
-        if which == "alpha":
-            return Polynomial(0.9 / (cfg.d_x + 2.0), 0.95)
-        return Polynomial(1.5 / (cfg.d_z + 2.0), 0.95)
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"schedule.{which} must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind == "constant":
-        _reject_unknown(d, {"kind", "value"}, f"schedule.{which}")
-        return Constant(float(d["value"]))
-    if kind == "polynomial":
-        _reject_unknown(d, {"kind", "coeff", "exponent"}, f"schedule.{which}")
-        return Polynomial(float(d["coeff"]), float(d.get("exponent", 0.95)))
-    if kind == "log_horizon":
-        _reject_unknown(d, {"kind"}, f"schedule.{which}")
-        sched, _ = log_horizon_alpha(T, constants())
-        return sched
-    if kind == "two_timescale":
-        _reject_unknown(d, {"kind", "iota"}, f"schedule.{which}")
-        consts = dataclasses.replace(constants(), iota=float(d.get("iota", 0.1)))
-        alpha, beta = two_timescale_schedules(consts, cfg.d_z)
-        return alpha if which == "alpha" else beta
-    raise ConfigError(f"unknown schedule kind {kind!r}")
-
-
-_TOP_KEYS = {
-    "experiment_id", "dgp", "algorithm", "algorithms", "schedule",
-    "T", "trials", "seed", "test_n", "checkpoints", "init",
-}
-
-
-def specs_from_config(
-    config: dict,
-    seed: int | None = None,
-    trials: int | None = None,
-    T: int | None = None,
-) -> list[ExperimentSpec]:
-    """Resolve a config dict into one spec per requested algorithm."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(config, _TOP_KEYS, "config")
-    for key in ("dgp", "T", "trials"):
-        if key not in config:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if ("algorithm" in config) == ("algorithms" in config):
-        raise ConfigError("config must define exactly one of 'algorithm' or 'algorithms'")
-    algorithms = config.get("algorithms", None)
-    if algorithms is None:
-        algorithms = [config["algorithm"]]
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ConfigError("'algorithms' must be a non-empty list")
-
-    cfg = _dgp_from_dict(config["dgp"])
-    horizon = int(config["T"] if T is None else T)
-    n_trials = int(config["trials"] if trials is None else trials)
-    base_seed = int(config.get("seed", 0) if seed is None else seed)
-    test_n = int(config.get("test_n", 0))
-    checkpoints = config.get("checkpoints")
-
-    init = config.get("init") or {}
-    if not isinstance(init, dict):
-        raise ConfigError("'init' must be an object")
-    _reject_unknown(init, {"theta0", "gamma0"}, "init")
-    theta0 = None if init.get("theta0") is None else np.asarray(init["theta0"], dtype=float)
-    gamma0 = None if init.get("gamma0") is None else np.asarray(init["gamma0"], dtype=float)
-
-    sched = config.get("schedule") or {}
-    if not isinstance(sched, dict):
-        raise ConfigError("'schedule' must be an object")
-    _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
-    lam = float(sched.get("lambda", est.DEFAULT_RIDGE))
-
-    experiment_id = str(config.get("experiment_id", "experiment"))
-    # Each schedule, and the constants it may need, is resolved once per config.
-    constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
-    resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))
-    specs = []
-    try:
-        for alg in algorithms:
-            alpha = beta = None
-            if alg in ("two_sample_sgd", "two_stage_sgd", "direct_sgd"):
-                alpha = resolved("alpha")
-            if alg in ("two_stage_sgd", "direct_sgd"):
-                beta = resolved("beta")
-            specs.append(
-                ExperimentSpec(
-                    dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed,
-                    alpha=alpha, beta=beta, lam=lam, checkpoints=checkpoints, test_n=test_n,
-                    theta0=theta0, gamma0=gamma0, experiment_id=experiment_id,
-                )
-            )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return specs
-
-
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    """Lossless JSON-compatible snapshot of a resolved spec."""
-    return {
-        "experiment_id": spec.experiment_id,
-        "dgp": _dgp_to_dict(spec.dgp),
-        "algorithm": spec.algorithm,
-        "schedule": {
-            "alpha": _schedule_to_dict(spec.alpha),
-            "beta": _schedule_to_dict(spec.beta),
-            "lambda": spec.lam,
-        },
-        "T": spec.T,
-        "trials": spec.trials,
-        "seed": spec.base_seed,
-        "test_n": spec.test_n,
-        "checkpoints": list(spec.checkpoints),
-        "init": {
-            "theta0": None if spec.theta0 is None else spec.theta0.tolist(),
-            "gamma0": None if spec.gamma0 is None else spec.gamma0.tolist(),
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,14 @@ from ._validation import as_float_matrix, as_float_vector, check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
 
-ALGORITHMS = ("two_sample_sgd", "two_stage_sgd", "direct_sgd", "online_2sls")
+#: The step schedules each algorithm takes.
+SCHEDULES = {
+    "two_sample_sgd": ("alpha",),
+    "two_stage_sgd": ("alpha", "beta"),
+    "direct_sgd": ("alpha", "beta"),
+    "online_2sls": (),
+}
+ALGORITHMS = tuple(SCHEDULES)
 
 #: Algorithms that consume the two-sample oracle rather than one-sample data.
 TWO_SAMPLE_ALGORITHMS = ("two_sample_sgd",)
@@ -83,6 +90,35 @@ def log_checkpoints(T: int, n: int = 50) -> list[int]:
     return [int(p) for p in pts]
 
 
+def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam: float, theta0, gamma0) -> tuple:
+    """Validated ``(checkpoints, theta0, gamma0)`` of a run of ``dgp``.
+
+    These are the checks of :class:`ExperimentSpec` that need no schedule;
+    each failure raises ``ValueError``.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if test_n < 0:
+        raise ValueError("test_n must be >= 0")
+    if checkpoints is None:
+        checkpoints = tuple(log_checkpoints(T))
+    else:
+        checkpoints = tuple(int(c) for c in checkpoints)
+        if any(c < 1 or c > T for c in checkpoints):
+            raise ValueError("checkpoints must lie in [1, T]")
+        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+            raise ValueError("checkpoints must be strictly increasing")
+    check_positive(lam, "lam")
+    d_x, d_z = dgp.d_x, dgp.d_z
+    return (
+        checkpoints,
+        None if theta0 is None else as_float_vector(theta0, d_x, "theta0"),
+        None if gamma0 is None else as_float_matrix(gamma0, (d_z, d_x), "gamma0"),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """Everything needed to reproduce one (DGP, algorithm, schedule) run."""
@@ -104,34 +140,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.test_n < 0:
-            raise ValueError("test_n must be >= 0")
-        if self.algorithm == "two_sample_sgd":
-            if self.alpha is None:
-                raise ValueError("two_sample_sgd requires an alpha schedule")
-        elif self.algorithm in ("two_stage_sgd", "direct_sgd"):
-            if self.alpha is None or self.beta is None:
-                raise ValueError(f"{self.algorithm} requires alpha and beta schedules")
-        cps = self.checkpoints
-        if cps is None:
-            cps = tuple(log_checkpoints(self.T))
-        else:
-            cps = tuple(int(c) for c in cps)
-            if any(c < 1 or c > self.T for c in cps):
-                raise ValueError("checkpoints must lie in [1, T]")
-            if any(b <= a for a, b in zip(cps, cps[1:])):
-                raise ValueError("checkpoints must be strictly increasing")
-        object.__setattr__(self, "checkpoints", cps)
-        check_positive(self.lam, "lam")
-        d_x, d_z = self.dgp.d_x, self.dgp.d_z
-        if self.theta0 is not None:
-            object.__setattr__(self, "theta0", as_float_vector(self.theta0, d_x, "theta0"))
-        if self.gamma0 is not None:
-            object.__setattr__(self, "gamma0", as_float_matrix(self.gamma0, (d_z, d_x), "gamma0"))
+        needed = SCHEDULES[self.algorithm]
+        if any(getattr(self, which) is None for which in needed):
+            raise ValueError(f"{self.algorithm} requires the schedules {' and '.join(needed)}")
+        checked = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
+                            self.lam, self.theta0, self.gamma0)
+        for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(eq=False)

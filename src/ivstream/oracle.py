@@ -47,7 +47,6 @@ class PopulationSummary:
     ``cond_xx`` is M = E[E[X|Z] E[X|Z]^T] and ``cond_xy`` is
     b = E[E[Y|Z] E[X|Z]]; together they determine the population gradient.
     ``mu`` is the smallest eigenvalue of M (the strong-convexity constant).
-    ``standard_errors`` is populated by :func:`mc_moments` only.
     """
 
     sigma_z: NDArray[np.float64]
@@ -58,7 +57,6 @@ class PopulationSummary:
     mu: float
     cond_xx: NDArray[np.float64]
     cond_xy: NDArray[np.float64]
-    standard_errors: dict | None = None
 
 
 def _solve_spd(a: NDArray[np.float64], rhs: NDArray[np.float64], name: str) -> NDArray[np.float64]:
@@ -121,8 +119,7 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
 
     Works for every family, including the square link. The conditional-mean
     second moments are estimated by the two-sample product X' X^T, which is
-    unbiased for M without knowing the conditional means. Entrywise standard
-    errors of the moment estimates are reported in ``standard_errors``.
+    unbiased for M without knowing the conditional means.
     """
     n = int(n)
     if n < 1000:
@@ -132,18 +129,9 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
     sigma_zx = z.T @ x / n
     sigma_zy = z.T @ y / n
 
-    prod = x_p[:, :, None] * x[:, None, :]  # per-draw X' X^T
-    cond_xx = prod.mean(axis=0)
+    cond_xx = (x_p[:, :, None] * x[:, None, :]).mean(axis=0)  # mean of per-draw X' X^T
     cond_xx = 0.5 * (cond_xx + cond_xx.T)
-    yxp = x_p * y[:, None]
-    cond_xy = yxp.mean(axis=0)
-
-    se = {
-        "sigma_zx": np.sqrt((z[:, :, None] * x[:, None, :]).var(axis=0) / n),
-        "sigma_zy": np.sqrt((z * y[:, None]).var(axis=0) / n),
-        "cond_xx": np.sqrt(prod.var(axis=0) / n),
-        "cond_xy": np.sqrt(yxp.var(axis=0) / n),
-    }
+    cond_xy = (x_p * y[:, None]).mean(axis=0)
 
     gamma_closed = _solve_spd(sigma_z, sigma_zx, "estimated sigma_z")
     gzg = gamma_closed.T @ sigma_z @ gamma_closed
@@ -158,18 +146,20 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
         mu=mu,
         cond_xx=cond_xx,
         cond_xy=cond_xy,
-        standard_errors=se,
     )
 
 
-def theory_constants(
-    cfg: DgpConfig,
-    gamma0=None,
-    iota: float = 0.1,
-    rng: np.random.Generator | None = None,
-    mc_n: int = 200_000,
-) -> TheoryConstants:
+#: Seed and size of the Monte-Carlo samples behind the measured constants.
+_MC_SEED = 0xC0FFEE
+_MC_N = 50_000
+
+
+def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     """Measure schedule constants from the planted process.
+
+    The Monte-Carlo parts take 50 000 draws each from one ``PCG64(0xC0FFEE)``
+    stream, whatever the caller, so a process always gets the same constants
+    and so the same schedules.
 
     ``mu`` comes from the analytic summary when the link is linear and from
     :func:`mc_moments` otherwise. The gradient-noise second moment
@@ -182,27 +172,23 @@ def theory_constants(
     The d_z-growth exponents (``varkappa``, ``vartheta``) are reported as
     zero: a single process pins the constants at the actual d_z, so growth
     and constant are not separately identifiable and the measured values are
-    folded into the constants.
+    folded into the constants. ``iota`` keeps its default; set it with
+    :func:`dataclasses.replace`.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0x5EED))
-    if cfg.is_linear:
-        summary = summarize(cfg)
-    else:
-        summary = mc_moments(rng, cfg, mc_n)
-    z_eigs = np.linalg.eigvalsh(cfg.z_cov)
+    rng = np.random.Generator(np.random.PCG64(_MC_SEED))
+    summary = summarize(cfg) if cfg.is_linear else mc_moments(rng, cfg, _MC_N)
+    lambda_z = float(np.linalg.eigvalsh(cfg.z_cov)[-1])
     gamma = cfg.gamma_star
     gnorm_spec = float(np.linalg.norm(gamma, 2))
     gnorm_fro = float(np.linalg.norm(gamma))
     g0 = np.zeros_like(gamma) if gamma0 is None else np.asarray(gamma0, dtype=float)
     c_gamma = max(2.0 * gnorm_fro, float(np.linalg.norm(g0 - gamma)) + gnorm_fro)
 
-    n = max(int(mc_n), 1000)
-    z, x, x_p, _ = sample_two_block(rng, cfg, n)
+    z, x, x_p, _ = sample_two_block(rng, cfg, _MC_N)
     m_z = conditional_mean_x(cfg, z)
     # Frobenius-norm analogue of the gradient-noise second-moment bound.
-    dev_xx = x_p[:, :, None] * x[:, None, :] - m_z[:, :, None] * m_z[:, None, :]
     mm = m_z[:, :, None] * m_z[:, None, :]
+    dev_xx = x_p[:, :, None] * x[:, None, :] - mm
     dev_mm = mm - summary.cond_xx[None, :, :]
     sigma1_sq = 2.0 * float((dev_xx**2).sum(axis=(1, 2)).mean()) + 2.0 * float(
         (dev_mm**2).sum(axis=(1, 2)).mean()
@@ -210,12 +196,10 @@ def theory_constants(
 
     return TheoryConstants(
         mu=summary.mu,
-        lambda_z=float(z_eigs[-1]),
-        mu_z=float(z_eigs[0]),
+        lambda_z=lambda_z,
         varkappa=0.0,
         c_gamma=c_gamma,
         vartheta=0.0,
-        iota=float(iota),
         sigma1_sq=sigma1_sq,
         gamma_star_norm=gnorm_spec,
     )

@@ -1,23 +1,55 @@
-"""Experiment presets covering the benchmark grids.
+"""Experiment configs, and the named presets written in them.
 
-Three preset groups, each expanding to seeded :class:`ExperimentSpec` cells:
+A config describes one experiment; :func:`specs_from_config` resolves it into
+one :class:`ExperimentSpec` per algorithm and :func:`spec_to_dict` writes a
+resolved spec back in the same schema. Every preset cell is such a config, so
+``ivstream run --preset P --cell C`` runs exactly what ``ivstream run
+--config`` runs on that cell's config.
 
+Config schema (JSON)
+--------------------
+Required: ``dgp.family``, ``algorithm`` (or ``algorithms`` for compare),
+``T``, ``trials``. Optional keys with defaults::
+
+    {
+      "experiment_id": "experiment",
+      "dgp": {
+        "family": "endogenous_linear" | "shared_confounder",
+        "d_x": 1, "d_z": 1,
+        "rho": 1.0, "sigma_eps": 0.5,          # endogenous_linear
+        "c": 0.1, "phi": "identity",           # shared_confounder
+        "theta_star": [...], "gamma_star": [[...]], "z_cov": [[...]]
+      },
+      "algorithm": "two_stage_sgd",
+      "schedule": {
+        "alpha": {"kind": "polynomial", "coeff": 0.3, "exponent": 0.95}
+                 | {"kind": "constant", "value": 0.01}
+                 | {"kind": "log_horizon"}      # log(T) / (mu T), mu measured
+                 | {"kind": "two_timescale"},   # worst-case prescription
+        "beta": {...},
+        "lambda": 0.1
+      },
+      "T": 100000, "trials": 50, "seed": 0, "test_n": 0,
+      "checkpoints": [1, 10, ...],
+      "init": {"theta0": [...], "gamma0": [[...]]}
+    }
+
+Presets
+-------
 ``fig1``
     Two-sample one-stage SGD on the shared-confounder family over the grid
     (d_x, d_z) in {(4, 8), (8, 16)}, c in {0.1, 1.0}, link in {identity,
-    square}. Step size is the horizon-tuned constant log(T) / (mu T) with mu
-    measured from the planted process. Cell ids look like
+    square}, with the ``log_horizon`` step. Cell ids look like
     ``dx4_dz8_c0.1_phi_id``.
 
 ``fig2``
     Algorithm comparison (two-timescale SGD, plug-in variant, streaming
     2SLS) on the endogenous-linear family over (d_x, d_z) in {(1, 1),
     (8, 16)}, rho in {1, 4}, sigma_eps in {0.5, 1.0}, with a 400-sample
-    held-out test set. The SGD schedules decay as t**-(1 - iota/2) with
-    iota = 0.1; the coefficients are dimension-scaled stable choices (the
-    worst-case prescription of :func:`ivstream.schedule.two_timescale_schedules`
-    is far too small to enter the asymptotic regime within desk-scale
-    horizons; see the README). Cell ids look like ``dx1_dz1_rho1_sig0.5``.
+    held-out test set and the default schedules (the worst-case prescription
+    of :func:`ivstream.schedule.two_timescale_schedules` is far too small to
+    enter the asymptotic regime within desk-scale horizons; see the README).
+    Cell ids look like ``dx1_dz1_rho1_sig0.5``.
 
 ``fig3``
     Divergence comparison of the two-timescale update against the plug-in
@@ -30,78 +62,265 @@ are identical across algorithms and the curves are paired.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
+import functools
 
-from .dgp import DgpConfig, endogenous_linear_config, shared_confounder_config
-from .harness import ExperimentSpec
+from .dgp import DgpConfig, EndogenousLinear, endogenous_linear_config, shared_confounder_config
+from .estimators import DEFAULT_RIDGE
+from .harness import ALGORITHMS, SCHEDULES, ExperimentSpec, check_run
 from .oracle import theory_constants
-from .schedule import Polynomial, log_horizon_alpha
+from .schedule import Constant, Polynomial, StepSchedule, log_horizon_alpha, two_timescale_schedules
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or inconsistent experiment configs."""
+
+
+# ---------------------------------------------------------------------------
+# config parsing / serialization
+
+
+def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
+    unknown = set(d) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _dgp_from_dict(d: dict) -> DgpConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("'dgp' must be an object")
+    _reject_unknown(
+        d,
+        {"family", "d_x", "d_z", "rho", "sigma_eps", "c", "phi", "theta_star", "gamma_star", "z_cov"},
+        "dgp",
+    )
+    family = d.get("family")
+    kw = dict(
+        theta_star=d.get("theta_star"),
+        gamma_star=d.get("gamma_star"),
+        z_cov=d.get("z_cov"),
+    )
+    d_x = int(d.get("d_x", 1))
+    d_z = int(d.get("d_z", d_x))
+    try:
+        if family == "endogenous_linear":
+            return endogenous_linear_config(d_x, d_z, rho=float(d.get("rho", 1.0)),
+                                            sigma_eps=float(d.get("sigma_eps", 0.5)), **kw)
+        if family == "shared_confounder":
+            return shared_confounder_config(d_x, d_z, c=float(d.get("c", 0.1)),
+                                            phi=d.get("phi", "identity"), **kw)
+    except ValueError as e:
+        raise ConfigError(f"invalid dgp: {e}") from e
+    raise ConfigError(f"dgp.family must be 'endogenous_linear' or 'shared_confounder', got {family!r}")
+
+
+def _dgp_to_dict(cfg: DgpConfig) -> dict:
+    d = {
+        "d_x": cfg.d_x,
+        "d_z": cfg.d_z,
+        "theta_star": cfg.theta_star.tolist(),
+        "gamma_star": cfg.gamma_star.tolist(),
+        "z_cov": cfg.z_cov.tolist(),
+    }
+    if isinstance(cfg.family, EndogenousLinear):
+        d["family"] = "endogenous_linear"
+        d["rho"] = cfg.family.rho
+        d["sigma_eps"] = cfg.family.sigma_eps
+    else:
+        d["family"] = "shared_confounder"
+        d["c"] = cfg.family.c
+        d["phi"] = cfg.family.phi
+    return d
+
+
+def _schedule_to_dict(s: StepSchedule | None) -> dict | None:
+    if s is None:
+        return None
+    if isinstance(s, Constant):
+        return {"kind": "constant", "value": s.alpha}
+    return {"kind": "polynomial", "coeff": s.coeff, "exponent": s.exponent}
+
+
+def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, constants) -> StepSchedule:
+    """Schedule ``which`` from its config entry; ``constants()`` gives the
+    process's theory constants (measured at most once per config)."""
+    if d is None:
+        # Slow/fast coefficients scaled by the dimension-dependent stability
+        # limits of the two recursions (the theta step must contract against
+        # curvature ~ W W^T with W ~ N(0, I_dx), the gamma step against Z Z^T
+        # with Z ~ N(0, I_dz)), with the decay 1 - iota/2 at iota = 0.1.
+        if which == "alpha":
+            return Polynomial(0.9 / (cfg.d_x + 2.0), 0.95)
+        return Polynomial(1.5 / (cfg.d_z + 2.0), 0.95)
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError(f"schedule.{which} must be an object with a 'kind'")
+    kind = d["kind"]
+    if kind == "constant":
+        _reject_unknown(d, {"kind", "value"}, f"schedule.{which}")
+        return Constant(float(d["value"]))
+    if kind == "polynomial":
+        _reject_unknown(d, {"kind", "coeff", "exponent"}, f"schedule.{which}")
+        return Polynomial(float(d["coeff"]), float(d.get("exponent", 0.95)))
+    if kind == "log_horizon":
+        _reject_unknown(d, {"kind"}, f"schedule.{which}")
+        sched, _ = log_horizon_alpha(T, constants())
+        return sched
+    if kind == "two_timescale":
+        _reject_unknown(d, {"kind", "iota"}, f"schedule.{which}")
+        consts = dataclasses.replace(constants(), iota=float(d.get("iota", 0.1)))
+        alpha, beta = two_timescale_schedules(consts, cfg.d_z)
+        return alpha if which == "alpha" else beta
+    raise ConfigError(f"unknown schedule kind {kind!r}")
+
+
+_TOP_KEYS = {
+    "experiment_id", "dgp", "algorithm", "algorithms", "schedule",
+    "T", "trials", "seed", "test_n", "checkpoints", "init",
+}
+
+
+def specs_from_config(
+    config: dict,
+    seed: int | None = None,
+    trials: int | None = None,
+    T: int | None = None,
+) -> list[ExperimentSpec]:
+    """Resolve a config dict into one spec per requested algorithm."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    _reject_unknown(config, _TOP_KEYS, "config")
+    for key in ("dgp", "T", "trials"):
+        if key not in config:
+            raise ConfigError(f"config is missing required key {key!r}")
+    if ("algorithm" in config) == ("algorithms" in config):
+        raise ConfigError("config must define exactly one of 'algorithm' or 'algorithms'")
+    algorithms = config.get("algorithms", None)
+    if algorithms is None:
+        algorithms = [config["algorithm"]]
+    if not isinstance(algorithms, list) or not algorithms:
+        raise ConfigError("'algorithms' must be a non-empty list")
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
+
+    cfg = _dgp_from_dict(config["dgp"])
+    horizon = int(config["T"] if T is None else T)
+    n_trials = int(config["trials"] if trials is None else trials)
+    base_seed = int(config.get("seed", 0) if seed is None else seed)
+    test_n = int(config.get("test_n", 0))
+
+    init = config.get("init") or {}
+    if not isinstance(init, dict):
+        raise ConfigError("'init' must be an object")
+    _reject_unknown(init, {"theta0", "gamma0"}, "init")
+
+    sched = config.get("schedule") or {}
+    if not isinstance(sched, dict):
+        raise ConfigError("'schedule' must be an object")
+    _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
+
+    experiment_id = str(config.get("experiment_id", "experiment"))
+    try:
+        lam = float(sched.get("lambda", DEFAULT_RIDGE))
+        # Everything but the schedules is checked first, so a bad config is rejected
+        # before the constants are measured.
+        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, config.get("checkpoints"),
+                                                lam, init.get("theta0"), init.get("gamma0"))
+        # Each schedule, and the constants it may need, is resolved once per config.
+        constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
+        resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))
+        return [
+            ExperimentSpec(
+                dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed,
+                lam=lam, checkpoints=checkpoints, test_n=test_n, theta0=theta0, gamma0=gamma0,
+                experiment_id=experiment_id, **{which: resolved(which) for which in SCHEDULES[alg]},
+            )
+            for alg in algorithms
+        ]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def spec_to_dict(spec: ExperimentSpec) -> dict:
+    """Lossless JSON-compatible snapshot of a resolved spec."""
+    return {
+        "experiment_id": spec.experiment_id,
+        "dgp": _dgp_to_dict(spec.dgp),
+        "algorithm": spec.algorithm,
+        "schedule": {
+            "alpha": _schedule_to_dict(spec.alpha),
+            "beta": _schedule_to_dict(spec.beta),
+            "lambda": spec.lam,
+        },
+        "T": spec.T,
+        "trials": spec.trials,
+        "seed": spec.base_seed,
+        "test_n": spec.test_n,
+        "checkpoints": list(spec.checkpoints),
+        "init": {
+            "theta0": None if spec.theta0 is None else spec.theta0.tolist(),
+            "gamma0": None if spec.gamma0 is None else spec.gamma0.tolist(),
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# presets
 
 PRESETS = ("fig1", "fig2", "fig3")
 
 _DEFAULT_SEEDS = {"fig1": 101, "fig2": 202, "fig3": 303}
-_DEFAULT_TRIALS = 50
-_FIG1_T = 485_000
-_FIG2_T = 100_000
-_FIG3_T = 100_000
-
-#: Auxiliary seed for the Monte-Carlo estimation of schedule constants.
-_CONSTANTS_SEED = 0xC0FFEE
-
-_IOTA = 0.1
-
-# Slow/fast schedule coefficients for the fig2 comparison, scaled by the
-# dimension-dependent stability limits of the two recursions (the theta step
-# must contract against curvature ~ W W^T with W ~ N(0, I_dx), the gamma step
-# against Z Z^T with Z ~ N(0, I_dz)).
-_FIG2_ALPHA_SCALE = 0.9
-_FIG2_BETA_SCALE = 1.5
-
-# Fig3 runs from gamma0 = 10: the slow step uses a smaller coefficient and a
-# lighter decay so the transient stays controlled while the total step mass
-# still drives the error to the noise floor by T = 1e5. The exponent pair
-# stays inside the admissible range (both in (1/2, 1) with the fast decay
-# exceeding 2 - 2 * slow decay).
-_FIG3_ALPHA = Polynomial(0.2, 0.7)
-_FIG3_BETA = Polynomial(0.5, 0.65)
 
 
-def _fig1_cells() -> dict[str, DgpConfig]:
+def _cell_configs(name: str) -> dict[str, dict]:
+    """The configs of a preset's cells, by cell id."""
     cells = {}
-    for d_x, d_z in ((4, 8), (8, 16)):
-        for c in (0.1, 1.0):
-            for phi, tag in (("identity", "id"), ("square", "sq")):
-                cells[f"dx{d_x}_dz{d_z}_c{c}_phi_{tag}"] = shared_confounder_config(d_x, d_z, c=c, phi=phi)
-    return cells
-
-
-def _fig2_cells() -> dict[str, DgpConfig]:
-    cells = {}
-    for d_x, d_z in ((1, 1), (8, 16)):
-        for rho in (1.0, 4.0):
-            for sig in (0.5, 1.0):
-                cells[f"dx{d_x}_dz{d_z}_rho{rho:g}_sig{sig:g}"] = endogenous_linear_config(
-                    d_x, d_z, rho=rho, sigma_eps=sig
-                )
-    return cells
-
-
-def _fig2_schedules(d_x: int, d_z: int) -> tuple[Polynomial, Polynomial]:
-    exponent = 1.0 - _IOTA / 2.0
-    alpha = Polynomial(_FIG2_ALPHA_SCALE / (d_x + 2.0), exponent)
-    beta = Polynomial(_FIG2_BETA_SCALE / (d_z + 2.0), exponent)
-    return alpha, beta
+    if name == "fig1":
+        for d_x, d_z in ((4, 8), (8, 16)):
+            for c in (0.1, 1.0):
+                for phi, tag in (("identity", "id"), ("square", "sq")):
+                    cells[f"dx{d_x}_dz{d_z}_c{c}_phi_{tag}"] = {
+                        "dgp": {"family": "shared_confounder", "d_x": d_x, "d_z": d_z, "c": c, "phi": phi},
+                        "algorithm": "two_sample_sgd",
+                        "schedule": {"alpha": {"kind": "log_horizon"}},
+                        "T": 485_000,
+                    }
+    elif name == "fig2":
+        for d_x, d_z in ((1, 1), (8, 16)):
+            for rho in (1.0, 4.0):
+                for sig in (0.5, 1.0):
+                    cells[f"dx{d_x}_dz{d_z}_rho{rho:g}_sig{sig:g}"] = {
+                        "dgp": {"family": "endogenous_linear", "d_x": d_x, "d_z": d_z, "rho": rho, "sigma_eps": sig},
+                        "algorithms": ["two_stage_sgd", "direct_sgd", "online_2sls"],
+                        "T": 100_000,
+                        "test_n": 400,
+                    }
+    elif name == "fig3":
+        cells["default"] = {
+            "dgp": {"family": "endogenous_linear", "d_x": 1, "d_z": 1, "rho": 4.0, "sigma_eps": 1.0,
+                    "theta_star": [1.0], "gamma_star": [[-1.0]]},
+            "algorithms": ["two_stage_sgd", "direct_sgd"],
+            # From gamma0 = 10 the slow step uses a smaller coefficient and a
+            # lighter decay so the transient stays controlled while the total
+            # step mass still drives the error to the noise floor by T = 1e5.
+            # The exponent pair stays inside the admissible range (both in
+            # (1/2, 1) with the fast decay exceeding 2 - 2 * slow decay).
+            "schedule": {"alpha": {"kind": "polynomial", "coeff": 0.2, "exponent": 0.7},
+                         "beta": {"kind": "polynomial", "coeff": 0.5, "exponent": 0.65}},
+            "T": 100_000,
+            "init": {"theta0": [0.0], "gamma0": [[10.0]]},
+        }
+    else:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    return {
+        cell: {"experiment_id": f"{name}_{cell}", **config, "trials": 50, "seed": _DEFAULT_SEEDS[name]}
+        for cell, config in cells.items()
+    }
 
 
 def preset_cells(name: str) -> list[str]:
     """Cell ids of a preset."""
-    if name == "fig1":
-        return list(_fig1_cells())
-    if name == "fig2":
-        return list(_fig2_cells())
-    if name == "fig3":
-        return ["default"]
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    return list(_cell_configs(name))
 
 
 def build_preset(
@@ -114,73 +333,12 @@ def build_preset(
     """Expand a preset into specs, optionally restricted to one cell.
 
     ``seed``, ``trials`` and ``T`` override the preset defaults for every
-    produced spec. Within a cell all algorithms share the base seed.
+    produced spec, as they override a config's. Within a cell all algorithms
+    share the base seed.
     """
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
-    base_seed = _DEFAULT_SEEDS[name] if seed is None else int(seed)
-    n_trials = _DEFAULT_TRIALS if trials is None else int(trials)
-
-    out: dict[str, list[ExperimentSpec]] = {}
-    if name == "fig1":
-        horizon = _FIG1_T if T is None else int(T)
-        for cell_id, cfg in _fig1_cells().items():
-            if cell is not None and cell_id != cell:
-                continue
-            rng = np.random.Generator(np.random.PCG64(_CONSTANTS_SEED))
-            consts = theory_constants(cfg, iota=_IOTA, rng=rng, mc_n=50_000)
-            alpha, _ = log_horizon_alpha(horizon, consts)
-            out[cell_id] = [
-                ExperimentSpec(
-                    dgp=cfg,
-                    algorithm="two_sample_sgd",
-                    T=horizon,
-                    trials=n_trials,
-                    base_seed=base_seed,
-                    alpha=alpha,
-                    experiment_id=f"fig1_{cell_id}",
-                )
-            ]
-    elif name == "fig2":
-        horizon = _FIG2_T if T is None else int(T)
-        for cell_id, cfg in _fig2_cells().items():
-            if cell is not None and cell_id != cell:
-                continue
-            alpha, beta = _fig2_schedules(cfg.d_x, cfg.d_z)
-            shared = dict(
-                dgp=cfg,
-                T=horizon,
-                trials=n_trials,
-                base_seed=base_seed,
-                test_n=400,
-                experiment_id=f"fig2_{cell_id}",
-            )
-            out[cell_id] = [
-                ExperimentSpec(algorithm="two_stage_sgd", alpha=alpha, beta=beta, **shared),
-                ExperimentSpec(algorithm="direct_sgd", alpha=alpha, beta=beta, **shared),
-                ExperimentSpec(algorithm="online_2sls", lam=0.1, **shared),
-            ]
-    else:
-        horizon = _FIG3_T if T is None else int(T)
-        if cell is not None and cell != "default":
-            raise ValueError(f"preset fig3 has a single cell 'default', got {cell!r}")
-        cfg = endogenous_linear_config(
-            1, 1, rho=4.0, sigma_eps=1.0,
-            theta_star=np.array([1.0]), gamma_star=np.array([[-1.0]]),
-        )
-        shared = dict(
-            dgp=cfg,
-            T=horizon,
-            trials=n_trials,
-            base_seed=base_seed,
-            theta0=np.zeros(1),
-            gamma0=np.full((1, 1), 10.0),
-            experiment_id="fig3_default",
-        )
-        out["default"] = [
-            ExperimentSpec(algorithm="two_stage_sgd", alpha=_FIG3_ALPHA, beta=_FIG3_BETA, **shared),
-            ExperimentSpec(algorithm="direct_sgd", alpha=_FIG3_ALPHA, beta=_FIG3_BETA, **shared),
-        ]
-    if cell is not None and not out:
-        raise ValueError(f"preset {name!r} has no cell {cell!r}; known cells: {preset_cells(name)}")
-    return out
+    configs = _cell_configs(name)
+    if cell is not None:
+        if cell not in configs:
+            raise ValueError(f"preset {name!r} has no cell {cell!r}; known cells: {list(configs)}")
+        configs = {cell: configs[cell]}
+    return {cell_id: specs_from_config(config, seed=seed, trials=trials, T=T) for cell_id, config in configs.items()}

@@ -85,7 +85,7 @@ class TheoryConstants:
     ------
     mu : strong-convexity constant, the smallest eigenvalue of
         E[E[X|Z] E[X|Z]^T].
-    lambda_z, mu_z : largest/smallest eigenvalue bounds of Cov(Z).
+    lambda_z : largest eigenvalue bound of Cov(Z).
     varkappa, c_gamma : the fast-iterate set has diameter
         c_gamma * d_z**varkappa.
     vartheta : growth exponent of the fourth-moment bounds on the
@@ -99,7 +99,6 @@ class TheoryConstants:
 
     mu: float
     lambda_z: float = 1.0
-    mu_z: float = 1.0
     varkappa: float = 0.0
     c_gamma: float = 1.0
     vartheta: float = 0.0
@@ -110,7 +109,6 @@ class TheoryConstants:
     def __post_init__(self):
         check_positive(self.mu, "mu")
         check_positive(self.lambda_z, "lambda_z")
-        check_positive(self.mu_z, "mu_z")
         check_nonnegative(self.varkappa, "varkappa")
         check_positive(self.c_gamma, "c_gamma")
         check_nonnegative(self.vartheta, "vartheta")

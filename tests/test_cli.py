@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ivstream import cli, harness, schedule
+from ivstream import cli, harness, oracle, presets, schedule
 
 
 def _write_config(path: Path, config: dict) -> str:
@@ -104,6 +108,18 @@ class TestCompare:
         assert manifest["outputs"] == ["series.csv"]
 
 
+def _count_theory_constants(monkeypatch) -> list:
+    """Record the config path's theory-constant measurements."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return oracle.theory_constants(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "theory_constants", counting)
+    return calls
+
+
 class TestScheduleResolution:
     def test_theory_constants_measured_once_per_config(self, monkeypatch):
         config = {
@@ -113,20 +129,14 @@ class TestScheduleResolution:
                          "beta": {"kind": "two_timescale", "iota": 0.2}},
             "T": 100, "trials": 1,
         }
-        theory_constants = cli.theory_constants
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return theory_constants(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "theory_constants", counting)
+        calls = _count_theory_constants(monkeypatch)
         specs = cli.specs_from_config(config)
         assert len(calls) == 1
         # The schedules equal a fresh measurement per schedule, each with its own iota.
         cfg = specs[0].dgp
-        alpha, _ = schedule.two_timescale_schedules(theory_constants(cfg, iota=0.1), cfg.d_z)
-        _, beta = schedule.two_timescale_schedules(theory_constants(cfg, iota=0.2), cfg.d_z)
+        consts = oracle.theory_constants(cfg)
+        alpha, _ = schedule.two_timescale_schedules(dataclasses.replace(consts, iota=0.1), cfg.d_z)
+        _, beta = schedule.two_timescale_schedules(dataclasses.replace(consts, iota=0.2), cfg.d_z)
         for spec in specs:
             assert spec.alpha == alpha and spec.beta == beta
 
@@ -177,6 +187,32 @@ class TestConfigErrors:
         assert match.lower() in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda c: c["schedule"].update({"lambda": 0}), "lam"),
+        (lambda c: c.update(init={"gamma0": [[0.0, 0.0]]}), "gamma0"),
+        (lambda c: c.update(trials=0), "trials"),
+        (lambda c: c.update(checkpoints=[5, 20]), "checkpoints"),
+    ])
+    def test_bad_config_rejected_before_measuring(self, tmp_path, capsys, monkeypatch, mutate, match):
+        # Square-link two_timescale schedules need the Monte-Carlo constants;
+        # a bad config is rejected without measuring them.
+        config = {
+            "dgp": {"family": "shared_confounder", "d_x": 1, "d_z": 2, "phi": "square"},
+            "algorithm": "two_stage_sgd",
+            "schedule": {"alpha": {"kind": "two_timescale"}, "beta": {"kind": "two_timescale"}},
+            "T": 10, "trials": 1,
+        }
+        calls = _count_theory_constants(monkeypatch)
+        cli.specs_from_config(config)
+        assert len(calls) == 1  # the valid config measures them
+        calls.clear()
+        mutate(config)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", config), "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
         assert rc != 0
@@ -202,6 +238,14 @@ class TestDeterminismAcrossWorkers:
             assert rc == 0
             outs.append((out / "series.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_python_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ivstream", "--version"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ivstream ")
 
 
 class TestCheck:

@@ -123,10 +123,14 @@ class TestMcMoments:
     def test_matches_analytic_summary(self):
         cfg = dgp.shared_confounder_config(4, 8, c=1.0, phi="identity")
         exact = oracle.summarize(cfg)
-        mc = oracle.mc_moments(make_rng(21), cfg, 200_000)
-        se = mc.standard_errors
-        assert np.all(np.abs(mc.cond_xx - exact.cond_xx) <= 3.0 * se["cond_xx"] + 1e-9)
-        assert np.all(np.abs(mc.cond_xy - exact.cond_xy) <= 3.0 * se["cond_xy"] + 1e-9)
+        n = 200_000
+        mc = oracle.mc_moments(make_rng(21), cfg, n)
+        # Entrywise standard errors of the two moment estimates, from the same draws.
+        _, x, x_p, y = dgp.sample_two_block(make_rng(21), cfg, n)
+        se_xx = np.sqrt((x_p[:, :, None] * x[:, None, :]).var(axis=0) / n)
+        se_xy = np.sqrt((x_p * y[:, None]).var(axis=0) / n)
+        assert np.all(np.abs(mc.cond_xx - exact.cond_xx) <= 3.0 * se_xx + 1e-9)
+        assert np.all(np.abs(mc.cond_xy - exact.cond_xy) <= 3.0 * se_xy + 1e-9)
         assert np.abs(mc.theta_closed - cfg.theta_star).max() <= 0.05
 
     def test_minimum_sample_size(self, rng):
@@ -147,9 +151,9 @@ class TestMcMoments:
 class TestTheoryConstants:
     def test_simple_linear_process(self):
         cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
-        k = oracle.theory_constants(cfg, rng=make_rng(4), mc_n=20_000)
+        k = oracle.theory_constants(cfg)
         assert k.mu == pytest.approx(1.0, abs=1e-12)
-        assert k.lambda_z == k.mu_z == 1.0
+        assert k.lambda_z == 1.0
         assert k.gamma_star_norm == 1.0
         assert k.c_gamma == 2.0  # zero initialisation, unit planted parameter
         assert k.sigma1_sq > 0
@@ -158,5 +162,5 @@ class TestTheoryConstants:
         cfg = dgp.endogenous_linear_config(1, 1, rho=4.0, sigma_eps=1.0,
                                            theta_star=np.array([1.0]),
                                            gamma_star=np.array([[-1.0]]))
-        k = oracle.theory_constants(cfg, gamma0=np.full((1, 1), 10.0), rng=make_rng(4), mc_n=20_000)
+        k = oracle.theory_constants(cfg, gamma0=np.full((1, 1), 10.0))
         assert k.c_gamma == pytest.approx(12.0, rel=1e-12)

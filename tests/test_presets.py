@@ -76,3 +76,34 @@ def test_every_cell_runs(name, cell, tmp_path):
     values = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
     assert len(values) == sum(s.trials * len(s.checkpoints) * (3 if s.test_n else 1) for s in specs)
     assert np.isfinite(values).all()
+
+
+# The default-T fig1 steps, pinned as measured before the presets became configs.
+FIG1_ALPHA = {
+    "dx4_dz8_c0.1_phi_id": "0x1.c4e0b398d670dp-16",
+    "dx4_dz8_c0.1_phi_sq": "0x1.c64f4eb144423p-17",
+    "dx4_dz8_c1.0_phi_id": "0x1.c4e0b398d6713p-16",
+    "dx4_dz8_c1.0_phi_sq": "0x1.c70c37f469591p-17",
+    "dx8_dz16_c0.1_phi_id": "0x1.c4e0b398d6711p-16",
+    "dx8_dz16_c0.1_phi_sq": "0x1.d33c166ae3b42p-17",
+    "dx8_dz16_c1.0_phi_id": "0x1.c4e0b398d6719p-16",
+    "dx8_dz16_c1.0_phi_sq": "0x1.d6a823bee7a03p-17",
+}
+
+
+@pytest.mark.parametrize("cell", list(FIG1_ALPHA))
+def test_fig1_cell_is_its_config(cell):
+    # A config that restates the cell, written out by hand, gets the preset's step.
+    d_x, d_z, c, _, link = cell.split("_")
+    config = {
+        "dgp": {"family": "shared_confounder", "d_x": int(d_x[2:]), "d_z": int(d_z[2:]),
+                "c": float(c[1:]), "phi": {"id": "identity", "sq": "square"}[link]},
+        "algorithm": "two_sample_sgd",
+        "schedule": {"alpha": {"kind": "log_horizon"}},
+        "T": 485_000, "trials": 50,
+    }
+    pinned = float.fromhex(FIG1_ALPHA[cell])
+    assert presets.build_preset("fig1", cell=cell)[cell][0].alpha == Constant(pinned)
+    assert presets.specs_from_config(config)[0].alpha == Constant(pinned)
+    (preset,) = presets.build_preset("fig1", cell=cell, T=5000)[cell]
+    assert presets.specs_from_config(config, T=5000)[0].alpha == preset.alpha

@@ -84,7 +84,7 @@ class TestLogHorizonAlpha:
 class TestTwoTimescaleSchedules:
     def test_reference_constants(self):
         # C_alpha = min(0.5 * 1 * 1 * 1, 0.5 * 1) = 0.5; C_beta = 1/128.
-        k = TheoryConstants(mu=1.0, lambda_z=1.0, mu_z=1.0, varkappa=0.0,
+        k = TheoryConstants(mu=1.0, lambda_z=1.0, varkappa=0.0,
                             c_gamma=1.0, vartheta=0.0, iota=0.1, gamma_star_norm=1.0)
         alpha, beta = schedule.two_timescale_schedules(k, 1)
         assert alpha.coeff == 0.5
@@ -92,7 +92,7 @@ class TestTwoTimescaleSchedules:
         assert alpha.exponent == beta.exponent == 1.0 - 0.1 / 2.0
 
     def test_doubling_c_gamma_quarters_first_branch(self):
-        base = dict(mu=1.0, lambda_z=1.0, mu_z=1.0, varkappa=0.0, vartheta=0.0,
+        base = dict(mu=1.0, lambda_z=1.0, varkappa=0.0, vartheta=0.0,
                     iota=0.1, gamma_star_norm=1.0)
         a1, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=1.0, **base), 1)
         a2, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=2.0, **base), 1)
