@@ -21,7 +21,7 @@ from .estimators import (
     two_stage_update,
 )
 from .harness import ExperimentSpec, MetricSeries, fit_slope, mix_seed, run_experiment, run_trial
-from .metrics import MetricPoint, dist_to_opt, test_mse
+from .metrics import dist_to_opt, test_mse
 from .oracle import PopulationSummary, grad_f, mc_moments, summarize, theory_constants
 from .schedule import (
     Constant,
@@ -40,7 +40,6 @@ __all__ = [
     "DirectSGDRegressor",
     "EndogenousLinear",
     "ExperimentSpec",
-    "MetricPoint",
     "MetricSeries",
     "OneSample",
     "Online2SLSRegressor",

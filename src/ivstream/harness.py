@@ -24,13 +24,16 @@ its own generator, stream digest and checkpoint metrics, and its iterates are
 bitwise equal to a run of the 1-d kernel on its stream alone, so
 :func:`run_trial` is the one-trial group. A group holds one sample block per
 trial, which bounds its memory whatever the trial count or T. Groups run one
-after another.
+after another, each writing its checkpoints into its rows of one
+(trials, checkpoints) array per metric. A trial that diverges is a recorded
+result: from its first non-finite checkpoint on, its ``dist_sq`` and
+``test_mse`` are ``inf``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -66,6 +69,9 @@ GROUP_SIZE = 4
 
 #: Rows of a group's blocks gathered into stacked (rows, B, d) inputs at once.
 _WINDOW = 256
+
+#: The checkpoint metrics, in CSV order; the last two need ``test_n > 0``.
+METRICS = ("dist_sq", "oracle_mse", "test_mse")
 
 
 def mix_seed(base_seed: int, trial_index: int) -> int:
@@ -150,38 +156,37 @@ class ExperimentSpec:
 
 
 @dataclass(eq=False)
-class TrialResult:
-    points: list[met.MetricPoint]
-    stream_digest: str
-
-
-@dataclass(eq=False)
 class MetricSeries:
-    """Per-trial checkpoint series plus across-trial aggregates."""
+    """Per-trial checkpoint metrics plus across-trial aggregates.
+
+    ``metrics`` maps each recorded metric of :data:`METRICS` to a
+    (trials, checkpoints) float64 array whose row i is trial i; ``oracle_mse``
+    is the same in every column of a row.
+    """
 
     spec: ExperimentSpec
-    trials: list[list[met.MetricPoint]]
-    stream_digests: list[str] = field(default_factory=list)
+    metrics: dict[str, np.ndarray]
+    stream_digests: list[str]
 
     @property
     def iterations(self) -> np.ndarray:
-        return np.array([p.iteration for p in self.trials[0]], dtype=np.int64)
+        return np.array(self.spec.checkpoints, dtype=np.int64)
 
     def values(self, metric: str) -> np.ndarray:
-        """(trials, checkpoints) array of one metric; NaN where absent."""
-        out = np.full((len(self.trials), len(self.trials[0])), np.nan)
-        for i, trial in enumerate(self.trials):
-            for j, p in enumerate(trial):
-                v = getattr(p, metric)
-                if v is not None:
-                    out[i, j] = v
-        return out
+        """(trials, checkpoints) array of one recorded metric."""
+        return self.metrics[metric]
 
     def mean(self, metric: str) -> np.ndarray:
         return self.values(metric).mean(axis=0)
 
     def std(self, metric: str) -> np.ndarray:
         return self.values(metric).std(axis=0)
+
+    def diverged(self) -> dict[int, int]:
+        """First non-finite checkpoint iteration of each diverged trial, by row."""
+        bad = np.isinf(self.metrics["dist_sq"])
+        first = self.iterations[bad.argmax(axis=1)]
+        return {int(i): int(first[i]) for i in np.flatnonzero(bad.any(axis=1))}
 
     def combined_stream_digest(self) -> str:
         h = hashlib.sha256()
@@ -206,8 +211,9 @@ def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
     return tuple(np.tile(a, (b,) + (1,) * a.ndim) for a in state)
 
 
-def _run_group(spec: ExperimentSpec, indices) -> list[TrialResult]:
-    """Advance the trials ``indices`` in lockstep; one result per trial.
+@np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
+def _run_group(spec: ExperimentSpec, indices) -> MetricSeries:
+    """Advance the trials ``indices`` in lockstep; one metric row per trial.
 
     Each trial's block is hashed as drawn, and the kernel's stacked inputs
     are gathered from the blocks ``_WINDOW`` rows at a time, so the group
@@ -217,7 +223,13 @@ def _run_group(spec: ExperimentSpec, indices) -> list[TrialResult]:
     theta_star = cfg.theta_star
     rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
     tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
-    oracle_mse = [met.test_mse_arrays(theta_star, tx, ty) for tx, ty in tests]
+
+    shape = (len(rngs), len(spec.checkpoints))
+    metrics = {"dist_sq": np.empty(shape)}
+    if tests:
+        metrics["oracle_mse"] = np.array([[met.test_mse_arrays(theta_star, tx, ty)] * shape[1] for tx, ty in tests])
+        metrics["test_mse"] = np.empty(shape)
+    dist, test = metrics["dist_sq"], metrics.get("test_mse")
 
     kernel = est.BATCH_KERNELS[spec.algorithm]
     state = _initial_state(spec, len(rngs))
@@ -227,7 +239,6 @@ def _run_group(spec: ExperimentSpec, indices) -> list[TrialResult]:
     betas = steps(spec.beta, spec.T) if spec.beta is not None else None
 
     digests = [hashlib.sha256() for _ in rngs]
-    points: list[list[met.MetricPoint]] = [[] for _ in rngs]
     blocks: list[tuple] = []
     cps = (*spec.checkpoints, spec.T + 1)  # the sentinel is never reached
     cp_idx = 0
@@ -254,40 +265,44 @@ def _run_group(spec: ExperimentSpec, indices) -> list[TrialResult]:
             state = kernel(state, zi, xi, xpi, yi, ai, bi)
         t = stop
         if t == cps[cp_idx]:
-            cp_idx += 1
+            # The arithmetic of metrics.dist_to_opt and metrics.test_mse_arrays,
+            # one trial at a time, without their finiteness checks.
             theta = state[0]
-            for j, trial in enumerate(points):
-                trial.append(
-                    met.MetricPoint(
-                        iteration=t,
-                        dist_sq=met.dist_to_opt(theta[j], theta_star),
-                        test_mse=met.test_mse_arrays(theta[j], *tests[j]) if tests else None,
-                        oracle_mse=oracle_mse[j] if tests else None,
-                    )
-                )
-    return [TrialResult(points=p, stream_digest=d.hexdigest()) for p, d in zip(points, digests)]
+            d = theta - theta_star
+            for j in range(len(rngs)):
+                dist[j, cp_idx] = d[j] @ d[j]
+            for j, (tx, ty) in enumerate(tests):
+                r = ty - tx @ theta[j]
+                test[j, cp_idx] = r @ r / len(ty)
+            cp_idx += 1
+    # A trial's first non-finite checkpoint marks it and every later one inf.
+    diverging = [v for m, v in metrics.items() if m != "oracle_mse"]
+    bad = np.logical_or.accumulate(~np.isfinite(diverging).all(axis=0), axis=1)
+    for v in diverging:
+        v[bad] = np.inf
+    return MetricSeries(spec=spec, metrics=metrics, stream_digests=[d.hexdigest() for d in digests])
 
 
-def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """Run one seeded trial and return its checkpoint metrics.
+def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
+    """Run one seeded trial and return its one-row checkpoint metrics.
 
     The held-out test set (when ``test_n > 0``) is drawn first, then the
     training stream, all from the trial's own generator. The stream digest is
-    a SHA-256 over the raw sample blocks in draw order. The result equals
-    trial ``trial_index`` of :func:`run_experiment`.
+    a SHA-256 over the raw sample blocks in draw order. The result equals row
+    ``trial_index`` of :func:`run_experiment`.
     """
     if not (0 <= trial_index < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")
-    return _run_group(spec, [trial_index])[0]
+    return _run_group(spec, [trial_index])
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricSeries:
     """Run all trials, one lockstep group after another, and aggregate."""
-    results = [r for group in trial_groups(spec.trials) for r in _run_group(spec, group)]
+    groups = [_run_group(spec, group) for group in trial_groups(spec.trials)]
     return MetricSeries(
         spec=spec,
-        trials=[r.points for r in results],
-        stream_digests=[r.stream_digest for r in results],
+        metrics={m: np.concatenate([g.metrics[m] for g in groups]) for m in groups[0].metrics},
+        stream_digests=[d for g in groups for d in g.stream_digests],
     )
 
 

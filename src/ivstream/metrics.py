@@ -2,30 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._validation import as_float_vector
 from .dgp import OneSample
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """Metrics recorded at one checkpoint of one trial."""
-
-    iteration: int
-    dist_sq: float
-    test_mse: float | None = None
-    oracle_mse: float | None = None
-
-    def __post_init__(self):
-        if self.iteration < 1:
-            raise ValueError("iteration must be >= 1")
-        if self.dist_sq < 0.0:
-            raise ValueError("dist_sq must be non-negative")
-        if self.test_mse is not None and self.test_mse < 0.0:
-            raise ValueError("test_mse must be non-negative")
 
 
 def dist_to_opt(theta, theta_star) -> float:

@@ -163,6 +163,8 @@ def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, constants) -> StepS
         return Polynomial(float(d["coeff"]), float(d.get("exponent", 0.95)))
     if kind == "log_horizon":
         _reject_unknown(d, {"kind"}, f"schedule.{which}")
+        if T < 2:
+            raise ConfigError(f"schedule.{which}: log_horizon needs T >= 2, got {T}")
         sched, _ = log_horizon_alpha(T, constants())
         return sched
     if kind == "two_timescale":

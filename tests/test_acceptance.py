@@ -37,13 +37,7 @@ def fig2_two_stage_series():
 def test_criterion_1_gradient_unbiasedness():
     """Monte-Carlo mean of the two-sample gradient step matches the oracle."""
     start = time.perf_counter()
-    cfg = dgp.shared_confounder_config(4, 8, c=0.1, phi="identity")
-    summary = oracle.summarize(cfg)
-    theta = cfg.theta_star + np.array([1.0, -1.0, 2.0, 0.5])
-    _, x, xp, y = dgp.sample_two_block(make_rng(0xACCE71), cfg, 1_000_000)
-    mc = (xp * (x @ theta - y)[:, None]).mean(axis=0)
-    ref = oracle.grad_f(theta, summary)
-    rel = float(np.linalg.norm(mc - ref) / np.linalg.norm(ref))
+    rel = cli._check_gradient(0xACCE71, 1_000_000)
     elapsed = time.perf_counter() - start
     _report(1, "gradient unbiasedness",
             f"relative l2 error {rel:.2e} (tol 1e-2), {elapsed:.1f}s (limit 30s)",
@@ -106,19 +100,7 @@ def test_criterion_4_divergence_comparison():
 def test_criterion_5_sherman_morrison_invariants():
     """U and V stay exact inverses of the accumulated moment matrices."""
     start = time.perf_counter()
-    cfg = dgp.endogenous_linear_config(8, 16, rho=4.0, sigma_eps=1.0)
-    z, x, y = dgp.sample_one_block(make_rng(0xACCE75), cfg, 1000)
-    lam = 0.1
-    theta, gamma = np.zeros(8), np.zeros((16, 8))
-    u, v = np.eye(8) / lam, np.eye(16) / lam
-    acc_u, acc_v = lam * np.eye(8), lam * np.eye(16)
-    for t in range(1000):
-        w = z[t] @ gamma
-        acc_u += np.outer(w, w)
-        acc_v += np.outer(z[t], z[t])
-        theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, z[t], x[t], y[t])
-    dev_u = float(np.abs(u @ acc_u - np.eye(8)).max())
-    dev_v = float(np.abs(v @ acc_v - np.eye(16)).max())
+    dev_u, dev_v = cli._check_sherman_morrison(0xACCE75)
     elapsed = time.perf_counter() - start
     ok = dev_u <= 1e-8 and dev_v <= 1e-8 and elapsed <= 5.0
     _report(5, "Sherman-Morrison invariants",

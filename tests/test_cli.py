@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -192,6 +193,8 @@ class TestConfigErrors:
         (lambda c: c.update(init={"gamma0": [[0.0, 0.0]]}), "gamma0"),
         (lambda c: c.update(trials=0), "trials"),
         (lambda c: c.update(checkpoints=[5, 20]), "checkpoints"),
+        (lambda c: c.update(T=1, schedule={"alpha": {"kind": "log_horizon"}, "beta": {"kind": "two_timescale"}}),
+         "T >= 2"),
     ])
     def test_bad_config_rejected_before_measuring(self, tmp_path, capsys, monkeypatch, mutate, match):
         # Square-link two_timescale schedules need the Monte-Carlo constants;
@@ -240,6 +243,40 @@ class TestDeterminismAcrossWorkers:
         assert outs[0] == outs[1]
 
 
+# The fig3 plug-in update from a far first-stage start with a large slow step:
+# every trial overflows within the first 50 iterations.
+DIVERGING = {
+    "dgp": {"family": "endogenous_linear", "d_x": 1, "d_z": 1, "rho": 4.0, "sigma_eps": 1.0,
+            "theta_star": [1.0], "gamma_star": [[-1.0]]},
+    "algorithm": "direct_sgd",
+    "schedule": {"alpha": {"kind": "polynomial", "coeff": 5.0, "exponent": 0.5},
+                 "beta": {"kind": "polynomial", "coeff": 0.5, "exponent": 0.65}},
+    "T": 3000, "trials": 4, "seed": 303,
+    "init": {"theta0": [0.0], "gamma0": [[1e6]]},
+}
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_trials_are_recorded(self, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path / "cfg.json", DIVERGING)
+        outs = []
+        for group_size in (1, harness.GROUP_SIZE):
+            monkeypatch.setattr(harness, "GROUP_SIZE", group_size)
+            out = tmp_path / f"g{group_size}"
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+            outs.append((out / "series.csv").read_bytes())
+        assert outs[0] == outs[1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        diverged = manifest["diverged"]["direct_sgd"]
+        assert sorted(diverged) == ["0", "1", "2", "3"]
+        rows = [line.split(",") for line in outs[1].decode().splitlines()[1:]]
+        assert len(rows) == 4 * len(manifest["experiments"][0]["checkpoints"])
+        for _, _, trial, it, _, value in rows:
+            v = float(value)
+            assert v == math.inf if int(it) >= diverged[trial] else math.isfinite(v)
+
+
 def test_python_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -250,13 +287,13 @@ def test_python_m_entry_point():
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
-        assert cli.cmd_check(None) == 0
+        assert cli.cmd_check() == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
     def test_corrupted_u0_negative_control(self, capsys):
-        rc = cli.cmd_check(None, corrupt_u0=True)
+        rc = cli.cmd_check(corrupt_u0=True)
         assert rc != 0
         captured = capsys.readouterr()
         assert "sherman_morrison" in captured.err

@@ -61,27 +61,28 @@ class TestRunTrial:
     def test_single_iteration_single_point(self):
         spec = _tiny_spec(T=1, checkpoints=(1,), trials=1)
         res = harness.run_trial(spec, 0)
-        assert len(res.points) == 1
-        assert res.points[0].iteration == 1
+        assert res.values("dist_sq").shape == (1, 1)
+        assert res.iterations.tolist() == [1]
 
     def test_bitwise_determinism(self):
         spec = _tiny_spec()
         a = harness.run_trial(spec, 2)
         b = harness.run_trial(spec, 2)
-        assert a.stream_digest == b.stream_digest
-        for pa, pb in zip(a.points, b.points):
-            assert pa == pb
+        assert a.stream_digests == b.stream_digests
+        assert a.values("dist_sq").tobytes() == b.values("dist_sq").tobytes()
 
     def test_checkpoint_monotonicity(self):
         res = harness.run_trial(_tiny_spec(), 0)
-        its = [p.iteration for p in res.points]
+        its = res.iterations.tolist()
         assert its == sorted(set(its))
+        assert res.values("dist_sq").shape == (1, len(its))
 
     def test_test_set_metrics_recorded(self):
         spec = _tiny_spec(test_n=50)
         res = harness.run_trial(spec, 0)
-        assert all(p.test_mse is not None for p in res.points)
-        oracle_vals = {p.oracle_mse for p in res.points}
+        assert sorted(res.metrics) == sorted(harness.METRICS)
+        assert np.isfinite(res.values("test_mse")).all()
+        oracle_vals = set(res.values("oracle_mse")[0].tolist())
         assert len(oracle_vals) == 1  # drawn once per trial, constant across checkpoints
 
     def test_out_of_range_trial_index(self):
@@ -93,8 +94,7 @@ class TestRunExperiment:
     def test_single_trial_aggregate(self):
         spec = _tiny_spec(trials=1)
         series = harness.run_experiment(spec)
-        np.testing.assert_array_equal(series.mean("dist_sq"),
-                                      [p.dist_sq for p in series.trials[0]])
+        np.testing.assert_array_equal(series.mean("dist_sq"), series.values("dist_sq")[0])
         np.testing.assert_array_equal(series.std("dist_sq"), 0.0)
 
     def test_worker_count_invariance(self, monkeypatch):
@@ -144,8 +144,10 @@ class TestLockstep:
         series = harness.run_experiment(spec)
         for i in range(spec.trials):
             res = harness.run_trial(spec, i)
-            assert res.points == series.trials[i]
-            assert res.stream_digest == series.stream_digests[i]
+            assert res.metrics.keys() == series.metrics.keys()
+            for m, v in series.metrics.items():
+                assert res.values(m).tobytes() == v[i:i + 1].tobytes()
+            assert res.stream_digests == [series.stream_digests[i]]
         assert len(set(series.stream_digests)) == spec.trials
 
     def test_held_out_set_drawn_from_arrays(self):
@@ -154,7 +156,7 @@ class TestLockstep:
         rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, 0)))
         tx, ty = metrics.stack_test_set(dgp.test_set(rng, spec.dgp, spec.test_n))
         res = harness.run_trial(spec, 0)
-        assert res.points[0].oracle_mse == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
+        assert res.values("oracle_mse")[0, 0] == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
 
     def test_at_most_one_block_per_trial_of_a_group(self, monkeypatch):
         live, peak = [0], [0]
@@ -173,7 +175,7 @@ class TestLockstep:
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
         monkeypatch.setattr(harness, "sample_one_block", counting_block)
         series = harness.run_experiment(_lockstep_spec("direct_sgd", trials=10))
-        assert len(series.trials) == 10
+        assert series.values("dist_sq").shape[0] == 10
         assert peak[0] == harness.GROUP_SIZE
 
 

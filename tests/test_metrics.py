@@ -45,14 +45,3 @@ class TestTestMse:
         cfg = dgp.endogenous_linear_config(2, 3, rho=4.0, sigma_eps=1.0)
         test = dgp.test_set(rng, cfg, 64)
         assert metrics.test_mse(np.array([-3.0, 7.0]), test) >= 0.0
-
-
-class TestMetricPoint:
-    def test_validation(self):
-        metrics.MetricPoint(iteration=1, dist_sq=0.0)
-        with pytest.raises(ValueError):
-            metrics.MetricPoint(iteration=0, dist_sq=0.0)
-        with pytest.raises(ValueError):
-            metrics.MetricPoint(iteration=1, dist_sq=-1.0)
-        with pytest.raises(ValueError):
-            metrics.MetricPoint(iteration=1, dist_sq=0.0, test_mse=-0.1)
