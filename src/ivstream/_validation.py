@@ -56,11 +56,11 @@ def check_nonnegative(value: float, name: str) -> float:
     return value
 
 
-def check_symmetric_pd(a, name: str = "matrix", cond_limit: float = 1e12) -> NDArray[np.float64]:
+def check_symmetric_pd(a, name: str = "matrix") -> NDArray[np.float64]:
     """Validate that ``a`` is symmetric positive definite and well conditioned.
 
     Returns the validated array. A matrix whose condition number exceeds
-    ``cond_limit`` is treated as singular.
+    1e12 is treated as singular.
     """
     arr = as_float_matrix(a, name=name)
     if arr.shape[0] != arr.shape[1]:
@@ -71,6 +71,6 @@ def check_symmetric_pd(a, name: str = "matrix", cond_limit: float = 1e12) -> NDA
     eigs = np.linalg.eigvalsh(arr)
     if eigs[0] <= 0.0:
         raise ValueError(f"{name} must be positive definite (min eigenvalue {eigs[0]:.3g})")
-    if eigs[-1] / eigs[0] > cond_limit:
+    if eigs[-1] / eigs[0] > 1e12:
         raise ValueError(f"{name} is numerically singular (condition number {eigs[-1] / eigs[0]:.3g})")
     return arr

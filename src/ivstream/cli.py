@@ -180,10 +180,10 @@ def _check_determinism() -> float:
     return 0.0 if same else 1.0
 
 
-def cmd_check(corrupt_u0: bool = False) -> int:
+def cmd_check() -> int:
     checks = [
         ("gradient_unbiasedness", lambda: _check_gradient(0xD1CE, 1_000_000), "relative l2 error", 1e-2),
-        ("sherman_morrison", lambda: max(_check_sherman_morrison(0x5A, corrupt_u0)), "max |prod - I|", 1e-8),
+        ("sherman_morrison", lambda: max(_check_sherman_morrison(0x5A)), "max |prod - I|", 1e-8),
         ("determinism", _check_determinism, "mismatch flag", 0.0),
     ]
     failed = None
@@ -233,8 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", parents=[common], help="run several algorithms with paired streams")
     cmp_p.add_argument("--config", required=True, help="JSON config with an 'algorithms' list")
 
-    chk_p = sub.add_parser("check", help="run the validation suites")
-    chk_p.add_argument("--corrupt-u0", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("check", help="run the validation suites")
     return parser
 
 
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
             return cmd_run(args)
         if args.command == "compare":
             return cmd_compare(args)
-        return cmd_check(corrupt_u0=args.corrupt_u0)
+        return cmd_check()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -30,17 +30,25 @@ defaults to a standard normal (``z_cov = I``).
 
 Two-sample oracle
 -----------------
-:func:`sample_two_block` returns, for each draw of Z, two draws X and X'
-that are independent conditionally on Z (X' gets a fresh confounder and fresh
-noise), with Y generated from X's noise realisation. This is the sampling
+:func:`sample_two_block` is the one-sample draw with a second copy X' of X
+that is independent of X conditionally on Z (a fresh confounder and fresh
+noise); Y is generated from X's noise realisation. This is the sampling
 interface required by the two-sample gradient estimator.
 
 Stream layout
 -------------
-All samplers draw from a ``numpy.random.Generator`` with a frozen block
-layout (Z block first, then the noise blocks in the documented order), so a
+All samplers draw from a ``numpy.random.Generator`` in one frozen order, so a
 given seed always reproduces the same stream, independent of how trials are
-scheduled. ``sample_one`` is the n = 1 case of :func:`sample_one_block`.
+scheduled:
+
+1. the Z block, (n, d_z);
+2. for each copy of X in turn (X, then X' in the two-sample oracle), its
+   noise: ``eps`` (n, d_x) for ``endogenous_linear``, or ``h`` then ``e_x``,
+   each (n, d_x), for ``shared_confounder``;
+3. the outcome noise, (n,): ``w`` ~ N(0, 1), which enters nu as 0.5 * w,
+   or ``e_y``.
+
+``sample_one`` is the n = 1 case of :func:`sample_one_block`.
 """
 
 from __future__ import annotations
@@ -215,18 +223,18 @@ def endogenous_linear_config(
     return DgpConfig(d_x, d_z, theta, gamma, EndogenousLinear(rho=rho, sigma_eps=sigma_eps), z_cov)
 
 
-def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[np.float64]:
-    """E[X | Z = z] for each row of ``z_block``.
-
-    Identity link: gamma^T z (+ c * 1 for the shared-confounder family).
-    Square link: (gamma^T z)^2 elementwise (+ c * 1).
-    """
+def _link(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[np.float64]:
+    """phi(gamma_star^T z) for each row: the square only for a square-link family."""
     base = z_block @ cfg.gamma_star
-    if isinstance(cfg.family, EndogenousLinear):
-        return base
-    if cfg.family.phi == PHI_SQUARE:
-        base = base**2
-    return base + cfg.family.c
+    if isinstance(cfg.family, SharedConfounder) and cfg.family.phi == PHI_SQUARE:
+        np.square(base, out=base)
+    return base
+
+
+def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[np.float64]:
+    """E[X | Z = z] for each row of ``z_block``: the link, plus c * 1 for a shared confounder."""
+    mean = _link(cfg, z_block)
+    return mean if isinstance(cfg.family, EndogenousLinear) else mean + cfg.family.c
 
 
 def _draw_z(rng: np.random.Generator, cfg: DgpConfig, n: int) -> NDArray[np.float64]:
@@ -234,31 +242,47 @@ def _draw_z(rng: np.random.Generator, cfg: DgpConfig, n: int) -> NDArray[np.floa
     return z if cfg._z_chol is None else z @ cfg._z_chol.T
 
 
-def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
-    """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
+def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int) -> tuple:
+    """``(Z, X_1, ..., X_copies, Y)``: copies of X independent given Z, Y from X_1.
 
-    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). Draw order is frozen:
-    Z block, then the noise blocks in model order.
+    The blocks are drawn in the module's frozen layout. Each copy starts as
+    its noise block and becomes X in place once the link is known. Y adds its
+    outcome noise terms to theta_star^T X_1 one at a time, in model order:
+    summing the terms first would move the last bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     z = _draw_z(rng, cfg, n)
-    fam = cfg.family
+    fam, shape = cfg.family, (n, cfg.d_x)
     if isinstance(fam, EndogenousLinear):
-        eps = fam.sigma_eps * rng.standard_normal((n, cfg.d_x))
-        w = rng.standard_normal(n)
-        x = z @ cfg.gamma_star + eps
-        y = x @ cfg.theta_star + fam.rho * eps[:, 0] + _NU_EXTRA_STD * w
-        return z, x, y
-    h = 1.0 + rng.standard_normal((n, cfg.d_x))
-    e_x = rng.standard_normal((n, cfg.d_x))
-    e_y = rng.standard_normal(n)
-    base = z @ cfg.gamma_star
-    if fam.phi == PHI_SQUARE:
-        base = base**2
-    x = base + fam.c * (h + e_x)
-    y = x @ cfg.theta_star + fam.c * (h[:, 0] + e_y)
-    return z, x, y
+        xs = [fam.sigma_eps * rng.standard_normal(shape) for _ in range(copies)]  # eps
+        nu = (fam.rho * xs[0][:, 0], _NU_EXTRA_STD * rng.standard_normal(n))
+    else:
+        xs = []
+        for _ in range(copies):
+            x = 1.0 + rng.standard_normal(shape)  # h
+            if not xs:
+                h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
+            x += rng.standard_normal(shape)  # + e_x
+            x *= fam.c
+            xs.append(x)
+        nu = (fam.c * (h_1 + rng.standard_normal(n)),)
+    link = _link(cfg, z)
+    for x in xs:
+        x += link
+    del link  # so the peak never holds the link and Y together
+    y = xs[0] @ cfg.theta_star
+    for term in nu:
+        y += term
+    return (z, *xs, y)
+
+
+def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
+    """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
+
+    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,).
+    """
+    return _draw(rng, cfg, n, 1)
 
 
 def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
@@ -267,31 +291,7 @@ def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
     X and X' are conditionally independent given Z: X' is built from a fresh
     confounder and fresh noise. Y uses X's noise realisation.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = _draw_z(rng, cfg, n)
-    fam = cfg.family
-    if isinstance(fam, EndogenousLinear):
-        eps = fam.sigma_eps * rng.standard_normal((n, cfg.d_x))
-        eps_p = fam.sigma_eps * rng.standard_normal((n, cfg.d_x))
-        w = rng.standard_normal(n)
-        mean = z @ cfg.gamma_star
-        x = mean + eps
-        x_p = mean + eps_p
-        y = x @ cfg.theta_star + fam.rho * eps[:, 0] + _NU_EXTRA_STD * w
-        return z, x, x_p, y
-    h = 1.0 + rng.standard_normal((n, cfg.d_x))
-    e_x = rng.standard_normal((n, cfg.d_x))
-    h_p = 1.0 + rng.standard_normal((n, cfg.d_x))
-    e_x_p = rng.standard_normal((n, cfg.d_x))
-    e_y = rng.standard_normal(n)
-    base = z @ cfg.gamma_star
-    if fam.phi == PHI_SQUARE:
-        base = base**2
-    x = base + fam.c * (h + e_x)
-    x_p = base + fam.c * (h_p + e_x_p)
-    y = x @ cfg.theta_star + fam.c * (h[:, 0] + e_y)
-    return z, x, x_p, y
+    return _draw(rng, cfg, n, 2)
 
 
 def sample_one(rng: np.random.Generator, cfg: DgpConfig) -> OneSample:
@@ -302,7 +302,5 @@ def sample_one(rng: np.random.Generator, cfg: DgpConfig) -> OneSample:
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:
     """Draw ``n`` i.i.d. held-out observations for test-MSE evaluation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     z, x, y = sample_one_block(rng, cfg, n)
     return [OneSample(z=z[i], x=x[i], y=float(y[i])) for i in range(n)]

@@ -66,44 +66,32 @@ from .schedule import Constant, StepSchedule, step
 DEFAULT_RIDGE = 0.1
 
 
-def _project_frobenius(gamma, radius: float | None):
-    """``gamma`` scaled onto the Frobenius ball of ``radius`` when outside it."""
-    if radius is None:
-        return gamma
-    norm = float(np.sqrt((gamma * gamma).sum()))
-    return gamma * (radius / norm) if norm > radius else gamma
-
-
 def two_sample_update(theta, x, x_prime, y: float, alpha: float):
     """One two-sample SGD step; returns the new theta."""
     resid = x @ theta - y
     return theta - (alpha * resid) * x_prime
 
 
-def two_stage_update(theta, gamma, z, x, y: float, alpha: float, beta: float,
-                     gamma_radius: float | None = None):
+def two_stage_update(theta, gamma, z, x, y: float, alpha: float, beta: float):
     """One coupled two-timescale step; returns (theta', gamma').
 
     The theta step uses the pre-update gamma, and both steps consume the same
-    observation. ``gamma_radius``, when given, projects the new gamma onto
-    the Frobenius ball of that radius (off by default; the fast iterate is
-    bounded without projection in the well-specified regime).
+    observation.
     """
     zg = z @ gamma
     pred_resid = zg @ theta - y
     new_theta = theta - (alpha * pred_resid) * zg
     new_gamma = gamma - (beta * z)[:, None] * (zg - x)[None, :]
-    return new_theta, _project_frobenius(new_gamma, gamma_radius)
+    return new_theta, new_gamma
 
 
-def direct_residual_update(theta, gamma, z, x, y: float, alpha: float, beta: float,
-                           gamma_radius: float | None = None):
+def direct_residual_update(theta, gamma, z, x, y: float, alpha: float, beta: float):
     """One plug-in two-timescale step (raw residual); returns (theta', gamma')."""
     zg = z @ gamma
     resid = x @ theta - y
     new_theta = theta - (alpha * resid) * zg
     new_gamma = gamma - (beta * z)[:, None] * (zg - x)[None, :]
-    return new_theta, _project_frobenius(new_gamma, gamma_radius)
+    return new_theta, new_gamma
 
 
 def online_2sls_update(theta, gamma, u, v, z, x, y: float):
@@ -174,8 +162,9 @@ def direct_residual_batch(state, z, x, x_prime, y, alpha, beta):
 def online_2sls_batch(state, z, x, x_prime, y, alpha, beta):
     """:func:`online_2sls_update` on B stacked trials.
 
-    Raises ``FloatingPointError`` when any trial's rank-one denominator is
-    not positive.
+    A trial whose rank-one denominator is not positive, where the 1-d kernel
+    raises, gets a NaN state from that step on; the other trials go on as
+    before, and the harness records that trial as diverged.
     """
     theta, gamma, u, v = state
     w = z[:, None, :] @ gamma
@@ -183,8 +172,9 @@ def online_2sls_batch(state, z, x, x_prime, y, alpha, beta):
     denom_v = 1.0 + (z[:, None, :] @ vz)[:, 0]
     uw = u @ w.transpose(0, 2, 1)
     denom_u = 1.0 + (w @ uw)[:, 0]
-    if (denom_u <= 0.0).any() or (denom_v <= 0.0).any():
-        raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+    corrupted = (denom_u <= 0.0) | (denom_v <= 0.0)
+    if corrupted.any():
+        denom_u[corrupted] = denom_v[corrupted] = np.nan
     w, vz, uw = w[:, 0], vz[:, :, 0], uw[:, :, 0]
     gain_v = vz / denom_v
     new_v = v - vz[:, :, None] * gain_v[:, None, :]
@@ -316,22 +306,21 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
 
 
 class _TwoTimescaleRegressor(_BaseIVRegressor):
-    _param_names = ("alpha", "beta", "theta0", "gamma0", "gamma_radius")
+    _param_names = ("alpha", "beta", "theta0", "gamma0")
     _kernel = staticmethod(two_stage_update)
 
-    def __init__(self, alpha=0.01, beta=0.1, theta0=None, gamma0=None, gamma_radius=None):
+    def __init__(self, alpha=0.01, beta=0.1, theta0=None, gamma0=None):
         self.alpha = alpha
         self.beta = beta
         self.theta0 = theta0
         self.gamma0 = gamma0
-        self.gamma_radius = gamma_radius
 
     def _update(self, Z, X, y):
-        alpha, beta, kernel, radius = _as_schedule(self.alpha), _as_schedule(self.beta), self._kernel, self.gamma_radius
+        alpha, beta, kernel = _as_schedule(self.alpha), _as_schedule(self.beta), self._kernel
         theta, gamma, t = self.theta_, self.gamma_, self.n_iter_
         try:
             for z, x, y_t in zip(Z, X, y):
-                theta, gamma = kernel(theta, gamma, z, x, y_t, step(alpha, t + 1), step(beta, t + 1), radius)
+                theta, gamma = kernel(theta, gamma, z, x, y_t, step(alpha, t + 1), step(beta, t + 1))
                 t += 1
         finally:
             self.theta_, self.gamma_, self.n_iter_ = theta, gamma, t

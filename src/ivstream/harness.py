@@ -85,11 +85,11 @@ def mix_seed(base_seed: int, trial_index: int) -> int:
     return x
 
 
-def log_checkpoints(T: int, n: int = 50) -> list[int]:
-    """Strictly increasing log-spaced iteration checkpoints including 1 and T."""
+def log_checkpoints(T: int) -> list[int]:
+    """Strictly increasing checkpoints from 50 log-spaced points in [1, T], including 1 and T."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    pts = np.unique(np.round(np.logspace(0.0, np.log10(T), n)).astype(np.int64))
+    pts = np.unique(np.round(np.logspace(0.0, np.log10(T), 50)).astype(np.int64))
     pts = pts[(pts >= 1) & (pts <= T)]
     if pts[-1] != T:
         pts = np.append(pts, T)

@@ -36,9 +36,6 @@ from ._validation import as_float_vector, check_symmetric_pd
 from .dgp import DgpConfig, EndogenousLinear, conditional_mean_x, sample_two_block
 from .schedule import TheoryConstants
 
-#: Condition-number threshold above which a moment matrix is treated as singular.
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True, eq=False)
 class PopulationSummary:
@@ -62,7 +59,7 @@ class PopulationSummary:
 def _solve_spd(a: NDArray[np.float64], rhs: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     """Solve a x = rhs for symmetric positive-definite a, with a condition check."""
     a = 0.5 * (a + a.T)
-    check_symmetric_pd(a, name, cond_limit=COND_LIMIT)
+    check_symmetric_pd(a, name)
     return np.linalg.solve(a, rhs)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -6,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ivstream import cli, harness, oracle, presets, schedule
+from ivstream import cli, dgp, estimators, harness, oracle, presets, schedule
 
 
 def _write_config(path: Path, config: dict) -> str:
@@ -255,11 +257,26 @@ DIVERGING = {
     "init": {"theta0": [0.0], "gamma0": [[1e6]]},
 }
 
+# Streaming 2SLS from a far first-stage start with a tiny ridge: in half of
+# the trials a rank-one denominator turns non-positive within 30 steps.
+DIVERGING_2SLS = {
+    "dgp": {"family": "endogenous_linear", "d_x": 8, "d_z": 16, "rho": 4.0, "sigma_eps": 1.0},
+    "algorithm": "online_2sls",
+    "schedule": {"lambda": 1e-4},
+    "T": 3000, "trials": 8, "seed": 1,
+    "init": {"gamma0": [[1e5] * 8] * 16},
+}
+
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverged_trials_are_recorded(self, tmp_path, monkeypatch):
-        cfg = _write_config(tmp_path / "cfg.json", DIVERGING)
+    @staticmethod
+    def _run(tmp_path, monkeypatch, config) -> tuple[dict, list]:
+        """The manifest's ``diverged`` and the checkpoints of a run that records its divergence.
+
+        Group size 1 (every trial alone) and the default write the same bytes,
+        and each row is ``inf`` exactly from its trial's diverged checkpoint on.
+        """
+        cfg = _write_config(tmp_path / "cfg.json", config)
         outs = []
         for group_size in (1, harness.GROUP_SIZE):
             monkeypatch.setattr(harness, "GROUP_SIZE", group_size)
@@ -268,13 +285,36 @@ class TestDivergence:
             outs.append((out / "series.csv").read_bytes())
         assert outs[0] == outs[1]
         manifest = json.loads((out / "manifest.json").read_text())
-        diverged = manifest["diverged"]["direct_sgd"]
-        assert sorted(diverged) == ["0", "1", "2", "3"]
+        diverged = manifest["diverged"][config["algorithm"]]
+        checkpoints = manifest["experiments"][0]["checkpoints"]
         rows = [line.split(",") for line in outs[1].decode().splitlines()[1:]]
-        assert len(rows) == 4 * len(manifest["experiments"][0]["checkpoints"])
+        assert len(rows) == config["trials"] * len(checkpoints)
         for _, _, trial, it, _, value in rows:
             v = float(value)
-            assert v == math.inf if int(it) >= diverged[trial] else math.isfinite(v)
+            assert v == math.inf if trial in diverged and int(it) >= diverged[trial] else math.isfinite(v)
+        return diverged, checkpoints
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_trials_are_recorded(self, tmp_path, monkeypatch):
+        diverged, _ = self._run(tmp_path, monkeypatch, DIVERGING)
+        assert sorted(diverged) == ["0", "1", "2", "3"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_2sls_trials_are_recorded(self, tmp_path, monkeypatch):
+        diverged, checkpoints = self._run(tmp_path, monkeypatch, DIVERGING_2SLS)
+        # Expected: the trials whose stream makes the 1-d kernel raise, each at
+        # the first checkpoint on or after the step that raised.
+        spec = presets.specs_from_config(DIVERGING_2SLS)[0]
+        expected = {}
+        for i in range(spec.trials):
+            rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+            reg = estimators.Online2SLSRegressor(lam=spec.lam, gamma0=spec.gamma0)
+            try:
+                reg.fit(*dgp.sample_one_block(rng, spec.dgp, spec.T))
+            except FloatingPointError:
+                expected[str(i)] = next(c for c in checkpoints if c > reg.n_iter_)
+        assert diverged == expected
+        assert sorted(expected) == ["0", "1", "4", "7"]
 
 
 def test_python_m_entry_point():
@@ -292,8 +332,10 @@ class TestCheck:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
-    def test_corrupted_u0_negative_control(self, capsys):
-        rc = cli.cmd_check(corrupt_u0=True)
+    def test_corrupted_u0_negative_control(self, capsys, monkeypatch):
+        corrupted = functools.partial(cli._check_sherman_morrison, corrupt_u0=True)
+        monkeypatch.setattr(cli, "_check_sherman_morrison", corrupted)
+        rc = cli.main(["check"])
         assert rc != 0
         captured = capsys.readouterr()
         assert "sherman_morrison" in captured.err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,41 @@ class TestDeterminism:
         b = dgp.sample_two_block(make_rng(9), cfg, 1000)
         for xa, xb in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
+
+
+# At d_x = d_z = 1 every product is a single multiply, so these bytes depend
+# on no BLAS reduction order or SIMD level.
+PINNED_CASES = {
+    "endogenous": lambda: dgp.endogenous_linear_config(1, 1, rho=4.0, sigma_eps=0.5),
+    "endogenous_z_cov": lambda: dgp.endogenous_linear_config(1, 1, rho=4.0, sigma_eps=0.5, z_cov=[[2.5]]),
+    "shared_identity": lambda: dgp.shared_confounder_config(1, 1, c=0.7, phi="identity"),
+    "shared_square": lambda: dgp.shared_confounder_config(1, 1, c=0.7, phi="square"),
+    "shared_square_z_cov": lambda: dgp.shared_confounder_config(1, 1, c=0.7, phi="square", z_cov=[[2.5]]),
+}
+
+#: SHA-256 of the n = 1 and then the n = 5000 draw from PCG64(2024).
+PINNED_SHA256 = {
+    ("endogenous", "sample_one_block"): "adc11ec48bcb2f48f7af42232445f8ad005bf9c2c225e2b4fa1d3aa16333d55d",
+    ("endogenous", "sample_two_block"): "b39802a91a9fcaa3264687e61b7271d852c250acbf4730fa9cd71b673a7969c1",
+    ("endogenous_z_cov", "sample_one_block"): "d5a5775168ad20db1496a53386e6968bce67f2d3bca7c8890191c34ae923addc",
+    ("endogenous_z_cov", "sample_two_block"): "481d7366d87ffffb14fb989da9b631d27e77455155cd8f959cbdf0f2a0e7f2cc",
+    ("shared_identity", "sample_one_block"): "8762e97312eae772b043a8adefd5c929bb3f6ee0a1fa8a34526191c1be0052e4",
+    ("shared_identity", "sample_two_block"): "89169e0da9f1a458bdcc2256dad73ab69622aa429e9ba1bd880acfaccdae088b",
+    ("shared_square", "sample_one_block"): "11e2991da2e914eae607b838ea0211aa219393b11d2c5f5a458d9d195cb6f81c",
+    ("shared_square", "sample_two_block"): "6a3d9aa3dd808c47419f196647f8e455e2588df543ac2b344f036898f844a45b",
+    ("shared_square_z_cov", "sample_one_block"): "1a5f28585d70e31fddf52da3e499ed6c5c9849c07435dd017634b14cdf434edf",
+    ("shared_square_z_cov", "sample_two_block"): "80b8c06d4cbd3a313c8f8740077f4ddb92f0a1ef41c076a6b9332d8d2d60e77a",
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("case,sampler", sorted(PINNED_SHA256))
+    def test_sampler_bytes_are_pinned(self, case, sampler):
+        h = hashlib.sha256()
+        for n in (1, 5000):
+            for arr in getattr(dgp, sampler)(make_rng(2024), PINNED_CASES[case](), n):
+                h.update(arr.tobytes())
+        assert h.hexdigest() == PINNED_SHA256[(case, sampler)]
 
 
 class TestValidation:

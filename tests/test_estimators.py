@@ -90,13 +90,6 @@ class TestTwoTimescaleUpdates:
         for g_a, g_b in zip(*runs):
             np.testing.assert_array_equal(g_a, g_b)
 
-    def test_gamma_radius_projection(self):
-        for kernel in (est.two_stage_update, est.direct_residual_update):
-            theta, gamma = kernel(np.array([0.0]), np.array([[2.0]]),
-                                  np.array([1.0]), np.array([3.0]), 5.0, 0.1, 0.1,
-                                  gamma_radius=1.0)
-            assert abs(gamma[0, 0]) == pytest.approx(1.0, rel=1e-15)
-
     def test_gamma_rate_trend(self):
         # Under the prescribed decay exponent the first-stage error
         # E||gamma_t - gamma*||^2 keeps decreasing with tail slope <= -0.7.
@@ -236,16 +229,28 @@ class TestBatchKernels:
                 assert np.isfinite(want).all()
                 np.testing.assert_array_equal(got[i], want)
 
-    def test_online_2sls_one_corrupted_trial_raises(self):
-        # Trial 1 of 3 carries U = -10 I: w^T U w = -10 |w|^2 < -1 for gamma = I.
-        b, d = 3, 2
-        u = np.stack([np.eye(d) * 10.0] * b)
-        u[1] *= -1.0
-        state = (np.zeros((b, d)), np.stack([np.eye(d)] * b), u, np.stack([np.eye(d) * 10.0] * b))
+    def test_online_2sls_corrupted_trial_is_flagged(self):
+        # Trial 1 of 3 carries U = -10 I: with gamma = I, w = z and the first
+        # row's w^T U w = -10 |z|^2 is below -1.
+        b, d, n = 3, 2, 20
+        rng = make_rng(17)
+        z, x, y = rng.standard_normal((n, b, d)), rng.standard_normal((n, b, d)), rng.standard_normal((n, b))
+        trials = [[np.zeros(d), np.eye(d), np.eye(d) * 10.0, np.eye(d) * 10.0] for _ in range(b)]
+        trials[1][2] = -trials[1][2]
+        state = tuple(np.stack(parts) for parts in zip(*trials))
         with pytest.raises(FloatingPointError):
-            est.online_2sls_batch(state, np.ones((b, d)), np.ones((b, d)), None, np.ones(b), None, None)
-        u[1] *= -1.0
-        est.online_2sls_batch(state, np.ones((b, d)), np.ones((b, d)), None, np.ones(b), None, None)
+            est.online_2sls_update(*trials[1], z[0, 1], x[0, 1], y[0, 1])
+        with np.errstate(invalid="raise", over="raise"):
+            for t in range(n):
+                state = est.online_2sls_batch(state, z[t], x[t], None, y[t], None, None)
+                for i in (0, 2):
+                    trials[i] = est.online_2sls_update(*trials[i], z[t, i], x[t, i], y[t, i])
+        for got in state:
+            assert not np.isfinite(got[1]).any()
+        for i in (0, 2):
+            for got, want in zip(state, trials[i]):
+                assert np.isfinite(want).all()
+                np.testing.assert_array_equal(got[i], want)
 
 
 # ---------------------------------------------------------------------------
