@@ -17,17 +17,19 @@ trials are grouped. Aggregation reduces over trials in index order.
 Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
-into balanced groups of at most :data:`GROUP_SIZE` and advances each group
-with one batched kernel call per iteration
-(:data:`ivstream.estimators.BATCH_KERNELS`) on stacked state. Each trial keeps
-its own generator, stream digest and checkpoint metrics, and its iterates are
-bitwise equal to a run of the 1-d kernel on its stream alone, so
+into balanced groups and advances each group with one batched kernel call per
+iteration (:data:`ivstream.estimators.BATCH_KERNELS`) on stacked state. Each
+trial keeps its own generator, stream digest and checkpoint metrics, and its
+iterates are bitwise equal to a run of the 1-d kernel on its stream alone, so
 :func:`run_trial` is the one-trial group. A group holds one sample block per
-trial, which bounds its memory whatever the trial count or T. Groups run one
-after another, each writing its checkpoints into its rows of one
-(trials, checkpoints) array per metric. A trial that diverges is a recorded
-result: from its first non-finite checkpoint on, its ``dist_sq`` and
-``test_mse`` are ``inf``.
+trial (without ``z`` for the two-sample oracle, whose kernel never reads it),
+so :func:`trial_groups` sizes the groups by a block's bytes: as many trials
+as fit in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are
+then bounded whatever the trial count or T, and a spec with small blocks runs
+all its trials in one group. Groups run one after another, each writing its
+checkpoints into its rows of one (trials, checkpoints) array per metric. A
+trial that diverges is a recorded result: from its first non-finite
+checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ SEED_MIXER = "splitmix64"
 
 _SAMPLE_BLOCK = 16_384
 
-#: Most trials advanced by one kernel call; a group holds one sample block
-#: per trial, so this also caps the blocks held at once.
-GROUP_SIZE = 4
+#: Most trials advanced by one kernel call, whatever the size of their blocks.
+GROUP_SIZE = 64
+
+#: Bytes of sample blocks a lockstep group may hold at once (one per trial).
+_GROUP_BYTES = 32 << 20
 
 #: Rows of a group's blocks gathered into stacked (rows, B, d) inputs at once.
 _WINDOW = 256
@@ -195,9 +199,18 @@ class MetricSeries:
         return h.hexdigest()
 
 
-def trial_groups(trials: int) -> list[np.ndarray]:
-    """Trial indices in ceil(trials / GROUP_SIZE) balanced lockstep groups."""
-    return np.array_split(np.arange(trials), -(-trials // GROUP_SIZE))
+def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
+    """Trial indices in balanced lockstep groups, sized by the bytes of a sample block.
+
+    A group takes as many trials as their blocks fit in ``_GROUP_BYTES``, at
+    least one and at most :data:`GROUP_SIZE`. A block's row holds X, X' and Y
+    for the two-sample oracle and Z, X and Y otherwise.
+    """
+    d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
+    width = 2 * d_x + 1 if spec.algorithm in TWO_SAMPLE_ALGORITHMS else d_z + d_x + 1
+    block_bytes = 8 * width * min(_SAMPLE_BLOCK, spec.T)
+    size = min(GROUP_SIZE, max(1, _GROUP_BYTES // block_bytes))
+    return np.array_split(np.arange(spec.trials), -(-spec.trials // size))
 
 
 def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
@@ -251,7 +264,8 @@ def _run_group(spec: ExperimentSpec, indices) -> MetricSeries:
                 block = sample(rng, cfg, n_blk)
                 for arr in block:
                     digest.update(arr)
-                blocks.append(block if two_sample else (block[0], block[1], None, block[2]))
+                blocks.append((None, *block[1:]) if two_sample else (block[0], block[1], None, block[2]))
+                del block  # so no dropped z outlives the next draw
             start, end = t, t + n_blk
         stop = min(t + _WINDOW, end, cps[cp_idx])
         rows = slice(t - start, stop - start)
@@ -298,7 +312,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
 
 def run_experiment(spec: ExperimentSpec) -> MetricSeries:
     """Run all trials, one lockstep group after another, and aggregate."""
-    groups = [_run_group(spec, group) for group in trial_groups(spec.trials)]
+    groups = [_run_group(spec, group) for group in trial_groups(spec)]
     return MetricSeries(
         spec=spec,
         metrics={m: np.concatenate([g.metrics[m] for g in groups]) for m in groups[0].metrics},

@@ -111,6 +111,10 @@ def grad_f(theta, summary: PopulationSummary) -> NDArray[np.float64]:
     return summary.cond_xx @ theta - summary.cond_xy
 
 
+#: Draws per (rows, d_x, d_x) temporary of the Monte-Carlo moments.
+_CHUNK = 2048
+
+
 def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSummary:
     """Monte-Carlo population summary from ``n`` two-sample draws.
 
@@ -126,7 +130,17 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
     sigma_zx = z.T @ x / n
     sigma_zy = z.T @ y / n
 
-    cond_xx = (x_p[:, :, None] * x[:, None, :]).mean(axis=0)  # mean of per-draw X' X^T
+    # Mean of per-draw X' X^T. For d_x > 1, .mean(axis=0) sums the draws in
+    # one sequential pass, which each chunk continues, so the result is
+    # bitwise the same without an (n, d_x, d_x) tensor. At d_x = 1 the sum
+    # runs pairwise along the one contiguous axis, so those n products are
+    # summed as one chunk.
+    chunk = n if cfg.d_x == 1 else _CHUNK
+    prods = (x_p[lo:lo + chunk, :, None] * x[lo:lo + chunk, None, :] for lo in range(0, n, chunk))
+    cond_xx = next(prods).sum(axis=0)
+    for p in prods:
+        cond_xx = np.add.reduce(np.concatenate([cond_xx[None], p]), axis=0)
+    cond_xx = cond_xx / n
     cond_xx = 0.5 * (cond_xx + cond_xx.T)
     cond_xy = (x_p * y[:, None]).mean(axis=0)
 
@@ -183,13 +197,16 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
 
     z, x, x_p, _ = sample_two_block(rng, cfg, _MC_N)
     m_z = conditional_mean_x(cfg, z)
-    # Frobenius-norm analogue of the gradient-noise second-moment bound.
-    mm = m_z[:, :, None] * m_z[:, None, :]
-    dev_xx = x_p[:, :, None] * x[:, None, :] - mm
-    dev_mm = mm - summary.cond_xx[None, :, :]
-    sigma1_sq = 2.0 * float((dev_xx**2).sum(axis=(1, 2)).mean()) + 2.0 * float(
-        (dev_mm**2).sum(axis=(1, 2)).mean()
-    )
+    # Frobenius-norm analogue of the gradient-noise second-moment bound. The
+    # per-draw squared norms are taken a chunk of draws at a time; each row's
+    # sum does not depend on the chunk, so the means are those of one tensor.
+    sq_xx, sq_mm = np.empty(_MC_N), np.empty(_MC_N)
+    for lo in range(0, _MC_N, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        mm = m_z[rows, :, None] * m_z[rows, None, :]
+        sq_xx[rows] = ((x_p[rows, :, None] * x[rows, None, :] - mm) ** 2).sum(axis=(1, 2))
+        sq_mm[rows] = ((mm - summary.cond_xx[None, :, :]) ** 2).sum(axis=(1, 2))
+    sigma1_sq = 2.0 * float(sq_xx.mean()) + 2.0 * float(sq_mm.mean())
 
     return TheoryConstants(
         mu=summary.mu,

@@ -147,7 +147,7 @@ def test_criterion_7_test_mse_floor(fig2_two_stage_series):
 
 def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
     """Identical seeds give byte-identical CSVs whether trials run alone or in
-    lockstep groups (group size 1 vs the default 4: groups 4+3+3)."""
+    lockstep groups (group size 1 vs the default: one group of all 10 trials)."""
     blobs = []
     for group_size in (1, harness.GROUP_SIZE):
         monkeypatch.setattr(harness, "GROUP_SIZE", group_size)
@@ -158,7 +158,7 @@ def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
         blobs.append(tuple(sorted((p.name, p.read_bytes()) for p in out.glob("*.csv"))))
     ok = blobs[0] == blobs[1]
     _report(8, "determinism across lockstep group sizes",
-            f"{len(blobs[0])} CSV files byte-identical for group size 1 vs 4: {ok}", ok)
+            f"{len(blobs[0])} CSV files byte-identical for group size 1 vs 10: {ok}", ok)
 
 
 def test_criterion_9_hand_step_oracles():

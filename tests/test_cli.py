@@ -233,7 +233,7 @@ class TestConfigErrors:
 
 class TestDeterminismAcrossWorkers:
     def test_byte_identical_csv(self, tmp_path, monkeypatch):
-        # Trials run alone (group size 1) or as one lockstep group of 4.
+        # Trials run alone (group size 1) or, by default, all 4 in one lockstep group.
         outs = []
         for group_size in (1, harness.GROUP_SIZE):
             monkeypatch.setattr(harness, "GROUP_SIZE", group_size)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(series.std("dist_sq"), 0.0)
 
     def test_worker_count_invariance(self, monkeypatch):
-        # Trials run alone (group size 1) or in lockstep groups 3+3 agree bitwise.
+        # Trials run alone (group size 1) or in one lockstep group of 6 agree bitwise.
         spec = _tiny_spec(trials=6)
         s2 = harness.run_experiment(spec)
         monkeypatch.setattr(harness, "GROUP_SIZE", 1)
@@ -129,26 +130,52 @@ def _lockstep_spec(algorithm, **over):
     return harness.ExperimentSpec(**kw)
 
 
+def _block_bytes(spec) -> int:
+    """Bytes of one kept sample block of ``spec``: X, X', Y (two-sample) or Z, X, Y."""
+    d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
+    width = 2 * d_x + 1 if spec.algorithm in harness.TWO_SAMPLE_ALGORITHMS else d_z + d_x + 1
+    return 8 * width * min(harness._SAMPLE_BLOCK, spec.T)
+
+
 class TestLockstep:
-    def test_groups_are_balanced_and_capped(self):
-        sizes = {n: [len(g) for g in harness.trial_groups(n)] for n in (1, 4, 5, 6, 7, 10, 50)}
-        assert sizes[1] == [1] and sizes[4] == [4] and sizes[5] == [3, 2]
-        assert sizes[6] == [3, 3] and sizes[7] == [4, 3] and sizes[10] == [4, 3, 3]
-        assert max(sizes[50]) == harness.GROUP_SIZE and sum(sizes[50]) == 50
-        assert np.concatenate(harness.trial_groups(10)).tolist() == list(range(10))
+    def test_groups_are_balanced_and_capped(self, monkeypatch):
+        def sizes(spec):
+            groups = harness.trial_groups(spec)
+            assert np.concatenate(groups).tolist() == list(range(spec.trials))
+            return [len(g) for g in groups]
+
+        for n in (1, 7, 50, 64, 65, 200):
+            got = sizes(_lockstep_spec("direct_sgd", trials=n))
+            assert max(got) - min(got) <= 1 and max(got) <= harness.GROUP_SIZE
+            assert len(got) == -(-n // harness.GROUP_SIZE)  # small blocks: only the cap binds
+        one_sample = _lockstep_spec("direct_sgd", trials=10)  # rows of Z, X, Y: 3 + 2 + 1 floats
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * 8 * 6 * one_sample.T)
+        assert sizes(one_sample) == [3, 3, 2, 2]
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 8 * 6 * one_sample.T - 1)
+        assert sizes(one_sample) == [1] * 10  # a block larger than the budget still runs
+        two_sample = _lockstep_spec("two_sample_sgd", trials=10)  # d_x 4, d_z 8: X, X', Y are 9 floats
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 2 * 8 * 9 * two_sample.T)
+        assert sizes(two_sample) == [2] * 5  # counting Z's 8 floats too would give groups of 1
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 8 * 6 * one_sample.T)
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", one_sample.T // 2)
+        assert sizes(one_sample) == [2] * 5  # a group holds one block, not the whole stream
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
-    def test_run_trial_equals_its_lockstep_trial(self, algorithm):
-        # trials=7 runs as groups 4+3; each trial alone must give the same bytes.
+    def test_run_trial_equals_its_lockstep_trial(self, algorithm, monkeypatch):
+        # trials=7 runs as one group, and as groups 3+2+2 under a budget of
+        # three blocks; each trial alone must give the same bytes.
         spec = _lockstep_spec(algorithm)
-        series = harness.run_experiment(spec)
-        for i in range(spec.trials):
-            res = harness.run_trial(spec, i)
-            assert res.metrics.keys() == series.metrics.keys()
-            for m, v in series.metrics.items():
-                assert res.values(m).tobytes() == v[i:i + 1].tobytes()
-            assert res.stream_digests == [series.stream_digests[i]]
-        assert len(set(series.stream_digests)) == spec.trials
+        alone = [harness.run_trial(spec, i) for i in range(spec.trials)]
+        for groups, budget in ((1, harness._GROUP_BYTES), (3, 3 * _block_bytes(spec))):
+            monkeypatch.setattr(harness, "_GROUP_BYTES", budget)
+            assert len(harness.trial_groups(spec)) == groups
+            series = harness.run_experiment(spec)
+            for i, res in enumerate(alone):
+                assert res.metrics.keys() == series.metrics.keys()
+                for m, v in series.metrics.items():
+                    assert res.values(m).tobytes() == v[i:i + 1].tobytes()
+                assert res.stream_digests == [series.stream_digests[i]]
+            assert len(set(series.stream_digests)) == spec.trials
 
     def test_held_out_set_drawn_from_arrays(self):
         # The held-out set comes first in the trial's stream, as dgp.test_set draws it.
@@ -174,9 +201,44 @@ class TestLockstep:
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
         monkeypatch.setattr(harness, "sample_one_block", counting_block)
-        series = harness.run_experiment(_lockstep_spec("direct_sgd", trials=10))
-        assert series.values("dist_sq").shape[0] == 10
-        assert peak[0] == harness.GROUP_SIZE
+        spec = _lockstep_spec("direct_sgd", trials=10)
+        for budget, expected in ((harness._GROUP_BYTES, [10]), (3 * _block_bytes(spec), [3, 3, 2, 2])):
+            monkeypatch.setattr(harness, "_GROUP_BYTES", budget)
+            sizes = [len(g) for g in harness.trial_groups(spec)]
+            assert sizes == expected
+            peak[0] = 0
+            series = harness.run_experiment(spec)
+            assert series.values("dist_sq").shape[0] == 10
+            assert peak[0] == max(sizes)
+
+    @pytest.mark.parametrize("algorithm", ["online_2sls", "two_sample_sgd"])
+    def test_memory_does_not_grow_with_T(self, algorithm, monkeypatch):
+        # Two groups of four trials. The peak, net of the step-size arrays (one
+        # float per step and schedule), grows by less than half a block from 4
+        # to 8 blocks per trial, where holding one more block would add a whole
+        # one. It stays within the group's blocks, the previous and the next
+        # window of stacked rows, and one sampler call.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
+        monkeypatch.setattr(harness, "_WINDOW", 32)
+        runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 4 * _block_bytes(runs[0]))
+        sample = dgp.sample_two_block if algorithm in harness.TWO_SAMPLE_ALGORITHMS else dgp.sample_one_block
+        tracemalloc.start()
+        try:
+            sample(np.random.Generator(np.random.PCG64(0)), runs[0].dgp, 512)
+            sampler_peak = tracemalloc.get_traced_memory()[1]
+            peaks = []
+            for run in runs:
+                assert [len(g) for g in harness.trial_groups(run)] == [4, 4]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                harness.run_experiment(run)
+                schedules = 8 * run.T * len(harness.SCHEDULES[algorithm])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - schedules)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] + _block_bytes(runs[0]) / 2
+        assert max(peaks) <= harness._GROUP_BYTES * (1 + 2 * 32 / 512) + sampler_peak
 
 
 class TestFitSlope:

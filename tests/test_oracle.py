@@ -148,6 +148,42 @@ class TestMcMoments:
         assert mc.mu == pytest.approx(2.0, rel=0.1)
 
 
+class TestChunkedMoments:
+    """The chunked Monte-Carlo moments equal the full-tensor expressions bitwise."""
+
+    CELLS = [
+        dgp.shared_confounder_config(4, 8, c=0.1, phi="square"),
+        dgp.shared_confounder_config(1, 1, c=0.3, phi="square"),
+        dgp.endogenous_linear_config(3, 5, rho=4.0, sigma_eps=1.0),
+    ]
+
+    @pytest.mark.parametrize("chunk", [2048, 999])
+    @pytest.mark.parametrize("cfg", CELLS)
+    def test_sigma1_sq(self, cfg, chunk, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        rng = np.random.Generator(np.random.PCG64(oracle._MC_SEED))
+        summary = oracle.summarize(cfg) if cfg.is_linear else oracle.mc_moments(rng, cfg, oracle._MC_N)
+        z, x, x_p, _ = dgp.sample_two_block(rng, cfg, oracle._MC_N)
+        m_z = dgp.conditional_mean_x(cfg, z)
+        mm = m_z[:, :, None] * m_z[:, None, :]
+        dev_xx = x_p[:, :, None] * x[:, None, :] - mm
+        dev_mm = mm - summary.cond_xx[None, :, :]
+        full = 2.0 * float((dev_xx**2).sum(axis=(1, 2)).mean()) + 2.0 * float(
+            (dev_mm**2).sum(axis=(1, 2)).mean()
+        )
+        assert oracle.theory_constants(cfg).sigma1_sq.hex() == full.hex()
+
+    @pytest.mark.parametrize("n", [1000, 50_000])
+    @pytest.mark.parametrize("chunk", [2048, 999])
+    @pytest.mark.parametrize("cfg", CELLS)
+    def test_cond_xx(self, cfg, chunk, n, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        _, x, x_p, _ = dgp.sample_two_block(make_rng(3), cfg, n)
+        full = (x_p[:, :, None] * x[:, None, :]).mean(axis=0)
+        full = 0.5 * (full + full.T)
+        assert oracle.mc_moments(make_rng(3), cfg, n).cond_xx.tobytes() == full.tobytes()
+
+
 class TestTheoryConstants:
     def test_simple_linear_process(self):
         cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
