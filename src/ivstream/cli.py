@@ -102,8 +102,7 @@ def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
     per_alg: dict[str, list[tuple]] = {}
     digests: dict[str, str] = {}
     diverged: dict[str, dict[int, int]] = {}
-    for spec in specs:
-        series = harness.run_experiment(spec)
+    for spec, series in zip(specs, harness.run_experiments(specs)):
         rows = series_rows(series)
         all_rows.extend(rows)
         per_alg[spec.algorithm] = rows

@@ -40,15 +40,21 @@ Four single-pass algorithms, each consuming one observation per step:
     and gamma are the exact ridge-regularised two-stage solutions of the
     data seen so far.
 
-All updates are pure functions of (state, sample, steps): inputs are never
-mutated. Shape errors surface as ``ValueError`` from the array operations.
+These four updates are pure functions of (state, sample, steps): inputs are
+never mutated. Shape errors surface as ``ValueError`` from the array
+operations.
 
-:data:`BATCH_KERNELS` holds the same four updates for B trials stacked along
-a leading axis, which the experiment harness advances in lockstep. Their
-products are ``np.matmul`` calls on stacked slices, which run the same BLAS
-routine per trial as the 1-d kernels, so each trial's iterates are bitwise
-equal to the 1-d kernels' (``np.einsum`` and ``.sum`` reduce in another
-order and differ in the last bit).
+:data:`WINDOW_KERNELS` holds the same four updates for B trials stacked along
+a leading axis, which the experiment harness advances in lockstep. One call
+steps a whole window of rows in one Python loop and updates the stacked state
+in place; it never writes the window. Its buffers are allocated once per call,
+and the terms that do not depend on the state (``beta * z``) once per window.
+The products are the gufuncs ``np.vecdot``, ``np.matvec`` and ``np.vecmat``
+writing into those buffers. Each of their outputs is one trial's product,
+reduced by the same routine in the same order as the 1-d kernels' ``@`` on
+that trial's vectors, so each trial's iterates are bitwise equal to the 1-d
+kernels' (``np.einsum`` and ``.sum`` reduce in another order and differ in
+the last bit); ``tests/test_estimators.py`` checks this bit for bit.
 
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
@@ -128,69 +134,115 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
     return new_theta, new_gamma, new_u, new_v
 
 
-# Batched kernels: ``kernel(state, z, x, x_prime, y, alpha, beta) -> state``.
+# Window kernels: ``kernel(state, z, x, x_prime, y, alphas, betas)`` steps B
+# stacked trials through a window of rows, updating ``state`` in place.
 # ``state`` is (theta, gamma), plus (U, V) for streaming 2SLS, with shapes
-# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); the sample is
-# z (B, d_z), x and x_prime (B, d_x), y (B,), and the steps are shared scalars.
-# Arguments an update does not use may be None.
+# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); the window is
+# z (rows, B, d_z), x and x_prime (rows, B, d_x) and y (rows, B), and alphas and
+# betas hold one step per row. Arguments an update does not use may be None.
 
 
-def two_sample_batch(state, z, x, x_prime, y, alpha, beta):
-    """:func:`two_sample_update` on B stacked trials (gamma passes through)."""
+def two_sample_window(state, z, x, x_prime, y, alphas, betas):
+    """:func:`two_sample_update` over a window on B stacked trials (gamma is untouched)."""
+    theta = state[0]
+    resid = np.empty(len(theta))
+    resid_col = resid[:, None]
+    step = np.empty_like(theta)
+    for x_t, xp_t, y_t, alpha in zip(x, x_prime, y, alphas.tolist()):
+        np.vecdot(x_t, theta, out=resid)
+        resid -= y_t
+        resid *= alpha
+        np.multiply(resid_col, xp_t, out=step)
+        theta -= step
+
+
+def _two_timescale_window(state, z, x, y, alphas, betas, direct: bool):
+    """The theta step's residual is X^T theta - Y when ``direct``, else (Z^T gamma) theta - Y."""
     theta, gamma = state
-    resid = (x[:, None, :] @ theta[:, :, None])[:, 0] - y[:, None]
-    return theta - (alpha * resid) * x_prime, gamma
+    beta_z = (betas[:, None, None] * z)[..., None]  # (rows, B, d_z, 1)
+    zg = np.empty_like(theta)
+    zg_row = zg[:, None, :]
+    resid = np.empty(len(theta))
+    resid_col = resid[:, None]
+    step = np.empty_like(theta)
+    outer = np.empty_like(gamma)
+    for z_t, x_t, y_t, bz_t, alpha in zip(z, x, y, beta_z, alphas.tolist()):
+        np.vecmat(z_t, gamma, out=zg)
+        np.vecdot(x_t if direct else zg, theta, out=resid)
+        resid -= y_t
+        resid *= alpha
+        np.multiply(resid_col, zg, out=step)
+        theta -= step
+        zg -= x_t
+        np.multiply(bz_t, zg_row, out=outer)
+        gamma -= outer
 
 
-def two_stage_batch(state, z, x, x_prime, y, alpha, beta):
-    """:func:`two_stage_update` on B stacked trials."""
-    theta, gamma = state
-    zg = z[:, None, :] @ gamma
-    pred_resid = (zg @ theta[:, :, None])[:, 0] - y[:, None]
-    zg = zg[:, 0]
-    return theta - (alpha * pred_resid) * zg, gamma - (beta * z)[:, :, None] * (zg - x)[:, None, :]
+def two_stage_window(state, z, x, x_prime, y, alphas, betas):
+    """:func:`two_stage_update` over a window on B stacked trials."""
+    _two_timescale_window(state, z, x, y, alphas, betas, direct=False)
 
 
-def direct_residual_batch(state, z, x, x_prime, y, alpha, beta):
-    """:func:`direct_residual_update` on B stacked trials."""
-    theta, gamma = state
-    zg = (z[:, None, :] @ gamma)[:, 0]
-    resid = (x[:, None, :] @ theta[:, :, None])[:, 0] - y[:, None]
-    return theta - (alpha * resid) * zg, gamma - (beta * z)[:, :, None] * (zg - x)[:, None, :]
+def direct_residual_window(state, z, x, x_prime, y, alphas, betas):
+    """:func:`direct_residual_update` over a window on B stacked trials."""
+    _two_timescale_window(state, z, x, y, alphas, betas, direct=True)
 
 
-def online_2sls_batch(state, z, x, x_prime, y, alpha, beta):
-    """:func:`online_2sls_update` on B stacked trials.
+def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
+    """:func:`online_2sls_update` over a window on B stacked trials.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
-    raises, gets a NaN state from that step on; the other trials go on as
-    before, and the harness records that trial as diverged.
+    raises, ends the window with a NaN state: the same state as turning its
+    denominators to NaN at that step, since NaN spreads to every entry. Each
+    row keeps its smaller denominator (``np.fmin``, so a NaN one cannot hide a
+    negative one), and the check runs once per window. The other trials go on
+    as before, and the harness records that trial as diverged.
     """
     theta, gamma, u, v = state
-    w = z[:, None, :] @ gamma
-    vz = v @ z[:, :, None]
-    denom_v = 1.0 + (z[:, None, :] @ vz)[:, 0]
-    uw = u @ w.transpose(0, 2, 1)
-    denom_u = 1.0 + (w @ uw)[:, 0]
-    corrupted = (denom_u <= 0.0) | (denom_v <= 0.0)
+    b, d_z, d_x = gamma.shape
+    w, uw, gain_u, x_w, step = (np.empty((b, d_x)) for _ in range(5))
+    vz, gain_v = np.empty((b, d_z)), np.empty((b, d_z))
+    denom_u, denom_v, resid = np.empty(b), np.empty(b), np.empty(b)
+    outer_u, outer_v, outer_g = np.empty_like(u), np.empty_like(v), np.empty_like(gamma)
+    lowest = np.empty(y.shape)  # each row's smaller denominator, NaN-ignoring
+    # Broadcasting views of the buffers, made once.
+    uw_col, vz_col, gain_v_col = uw[:, :, None], vz[:, :, None], gain_v[:, :, None]
+    gain_u_row, gain_v_row, x_w_row = gain_u[:, None, :], gain_v[:, None, :], x_w[:, None, :]
+    denom_u_col, denom_v_col, resid_col = denom_u[:, None], denom_v[:, None], resid[:, None]
+    for z_t, x_t, y_t, low_t in zip(z, x, y, lowest):
+        np.vecmat(z_t, gamma, out=w)
+        np.matvec(v, z_t, out=vz)
+        np.vecdot(z_t, vz, out=denom_v)
+        denom_v += 1.0
+        np.matvec(u, w, out=uw)
+        np.vecdot(w, uw, out=denom_u)
+        denom_u += 1.0
+        np.fmin(denom_u, denom_v, out=low_t)
+        np.divide(vz, denom_v_col, out=gain_v)
+        np.multiply(vz_col, gain_v_row, out=outer_v)
+        v -= outer_v
+        np.subtract(x_t, w, out=x_w)
+        np.multiply(gain_v_col, x_w_row, out=outer_g)
+        gamma += outer_g
+        np.divide(uw, denom_u_col, out=gain_u)
+        np.multiply(uw_col, gain_u_row, out=outer_u)
+        u -= outer_u
+        np.vecdot(w, theta, out=resid)
+        np.subtract(y_t, resid, out=resid)
+        np.multiply(gain_u, resid_col, out=step)
+        theta += step
+    corrupted = (lowest <= 0.0).any(axis=0)
     if corrupted.any():
-        denom_u[corrupted] = denom_v[corrupted] = np.nan
-    w, vz, uw = w[:, 0], vz[:, :, 0], uw[:, :, 0]
-    gain_v = vz / denom_v
-    new_v = v - vz[:, :, None] * gain_v[:, None, :]
-    new_gamma = gamma + gain_v[:, :, None] * (x - w)[:, None, :]
-    gain_u = uw / denom_u
-    new_u = u - uw[:, :, None] * gain_u[:, None, :]
-    new_theta = theta + gain_u * (y[:, None] - (w[:, None, :] @ theta[:, :, None])[:, 0])
-    return new_theta, new_gamma, new_u, new_v
+        for part in state:
+            part[corrupted] = np.nan
 
 
-#: Batched kernel of each harness algorithm.
-BATCH_KERNELS = {
-    "two_sample_sgd": two_sample_batch,
-    "two_stage_sgd": two_stage_batch,
-    "direct_sgd": direct_residual_batch,
-    "online_2sls": online_2sls_batch,
+#: Window kernel of each harness algorithm.
+WINDOW_KERNELS = {
+    "two_sample_sgd": two_sample_window,
+    "two_stage_sgd": two_stage_window,
+    "direct_sgd": direct_residual_window,
+    "online_2sls": online_2sls_window,
 }
 
 

@@ -17,26 +17,37 @@ trials are grouped. Aggregation reduces over trials in index order.
 Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
-into balanced groups and advances each group with one batched kernel call per
-iteration (:data:`ivstream.estimators.BATCH_KERNELS`) on stacked state. Each
-trial keeps its own generator, stream digest and checkpoint metrics, and its
-iterates are bitwise equal to a run of the 1-d kernel on its stream alone, so
-:func:`run_trial` is the one-trial group. A group holds one sample block per
-trial (without ``z`` for the two-sample oracle, whose kernel never reads it),
-so :func:`trial_groups` sizes the groups by a block's bytes: as many trials
-as fit in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are
-then bounded whatever the trial count or T, and a spec with small blocks runs
-all its trials in one group. Groups run one after another, each writing its
+into balanced groups and advances each group on stacked state with one window
+kernel call (:data:`ivstream.estimators.WINDOW_KERNELS`) per window of at most
+``_WINDOW`` rows, cut at checkpoints and block ends. Each trial keeps its own
+generator, stream digest and checkpoint metrics, and its iterates are bitwise
+equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is
+the one-trial group. A group holds one sample block per trial (without ``z``
+for the two-sample oracle, whose kernel never reads it), so
+:func:`trial_groups` sizes the groups by a block's bytes: as many trials as fit
+in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are then
+bounded whatever the trial count or T, and a spec with small blocks runs all
+its trials in one group. Groups run one after another, each writing its
 checkpoints into its rows of one (trials, checkpoints) array per metric. A
 trial that diverges is a recorded result: from its first non-finite
-checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``.
+checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``. Once every trial
+of a group has diverged, the group stops stepping that spec.
+
+One pass per shared stream
+--------------------------
+The algorithms of one config read the same streams: the same
+:class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
+checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
+pass, so each trial's held-out set, ``oracle_mse`` and blocks are drawn,
+hashed and stacked once, and every spec steps its own state through each
+window with its own kernel. Specs that do not share a stream run in separate
+passes; :func:`run_experiment` is the one-spec case.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -71,7 +82,7 @@ GROUP_SIZE = 64
 #: Bytes of sample blocks a lockstep group may hold at once (one per trial).
 _GROUP_BYTES = 32 << 20
 
-#: Rows of a group's blocks gathered into stacked (rows, B, d) inputs at once.
+#: Most rows of a group's blocks stacked into (rows, B, d) inputs for one kernel call.
 _WINDOW = 256
 
 #: The checkpoint metrics, in CSV order; the last two need ``test_n > 0``.
@@ -224,33 +235,46 @@ def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
     return tuple(np.tile(a, (b,) + (1,) * a.ndim) for a in state)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
-def _run_group(spec: ExperimentSpec, indices) -> MetricSeries:
-    """Advance the trials ``indices`` in lockstep; one metric row per trial.
+def _stream_key(spec: ExperimentSpec) -> tuple:
+    """What a spec's stream depends on; specs with equal keys read the same rows."""
+    return (spec.dgp, spec.base_seed, spec.T, spec.trials, spec.test_n, spec.checkpoints,
+            spec.algorithm in TWO_SAMPLE_ALGORITHMS)
 
-    Each trial's block is hashed as drawn, and the kernel's stacked inputs
-    are gathered from the blocks ``_WINDOW`` rows at a time, so the group
-    holds one block per trial plus a window.
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
+def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
+    """Advance the trials ``indices`` of specs that share a stream, in lockstep.
+
+    Each trial's blocks are drawn and hashed once, and the window kernels'
+    stacked inputs are gathered from them ``_WINDOW`` rows at a time, so the
+    group holds one block per trial plus a window however many specs read it.
+    Each spec steps its own state with its own kernel and steps, and records
+    its own metric rows; once every trial of a spec has a non-finite
+    ``dist_sq``, the spec stops stepping and its later checkpoints stay ``inf``.
     """
-    cfg = spec.dgp
+    spec = specs[0]  # the stream's description, the same in every spec
+    cfg, b = spec.dgp, len(indices)
     theta_star = cfg.theta_star
     rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
     tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
-
-    shape = (len(rngs), len(spec.checkpoints))
-    metrics = {"dist_sq": np.empty(shape)}
+    shape = (b, len(spec.checkpoints))
     if tests:
-        metrics["oracle_mse"] = np.array([[met.test_mse_arrays(theta_star, tx, ty)] * shape[1] for tx, ty in tests])
-        metrics["test_mse"] = np.empty(shape)
-    dist, test = metrics["dist_sq"], metrics.get("test_mse")
+        oracle = np.array([[met.test_mse_arrays(theta_star, tx, ty)] * shape[1] for tx, ty in tests])
+        test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
 
-    kernel = est.BATCH_KERNELS[spec.algorithm]
-    state = _initial_state(spec, len(rngs))
+    lanes = []  # per spec: its metrics, kernel, stacked state and step sizes
+    for s in specs:
+        metrics = {"dist_sq": np.full(shape, np.inf)}
+        if tests:
+            metrics["oracle_mse"] = oracle.copy()
+            metrics["test_mse"] = np.full(shape, np.inf)
+        lanes.append((metrics, est.WINDOW_KERNELS[s.algorithm], _initial_state(s, b),
+                      None if s.alpha is None else steps(s.alpha, s.T),
+                      None if s.beta is None else steps(s.beta, s.T)))
+    active = list(lanes)
+
     two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
     sample = sample_two_block if two_sample else sample_one_block
-    alphas = steps(spec.alpha, spec.T) if spec.alpha is not None else None
-    betas = steps(spec.beta, spec.T) if spec.beta is not None else None
-
     digests = [hashlib.sha256() for _ in rngs]
     blocks: list[tuple] = []
     cps = (*spec.checkpoints, spec.T + 1)  # the sentinel is never reached
@@ -268,33 +292,39 @@ def _run_group(spec: ExperimentSpec, indices) -> MetricSeries:
                 del block  # so no dropped z outlives the next draw
             start, end = t, t + n_blk
         stop = min(t + _WINDOW, end, cps[cp_idx])
-        rows = slice(t - start, stop - start)
-        z, x, xp, y = (
-            repeat(None) if blocks[0][k] is None else np.stack([blk[k][rows] for blk in blocks], axis=1)
-            for k in range(4)
-        )
-        a = repeat(None) if alphas is None else alphas[t:stop].tolist()
-        b = repeat(None) if betas is None else betas[t:stop].tolist()
-        for zi, xi, xpi, yi, ai, bi in zip(z, x, xp, y, a, b):
-            state = kernel(state, zi, xi, xpi, yi, ai, bi)
+        if active:
+            rows = slice(t - start, stop - start)
+            z, x, xp, y = (
+                None if blocks[0][k] is None else np.stack([blk[k][rows] for blk in blocks], axis=1)
+                for k in range(4)
+            )
+            for _, kernel, state, alphas, betas in active:
+                kernel(state, z, x, xp, y,
+                       None if alphas is None else alphas[t:stop], None if betas is None else betas[t:stop])
         t = stop
         if t == cps[cp_idx]:
             # The arithmetic of metrics.dist_to_opt and metrics.test_mse_arrays,
-            # one trial at a time, without their finiteness checks.
-            theta = state[0]
-            d = theta - theta_star
-            for j in range(len(rngs)):
-                dist[j, cp_idx] = d[j] @ d[j]
-            for j, (tx, ty) in enumerate(tests):
-                r = ty - tx @ theta[j]
-                test[j, cp_idx] = r @ r / len(ty)
+            # without their finiteness checks; the gufuncs are bitwise equal to
+            # the 1-d products, trial by trial.
+            for metrics, _, state, _, _ in active:
+                d = state[0] - theta_star
+                np.vecdot(d, d, out=metrics["dist_sq"][:, cp_idx])
+                if tests:
+                    r = test_y - np.matvec(test_x, state[0])
+                    metrics["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
+            # A spec whose trials have all diverged stops; its later checkpoints stay inf.
+            active = [lane for lane in active if np.isfinite(lane[0]["dist_sq"][:, cp_idx]).any()]
             cp_idx += 1
-    # A trial's first non-finite checkpoint marks it and every later one inf.
-    diverging = [v for m, v in metrics.items() if m != "oracle_mse"]
-    bad = np.logical_or.accumulate(~np.isfinite(diverging).all(axis=0), axis=1)
-    for v in diverging:
-        v[bad] = np.inf
-    return MetricSeries(spec=spec, metrics=metrics, stream_digests=[d.hexdigest() for d in digests])
+    hexes = [d.hexdigest() for d in digests]
+    series = []
+    for s, (metrics, *_) in zip(specs, lanes):
+        # A trial's first non-finite checkpoint marks it and every later one inf.
+        diverging = [v for m, v in metrics.items() if m != "oracle_mse"]
+        bad = np.logical_or.accumulate(~np.isfinite(diverging).all(axis=0), axis=1)
+        for v in diverging:
+            v[bad] = np.inf
+        series.append(MetricSeries(spec=s, metrics=metrics, stream_digests=list(hexes)))
+    return series
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
@@ -307,17 +337,36 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
     """
     if not (0 <= trial_index < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")
-    return _run_group(spec, [trial_index])
+    return _run_group([spec], [trial_index])[0]
+
+
+def run_experiments(specs: list[ExperimentSpec]) -> list[MetricSeries]:
+    """Run every spec, those that read the same stream in one pass; results in spec order.
+
+    Specs read the same stream when they share the :class:`DgpConfig` object,
+    base seed, T, trial count, ``test_n``, checkpoints and oracle kind, as the
+    algorithms of one config do. A pass runs its lockstep groups one after
+    another and draws each trial's stream once for all its specs.
+    """
+    passes: dict[tuple, list[int]] = {}
+    for k, spec in enumerate(specs):
+        passes.setdefault(_stream_key(spec), []).append(k)
+    results: list[MetricSeries] = [None] * len(specs)
+    for members in passes.values():
+        shared = [specs[k] for k in members]
+        groups = [_run_group(shared, group) for group in trial_groups(shared[0])]
+        for k, parts in zip(members, zip(*groups)):
+            results[k] = MetricSeries(
+                spec=specs[k],
+                metrics={m: np.concatenate([p.metrics[m] for p in parts]) for m in parts[0].metrics},
+                stream_digests=[d for p in parts for d in p.stream_digests],
+            )
+    return results
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricSeries:
-    """Run all trials, one lockstep group after another, and aggregate."""
-    groups = [_run_group(spec, group) for group in trial_groups(spec)]
-    return MetricSeries(
-        spec=spec,
-        metrics={m: np.concatenate([g.metrics[m] for g in groups]) for m in groups[0].metrics},
-        stream_digests=[d for g in groups for d in g.stream_digests],
-    )
+    """Run all trials of one spec, one lockstep group after another, and aggregate."""
+    return run_experiments([spec])[0]
 
 
 def fit_slope(iterations, values, tail_fraction: float) -> float:

@@ -316,6 +316,44 @@ class TestDivergence:
         assert diverged == expected
         assert sorted(expected) == ["0", "1", "4", "7"]
 
+    def test_spec_stops_stepping_once_all_trials_diverged(self, tmp_path, monkeypatch):
+        rows = []
+        kernel = estimators.WINDOW_KERNELS["direct_sgd"]
+
+        def counting(state, z, *rest):
+            rows.append(len(z))
+            kernel(state, z, *rest)
+
+        monkeypatch.setitem(estimators.WINDOW_KERNELS, "direct_sgd", counting)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", DIVERGING), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        checkpoints = manifest["experiments"][0]["checkpoints"]
+        last = max(manifest["diverged"]["direct_sgd"].values())  # all 4 trials run as one group
+        # One call per window of at most harness._WINDOW rows between checkpoints, up to `last`.
+        gaps = np.diff([0] + [c for c in checkpoints if c <= last])
+        assert len(rows) == sum(-(-g // harness._WINDOW) for g in gaps)
+        assert sum(rows) == last < DIVERGING["T"]
+        # The bytes are those of stepping every row: the 1-d kernel over the whole
+        # stream, with the harness's step sizes.
+        spec = presets.specs_from_config(DIVERGING)[0]
+        alphas, betas = schedule.steps(spec.alpha, spec.T), schedule.steps(spec.beta, spec.T)
+        lines = [cli.CSV_HEADER]
+        with np.errstate(all="ignore"):
+            for i in range(spec.trials):
+                rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+                z, x, y = dgp.sample_one_block(rng, spec.dgp, spec.T)
+                theta, gamma, dist = spec.theta0, spec.gamma0, []
+                for t in range(spec.T):
+                    theta, gamma = estimators.direct_residual_update(theta, gamma, z[t], x[t], y[t], alphas[t], betas[t])
+                    if t + 1 in checkpoints:
+                        d = theta - spec.dgp.theta_star
+                        dist.append(d @ d)
+                dist = np.array(dist)
+                dist[np.logical_or.accumulate(~np.isfinite(dist))] = np.inf
+                lines += [f"{spec.experiment_id},direct_sgd,{i},{c},dist_sq,{v!r}" for c, v in zip(checkpoints, dist.tolist())]
+        assert (out / "series.csv").read_text() == "\n".join(lines) + "\n"
+
 
 def test_python_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")

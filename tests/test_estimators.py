@@ -192,7 +192,7 @@ class TestOnline2SLSUpdate:
 
 
 def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
-    """One trial's step through the 1-d kernel, in the batched kernels' state layout."""
+    """One trial's step through the 1-d kernel, in the window kernels' state layout."""
     if algorithm == "two_sample_sgd":
         return est.two_sample_update(state[0], x, x_prime, y, alpha), state[1]
     if algorithm == "two_stage_sgd":
@@ -203,55 +203,87 @@ def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("algorithm", sorted(est.BATCH_KERNELS))
+    @pytest.mark.parametrize("algorithm", sorted(est.WINDOW_KERNELS))
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_bitwise_equal_to_1d_kernel(self, algorithm, d_x, d_z, b):
-        n = 300
+        # Windows of 1, 7 and 256 rows in turn, each against the 1-d kernel row by row.
+        windows = (1, 7, 256)
+        n = sum(windows)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
         draws = [dgp.sample_two_block(make_rng(100 + i), cfg, n) for i in range(b)]
         z, x, x_prime, y = (np.stack([d[k] for d in draws], axis=1) for k in range(4))
+        inputs = [a.copy() for a in (z, x, x_prime, y)]
+        alphas = np.array([0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
+        betas = np.array([1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         rng = make_rng(7)
         trials = [[rng.standard_normal(d_x), 0.1 * rng.standard_normal((d_z, d_x))] for _ in range(b)]
         if algorithm == "online_2sls":
             for st in trials:
                 st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
         state = tuple(np.stack(parts) for parts in zip(*trials))
-        kernel = est.BATCH_KERNELS[algorithm]
-        for t in range(n):
-            alpha = 0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95
-            beta = 1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95
-            state = kernel(state, z[t], x[t], x_prime[t], y[t], alpha, beta)
-            trials = [_reference_step(algorithm, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alpha, beta)
-                      for i, st in enumerate(trials)]
-        for i, st in enumerate(trials):
-            for got, want in zip(state, st):
-                assert np.isfinite(want).all()
-                np.testing.assert_array_equal(got[i], want)
+        kernel = est.WINDOW_KERNELS[algorithm]
+        start = 0
+        for rows in windows:
+            w = slice(start, start + rows)
+            kernel(state, z[w], x[w], x_prime[w], y[w],
+                   None if algorithm == "online_2sls" else alphas[w],
+                   betas[w] if algorithm in ("two_stage_sgd", "direct_sgd") else None)
+            for t in range(start, start + rows):
+                trials = [_reference_step(algorithm, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
+                          for i, st in enumerate(trials)]
+            start += rows
+            for i, st in enumerate(trials):
+                for got, want in zip(state, st):
+                    assert np.isfinite(want).all()
+                    assert got[i].tobytes() == want.tobytes()
+        for got, want in zip((z, x, x_prime, y), inputs):
+            assert got.tobytes() == want.tobytes()  # the window is read, never written
 
     def test_online_2sls_corrupted_trial_is_flagged(self):
-        # Trial 1 of 3 carries U = -10 I: with gamma = I, w = z and the first
-        # row's w^T U w = -10 |z|^2 is below -1.
-        b, d, n = 3, 2, 20
+        # Trial 1 of 3 carries U = -10 I and gamma = I, and its instruments are
+        # zero before row k, so those rows leave its state as it was. At row k,
+        # w = z and w^T U w = -10 |z|^2 is below -1: the 1-d kernel raises there.
+        b, d, n, k = 3, 2, 20, 9
         rng = make_rng(17)
         z, x, y = rng.standard_normal((n, b, d)), rng.standard_normal((n, b, d)), rng.standard_normal((n, b))
+        z[:k, 1] = 0.0
         trials = [[np.zeros(d), np.eye(d), np.eye(d) * 10.0, np.eye(d) * 10.0] for _ in range(b)]
         trials[1][2] = -trials[1][2]
-        state = tuple(np.stack(parts) for parts in zip(*trials))
+        start = tuple(np.stack(parts) for parts in zip(*trials))
+        reference = {}  # 1-d states after each row; trial 1 only before row k
+        for i in range(b):
+            st = trials[i]
+            for t in range(n if i != 1 else k):
+                st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
+                reference[i, t + 1] = st
         with pytest.raises(FloatingPointError):
-            est.online_2sls_update(*trials[1], z[0, 1], x[0, 1], y[0, 1])
+            est.online_2sls_update(*reference[1, k], z[k, 1], x[k, 1], y[k, 1])
         with np.errstate(invalid="raise", over="raise"):
-            for t in range(n):
-                state = est.online_2sls_batch(state, z[t], x[t], None, y[t], None, None)
+            for rows in (k, k + 1, n):  # the last window has row k in its middle
+                state = tuple(a.copy() for a in start)
+                est.online_2sls_window(state, z[:rows], x[:rows], None, y[:rows], None, None)
+                if rows == k:
+                    assert all(got[1].tobytes() == want.tobytes() for got, want in zip(state, reference[1, k]))
+                else:
+                    assert all(not np.isfinite(got[1]).any() for got in state)
                 for i in (0, 2):
-                    trials[i] = est.online_2sls_update(*trials[i], z[t, i], x[t, i], y[t, i])
-        for got in state:
-            assert not np.isfinite(got[1]).any()
-        for i in (0, 2):
-            for got, want in zip(state, trials[i]):
-                assert np.isfinite(want).all()
-                np.testing.assert_array_equal(got[i], want)
+                    for got, want in zip(state, reference[i, rows]):
+                        assert np.isfinite(want).all()
+                        assert got[i].tobytes() == want.tobytes()
 
+
+    def test_online_2sls_nan_denominator_does_not_hide_a_negative_one(self):
+        # U = diag(inf, -inf) makes w^T U w = inf - inf, a NaN denominator, in the
+        # same row where V = -10 I makes the other one negative: the 1-d kernel
+        # raises there, so the trial must end the window NaN.
+        z, x, y = np.ones((1, 1, 2)), np.ones((1, 1, 2)), np.ones((1, 1))
+        state = (np.zeros((1, 2)), np.eye(2)[None], np.diag([np.inf, -np.inf])[None], -10.0 * np.eye(2)[None])
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+            est.online_2sls_update(*(a[0] for a in state), z[0, 0], x[0, 0], y[0, 0])
+        with np.errstate(invalid="ignore"):
+            est.online_2sls_window(state, z, x, None, y, None, None)
+        assert all(not np.isfinite(part).any() for part in state)
 
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation

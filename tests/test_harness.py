@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ivstream import dgp, harness, metrics
+from ivstream import dgp, harness, metrics, presets
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -239,6 +239,66 @@ class TestLockstep:
             tracemalloc.stop()
         assert peaks[1] < peaks[0] + _block_bytes(runs[0]) / 2
         assert max(peaks) <= harness._GROUP_BYTES * (1 + 2 * 32 / 512) + sampler_peak
+
+
+FIG2_CELL = "dx8_dz16_rho4_sig1"
+
+
+class TestSharedPass:
+    def test_fig2_cell_equals_each_spec_alone(self, monkeypatch):
+        # Two blocks per trial and two groups (3+2), so the pass redraws blocks and restarts.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 700)
+        (specs,) = presets.build_preset("fig2", cell=FIG2_CELL, trials=5, T=1200).values()
+        assert [s.algorithm for s in specs] == ["two_stage_sgd", "direct_sgd", "online_2sls"]
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(specs[0]))
+        assert [len(g) for g in harness.trial_groups(specs[0])] == [3, 2]
+        together = harness.run_experiments(specs)
+        for spec, series in zip(specs, together):
+            alone = harness.run_experiment(spec)
+            assert series.spec is spec
+            assert series.metrics.keys() == alone.metrics.keys() == set(harness.METRICS)
+            for m, v in series.metrics.items():
+                assert v.tobytes() == alone.metrics[m].tobytes()
+            assert series.stream_digests == alone.stream_digests
+
+    def test_each_block_drawn_once_per_trial(self, monkeypatch):
+        draws = []
+
+        def counting_block(rng, cfg, n):
+            draws.append(n)
+            return dgp.sample_one_block(rng, cfg, n)
+
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 500)
+        monkeypatch.setattr(harness, "sample_one_block", counting_block)
+        (specs,) = presets.build_preset("fig2", cell=FIG2_CELL, trials=4, T=1200).values()
+        harness.run_experiments(specs)
+        # Per trial: the held-out set, then blocks of 500, 500 and 200 rows, for all three specs.
+        assert sorted(draws) == sorted([specs[0].test_n, 500, 500, 200] * 4)
+
+    def test_two_oracles_run_as_two_passes(self, monkeypatch):
+        passes = []
+        run_group = harness._run_group
+
+        def recording(specs, indices):
+            passes.append([s.algorithm for s in specs])
+            return run_group(specs, indices)
+
+        config = {
+            "dgp": {"family": "shared_confounder", "d_x": 2, "d_z": 3, "c": 0.5},
+            "algorithms": ["two_stage_sgd", "two_sample_sgd", "direct_sgd"],
+            "schedule": {"alpha": {"kind": "polynomial", "coeff": 0.2, "exponent": 0.9},
+                         "beta": {"kind": "polynomial", "coeff": 0.3, "exponent": 0.8}},
+            "T": 400, "trials": 3, "seed": 5,
+        }
+        specs = presets.specs_from_config(config)
+        alone = [harness.run_experiment(s) for s in specs]
+        monkeypatch.setattr(harness, "_run_group", recording)
+        results = harness.run_experiments(specs)
+        assert passes == [["two_stage_sgd", "direct_sgd"], ["two_sample_sgd"]]
+        assert [r.spec for r in results] == specs  # in spec order, not pass order
+        for r, a in zip(results, alone):
+            assert r.metrics["dist_sq"].tobytes() == a.metrics["dist_sq"].tobytes()
+            assert r.stream_digests == a.stream_digests
 
 
 class TestFitSlope:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -107,3 +108,26 @@ def test_fig1_cell_is_its_config(cell):
     assert presets.specs_from_config(config)[0].alpha == Constant(pinned)
     (preset,) = presets.build_preset("fig1", cell=cell, T=5000)[cell]
     assert presets.specs_from_config(config, T=5000)[0].alpha == preset.alpha
+
+
+# Seed-0 SHA-256 of each fig1 cell's series.csv at T=5000 x 10 trials. fig1's
+# step is constant, so these do not depend on numpy's SIMD power routine; like
+# the alphas above, they do depend on the BLAS kernel chosen for the CPU
+# (README, reproducibility).
+FIG1_SHA256 = {
+    "dx4_dz8_c0.1_phi_id": "27159a84f6755b7da601cdbfde7c150ba474a1596746be32725aad1efea5a97b",
+    "dx4_dz8_c0.1_phi_sq": "99978b5ad9ea073f1db164a99b67ca7968032eec8d21668fc2131c5fdb36966a",
+    "dx4_dz8_c1.0_phi_id": "ca307e75d05c87d7ce5f37704c4d40c090febe869c6eea12b19f2c41832eed1b",
+    "dx4_dz8_c1.0_phi_sq": "342004ed9e5c2323c34532aace7cad0992b1b37c41be8264e3946c2a0e410b29",
+    "dx8_dz16_c0.1_phi_id": "038b626920fabcb6246a49ae513a08521638df38c225aa027bf35289b43d87ce",
+    "dx8_dz16_c0.1_phi_sq": "629b631afa22d9d3bb2ae4b769df7617e2da112821f096c3fa9f326b270463d8",
+    "dx8_dz16_c1.0_phi_id": "88c1d7d154cb21f3c7a34a9408e560e958a0e926001c17e1a252614ea81c7c89",
+    "dx8_dz16_c1.0_phi_sq": "7b6181a3b500a3f9f73410974985bc45a8fe3062c5ceaa1a55581bd2200fa0ec",
+}
+
+
+@pytest.mark.parametrize("cell", list(FIG1_SHA256))
+def test_fig1_seed0_series_bytes(cell, tmp_path):
+    (specs,) = presets.build_preset("fig1", cell=cell, trials=10, T=5000).values()
+    cli.run_specs_to_dir(specs, tmp_path)
+    assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == FIG1_SHA256[cell]
