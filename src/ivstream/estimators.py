@@ -44,8 +44,8 @@ These four updates are pure functions of (state, sample, steps): inputs are
 never mutated. Shape errors surface as ``ValueError`` from the array
 operations.
 
-:data:`WINDOW_KERNELS` holds the same four updates for B trials stacked along
-a leading axis, which the experiment harness advances in lockstep. One call
+The window kernels run the same four updates for B trials stacked along a
+leading axis, which the experiment harness advances in lockstep. One call
 steps a whole window of rows in one Python loop and updates the stacked state
 in place; it never writes the window. Its buffers are allocated once per call,
 and the terms that do not depend on the state (``beta * z``) once per window.
@@ -55,6 +55,10 @@ reduced by the same routine in the same order as the 1-d kernels' ``@`` on
 that trial's vectors, so each trial's iterates are bitwise equal to the 1-d
 kernels' (``np.einsum`` and ``.sum`` reduce in another order and differ in
 the last bit); ``tests/test_estimators.py`` checks this bit for bit.
+:func:`two_timescale_window` is the one kernel of both two-timescale
+updates. It steps S thetas against one gamma, so the harness steps the
+two-timescale specs that share a first stage (same stream, alpha, beta and
+gamma0) in one call; :data:`WINDOW_KERNELS` holds the other two.
 
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
@@ -137,9 +141,11 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
 # Window kernels: ``kernel(state, z, x, x_prime, y, alphas, betas)`` steps B
 # stacked trials through a window of rows, updating ``state`` in place.
 # ``state`` is (theta, gamma), plus (U, V) for streaming 2SLS, with shapes
-# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); the window is
-# z (rows, B, d_z), x and x_prime (rows, B, d_x) and y (rows, B), and alphas and
-# betas hold one step per row. Arguments an update does not use may be None.
+# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); theta is (S, B, d_x)
+# for :func:`two_timescale_window`, which also takes the S flags ``direct``.
+# The window is z (rows, B, d_z), x and x_prime (rows, B, d_x) and y (rows, B),
+# and alphas and betas hold one step per row. Arguments an update does not use
+# may be None.
 
 
 def two_sample_window(state, z, x, x_prime, y, alphas, betas):
@@ -156,19 +162,29 @@ def two_sample_window(state, z, x, x_prime, y, alphas, betas):
         theta -= step
 
 
-def _two_timescale_window(state, z, x, y, alphas, betas, direct: bool):
-    """The theta step's residual is X^T theta - Y when ``direct``, else (Z^T gamma) theta - Y."""
+def two_timescale_window(state, z, x, x_prime, y, alphas, betas, direct):
+    """S two-timescale updates on one gamma over a window of B stacked trials.
+
+    ``state`` is (theta, gamma) with S thetas stacked as (S, B, d_x) and one
+    gamma (B, d_z, d_x). Theta s takes :func:`direct_residual_update`'s raw
+    residual X^T theta - Y when ``direct[s]``, else :func:`two_stage_update`'s
+    predicted one (Z^T gamma) theta - Y; all S take the same ``alphas``. The
+    gamma step reads only (gamma, z, x, beta), never theta, so each theta is
+    bitwise equal to its own one-theta run.
+    """
     theta, gamma = state
     beta_z = (betas[:, None, None] * z)[..., None]  # (rows, B, d_z, 1)
-    zg = np.empty_like(theta)
+    zg = np.empty(theta.shape[1:])
     zg_row = zg[:, None, :]
-    resid = np.empty(len(theta))
-    resid_col = resid[:, None]
+    resid = np.empty(theta.shape[:2])
+    resid_col = resid[..., None]
     step = np.empty_like(theta)
     outer = np.empty_like(gamma)
+    residuals = list(zip(theta, resid, direct))
     for z_t, x_t, y_t, bz_t, alpha in zip(z, x, y, beta_z, alphas.tolist()):
         np.vecmat(z_t, gamma, out=zg)
-        np.vecdot(x_t if direct else zg, theta, out=resid)
+        for theta_s, resid_s, direct_s in residuals:
+            np.vecdot(x_t if direct_s else zg, theta_s, out=resid_s)
         resid -= y_t
         resid *= alpha
         np.multiply(resid_col, zg, out=step)
@@ -176,16 +192,6 @@ def _two_timescale_window(state, z, x, y, alphas, betas, direct: bool):
         zg -= x_t
         np.multiply(bz_t, zg_row, out=outer)
         gamma -= outer
-
-
-def two_stage_window(state, z, x, x_prime, y, alphas, betas):
-    """:func:`two_stage_update` over a window on B stacked trials."""
-    _two_timescale_window(state, z, x, y, alphas, betas, direct=False)
-
-
-def direct_residual_window(state, z, x, x_prime, y, alphas, betas):
-    """:func:`direct_residual_update` over a window on B stacked trials."""
-    _two_timescale_window(state, z, x, y, alphas, betas, direct=True)
 
 
 def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
@@ -202,7 +208,8 @@ def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
     b, d_z, d_x = gamma.shape
     w, uw, gain_u, x_w, step = (np.empty((b, d_x)) for _ in range(5))
     vz, gain_v = np.empty((b, d_z)), np.empty((b, d_z))
-    denom_u, denom_v, resid = np.empty(b), np.empty(b), np.empty(b)
+    denom, resid = np.empty((2, b)), np.empty(b)  # rows: U's and V's denominators
+    denom_u, denom_v = denom
     outer_u, outer_v, outer_g = np.empty_like(u), np.empty_like(v), np.empty_like(gamma)
     lowest = np.empty(y.shape)  # each row's smaller denominator, NaN-ignoring
     # Broadcasting views of the buffers, made once.
@@ -213,10 +220,9 @@ def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
         np.vecmat(z_t, gamma, out=w)
         np.matvec(v, z_t, out=vz)
         np.vecdot(z_t, vz, out=denom_v)
-        denom_v += 1.0
         np.matvec(u, w, out=uw)
         np.vecdot(w, uw, out=denom_u)
-        denom_u += 1.0
+        denom += 1.0
         np.fmin(denom_u, denom_v, out=low_t)
         np.divide(vz, denom_v_col, out=gain_v)
         np.multiply(vz_col, gain_v_row, out=outer_v)
@@ -237,11 +243,10 @@ def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
             part[corrupted] = np.nan
 
 
-#: Window kernel of each harness algorithm.
+#: Window kernel of each harness algorithm that steps its own state; the
+#: two-timescale algorithms share :func:`two_timescale_window`.
 WINDOW_KERNELS = {
     "two_sample_sgd": two_sample_window,
-    "two_stage_sgd": two_stage_window,
-    "direct_sgd": direct_residual_window,
     "online_2sls": online_2sls_window,
 }
 

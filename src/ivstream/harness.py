@@ -18,7 +18,7 @@ Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
 into balanced groups and advances each group on stacked state with one window
-kernel call (:data:`ivstream.estimators.WINDOW_KERNELS`) per window of at most
+kernel call (:mod:`ivstream.estimators`) per window of at most
 ``_WINDOW`` rows, cut at checkpoints and block ends. Each trial keeps its own
 generator, stream digest and checkpoint metrics, and its iterates are bitwise
 equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is
@@ -39,9 +39,17 @@ The algorithms of one config read the same streams: the same
 :class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
 checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
 pass, so each trial's held-out set, ``oracle_mse`` and blocks are drawn,
-hashed and stacked once, and every spec steps its own state through each
-window with its own kernel. Specs that do not share a stream run in separate
-passes; :func:`run_experiment` is the one-spec case.
+hashed and stacked once. Within a pass, the specs step in lanes, one kernel
+call per lane and window. The two-timescale specs (``two_stage_sgd`` and
+``direct_sgd``) with equal alpha, beta and gamma0 share a lane: their thetas
+are stacked on one gamma and stepped by one
+:func:`~ivstream.estimators.two_timescale_window` call. This is exact because
+their gamma recursions read the same rows with the same steps from the same
+start and never read theta. Every other spec has a lane of its own. Each spec
+records its own metrics from its own theta, and a spec whose trials have all
+diverged leaves its lane while the others step on. Step sizes are computed
+per window, so no array of T steps is held. Specs that do not share a stream
+run in separate passes; :func:`run_experiment` is the one-spec case.
 """
 
 from __future__ import annotations
@@ -241,6 +249,62 @@ def _stream_key(spec: ExperimentSpec) -> tuple:
             spec.algorithm in TWO_SAMPLE_ALGORITHMS)
 
 
+#: The two-timescale algorithms, each with whether its theta step takes the raw residual.
+_RAW_RESIDUAL = {"two_stage_sgd": False, "direct_sgd": True}
+
+
+def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
+    """Specs of one pass with equal keys share a lane: two-timescale specs with
+    equal alpha, beta and gamma0, whose gamma recursions are then identical."""
+    if spec.algorithm not in _RAW_RESIDUAL:
+        return ("own", k)
+    gamma0 = np.zeros((spec.dgp.d_z, spec.dgp.d_x)) if spec.gamma0 is None else spec.gamma0
+    return ("two_timescale", spec.alpha, spec.beta, gamma0.tobytes())
+
+
+class _Lane:
+    """The specs of a pass that one window-kernel call steps.
+
+    A two-timescale lane stacks its specs' thetas as (S, B, d_x) on one gamma
+    and steps them with :func:`ivstream.estimators.two_timescale_window`; any
+    other lane is one spec and its :data:`~ivstream.estimators.WINDOW_KERNELS`
+    kernel. Step sizes are computed for each window's rows as it is reached.
+    """
+
+    def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int):
+        lead = specs[members[0]]
+        self.members = members  # the specs' indices in the pass, one per theta
+        self.alpha, self.beta = lead.alpha, lead.beta
+        states = [_initial_state(specs[k], b) for k in members]
+        if lead.algorithm in _RAW_RESIDUAL:
+            self.direct = [_RAW_RESIDUAL[specs[k].algorithm] for k in members]
+            self.state = (np.stack([st[0] for st in states]), states[0][1])
+        else:
+            self.direct, self.state = None, states[0]
+            self.kernel = est.WINDOW_KERNELS[lead.algorithm]
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """(S, B, d_x): the theta of each member, in order."""
+        return self.state[0] if self.direct is not None else self.state[0][None]
+
+    def step(self, z, x, x_prime, y, start: int, stop: int) -> None:
+        """Step rows ``start + 1`` to ``stop`` of the run, given as a window."""
+        alphas = None if self.alpha is None else steps(self.alpha, stop, start)
+        betas = None if self.beta is None else steps(self.beta, stop, start)
+        if self.direct is None:
+            self.kernel(self.state, z, x, x_prime, y, alphas, betas)
+        else:
+            est.two_timescale_window(self.state, z, x, x_prime, y, alphas, betas, self.direct)
+
+    def keep(self, alive: np.ndarray) -> None:
+        """Drop the members not ``alive``; the shared gamma steps on for the others."""
+        self.members = [k for k, keep in zip(self.members, alive) if keep]
+        if self.direct is not None:
+            self.direct = [d for d, keep in zip(self.direct, alive) if keep]
+            self.state = (self.state[0][alive], self.state[1])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
 def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
     """Advance the trials ``indices`` of specs that share a stream, in lockstep.
@@ -248,9 +312,10 @@ def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
     Each trial's blocks are drawn and hashed once, and the window kernels'
     stacked inputs are gathered from them ``_WINDOW`` rows at a time, so the
     group holds one block per trial plus a window however many specs read it.
-    Each spec steps its own state with its own kernel and steps, and records
-    its own metric rows; once every trial of a spec has a non-finite
-    ``dist_sq``, the spec stops stepping and its later checkpoints stay ``inf``.
+    The specs step in lanes (:func:`_lane_key`), each spec with its own theta,
+    and record their own metric rows; once every trial of a spec has a
+    non-finite ``dist_sq``, the spec stops stepping and its later checkpoints
+    stay ``inf``.
     """
     spec = specs[0]  # the stream's description, the same in every spec
     cfg, b = spec.dgp, len(indices)
@@ -262,16 +327,17 @@ def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
         oracle = np.array([[met.test_mse_arrays(theta_star, tx, ty)] * shape[1] for tx, ty in tests])
         test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
 
-    lanes = []  # per spec: its metrics, kernel, stacked state and step sizes
-    for s in specs:
-        metrics = {"dist_sq": np.full(shape, np.inf)}
+    metrics = []  # per spec: its (trials, checkpoints) array of each metric
+    for _ in specs:
+        m = {"dist_sq": np.full(shape, np.inf)}
         if tests:
-            metrics["oracle_mse"] = oracle.copy()
-            metrics["test_mse"] = np.full(shape, np.inf)
-        lanes.append((metrics, est.WINDOW_KERNELS[s.algorithm], _initial_state(s, b),
-                      None if s.alpha is None else steps(s.alpha, s.T),
-                      None if s.beta is None else steps(s.beta, s.T)))
-    active = list(lanes)
+            m["oracle_mse"] = oracle.copy()
+            m["test_mse"] = np.full(shape, np.inf)
+        metrics.append(m)
+    lanes: dict[tuple, list[int]] = {}
+    for k, s in enumerate(specs):
+        lanes.setdefault(_lane_key(s, k), []).append(k)
+    active = [_Lane(specs, members, b) for members in lanes.values()]
 
     two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
     sample = sample_two_block if two_sample else sample_one_block
@@ -298,32 +364,35 @@ def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
                 None if blocks[0][k] is None else np.stack([blk[k][rows] for blk in blocks], axis=1)
                 for k in range(4)
             )
-            for _, kernel, state, alphas, betas in active:
-                kernel(state, z, x, xp, y,
-                       None if alphas is None else alphas[t:stop], None if betas is None else betas[t:stop])
+            for lane in active:
+                lane.step(z, x, xp, y, t, stop)
         t = stop
         if t == cps[cp_idx]:
             # The arithmetic of metrics.dist_to_opt and metrics.test_mse_arrays,
             # without their finiteness checks; the gufuncs are bitwise equal to
             # the 1-d products, trial by trial.
-            for metrics, _, state, _, _ in active:
-                d = state[0] - theta_star
-                np.vecdot(d, d, out=metrics["dist_sq"][:, cp_idx])
-                if tests:
-                    r = test_y - np.matvec(test_x, state[0])
-                    metrics["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
-            # A spec whose trials have all diverged stops; its later checkpoints stay inf.
-            active = [lane for lane in active if np.isfinite(lane[0]["dist_sq"][:, cp_idx]).any()]
+            for lane in active:
+                for k, theta in zip(lane.members, lane.thetas):
+                    d = theta - theta_star
+                    np.vecdot(d, d, out=metrics[k]["dist_sq"][:, cp_idx])
+                    if tests:
+                        r = test_y - np.matvec(test_x, theta)
+                        metrics[k]["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
+                # A spec whose trials have all diverged stops; its later checkpoints stay inf.
+                alive = np.array([np.isfinite(metrics[k]["dist_sq"][:, cp_idx]).any() for k in lane.members])
+                if not alive.all():
+                    lane.keep(alive)
+            active = [lane for lane in active if lane.members]
             cp_idx += 1
     hexes = [d.hexdigest() for d in digests]
     series = []
-    for s, (metrics, *_) in zip(specs, lanes):
+    for s, m in zip(specs, metrics):
         # A trial's first non-finite checkpoint marks it and every later one inf.
-        diverging = [v for m, v in metrics.items() if m != "oracle_mse"]
+        diverging = [v for name, v in m.items() if name != "oracle_mse"]
         bad = np.logical_or.accumulate(~np.isfinite(diverging).all(axis=0), axis=1)
         for v in diverging:
             v[bad] = np.inf
-        series.append(MetricSeries(spec=s, metrics=metrics, stream_digests=list(hexes)))
+        series.append(MetricSeries(spec=s, metrics=m, stream_digests=list(hexes)))
     return series
 
 

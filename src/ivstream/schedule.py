@@ -66,14 +66,18 @@ def step(s: StepSchedule, t: int) -> float:
     return s.coeff * float(t) ** (-s.exponent)
 
 
-def steps(s: StepSchedule, t_max: int) -> np.ndarray:
-    """Vectorized step sizes for t = 1, ..., t_max (used by the trial loop); numpy's
-    SIMD ``power`` may differ from :func:`step` in the last bits (README, reproducibility)."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+def steps(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
+    """Vectorized step sizes for t = start + 1, ..., stop (used by the trial loop).
+
+    numpy's SIMD ``power`` may differ from :func:`step` in the last bits
+    (README, reproducibility), but each t's step does not depend on the range
+    it is computed in.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     if isinstance(s, Constant):
-        return np.full(t_max, s.alpha)
-    t = np.arange(1, t_max + 1, dtype=np.float64)
+        return np.full(stop - start, s.alpha)
+    t = np.arange(start + 1, stop + 1, dtype=np.float64)
     return s.coeff * t ** (-s.exponent)
 
 

@@ -257,6 +257,15 @@ DIVERGING = {
     "init": {"theta0": [0.0], "gamma0": [[1e6]]},
 }
 
+# Both two-timescale updates on one stream from gamma0 = 1e4: all four trials
+# of two_stage_sgd diverge within 50 steps, while direct_sgd keeps three of
+# its four finite, so direct_sgd steps on alone in the lane they shared.
+DIVERGING_PAIR = {**DIVERGING, "algorithms": ["two_stage_sgd", "direct_sgd"],
+                  "schedule": {"alpha": {"kind": "polynomial", "coeff": 1.0, "exponent": 0.5},
+                               "beta": {"kind": "polynomial", "coeff": 0.5, "exponent": 0.65}},
+                  "init": {"theta0": [0.0], "gamma0": [[1e4]]}}
+del DIVERGING_PAIR["algorithm"]
+
 # Streaming 2SLS from a far first-stage start with a tiny ridge: in half of
 # the trials a rank-one denominator turns non-positive within 30 steps.
 DIVERGING_2SLS = {
@@ -317,41 +326,67 @@ class TestDivergence:
         assert sorted(expected) == ["0", "1", "4", "7"]
 
     def test_spec_stops_stepping_once_all_trials_diverged(self, tmp_path, monkeypatch):
-        rows = []
-        kernel = estimators.WINDOW_KERNELS["direct_sgd"]
+        self._check_stepping(tmp_path, monkeypatch, DIVERGING)
 
-        def counting(state, z, *rest):
-            rows.append(len(z))
-            kernel(state, z, *rest)
+    def test_spec_stops_stepping_beside_a_partner_that_does_not(self, tmp_path, monkeypatch):
+        self._check_stepping(tmp_path, monkeypatch, DIVERGING_PAIR)
 
-        monkeypatch.setitem(estimators.WINDOW_KERNELS, "direct_sgd", counting)
+    @staticmethod
+    def _check_stepping(tmp_path, monkeypatch, config):
+        """Each spec steps up to its last trial's divergence, if all diverge, and writes the 1-d kernel's bytes."""
+        calls = []  # per call of the two-timescale lane's kernel: rows, and the raw-residual flag of each theta
+        kernel = estimators.two_timescale_window
+
+        def counting(state, z, x, x_prime, y, alphas, betas, direct):
+            calls.append((len(z), tuple(direct)))
+            kernel(state, z, x, x_prime, y, alphas, betas, direct)
+
+        monkeypatch.setattr(estimators, "two_timescale_window", counting)
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", DIVERGING), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", config), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         checkpoints = manifest["experiments"][0]["checkpoints"]
-        last = max(manifest["diverged"]["direct_sgd"].values())  # all 4 trials run as one group
-        # One call per window of at most harness._WINDOW rows between checkpoints, up to `last`.
-        gaps = np.diff([0] + [c for c in checkpoints if c <= last])
-        assert len(rows) == sum(-(-g // harness._WINDOW) for g in gaps)
-        assert sum(rows) == last < DIVERGING["T"]
+        specs = presets.specs_from_config(config)
+        stopped = []
+        for spec in specs:
+            diverged = manifest["diverged"][spec.algorithm]
+            # All trials run as one group: a spec steps up to its last trial's divergence, if all diverge.
+            last = max(diverged.values()) if len(diverged) == spec.trials else spec.T
+            stopped.append(last < spec.T)
+            rows = [n for n, direct in calls if (spec.algorithm == "direct_sgd") in direct]
+            # One call per window of at most harness._WINDOW rows between checkpoints, up to `last`.
+            gaps = np.diff([0] + [c for c in checkpoints if c <= last])
+            assert len(rows) == sum(-(-g // harness._WINDOW) for g in gaps)
+            assert sum(rows) == last
+        # Alone, the spec stops. Beside a partner that does not stop, both thetas
+        # share each call until the diverged one is dropped from the lane.
+        if len(specs) == 1:
+            assert stopped == [True] and {d for _, d in calls} == {(True,)}
+        else:
+            assert stopped == [True, False]
+            shared = len([n for n, d in calls if False in d])
+            assert [d for _, d in calls] == [(False, True)] * shared + [(True,)] * (len(calls) - shared)
         # The bytes are those of stepping every row: the 1-d kernel over the whole
         # stream, with the harness's step sizes.
-        spec = presets.specs_from_config(DIVERGING)[0]
-        alphas, betas = schedule.steps(spec.alpha, spec.T), schedule.steps(spec.beta, spec.T)
         lines = [cli.CSV_HEADER]
         with np.errstate(all="ignore"):
-            for i in range(spec.trials):
-                rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
-                z, x, y = dgp.sample_one_block(rng, spec.dgp, spec.T)
-                theta, gamma, dist = spec.theta0, spec.gamma0, []
-                for t in range(spec.T):
-                    theta, gamma = estimators.direct_residual_update(theta, gamma, z[t], x[t], y[t], alphas[t], betas[t])
-                    if t + 1 in checkpoints:
-                        d = theta - spec.dgp.theta_star
-                        dist.append(d @ d)
-                dist = np.array(dist)
-                dist[np.logical_or.accumulate(~np.isfinite(dist))] = np.inf
-                lines += [f"{spec.experiment_id},direct_sgd,{i},{c},dist_sq,{v!r}" for c, v in zip(checkpoints, dist.tolist())]
+            for spec in sorted(specs, key=lambda s: s.algorithm):
+                update = {"two_stage_sgd": estimators.two_stage_update,
+                          "direct_sgd": estimators.direct_residual_update}[spec.algorithm]
+                alphas, betas = schedule.steps(spec.alpha, spec.T), schedule.steps(spec.beta, spec.T)
+                for i in range(spec.trials):
+                    rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+                    z, x, y = dgp.sample_one_block(rng, spec.dgp, spec.T)
+                    theta, gamma, dist = spec.theta0, spec.gamma0, []
+                    for t in range(spec.T):
+                        theta, gamma = update(theta, gamma, z[t], x[t], y[t], alphas[t], betas[t])
+                        if t + 1 in checkpoints:
+                            d = theta - spec.dgp.theta_star
+                            dist.append(d @ d)
+                    dist = np.array(dist)
+                    dist[np.logical_or.accumulate(~np.isfinite(dist))] = np.inf
+                    lines += [f"{spec.experiment_id},{spec.algorithm},{i},{c},dist_sq,{v!r}"
+                              for c, v in zip(checkpoints, dist.tolist())]
         assert (out / "series.csv").read_text() == "\n".join(lines) + "\n"
 
 

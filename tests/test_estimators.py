@@ -203,7 +203,7 @@ def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("algorithm", sorted(est.WINDOW_KERNELS))
+    @pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_bitwise_equal_to_1d_kernel(self, algorithm, d_x, d_z, b):
@@ -222,7 +222,11 @@ class TestBatchKernels:
             for st in trials:
                 st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
         state = tuple(np.stack(parts) for parts in zip(*trials))
-        kernel = est.WINDOW_KERNELS[algorithm]
+        if algorithm in est.WINDOW_KERNELS:
+            kernel = est.WINDOW_KERNELS[algorithm]
+        else:  # one theta on its gamma
+            def kernel(st, *window):
+                est.two_timescale_window((st[0][None], st[1]), *window, (algorithm == "direct_sgd",))
         start = 0
         for rows in windows:
             w = slice(start, start + rows)
@@ -239,6 +243,38 @@ class TestBatchKernels:
                     assert got[i].tobytes() == want.tobytes()
         for got, want in zip((z, x, x_prime, y), inputs):
             assert got.tobytes() == want.tobytes()  # the window is read, never written
+
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_two_thetas_on_one_gamma(self, d_x, d_z, b):
+        # A predicted and a raw residual stepped on one gamma, in windows of 1,
+        # 7 and 256 rows, each against its own 1-d kernel row by row.
+        windows = (1, 7, 256)
+        n = sum(windows)
+        cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
+        draws = [dgp.sample_one_block(make_rng(200 + i), cfg, n) for i in range(b)]
+        z, x, y = (np.stack([d[k] for d in draws], axis=1) for k in range(3))
+        alphas = np.array([0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
+        betas = np.array([1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
+        rng = make_rng(9)
+        gamma0 = 0.1 * rng.standard_normal((b, d_z, d_x))
+        theta0 = rng.standard_normal((2, b, d_x))
+        updates = (est.two_stage_update, est.direct_residual_update)
+        trials = [[[theta0[s, i], gamma0[i]] for i in range(b)] for s in range(2)]
+        state = (theta0.copy(), gamma0.copy())
+        start = 0
+        for rows in windows:
+            w = slice(start, start + rows)
+            est.two_timescale_window(state, z[w], x[w], None, y[w], alphas[w], betas[w], (False, True))
+            for t in range(start, start + rows):
+                trials = [[update(*st, z[t, i], x[t, i], y[t, i], alphas[t], betas[t]) for i, st in enumerate(per)]
+                          for update, per in zip(updates, trials)]
+            start += rows
+            for s, per in enumerate(trials):
+                for i, (theta, gamma) in enumerate(per):
+                    assert np.isfinite(theta).all()
+                    assert state[0][s, i].tobytes() == theta.tobytes()
+                    assert state[1][i].tobytes() == gamma.tobytes()
 
     def test_online_2sls_corrupted_trial_is_flagged(self):
         # Trial 1 of 3 carries U = -10 I and gamma = I, and its instruments are

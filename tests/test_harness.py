@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ivstream import dgp, harness, metrics, presets
+from ivstream import estimators as est
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -213,11 +214,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("algorithm", ["online_2sls", "two_sample_sgd"])
     def test_memory_does_not_grow_with_T(self, algorithm, monkeypatch):
-        # Two groups of four trials. The peak, net of the step-size arrays (one
-        # float per step and schedule), grows by less than half a block from 4
-        # to 8 blocks per trial, where holding one more block would add a whole
-        # one. It stays within the group's blocks, the previous and the next
-        # window of stacked rows, and one sampler call.
+        # Two groups of four trials. The peak grows by less than half a block
+        # from 4 to 8 blocks per trial, where holding one more block would add
+        # a whole one. It stays within the group's blocks, the previous and the
+        # next window of stacked rows, and one sampler call.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
         monkeypatch.setattr(harness, "_WINDOW", 32)
         runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
@@ -233,8 +233,7 @@ class TestLockstep:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 harness.run_experiment(run)
-                schedules = 8 * run.T * len(harness.SCHEDULES[algorithm])
-                peaks.append(tracemalloc.get_traced_memory()[1] - base - schedules)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         assert peaks[1] < peaks[0] + _block_bytes(runs[0]) / 2
@@ -242,6 +241,18 @@ class TestLockstep:
 
 
 FIG2_CELL = "dx8_dz16_rho4_sig1"
+
+
+def _recording_lanes(monkeypatch) -> list[tuple[bool, ...]]:
+    """Record the raw-residual flags of each two-timescale kernel call, one tuple per call."""
+    calls, kernel = [], est.two_timescale_window
+
+    def recording(state, z, x, x_prime, y, alphas, betas, direct):
+        calls.append(tuple(direct))
+        kernel(state, z, x, x_prime, y, alphas, betas, direct)
+
+    monkeypatch.setattr(est, "two_timescale_window", recording)
+    return calls
 
 
 class TestSharedPass:
@@ -252,14 +263,40 @@ class TestSharedPass:
         assert [s.algorithm for s in specs] == ["two_stage_sgd", "direct_sgd", "online_2sls"]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(specs[0]))
         assert [len(g) for g in harness.trial_groups(specs[0])] == [3, 2]
+        lanes = _recording_lanes(monkeypatch)
         together = harness.run_experiments(specs)
+        # The pair steps as one lane (two thetas on one gamma) in every call.
+        assert lanes and set(lanes) == {(False, True)}
         for spec, series in zip(specs, together):
+            lanes.clear()
             alone = harness.run_experiment(spec)
+            assert set(lanes) == ({(spec.algorithm == "direct_sgd",)} if spec.algorithm != "online_2sls" else set())
             assert series.spec is spec
             assert series.metrics.keys() == alone.metrics.keys() == set(harness.METRICS)
             for m, v in series.metrics.items():
                 assert v.tobytes() == alone.metrics[m].tobytes()
             assert series.stream_digests == alone.stream_digests
+
+    def test_lanes_need_equal_beta_and_gamma0(self, monkeypatch):
+        # Two-timescale specs of one pass share a lane only with equal alpha,
+        # beta and gamma0 (theta0 may differ); each still equals its run alone.
+        cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
+        gamma0 = np.full((3, 2), 0.5)
+        specs = [_lockstep_spec("two_stage_sgd", dgp=cfg),
+                 _lockstep_spec("direct_sgd", dgp=cfg),
+                 _lockstep_spec("direct_sgd", dgp=cfg, beta=Polynomial(0.4, 0.95)),
+                 _lockstep_spec("two_stage_sgd", dgp=cfg, gamma0=gamma0),
+                 _lockstep_spec("direct_sgd", dgp=cfg, gamma0=gamma0.copy(), theta0=np.ones(2))]
+        alone = [harness.run_experiment(s) for s in specs]
+        lanes = _recording_lanes(monkeypatch)
+        together = harness.run_experiments(specs)
+        # Lanes {0, 1}, {2} and {3, 4}, each called once per window.
+        windows = lanes.count((True,))
+        assert windows > 0 and lanes.count((False, True)) == 2 * windows and len(lanes) == 3 * windows
+        for series, ref in zip(together, alone):
+            assert series.metrics.keys() == ref.metrics.keys()
+            for m, v in series.metrics.items():
+                assert v.tobytes() == ref.metrics[m].tobytes()
 
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
         draws = []
