@@ -6,7 +6,6 @@ from .dgp import (
     OneSample,
     SharedConfounder,
     endogenous_linear_config,
-    sample_one,
     shared_confounder_config,
     test_set,
 )
@@ -21,7 +20,7 @@ from .estimators import (
     two_stage_update,
 )
 from .harness import ExperimentSpec, MetricSeries, fit_slope, mix_seed, run_experiment, run_trial
-from .metrics import dist_to_opt, test_mse
+from .metrics import dist_to_opt
 from .oracle import PopulationSummary, grad_f, mc_moments, summarize, theory_constants
 from .schedule import (
     Constant,
@@ -60,11 +59,9 @@ __all__ = [
     "online_2sls_update",
     "run_experiment",
     "run_trial",
-    "sample_one",
     "shared_confounder_config",
     "step",
     "summarize",
-    "test_mse",
     "test_set",
     "theory_constants",
     "two_sample_update",

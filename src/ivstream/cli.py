@@ -1,16 +1,13 @@
-"""Command-line front end: run experiments, compare algorithms, self-check.
+"""Command-line front end: run experiments and self-check.
 
 Subcommands
 -----------
 ``run``
     Execute one experiment (from a JSON config or a named preset cell) and
     write ``series.csv`` plus ``manifest.json`` into the output directory.
-    Presets with several cells write one subdirectory per cell.
-
-``compare``
-    Execute a config listing several algorithms on the same data-generating
-    process with shared per-trial seeds, writing one CSV per algorithm plus
-    the joined long-format CSV.
+    Presets with several cells write one subdirectory per cell. A config
+    or cell listing several algorithms runs them on the same per-trial
+    streams and also writes one ``series_<algorithm>.csv`` per algorithm.
 
 ``check``
     Run the reduced-scale validation suites (gradient unbiasedness of the
@@ -29,7 +26,7 @@ name and renamed into place.
 
 Configs
 -------
-``run --config`` and ``compare`` read a JSON config in the schema of
+``run --config`` reads a JSON config in the schema of
 :mod:`ivstream.presets`, which parses it and writes the manifest's resolved
 ``experiments`` in the same schema; ``run --preset`` runs a preset cell's
 config.
@@ -146,7 +143,7 @@ def _check_gradient(seed: int, n: int) -> float:
     return float(np.linalg.norm(mc_grad - ref) / np.linalg.norm(ref))
 
 
-def _check_sherman_morrison(seed: int, corrupt_u0: bool = False) -> tuple[float, float]:
+def _check_sherman_morrison(seed: int) -> tuple[float, float]:
     """max |U A_U - I| and max |V A_V - I| after 1000 rows; inf if the state breaks."""
     cfg = endogenous_linear_config(8, 16, rho=4.0, sigma_eps=1.0)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -154,7 +151,7 @@ def _check_sherman_morrison(seed: int, corrupt_u0: bool = False) -> tuple[float,
     lam = 0.1
     theta = np.zeros(8)
     gamma = np.zeros((16, 8))
-    u = -np.eye(8) / lam if corrupt_u0 else np.eye(8) / lam
+    u = np.eye(8) / lam
     v = np.eye(16) / lam
     acc_u = lam * np.eye(8)
     acc_v = lam * np.eye(16)
@@ -217,20 +214,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ivstream {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override the base seed")
-    common.add_argument("--trials", type=int, default=None, help="override the trial count")
-    common.add_argument("--iters", type=int, default=None, help="override the iteration count T")
-
-    run_p = sub.add_parser("run", parents=[common], help="run one experiment or preset")
+    run_p = sub.add_parser("run", help="run one experiment or preset")
+    run_p.add_argument("--out", required=True, help="output directory")
+    run_p.add_argument("--seed", type=int, default=None, help="override the base seed")
+    run_p.add_argument("--trials", type=int, default=None, help="override the trial count")
+    run_p.add_argument("--iters", type=int, default=None, help="override the iteration count T")
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="JSON experiment config")
     src.add_argument("--preset", choices=presets.PRESETS, help="named benchmark preset")
     run_p.add_argument("--cell", default=None, help="single preset cell id (see docs)")
-
-    cmp_p = sub.add_parser("compare", parents=[common], help="run several algorithms with paired streams")
-    cmp_p.add_argument("--config", required=True, help="JSON config with an 'algorithms' list")
 
     sub.add_parser("check", help="run the validation suites")
     return parser
@@ -252,22 +244,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    if "algorithms" not in config:
-        raise ConfigError("compare requires a config with an 'algorithms' list")
-    specs = specs_from_config(config, seed=args.seed, trials=args.trials, T=args.iters)
-    run_specs_to_dir(specs, Path(args.out))
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
         return cmd_check()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -48,7 +48,8 @@ scheduled:
 3. the outcome noise, (n,): ``w`` ~ N(0, 1), which enters nu as 0.5 * w,
    or ``e_y``.
 
-``sample_one`` is the n = 1 case of :func:`sample_one_block`.
+A stream of single observations is the rows of one :func:`sample_one_block`
+call; :func:`test_set` boxes such rows as :class:`OneSample` objects.
 """
 
 from __future__ import annotations
@@ -292,12 +293,6 @@ def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
     confounder and fresh noise. Y uses X's noise realisation.
     """
     return _draw(rng, cfg, n, 2)
-
-
-def sample_one(rng: np.random.Generator, cfg: DgpConfig) -> OneSample:
-    """Draw a single observation (the n = 1 case of :func:`sample_one_block`)."""
-    z, x, y = sample_one_block(rng, cfg, 1)
-    return OneSample(z=z[0], x=x[0], y=float(y[0]))
 
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:

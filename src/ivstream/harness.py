@@ -3,7 +3,7 @@
 A trial streams T samples from its own generator, applies one algorithm's
 update per iteration, and records metrics at a fixed checkpoint grid. An
 experiment repeats the trial ``trials`` times with independent streams and
-aggregates the per-checkpoint mean and standard deviation.
+keeps every trial's row; :meth:`MetricSeries.mean` averages them.
 
 Reproducibility contract
 ------------------------
@@ -22,16 +22,17 @@ kernel call (:mod:`ivstream.estimators`) per window of at most
 ``_WINDOW`` rows, cut at checkpoints and block ends. Each trial keeps its own
 generator, stream digest and checkpoint metrics, and its iterates are bitwise
 equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is
-the one-trial group. A group holds one sample block per trial (without ``z``
-for the two-sample oracle, whose kernel never reads it), so
-:func:`trial_groups` sizes the groups by a block's bytes: as many trials as fit
-in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are then
-bounded whatever the trial count or T, and a spec with small blocks runs all
-its trials in one group. Groups run one after another, each writing its
-checkpoints into its rows of one (trials, checkpoints) array per metric. A
+a pass whose one group is that trial. A group holds one sample block per
+trial (without ``z`` for the two-sample oracle, whose kernel never reads it),
+so :func:`trial_groups` sizes the groups by a block's bytes: as many trials
+as fit in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are
+then bounded whatever the trial count or T, and a spec with small blocks runs
+all its trials in one group. A pass allocates each spec's (trials,
+checkpoints) array per metric and its list of stream digests once; the
+groups run one after another, each writing its contiguous rows in place. A
 trial that diverges is a recorded result: from its first non-finite
-checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``. Once every trial
-of a group has diverged, the group stops stepping that spec.
+checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``. Once every
+trial of a group has diverged, the group stops stepping that spec.
 
 One pass per shared stream
 --------------------------
@@ -135,6 +136,8 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
         checkpoints = tuple(log_checkpoints(T))
     else:
         checkpoints = tuple(int(c) for c in checkpoints)
+        if not checkpoints:
+            raise ValueError("checkpoints must be non-empty")
         if any(c < 1 or c > T for c in checkpoints):
             raise ValueError("checkpoints must lie in [1, T]")
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -195,15 +198,9 @@ class MetricSeries:
     def iterations(self) -> np.ndarray:
         return np.array(self.spec.checkpoints, dtype=np.int64)
 
-    def values(self, metric: str) -> np.ndarray:
-        """(trials, checkpoints) array of one recorded metric."""
-        return self.metrics[metric]
-
     def mean(self, metric: str) -> np.ndarray:
-        return self.values(metric).mean(axis=0)
-
-    def std(self, metric: str) -> np.ndarray:
-        return self.values(metric).std(axis=0)
+        """Across-trial mean of one recorded metric at each checkpoint."""
+        return self.metrics[metric].mean(axis=0)
 
     def diverged(self) -> dict[int, int]:
         """First non-finite checkpoint iteration of each diverged trial, by row."""
@@ -306,34 +303,30 @@ class _Lane:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
-def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
+def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]]) -> list[str]:
     """Advance the trials ``indices`` of specs that share a stream, in lockstep.
 
-    Each trial's blocks are drawn and hashed once, and the window kernels'
-    stacked inputs are gathered from them ``_WINDOW`` rows at a time, so the
-    group holds one block per trial plus a window however many specs read it.
-    The specs step in lanes (:func:`_lane_key`), each spec with its own theta,
-    and record their own metric rows; once every trial of a spec has a
-    non-finite ``dist_sq``, the spec stops stepping and its later checkpoints
-    stay ``inf``.
+    ``out`` holds each spec's (len(indices), checkpoints) rows of every
+    metric, filled with ``inf``; the group writes its checkpoints into them in
+    place and returns its trials' stream digests. Each trial's blocks are
+    drawn and hashed once, and the window kernels' stacked inputs are gathered
+    from them ``_WINDOW`` rows at a time, so the group holds one block per
+    trial plus a window however many specs read it. The specs step in lanes
+    (:func:`_lane_key`), each spec with its own theta; once every trial of a
+    spec has a non-finite ``dist_sq``, the spec stops stepping and its later
+    checkpoints stay ``inf``.
     """
     spec = specs[0]  # the stream's description, the same in every spec
     cfg, b = spec.dgp, len(indices)
     theta_star = cfg.theta_star
     rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
     tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
-    shape = (b, len(spec.checkpoints))
     if tests:
-        oracle = np.array([[met.test_mse_arrays(theta_star, tx, ty)] * shape[1] for tx, ty in tests])
+        oracle = np.array([met.test_mse_arrays(theta_star, tx, ty) for tx, ty in tests])
+        for m in out:
+            m["oracle_mse"][:] = oracle[:, None]
         test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
 
-    metrics = []  # per spec: its (trials, checkpoints) array of each metric
-    for _ in specs:
-        m = {"dist_sq": np.full(shape, np.inf)}
-        if tests:
-            m["oracle_mse"] = oracle.copy()
-            m["test_mse"] = np.full(shape, np.inf)
-        metrics.append(m)
     lanes: dict[tuple, list[int]] = {}
     for k, s in enumerate(specs):
         lanes.setdefault(_lane_key(s, k), []).append(k)
@@ -374,17 +367,33 @@ def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
             for lane in active:
                 for k, theta in zip(lane.members, lane.thetas):
                     d = theta - theta_star
-                    np.vecdot(d, d, out=metrics[k]["dist_sq"][:, cp_idx])
+                    np.vecdot(d, d, out=out[k]["dist_sq"][:, cp_idx])
                     if tests:
                         r = test_y - np.matvec(test_x, theta)
-                        metrics[k]["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
+                        out[k]["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
                 # A spec whose trials have all diverged stops; its later checkpoints stay inf.
-                alive = np.array([np.isfinite(metrics[k]["dist_sq"][:, cp_idx]).any() for k in lane.members])
+                alive = np.array([np.isfinite(out[k]["dist_sq"][:, cp_idx]).any() for k in lane.members])
                 if not alive.all():
                     lane.keep(alive)
             active = [lane for lane in active if lane.members]
             cp_idx += 1
-    hexes = [d.hexdigest() for d in digests]
+    return [d.hexdigest() for d in digests]
+
+
+def _run_pass(specs: list[ExperimentSpec], groups: list[np.ndarray]) -> list[MetricSeries]:
+    """Run the lockstep ``groups`` of specs that share a stream; one series per spec.
+
+    Each spec's (trials, checkpoints) arrays and the digest list are allocated
+    once, and each group writes its contiguous rows of them in place.
+    """
+    spec = specs[0]
+    shape = (sum(len(g) for g in groups), len(spec.checkpoints))
+    names = METRICS if spec.test_n > 0 else METRICS[:1]
+    metrics = [{m: np.full(shape, np.inf) for m in names} for _ in specs]
+    digests: list[str] = []
+    for group in groups:
+        rows = slice(len(digests), len(digests) + len(group))
+        digests += _run_group(specs, group, [{m: v[rows] for m, v in mk.items()} for mk in metrics])
     series = []
     for s, m in zip(specs, metrics):
         # A trial's first non-finite checkpoint marks it and every later one inf.
@@ -392,7 +401,7 @@ def _run_group(specs: list[ExperimentSpec], indices) -> list[MetricSeries]:
         bad = np.logical_or.accumulate(~np.isfinite(diverging).all(axis=0), axis=1)
         for v in diverging:
             v[bad] = np.inf
-        series.append(MetricSeries(spec=s, metrics=m, stream_digests=list(hexes)))
+        series.append(MetricSeries(spec=s, metrics=m, stream_digests=list(digests)))
     return series
 
 
@@ -406,7 +415,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
     """
     if not (0 <= trial_index < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")
-    return _run_group([spec], [trial_index])[0]
+    return _run_pass([spec], [np.array([trial_index])])[0]
 
 
 def run_experiments(specs: list[ExperimentSpec]) -> list[MetricSeries]:
@@ -423,18 +432,13 @@ def run_experiments(specs: list[ExperimentSpec]) -> list[MetricSeries]:
     results: list[MetricSeries] = [None] * len(specs)
     for members in passes.values():
         shared = [specs[k] for k in members]
-        groups = [_run_group(shared, group) for group in trial_groups(shared[0])]
-        for k, parts in zip(members, zip(*groups)):
-            results[k] = MetricSeries(
-                spec=specs[k],
-                metrics={m: np.concatenate([p.metrics[m] for p in parts]) for m in parts[0].metrics},
-                stream_digests=[d for p in parts for d in p.stream_digests],
-            )
+        for k, series in zip(members, _run_pass(shared, trial_groups(shared[0]))):
+            results[k] = series
     return results
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricSeries:
-    """Run all trials of one spec, one lockstep group after another, and aggregate."""
+    """Run all trials of one spec, one lockstep group after another."""
     return run_experiments([spec])[0]
 
 

@@ -30,9 +30,3 @@ def test_mse_arrays(theta, x: np.ndarray, y: np.ndarray) -> float:
     theta = as_float_vector(theta, n=x.shape[1], name="theta")
     r = y - x @ theta
     return float(r @ r / len(y))
-
-
-def test_mse(theta, test: list[OneSample]) -> float:
-    """Mean squared prediction error of theta on a held-out sample list."""
-    x, y = stack_test_set(test)
-    return test_mse_arrays(theta, x, y)

@@ -46,9 +46,6 @@ class PopulationSummary:
     ``mu`` is the smallest eigenvalue of M (the strong-convexity constant).
     """
 
-    sigma_z: NDArray[np.float64]
-    sigma_zx: NDArray[np.float64]
-    sigma_zy: NDArray[np.float64]
     gamma_closed: NDArray[np.float64]
     theta_closed: NDArray[np.float64]
     mu: float
@@ -63,6 +60,21 @@ def _solve_spd(a: NDArray[np.float64], rhs: NDArray[np.float64], name: str) -> N
     return np.linalg.solve(a, rhs)
 
 
+def _summary(sigma_z, sigma_zx, sigma_zy, cond_xx, cond_xy) -> PopulationSummary:
+    """The summary of a process with these second moments of (Z, X, Y) and M, b.
+
+    gamma and theta come from the identifying two-stage solves, and ``mu`` from
+    0.5 (M + M^T), which is M itself, bit for bit, when M is symmetric.
+    """
+    gamma_closed = _solve_spd(sigma_z, sigma_zx, "sigma_z")
+    gzg = gamma_closed.T @ sigma_z @ gamma_closed
+    theta_closed = _solve_spd(gzg, gamma_closed.T @ sigma_zy, "gamma^T sigma_z gamma")
+    mu = float(np.linalg.eigvalsh(0.5 * (cond_xx + cond_xx.T))[0])
+    if mu <= 0.0:
+        raise ValueError("conditional-mean second moment is not positive definite")
+    return PopulationSummary(gamma_closed, theta_closed, mu, cond_xx, cond_xy)
+
+
 def summarize(cfg: DgpConfig) -> PopulationSummary:
     """Analytic population summary for a linear-link process.
 
@@ -75,10 +87,6 @@ def summarize(cfg: DgpConfig) -> PopulationSummary:
     gamma = cfg.gamma_star
     theta = cfg.theta_star
     sigma_zx = sigma_z @ gamma
-    sigma_zy = sigma_zx @ theta
-    gamma_closed = _solve_spd(sigma_z, sigma_zx, "sigma_z")
-    gzg = gamma_closed.T @ sigma_z @ gamma_closed
-    theta_closed = _solve_spd(gzg, gamma_closed.T @ sigma_zy, "gamma^T sigma_z gamma")
     cond_xx = gamma.T @ sigma_z @ gamma
     cond_xy = cond_xx @ theta
     if isinstance(cfg.family, EndogenousLinear):
@@ -90,19 +98,7 @@ def summarize(cfg: DgpConfig) -> PopulationSummary:
         cond_xx = cond_xx + c**2 * np.outer(ones, ones)
         # E[Y|Z] = theta . E[X|Z] + c, so b gains c^2 * 1 on top of M theta.
         cond_xy = cond_xx @ theta + c**2 * ones
-    mu = float(np.linalg.eigvalsh(0.5 * (cond_xx + cond_xx.T))[0])
-    if mu <= 0.0:
-        raise ValueError("conditional-mean second moment is not positive definite")
-    return PopulationSummary(
-        sigma_z=sigma_z,
-        sigma_zx=sigma_zx,
-        sigma_zy=sigma_zy,
-        gamma_closed=gamma_closed,
-        theta_closed=theta_closed,
-        mu=mu,
-        cond_xx=cond_xx,
-        cond_xy=cond_xy,
-    )
+    return _summary(sigma_z, sigma_zx, sigma_zx @ theta, cond_xx, cond_xy)
 
 
 def grad_f(theta, summary: PopulationSummary) -> NDArray[np.float64]:
@@ -126,9 +122,6 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
     z, x, x_p, y = sample_two_block(rng, cfg, n)
-    sigma_z = z.T @ z / n
-    sigma_zx = z.T @ x / n
-    sigma_zy = z.T @ y / n
 
     # Mean of per-draw X' X^T. For d_x > 1, .mean(axis=0) sums the draws in
     # one sequential pass, which each chunk continues, so the result is
@@ -143,21 +136,7 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
     cond_xx = cond_xx / n
     cond_xx = 0.5 * (cond_xx + cond_xx.T)
     cond_xy = (x_p * y[:, None]).mean(axis=0)
-
-    gamma_closed = _solve_spd(sigma_z, sigma_zx, "estimated sigma_z")
-    gzg = gamma_closed.T @ sigma_z @ gamma_closed
-    theta_closed = _solve_spd(gzg, gamma_closed.T @ sigma_zy, "estimated gamma^T sigma_z gamma")
-    mu = float(np.linalg.eigvalsh(cond_xx)[0])
-    return PopulationSummary(
-        sigma_z=sigma_z,
-        sigma_zx=sigma_zx,
-        sigma_zy=sigma_zy,
-        gamma_closed=gamma_closed,
-        theta_closed=theta_closed,
-        mu=mu,
-        cond_xx=cond_xx,
-        cond_xy=cond_xy,
-    )
+    return _summary(z.T @ z / n, z.T @ x / n, z.T @ y / n, cond_xx, cond_xy)
 
 
 #: Seed and size of the Monte-Carlo samples behind the measured constants.

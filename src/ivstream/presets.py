@@ -8,7 +8,7 @@ resolved spec back in the same schema. Every preset cell is such a config, so
 
 Config schema (JSON)
 --------------------
-Required: ``dgp.family``, ``algorithm`` (or ``algorithms`` for compare),
+Required: ``dgp.family``, ``algorithm`` (or a list of distinct ``algorithms``),
 ``T``, ``trials``. Optional keys with defaults::
 
     {
@@ -204,6 +204,9 @@ def specs_from_config(
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
+    repeated = [a for i, a in enumerate(algorithms) if a in algorithms[:i]]
+    if repeated:
+        raise ConfigError(f"'algorithms' repeats {repeated[0]!r}")
 
     cfg = _dgp_from_dict(config["dgp"])
     horizon = int(config["T"] if T is None else T)

@@ -134,7 +134,8 @@ def test_criterion_7_test_mse_floor(fig2_two_stage_series):
     """Known-parameter MSE floor is the outcome noise variance, and the
     streamed estimate lands within 10% of it on the shared test sets."""
     cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
-    floor = metrics.test_mse(cfg.theta_star, dgp.test_set(make_rng(0xACCE77), cfg, 1_000_000))
+    _, test_x, test_y = dgp.sample_one_block(make_rng(0xACCE77), cfg, 1_000_000)
+    floor = metrics.test_mse_arrays(cfg.theta_star, test_x, test_y)
     series, _ = fig2_two_stage_series
     final_mse = float(series.mean("test_mse")[-1])
     oracle_mse = float(series.mean("oracle_mse")[-1])

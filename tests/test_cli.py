@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -82,6 +81,8 @@ class TestRun:
 
 
 class TestCompare:
+    """Several algorithms in one config, run through ``run --config``."""
+
     def test_paired_streams(self, tmp_path):
         config = {
             "dgp": {"family": "endogenous_linear", "d_x": 1, "d_z": 1, "rho": 1.0, "sigma_eps": 0.5},
@@ -92,7 +93,7 @@ class TestCompare:
         }
         cfg = _write_config(tmp_path / "cfg.json", config)
         out = tmp_path / "out"
-        assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         for alg in config["algorithms"]:
             assert (out / f"series_{alg}.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -106,7 +107,7 @@ class TestCompare:
         del config["algorithm"]
         cfg = _write_config(tmp_path / "cfg.json", config)
         out = tmp_path / "out"
-        assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["series.csv"]
 
@@ -171,6 +172,8 @@ class TestConfigErrors:
         (lambda c: c.pop("T"), "missing"),
         (lambda c: c.update(unknown_key=1), "unknown"),
         (lambda c: c.update(algorithms=["direct_sgd"]), "exactly one"),
+        (lambda c: c.update(algorithms=[c.pop("algorithm")] * 2), "repeats 'two_stage_sgd'"),
+        (lambda c: c.update(checkpoints=[]), "checkpoints must be non-empty"),
         (lambda c: c["dgp"].update(family="nope"), "family"),
         (lambda c: c.update(algorithm="nope"), "algorithm"),
         (lambda c: c["dgp"].update(extra=2), "unknown"),
@@ -195,6 +198,7 @@ class TestConfigErrors:
         (lambda c: c.update(init={"gamma0": [[0.0, 0.0]]}), "gamma0"),
         (lambda c: c.update(trials=0), "trials"),
         (lambda c: c.update(checkpoints=[5, 20]), "checkpoints"),
+        (lambda c: c.update(checkpoints=[]), "checkpoints must be non-empty"),
         (lambda c: c.update(T=1, schedule={"alpha": {"kind": "log_horizon"}, "beta": {"kind": "two_timescale"}}),
          "T >= 2"),
     ])
@@ -406,10 +410,21 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_corrupted_u0_negative_control(self, capsys, monkeypatch):
-        corrupted = functools.partial(cli._check_sherman_morrison, corrupt_u0=True)
-        monkeypatch.setattr(cli, "_check_sherman_morrison", corrupted)
-        rc = cli.main(["check"])
-        assert rc != 0
-        captured = capsys.readouterr()
-        assert "sherman_morrison" in captured.err
-        assert "FAIL" in captured.out
+        # The check fails when the 2SLS kernel it steps drifts U off the exact
+        # inverse, and when the kernel raises on corrupted state.
+        kernel = estimators.online_2sls_update
+
+        def drifting(*args):
+            theta, gamma, u, v = kernel(*args)
+            return theta, gamma, u * (1.0 + 1e-6), v
+
+        def raising(*args):
+            raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+
+        for corrupted in (drifting, raising):
+            monkeypatch.setattr(estimators, "online_2sls_update", corrupted)
+            rc = cli.main(["check"])
+            assert rc != 0
+            captured = capsys.readouterr()
+            assert "sherman_morrison" in captured.err
+            assert "FAIL" in captured.out

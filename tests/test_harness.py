@@ -63,7 +63,7 @@ class TestRunTrial:
     def test_single_iteration_single_point(self):
         spec = _tiny_spec(T=1, checkpoints=(1,), trials=1)
         res = harness.run_trial(spec, 0)
-        assert res.values("dist_sq").shape == (1, 1)
+        assert res.metrics["dist_sq"].shape == (1, 1)
         assert res.iterations.tolist() == [1]
 
     def test_bitwise_determinism(self):
@@ -71,20 +71,20 @@ class TestRunTrial:
         a = harness.run_trial(spec, 2)
         b = harness.run_trial(spec, 2)
         assert a.stream_digests == b.stream_digests
-        assert a.values("dist_sq").tobytes() == b.values("dist_sq").tobytes()
+        assert a.metrics["dist_sq"].tobytes() == b.metrics["dist_sq"].tobytes()
 
     def test_checkpoint_monotonicity(self):
         res = harness.run_trial(_tiny_spec(), 0)
         its = res.iterations.tolist()
         assert its == sorted(set(its))
-        assert res.values("dist_sq").shape == (1, len(its))
+        assert res.metrics["dist_sq"].shape == (1, len(its))
 
     def test_test_set_metrics_recorded(self):
         spec = _tiny_spec(test_n=50)
         res = harness.run_trial(spec, 0)
         assert sorted(res.metrics) == sorted(harness.METRICS)
-        assert np.isfinite(res.values("test_mse")).all()
-        oracle_vals = set(res.values("oracle_mse")[0].tolist())
+        assert np.isfinite(res.metrics["test_mse"]).all()
+        oracle_vals = set(res.metrics["oracle_mse"][0].tolist())
         assert len(oracle_vals) == 1  # drawn once per trial, constant across checkpoints
 
     def test_out_of_range_trial_index(self):
@@ -96,8 +96,7 @@ class TestRunExperiment:
     def test_single_trial_aggregate(self):
         spec = _tiny_spec(trials=1)
         series = harness.run_experiment(spec)
-        np.testing.assert_array_equal(series.mean("dist_sq"), series.values("dist_sq")[0])
-        np.testing.assert_array_equal(series.std("dist_sq"), 0.0)
+        np.testing.assert_array_equal(series.mean("dist_sq"), series.metrics["dist_sq"][0])
 
     def test_worker_count_invariance(self, monkeypatch):
         # Trials run alone (group size 1) or in one lockstep group of 6 agree bitwise.
@@ -105,7 +104,7 @@ class TestRunExperiment:
         s2 = harness.run_experiment(spec)
         monkeypatch.setattr(harness, "GROUP_SIZE", 1)
         s1 = harness.run_experiment(spec)
-        np.testing.assert_array_equal(s1.values("dist_sq"), s2.values("dist_sq"))
+        np.testing.assert_array_equal(s1.metrics["dist_sq"], s2.metrics["dist_sq"])
         assert s1.stream_digests == s2.stream_digests
         assert s1.combined_stream_digest() == s2.combined_stream_digest()
 
@@ -174,7 +173,7 @@ class TestLockstep:
             for i, res in enumerate(alone):
                 assert res.metrics.keys() == series.metrics.keys()
                 for m, v in series.metrics.items():
-                    assert res.values(m).tobytes() == v[i:i + 1].tobytes()
+                    assert res.metrics[m].tobytes() == v[i:i + 1].tobytes()
                 assert res.stream_digests == [series.stream_digests[i]]
             assert len(set(series.stream_digests)) == spec.trials
 
@@ -184,7 +183,7 @@ class TestLockstep:
         rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, 0)))
         tx, ty = metrics.stack_test_set(dgp.test_set(rng, spec.dgp, spec.test_n))
         res = harness.run_trial(spec, 0)
-        assert res.values("oracle_mse")[0, 0] == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
+        assert res.metrics["oracle_mse"][0, 0] == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
 
     def test_at_most_one_block_per_trial_of_a_group(self, monkeypatch):
         live, peak = [0], [0]
@@ -209,7 +208,7 @@ class TestLockstep:
             assert sizes == expected
             peak[0] = 0
             series = harness.run_experiment(spec)
-            assert series.values("dist_sq").shape[0] == 10
+            assert series.metrics["dist_sq"].shape[0] == 10
             assert peak[0] == max(sizes)
 
     @pytest.mark.parametrize("algorithm", ["online_2sls", "two_sample_sgd"])
@@ -314,11 +313,11 @@ class TestSharedPass:
 
     def test_two_oracles_run_as_two_passes(self, monkeypatch):
         passes = []
-        run_group = harness._run_group
+        run_pass = harness._run_pass
 
-        def recording(specs, indices):
+        def recording(specs, groups):
             passes.append([s.algorithm for s in specs])
-            return run_group(specs, indices)
+            return run_pass(specs, groups)
 
         config = {
             "dgp": {"family": "shared_confounder", "d_x": 2, "d_z": 3, "c": 0.5},
@@ -329,7 +328,7 @@ class TestSharedPass:
         }
         specs = presets.specs_from_config(config)
         alone = [harness.run_experiment(s) for s in specs]
-        monkeypatch.setattr(harness, "_run_group", recording)
+        monkeypatch.setattr(harness, "_run_pass", recording)
         results = harness.run_experiments(specs)
         assert passes == [["two_stage_sgd", "direct_sgd"], ["two_sample_sgd"]]
         assert [r.spec for r in results] == specs  # in spec order, not pass order

@@ -25,23 +25,27 @@ class TestDistToOpt:
             metrics.dist_to_opt([1.0], [1.0, 2.0])
 
 
+def _test_mse(theta, test) -> float:
+    return metrics.test_mse_arrays(theta, *metrics.stack_test_set(test))
+
+
 class TestTestMse:
     def test_zero_on_noise_free_data(self, rng):
         cfg = dgp.shared_confounder_config(4, 8, c=0.0, phi="identity")
         test = dgp.test_set(rng, cfg, 50)
-        assert metrics.test_mse(cfg.theta_star, test) == 0.0
+        assert _test_mse(cfg.theta_star, test) == 0.0
 
     def test_noise_floor(self):
         # Var(nu) = rho^2 sigma^2 + 0.25 = 0.5 for rho = 1, sigma_eps = 0.5.
         cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
         test = dgp.test_set(make_rng(31), cfg, 100_000)
-        assert metrics.test_mse(cfg.theta_star, test) == pytest.approx(0.5, rel=0.05)
+        assert _test_mse(cfg.theta_star, test) == pytest.approx(0.5, rel=0.05)
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
-            metrics.test_mse([1.0], [])
+            metrics.stack_test_set([])
 
     def test_nonnegative(self, rng):
         cfg = dgp.endogenous_linear_config(2, 3, rho=4.0, sigma_eps=1.0)
         test = dgp.test_set(rng, cfg, 64)
-        assert metrics.test_mse(np.array([-3.0, 7.0]), test) >= 0.0
+        assert _test_mse(np.array([-3.0, 7.0]), test) >= 0.0

@@ -96,7 +96,6 @@ class TestGradF:
     def test_scalar_case(self):
         # M = 2, theta - theta* = 3 -> gradient 6.
         s = PopulationSummary(
-            sigma_z=np.eye(1), sigma_zx=np.eye(1), sigma_zy=np.zeros(1),
             gamma_closed=np.eye(1), theta_closed=np.zeros(1), mu=2.0,
             cond_xx=np.array([[2.0]]), cond_xy=np.zeros(1),
         )
