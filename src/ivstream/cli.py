@@ -70,21 +70,19 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def series_rows(series: MetricSeries) -> list[tuple[str, str, int, int, str, float]]:
-    """One row per (trial, checkpoint, recorded metric), in CSV order."""
-    eid, alg = series.spec.experiment_id, series.spec.algorithm
+def series_rows(series: MetricSeries) -> list[str]:
+    """One CSV line per (trial, checkpoint, recorded metric), in the schema's order, which is the
+    harness's: trials and checkpoints ascend and :data:`ivstream.harness.METRICS` is sorted."""
+    prefix = f"{series.spec.experiment_id},{series.spec.algorithm}"
     names = [m for m in harness.METRICS if m in series.metrics]
     values = np.stack([series.metrics[m] for m in names], axis=-1)
     keys = product(range(values.shape[0]), series.iterations.tolist(), names)
-    return [(eid, alg, trial, it, m, v) for (trial, it, m), v in zip(keys, values.ravel().tolist())]
+    return [f"{prefix},{trial},{it},{m},{v!r}" for (trial, it, m), v in zip(keys, values.ravel().tolist())]
 
 
-def write_series_csv(path: Path, all_rows: list[tuple]) -> None:
-    """Write rows sorted by (algorithm, trial, iteration, metric), atomically."""
-    ordered = sorted(all_rows, key=lambda r: (r[1], r[2], r[3], r[4]))
-    lines = [CSV_HEADER]
-    lines.extend(f"{eid},{alg},{trial},{it},{metric},{value!r}" for eid, alg, trial, it, metric, value in ordered)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_series_csv(path: Path, lines: list[str]) -> None:
+    """Write the header and ``lines``, already in CSV order, atomically."""
+    _atomic_write(path, "\n".join([CSV_HEADER, *lines]) + "\n")
 
 
 def _utcnow() -> str:
@@ -92,21 +90,18 @@ def _utcnow() -> str:
 
 
 def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
-    """Run the specs, then write the joined CSV, per-algorithm CSVs, manifest."""
+    """Run the specs, one per algorithm, then write the joined CSV, per-algorithm CSVs, manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
-    all_rows: list[tuple] = []
-    per_alg: dict[str, list[tuple]] = {}
+    per_alg: dict[str, list[str]] = {}
     digests: dict[str, str] = {}
     diverged: dict[str, dict[int, int]] = {}
     for spec, series in zip(specs, harness.run_experiments(specs)):
-        rows = series_rows(series)
-        all_rows.extend(rows)
-        per_alg[spec.algorithm] = rows
+        per_alg[spec.algorithm] = series_rows(series)
         digests[spec.algorithm] = series.combined_stream_digest()
         diverged[spec.algorithm] = series.diverged()
     outputs = ["series.csv"]
-    write_series_csv(out_dir / "series.csv", all_rows)
+    write_series_csv(out_dir / "series.csv", [line for alg in sorted(per_alg) for line in per_alg[alg]])
     if len(specs) > 1:
         for alg, rows in per_alg.items():
             name = f"series_{alg}.csv"
@@ -253,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except (OSError, ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -68,10 +68,12 @@ algorithms compose with the wider ecosystem; fitted state lives in the
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
-from .schedule import Constant, StepSchedule, step
+from .schedule import Constant, Polynomial, StepSchedule, step
 
 DEFAULT_RIDGE = 0.1
 
@@ -251,9 +253,11 @@ WINDOW_KERNELS = {
 }
 
 
-def _as_schedule(value) -> StepSchedule:
-    if isinstance(value, (int, float)):
+def _as_schedule(value, name: str) -> StepSchedule:
+    if isinstance(value, numbers.Real):
         return Constant(float(value))
+    if not isinstance(value, (Constant, Polynomial)):
+        raise ValueError(f"{name} must be a number or a step schedule, got {value!r}")
     return value
 
 
@@ -338,7 +342,7 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
         self.n_iter_ = 0
 
     def _update(self, X, X_prime, y) -> "TwoSampleSGDRegressor":
-        alpha = _as_schedule(self.alpha)
+        alpha = _as_schedule(self.alpha, "alpha")
         theta, t = self.theta_, self.n_iter_
         try:
             for x, x_prime, y_t in zip(X, X_prime, y):
@@ -373,7 +377,7 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.gamma0 = gamma0
 
     def _update(self, Z, X, y):
-        alpha, beta, kernel = _as_schedule(self.alpha), _as_schedule(self.beta), self._kernel
+        alpha, beta, kernel = _as_schedule(self.alpha, "alpha"), _as_schedule(self.beta, "beta"), self._kernel
         theta, gamma, t = self.theta_, self.gamma_, self.n_iter_
         try:
             for z, x, y_t in zip(Z, X, y):

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from . import metrics as met
 from ._validation import as_float_matrix, as_float_vector, check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
@@ -322,10 +321,17 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
     rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
     tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
     if tests:
-        oracle = np.array([met.test_mse_arrays(theta_star, tx, ty) for tx, ty in tests])
+        test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
+
+        # Each trial's mean of (y - x . theta)^2 over its held-out set: the arithmetic of
+        # metrics.test_mse_arrays without its finiteness check, bitwise equal to it trial by trial.
+        def test_mse(theta):
+            r = test_y - np.matvec(test_x, theta)
+            return np.vecdot(r, r) / spec.test_n
+
+        oracle = test_mse(theta_star)
         for m in out:
             m["oracle_mse"][:] = oracle[:, None]
-        test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
 
     lanes: dict[tuple, list[int]] = {}
     for k, s in enumerate(specs):
@@ -361,16 +367,14 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
                 lane.step(z, x, xp, y, t, stop)
         t = stop
         if t == cps[cp_idx]:
-            # The arithmetic of metrics.dist_to_opt and metrics.test_mse_arrays,
-            # without their finiteness checks; the gufuncs are bitwise equal to
-            # the 1-d products, trial by trial.
+            # The arithmetic of metrics.dist_to_opt without its finiteness check,
+            # bitwise equal to it trial by trial.
             for lane in active:
                 for k, theta in zip(lane.members, lane.thetas):
                     d = theta - theta_star
                     np.vecdot(d, d, out=out[k]["dist_sq"][:, cp_idx])
                     if tests:
-                        r = test_y - np.matvec(test_x, theta)
-                        out[k]["test_mse"][:, cp_idx] = np.vecdot(r, r) / spec.test_n
+                        out[k]["test_mse"][:, cp_idx] = test_mse(theta)
                 # A spec whose trials have all diverged stops; its later checkpoints stay inf.
                 alive = np.array([np.isfinite(out[k]["dist_sq"][:, cp_idx]).any() for k in lane.members])
                 if not alive.all():

@@ -159,11 +159,10 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     covers a ball around the planted first-stage parameter that contains the
     initialisation ``gamma0`` (default zero).
 
-    The d_z-growth exponents (``varkappa``, ``vartheta``) are reported as
-    zero: a single process pins the constants at the actual d_z, so growth
-    and constant are not separately identifiable and the measured values are
-    folded into the constants. ``iota`` keeps its default; set it with
-    :func:`dataclasses.replace`.
+    A single process pins the constants at its actual d_z, so they include
+    any growth with d_z. The schedule's rate-loss parameter ``iota`` is not
+    a property of the process; it is an argument of
+    :func:`ivstream.schedule.two_timescale_schedules`.
     """
     rng = np.random.Generator(np.random.PCG64(_MC_SEED))
     summary = summarize(cfg) if cfg.is_linear else mc_moments(rng, cfg, _MC_N)
@@ -190,9 +189,7 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     return TheoryConstants(
         mu=summary.mu,
         lambda_z=lambda_z,
-        varkappa=0.0,
         c_gamma=c_gamma,
-        vartheta=0.0,
         sigma1_sq=sigma1_sq,
         gamma_star_norm=gnorm_spec,
     )

@@ -62,8 +62,8 @@ are identical across algorithms and the curves are paired.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import numbers
 
 from .dgp import DgpConfig, EndogenousLinear, endogenous_linear_config, shared_confounder_config
 from .estimators import DEFAULT_RIDGE
@@ -86,6 +86,19 @@ def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+# An integral float such as 1e5 is an integer, a fraction is not.
+def _integer(value, name: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or _real(value, name).is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _dgp_from_dict(d: dict) -> DgpConfig:
     if not isinstance(d, dict):
         raise ConfigError("'dgp' must be an object")
@@ -100,17 +113,14 @@ def _dgp_from_dict(d: dict) -> DgpConfig:
         gamma_star=d.get("gamma_star"),
         z_cov=d.get("z_cov"),
     )
-    d_x = int(d.get("d_x", 1))
-    d_z = int(d.get("d_z", d_x))
-    try:
-        if family == "endogenous_linear":
-            return endogenous_linear_config(d_x, d_z, rho=float(d.get("rho", 1.0)),
-                                            sigma_eps=float(d.get("sigma_eps", 0.5)), **kw)
-        if family == "shared_confounder":
-            return shared_confounder_config(d_x, d_z, c=float(d.get("c", 0.1)),
-                                            phi=d.get("phi", "identity"), **kw)
-    except ValueError as e:
-        raise ConfigError(f"invalid dgp: {e}") from e
+    d_x = _integer(d.get("d_x", 1), "dgp.d_x")
+    d_z = _integer(d.get("d_z", d_x), "dgp.d_z")
+    if family == "endogenous_linear":
+        return endogenous_linear_config(d_x, d_z, rho=_real(d.get("rho", 1.0), "dgp.rho"),
+                                        sigma_eps=_real(d.get("sigma_eps", 0.5), "dgp.sigma_eps"), **kw)
+    if family == "shared_confounder":
+        return shared_confounder_config(d_x, d_z, c=_real(d.get("c", 0.1), "dgp.c"),
+                                        phi=d.get("phi", "identity"), **kw)
     raise ConfigError(f"dgp.family must be 'endogenous_linear' or 'shared_confounder', got {family!r}")
 
 
@@ -157,21 +167,20 @@ def _resolve_schedule(d, which: str, cfg: DgpConfig, T: int, constants) -> StepS
     kind = d["kind"]
     if kind == "constant":
         _reject_unknown(d, {"kind", "value"}, f"schedule.{which}")
-        return Constant(float(d["value"]))
+        return Constant(_real(d.get("value"), f"schedule.{which}.value"))
     if kind == "polynomial":
         _reject_unknown(d, {"kind", "coeff", "exponent"}, f"schedule.{which}")
-        return Polynomial(float(d["coeff"]), float(d.get("exponent", 0.95)))
+        return Polynomial(_real(d.get("coeff"), f"schedule.{which}.coeff"),
+                          _real(d.get("exponent", 0.95), f"schedule.{which}.exponent"))
     if kind == "log_horizon":
         _reject_unknown(d, {"kind"}, f"schedule.{which}")
         if T < 2:
             raise ConfigError(f"schedule.{which}: log_horizon needs T >= 2, got {T}")
-        sched, _ = log_horizon_alpha(T, constants())
-        return sched
+        return log_horizon_alpha(T, constants())[0]
     if kind == "two_timescale":
         _reject_unknown(d, {"kind", "iota"}, f"schedule.{which}")
-        consts = dataclasses.replace(constants(), iota=float(d.get("iota", 0.1)))
-        alpha, beta = two_timescale_schedules(consts, cfg.d_z)
-        return alpha if which == "alpha" else beta
+        iota = _real(d.get("iota", 0.1), f"schedule.{which}.iota")
+        return two_timescale_schedules(constants(), cfg.d_z, iota)[("alpha", "beta").index(which)]
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
@@ -187,49 +196,49 @@ def specs_from_config(
     trials: int | None = None,
     T: int | None = None,
 ) -> list[ExperimentSpec]:
-    """Resolve a config dict into one spec per requested algorithm."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(config, _TOP_KEYS, "config")
-    for key in ("dgp", "T", "trials"):
-        if key not in config:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if ("algorithm" in config) == ("algorithms" in config):
-        raise ConfigError("config must define exactly one of 'algorithm' or 'algorithms'")
-    algorithms = config.get("algorithms", None)
-    if algorithms is None:
-        algorithms = [config["algorithm"]]
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ConfigError("'algorithms' must be a non-empty list")
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
-    repeated = [a for i, a in enumerate(algorithms) if a in algorithms[:i]]
-    if repeated:
-        raise ConfigError(f"'algorithms' repeats {repeated[0]!r}")
-
-    cfg = _dgp_from_dict(config["dgp"])
-    horizon = int(config["T"] if T is None else T)
-    n_trials = int(config["trials"] if trials is None else trials)
-    base_seed = int(config.get("seed", 0) if seed is None else seed)
-    test_n = int(config.get("test_n", 0))
-
-    init = config.get("init") or {}
-    if not isinstance(init, dict):
-        raise ConfigError("'init' must be an object")
-    _reject_unknown(init, {"theta0", "gamma0"}, "init")
-
-    sched = config.get("schedule") or {}
-    if not isinstance(sched, dict):
-        raise ConfigError("'schedule' must be an object")
-    _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
-
-    experiment_id = str(config.get("experiment_id", "experiment"))
+    """Resolve a config dict into one spec per requested algorithm; a malformed one raises ConfigError."""
     try:
-        lam = float(sched.get("lambda", DEFAULT_RIDGE))
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        _reject_unknown(config, _TOP_KEYS, "config")
+        for key in ("dgp", "T", "trials"):
+            if key not in config:
+                raise ConfigError(f"config is missing required key {key!r}")
+        if ("algorithm" in config) == ("algorithms" in config):
+            raise ConfigError("config must define exactly one of 'algorithm' or 'algorithms'")
+        algorithms = config["algorithms"] if "algorithms" in config else [config["algorithm"]]
+        if not isinstance(algorithms, list) or not algorithms:
+            raise ConfigError("'algorithms' must be a non-empty list")
+        unknown = [a for a in algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
+        repeated = [a for i, a in enumerate(algorithms) if a in algorithms[:i]]
+        if repeated:
+            raise ConfigError(f"'algorithms' repeats {repeated[0]!r}")
+
+        cfg = _dgp_from_dict(config["dgp"])
+        horizon = _integer(config["T"] if T is None else T, "T")
+        n_trials = _integer(config["trials"] if trials is None else trials, "trials")
+        base_seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
+        test_n = _integer(config.get("test_n", 0), "test_n")
+        checkpoints = config.get("checkpoints")
+        checkpoints = None if checkpoints is None else [_integer(c, "checkpoints") for c in checkpoints]
+
+        init = config.get("init") or {}
+        if not isinstance(init, dict):
+            raise ConfigError("'init' must be an object")
+        _reject_unknown(init, {"theta0", "gamma0"}, "init")
+
+        sched = config.get("schedule") or {}
+        if not isinstance(sched, dict):
+            raise ConfigError("'schedule' must be an object")
+        _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
+
+        experiment_id = str(config.get("experiment_id", "experiment"))
+        lam = _real(sched.get("lambda", DEFAULT_RIDGE), "schedule.lambda")
         # Everything but the schedules is checked first, so a bad config is rejected
         # before the constants are measured.
-        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, config.get("checkpoints"),
+        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, checkpoints,
                                                 lam, init.get("theta0"), init.get("gamma0"))
         # Each schedule, and the constants it may need, is resolved once per config.
         constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
@@ -242,7 +251,7 @@ def specs_from_config(
             )
             for alg in algorithms
         ]
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 

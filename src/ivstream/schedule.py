@@ -9,10 +9,10 @@ Two schedule shapes cover everything the streaming estimators need:
   fast and slow recursions is provided by :func:`two_timescale_schedules`.
 
 :class:`TheoryConstants` collects the model-level quantities (strong
-convexity, instrument spectrum bounds, iterate-set diameter, gradient-noise
-second moment) from which the prescribed schedules are computed. In
-simulation they are measured from the planted data-generating process by
-:func:`ivstream.oracle.theory_constants`.
+convexity, instrument spectrum bound, iterate-set diameter, gradient-noise
+second moment, first-stage norm) from which the prescribed schedules are
+computed. In simulation they are measured from the planted data-generating
+process by :func:`ivstream.oracle.theory_constants`.
 """
 
 from __future__ import annotations
@@ -90,12 +90,7 @@ class TheoryConstants:
     mu : strong-convexity constant, the smallest eigenvalue of
         E[E[X|Z] E[X|Z]^T].
     lambda_z : largest eigenvalue bound of Cov(Z).
-    varkappa, c_gamma : the fast-iterate set has diameter
-        c_gamma * d_z**varkappa.
-    vartheta : growth exponent of the fourth-moment bounds on the
-        instrument-noise terms.
-    iota : rate-loss parameter of the polynomial schedules (exponent
-        1 - iota/2).
+    c_gamma : diameter of the fast-iterate set.
     sigma1_sq : second-moment bound on the X'X^T part of the two-sample
         gradient noise; when given, it clamps :func:`log_horizon_alpha`.
     gamma_star_norm : spectral norm of the planted first-stage parameter.
@@ -103,20 +98,14 @@ class TheoryConstants:
 
     mu: float
     lambda_z: float = 1.0
-    varkappa: float = 0.0
     c_gamma: float = 1.0
-    vartheta: float = 0.0
-    iota: float = 0.1
     sigma1_sq: float | None = None
     gamma_star_norm: float = 1.0
 
     def __post_init__(self):
         check_positive(self.mu, "mu")
         check_positive(self.lambda_z, "lambda_z")
-        check_nonnegative(self.varkappa, "varkappa")
         check_positive(self.c_gamma, "c_gamma")
-        check_nonnegative(self.vartheta, "vartheta")
-        check_positive(self.iota, "iota")
         check_nonnegative(self.gamma_star_norm, "gamma_star_norm")
         if self.sigma1_sq is not None:
             check_nonnegative(self.sigma1_sq, "sigma1_sq")
@@ -145,33 +134,29 @@ def log_horizon_alpha(T: int, k: TheoryConstants) -> tuple[Constant, bool]:
     return Constant(alpha), clamped
 
 
-def two_timescale_schedules(k: TheoryConstants, d_z: int) -> tuple[Polynomial, Polynomial]:
+def two_timescale_schedules(k: TheoryConstants, d_z: int, iota: float = 0.1) -> tuple[Polynomial, Polynomial]:
     """Prescribed slow/fast schedules alpha_t, beta_t = C * t**(-(1 - iota/2)).
 
-    The coefficients follow the worst-case prescription::
+    ``iota`` > 0 is the rate-loss parameter of the one-sample rate
+    O(1/T^(1 - iota)). The coefficients follow the worst-case prescription::
 
-        C_alpha = min(0.5 * d_z**(-4*varkappa - vartheta/2) / (lambda_z * c_gamma^2),
-                      0.5 / (gamma_star_norm * lambda_z)^2)
-        C_beta  = mu^2 * d_z**(-1 - 2*varkappa) / 128
+        C_alpha = min(0.5 / (lambda_z * c_gamma^2), 0.5 / (gamma_star_norm * lambda_z)^2)
+        C_beta  = mu^2 * d_z**(-1) / 128
 
     Both schedules share the exponent 1 - iota/2. The exponent pair must
     satisfy the summability conditions 2*(1 - iota/2) > 1 and
     (3/2)*(1 - iota/2) > 1 that the convergence analysis relies on; the
-    function raises otherwise.
+    second implies the first, and the function raises when it fails.
     """
     d_z = int(d_z)
     if d_z < 1:
         raise ValueError("d_z must be >= 1")
     if k.gamma_star_norm <= 0.0:
         raise ValueError("gamma_star_norm must be positive to form the schedules")
-    exponent = 1.0 - k.iota / 2.0
-    if not 2.0 * exponent > 1.0:
-        raise ValueError(f"iota={k.iota} violates 2*(1 - iota/2) > 1")
+    iota = check_positive(iota, "iota")
+    exponent = 1.0 - iota / 2.0
     if not 1.5 * exponent > 1.0:
-        raise ValueError(f"iota={k.iota} violates (3/2)*(1 - iota/2) > 1")
-    c_alpha = min(
-        0.5 * d_z ** (-4.0 * k.varkappa - k.vartheta / 2.0) / (k.lambda_z * k.c_gamma**2),
-        0.5 / (k.gamma_star_norm * k.lambda_z) ** 2,
-    )
-    c_beta = k.mu**2 * d_z ** (-1.0 - 2.0 * k.varkappa) / 128.0
+        raise ValueError(f"iota={iota} violates (3/2)*(1 - iota/2) > 1")
+    c_alpha = min(0.5 / (k.lambda_z * k.c_gamma**2), 0.5 / (k.gamma_star_norm * k.lambda_z) ** 2)
+    c_beta = k.mu**2 * d_z ** -1.0 / 128.0
     return Polynomial(c_alpha, exponent), Polynomial(c_beta, exponent)

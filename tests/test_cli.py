@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -102,6 +101,20 @@ class TestCompare:
         # identical per-trial sample streams across algorithms
         assert len(set(digests.values())) == 1
 
+    def test_series_csv_joins_the_per_algorithm_files_in_order(self, tmp_path):
+        # series_rows returns each series in the harness's order and
+        # series.csv joins the per-algorithm files without sorting rows.
+        assert list(harness.METRICS) == sorted(harness.METRICS)
+        config = dict(MINIMAL, algorithms=["two_stage_sgd", "online_2sls", "direct_sgd"], trials=3, test_n=5)
+        del config["algorithm"]
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", config), "--out", str(out)]) == 0
+        body = (out / "series.csv").read_text().splitlines()[1:]
+        per_alg = [(out / f"series_{alg}.csv").read_text().splitlines()[1:] for alg in sorted(config["algorithms"])]
+        assert body == [line for lines in per_alg for line in lines]
+        keys = [(p[1], int(p[2]), int(p[3]), p[4]) for p in (line.split(",") for line in body)]
+        assert keys == sorted(keys) and len(keys) == 3 * 3 * 10 * 3
+
     def test_single_algorithm_degenerates_to_run(self, tmp_path):
         config = dict(MINIMAL, algorithms=["two_stage_sgd"])
         del config["algorithm"]
@@ -139,8 +152,8 @@ class TestScheduleResolution:
         # The schedules equal a fresh measurement per schedule, each with its own iota.
         cfg = specs[0].dgp
         consts = oracle.theory_constants(cfg)
-        alpha, _ = schedule.two_timescale_schedules(dataclasses.replace(consts, iota=0.1), cfg.d_z)
-        _, beta = schedule.two_timescale_schedules(dataclasses.replace(consts, iota=0.2), cfg.d_z)
+        alpha, _ = schedule.two_timescale_schedules(consts, cfg.d_z, iota=0.1)
+        _, beta = schedule.two_timescale_schedules(consts, cfg.d_z, iota=0.2)
         for spec in specs:
             assert spec.alpha == alpha and spec.beta == beta
 
@@ -182,6 +195,13 @@ class TestConfigErrors:
         (lambda c: c.update(dgp={"family": "endogenous_linear", "d_x": 4, "d_z": 4},
                             init={"theta0": [0.0]}), "theta0"),
         (lambda c: c.update(init={"gamma0": [[0.0, 0.0]]}), "gamma0"),
+        (lambda c: c["dgp"].update(d_x=None), "dgp.d_x must be a number"),
+        (lambda c: c.update(T=None), "T must be a number"),
+        (lambda c: c.update(T="abc"), "T must be a number"),
+        (lambda c: c.update(T=100.7), "T must be an integer"),
+        (lambda c: c.update(checkpoints=[1.5, 10]), "checkpoints must be an integer"),
+        (lambda c: c.update(schedule={"alpha": {"kind": "constant", "value": None}}), "schedule.alpha.value"),
+        (lambda c: c.update(schedule={"alpha": {"kind": "constant"}}), "schedule.alpha.value"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
         # A config error exits 2 before anything runs or is written.
@@ -221,6 +241,22 @@ class TestConfigErrors:
         assert match in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        outs = []
+        for name, T, checkpoints in (("int", 10, [1, 10]), ("float", 1e1, [1.0, 10.0])):
+            out = tmp_path / name
+            cfg = _write_config(tmp_path / f"{name}.json", dict(MINIMAL, T=T, checkpoints=checkpoints))
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+            outs.append((out / "series.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", MINIMAL), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept"
 
     def test_unreadable_config(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])

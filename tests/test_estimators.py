@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_rng
 from ivstream import dgp, estimators as est, harness, oracle
-from ivstream.schedule import Polynomial
+from ivstream.schedule import Constant, Polynomial
 
 
 class TestTwoSampleUpdate:
@@ -444,6 +444,22 @@ class TestRegressors:
             theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, z[t], x[t], y[t])
         np.testing.assert_array_equal(reg.theta_, theta)
         np.testing.assert_array_equal(reg.v_, v)
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [np.float32(0.01), np.int64(1), 0.01, 1, "0.01", None, [0.01]])
+    def test_step_size_is_a_real_number_or_a_schedule(self, which, value):
+        # Any real number is a constant step; anything else that is not a
+        # schedule is rejected by the parameter's name.
+        z, x, y = dgp.sample_one_block(make_rng(14), dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5), 20)
+        reg = est.TwoStageSGDRegressor(**{which: value})
+        if isinstance(value, (str, list, type(None))):
+            with pytest.raises(ValueError, match=which):
+                reg.fit(z, x, y)
+        else:
+            reg.fit(z, x, y)
+            ref = est.TwoStageSGDRegressor(**{which: Constant(float(value))}).fit(z, x, y)
+            assert reg.n_iter_ == 20
+            np.testing.assert_array_equal(reg.theta_, ref.theta_)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(AttributeError):

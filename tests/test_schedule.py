@@ -84,33 +84,29 @@ class TestLogHorizonAlpha:
 class TestTwoTimescaleSchedules:
     def test_reference_constants(self):
         # C_alpha = min(0.5 * 1 * 1 * 1, 0.5 * 1) = 0.5; C_beta = 1/128.
-        k = TheoryConstants(mu=1.0, lambda_z=1.0, varkappa=0.0,
-                            c_gamma=1.0, vartheta=0.0, iota=0.1, gamma_star_norm=1.0)
-        alpha, beta = schedule.two_timescale_schedules(k, 1)
+        k = TheoryConstants(mu=1.0, lambda_z=1.0, c_gamma=1.0, gamma_star_norm=1.0)
+        alpha, beta = schedule.two_timescale_schedules(k, 1, iota=0.1)
         assert alpha.coeff == 0.5
         assert beta.coeff == 1.0 / 128.0
         assert alpha.exponent == beta.exponent == 1.0 - 0.1 / 2.0
 
     def test_doubling_c_gamma_quarters_first_branch(self):
-        base = dict(mu=1.0, lambda_z=1.0, varkappa=0.0, vartheta=0.0,
-                    iota=0.1, gamma_star_norm=1.0)
-        a1, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=1.0, **base), 1)
-        a2, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=2.0, **base), 1)
+        base = dict(mu=1.0, lambda_z=1.0, gamma_star_norm=1.0)
+        a1, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=1.0, **base), 1, iota=0.1)
+        a2, _ = schedule.two_timescale_schedules(TheoryConstants(c_gamma=2.0, **base), 1, iota=0.1)
         assert a2.coeff == pytest.approx(a1.coeff / 4.0, rel=1e-12)
 
     def test_small_iota_pushes_exponent_to_one(self):
-        k = TheoryConstants(mu=1.0, iota=1e-4)
-        alpha, _ = schedule.two_timescale_schedules(k, 1)
+        alpha, _ = schedule.two_timescale_schedules(TheoryConstants(mu=1.0), 1, iota=1e-4)
         assert alpha.exponent == pytest.approx(1.0, abs=1e-4)
 
     def test_summability_exponent_assertion(self):
         # (3/2) * (1 - iota/2) > 1 fails for iota = 0.8.
         with pytest.raises(ValueError, match="iota"):
-            schedule.two_timescale_schedules(TheoryConstants(mu=1.0, iota=0.8), 1)
+            schedule.two_timescale_schedules(TheoryConstants(mu=1.0), 1, iota=0.8)
 
     def test_step_mass_is_summable_in_the_required_sense(self):
-        k = TheoryConstants(mu=1.0, iota=0.1)
-        alpha, beta = schedule.two_timescale_schedules(k, 1)
+        alpha, beta = schedule.two_timescale_schedules(TheoryConstants(mu=1.0), 1, iota=0.1)
         assert 2.0 * alpha.exponent > 1.0
         assert alpha.exponent + beta.exponent / 2.0 > 1.0
 
@@ -129,4 +125,4 @@ class TestTheoryConstants:
         with pytest.raises(ValueError):
             TheoryConstants(mu=-1.0)
         with pytest.raises(ValueError):
-            TheoryConstants(mu=1.0, iota=0.0)
+            schedule.two_timescale_schedules(TheoryConstants(mu=1.0), 1, iota=0.0)
