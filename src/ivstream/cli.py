@@ -91,6 +91,9 @@ def _utcnow() -> str:
 
 def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
     """Run the specs, one per algorithm, then write the joined CSV, per-algorithm CSVs, manifest."""
+    algorithms = [s.algorithm for s in specs]
+    if len(set(algorithms)) < len(algorithms):
+        raise ValueError(f"run_specs_to_dir takes one spec per algorithm, got {algorithms}")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
     per_alg: dict[str, list[str]] = {}
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except (OSError, RuntimeError, ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

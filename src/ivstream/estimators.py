@@ -46,16 +46,17 @@ operations.
 
 The window kernels run the same four updates for B trials stacked along a
 leading axis, which the experiment harness advances in lockstep. One call
-steps a whole window of rows in one Python loop and updates the stacked state
-in place; it never writes the window. Its buffers are allocated once per call,
-and the terms that do not depend on the state (``beta * z``) once per window.
-The products are the gufuncs ``np.vecdot``, ``np.matvec`` and ``np.vecmat``
-writing into those buffers. Each of their outputs is one trial's product,
-reduced by the same routine in the same order as the 1-d kernels' ``@`` on
-that trial's vectors, so each trial's iterates are bitwise equal to the 1-d
-kernels' (``np.einsum`` and ``.sum`` reduce in another order and differ in
-the last bit); ``tests/test_estimators.py`` checks this bit for bit.
-:func:`two_timescale_window` is the one kernel of both two-timescale
+steps a whole window of rows and updates the stacked state in place; it never
+writes the window. The loops are C, in ``_windows.c``, compiled on the first
+window call with the system ``cc`` and cached in ``~/.cache/ivstream`` (see
+:mod:`ivstream._native`); importing the package, the 1-d kernels and the
+regressors need no compiler. Each product calls the routine of numpy's own
+scipy-openblas64 that numpy's ``@`` calls on the same vectors, and the
+elementwise arithmetic keeps the 1-d kernels' order without fused
+multiply-adds, so each trial's iterates are bitwise equal to the 1-d
+kernels'; ``tests/test_estimators.py`` checks this bit for bit. Like the 1-d
+kernels' bits, they still depend on the BLAS kernel OpenBLAS picks for the
+CPU. :func:`two_timescale_window` is the one kernel of both two-timescale
 updates. It steps S thetas against one gamma, so the harness steps the
 two-timescale specs that share a first stage (same stream, alpha, beta and
 gamma0) in one call; :data:`WINDOW_KERNELS` holds the other two.
@@ -72,6 +73,7 @@ import numbers
 
 import numpy as np
 
+from . import _native
 from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
 from .schedule import Constant, Polynomial, StepSchedule, step
 
@@ -147,21 +149,37 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
 # for :func:`two_timescale_window`, which also takes the S flags ``direct``.
 # The window is z (rows, B, d_z), x and x_prime (rows, B, d_x) and y (rows, B),
 # and alphas and betas hold one step per row. Arguments an update does not use
-# may be None.
+# may be None. Each kernel checks the shapes and calls its loop in
+# ``_windows.c``.
+
+
+def _read(a, shape, name):
+    """``a`` as a C-contiguous float64 array of ``shape`` for a loop to read."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _written(a, shape, name):
+    """``a`` itself, for a loop to update in place: never a copy, so it must already fit."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"{name} must be a writeable C-contiguous float64 array, as it is updated in place")
+    return _read(a, shape, name)
+
+
+def _run(loop, args, *arrays) -> None:
+    """Call ``loop`` on ``args`` and the arrays' addresses; ``arrays`` holds each array for the call."""
+    if loop(*args, *(a.ctypes.data for a in arrays)):
+        raise MemoryError("the window loop could not allocate its work rows")
 
 
 def two_sample_window(state, z, x, x_prime, y, alphas, betas):
     """:func:`two_sample_update` over a window on B stacked trials (gamma is untouched)."""
-    theta = state[0]
-    resid = np.empty(len(theta))
-    resid_col = resid[:, None]
-    step = np.empty_like(theta)
-    for x_t, xp_t, y_t, alpha in zip(x, x_prime, y, alphas.tolist()):
-        np.vecdot(x_t, theta, out=resid)
-        resid -= y_t
-        resid *= alpha
-        np.multiply(resid_col, xp_t, out=step)
-        theta -= step
+    rows, b, d_x = np.shape(x)
+    _run(_native.loops().two_sample_window, (rows, b, d_x), _written(state[0], (b, d_x), "theta"),
+         _read(x, (rows, b, d_x), "x"), _read(x_prime, (rows, b, d_x), "x_prime"), _read(y, (rows, b), "y"),
+         _read(alphas, (rows,), "alphas"))
 
 
 def two_timescale_window(state, z, x, x_prime, y, alphas, betas, direct):
@@ -174,75 +192,26 @@ def two_timescale_window(state, z, x, x_prime, y, alphas, betas, direct):
     gamma step reads only (gamma, z, x, beta), never theta, so each theta is
     bitwise equal to its own one-theta run.
     """
-    theta, gamma = state
-    beta_z = (betas[:, None, None] * z)[..., None]  # (rows, B, d_z, 1)
-    zg = np.empty(theta.shape[1:])
-    zg_row = zg[:, None, :]
-    resid = np.empty(theta.shape[:2])
-    resid_col = resid[..., None]
-    step = np.empty_like(theta)
-    outer = np.empty_like(gamma)
-    residuals = list(zip(theta, resid, direct))
-    for z_t, x_t, y_t, bz_t, alpha in zip(z, x, y, beta_z, alphas.tolist()):
-        np.vecmat(z_t, gamma, out=zg)
-        for theta_s, resid_s, direct_s in residuals:
-            np.vecdot(x_t if direct_s else zg, theta_s, out=resid_s)
-        resid -= y_t
-        resid *= alpha
-        np.multiply(resid_col, zg, out=step)
-        theta -= step
-        zg -= x_t
-        np.multiply(bz_t, zg_row, out=outer)
-        gamma -= outer
+    (rows, b, d_z), d_x, s = np.shape(z), np.shape(x)[-1], len(direct)
+    _run(_native.loops().two_timescale_window, (rows, b, d_z, d_x, s, bytes(map(bool, direct))),
+         _written(state[0], (s, b, d_x), "theta"), _written(state[1], (b, d_z, d_x), "gamma"),
+         _read(z, (rows, b, d_z), "z"), _read(x, (rows, b, d_x), "x"), _read(y, (rows, b), "y"),
+         _read(alphas, (rows,), "alphas"), _read(betas, (rows,), "betas"))
 
 
 def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
     """:func:`online_2sls_update` over a window on B stacked trials.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
-    raises, ends the window with a NaN state: the same state as turning its
-    denominators to NaN at that step, since NaN spreads to every entry. Each
-    row keeps its smaller denominator (``np.fmin``, so a NaN one cannot hide a
-    negative one), and the check runs once per window. The other trials go on
-    as before, and the harness records that trial as diverged.
+    raises, ends the window with a NaN state, and a NaN denominator does not
+    hide a negative one. The other trials go on as before, and the harness
+    records that trial as diverged.
     """
-    theta, gamma, u, v = state
-    b, d_z, d_x = gamma.shape
-    w, uw, gain_u, x_w, step = (np.empty((b, d_x)) for _ in range(5))
-    vz, gain_v = np.empty((b, d_z)), np.empty((b, d_z))
-    denom, resid = np.empty((2, b)), np.empty(b)  # rows: U's and V's denominators
-    denom_u, denom_v = denom
-    outer_u, outer_v, outer_g = np.empty_like(u), np.empty_like(v), np.empty_like(gamma)
-    lowest = np.empty(y.shape)  # each row's smaller denominator, NaN-ignoring
-    # Broadcasting views of the buffers, made once.
-    uw_col, vz_col, gain_v_col = uw[:, :, None], vz[:, :, None], gain_v[:, :, None]
-    gain_u_row, gain_v_row, x_w_row = gain_u[:, None, :], gain_v[:, None, :], x_w[:, None, :]
-    denom_u_col, denom_v_col, resid_col = denom_u[:, None], denom_v[:, None], resid[:, None]
-    for z_t, x_t, y_t, low_t in zip(z, x, y, lowest):
-        np.vecmat(z_t, gamma, out=w)
-        np.matvec(v, z_t, out=vz)
-        np.vecdot(z_t, vz, out=denom_v)
-        np.matvec(u, w, out=uw)
-        np.vecdot(w, uw, out=denom_u)
-        denom += 1.0
-        np.fmin(denom_u, denom_v, out=low_t)
-        np.divide(vz, denom_v_col, out=gain_v)
-        np.multiply(vz_col, gain_v_row, out=outer_v)
-        v -= outer_v
-        np.subtract(x_t, w, out=x_w)
-        np.multiply(gain_v_col, x_w_row, out=outer_g)
-        gamma += outer_g
-        np.divide(uw, denom_u_col, out=gain_u)
-        np.multiply(uw_col, gain_u_row, out=outer_u)
-        u -= outer_u
-        np.vecdot(w, theta, out=resid)
-        np.subtract(y_t, resid, out=resid)
-        np.multiply(gain_u, resid_col, out=step)
-        theta += step
-    corrupted = (lowest <= 0.0).any(axis=0)
-    if corrupted.any():
-        for part in state:
-            part[corrupted] = np.nan
+    (rows, b, d_z), d_x = np.shape(z), np.shape(x)[-1]
+    shapes = ((b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))
+    _run(_native.loops().online_2sls_window, (rows, b, d_z, d_x),
+         *(_written(a, shape, name) for a, shape, name in zip(state, shapes, ("theta", "gamma", "U", "V"))),
+         _read(z, (rows, b, d_z), "z"), _read(x, (rows, b, d_x), "x"), _read(y, (rows, b), "y"))
 
 
 #: Window kernel of each harness algorithm that steps its own state; the
@@ -255,7 +224,7 @@ WINDOW_KERNELS = {
 
 def _as_schedule(value, name: str) -> StepSchedule:
     if isinstance(value, numbers.Real):
-        return Constant(float(value))
+        return Constant(check_positive(value, name))
     if not isinstance(value, (Constant, Polynomial)):
         raise ValueError(f"{name} must be a number or a step schedule, got {value!r}")
     return value

@@ -65,6 +65,8 @@ from __future__ import annotations
 import functools
 import numbers
 
+import numpy as np
+
 from .dgp import DgpConfig, EndogenousLinear, endogenous_linear_config, shared_confounder_config
 from .estimators import DEFAULT_RIDGE
 from .harness import ALGORITHMS, SCHEDULES, ExperimentSpec, check_run
@@ -99,6 +101,19 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _array(value, name: str):
+    """A JSON array of numbers as a float64 array; None stays None."""
+    if value is None:
+        return None
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged array
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
+    return arr.astype(np.float64)
+
+
 def _dgp_from_dict(d: dict) -> DgpConfig:
     if not isinstance(d, dict):
         raise ConfigError("'dgp' must be an object")
@@ -108,11 +123,7 @@ def _dgp_from_dict(d: dict) -> DgpConfig:
         "dgp",
     )
     family = d.get("family")
-    kw = dict(
-        theta_star=d.get("theta_star"),
-        gamma_star=d.get("gamma_star"),
-        z_cov=d.get("z_cov"),
-    )
+    kw = {key: _array(d.get(key), f"dgp.{key}") for key in ("theta_star", "gamma_star", "z_cov")}
     d_x = _integer(d.get("d_x", 1), "dgp.d_x")
     d_z = _integer(d.get("d_z", d_x), "dgp.d_z")
     if family == "endogenous_linear":
@@ -222,7 +233,10 @@ def specs_from_config(
         base_seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
         test_n = _integer(config.get("test_n", 0), "test_n")
         checkpoints = config.get("checkpoints")
-        checkpoints = None if checkpoints is None else [_integer(c, "checkpoints") for c in checkpoints]
+        if checkpoints is not None:
+            if not isinstance(checkpoints, (list, tuple)):
+                raise ConfigError(f"checkpoints must be a list of integers, got {checkpoints!r}")
+            checkpoints = [_integer(c, "checkpoints") for c in checkpoints]
 
         init = config.get("init") or {}
         if not isinstance(init, dict):
@@ -238,8 +252,8 @@ def specs_from_config(
         lam = _real(sched.get("lambda", DEFAULT_RIDGE), "schedule.lambda")
         # Everything but the schedules is checked first, so a bad config is rejected
         # before the constants are measured.
-        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, checkpoints,
-                                                lam, init.get("theta0"), init.get("gamma0"))
+        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, checkpoints, lam,
+                                                *(_array(init.get(k), f"init.{k}") for k in ("theta0", "gamma0")))
         # Each schedule, and the constants it may need, is resolved once per config.
         constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
         resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))

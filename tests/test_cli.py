@@ -115,6 +115,18 @@ class TestCompare:
         keys = [(p[1], int(p[2]), int(p[3]), p[4]) for p in (line.split(",") for line in body)]
         assert keys == sorted(keys) and len(keys) == 3 * 3 * 10 * 3
 
+    def test_repeated_algorithm_is_rejected_before_running(self, tmp_path):
+        # Outputs are keyed by algorithm, so a second spec of one algorithm would
+        # replace the first one's rows.
+        specs = [harness.ExperimentSpec(dgp=dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5),
+                                        algorithm="two_stage_sgd", T=20, trials=2, base_seed=0, experiment_id=eid,
+                                        alpha=schedule.Constant(0.01), beta=schedule.Constant(0.1))
+                 for eid in ("a", "b")]
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="one spec per algorithm"):
+            cli.run_specs_to_dir(specs, out)
+        assert not out.exists()
+
     def test_single_algorithm_degenerates_to_run(self, tmp_path):
         config = dict(MINIMAL, algorithms=["two_stage_sgd"])
         del config["algorithm"]
@@ -202,6 +214,11 @@ class TestConfigErrors:
         (lambda c: c.update(checkpoints=[1.5, 10]), "checkpoints must be an integer"),
         (lambda c: c.update(schedule={"alpha": {"kind": "constant", "value": None}}), "schedule.alpha.value"),
         (lambda c: c.update(schedule={"alpha": {"kind": "constant"}}), "schedule.alpha.value"),
+        (lambda c: c["dgp"].update(theta_star={"a": 1}), "dgp.theta_star must be an array of numbers"),
+        (lambda c: c["dgp"].update(gamma_star=[[1.0], "x"]), "dgp.gamma_star must be an array of numbers"),
+        (lambda c: c["dgp"].update(z_cov=[[True]]), "dgp.z_cov must be an array of numbers"),
+        (lambda c: c.update(init={"gamma0": [[None]]}), "init.gamma0 must be an array of numbers"),
+        (lambda c: c.update(checkpoints=5), "checkpoints must be a list of integers"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
         # A config error exits 2 before anything runs or is written.

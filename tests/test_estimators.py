@@ -1,10 +1,16 @@
+import _ctypes
 import copy
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
-from ivstream import dgp, estimators as est, harness, oracle
+from ivstream import _native, dgp, estimators as est, harness, oracle
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -321,6 +327,144 @@ class TestBatchKernels:
             est.online_2sls_window(state, z, x, None, y, None, None)
         assert all(not np.isfinite(part).any() for part in state)
 
+    # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
+    # vecmat at d_z > 1, which takes one ddot where every other size takes a dgemv.
+    @pytest.mark.parametrize("d_x,d_z,b", [(1, 1, 50), (1, 4, 7), (2, 3, 2), (3, 7, 1), (4, 4, 7),
+                                           (5, 9, 2), (6, 8, 1), (7, 12, 50), (8, 8, 2), (9, 14, 7)])
+    @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
+    def test_random_sizes_bitwise_equal_to_1d_kernels(self, lane, d_x, d_z, b):
+        # Random states, and S = 1 or 2 thetas on one gamma, after windows of 1, 7 and 256 rows.
+        windows = (1, 7, 256)
+        n = sum(windows)
+        rng = make_rng(97 * d_x + d_z)
+        cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
+        draws = [dgp.sample_two_block(rng, cfg, n) for _ in range(b)]
+        z, x, x_prime, y = (np.stack([d[k] for d in draws], axis=1) for k in range(4))
+        decay = np.arange(1.0, n + 1.0) ** -0.95
+        alphas, betas = 0.9 / (d_x + 2.0) * decay, 1.5 / (d_z + 2.0) * decay
+        algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
+        thetas, gamma = rng.standard_normal((len(algorithms), b, d_x)), 0.1 * rng.standard_normal((b, d_z, d_x))
+        if lane in est.WINDOW_KERNELS:
+            state = (thetas[0], gamma)
+            if lane == "online_2sls":
+                state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
+            trial = lambda s, i: tuple(part[i] for part in state)  # noqa: E731
+        else:
+            state = (thetas, gamma)
+            trial = lambda s, i: (thetas[s, i], gamma[i])  # noqa: E731
+        trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
+        start = 0
+        for rows in windows:
+            w = slice(start, start + rows)
+            if lane in est.WINDOW_KERNELS:
+                est.WINDOW_KERNELS[lane](state, z[w], x[w], x_prime[w], y[w], alphas[w], betas[w])
+            else:
+                est.two_timescale_window(state, z[w], x[w], x_prime[w], y[w], alphas[w], betas[w],
+                                         [a == "direct_sgd" for a in algorithms])
+            for t in range(start, start + rows):
+                trials = [[_reference_step(a, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
+                           for i, st in enumerate(per)] for a, per in zip(algorithms, trials)]
+            start += rows
+            for s, per in enumerate(trials):
+                for i, st in enumerate(per):
+                    for got, want in zip(trial(s, i), st):
+                        assert np.isfinite(want).all()
+                        assert got.tobytes() == want.tobytes()
+
+
+def _window_call(kernel, state, b=3, d_x=2, d_z=3, rows=4):
+    """Call ``kernel`` on ``state`` with a random window of these sizes."""
+    rng = make_rng(5)
+    window = (rng.standard_normal((rows, b, d_z)), rng.standard_normal((rows, b, d_x)),
+              rng.standard_normal((rows, b, d_x)), rng.standard_normal((rows, b)), np.full(rows, 0.1),
+              np.full(rows, 0.1))
+    if kernel == "two_timescale":
+        est.two_timescale_window(state, *window, (False, True))
+    else:
+        est.WINDOW_KERNELS[kernel](state, *window)
+
+
+def _fresh_state(kernel, b=3, d_x=2, d_z=3):
+    rng = make_rng(6)
+    theta = rng.standard_normal((2, b, d_x) if kernel == "two_timescale" else (b, d_x))
+    state = [theta, 0.1 * rng.standard_normal((b, d_z, d_x))]
+    if kernel == "online_2sls":
+        state += [np.tile(np.eye(d_x) * 10.0, (b, 1, 1)), np.tile(np.eye(d_z) * 10.0, (b, 1, 1))]
+    return state
+
+
+class TestNativeLoops:
+    """The compiled window loops: their build, its cache, and the state they update."""
+
+    def test_second_build_reuses_the_cache(self, tmp_path, monkeypatch):
+        built = _native.build(tmp_path)
+        stamp = built.stat().st_mtime_ns
+        monkeypatch.setattr(_native.subprocess, "run", lambda *a, **k: pytest.fail("the loops were recompiled"))
+        assert _native.build(tmp_path) == built
+        assert built.stat().st_mtime_ns == stamp
+        assert list(tmp_path.iterdir()) == [built]  # no temporary file is left beside it
+
+    def test_no_compiler_fails_at_the_first_window_only(self, tmp_path):
+        # Importing, the regressors and the 1-d kernels run without a compiler;
+        # the first window call (here through the CLI) reports the missing cc.
+        script = """if True:
+            import sys
+            import numpy as np
+            import ivstream
+            from ivstream import cli
+            z, x, y = np.ones((5, 2)), np.ones((5, 1)), np.ones(5)
+            for reg in (ivstream.TwoStageSGDRegressor(), ivstream.DirectSGDRegressor(), ivstream.Online2SLSRegressor()):
+                reg.fit(z, x, y)
+            ivstream.TwoSampleSGDRegressor().fit(z, x, y, x)
+            print("fitted")
+            sys.exit(cli.main(["run", "--preset", "fig3", "--trials", "1", "--iters", "10", "--out", sys.argv[1]]))
+        """
+        (tmp_path / "bin").mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "bin"), HOME=str(tmp_path),  # no cached build either
+                   PYTHONPATH=str(Path(est.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == "fitted\n"
+        assert "error: ivstream's window loops are compiled on first use, and there is no C compiler 'cc' on PATH" \
+            in done.stderr
+        assert not (tmp_path / ".cache").exists()
+
+    def test_numpy_without_its_openblas_is_named(self, tmp_path, monkeypatch):
+        # A numpy whose extension loads no scipy-openblas64: here one stood in
+        # for by ctypes' own extension module.
+        fake = types.SimpleNamespace(__version__="0.0", _core=types.SimpleNamespace(
+            _multiarray_umath=types.SimpleNamespace(__file__=_ctypes.__file__)))
+        monkeypatch.setattr(_native, "np", fake)
+        monkeypatch.setattr(_native.Path, "home", lambda: tmp_path)
+        with pytest.raises(RuntimeError, match="need a numpy that bundles the scipy-openblas64 BLAS"):
+            _native.loops.__wrapped__()
+        assert not any(tmp_path.iterdir())  # nothing was built
+
+    @pytest.mark.parametrize("kernel", ["two_sample_sgd", "two_timescale", "online_2sls"])
+    @pytest.mark.parametrize("bad", ["float32", "fortran", "strided", "read-only", "list", "shape"])
+    def test_state_is_updated_in_place_or_rejected(self, kernel, bad):
+        # The loops write the state arrays themselves, never a converted copy: a
+        # state part that is not a writeable C-contiguous float64 array of the
+        # right shape raises, and is left as it was.
+        state = _fresh_state(kernel)
+        k = 0 if kernel == "two_sample_sgd" else len(state) - 1  # the part the loop writes last
+        part = state[k]
+        strided = np.zeros(part.shape + (2,))[..., 0]
+        strided[...] = part
+        read_only = part.copy()
+        read_only.flags.writeable = False
+        state[k] = {"float32": part.astype(np.float32), "fortran": np.asfortranarray(part), "strided": strided,
+                    "read-only": read_only, "list": part.tolist(), "shape": part[:, :-1].copy()}[bad]
+        before = copy.deepcopy(state[k])
+        with pytest.raises(ValueError, match=("theta", "gamma", "U", "V")[k] if kernel != "two_timescale" else "gamma"):
+            _window_call(kernel, tuple(state))
+        np.testing.assert_array_equal(state[k], before)
+        # The same state with that part as it should be is stepped in place.
+        state[k] = part
+        _window_call(kernel, tuple(state))
+        assert not np.array_equal(part, before)
+
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation
 
@@ -460,6 +604,15 @@ class TestRegressors:
             ref = est.TwoStageSGDRegressor(**{which: Constant(float(value))}).fit(z, x, y)
             assert reg.n_iter_ == 20
             np.testing.assert_array_equal(reg.theta_, ref.theta_)
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [0, -1.0, np.float64(np.nan), np.inf])
+    def test_bad_constant_step_names_its_parameter(self, which, value):
+        z, x, y = np.ones((3, 2)), np.ones((3, 1)), np.ones(3)
+        reg = est.TwoStageSGDRegressor(**{which: value})
+        with pytest.raises(ValueError, match=f"^{which} must be a positive finite number"):
+            reg.fit(z, x, y)
+        assert reg.n_iter_ == 0
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(AttributeError):
