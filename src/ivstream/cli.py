@@ -147,10 +147,7 @@ def _check_sherman_morrison(seed: int) -> tuple[float, float]:
     rng = np.random.Generator(np.random.PCG64(seed))
     z, x, y = sample_one_block(rng, cfg, 1000)
     lam = 0.1
-    theta = np.zeros(8)
-    gamma = np.zeros((16, 8))
-    u = np.eye(8) / lam
-    v = np.eye(16) / lam
+    theta, gamma, u, v = est.initial_state(8, 16, lam=lam)
     acc_u = lam * np.eye(8)
     acc_v = lam * np.eye(16)
     try:

@@ -65,6 +65,9 @@ The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
 ``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes.
+
+:func:`initial_state` builds every first iterate: the regressors', the harness's,
+``ivstream check``'s and the oracle's. A real step size is a ``Constant`` schedule.
 """
 
 from __future__ import annotations
@@ -222,6 +225,18 @@ WINDOW_KERNELS = {
 }
 
 
+def initial_state(d_x: int, d_z: int, theta0=None, gamma0=None, lam=None) -> tuple[np.ndarray, ...]:
+    """The first iterates: (theta, gamma), zero unless given, plus (U, V) = (I / lam, I / lam)
+    of streaming 2SLS when ``lam`` is given. ``lam`` is checked first, then ``theta0`` and
+    ``gamma0``; a bad one raises ``ValueError``."""
+    if lam is not None:
+        lam = check_positive(lam, "lam")
+    theta = np.zeros(d_x) if theta0 is None else as_float_vector(theta0, d_x, "theta0")
+    gamma = np.zeros((d_z, d_x)) if gamma0 is None else as_float_matrix(gamma0, (d_z, d_x), "gamma0")
+    return (theta, gamma) if lam is None else (theta, gamma, np.eye(d_x) / lam, np.eye(d_z) / lam)
+
+
+# A real number is a constant step; anything else that is not a schedule raises, naming ``name``.
 def _as_schedule(value, name: str) -> StepSchedule:
     if isinstance(value, numbers.Real):
         return Constant(check_positive(value, name))
@@ -234,6 +249,7 @@ class _BaseIVRegressor:
     """Shared scikit-learn style plumbing: params, prediction, validation."""
 
     _param_names: tuple[str, ...] = ()
+    _iterates = ("theta_", "gamma_")  # the attributes set from :func:`initial_state`, in its order
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -251,16 +267,13 @@ class _BaseIVRegressor:
         X = np.asarray(X, dtype=float)
         return as_float_matrix(X[None, :] if X.ndim == 1 else X, name="X") @ self.theta_
 
-    def _init_iterates(self, d_x: int, d_z: int) -> None:
-        """Validated (theta0, gamma0), or zeros, as the first iterates."""
-        theta = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
-        gamma = np.zeros((d_z, d_x)) if self.gamma0 is None else as_float_matrix(self.gamma0, (d_z, d_x), "gamma0")
-        self.theta_, self.gamma_, self.n_iter_ = theta, gamma, 0
-
     # Sets up the iterates on first use; afterwards, checks the rows' widths.
     def _start(self, d_x: int, d_z: int) -> None:
         if not hasattr(self, "theta_"):
-            self._init_iterates(d_x, d_z)
+            start = initial_state(d_x, d_z, self.theta0, getattr(self, "gamma0", None), getattr(self, "lam", None))
+            for name, value in zip(self._iterates, start):
+                setattr(self, name, value)
+            self.n_iter_ = 0
         elif self.theta_.shape != (d_x,) or (hasattr(self, "gamma_") and self.gamma_.shape != (d_z, d_x)):
             raise ValueError(f"rows have d_x={d_x}, d_z={d_z}, which do not match the fitted state")
 
@@ -301,14 +314,11 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
     """
 
     _param_names = ("alpha", "theta0")
+    _iterates = ("theta_",)
 
     def __init__(self, alpha=0.01, theta0=None):
         self.alpha = alpha
         self.theta0 = theta0
-
-    def _init_iterates(self, d_x: int, d_z: int) -> None:
-        self.theta_ = np.zeros(d_x) if self.theta0 is None else as_float_vector(self.theta0, d_x, "theta0")
-        self.n_iter_ = 0
 
     def _update(self, X, X_prime, y) -> "TwoSampleSGDRegressor":
         alpha = _as_schedule(self.alpha, "alpha")
@@ -379,16 +389,12 @@ class Online2SLSRegressor(_BaseIVRegressor):
     """
 
     _param_names = ("lam", "theta0", "gamma0")
+    _iterates = ("theta_", "gamma_", "u_", "v_")
 
     def __init__(self, lam=DEFAULT_RIDGE, theta0=None, gamma0=None):
         self.lam = lam
         self.theta0 = theta0
         self.gamma0 = gamma0
-
-    def _init_iterates(self, d_x: int, d_z: int) -> None:
-        lam = check_positive(self.lam, "lam")
-        super()._init_iterates(d_x, d_z)
-        self.u_, self.v_ = np.eye(d_x) / lam, np.eye(d_z) / lam
 
     def _update(self, Z, X, y) -> "Online2SLSRegressor":
         theta, gamma, u, v, t = self.theta_, self.gamma_, self.u_, self.v_, self.n_iter_

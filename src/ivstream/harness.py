@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from ._validation import as_float_matrix, as_float_vector, check_positive
+from ._validation import check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
 
@@ -119,12 +119,16 @@ def log_checkpoints(T: int) -> list[int]:
     return [int(p) for p in pts]
 
 
-def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam: float, theta0, gamma0) -> tuple:
+def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam: float, theta0, gamma0,
+              experiment_id: str) -> tuple:
     """Validated ``(checkpoints, theta0, gamma0)`` of a run of ``dgp``.
 
     These are the checks of :class:`ExperimentSpec` that need no schedule;
     each failure raises ``ValueError``.
     """
+    # An id starts every CSV row, so it must not split a field or a line.
+    if not isinstance(experiment_id, str) or any(c in experiment_id for c in ',"\r\n'):
+        raise ValueError(f"experiment_id must be a string without commas, quotes or line breaks, got {experiment_id!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
     if trials < 1:
@@ -142,17 +146,13 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValueError("checkpoints must be strictly increasing")
     check_positive(lam, "lam")
-    d_x, d_z = dgp.d_x, dgp.d_z
-    return (
-        checkpoints,
-        None if theta0 is None else as_float_vector(theta0, d_x, "theta0"),
-        None if gamma0 is None else as_float_matrix(gamma0, (d_z, d_x), "gamma0"),
-    )
+    theta, gamma = est.initial_state(dgp.d_x, dgp.d_z, theta0, gamma0)
+    return checkpoints, None if theta0 is None else theta, None if gamma0 is None else gamma
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """Everything needed to reproduce one (DGP, algorithm, schedule) run."""
+    """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``."""
 
     dgp: DgpConfig
     algorithm: str
@@ -171,11 +171,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        needed = SCHEDULES[self.algorithm]
-        if any(getattr(self, which) is None for which in needed):
-            raise ValueError(f"{self.algorithm} requires the schedules {' and '.join(needed)}")
+        for which in ("alpha", "beta"):
+            if getattr(self, which) is not None or which in SCHEDULES[self.algorithm]:
+                object.__setattr__(self, which, est._as_schedule(getattr(self, which), which))
         checked = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
-                            self.lam, self.theta0, self.gamma0)
+                            self.lam, self.theta0, self.gamma0, self.experiment_id)
         for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
             object.__setattr__(self, name, value)
 
@@ -229,13 +229,9 @@ def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
 
 
 def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
-    d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
-    state = [
-        np.zeros(d_x) if spec.theta0 is None else spec.theta0,
-        np.zeros((d_z, d_x)) if spec.gamma0 is None else spec.gamma0,
-    ]
-    if spec.algorithm == "online_2sls":
-        state += [np.eye(d_x) / spec.lam, np.eye(d_z) / spec.lam]
+    """The spec's :func:`~ivstream.estimators.initial_state`, stacked for ``b`` trials."""
+    lam = spec.lam if spec.algorithm == "online_2sls" else None
+    state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0, lam)
     return tuple(np.tile(a, (b,) + (1,) * a.ndim) for a in state)
 
 
@@ -254,8 +250,7 @@ def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
     equal alpha, beta and gamma0, whose gamma recursions are then identical."""
     if spec.algorithm not in _RAW_RESIDUAL:
         return ("own", k)
-    gamma0 = np.zeros((spec.dgp.d_z, spec.dgp.d_x)) if spec.gamma0 is None else spec.gamma0
-    return ("two_timescale", spec.alpha, spec.beta, gamma0.tobytes())
+    return ("two_timescale", spec.alpha, spec.beta, _initial_state(spec, 1)[1].tobytes())
 
 
 class _Lane:
@@ -449,8 +444,8 @@ def run_experiment(spec: ExperimentSpec) -> MetricSeries:
 def fit_slope(iterations, values, tail_fraction: float) -> float:
     """Least-squares slope of log10(values) on log10(iterations) over the tail.
 
-    ``tail_fraction`` selects the trailing fraction of checkpoints. Raises if
-    the tail window holds fewer than 5 checkpoints or any non-positive value.
+    ``tail_fraction`` selects the trailing fraction of checkpoints. Raises if the
+    tail window holds fewer than 5 checkpoints or a non-finite or non-positive value.
     """
     iterations = np.asarray(iterations, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -463,7 +458,7 @@ def fit_slope(iterations, values, tail_fraction: float) -> float:
     window_val = values[-k:]
     if len(window_val) < 5:
         raise ValueError(f"tail window has {len(window_val)} checkpoints; need >= 5")
-    if np.any(window_val <= 0.0):
-        raise ValueError("tail window contains non-positive values; slope undefined")
+    if not (np.isfinite(window_val) & (window_val > 0.0)).all():
+        raise ValueError("tail window contains non-finite or non-positive values; slope undefined")
     coeffs = np.polyfit(np.log10(window_it), np.log10(window_val), 1)
     return float(coeffs[0])

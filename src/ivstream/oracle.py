@@ -34,6 +34,7 @@ from numpy.typing import NDArray
 
 from ._validation import as_float_vector, check_symmetric_pd
 from .dgp import DgpConfig, EndogenousLinear, conditional_mean_x, sample_two_block
+from .estimators import initial_state
 from .schedule import TheoryConstants
 
 
@@ -170,7 +171,7 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     gamma = cfg.gamma_star
     gnorm_spec = float(np.linalg.norm(gamma, 2))
     gnorm_fro = float(np.linalg.norm(gamma))
-    g0 = np.zeros_like(gamma) if gamma0 is None else np.asarray(gamma0, dtype=float)
+    g0 = initial_state(cfg.d_x, cfg.d_z, gamma0=gamma0)[1]
     c_gamma = max(2.0 * gnorm_fro, float(np.linalg.norm(g0 - gamma)) + gnorm_fro)
 
     z, x, x_p, _ = sample_two_block(rng, cfg, _MC_N)

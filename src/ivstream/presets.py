@@ -248,12 +248,13 @@ def specs_from_config(
             raise ConfigError("'schedule' must be an object")
         _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
 
-        experiment_id = str(config.get("experiment_id", "experiment"))
+        experiment_id = config.get("experiment_id", "experiment")
         lam = _real(sched.get("lambda", DEFAULT_RIDGE), "schedule.lambda")
         # Everything but the schedules is checked first, so a bad config is rejected
         # before the constants are measured.
         checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, checkpoints, lam,
-                                                *(_array(init.get(k), f"init.{k}") for k in ("theta0", "gamma0")))
+                                                *(_array(init.get(k), f"init.{k}") for k in ("theta0", "gamma0")),
+                                                experiment_id)
         # Each schedule, and the constants it may need, is resolved once per config.
         constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
         resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))

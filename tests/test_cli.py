@@ -219,6 +219,9 @@ class TestConfigErrors:
         (lambda c: c["dgp"].update(z_cov=[[True]]), "dgp.z_cov must be an array of numbers"),
         (lambda c: c.update(init={"gamma0": [[None]]}), "init.gamma0 must be an array of numbers"),
         (lambda c: c.update(checkpoints=5), "checkpoints must be a list of integers"),
+        # An id that would split a CSV row, or that is not a string, is rejected.
+        (lambda c: c.update(experiment_id="a,b\nc"), "experiment_id must be a string"),
+        (lambda c: c.update(experiment_id={"x": 1}), "experiment_id must be a string"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
         # A config error exits 2 before anything runs or is written.

@@ -592,18 +592,29 @@ class TestRegressors:
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [np.float32(0.01), np.int64(1), 0.01, 1, "0.01", None, [0.01]])
     def test_step_size_is_a_real_number_or_a_schedule(self, which, value):
-        # Any real number is a constant step; anything else that is not a
-        # schedule is rejected by the parameter's name.
-        z, x, y = dgp.sample_one_block(make_rng(14), dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5), 20)
+        # Any real number is a constant step, for a regressor and an experiment
+        # alike; anything else that is not a schedule is rejected by the
+        # parameter's name, by an experiment when it is built.
+        cfg = dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5)
+        z, x, y = dgp.sample_one_block(make_rng(14), cfg, 20)
         reg = est.TwoStageSGDRegressor(**{which: value})
+        spec = dict(dgp=cfg, algorithm="two_stage_sgd", T=30, trials=2, base_seed=3, test_n=5,
+                    alpha=Polynomial(0.3, 0.95), beta=Polynomial(0.5, 0.95))
         if isinstance(value, (str, list, type(None))):
             with pytest.raises(ValueError, match=which):
                 reg.fit(z, x, y)
+            with pytest.raises(ValueError, match=which):
+                harness.ExperimentSpec(**{**spec, which: value})
         else:
             reg.fit(z, x, y)
             ref = est.TwoStageSGDRegressor(**{which: Constant(float(value))}).fit(z, x, y)
             assert reg.n_iter_ == 20
             np.testing.assert_array_equal(reg.theta_, ref.theta_)
+            run = harness.run_experiment(harness.ExperimentSpec(**{**spec, which: value}))
+            ref = harness.run_experiment(harness.ExperimentSpec(**{**spec, which: Constant(float(value))}))
+            assert getattr(run.spec, which) == Constant(float(value))
+            for m, v in run.metrics.items():
+                assert v.tobytes() == ref.metrics[m].tobytes()
 
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [0, -1.0, np.float64(np.nan), np.inf])
@@ -643,6 +654,39 @@ class TestStates:
         reg = est.TwoSampleSGDRegressor(theta0=np.array([np.nan]))
         with pytest.raises(ValueError, match="theta0"):
             reg.partial_fit(np.ones(1), np.ones(1), 1.0, np.ones(1))
+
+    @pytest.mark.parametrize("algorithm,init", [
+        *((alg, {}) for alg in harness.ALGORITHMS),
+        *((alg, {"theta0": [0.5, -1.0]}) for alg in harness.ALGORITHMS),
+        *((alg, {"theta0": [0.5, -1.0], "gamma0": np.ones((3, 2))}) for alg in harness.ALGORITHMS
+          if alg not in harness.TWO_SAMPLE_ALGORITHMS),
+        ("online_2sls", {"lam": 2.5}),
+    ])
+    def test_experiment_starts_where_its_regressor_starts(self, algorithm, init):
+        # Row 0 of a harness start equals the regressor's iterates after a fit of zero rows.
+        cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
+        spec = harness.ExperimentSpec(dgp=cfg, algorithm=algorithm, T=10, trials=1, base_seed=0, alpha=0.1, beta=0.2,
+                                      **init)
+        reg = {"two_sample_sgd": est.TwoSampleSGDRegressor, "two_stage_sgd": est.TwoStageSGDRegressor,
+               "direct_sgd": est.DirectSGDRegressor, "online_2sls": est.Online2SLSRegressor}[algorithm](**init)
+        reg.fit(*_args(reg, np.empty((0, 3)), np.empty((0, 2)), np.empty(0), np.empty((0, 2))))
+        assert reg.n_iter_ == 0
+        start = harness._initial_state(spec, 1)
+        assert len(start) == (4 if algorithm == "online_2sls" else 2)
+        names = [name for name in ("theta_", "gamma_", "u_", "v_") if hasattr(reg, name)]
+        assert len(names) == (1 if algorithm == "two_sample_sgd" else len(start))
+        for name, row in zip(names, start):
+            np.testing.assert_array_equal(row[0], getattr(reg, name), err_msg=name)
+        np.testing.assert_array_equal(start[0][0], init.get("theta0", np.zeros(2)))
+        if algorithm == "online_2sls":
+            np.testing.assert_array_equal(start[3][0], np.eye(3) / init.get("lam", est.DEFAULT_RIDGE))
+
+    def test_initial_state_checks_lam_first(self):
+        with pytest.raises(ValueError, match="lam"):
+            est.initial_state(2, 3, theta0=np.zeros(5), lam=0.0)
+        with pytest.raises(ValueError, match="gamma0"):
+            est.initial_state(2, 3, gamma0=np.zeros((2, 2)), lam=1.0)
+        assert len(est.initial_state(2, 3)) == 2
 
     def test_online_2sls_state_validation(self):
         with pytest.raises(ValueError, match="lam"):

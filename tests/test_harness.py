@@ -362,6 +362,15 @@ class TestFitSlope:
         with pytest.raises(ValueError, match="non-positive"):
             harness.fit_slope(t, y, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_values_error(self, bad):
+        # A diverged mean in the tail gives no slope rather than nan.
+        t = np.logspace(0, 2, 10)
+        y = 1.0 / t
+        y[-2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            harness.fit_slope(t, y, 0.5)
+
     def test_window_too_small(self):
         with pytest.raises(ValueError, match="checkpoints"):
             harness.fit_slope(np.array([1.0, 2, 3, 4]), np.ones(4), 1.0)
@@ -382,6 +391,11 @@ class TestSpecValidation:
             _tiny_spec(beta=None)
         with pytest.raises(ValueError, match="alpha"):
             _tiny_spec(algorithm="two_sample_sgd", alpha=None, beta=None)
+
+    @pytest.mark.parametrize("experiment_id", ["a,b", 'a"b', "a\rb", "a,b\nc", {"x": 1}, 5])
+    def test_experiment_id_must_not_break_a_csv_row(self, experiment_id):
+        with pytest.raises(ValueError, match="experiment_id"):
+            _tiny_spec(experiment_id=experiment_id)
 
     def test_checkpoints_must_be_in_range_and_increasing(self):
         with pytest.raises(ValueError):
