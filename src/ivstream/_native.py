@@ -1,11 +1,13 @@
 """Build and load the compiled window loops of :mod:`ivstream.estimators`.
 
 ``_windows.c`` is compiled with the system ``cc`` on the first use of a
-window kernel and loaded with ctypes; importing ivstream never compiles. The
-build is cached in ``~/.cache/ivstream`` under a hash of the source and the
-flags, and renamed into place once complete, so a later process loads it
-without a compiler. The loops call the scipy-openblas64 routines that numpy's
-own gufuncs call, found through numpy's extension module when they are loaded.
+window kernel (the harness's first window, or a regressor's first ``fit``)
+and loaded with ctypes; importing ivstream never compiles. The build is
+cached in ``~/.cache/ivstream`` under a hash of the source and the flags,
+and renamed into place once complete, so a later process loads it without a
+compiler; a new build removes the older builds beside it. The loops call the
+scipy-openblas64 routines that numpy's own gufuncs call, found through
+numpy's extension module when they are loaded.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def build(cache: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Older builds go; a build in progress is a ``*.tmp`` and stays. A process
+    # that has loaded an old build keeps its mapping of the unlinked file.
+    for old in cache.glob("windows-*.so"):
+        if old != target:
+            old.unlink(missing_ok=True)
     return target
 
 

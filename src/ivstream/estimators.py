@@ -49,14 +49,15 @@ leading axis, which the experiment harness advances in lockstep. One call
 steps a whole window of rows and updates the stacked state in place; it never
 writes the window. The loops are C, in ``_windows.c``, compiled on the first
 window call with the system ``cc`` and cached in ``~/.cache/ivstream`` (see
-:mod:`ivstream._native`); importing the package, the 1-d kernels and the
-regressors need no compiler. Each product calls the routine of numpy's own
-scipy-openblas64 that numpy's ``@`` calls on the same vectors, and the
-elementwise arithmetic keeps the 1-d kernels' order without fused
-multiply-adds, so each trial's iterates are bitwise equal to the 1-d
-kernels'; ``tests/test_estimators.py`` checks this bit for bit. Like the 1-d
-kernels' bits, they still depend on the BLAS kernel OpenBLAS picks for the
-CPU. :func:`two_timescale_window` is the one kernel of both two-timescale
+:mod:`ivstream._native`). Importing the package, the 1-d kernels and the
+regressors' ``partial_fit`` and ``predict`` need no compiler; a regressor's
+``fit`` runs the loops, so its first call compiles them. Each product calls
+the routine of numpy's own scipy-openblas64 that numpy's ``@`` calls on the
+same vectors, and the elementwise arithmetic keeps the 1-d kernels' order
+without fused multiply-adds, so each trial's iterates are bitwise equal to
+the 1-d kernels'; ``tests/test_estimators.py`` checks this bit for bit.
+Like the 1-d kernels' bits, they still depend on the BLAS kernel OpenBLAS
+picks for the CPU. :func:`two_timescale_window` is the one kernel of both two-timescale
 updates. It steps S thetas against one gamma, so the harness steps the
 two-timescale specs that share a first stage (same stream, alpha, beta and
 gamma0) in one call; :data:`WINDOW_KERNELS` holds the other two.
@@ -64,7 +65,12 @@ gamma0) in one call; :data:`WINDOW_KERNELS` holds the other two.
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
-``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes.
+``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes. ``partial_fit``
+steps its row through the 1-d kernel. ``fit`` steps windows of up to
+:data:`FIT_WINDOW_ROWS` rows through the window kernel with B = 1, with the
+steps of :func:`ivstream.schedule.step_range`, which has the bits of
+:func:`ivstream.schedule.step`; so a ``fit`` is bitwise equal to
+``partial_fit`` row by row.
 
 :func:`initial_state` builds every first iterate: the regressors', the harness's,
 ``ivstream check``'s and the oracle's. A real step size is a ``Constant`` schedule.
@@ -78,7 +84,7 @@ import numpy as np
 
 from . import _native
 from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
-from .schedule import Constant, Polynomial, StepSchedule, step
+from .schedule import Constant, Polynomial, StepSchedule, step, step_range
 
 DEFAULT_RIDGE = 0.1
 
@@ -238,17 +244,23 @@ def initial_state(d_x: int, d_z: int, theta0=None, gamma0=None, lam=None) -> tup
 
 # A real number is a constant step; anything else that is not a schedule raises, naming ``name``.
 def _as_schedule(value, name: str) -> StepSchedule:
+    if isinstance(value, (Constant, Polynomial)):
+        return value
     if isinstance(value, numbers.Real):
         return Constant(check_positive(value, name))
-    if not isinstance(value, (Constant, Polynomial)):
-        raise ValueError(f"{name} must be a number or a step schedule, got {value!r}")
-    return value
+    raise ValueError(f"{name} must be a number or a step schedule, got {value!r}")
+
+
+#: Rows per window of a regressor's ``fit``. Each window's steps, and the copy
+#: of the iterates it is stepped on, are made once per window.
+FIT_WINDOW_ROWS = 256
 
 
 class _BaseIVRegressor:
-    """Shared scikit-learn style plumbing: params, prediction, validation."""
+    """Shared scikit-learn style plumbing: params, prediction, validation, the update loop."""
 
     _param_names: tuple[str, ...] = ()
+    _schedules: tuple[str, ...] = ()  # the step sizes the update takes, in its order
     _iterates = ("theta_", "gamma_")  # the attributes set from :func:`initial_state`, in its order
 
     def get_params(self, deep: bool = True) -> dict:
@@ -286,20 +298,49 @@ class _BaseIVRegressor:
         return Z, X, y
 
     # ``fit`` validates the whole stream once and ``partial_fit`` its one row;
-    # both then run the subclass's ``_update``, its one loop over the kernel.
-    # ``_update`` writes the iterates and ``n_iter_`` back in a ``finally``, so
-    # after a row raises they reflect exactly the rows consumed before it.
+    # both then run ``_update``. A subclass gives only its two calls of one
+    # update: ``_window``, its window kernel with B = 1, and ``_row``, its 1-d
+    # kernel; the two are bitwise equal. ``fit`` steps windows of up to
+    # FIT_WINDOW_ROWS rows, each on a copy of the iterates that replaces them
+    # only if it ends finite. Otherwise the window's rows are replayed through
+    # ``_row``, as ``partial_fit`` runs its row, so a row warns or raises just
+    # where it would in ``partial_fit``: where the iterates overflow, or where
+    # a 2SLS denominator is not positive. ``_row`` sets the iterates, and then
+    # ``n_iter_`` is counted, only once the kernel has returned, so after a row
+    # raises they reflect exactly the rows consumed before it.
+
+    def _update(self, Z, X, X_prime, y, windows: bool = True):
+        schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
+        if windows:
+            for start in range(0, len(y), FIT_WINDOW_ROWS):
+                rows = [None if a is None else a[start:start + FIT_WINDOW_ROWS] for a in (Z, X, X_prime, y)]
+                t, n = self.n_iter_, len(rows[-1])
+                work = [np.array(getattr(self, name), np.float64, order="C") for name in self._iterates]
+                self._window(work, *[None if a is None else a[:, None] for a in rows],
+                             *[step_range(s, t + n, t) for s in schedules])
+                if all(np.isfinite(a).all() for a in work):
+                    for name, value in zip(self._iterates, work):
+                        setattr(self, name, value)
+                    self.n_iter_ = t + n
+                else:
+                    self._update(*rows, windows=False)
+            return self
+        for i in range(len(y)):
+            self._row(Z[i], X[i], None if X_prime is None else X_prime[i], float(y[i]),
+                      *[step(s, self.n_iter_ + 1) for s in schedules])
+            self.n_iter_ += 1
+        return self
 
     def partial_fit(self, z, x, y: float):
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
         self._start(x.shape[0], z.shape[0])
-        return self._update((z,), (x,), (y,))
+        return self._update((z,), (x,), None, (y,), windows=False)
 
     def fit(self, Z, X, y):
         """Consume the rows of (Z, X, y) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         self._start(X.shape[1], Z.shape[1])
-        return self._update(Z, X, y.tolist())
+        return self._update(Z, X, None, y)
 
 
 class TwoSampleSGDRegressor(_BaseIVRegressor):
@@ -314,39 +355,37 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
     """
 
     _param_names = ("alpha", "theta0")
+    _schedules = ("alpha",)
     _iterates = ("theta_",)
 
     def __init__(self, alpha=0.01, theta0=None):
         self.alpha = alpha
         self.theta0 = theta0
 
-    def _update(self, X, X_prime, y) -> "TwoSampleSGDRegressor":
-        alpha = _as_schedule(self.alpha, "alpha")
-        theta, t = self.theta_, self.n_iter_
-        try:
-            for x, x_prime, y_t in zip(X, X_prime, y):
-                theta = two_sample_update(theta, x, x_prime, y_t, step(alpha, t + 1))
-                t += 1
-        finally:
-            self.theta_, self.n_iter_ = theta, t
-        return self
+    @staticmethod
+    def _window(state, z, x, x_prime, y, alphas):
+        two_sample_window((state[0][None],), z, x, x_prime, y, alphas, None)
+
+    def _row(self, z, x, x_prime, y, alpha):
+        self.theta_ = two_sample_update(self.theta_, x, x_prime, y, alpha)
 
     def partial_fit(self, z, x, y: float, x_prime) -> "TwoSampleSGDRegressor":
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
         x_prime = as_float_vector(x_prime, n=x.shape[0], name="x_prime")
         self._start(x.shape[0], z.shape[0])
-        return self._update((x,), (x_prime,), (y,))
+        return self._update((z,), (x,), (x_prime,), (y,), windows=False)
 
     def fit(self, Z, X, y, X_prime) -> "TwoSampleSGDRegressor":
         """Consume the rows of (Z, X, y, X_prime) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         X_prime = as_float_matrix(np.atleast_2d(np.asarray(X_prime, dtype=float)), X.shape, "X_prime")
         self._start(X.shape[1], Z.shape[1])
-        return self._update(X, X_prime, y.tolist())
+        return self._update(Z, X, X_prime, y)
 
 
 class _TwoTimescaleRegressor(_BaseIVRegressor):
     _param_names = ("alpha", "beta", "theta0", "gamma0")
+    _schedules = ("alpha", "beta")
     _kernel = staticmethod(two_stage_update)
 
     def __init__(self, alpha=0.01, beta=0.1, theta0=None, gamma0=None):
@@ -355,16 +394,12 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def _update(self, Z, X, y):
-        alpha, beta, kernel = _as_schedule(self.alpha, "alpha"), _as_schedule(self.beta, "beta"), self._kernel
-        theta, gamma, t = self.theta_, self.gamma_, self.n_iter_
-        try:
-            for z, x, y_t in zip(Z, X, y):
-                theta, gamma = kernel(theta, gamma, z, x, y_t, step(alpha, t + 1), step(beta, t + 1))
-                t += 1
-        finally:
-            self.theta_, self.gamma_, self.n_iter_ = theta, gamma, t
-        return self
+    def _window(self, state, z, x, x_prime, y, alphas, betas):
+        two_timescale_window((state[0][None, None], state[1][None]), z, x, x_prime, y, alphas, betas,
+                             (self._kernel is direct_residual_update,))
+
+    def _row(self, z, x, x_prime, y, alpha, beta):
+        self.theta_, self.gamma_ = self._kernel(self.theta_, self.gamma_, z, x, y, alpha, beta)
 
 
 class TwoStageSGDRegressor(_TwoTimescaleRegressor):
@@ -396,12 +431,10 @@ class Online2SLSRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def _update(self, Z, X, y) -> "Online2SLSRegressor":
-        theta, gamma, u, v, t = self.theta_, self.gamma_, self.u_, self.v_, self.n_iter_
-        try:
-            for z, x, y_t in zip(Z, X, y):
-                theta, gamma, u, v = online_2sls_update(theta, gamma, u, v, z, x, y_t)
-                t += 1
-        finally:
-            self.theta_, self.gamma_, self.u_, self.v_, self.n_iter_ = theta, gamma, u, v, t
-        return self
+    @staticmethod
+    def _window(state, z, x, x_prime, y):
+        online_2sls_window(tuple(a[None] for a in state), z, x, x_prime, y, None, None)
+
+    def _row(self, z, x, x_prime, y):
+        self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(self.theta_, self.gamma_, self.u_, self.v_,
+                                                                        z, x, y)

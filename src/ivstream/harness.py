@@ -129,12 +129,11 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
     # An id starts every CSV row, so it must not split a field or a line.
     if not isinstance(experiment_id, str) or any(c in experiment_id for c in ',"\r\n'):
         raise ValueError(f"experiment_id must be a string without commas, quotes or line breaks, got {experiment_id!r}")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if test_n < 0:
-        raise ValueError("test_n must be >= 0")
+    for name, value, least in (("T", T, 1), ("trials", trials, 1), ("test_n", test_n, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     if checkpoints is None:
         checkpoints = tuple(log_checkpoints(T))
     else:

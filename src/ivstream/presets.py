@@ -247,6 +247,12 @@ def specs_from_config(
         if not isinstance(sched, dict):
             raise ConfigError("'schedule' must be an object")
         _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
+        # A schedule no listed algorithm reads would never be checked; the
+        # null that spec_to_dict writes for one is no entry.
+        read = {which for alg in algorithms for which in SCHEDULES[alg]}
+        unread = [which for which in ("alpha", "beta") if sched.get(which) is not None and which not in read]
+        if unread:
+            raise ConfigError(f"schedule.{unread[0]} is given, but no listed algorithm reads it: {algorithms}")
 
         experiment_id = config.get("experiment_id", "experiment")
         lam = _real(sched.get("lambda", DEFAULT_RIDGE), "schedule.lambda")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -58,12 +59,26 @@ StepSchedule = Union[Constant, Polynomial]
 
 
 def step(s: StepSchedule, t: int) -> float:
-    """Step size at iteration t >= 1."""
+    """Step size at iteration t >= 1: coeff * t**(-exponent) by libm's ``pow``, as in :func:`step_range`."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if isinstance(s, Constant):
         return s.alpha
-    return s.coeff * float(t) ** (-s.exponent)
+    return s.coeff * math.pow(t, -s.exponent)
+
+
+def step_range(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
+    """:func:`step` at t = start + 1, ..., stop, bit for bit (used by the regressors' ``fit``).
+
+    Each power is libm's ``pow``, the one :func:`step` calls, so this costs
+    about 0.15 us per t where :func:`steps` costs a few ns.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    if isinstance(s, Constant):
+        return np.full(stop - start, s.alpha, dtype=np.float64)
+    return s.coeff * np.fromiter(map(math.pow, range(start + 1, stop + 1), repeat(-s.exponent)), np.float64,
+                                 stop - start)
 
 
 def steps(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
@@ -71,7 +86,7 @@ def steps(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
 
     numpy's SIMD ``power`` may differ from :func:`step` in the last bits
     (README, reproducibility), but each t's step does not depend on the range
-    it is computed in.
+    it is computed in. :func:`step_range` gives :func:`step`'s bits.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")

@@ -183,6 +183,16 @@ class TestManifest:
         rebuilt = cli.specs_from_config({k: v for k, v in snap.items() if k != "checkpoints"} | {"checkpoints": snap["checkpoints"]})
         assert cli.spec_to_dict(rebuilt[0]) == snap
 
+    @pytest.mark.parametrize("algorithm,family,nulls", [("online_2sls", "endogenous_linear", ["alpha", "beta"]),
+                                                       ("two_sample_sgd", "shared_confounder", ["beta"])])
+    def test_null_schedules_round_trip(self, algorithm, family, nulls):
+        # spec_to_dict writes null for a schedule the algorithm does not read,
+        # and that snapshot still builds as a config.
+        spec, = cli.specs_from_config(dict(MINIMAL, dgp={"family": family}, algorithm=algorithm))
+        snap = cli.spec_to_dict(spec)
+        assert [which for which in ("alpha", "beta") if snap["schedule"][which] is None] == nulls
+        assert cli.spec_to_dict(cli.specs_from_config(snap)[0]) == snap
+
     def test_csv_manifest_pairing(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", MINIMAL)
         out = tmp_path / "out"
@@ -222,6 +232,13 @@ class TestConfigErrors:
         # An id that would split a CSV row, or that is not a string, is rejected.
         (lambda c: c.update(experiment_id="a,b\nc"), "experiment_id must be a string"),
         (lambda c: c.update(experiment_id={"x": 1}), "experiment_id must be a string"),
+        # A schedule entry no listed algorithm reads, however malformed, was accepted unread.
+        (lambda c: c.update(algorithm="online_2sls", schedule={"alpha": {"kind": "bogus"}}),
+         "schedule.alpha is given, but no listed algorithm reads it"),
+        (lambda c: c.update(algorithm="online_2sls", schedule={"beta": {"kind": "constant", "value": 0.1}}),
+         "schedule.beta is given"),
+        (lambda c: c.update(algorithm="two_sample_sgd", dgp={"family": "shared_confounder"},
+                            schedule={"beta": {"kind": "two_timescale"}}), "schedule.beta is given"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
         # A config error exits 2 before anything runs or is written.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import make_rng
 from ivstream import _native, dgp, estimators as est, harness, oracle
-from ivstream.schedule import Constant, Polynomial
+from ivstream.schedule import Constant, Polynomial, step
 
 
 class TestTwoSampleUpdate:
@@ -404,30 +405,55 @@ class TestNativeLoops:
         assert built.stat().st_mtime_ns == stamp
         assert list(tmp_path.iterdir()) == [built]  # no temporary file is left beside it
 
+    def test_new_build_removes_older_builds_only(self, tmp_path):
+        # An older build goes once a new one is in place; another process's
+        # build in progress (a *.tmp) and other files stay.
+        stale = tmp_path / "windows-0123456789abcdef.so"
+        stale.write_bytes(b"an older build")
+        in_progress = tmp_path / "windows-fedcba9876543210.so8x_k2q1.tmp"
+        in_progress.write_bytes(b"")
+        other = tmp_path / "notes.txt"
+        other.write_text("kept", encoding="utf-8")
+        built = _native.build(tmp_path)
+        assert sorted(tmp_path.iterdir()) == sorted([built, in_progress, other])
+
     def test_no_compiler_fails_at_the_first_window_only(self, tmp_path):
-        # Importing, the regressors and the 1-d kernels run without a compiler;
-        # the first window call (here through the CLI) reports the missing cc.
+        # Importing, the 1-d kernels and partial_fit run without a compiler. A
+        # regressor's fit steps windows, so each fit reports the missing cc
+        # before it consumes a row, and so does a run of the CLI.
         script = """if True:
             import sys
             import numpy as np
             import ivstream
-            from ivstream import cli
+            from ivstream import cli, estimators as est
             z, x, y = np.ones((5, 2)), np.ones((5, 1)), np.ones(5)
-            for reg in (ivstream.TwoStageSGDRegressor(), ivstream.DirectSGDRegressor(), ivstream.Online2SLSRegressor()):
-                reg.fit(z, x, y)
-            ivstream.TwoSampleSGDRegressor().fit(z, x, y, x)
-            print("fitted")
+            regs = (est.TwoSampleSGDRegressor(), est.TwoStageSGDRegressor(), est.DirectSGDRegressor(),
+                    est.Online2SLSRegressor())
+            args = lambda reg, *a: a + (a[1],) if isinstance(reg, est.TwoSampleSGDRegressor) else a
+            for reg in regs:
+                for i in range(5):
+                    reg.partial_fit(*args(reg, z[i], x[i], y[i]))
+            est.two_sample_update(np.zeros(1), x[0], x[0], 1.0, 0.1)
+            est.two_stage_update(np.zeros(1), np.zeros((2, 1)), z[0], x[0], 1.0, 0.1, 0.1)
+            est.direct_residual_update(np.zeros(1), np.zeros((2, 1)), z[0], x[0], 1.0, 0.1, 0.1)
+            est.online_2sls_update(*est.initial_state(1, 2, lam=0.1), z[0], x[0], 1.0)
+            print("streamed", [reg.n_iter_ for reg in regs])
+            for reg in regs:
+                try:
+                    reg.fit(*args(reg, z, x, y))
+                except RuntimeError as e:
+                    print(reg.n_iter_, e)
             sys.exit(cli.main(["run", "--preset", "fig3", "--trials", "1", "--iters", "10", "--out", sys.argv[1]]))
         """
+        message = "ivstream's window loops are compiled on first use, and there is no C compiler 'cc' on PATH"
         (tmp_path / "bin").mkdir()
         env = dict(os.environ, PATH=str(tmp_path / "bin"), HOME=str(tmp_path),  # no cached build either
                    PYTHONPATH=str(Path(est.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stderr
-        assert done.stdout == "fitted\n"
-        assert "error: ivstream's window loops are compiled on first use, and there is no C compiler 'cc' on PATH" \
-            in done.stderr
+        assert done.stdout == "streamed [5, 5, 5, 5]\n" + f"5 {message}\n" * 4
+        assert f"error: {message}" in done.stderr
         assert not (tmp_path / ".cache").exists()
 
     def test_numpy_without_its_openblas_is_named(self, tmp_path, monkeypatch):
@@ -839,3 +865,86 @@ class TestOneUpdateLoop:
         with np.errstate(**raise_on), pytest.raises(FloatingPointError):
             ref.partial_fit(*(a[k] for a in args))
         _assert_same_state(reg, ref)
+
+
+def _reference_fit(name, reg, z, x, x_prime, y):
+    """The iterates after the rows, stepped one by one through the 1-d kernel from ``reg``'s iterates."""
+    state = [getattr(reg, a) for a in reg._iterates]
+    alpha, beta = (est._as_schedule(reg.get_params()[p], p) if p in reg.get_params() else None
+                   for p in ("alpha", "beta"))
+    for i, t in enumerate(range(reg.n_iter_ + 1, reg.n_iter_ + len(y) + 1)):
+        if name == "two_sample":
+            state = [est.two_sample_update(state[0], x[i], x_prime[i], float(y[i]), step(alpha, t))]
+        elif name == "online_2sls":
+            state = list(est.online_2sls_update(*state, z[i], x[i], float(y[i])))
+        else:
+            kernel = est.two_stage_update if name == "two_stage" else est.direct_residual_update
+            state = list(kernel(*state, z[i], x[i], float(y[i]), step(alpha, t), step(beta, t)))
+    return dict(zip(reg._iterates, state))
+
+
+class TestFitThroughWindows:
+    """``fit`` steps windows of the compiled loops; its bytes are those of the 1-d kernels row by row."""
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("steps", ["constant", "polynomial"])
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 5), (8, 16)])
+    def test_bitwise_equal_to_1d_kernel_rows(self, name, n, steps, d_x, d_z):
+        z, x, x_prime, y = _stream(d_x, d_z, n, seed=41)
+        reg = _regressor(name, d_x, d_z)
+        if steps == "constant":
+            reg.set_params(**{p: 0.5 / (d_x + 2.0) for p in ("alpha", "beta") if p in reg.get_params()})
+        reg.fit(*_args(reg, z[:0], x[:0], y[:0], x_prime[:0]))  # the first iterates, no row
+        want = _reference_fit(name, reg, z, x, x_prime, y)
+        reg.fit(*_args(reg, z, x, y, x_prime))
+        assert reg.n_iter_ == n
+        for a, value in want.items():
+            assert np.isfinite(value).all()
+            assert getattr(reg, a).tobytes() == value.tobytes(), a
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    def test_split_fit_equals_one_fit_late_in_the_stream(self, name):
+        # fit(A); fit(B) == fit(A || B) with the split inside a window, at
+        # n_iter_ above 1e6 where each step is libm's pow at a large t; both
+        # equal partial_fit row by row. A fit writes no array it handed out.
+        z, x, x_prime, y = _stream(2, 3, 600, seed=43)
+        start = _regressor(name, 2, 3)
+        start.fit(*_args(start, z[:0], x[:0], y[:0], x_prime[:0]))
+        start.n_iter_ = 1_234_567
+        whole, parts, streamed = (copy.deepcopy(start) for _ in range(3))
+        whole.fit(*_args(whole, z, x, y, x_prime))
+        parts.fit(*_args(parts, z[:300], x[:300], y[:300], x_prime[:300]))
+        handed_out = _state(parts)
+        views = {a: getattr(parts, a) for a in parts._iterates}
+        parts.fit(*_args(parts, z[300:], x[300:], y[300:], x_prime[300:]))
+        for i in range(len(y)):
+            streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
+        assert whole.n_iter_ == 1_234_567 + 600
+        for reg in (parts, streamed):
+            for a in whole._iterates:
+                assert getattr(reg, a).tobytes() == getattr(whole, a).tobytes(), a
+        _assert_same_state(views, {a: handed_out[a] for a in views})
+
+    @pytest.mark.parametrize("name", ["two_sample", "two_stage", "direct"])
+    def test_overflow_warns_as_partial_fit_does(self, name):
+        # Under numpy's default error handling an overflowing fit warns, and
+        # ends, exactly as the same rows through partial_fit.
+        z, x, x_prime, y = _stream(2, 3, 300, seed=47)
+        caught, regs = [], []
+        for rows in ("fit", "partial_fit"):
+            reg = _regressor(name, 2, 3)
+            reg.set_params(**{p: 50.0 for p in ("alpha", "beta") if p in reg.get_params()})
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                if rows == "fit":
+                    reg.fit(*_args(reg, z, x, y, x_prime))
+                else:
+                    for i in range(len(y)):
+                        reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
+            caught.append([(w.category, str(w.message)) for w in seen])
+            regs.append(reg)
+        assert caught[0] and caught[0] == caught[1]
+        assert not np.isfinite(regs[0].theta_).all()
+        for a in regs[0]._iterates:
+            assert getattr(regs[0], a).tobytes() == getattr(regs[1], a).tobytes()

@@ -402,3 +402,16 @@ class TestSpecValidation:
             _tiny_spec(checkpoints=(1, 501))
         with pytest.raises(ValueError):
             _tiny_spec(checkpoints=(10, 10))
+
+    @pytest.mark.parametrize("field,value", [("T", 100.5), ("T", 100.0), ("T", "100"), ("T", True),
+                                             ("trials", 2.5), ("trials", np.float64(2.0)), ("trials", None),
+                                             ("test_n", 5.5)])
+    def test_counts_must_be_integers(self, field, value):
+        # A fractional T or trials used to build a spec that ran a different
+        # number of trials, or died in the run with TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            _tiny_spec(**{field: value})
+
+    def test_numpy_integer_counts_are_integers(self):
+        spec = _tiny_spec(T=np.int64(50), trials=np.int32(2), test_n=np.int64(0))
+        assert harness.run_experiment(spec).metrics["dist_sq"].shape == (2, len(spec.checkpoints))
