@@ -7,7 +7,8 @@ cached in ``~/.cache/ivstream`` under a hash of the source and the flags,
 and renamed into place once complete, so a later process loads it without a
 compiler; a new build removes the older builds beside it. The loops call the
 scipy-openblas64 routines that numpy's own gufuncs call, found through
-numpy's extension module when they are loaded.
+numpy's extension module when they are loaded, and libm's ``pow`` for the
+steps of a regressor's ``fit``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,17 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_windows.c")
 
 #: ``-ffp-contract=off``: a fused multiply-add would round differently from numpy.
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: ``-O3`` keeps the bits (``_windows.c`` says why); ``-ffast-math`` would not.
+#: No ``-march=native``: the build key holds no CPU, so a build must not assume
+#: the CPU it was made on.
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+#: libm, for ``pow`` and the floating-point exception flags.
+LIBS = ("-lm",)
 
 
 def build(cache: Path) -> Path:
-    """The compiled loops in ``cache``, compiled first unless this source and these flags were."""
-    key = hashlib.sha256("\0".join((SOURCE.read_text(encoding="utf-8"), *CFLAGS)).encode()).hexdigest()
+    """The compiled loops in ``cache``, compiled first unless this source with these flags was."""
+    key = hashlib.sha256("\0".join((SOURCE.read_text(encoding="utf-8"), *CFLAGS, *LIBS)).encode()).hexdigest()
     target = cache / f"windows-{key[:16]}.so"
     if target.exists():
         return target
@@ -43,7 +49,7 @@ def build(cache: Path) -> Path:
     fd, tmp = tempfile.mkstemp(dir=cache, prefix=target.name, suffix=".tmp")
     os.close(fd)
     try:
-        done = subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True)
+        done = subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS], capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"cc could not compile ivstream's window loops:\n{done.stderr}")
         os.replace(tmp, target)
@@ -70,9 +76,11 @@ def loops() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build(Path.home() / ".cache" / "ivstream")))
     n, p = ctypes.c_int64, ctypes.c_void_p
     lib.use_blas.argtypes, lib.use_blas.restype = (p, p), None
-    lib.two_sample_window.argtypes, lib.two_sample_window.restype = (n, n, n) + (p,) * 5, None
+    lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None
+    lib.two_sample_window.argtypes = (n, n, n) + (p,) * 5
     lib.two_timescale_window.argtypes = (n,) * 5 + (ctypes.c_char_p,) + (p,) * 7
     lib.online_2sls_window.argtypes = (n,) * 4 + (p,) * 7
-    lib.two_timescale_window.restype = lib.online_2sls_window.restype = ctypes.c_int
+    for loop in (lib.two_sample_window, lib.two_timescale_window, lib.online_2sls_window):
+        loop.restype = ctypes.c_int
     lib.use_blas(*blas)
     return lib

@@ -11,13 +11,22 @@
  *                        and one ddot when A has a single column (m = 1)
  * Every other operation is one IEEE operation per element in numpy's order,
  * so the file must be compiled with -ffp-contract=off and without
- * -ffast-math. Arrays are C-contiguous float64: the state theta (B, d_x),
+ * -ffast-math. -O3 keeps these bits: the loops it vectorises are the
+ * elementwise updates, where each element is still one multiply and one
+ * subtract or add, rounded as before; every reduction is a BLAS call, and gcc
+ * reorders no floating-point sum without -ffast-math (or -fassociative-math).
+ * Arrays are C-contiguous float64: the state theta (B, d_x),
  * or (S, B, d_x) for the two-timescale loop, gamma (B, d_z, d_x),
  * U (B, d_x, d_x) and V (B, d_z, d_z); the window z (rows, B, d_z), x and
  * x_prime (rows, B, d_x), y (rows, B), and one step per row in alphas and
  * betas. Trials never read each other's state, so each trial runs through
  * the whole window in turn.
+ *
+ * Each loop clears the floating-point exception flags when it starts and
+ * returns those its arithmetic raised, as numpy's NPY_FPE_* bits (see
+ * fp_events), or -1 if it cannot allocate its work rows.
  */
+#include <fenv.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,6 +48,33 @@ void use_blas(ddot_fn *numpy_ddot, dgemv_fn *numpy_dgemv)
     dgemv = numpy_dgemv;
 }
 
+/* The flags raised since the loop began: divide 1, overflow 2, underflow 4, invalid 8, as numpy's. */
+static int fp_events(void)
+{
+    int raised = fetestexcept(FE_DIVBYZERO | FE_OVERFLOW | FE_UNDERFLOW | FE_INVALID);
+    return (raised & FE_DIVBYZERO ? 1 : 0) | (raised & FE_OVERFLOW ? 2 : 0) | (raised & FE_UNDERFLOW ? 4 : 0) |
+           (raised & FE_INVALID ? 8 : 0);
+}
+
+/*
+ * The steps of a regressor's fit at t = start + 1, ..., start + rows for n
+ * schedules, terms[2j] * pow(t, -terms[2j + 1]) into steps[j * rows + t - start - 1]:
+ * libm's pow, as schedule.step calls it. A constant step has exponent 0, as
+ * pow(t, -0.) is exactly 1. A schedule that shares its exponent with the one
+ * before it shares its pow.
+ */
+void fit_steps(blasint rows, blasint start, blasint n, const double *terms, double *steps)
+{
+    for (blasint i = 0; i < rows; i++) {
+        double t = (double)(start + 1 + i), power = 0.0;
+        for (blasint j = 0; j < n; j++) {
+            if (j == 0 || terms[2 * j + 1] != terms[2 * j - 1])
+                power = pow(t, -terms[2 * j + 1]);
+            steps[j * rows + i] = terms[2 * j] * power;
+        }
+    }
+}
+
 static double vecdot(blasint n, const double *a, const double *b)
 {
     return 0. + ddot(n, a, 1, b, 1);
@@ -58,9 +94,10 @@ static void vecmat(blasint n, blasint m, const double *x, const double *a, doubl
 }
 
 /* two_sample_update: theta -= (alpha * (x . theta - y)) * x_prime. */
-void two_sample_window(blasint rows, blasint b, blasint d_x, double *theta, const double *x,
-                       const double *x_prime, const double *y, const double *alphas)
+int two_sample_window(blasint rows, blasint b, blasint d_x, double *theta, const double *x,
+                      const double *x_prime, const double *y, const double *alphas)
 {
+    feclearexcept(FE_ALL_EXCEPT);
     for (blasint i = 0; i < b; i++) {
         double *th = theta + i * d_x;
         for (blasint t = 0; t < rows; t++) {
@@ -70,12 +107,12 @@ void two_sample_window(blasint rows, blasint b, blasint d_x, double *theta, cons
                 th[k] -= resid * xp_t[k];
         }
     }
+    return fp_events();
 }
 
 /*
  * S thetas on one gamma: theta s takes the raw residual x . theta - y when
- * direct[s], else the predicted one (z^T gamma) . theta - y. Returns -1 if
- * its work row cannot be allocated, else 0.
+ * direct[s], else the predicted one (z^T gamma) . theta - y.
  */
 int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blasint s, const char *direct,
                          double *theta, double *gamma, const double *z, const double *x, const double *y,
@@ -84,6 +121,7 @@ int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blas
     double *zg = malloc((size_t)(d_x + s) * sizeof(double)), *resid = zg + d_x;
     if (zg == NULL)
         return -1;
+    feclearexcept(FE_ALL_EXCEPT);
     for (blasint i = 0; i < b; i++) {
         double *g = gamma + i * d_z * d_x;
         for (blasint t = 0; t < rows; t++) {
@@ -105,15 +143,15 @@ int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blas
             }
         }
     }
+    int events = fp_events();
     free(zg);
-    return 0;
+    return events;
 }
 
 /*
  * online_2sls_update. A trial whose rank-one denominator is not positive,
  * where the 1-d kernel raises, ends the window with every entry of its
- * state NaN; a NaN denominator does not hide a non-positive one. Returns -1
- * if its work rows cannot be allocated, else 0.
+ * state NaN; a NaN denominator does not hide a non-positive one.
  */
 int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double *theta, double *gamma,
                        double *u, double *v, const double *z, const double *x, const double *y)
@@ -121,6 +159,7 @@ int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double
     double *w = malloc((size_t)(4 * d_x + 2 * d_z) * sizeof(double));
     if (w == NULL)
         return -1;
+    feclearexcept(FE_ALL_EXCEPT);
     double *uw = w + d_x, *gain_u = uw + d_x, *x_w = gain_u + d_x, *vz = x_w + d_x, *gain_v = vz + d_z;
     for (blasint i = 0; i < b; i++) {
         double *th = theta + i * d_x, *g = gamma + i * d_z * d_x, *u_i = u + i * d_x * d_x,
@@ -161,6 +200,7 @@ int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double
                 th[k] += gain_u[k] * resid;
         }
     }
+    int events = fp_events();
     free(w);
-    return 0;
+    return events;
 }

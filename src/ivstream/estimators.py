@@ -66,11 +66,15 @@ The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
 ``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes. ``partial_fit``
-steps its row through the 1-d kernel. ``fit`` steps windows of up to
-:data:`FIT_WINDOW_ROWS` rows through the window kernel with B = 1, with the
-steps of :func:`ivstream.schedule.step_range`, which has the bits of
-:func:`ivstream.schedule.step`; so a ``fit`` is bitwise equal to
-``partial_fit`` row by row.
+steps its row through the 1-d kernel. ``fit`` makes its rows C-contiguous
+float64 once and steps windows of up to :data:`FIT_WINDOW_ROWS` rows, each
+one call of the compiled loop with B = 1 on addresses read once per fit. The
+loops' ``fit_steps`` computes each window's steps with libm's ``pow``, which
+has the bits of :func:`ivstream.schedule.step`, so a ``fit`` is bitwise equal
+to ``partial_fit`` row by row. A window whose iterates end non-finite, or
+whose loop raised a floating-point event that ``np.geterr`` does not ignore,
+is undone and replayed row by row through the 1-d kernel, so ``fit`` warns
+and raises where ``partial_fit`` does.
 
 :func:`initial_state` builds every first iterate: the regressors', the harness's,
 ``ivstream check``'s and the oracle's. A real step size is a ``Constant`` schedule.
@@ -84,7 +88,7 @@ import numpy as np
 
 from . import _native
 from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
-from .schedule import Constant, Polynomial, StepSchedule, step, step_range
+from .schedule import Constant, Polynomial, StepSchedule, step
 
 DEFAULT_RIDGE = 0.1
 
@@ -177,10 +181,16 @@ def _written(a, shape, name):
     return _read(a, shape, name)
 
 
+def _checked(events: int) -> int:
+    """A loop's result, the floating-point events it raised, unless it could not allocate its work rows."""
+    if events < 0:
+        raise MemoryError("the window loop could not allocate its work rows")
+    return events
+
+
 def _run(loop, args, *arrays) -> None:
     """Call ``loop`` on ``args`` and the arrays' addresses; ``arrays`` holds each array for the call."""
-    if loop(*args, *(a.ctypes.data for a in arrays)):
-        raise MemoryError("the window loop could not allocate its work rows")
+    _checked(loop(*args, *(a.ctypes.data for a in arrays)))
 
 
 def two_sample_window(state, z, x, x_prime, y, alphas, betas):
@@ -251,9 +261,17 @@ def _as_schedule(value, name: str) -> StepSchedule:
     raise ValueError(f"{name} must be a number or a step schedule, got {value!r}")
 
 
-#: Rows per window of a regressor's ``fit``. Each window's steps, and the copy
-#: of the iterates it is stepped on, are made once per window.
-FIT_WINDOW_ROWS = 256
+#: Rows per window of a regressor's ``fit``. A window copies none of its rows;
+#: its iterates are copied before it runs, for a replay.
+FIT_WINDOW_ROWS = 4096
+
+#: The bit the window loops return for each floating-point event, by its ``np.geterr`` name.
+_FP_EVENTS = {"divide": 1, "over": 2, "under": 4, "invalid": 8}
+
+
+def _terms(s: StepSchedule) -> tuple[float, float]:
+    """(coeff, exponent) of ``s`` for the loops' ``fit_steps``: a constant step has exponent 0."""
+    return (float(s.alpha), 0.0) if isinstance(s, Constant) else (float(s.coeff), float(s.exponent))
 
 
 class _BaseIVRegressor:
@@ -297,50 +315,71 @@ class _BaseIVRegressor:
             raise ValueError("Z, X and y must have the same number of rows")
         return Z, X, y
 
-    # ``fit`` validates the whole stream once and ``partial_fit`` its one row;
-    # both then run ``_update``. A subclass gives only its two calls of one
-    # update: ``_window``, its window kernel with B = 1, and ``_row``, its 1-d
-    # kernel; the two are bitwise equal. ``fit`` steps windows of up to
-    # FIT_WINDOW_ROWS rows, each on a copy of the iterates that replaces them
-    # only if it ends finite. Otherwise the window's rows are replayed through
-    # ``_row``, as ``partial_fit`` runs its row, so a row warns or raises just
-    # where it would in ``partial_fit``: where the iterates overflow, or where
-    # a 2SLS denominator is not positive. ``_row`` sets the iterates, and then
-    # ``n_iter_`` is counted, only once the kernel has returned, so after a row
-    # raises they reflect exactly the rows consumed before it.
+    # ``fit`` validates the whole stream once and runs ``_update_windows``;
+    # ``partial_fit`` validates its one row and runs ``_update``. A subclass
+    # gives only its two calls of one update: ``_window``, its compiled loop
+    # with B = 1 on the addresses of the iterates and of a window's first rows,
+    # and ``_row``, its 1-d kernel; the two are bitwise equal. ``fit`` makes the
+    # rows C-contiguous float64 and copies the iterates once, reads each address
+    # once and steps windows of up to FIT_WINDOW_ROWS rows in place, each after
+    # ``fit_steps`` has computed its steps. A window that ends non-finite, or
+    # that raised a floating-point event numpy does not ignore, is undone and
+    # its rows are replayed through ``_update``, as ``partial_fit`` runs its
+    # row, so a row warns or raises just where it would in ``partial_fit``:
+    # where the iterates overflow, where a 2SLS denominator overflows or is not
+    # positive. ``_row`` sets the iterates, and then ``n_iter_`` is counted,
+    # only once the kernel has returned, so after a row raises they reflect
+    # exactly the rows consumed before it.
 
-    def _update(self, Z, X, X_prime, y, windows: bool = True):
+    def _update(self, Z, X, X_prime, y):
         schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
-        if windows:
-            for start in range(0, len(y), FIT_WINDOW_ROWS):
-                rows = [None if a is None else a[start:start + FIT_WINDOW_ROWS] for a in (Z, X, X_prime, y)]
-                t, n = self.n_iter_, len(rows[-1])
-                work = [np.array(getattr(self, name), np.float64, order="C") for name in self._iterates]
-                self._window(work, *[None if a is None else a[:, None] for a in rows],
-                             *[step_range(s, t + n, t) for s in schedules])
-                if all(np.isfinite(a).all() for a in work):
-                    for name, value in zip(self._iterates, work):
-                        setattr(self, name, value)
-                    self.n_iter_ = t + n
-                else:
-                    self._update(*rows, windows=False)
-            return self
         for i in range(len(y)):
             self._row(Z[i], X[i], None if X_prime is None else X_prime[i], float(y[i]),
                       *[step(s, self.n_iter_ + 1) for s in schedules])
             self.n_iter_ += 1
         return self
 
+    def _update_windows(self, *rows):
+        schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
+        lib, n, k = _native.loops(), len(rows[-1]), len(schedules)
+        rows = [None if a is None else np.ascontiguousarray(a, np.float64) for a in rows]
+        d_z, d_x = rows[0].shape[1], rows[1].shape[1]
+        row_bytes = (8 * d_z, 8 * d_x, 8 * d_x, 8)
+        work = [np.array(getattr(self, name), np.float64, order="C") for name in self._iterates]
+        terms = np.array([_terms(s) for s in schedules], np.float64)
+        steps = np.empty(k * min(n, FIT_WINDOW_ROWS))
+        bases = [None if a is None else a.ctypes.data for a in rows]
+        state, terms_at, steps_at = [a.ctypes.data for a in work], terms.ctypes.data, steps.ctypes.data
+        reported = sum(bit for name, bit in _FP_EVENTS.items() if np.geterr()[name] != "ignore")
+        for name, a in zip(self._iterates, work):
+            setattr(self, name, a)
+        for start in range(0, n, FIT_WINDOW_ROWS):
+            size, t, saved = min(FIT_WINDOW_ROWS, n - start), self.n_iter_, [a.copy() for a in work]
+            lib.fit_steps(size, t, k, terms_at, steps_at)
+            events = _checked(self._window(lib, size, d_z, d_x, state,
+                                           *(None if b is None else b + start * w for b, w in zip(bases, row_bytes)),
+                                           *(steps_at + 8 * size * j for j in range(k))))
+            if events & reported or not all(np.isfinite(a).all() for a in work):
+                for a, before in zip(work, saved):
+                    np.copyto(a, before)
+                self._update(*[None if a is None else a[start:start + size] for a in rows])
+                for name, a in zip(self._iterates, work):
+                    np.copyto(a, getattr(self, name))
+                    setattr(self, name, a)
+            else:
+                self.n_iter_ = t + size
+        return self
+
     def partial_fit(self, z, x, y: float):
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
         self._start(x.shape[0], z.shape[0])
-        return self._update((z,), (x,), None, (y,), windows=False)
+        return self._update((z,), (x,), None, (y,))
 
     def fit(self, Z, X, y):
         """Consume the rows of (Z, X, y) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         self._start(X.shape[1], Z.shape[1])
-        return self._update(Z, X, None, y)
+        return self._update_windows(Z, X, None, y)
 
 
 class TwoSampleSGDRegressor(_BaseIVRegressor):
@@ -363,8 +402,8 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
         self.theta0 = theta0
 
     @staticmethod
-    def _window(state, z, x, x_prime, y, alphas):
-        two_sample_window((state[0][None],), z, x, x_prime, y, alphas, None)
+    def _window(lib, rows, d_z, d_x, state, z, x, x_prime, y, alphas):
+        return lib.two_sample_window(rows, 1, d_x, *state, x, x_prime, y, alphas)
 
     def _row(self, z, x, x_prime, y, alpha):
         self.theta_ = two_sample_update(self.theta_, x, x_prime, y, alpha)
@@ -373,14 +412,14 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
         x_prime = as_float_vector(x_prime, n=x.shape[0], name="x_prime")
         self._start(x.shape[0], z.shape[0])
-        return self._update((z,), (x,), (x_prime,), (y,), windows=False)
+        return self._update((z,), (x,), (x_prime,), (y,))
 
     def fit(self, Z, X, y, X_prime) -> "TwoSampleSGDRegressor":
         """Consume the rows of (Z, X, y, X_prime) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         X_prime = as_float_matrix(np.atleast_2d(np.asarray(X_prime, dtype=float)), X.shape, "X_prime")
         self._start(X.shape[1], Z.shape[1])
-        return self._update(Z, X, X_prime, y)
+        return self._update_windows(Z, X, X_prime, y)
 
 
 class _TwoTimescaleRegressor(_BaseIVRegressor):
@@ -394,9 +433,9 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def _window(self, state, z, x, x_prime, y, alphas, betas):
-        two_timescale_window((state[0][None, None], state[1][None]), z, x, x_prime, y, alphas, betas,
-                             (self._kernel is direct_residual_update,))
+    def _window(self, lib, rows, d_z, d_x, state, z, x, x_prime, y, alphas, betas):
+        return lib.two_timescale_window(rows, 1, d_z, d_x, 1, bytes([self._kernel is direct_residual_update]),
+                                        *state, z, x, y, alphas, betas)
 
     def _row(self, z, x, x_prime, y, alpha, beta):
         self.theta_, self.gamma_ = self._kernel(self.theta_, self.gamma_, z, x, y, alpha, beta)
@@ -432,8 +471,8 @@ class Online2SLSRegressor(_BaseIVRegressor):
         self.gamma0 = gamma0
 
     @staticmethod
-    def _window(state, z, x, x_prime, y):
-        online_2sls_window(tuple(a[None] for a in state), z, x, x_prime, y, None, None)
+    def _window(lib, rows, d_z, d_x, state, z, x, x_prime, y):
+        return lib.online_2sls_window(rows, 1, d_z, d_x, *state, z, x, y)
 
     def _row(self, z, x, x_prime, y):
         self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(self.theta_, self.gamma_, self.u_, self.v_,

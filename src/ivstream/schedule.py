@@ -13,13 +13,15 @@ convexity, instrument spectrum bound, iterate-set diameter, gradient-noise
 second moment, first-stage norm) from which the prescribed schedules are
 computed. In simulation they are measured from the planted data-generating
 process by :func:`ivstream.oracle.theory_constants`.
+
+:func:`step` (libm's ``pow``) has the bits of a regressor's ``partial_fit``
+and ``fit``; :func:`steps` (numpy's ``power``) those of the harness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -59,7 +61,7 @@ StepSchedule = Union[Constant, Polynomial]
 
 
 def step(s: StepSchedule, t: int) -> float:
-    """Step size at iteration t >= 1: coeff * t**(-exponent) by libm's ``pow``, as in :func:`step_range`."""
+    """Step size at iteration t >= 1: coeff * t**(-exponent) by libm's ``pow``, as ``fit_steps`` in C."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if isinstance(s, Constant):
@@ -67,26 +69,12 @@ def step(s: StepSchedule, t: int) -> float:
     return s.coeff * math.pow(t, -s.exponent)
 
 
-def step_range(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
-    """:func:`step` at t = start + 1, ..., stop, bit for bit (used by the regressors' ``fit``).
-
-    Each power is libm's ``pow``, the one :func:`step` calls, so this costs
-    about 0.15 us per t where :func:`steps` costs a few ns.
-    """
-    if not 0 <= start < stop:
-        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
-    if isinstance(s, Constant):
-        return np.full(stop - start, s.alpha, dtype=np.float64)
-    return s.coeff * np.fromiter(map(math.pow, range(start + 1, stop + 1), repeat(-s.exponent)), np.float64,
-                                 stop - start)
-
-
 def steps(s: StepSchedule, stop: int, start: int = 0) -> np.ndarray:
     """Vectorized step sizes for t = start + 1, ..., stop (used by the trial loop).
 
     numpy's SIMD ``power`` may differ from :func:`step` in the last bits
     (README, reproducibility), but each t's step does not depend on the range
-    it is computed in. :func:`step_range` gives :func:`step`'s bits.
+    it is computed in.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")

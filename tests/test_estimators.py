@@ -768,28 +768,31 @@ def _stream(d_x, d_z, n, seed=31):
     return dgp.sample_two_block(make_rng(seed), dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5), n)
 
 
+W = est.FIT_WINDOW_ROWS
+
+
 class TestOneUpdateLoop:
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (8, 16)])
     def test_fit_equals_row_by_row_partial_fit(self, name, d_x, d_z):
-        z, x, x_prime, y = _stream(d_x, d_z, 400)
+        z, x, x_prime, y = _stream(d_x, d_z, W + 1)
         fitted = _regressor(name, d_x, d_z)
         fitted.fit(*_args(fitted, z, x, y, x_prime))
         streamed = _regressor(name, d_x, d_z)
         for i in range(len(y)):
             streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
-        assert fitted.n_iter_ == 400
+        assert fitted.n_iter_ == W + 1
         _assert_same_state(fitted, streamed)
 
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
     def test_fit_continues_the_stream(self, name):
         # fit(A); fit(B) == fit(A || B): n_iter_ carries into the step schedule.
-        z, x, x_prime, y = _stream(2, 3, 300)
+        z, x, x_prime, y = _stream(2, 3, 2 * W + 3)
         whole = _regressor(name, 2, 3)
         whole.fit(*_args(whole, z, x, y, x_prime))
         parts = _regressor(name, 2, 3)
-        parts.fit(*_args(parts, z[:120], x[:120], y[:120], x_prime[:120]))
-        parts.fit(*_args(parts, z[120:], x[120:], y[120:], x_prime[120:]))
+        parts.fit(*_args(parts, z[:W - 1], x[:W - 1], y[:W - 1], x_prime[:W - 1]))
+        parts.fit(*_args(parts, z[W - 1:], x[W - 1:], y[W - 1:], x_prime[W - 1:]))
         _assert_same_state(parts, whole)
 
     @pytest.mark.parametrize("name,d_x,d_z,bad", [
@@ -887,7 +890,7 @@ class TestFitThroughWindows:
     """``fit`` steps windows of the compiled loops; its bytes are those of the 1-d kernels row by row."""
 
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 2 * W + 3])
     @pytest.mark.parametrize("steps", ["constant", "polynomial"])
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 5), (8, 16)])
     def test_bitwise_equal_to_1d_kernel_rows(self, name, n, steps, d_x, d_z):
@@ -908,19 +911,20 @@ class TestFitThroughWindows:
         # fit(A); fit(B) == fit(A || B) with the split inside a window, at
         # n_iter_ above 1e6 where each step is libm's pow at a large t; both
         # equal partial_fit row by row. A fit writes no array it handed out.
-        z, x, x_prime, y = _stream(2, 3, 600, seed=43)
+        n, cut = W + 300, 300
+        z, x, x_prime, y = _stream(2, 3, n, seed=43)
         start = _regressor(name, 2, 3)
         start.fit(*_args(start, z[:0], x[:0], y[:0], x_prime[:0]))
         start.n_iter_ = 1_234_567
         whole, parts, streamed = (copy.deepcopy(start) for _ in range(3))
         whole.fit(*_args(whole, z, x, y, x_prime))
-        parts.fit(*_args(parts, z[:300], x[:300], y[:300], x_prime[:300]))
+        parts.fit(*_args(parts, z[:cut], x[:cut], y[:cut], x_prime[:cut]))
         handed_out = _state(parts)
         views = {a: getattr(parts, a) for a in parts._iterates}
-        parts.fit(*_args(parts, z[300:], x[300:], y[300:], x_prime[300:]))
+        parts.fit(*_args(parts, z[cut:], x[cut:], y[cut:], x_prime[cut:]))
         for i in range(len(y)):
             streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
-        assert whole.n_iter_ == 1_234_567 + 600
+        assert whole.n_iter_ == 1_234_567 + n
         for reg in (parts, streamed):
             for a in whole._iterates:
                 assert getattr(reg, a).tobytes() == getattr(whole, a).tobytes(), a
@@ -948,3 +952,59 @@ class TestFitThroughWindows:
         assert not np.isfinite(regs[0].theta_).all()
         for a in regs[0]._iterates:
             assert getattr(regs[0], a).tobytes() == getattr(regs[1], a).tobytes()
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("layout", ["fortran_z", "strided_x", "integer_y"])
+    def test_any_layout_fits_as_its_contiguous_float64_copy(self, name, layout):
+        # fit reads each window at an offset from its input's base address,
+        # which is right only for C-contiguous float64 rows.
+        n, d_x, d_z = W + 5, 3, 4
+        z, x, x_prime, y = _stream(d_x, d_z, n, seed=53)
+        if layout == "fortran_z":
+            z = np.asfortranarray(z)
+        elif layout == "strided_x":
+            wide = np.zeros((2 * n, 2 * d_x))
+            wide[::2, 1::2] = x
+            x = wide[::2, 1::2]
+        else:
+            y = np.round(10.0 * y).astype(np.int64)
+        given = _regressor(name, d_x, d_z)
+        given.fit(*_args(given, z, x, y, x_prime))
+        copied = _regressor(name, d_x, d_z)
+        copied.fit(*_args(copied, *(np.ascontiguousarray(a, np.float64) for a in (z, x, y, x_prime))))
+        for a in given._iterates:
+            assert getattr(given, a).tobytes() == getattr(copied, a).tobytes(), a
+
+    @pytest.mark.parametrize("event,name,rows", [
+        # z^T V z overflows to inf, which zeroes the gain: the iterates stay finite.
+        ("over", "online_2sls", ([[1e154, 1e154]], [[1.0]], [1.0], None)),
+        # The step of theta underflows to zero.
+        ("under", "two_sample", ([[1.0]], [[1e-200]], [1e-200], [[1e-200]])),
+    ])
+    def test_event_that_leaves_the_iterates_finite_is_reported_as_by_partial_fit(self, event, name, rows):
+        # A floating-point event numpy does not ignore makes fit replay its
+        # window, so it warns, or raises, just as partial_fit does.
+        z, x, y, x_prime = (None if a is None else np.array(a, np.float64) for a in rows)
+        def new():
+            reg = _regressor(name, 1, z.shape[1])
+            return reg.set_params(alpha=0.5) if name == "two_sample" else reg
+        regs, caught = [], []
+        for how in ("fit", "partial_fit"):
+            reg = new()
+            with warnings.catch_warnings(record=True) as seen, np.errstate(**{event: "warn"}):
+                warnings.simplefilter("always")
+                if how == "fit":
+                    reg.fit(*_args(reg, z, x, y, x_prime))
+                else:
+                    reg.partial_fit(*_args(reg, z[0], x[0], y[0], None if x_prime is None else x_prime[0]))
+            caught.append([(w.category, str(w.message)) for w in seen])
+            regs.append(reg)
+        assert caught[0] and caught[0] == caught[1]
+        assert f"{event}flow encountered" in caught[0][0][1]
+        for a in regs[0]._iterates:
+            assert np.isfinite(getattr(regs[0], a)).all()
+            assert getattr(regs[0], a).tobytes() == getattr(regs[1], a).tobytes(), a
+        reg = new()
+        with np.errstate(**{event: "raise"}), pytest.raises(FloatingPointError, match=f"{event}flow encountered"):
+            reg.fit(*_args(reg, z, x, y, x_prime))
+        assert reg.n_iter_ == 0

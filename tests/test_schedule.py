@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ivstream import presets, schedule
+from ivstream import _native, estimators, presets, schedule
 from ivstream.schedule import Constant, Polynomial, TheoryConstants
 
 
@@ -39,20 +39,21 @@ class TestStep:
         assert ulps(1.0) <= 1
         assert ulps(0.3) <= 2
 
-    @pytest.mark.parametrize("s", [Polynomial(0.3, 0.95), Polynomial(1.7, 0.6), Polynomial(2.0, 1.0),
-                                   Polynomial(0.9 / 3.0, 0.95), Polynomial(1, 1 / 3), Constant(0.01)])
-    def test_step_range_is_step_bit_for_bit(self, s):
-        # Unlike steps, step_range is step at every t, up to t = 1e7.
+    @pytest.mark.parametrize("schedules", [
+        *([s] for s in (Polynomial(0.3, 0.95), Polynomial(1.7, 0.6), Polynomial(2.0, 1.0), Polynomial(0.9 / 3.0, 0.95),
+                        Polynomial(1, 1 / 3), Constant(0.01))),
+        # alpha and beta of one exponent share each pow; of two, they do not.
+        [Polynomial(0.9 / 3.0, 0.95), Polynomial(1.5 / 18.0, 0.95)],
+        [Constant(0.05), Polynomial(0.3, 0.95)],
+    ])
+    def test_fit_steps_are_step_bit_for_bit(self, schedules):
+        # Unlike steps, the C steps of a regressor's fit are step at every t, up to t = 1e7.
+        terms = np.array([estimators._terms(s) for s in schedules])
         for start, stop in ((0, 3000), (99_000, 101_000), (999_744, 1_000_256), (9_998_000, 10_000_000)):
-            got = schedule.step_range(s, stop, start)
-            want = np.array([schedule.step(s, t) for t in range(start + 1, stop + 1)])
-            assert got.dtype == np.float64 and got.shape == (stop - start,)
+            got = np.empty((len(schedules), stop - start))
+            _native.loops().fit_steps(stop - start, start, len(schedules), terms.ctypes.data, got.ctypes.data)
+            want = np.array([[schedule.step(s, t) for t in range(start + 1, stop + 1)] for s in schedules])
             assert got.tobytes() == want.tobytes()
-
-    def test_step_range_rejects_an_empty_range(self):
-        for start, stop in ((5, 5), (-1, 3)):
-            with pytest.raises(ValueError):
-                schedule.step_range(Polynomial(0.3, 0.95), stop, start)
 
     def test_polynomial_positive_and_strictly_decreasing(self):
         arr = schedule.steps(Polynomial(1.7, 0.6), 1000)
