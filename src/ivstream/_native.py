@@ -1,7 +1,7 @@
 """Build and load the compiled window loops of :mod:`ivstream.estimators`.
 
-``_windows.c`` is compiled with the system ``cc`` on the first use of a
-window kernel (the harness's first window, or a regressor's first ``fit``)
+``_windows.c`` is compiled with the system ``cc`` on the first bind of a
+window loop (a harness group's first block, or a regressor's first ``fit``)
 and loaded with ctypes; importing ivstream never compiles. The build is
 cached in ``~/.cache/ivstream`` under a hash of the source and the flags,
 and renamed into place once complete, so a later process loads it without a
@@ -77,9 +77,10 @@ def loops() -> ctypes.CDLL:
     n, p = ctypes.c_int64, ctypes.c_void_p
     lib.use_blas.argtypes, lib.use_blas.restype = (p, p), None
     lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None
-    lib.two_sample_window.argtypes = (n, n, n) + (p,) * 5
-    lib.two_timescale_window.argtypes = (n,) * 5 + (ctypes.c_char_p,) + (p,) * 7
-    lib.online_2sls_window.argtypes = (n,) * 4 + (p,) * 7
+    tail = (n, n, p, p)  # t0, rows, alphas, betas
+    lib.two_sample_window.argtypes = (n, n) + (p,) * 4 + tail
+    lib.two_timescale_window.argtypes = (n,) * 4 + (ctypes.c_char_p,) + (p,) * 5 + tail
+    lib.online_2sls_window.argtypes = (n,) * 3 + (p,) * 7 + tail
     for loop in (lib.two_sample_window, lib.two_timescale_window, lib.online_2sls_window):
         loop.restype = ctypes.c_int
     lib.use_blas(*blas)

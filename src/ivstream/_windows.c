@@ -1,6 +1,6 @@
 /*
- * Window loops of ivstream.estimators: B stacked trials stepped through a
- * window of rows, updating the state in place.
+ * Window loops of ivstream.estimators: B trials stepped through a window of
+ * rows of their sample blocks, updating the state in place.
  *
  * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
  * buffers, because every product calls the OpenBLAS routine numpy itself
@@ -17,10 +17,14 @@
  * reorders no floating-point sum without -ffast-math (or -fassociative-math).
  * Arrays are C-contiguous float64: the state theta (B, d_x),
  * or (S, B, d_x) for the two-timescale loop, gamma (B, d_z, d_x),
- * U (B, d_x, d_x) and V (B, d_z, d_z); the window z (rows, B, d_z), x and
- * x_prime (rows, B, d_x), y (rows, B), and one step per row in alphas and
- * betas. Trials never read each other's state, so each trial runs through
- * the whole window in turn.
+ * U (B, d_x, d_x) and V (B, d_z, d_z). The samples are read in place from
+ * each trial's own blocks: z, x, x_prime and y are tables of B addresses, one
+ * block per trial, and a window steps rows t0, ..., t0 + rows - 1 of them, so
+ * row t of trial i is z[i] + t * d_z, x[i] + t * d_x, x_prime[i] + t * d_x
+ * and y[i][t]. alphas and betas hold the window's steps, one per row. Every
+ * loop takes the same (t0, rows, alphas, betas) tail and ignores the steps
+ * it does not take. Trials never read each other's state, so each trial runs
+ * through the whole window in turn.
  *
  * Each loop clears the floating-point exception flags when it starts and
  * returns those its arithmetic raised, as numpy's NPY_FPE_* bits (see
@@ -38,6 +42,9 @@ enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
 typedef double ddot_fn(blasint n, const double *x, blasint incx, const double *y, blasint incy);
 typedef void dgemv_fn(int order, int trans, blasint m, blasint n, double alpha, const double *a, blasint lda,
                       const double *x, blasint incx, double beta, double *y, blasint incy);
+/* A table of B blocks, one per trial, each read in place. */
+typedef const double *const *blocks;
+
 static ddot_fn *ddot;
 static dgemv_fn *dgemv;
 
@@ -94,15 +101,16 @@ static void vecmat(blasint n, blasint m, const double *x, const double *a, doubl
 }
 
 /* two_sample_update: theta -= (alpha * (x . theta - y)) * x_prime. */
-int two_sample_window(blasint rows, blasint b, blasint d_x, double *theta, const double *x,
-                      const double *x_prime, const double *y, const double *alphas)
+int two_sample_window(blasint b, blasint d_x, double *theta, blocks x, blocks x_prime, blocks y, blasint t0,
+                      blasint rows, const double *alphas, const double *betas)
 {
+    (void)betas;
     feclearexcept(FE_ALL_EXCEPT);
     for (blasint i = 0; i < b; i++) {
         double *th = theta + i * d_x;
         for (blasint t = 0; t < rows; t++) {
-            const double *x_t = x + (t * b + i) * d_x, *xp_t = x_prime + (t * b + i) * d_x;
-            double resid = (vecdot(d_x, x_t, th) - y[t * b + i]) * alphas[t];
+            const double *x_t = x[i] + (t0 + t) * d_x, *xp_t = x_prime[i] + (t0 + t) * d_x;
+            double resid = (vecdot(d_x, x_t, th) - y[i][t0 + t]) * alphas[t];
             for (blasint k = 0; k < d_x; k++)
                 th[k] -= resid * xp_t[k];
         }
@@ -114,8 +122,8 @@ int two_sample_window(blasint rows, blasint b, blasint d_x, double *theta, const
  * S thetas on one gamma: theta s takes the raw residual x . theta - y when
  * direct[s], else the predicted one (z^T gamma) . theta - y.
  */
-int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blasint s, const char *direct,
-                         double *theta, double *gamma, const double *z, const double *x, const double *y,
+int two_timescale_window(blasint b, blasint d_z, blasint d_x, blasint s, const char *direct, double *theta,
+                         double *gamma, blocks z, blocks x, blocks y, blasint t0, blasint rows,
                          const double *alphas, const double *betas)
 {
     double *zg = malloc((size_t)(d_x + s) * sizeof(double)), *resid = zg + d_x;
@@ -125,12 +133,12 @@ int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blas
     for (blasint i = 0; i < b; i++) {
         double *g = gamma + i * d_z * d_x;
         for (blasint t = 0; t < rows; t++) {
-            const double *z_t = z + (t * b + i) * d_z, *x_t = x + (t * b + i) * d_x;
+            const double *z_t = z[i] + (t0 + t) * d_z, *x_t = x[i] + (t0 + t) * d_x;
             vecmat(d_z, d_x, z_t, g, zg);
             for (blasint j = 0; j < s; j++)
                 resid[j] = vecdot(d_x, direct[j] ? x_t : zg, theta + (j * b + i) * d_x);
             for (blasint j = 0; j < s; j++) {
-                double *th = theta + (j * b + i) * d_x, r = (resid[j] - y[t * b + i]) * alphas[t];
+                double *th = theta + (j * b + i) * d_x, r = (resid[j] - y[i][t0 + t]) * alphas[t];
                 for (blasint k = 0; k < d_x; k++)
                     th[k] -= r * zg[k];
             }
@@ -153,9 +161,11 @@ int two_timescale_window(blasint rows, blasint b, blasint d_z, blasint d_x, blas
  * where the 1-d kernel raises, ends the window with every entry of its
  * state NaN; a NaN denominator does not hide a non-positive one.
  */
-int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double *theta, double *gamma,
-                       double *u, double *v, const double *z, const double *x, const double *y)
+int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, double *gamma, double *u, double *v,
+                       blocks z, blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
+                       const double *betas)
 {
+    (void)alphas, (void)betas;
     double *w = malloc((size_t)(4 * d_x + 2 * d_z) * sizeof(double));
     if (w == NULL)
         return -1;
@@ -165,7 +175,7 @@ int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double
         double *th = theta + i * d_x, *g = gamma + i * d_z * d_x, *u_i = u + i * d_x * d_x,
                *v_i = v + i * d_z * d_z;
         for (blasint t = 0; t < rows; t++) {
-            const double *z_t = z + (t * b + i) * d_z, *x_t = x + (t * b + i) * d_x;
+            const double *z_t = z[i] + (t0 + t) * d_z, *x_t = x[i] + (t0 + t) * d_x;
             vecmat(d_z, d_x, z_t, g, w);
             matvec(d_z, d_z, v_i, z_t, vz);
             double denom_v = vecdot(d_z, z_t, vz);
@@ -195,7 +205,7 @@ int online_2sls_window(blasint rows, blasint b, blasint d_z, blasint d_x, double
             for (blasint k = 0; k < d_x; k++)
                 for (blasint m = 0; m < d_x; m++)
                     u_i[k * d_x + m] -= uw[k] * gain_u[m];
-            double resid = y[t * b + i] - vecdot(d_x, w, th);
+            double resid = y[i][t0 + t] - vecdot(d_x, w, th);
             for (blasint k = 0; k < d_x; k++)
                 th[k] += gain_u[k] * resid;
         }

@@ -44,31 +44,33 @@ These four updates are pure functions of (state, sample, steps): inputs are
 never mutated. Shape errors surface as ``ValueError`` from the array
 operations.
 
-The window kernels run the same four updates for B trials stacked along a
-leading axis, which the experiment harness advances in lockstep. One call
-steps a whole window of rows and updates the stacked state in place; it never
-writes the window. The loops are C, in ``_windows.c``, compiled on the first
-window call with the system ``cc`` and cached in ``~/.cache/ivstream`` (see
-:mod:`ivstream._native`). Importing the package, the 1-d kernels and the
-regressors' ``partial_fit`` and ``predict`` need no compiler; a regressor's
-``fit`` runs the loops, so its first call compiles them. Each product calls
-the routine of numpy's own scipy-openblas64 that numpy's ``@`` calls on the
-same vectors, and the elementwise arithmetic keeps the 1-d kernels' order
-without fused multiply-adds, so each trial's iterates are bitwise equal to
-the 1-d kernels'; ``tests/test_estimators.py`` checks this bit for bit.
-Like the 1-d kernels' bits, they still depend on the BLAS kernel OpenBLAS
-picks for the CPU. :func:`two_timescale_window` is the one kernel of both two-timescale
-updates. It steps S thetas against one gamma, so the harness steps the
-two-timescale specs that share a first stage (same stream, alpha, beta and
-gamma0) in one call; :data:`WINDOW_KERNELS` holds the other two.
+The window loops run the same four updates for B trials, which the
+experiment harness advances in lockstep. A loop is bound once to the trials'
+stacked state and to one sample block per trial (a :class:`Window`), and each
+call then steps a window of rows of every trial's block, read in place, and
+updates the state in place; it never writes the blocks. The loops are C, in
+``_windows.c``, compiled on the first bind with the system ``cc`` and cached
+in ``~/.cache/ivstream`` (see :mod:`ivstream._native`). Importing the
+package, the 1-d kernels and the regressors' ``partial_fit`` and ``predict``
+need no compiler; a regressor's ``fit`` runs the loops, so its first call
+compiles them. Each product calls the routine of numpy's own scipy-openblas64
+that numpy's ``@`` calls on the same vectors, and the elementwise arithmetic
+keeps the 1-d kernels' order without fused multiply-adds, so each trial's
+iterates are bitwise equal to the 1-d kernels'; ``tests/test_estimators.py``
+checks this bit for bit. Like the 1-d kernels' bits, they still depend on the
+BLAS kernel OpenBLAS picks for the CPU. :func:`two_timescale_window` is the
+one loop of both two-timescale updates. It steps S thetas against one gamma,
+so the harness steps the two-timescale specs that share a first stage (same
+stream, alpha, beta and gamma0) in one call; :data:`WINDOW_KERNELS` holds the
+other two.
 
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
 ``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes. ``partial_fit``
 steps its row through the 1-d kernel. ``fit`` makes its rows C-contiguous
-float64 once and steps windows of up to :data:`FIT_WINDOW_ROWS` rows, each
-one call of the compiled loop with B = 1 on addresses read once per fit. The
+float64 once, binds the compiled loop to them with B = 1 once per fit, and
+steps windows of up to :data:`FIT_WINDOW_ROWS` rows, each one call. The
 loops' ``fit_steps`` computes each window's steps with libm's ``pow``, which
 has the bits of :func:`ivstream.schedule.step`, so a ``fit`` is bitwise equal
 to ``partial_fit`` row by row. A window whose iterates end non-finite, or
@@ -82,6 +84,7 @@ and raises where ``partial_fit`` does.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -155,85 +158,115 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
     return new_theta, new_gamma, new_u, new_v
 
 
-# Window kernels: ``kernel(state, z, x, x_prime, y, alphas, betas)`` steps B
-# stacked trials through a window of rows, updating ``state`` in place.
-# ``state`` is (theta, gamma), plus (U, V) for streaming 2SLS, with shapes
-# (B, d_x), (B, d_z, d_x), (B, d_x, d_x) and (B, d_z, d_z); theta is (S, B, d_x)
-# for :func:`two_timescale_window`, which also takes the S flags ``direct``.
-# The window is z (rows, B, d_z), x and x_prime (rows, B, d_x) and y (rows, B),
-# and alphas and betas hold one step per row. Arguments an update does not use
-# may be None. Each kernel checks the shapes and calls its loop in
-# ``_windows.c``.
+# Window loops. Each entry below checks B trials' state and sample blocks once
+# and returns a :class:`Window` on them, whose ``step`` runs a window of rows
+# through the compiled loop in ``_windows.c``, updating the state in place; the
+# blocks are read in place, never written or copied. ``state`` is (theta,
+# gamma), plus (U, V) for streaming 2SLS, with shapes (B, d_x), (B, d_z, d_x),
+# (B, d_x, d_x) and (B, d_z, d_z); theta is (S, B, d_x) for
+# :func:`two_timescale_window`, which also takes the S flags ``direct``. ``z``,
+# ``x``, ``x_prime`` and ``y`` hold one block per trial, of shapes (n, d_z),
+# (n, d_x), (n, d_x) and (n,); a field the loop does not read may be None.
+# Theta gives B, and the first trial's blocks give n, d_z and d_x.
 
 
-def _read(a, shape, name):
-    """``a`` as a C-contiguous float64 array of ``shape`` for a loop to read."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    return a
+def _trials(state) -> int:
+    """B, the trial axis of theta: its second to last."""
+    return next(iter(np.shape(state[0])[-2:]), 0)
 
 
-def _written(a, shape, name):
-    """``a`` itself, for a loop to update in place: never a copy, so it must already fit."""
+def _table(blocks, shape, name, b) -> np.ndarray:
+    """The addresses of the B trials' blocks of ``name``, each a C-contiguous float64 array of ``shape``."""
+    if len(blocks) != b:
+        raise ValueError(f"need one {name} block for each of the {b} trials, got {len(blocks)}")
+    for a in blocks:
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous):
+            raise ValueError(f"{name} blocks must be C-contiguous float64 arrays, as the loops read them in place")
+        if a.shape != shape:
+            raise ValueError(f"a {name} block has shape {a.shape}, expected {shape}")
+    return np.array([a.ctypes.data for a in blocks], np.uintp)
+
+
+def _address(a, shape, name) -> int:
+    """The address of a state part, which a loop updates in place: never a copy, so it must already fit."""
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
         raise ValueError(f"{name} must be a writeable C-contiguous float64 array, as it is updated in place")
-    return _read(a, shape, name)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a.ctypes.data
 
 
-def _checked(events: int) -> int:
-    """A loop's result, the floating-point events it raised, unless it could not allocate its work rows."""
-    if events < 0:
-        raise MemoryError("the window loop could not allocate its work rows")
-    return events
+class Window:
+    """A window loop bound to B trials' state and sample blocks, all checked once, when it is made.
+
+    :meth:`step` runs rows ``t0`` to ``t0 + rows - 1`` of every trial's blocks
+    in one call of the loop, on addresses read once. The window holds the
+    arrays whose addresses it passes; once a state part is replaced, make a
+    new one. ``direct`` is the two-timescale loop's S flags, else None.
+    """
+
+    def __init__(self, loop: str, head: tuple, state: dict, fields: dict, n: int, direct=None):
+        # ``state`` maps each state part's name to (array, shape), ``fields`` each field's to (blocks, shape).
+        addresses = [_address(a, shape, name) for name, (a, shape) in state.items()]
+        tables = [_table(blocks, shape, name, head[0]) for name, (blocks, shape) in fields.items()]
+        self.n, self.direct = n, direct
+        self._held = ([a for a, _ in state.values()], [tuple(blocks) for blocks, _ in fields.values()], tables)
+        self._call = functools.partial(getattr(_native.loops(), loop), *head, *addresses,
+                                       *(t.ctypes.data for t in tables))
+
+    def step(self, t0: int, rows: int, alphas: int = 0, betas: int = 0) -> int:
+        """Step rows ``t0``, ..., ``t0 + rows - 1``, and return the floating-point events the loop raised.
+
+        ``alphas`` and ``betas`` are the addresses of the ``rows`` steps of the
+        schedules the loop takes, and 0 for one it does not take.
+        """
+        if not 0 <= t0 < t0 + rows <= self.n:
+            raise ValueError(f"rows {t0} to {t0 + rows} are not within the blocks' {self.n} rows")
+        events = self._call(t0, rows, alphas, betas)
+        if events < 0:
+            raise MemoryError("the window loop could not allocate its work rows")
+        return events
 
 
-def _run(loop, args, *arrays) -> None:
-    """Call ``loop`` on ``args`` and the arrays' addresses; ``arrays`` holds each array for the call."""
-    _checked(loop(*args, *(a.ctypes.data for a in arrays)))
+def two_sample_window(state, z, x, x_prime, y) -> Window:
+    """:func:`two_sample_update` on B trials; it takes ``alphas`` and reads neither gamma nor ``z``."""
+    b, n, d_x = _trials(state), len(y[0]), np.shape(x[0])[-1]
+    return Window("two_sample_window", (b, d_x), {"theta": (state[0], (b, d_x))},
+                  {"x": (x, (n, d_x)), "x_prime": (x_prime, (n, d_x)), "y": (y, (n,))}, n)
 
 
-def two_sample_window(state, z, x, x_prime, y, alphas, betas):
-    """:func:`two_sample_update` over a window on B stacked trials (gamma is untouched)."""
-    rows, b, d_x = np.shape(x)
-    _run(_native.loops().two_sample_window, (rows, b, d_x), _written(state[0], (b, d_x), "theta"),
-         _read(x, (rows, b, d_x), "x"), _read(x_prime, (rows, b, d_x), "x_prime"), _read(y, (rows, b), "y"),
-         _read(alphas, (rows,), "alphas"))
-
-
-def two_timescale_window(state, z, x, x_prime, y, alphas, betas, direct):
-    """S two-timescale updates on one gamma over a window of B stacked trials.
+def two_timescale_window(state, z, x, x_prime, y, direct) -> Window:
+    """S two-timescale updates on one gamma over B trials; it takes ``alphas`` and ``betas``.
 
     ``state`` is (theta, gamma) with S thetas stacked as (S, B, d_x) and one
     gamma (B, d_z, d_x). Theta s takes :func:`direct_residual_update`'s raw
     residual X^T theta - Y when ``direct[s]``, else :func:`two_stage_update`'s
-    predicted one (Z^T gamma) theta - Y; all S take the same ``alphas``. The
+    predicted one (Z^T gamma) theta - Y; all S take the same alphas. The
     gamma step reads only (gamma, z, x, beta), never theta, so each theta is
     bitwise equal to its own one-theta run.
     """
-    (rows, b, d_z), d_x, s = np.shape(z), np.shape(x)[-1], len(direct)
-    _run(_native.loops().two_timescale_window, (rows, b, d_z, d_x, s, bytes(map(bool, direct))),
-         _written(state[0], (s, b, d_x), "theta"), _written(state[1], (b, d_z, d_x), "gamma"),
-         _read(z, (rows, b, d_z), "z"), _read(x, (rows, b, d_x), "x"), _read(y, (rows, b), "y"),
-         _read(alphas, (rows,), "alphas"), _read(betas, (rows,), "betas"))
+    b, n, d_z, d_x, direct = _trials(state), len(y[0]), np.shape(z[0])[-1], np.shape(x[0])[-1], tuple(map(bool, direct))
+    s = len(direct)
+    return Window("two_timescale_window", (b, d_z, d_x, s, bytes(direct)),
+                  {"theta": (state[0], (s, b, d_x)), "gamma": (state[1], (b, d_z, d_x))},
+                  {"z": (z, (n, d_z)), "x": (x, (n, d_x)), "y": (y, (n,))}, n, direct)
 
 
-def online_2sls_window(state, z, x, x_prime, y, alphas, betas):
-    """:func:`online_2sls_update` over a window on B stacked trials.
+def online_2sls_window(state, z, x, x_prime, y) -> Window:
+    """:func:`online_2sls_update` on B trials; it takes no steps.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
     raises, ends the window with a NaN state, and a NaN denominator does not
     hide a negative one. The other trials go on as before, and the harness
     records that trial as diverged.
     """
-    (rows, b, d_z), d_x = np.shape(z), np.shape(x)[-1]
+    b, n, d_z, d_x = _trials(state), len(y[0]), np.shape(z[0])[-1], np.shape(x[0])[-1]
     shapes = ((b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))
-    _run(_native.loops().online_2sls_window, (rows, b, d_z, d_x),
-         *(_written(a, shape, name) for a, shape, name in zip(state, shapes, ("theta", "gamma", "U", "V"))),
-         _read(z, (rows, b, d_z), "z"), _read(x, (rows, b, d_x), "x"), _read(y, (rows, b), "y"))
+    return Window("online_2sls_window", (b, d_z, d_x), dict(zip(("theta", "gamma", "U", "V"), zip(state, shapes))),
+                  {"z": (z, (n, d_z)), "x": (x, (n, d_x)), "y": (y, (n,))}, n)
 
 
-#: Window kernel of each harness algorithm that steps its own state; the
+#: Window loop of each harness algorithm that steps its own state; the
 #: two-timescale algorithms share :func:`two_timescale_window`.
 WINDOW_KERNELS = {
     "two_sample_sgd": two_sample_window,
@@ -318,10 +351,10 @@ class _BaseIVRegressor:
     # ``fit`` validates the whole stream once and runs ``_update_windows``;
     # ``partial_fit`` validates its one row and runs ``_update``. A subclass
     # gives only its two calls of one update: ``_window``, its compiled loop
-    # with B = 1 on the addresses of the iterates and of a window's first rows,
-    # and ``_row``, its 1-d kernel; the two are bitwise equal. ``fit`` makes the
-    # rows C-contiguous float64 and copies the iterates once, reads each address
-    # once and steps windows of up to FIT_WINDOW_ROWS rows in place, each after
+    # bound with B = 1 to the iterates and the stream, and ``_row``, its 1-d
+    # kernel; the two are bitwise equal. ``fit`` makes the rows C-contiguous
+    # float64 and copies the iterates once, binds the loop to them once, and
+    # steps windows of up to FIT_WINDOW_ROWS rows in place, each after
     # ``fit_steps`` has computed its steps. A window that ends non-finite, or
     # that raised a floating-point event numpy does not ignore, is undone and
     # its rows are replayed through ``_update``, as ``partial_fit`` runs its
@@ -339,26 +372,25 @@ class _BaseIVRegressor:
             self.n_iter_ += 1
         return self
 
+    def _window(self, state, *blocks) -> Window:
+        return self._loop([a[None] for a in state], *blocks)
+
     def _update_windows(self, *rows):
         schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
         lib, n, k = _native.loops(), len(rows[-1]), len(schedules)
         rows = [None if a is None else np.ascontiguousarray(a, np.float64) for a in rows]
-        d_z, d_x = rows[0].shape[1], rows[1].shape[1]
-        row_bytes = (8 * d_z, 8 * d_x, 8 * d_x, 8)
         work = [np.array(getattr(self, name), np.float64, order="C") for name in self._iterates]
+        window = self._window(work, *(None if a is None else (a,) for a in rows))
         terms = np.array([_terms(s) for s in schedules], np.float64)
         steps = np.empty(k * min(n, FIT_WINDOW_ROWS))
-        bases = [None if a is None else a.ctypes.data for a in rows]
-        state, terms_at, steps_at = [a.ctypes.data for a in work], terms.ctypes.data, steps.ctypes.data
+        terms_at, steps_at = terms.ctypes.data, steps.ctypes.data
         reported = sum(bit for name, bit in _FP_EVENTS.items() if np.geterr()[name] != "ignore")
         for name, a in zip(self._iterates, work):
             setattr(self, name, a)
         for start in range(0, n, FIT_WINDOW_ROWS):
             size, t, saved = min(FIT_WINDOW_ROWS, n - start), self.n_iter_, [a.copy() for a in work]
             lib.fit_steps(size, t, k, terms_at, steps_at)
-            events = _checked(self._window(lib, size, d_z, d_x, state,
-                                           *(None if b is None else b + start * w for b, w in zip(bases, row_bytes)),
-                                           *(steps_at + 8 * size * j for j in range(k))))
+            events = window.step(start, size, *(steps_at + 8 * size * j for j in range(k)))
             if events & reported or not all(np.isfinite(a).all() for a in work):
                 for a, before in zip(work, saved):
                     np.copyto(a, before)
@@ -396,14 +428,11 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
     _param_names = ("alpha", "theta0")
     _schedules = ("alpha",)
     _iterates = ("theta_",)
+    _loop = staticmethod(two_sample_window)
 
     def __init__(self, alpha=0.01, theta0=None):
         self.alpha = alpha
         self.theta0 = theta0
-
-    @staticmethod
-    def _window(lib, rows, d_z, d_x, state, z, x, x_prime, y, alphas):
-        return lib.two_sample_window(rows, 1, d_x, *state, x, x_prime, y, alphas)
 
     def _row(self, z, x, x_prime, y, alpha):
         self.theta_ = two_sample_update(self.theta_, x, x_prime, y, alpha)
@@ -433,9 +462,10 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def _window(self, lib, rows, d_z, d_x, state, z, x, x_prime, y, alphas, betas):
-        return lib.two_timescale_window(rows, 1, d_z, d_x, 1, bytes([self._kernel is direct_residual_update]),
-                                        *state, z, x, y, alphas, betas)
+    def _window(self, state, *blocks) -> Window:
+        theta, gamma = state
+        direct = (self._kernel is direct_residual_update,)
+        return two_timescale_window((theta[None, None], gamma[None]), *blocks, direct)
 
     def _row(self, z, x, x_prime, y, alpha, beta):
         self.theta_, self.gamma_ = self._kernel(self.theta_, self.gamma_, z, x, y, alpha, beta)
@@ -464,15 +494,12 @@ class Online2SLSRegressor(_BaseIVRegressor):
 
     _param_names = ("lam", "theta0", "gamma0")
     _iterates = ("theta_", "gamma_", "u_", "v_")
+    _loop = staticmethod(online_2sls_window)
 
     def __init__(self, lam=DEFAULT_RIDGE, theta0=None, gamma0=None):
         self.lam = lam
         self.theta0 = theta0
         self.gamma0 = gamma0
-
-    @staticmethod
-    def _window(lib, rows, d_z, d_x, state, z, x, x_prime, y):
-        return lib.online_2sls_window(rows, 1, d_z, d_x, *state, z, x, y)
 
     def _row(self, z, x, x_prime, y):
         self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(self.theta_, self.gamma_, self.u_, self.v_,

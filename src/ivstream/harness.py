@@ -17,9 +17,13 @@ trials are grouped. Aggregation reduces over trials in index order.
 Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
-into balanced groups and advances each group on stacked state with one window
-kernel call (:mod:`ivstream.estimators`) per window of at most
-``_WINDOW`` rows, cut at checkpoints and block ends. Each trial keeps its own
+into balanced groups and advances each group on stacked state with one call
+of a window loop (:mod:`ivstream.estimators`) per window, which runs from one
+checkpoint or block end to the next. The loop reads each trial's rows in
+place from its own sample block: for each block, the group checks the blocks
+once, binds the loop to a table of their addresses and to the stacked state,
+and computes the block's steps, so a window call passes only integers and
+addresses read once. Each trial keeps its own
 generator, stream digest and checkpoint metrics, and its iterates are bitwise
 equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is
 a pass whose one group is that trial. A group holds one sample block per
@@ -40,8 +44,8 @@ The algorithms of one config read the same streams: the same
 :class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
 checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
 pass, so each trial's held-out set, ``oracle_mse`` and blocks are drawn,
-hashed and stacked once. Within a pass, the specs step in lanes, one kernel
-call per lane and window. The two-timescale specs (``two_stage_sgd`` and
+hashed once. Within a pass, the specs step in lanes, one loop call per lane
+and window. The two-timescale specs (``two_stage_sgd`` and
 ``direct_sgd``) with equal alpha, beta and gamma0 share a lane: their thetas
 are stacked on one gamma and stepped by one
 :func:`~ivstream.estimators.two_timescale_window` call. This is exact because
@@ -49,7 +53,7 @@ their gamma recursions read the same rows with the same steps from the same
 start and never read theta. Every other spec has a lane of its own. Each spec
 records its own metrics from its own theta, and a spec whose trials have all
 diverged leaves its lane while the others step on. Step sizes are computed
-per window, so no array of T steps is held. Specs that do not share a stream
+once per block, so no array of T steps is held. Specs that do not share a stream
 run in separate passes; :func:`run_experiment` is the one-spec case.
 """
 
@@ -89,9 +93,6 @@ GROUP_SIZE = 64
 
 #: Bytes of sample blocks a lockstep group may hold at once (one per trial).
 _GROUP_BYTES = 32 << 20
-
-#: Most rows of a group's blocks stacked into (rows, B, d) inputs for one kernel call.
-_WINDOW = 256
 
 #: The checkpoint metrics, in CSV order; the last two need ``test_n > 0``.
 METRICS = ("dist_sq", "oracle_mse", "test_mse")
@@ -151,7 +152,8 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``."""
+    """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``,
+    and ``lam`` is kept as a Python float."""
 
     dgp: DgpConfig
     algorithm: str
@@ -177,6 +179,7 @@ class ExperimentSpec:
                             self.lam, self.theta0, self.gamma0, self.experiment_id)
         for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 @dataclass(eq=False)
@@ -253,39 +256,51 @@ def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
 
 
 class _Lane:
-    """The specs of a pass that one window-kernel call steps.
+    """The specs of a pass that one window loop steps.
 
     A two-timescale lane stacks its specs' thetas as (S, B, d_x) on one gamma
     and steps them with :func:`ivstream.estimators.two_timescale_window`; any
     other lane is one spec and its :data:`~ivstream.estimators.WINDOW_KERNELS`
-    kernel. Step sizes are computed for each window's rows as it is reached.
+    loop. For each sample block, :meth:`bind` checks the group's blocks, binds
+    the loop to them and to the lane's state, and computes the block's steps,
+    so that a window is one call on integers and addresses read once.
     """
 
     def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int):
         lead = specs[members[0]]
         self.members = members  # the specs' indices in the pass, one per theta
-        self.alpha, self.beta = lead.alpha, lead.beta
+        self.schedules = [s for s in (lead.alpha, lead.beta) if s is not None]
         states = [_initial_state(specs[k], b) for k in members]
         if lead.algorithm in _RAW_RESIDUAL:
             self.direct = [_RAW_RESIDUAL[specs[k].algorithm] for k in members]
             self.state = (np.stack([st[0] for st in states]), states[0][1])
         else:
             self.direct, self.state = None, states[0]
-            self.kernel = est.WINDOW_KERNELS[lead.algorithm]
+            self.loop = est.WINDOW_KERNELS[lead.algorithm]
+        self.window = None
 
     @property
     def thetas(self) -> np.ndarray:
         """(S, B, d_x): the theta of each member, in order."""
         return self.state[0] if self.direct is not None else self.state[0][None]
 
-    def step(self, z, x, x_prime, y, start: int, stop: int) -> None:
-        """Step rows ``start + 1`` to ``stop`` of the run, given as a window."""
-        alphas = None if self.alpha is None else steps(self.alpha, stop, start)
-        betas = None if self.beta is None else steps(self.beta, stop, start)
+    def bind(self, fields: list, start: int, end: int) -> None:
+        """Bind the loop to the group's blocks of rows ``start + 1`` to ``end``: each
+        trial's z, x, x_prime and y, a list per field or None; compute their steps."""
+        self.fields = fields
+        self.steps = [steps(s, end, start) for s in self.schedules]
+        self.addresses = [a.ctypes.data for a in self.steps]
+        self._bind_state()
+
+    def _bind_state(self) -> None:
         if self.direct is None:
-            self.kernel(self.state, z, x, x_prime, y, alphas, betas)
+            self.window = self.loop(self.state, *self.fields)
         else:
-            est.two_timescale_window(self.state, z, x, x_prime, y, alphas, betas, self.direct)
+            self.window = est.two_timescale_window(self.state, *self.fields, self.direct)
+
+    def step(self, r: int, rows: int) -> None:
+        """Step rows ``r`` to ``r + rows - 1`` of the blocks."""
+        self.window.step(r, rows, *[a + 8 * r for a in self.addresses])
 
     def keep(self, alive: np.ndarray) -> None:
         """Drop the members not ``alive``; the shared gamma steps on for the others."""
@@ -293,6 +308,8 @@ class _Lane:
         if self.direct is not None:
             self.direct = [d for d, keep in zip(self.direct, alive) if keep]
             self.state = (self.state[0][alive], self.state[1])
+            if self.members:  # the thetas moved: bind the loop to them
+                self._bind_state()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
@@ -302,9 +319,9 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
     ``out`` holds each spec's (len(indices), checkpoints) rows of every
     metric, filled with ``inf``; the group writes its checkpoints into them in
     place and returns its trials' stream digests. Each trial's blocks are
-    drawn and hashed once, and the window kernels' stacked inputs are gathered
-    from them ``_WINDOW`` rows at a time, so the group holds one block per
-    trial plus a window however many specs read it. The specs step in lanes
+    drawn and hashed once, and the window loops read them in place, so the
+    group holds one block per trial however many specs read it. A window runs
+    from a checkpoint or block end to the next. The specs step in lanes
     (:func:`_lane_key`), each spec with its own theta; once every trial of a
     spec has a non-finite ``dist_sq``, the spec stops stepping and its later
     checkpoints stay ``inf``.
@@ -335,30 +352,33 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
     two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
     sample = sample_two_block if two_sample else sample_one_block
     digests = [hashlib.sha256() for _ in rngs]
-    blocks: list[tuple] = []
+    # Each trial's current block of z, x, x_prime and y; the two-sample
+    # kernel reads no z, and the one-sample blocks have no x_prime.
+    fields = [None, [], [], []] if two_sample else [[], [], None, []]
+    kept = (1, 2, 3) if two_sample else (0, 1, 3)  # the field of each of a block's last three arrays
     cps = (*spec.checkpoints, spec.T + 1)  # the sentinel is never reached
     cp_idx = 0
     t = start = end = 0
     while t < spec.T:
         if t == end:
             n_blk = min(_SAMPLE_BLOCK, spec.T - t)
-            blocks.clear()
+            for lane in active:
+                lane.window = None  # it holds the blocks that this draw replaces
+            for k in kept:
+                fields[k].clear()
             for rng, digest in zip(rngs, digests):
                 block = sample(rng, cfg, n_blk)
                 for arr in block:
                     digest.update(arr)
-                blocks.append((None, *block[1:]) if two_sample else (block[0], block[1], None, block[2]))
+                for k, arr in zip(kept, block[-3:]):
+                    fields[k].append(arr)
                 del block  # so no dropped z outlives the next draw
             start, end = t, t + n_blk
-        stop = min(t + _WINDOW, end, cps[cp_idx])
-        if active:
-            rows = slice(t - start, stop - start)
-            z, x, xp, y = (
-                None if blocks[0][k] is None else np.stack([blk[k][rows] for blk in blocks], axis=1)
-                for k in range(4)
-            )
             for lane in active:
-                lane.step(z, x, xp, y, t, stop)
+                lane.bind(fields, start, end)
+        stop = min(end, cps[cp_idx])
+        for lane in active:
+            lane.step(t - start, stop - t)
         t = stop
         if t == cps[cp_idx]:
             # The arithmetic of metrics.dist_to_opt without its finiteness check,

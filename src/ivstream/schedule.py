@@ -31,12 +31,12 @@ from ._validation import check_nonnegative, check_positive
 
 @dataclass(frozen=True)
 class Constant:
-    """Constant step size alpha > 0."""
+    """Constant step size alpha > 0, kept as a Python float."""
 
     alpha: float
 
     def __post_init__(self):
-        check_positive(self.alpha, "alpha")
+        object.__setattr__(self, "alpha", check_positive(self.alpha, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,20 @@ class Polynomial:
     """Polynomially decaying step size coeff * t**(-exponent).
 
     The exponent must lie in (0, 1]; values below one keep the cumulative
-    step mass divergent, which the streaming recursions rely on.
+    step mass divergent, which the streaming recursions rely on. Both numbers
+    are kept as Python floats, so a numpy scalar given for one steps in
+    float64 like any other number.
     """
 
     coeff: float
     exponent: float
 
     def __post_init__(self):
-        check_positive(self.coeff, "coeff")
+        object.__setattr__(self, "coeff", check_positive(self.coeff, "coeff"))
         e = float(self.exponent)
         if not (0.0 < e <= 1.0):
             raise ValueError(f"exponent must be in (0, 1], got {e}")
+        object.__setattr__(self, "exponent", e)
 
 
 StepSchedule = Union[Constant, Polynomial]

@@ -193,6 +193,21 @@ class TestManifest:
         assert [which for which in ("alpha", "beta") if snap["schedule"][which] is None] == nulls
         assert cli.spec_to_dict(cli.specs_from_config(snap)[0]) == snap
 
+    def test_numpy_scalars_in_a_spec_write_the_manifest(self, tmp_path):
+        # Schedule numbers and lam given as numpy float32 are kept as Python
+        # floats, so the manifest holds them as JSON numbers.
+        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
+        specs = [harness.ExperimentSpec(dgp=cfg, algorithm="two_stage_sgd", T=20, trials=1, base_seed=3,
+                                        alpha=schedule.Polynomial(np.float32(0.3), np.float32(0.95)),
+                                        beta=schedule.Constant(np.float32(0.2))),
+                 harness.ExperimentSpec(dgp=cfg, algorithm="online_2sls", T=20, trials=1, base_seed=3,
+                                        lam=np.float32(0.1))]
+        cli.run_specs_to_dir(specs, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        f32 = float(np.float32(0.3)), float(np.float32(0.95)), float(np.float32(0.2)), float(np.float32(0.1))
+        first, second = (e["schedule"] for e in manifest["experiments"])
+        assert (first["alpha"]["coeff"], first["alpha"]["exponent"], first["beta"]["value"], second["lambda"]) == f32
+
     def test_csv_manifest_pairing(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", MINIMAL)
         out = tmp_path / "out"
@@ -411,14 +426,15 @@ class TestDivergence:
     @staticmethod
     def _check_stepping(tmp_path, monkeypatch, config):
         """Each spec steps up to its last trial's divergence, if all diverge, and writes the 1-d kernel's bytes."""
-        calls = []  # per call of the two-timescale lane's kernel: rows, and the raw-residual flag of each theta
-        kernel = estimators.two_timescale_window
+        calls = []  # per window of the two-timescale lane: rows, and the raw-residual flag of each theta
+        step = estimators.Window.step
 
-        def counting(state, z, x, x_prime, y, alphas, betas, direct):
-            calls.append((len(z), tuple(direct)))
-            kernel(state, z, x, x_prime, y, alphas, betas, direct)
+        def counting(window, t0, rows, alphas=0, betas=0):
+            if window.direct is not None:
+                calls.append((rows, window.direct))
+            return step(window, t0, rows, alphas, betas)
 
-        monkeypatch.setattr(estimators, "two_timescale_window", counting)
+        monkeypatch.setattr(estimators.Window, "step", counting)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", config), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -431,10 +447,10 @@ class TestDivergence:
             last = max(diverged.values()) if len(diverged) == spec.trials else spec.T
             stopped.append(last < spec.T)
             rows = [n for n, direct in calls if (spec.algorithm == "direct_sgd") in direct]
-            # One call per window of at most harness._WINDOW rows between checkpoints, up to `last`.
-            gaps = np.diff([0] + [c for c in checkpoints if c <= last])
-            assert len(rows) == sum(-(-g // harness._WINDOW) for g in gaps)
-            assert sum(rows) == last
+            # One call per window from one checkpoint or block end to the next, up to `last`.
+            block = harness._SAMPLE_BLOCK
+            ends = {c for c in checkpoints if c <= last} | set(range(block, last, block))
+            assert rows == np.diff([0, *sorted(ends)]).tolist()
         # Alone, the spec stops. Beside a partner that does not stop, both thetas
         # share each call until the diverged one is dropped from the lane.
         if len(specs) == 1:

@@ -209,7 +209,21 @@ def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
     return est.online_2sls_update(*state, z, x, y)
 
 
+def _step(window, start, rows, alphas=None, betas=None):
+    """Step rows ``start`` to ``start + rows - 1`` of ``window``'s blocks, with those rows of the steps."""
+    return window.step(start, rows, *(0 if a is None else a[start:].ctypes.data for a in (alphas, betas)))
+
+
+def _bind(lane, state, z, x, x_prime, y, direct=None):
+    """The window loop of ``lane`` (an algorithm, or "two_timescale" with the flags ``direct``) on these blocks."""
+    if lane in est.WINDOW_KERNELS:
+        return est.WINDOW_KERNELS[lane](state, z, x, x_prime, y)
+    return est.two_timescale_window(state, z, x, x_prime, y, direct)
+
+
 class TestBatchKernels:
+    """The window loops on B trials' blocks, each read in place, against the 1-d kernels row by row."""
+
     @pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3, 4])
@@ -219,8 +233,9 @@ class TestBatchKernels:
         n = sum(windows)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
         draws = [dgp.sample_two_block(make_rng(100 + i), cfg, n) for i in range(b)]
-        z, x, x_prime, y = (np.stack([d[k] for d in draws], axis=1) for k in range(4))
-        inputs = [a.copy() for a in (z, x, x_prime, y)]
+        blocks = [[d[k] for d in draws] for k in range(4)]  # each field's block of each trial
+        z, x, x_prime, y = (np.stack(field, axis=1) for field in blocks)
+        inputs = copy.deepcopy(blocks)
         alphas = np.array([0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         betas = np.array([1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         rng = make_rng(7)
@@ -230,16 +245,12 @@ class TestBatchKernels:
                 st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
         state = tuple(np.stack(parts) for parts in zip(*trials))
         if algorithm in est.WINDOW_KERNELS:
-            kernel = est.WINDOW_KERNELS[algorithm]
+            window = _bind(algorithm, state, *blocks)
         else:  # one theta on its gamma
-            def kernel(st, *window):
-                est.two_timescale_window((st[0][None], st[1]), *window, (algorithm == "direct_sgd",))
+            window = _bind("two_timescale", (state[0][None], state[1]), *blocks, (algorithm == "direct_sgd",))
         start = 0
         for rows in windows:
-            w = slice(start, start + rows)
-            kernel(state, z[w], x[w], x_prime[w], y[w],
-                   None if algorithm == "online_2sls" else alphas[w],
-                   betas[w] if algorithm in ("two_stage_sgd", "direct_sgd") else None)
+            _step(window, start, rows, alphas, betas)  # a loop ignores the steps it does not take
             for t in range(start, start + rows):
                 trials = [_reference_step(algorithm, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
                           for i, st in enumerate(trials)]
@@ -248,8 +259,8 @@ class TestBatchKernels:
                 for got, want in zip(state, st):
                     assert np.isfinite(want).all()
                     assert got[i].tobytes() == want.tobytes()
-        for got, want in zip((z, x, x_prime, y), inputs):
-            assert got.tobytes() == want.tobytes()  # the window is read, never written
+        for got, want in zip(blocks, inputs):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # the blocks are read, never written
 
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3])
@@ -260,7 +271,8 @@ class TestBatchKernels:
         n = sum(windows)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
         draws = [dgp.sample_one_block(make_rng(200 + i), cfg, n) for i in range(b)]
-        z, x, y = (np.stack([d[k] for d in draws], axis=1) for k in range(3))
+        blocks = [[d[k] for d in draws] for k in range(3)]
+        z, x, y = (np.stack(field, axis=1) for field in blocks)
         alphas = np.array([0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         betas = np.array([1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         rng = make_rng(9)
@@ -269,10 +281,10 @@ class TestBatchKernels:
         updates = (est.two_stage_update, est.direct_residual_update)
         trials = [[[theta0[s, i], gamma0[i]] for i in range(b)] for s in range(2)]
         state = (theta0.copy(), gamma0.copy())
+        window = est.two_timescale_window(state, blocks[0], blocks[1], None, blocks[2], (False, True))
         start = 0
         for rows in windows:
-            w = slice(start, start + rows)
-            est.two_timescale_window(state, z[w], x[w], None, y[w], alphas[w], betas[w], (False, True))
+            _step(window, start, rows, alphas, betas)
             for t in range(start, start + rows):
                 trials = [[update(*st, z[t, i], x[t, i], y[t, i], alphas[t], betas[t]) for i, st in enumerate(per)]
                           for update, per in zip(updates, trials)]
@@ -291,6 +303,7 @@ class TestBatchKernels:
         rng = make_rng(17)
         z, x, y = rng.standard_normal((n, b, d)), rng.standard_normal((n, b, d)), rng.standard_normal((n, b))
         z[:k, 1] = 0.0
+        blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
         trials = [[np.zeros(d), np.eye(d), np.eye(d) * 10.0, np.eye(d) * 10.0] for _ in range(b)]
         trials[1][2] = -trials[1][2]
         start = tuple(np.stack(parts) for parts in zip(*trials))
@@ -305,7 +318,7 @@ class TestBatchKernels:
         with np.errstate(invalid="raise", over="raise"):
             for rows in (k, k + 1, n):  # the last window has row k in its middle
                 state = tuple(a.copy() for a in start)
-                est.online_2sls_window(state, z[:rows], x[:rows], None, y[:rows], None, None)
+                est.online_2sls_window(state, blocks[0], blocks[1], None, blocks[2]).step(0, rows)
                 if rows == k:
                     assert all(got[1].tobytes() == want.tobytes() for got, want in zip(state, reference[1, k]))
                 else:
@@ -320,12 +333,12 @@ class TestBatchKernels:
         # U = diag(inf, -inf) makes w^T U w = inf - inf, a NaN denominator, in the
         # same row where V = -10 I makes the other one negative: the 1-d kernel
         # raises there, so the trial must end the window NaN.
-        z, x, y = np.ones((1, 1, 2)), np.ones((1, 1, 2)), np.ones((1, 1))
+        z, x, y = np.ones((1, 2)), np.ones((1, 2)), np.ones(1)
         state = (np.zeros((1, 2)), np.eye(2)[None], np.diag([np.inf, -np.inf])[None], -10.0 * np.eye(2)[None])
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            est.online_2sls_update(*(a[0] for a in state), z[0, 0], x[0, 0], y[0, 0])
+            est.online_2sls_update(*(a[0] for a in state), z[0], x[0], y[0])
         with np.errstate(invalid="ignore"):
-            est.online_2sls_window(state, z, x, None, y, None, None)
+            est.online_2sls_window(state, [z], [x], None, [y]).step(0, 1)
         assert all(not np.isfinite(part).any() for part in state)
 
     # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
@@ -340,7 +353,8 @@ class TestBatchKernels:
         rng = make_rng(97 * d_x + d_z)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
         draws = [dgp.sample_two_block(rng, cfg, n) for _ in range(b)]
-        z, x, x_prime, y = (np.stack([d[k] for d in draws], axis=1) for k in range(4))
+        blocks = [[d[k] for d in draws] for k in range(4)]
+        z, x, x_prime, y = (np.stack(field, axis=1) for field in blocks)
         decay = np.arange(1.0, n + 1.0) ** -0.95
         alphas, betas = 0.9 / (d_x + 2.0) * decay, 1.5 / (d_z + 2.0) * decay
         algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
@@ -350,18 +364,15 @@ class TestBatchKernels:
             if lane == "online_2sls":
                 state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
             trial = lambda s, i: tuple(part[i] for part in state)  # noqa: E731
+            window = _bind(lane, state, *blocks)
         else:
             state = (thetas, gamma)
             trial = lambda s, i: (thetas[s, i], gamma[i])  # noqa: E731
+            window = _bind("two_timescale", state, *blocks, [a == "direct_sgd" for a in algorithms])
         trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
         start = 0
         for rows in windows:
-            w = slice(start, start + rows)
-            if lane in est.WINDOW_KERNELS:
-                est.WINDOW_KERNELS[lane](state, z[w], x[w], x_prime[w], y[w], alphas[w], betas[w])
-            else:
-                est.two_timescale_window(state, z[w], x[w], x_prime[w], y[w], alphas[w], betas[w],
-                                         [a == "direct_sgd" for a in algorithms])
+            _step(window, start, rows, alphas, betas)
             for t in range(start, start + rows):
                 trials = [[_reference_step(a, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
                            for i, st in enumerate(per)] for a, per in zip(algorithms, trials)]
@@ -373,16 +384,20 @@ class TestBatchKernels:
                         assert got.tobytes() == want.tobytes()
 
 
-def _window_call(kernel, state, b=3, d_x=2, d_z=3, rows=4):
-    """Call ``kernel`` on ``state`` with a random window of these sizes."""
+_FIELDS = {"two_sample_sgd": ("x", "x_prime", "y"), "two_timescale": ("z", "x", "y"), "online_2sls": ("z", "x", "y")}
+
+
+def _fresh_blocks(b=3, d_x=2, d_z=3, rows=4) -> dict:
+    """Each field's random block of each of ``b`` trials."""
     rng = make_rng(5)
-    window = (rng.standard_normal((rows, b, d_z)), rng.standard_normal((rows, b, d_x)),
-              rng.standard_normal((rows, b, d_x)), rng.standard_normal((rows, b)), np.full(rows, 0.1),
-              np.full(rows, 0.1))
-    if kernel == "two_timescale":
-        est.two_timescale_window(state, *window, (False, True))
-    else:
-        est.WINDOW_KERNELS[kernel](state, *window)
+    shapes = {"z": (rows, d_z), "x": (rows, d_x), "x_prime": (rows, d_x), "y": (rows,)}
+    return {name: [rng.standard_normal(shape) for _ in range(b)] for name, shape in shapes.items()}
+
+
+def _window_of(kernel, state, blocks):
+    """``kernel``'s window loop on ``state`` and the fields of ``blocks`` it reads."""
+    fields = [blocks[name] if name in _FIELDS[kernel] else None for name in ("z", "x", "x_prime", "y")]
+    return _bind(kernel, tuple(state), *fields, (False, True))
 
 
 def _fresh_state(kernel, b=3, d_x=2, d_z=3):
@@ -394,8 +409,24 @@ def _fresh_state(kernel, b=3, d_x=2, d_z=3):
     return state
 
 
+def _misfit(a, bad):
+    """``a`` as an array of the kind ``bad`` that a loop must not be given."""
+    if bad == "strided":
+        strided = np.zeros(a.shape + (2,))[..., 0]
+        strided[...] = a
+        return strided
+    if bad == "read-only":
+        read_only = a.copy()
+        read_only.flags.writeable = False
+        return read_only
+    return {"float32": a.astype(np.float32), "fortran": np.asfortranarray(a), "list": a.tolist()}[bad]
+
+
 class TestNativeLoops:
-    """The compiled window loops: their build, its cache, and the state they update."""
+    """The compiled window loops: their build, its cache, and the state and blocks they are bound to.
+
+    A loop checks its state and blocks once, when it is bound, and never writes a copy.
+    """
 
     def test_second_build_reuses_the_cache(self, tmp_path, monkeypatch):
         built = _native.build(tmp_path)
@@ -472,24 +503,54 @@ class TestNativeLoops:
     def test_state_is_updated_in_place_or_rejected(self, kernel, bad):
         # The loops write the state arrays themselves, never a converted copy: a
         # state part that is not a writeable C-contiguous float64 array of the
-        # right shape raises, and is left as it was.
-        state = _fresh_state(kernel)
+        # right shape raises when the loop is bound, and is left as it was.
+        state, blocks = _fresh_state(kernel), _fresh_blocks()
         k = 0 if kernel == "two_sample_sgd" else len(state) - 1  # the part the loop writes last
         part = state[k]
-        strided = np.zeros(part.shape + (2,))[..., 0]
-        strided[...] = part
-        read_only = part.copy()
-        read_only.flags.writeable = False
-        state[k] = {"float32": part.astype(np.float32), "fortran": np.asfortranarray(part), "strided": strided,
-                    "read-only": read_only, "list": part.tolist(), "shape": part[:, :-1].copy()}[bad]
-        before = copy.deepcopy(state[k])
-        with pytest.raises(ValueError, match=("theta", "gamma", "U", "V")[k] if kernel != "two_timescale" else "gamma"):
-            _window_call(kernel, tuple(state))
-        np.testing.assert_array_equal(state[k], before)
+        state[k] = part[:, :-1].copy() if bad == "shape" else _misfit(part, bad)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match=("theta", "gamma", "U", "V")[k]):
+            _window_of(kernel, state, blocks)
+        for got, want in zip(state, before):
+            np.testing.assert_array_equal(got, want)
         # The same state with that part as it should be is stepped in place.
         state[k] = part
-        _window_call(kernel, tuple(state))
-        assert not np.array_equal(part, before)
+        _step(_window_of(kernel, state, blocks), 0, 4, np.full(4, 0.1), np.full(4, 0.1))
+        assert not np.array_equal(part, before[k])
+
+    @pytest.mark.parametrize("kernel", ["two_sample_sgd", "two_timescale", "online_2sls"])
+    @pytest.mark.parametrize("bad", ["float32", "fortran", "strided", "list", "shape", "missing"])
+    def test_blocks_are_read_in_place_or_rejected(self, kernel, bad):
+        # Each block a loop reads in place must be a C-contiguous float64 array
+        # of the first trial's shape, one per trial: else binding raises, naming
+        # the field, with the state left as it was.
+        state = _fresh_state(kernel)
+        before = copy.deepcopy(state)
+        for name in _FIELDS[kernel]:
+            blocks = _fresh_blocks()
+            field = blocks[name]
+            if bad == "fortran" and field[1].ndim == 1:
+                continue  # a 1-d block is C-contiguous in either order
+            if bad == "missing":
+                blocks[name] = field[:-1]
+            else:
+                field[1] = field[1][:-1].copy() if bad == "shape" else _misfit(field[1], bad)
+            with pytest.raises(ValueError, match=f"{name} block"):
+                _window_of(kernel, state, blocks)
+            for got, want in zip(state, before):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["two_sample_sgd", "two_timescale", "online_2sls"])
+    def test_window_stays_within_the_blocks(self, kernel):
+        # A window must lie within the blocks' rows and hold at least one.
+        state = _fresh_state(kernel)
+        before = copy.deepcopy(state)
+        window, steps = _window_of(kernel, state, _fresh_blocks(rows=4)), np.full(4, 0.1)
+        for t0, rows in ((-1, 2), (3, 2), (0, 5), (2, 0), (4, 1)):
+            with pytest.raises(ValueError, match="not within the blocks' 4 rows"):
+                window.step(t0, rows, steps.ctypes.data, steps.ctypes.data)
+        for got, want in zip(state, before):
+            assert got.tobytes() == want.tobytes()
 
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation
@@ -905,6 +966,21 @@ class TestFitThroughWindows:
         for a, value in want.items():
             assert np.isfinite(value).all()
             assert getattr(reg, a).tobytes() == value.tobytes(), a
+
+    @pytest.mark.parametrize("name", ["two_sample", "two_stage", "direct"])
+    def test_numpy_float32_schedule_fits_as_partial_fit(self, name):
+        # A schedule built from float32 numbers keeps them as Python floats, so
+        # partial_fit's steps are float64, as fit's are, and the two agree bit for bit.
+        z, x, x_prime, y = _stream(2, 3, 300, seed=47)
+        sched = {"alpha": Polynomial(np.float32(0.3), np.float32(0.95)), "beta": Polynomial(np.float32(0.5), 0.95)}
+        fitted, streamed = _regressor(name, 2, 3), _regressor(name, 2, 3)
+        for reg in (fitted, streamed):
+            reg.set_params(**{p: sched[p] for p in ("alpha", "beta") if p in reg.get_params()})
+        fitted.fit(*_args(fitted, z, x, y, x_prime))
+        for i in range(len(y)):
+            streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
+        for a in fitted._iterates:
+            assert getattr(fitted, a).tobytes() == getattr(streamed, a).tobytes(), a
 
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
     def test_split_fit_equals_one_fit_late_in_the_stream(self, name):

@@ -6,7 +6,7 @@ import pytest
 
 from ivstream import dgp, harness, metrics, presets
 from ivstream import estimators as est
-from ivstream.schedule import Constant, Polynomial
+from ivstream.schedule import Constant, Polynomial, steps
 
 
 def _tiny_spec(**over):
@@ -215,10 +215,9 @@ class TestLockstep:
     def test_memory_does_not_grow_with_T(self, algorithm, monkeypatch):
         # Two groups of four trials. The peak grows by less than half a block
         # from 4 to 8 blocks per trial, where holding one more block would add
-        # a whole one. It stays within the group's blocks, the previous and the
-        # next window of stacked rows, and one sampler call.
+        # a whole one. It stays within the group's blocks, which the loops read
+        # in place, one block's steps, and one sampler call.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
-        monkeypatch.setattr(harness, "_WINDOW", 32)
         runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 4 * _block_bytes(runs[0]))
         sample = dgp.sample_two_block if algorithm in harness.TWO_SAMPLE_ALGORITHMS else dgp.sample_one_block
@@ -236,21 +235,71 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peaks[1] < peaks[0] + _block_bytes(runs[0]) / 2
-        assert max(peaks) <= harness._GROUP_BYTES * (1 + 2 * 32 / 512) + sampler_peak
+        assert max(peaks) <= harness._GROUP_BYTES + 8 * 512 + sampler_peak
+
+
+def _kernel_run(spec, i) -> list[float]:
+    """Trial i's ``dist_sq`` at each checkpoint, from its 1-d kernel stepped row by row over its blocks.
+
+    The blocks are drawn as the harness draws them, and the steps are one
+    ``steps`` array over the whole run.
+    """
+    rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+    if spec.test_n > 0:
+        dgp.sample_one_block(rng, spec.dgp, spec.test_n)
+    two_sample = spec.algorithm in harness.TWO_SAMPLE_ALGORITHMS
+    alphas, betas = (None if s is None else steps(s, spec.T) for s in (spec.alpha, spec.beta))
+    state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
+                              spec.lam if spec.algorithm == "online_2sls" else None)
+    dist_sq, t = [], 0
+    while t < spec.T:
+        block = (dgp.sample_two_block if two_sample else dgp.sample_one_block)(
+            rng, spec.dgp, min(harness._SAMPLE_BLOCK, spec.T - t))
+        for r in range(len(block[-1])):
+            if spec.algorithm == "two_sample_sgd":
+                z, x, x_prime, y = (a[r] for a in block)
+                state = (est.two_sample_update(state[0], x, x_prime, y, alphas[t]),)
+            elif spec.algorithm == "online_2sls":
+                state = est.online_2sls_update(*state, *(a[r] for a in block))
+            else:
+                update = est.direct_residual_update if spec.algorithm == "direct_sgd" else est.two_stage_update
+                state = update(*state, *(a[r] for a in block), alphas[t], betas[t])
+            t += 1
+            if t in spec.checkpoints:
+                dist_sq.append(metrics.dist_to_opt(state[0], spec.dgp.theta_star))
+    return dist_sq
+
+
+class TestHarnessPath:
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_each_trial_is_its_1d_kernel_run(self, algorithm, b, monkeypatch):
+        # Blocks of 97 rows: windows start inside blocks, and checkpoints fall
+        # inside them, so each window reads its rows at an offset into the block.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 97)
+        spec = _lockstep_spec(algorithm, trials=b)
+        assert [len(g) for g in harness.trial_groups(spec)] == [b]
+        assert any(c % 97 for c in spec.checkpoints) and spec.T > 5 * 97
+        got = harness.run_experiment(spec).metrics["dist_sq"]
+        for i in range(b):
+            want = _kernel_run(spec, i)
+            assert np.isfinite(want).all()
+            assert got[i].tobytes() == np.array(want).tobytes()
 
 
 FIG2_CELL = "dx8_dz16_rho4_sig1"
 
 
 def _recording_lanes(monkeypatch) -> list[tuple[bool, ...]]:
-    """Record the raw-residual flags of each two-timescale kernel call, one tuple per call."""
-    calls, kernel = [], est.two_timescale_window
+    """Record the raw-residual flags of each two-timescale window, one tuple per window."""
+    calls, step = [], est.Window.step
 
-    def recording(state, z, x, x_prime, y, alphas, betas, direct):
-        calls.append(tuple(direct))
-        kernel(state, z, x, x_prime, y, alphas, betas, direct)
+    def recording(window, t0, rows, alphas=0, betas=0):
+        if window.direct is not None:
+            calls.append(window.direct)
+        return step(window, t0, rows, alphas, betas)
 
-    monkeypatch.setattr(est, "two_timescale_window", recording)
+    monkeypatch.setattr(est.Window, "step", recording)
     return calls
 
 

@@ -15,6 +15,15 @@ class TestStep:
         # 2 * 4^(-1/2) = 1 exactly.
         assert schedule.step(Polynomial(2.0, 0.5), 4) == 1.0
 
+    def test_numbers_are_kept_as_python_floats(self):
+        # numpy scalars and integers alike: a step is then float64, and a schedule writes as JSON.
+        for s in (Constant(np.float32(0.3)), Constant(1), Polynomial(np.float32(0.3), np.float32(0.95)),
+                  Polynomial(2, 1)):
+            assert all(type(v) is float for v in vars(s).values())
+            assert type(schedule.step(s, 3)) is float
+            assert schedule.steps(s, 5).dtype == np.float64
+        assert Constant(np.float32(0.3)).alpha == float(np.float32(0.3))
+
     def test_t_below_one_rejected(self):
         with pytest.raises(ValueError):
             schedule.step(Constant(0.1), 0)
