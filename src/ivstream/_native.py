@@ -2,12 +2,15 @@
 
 ``_windows.c`` is compiled with the system ``cc`` on the first bind of a
 window loop (a harness group's first block, or a regressor's first ``fit``)
-and loaded with ctypes; importing ivstream never compiles. The build is
-cached in ``~/.cache/ivstream`` under a hash of the source and the flags,
-and renamed into place once complete, so a later process loads it without a
-compiler; a new build removes the older builds beside it. The loops call the
-scipy-openblas64 routines that numpy's own gufuncs call, found through
-numpy's extension module when they are loaded, and libm's ``pow`` for the
+and loaded with ctypes; importing ivstream never compiles. It is compiled
+for the CPU it runs on (``-march=native``), so the build is cached in
+``~/.cache/ivstream`` under a hash of the source, the flags, the libraries
+and the CPU (:func:`cpu`): a cache that two machines share never loads a
+build made for the other. A build is renamed into place once complete, so a
+later process loads it without a compiler; a new build removes the older
+builds beside it. The loops call the scipy-openblas64 routines that numpy's
+own gufuncs call, found through numpy's extension module when they are
+loaded, for every product of more than one term, and libm's ``pow`` for the
 steps of a regressor's ``fit``.
 """
 
@@ -17,6 +20,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -27,17 +31,27 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_windows.c")
 
 #: ``-ffp-contract=off``: a fused multiply-add would round differently from numpy.
-#: ``-O3`` keeps the bits (``_windows.c`` says why); ``-ffast-math`` would not.
-#: No ``-march=native``: the build key holds no CPU, so a build must not assume
-#: the CPU it was made on.
-CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+#: ``-O3`` and ``-march=native`` keep the bits (``_windows.c`` says why);
+#: ``-ffast-math`` would not. A build for the native CPU is keyed by :func:`cpu`.
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 #: libm, for ``pow`` and the floating-point exception flags.
 LIBS = ("-lm",)
 
 
+def cpu() -> str:
+    """This CPU, as the build key holds it: the machine and the feature flags ``-march=native`` compiles for."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            flags = next((line.strip() for line in info if line.startswith(("flags", "Features"))), "")
+    except OSError:  # no /proc/cpuinfo outside Linux
+        flags = ""
+    return f"{platform.machine()} {flags or platform.processor()}"
+
+
 def build(cache: Path) -> Path:
-    """The compiled loops in ``cache``, compiled first unless this source with these flags was."""
-    key = hashlib.sha256("\0".join((SOURCE.read_text(encoding="utf-8"), *CFLAGS, *LIBS)).encode()).hexdigest()
+    """The compiled loops in ``cache``, compiled first unless this source with these flags was, for this CPU."""
+    parts = (SOURCE.read_text(encoding="utf-8"), *CFLAGS, *LIBS, cpu())
+    key = hashlib.sha256("\0".join(parts).encode()).hexdigest()
     target = cache / f"windows-{key[:16]}.so"
     if target.exists():
         return target

@@ -3,18 +3,26 @@
  * rows of their sample blocks, updating the state in place.
  *
  * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
- * buffers, because every product calls the OpenBLAS routine numpy itself
- * calls, with the same arguments:
+ * buffers, because every product whose sum has more than one term calls the
+ * OpenBLAS routine numpy itself calls, with the same arguments:
  *   np.vecdot(a, b)      0. + ddot(n, a, 1, b, 1)
  *   np.matvec(A, x)      dgemv(RowMajor, NoTrans) on the C-contiguous (m, n) A
  *   np.vecmat(x, A)      dgemv(RowMajor, Trans) on the C-contiguous (n, m) A,
  *                        and one ddot when A has a single column (m = 1)
+ * A sum of one term (a dot of length one, a matvec or vecmat whose inner
+ * length is one: every product at d_x = d_z = 1, and fit's vecmat when
+ * d_z = 1 < d_x) is computed inline as 0. + a * b, which has the same bits:
+ * ddot, and dgemv with beta 0 (which zeroes y) and alpha 1, start the sum at
+ * +0 and add the one product, so the product is rounded once and -0 becomes
+ * +0, as here; numpy's own loop for a one-term matmul does the same.
  * Every other operation is one IEEE operation per element in numpy's order,
  * so the file must be compiled with -ffp-contract=off and without
- * -ffast-math. -O3 keeps these bits: the loops it vectorises are the
- * elementwise updates, where each element is still one multiply and one
- * subtract or add, rounded as before; every reduction is a BLAS call, and gcc
- * reorders no floating-point sum without -ffast-math (or -fassociative-math).
+ * -ffast-math. -O3 and -march=native keep these bits: the loops they
+ * vectorise are the elementwise updates, where each element is still one
+ * multiply and one subtract, add or divide, each correctly rounded in any
+ * instruction set the CPU has, and no multiply and add are fused; every sum
+ * of more than one term is a BLAS call, and gcc reorders no floating-point
+ * sum without -ffast-math (or -fassociative-math).
  * Arrays are C-contiguous float64: the state theta (B, d_x),
  * or (S, B, d_x) for the two-timescale loop, gamma (B, d_z, d_x),
  * U (B, d_x, d_x) and V (B, d_z, d_z). The samples are read in place from
@@ -82,25 +90,42 @@ void fit_steps(blasint rows, blasint start, blasint n, const double *terms, doub
     }
 }
 
+/* A sum of one term is 0. + a * b, as ddot and dgemv (alpha 1, beta 0) compute it; longer sums call them. */
 static double vecdot(blasint n, const double *a, const double *b)
 {
-    return 0. + ddot(n, a, 1, b, 1);
+    return n == 1 ? 0. + a[0] * b[0] : 0. + ddot(n, a, 1, b, 1);
 }
 
 static void matvec(blasint m, blasint n, const double *a, const double *x, double *out)
 {
-    dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
+    if (n == 1)
+        for (blasint k = 0; k < m; k++)
+            out[k] = 0. + a[k] * x[0];
+    else
+        dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
 }
 
 static void vecmat(blasint n, blasint m, const double *x, const double *a, double *out)
 {
     if (m == 1)
         out[0] = vecdot(n, x, a);
+    else if (n == 1)
+        for (blasint k = 0; k < m; k++)
+            out[k] = 0. + x[0] * a[k];
     else
         dgemv(ROW_MAJOR, TRANS, n, m, 1.0, a, m, x, 1, 0.0, out, 1);
 }
 
-/* two_sample_update: theta -= (alpha * (x . theta - y)) * x_prime. */
+/*
+ * two_sample_update: theta -= (alpha * (x . theta - y)) * x_prime.
+ * The next row's dot reads back the theta this update stores. Stored in 256-
+ * or 512-bit vectors, as -march=native would on an AVX-512 CPU, a row of
+ * d_x = 4 or 8 made this loop 4-11% slower per row than 128-bit stores
+ * (measured on an AVX-512 Xeon), so it alone keeps to 128-bit vectors.
+ */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target("prefer-vector-width=128")))
+#endif
 int two_sample_window(blasint b, blasint d_x, double *theta, blocks x, blocks x_prime, blocks y, blasint t0,
                       blasint rows, const double *alphas, const double *betas)
 {

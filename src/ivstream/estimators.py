@@ -53,12 +53,14 @@ updates the state in place; it never writes the blocks. The loops are C, in
 in ``~/.cache/ivstream`` (see :mod:`ivstream._native`). Importing the
 package, the 1-d kernels and the regressors' ``partial_fit`` and ``predict``
 need no compiler; a regressor's ``fit`` runs the loops, so its first call
-compiles them. Each product calls the routine of numpy's own scipy-openblas64
-that numpy's ``@`` calls on the same vectors, and the elementwise arithmetic
-keeps the 1-d kernels' order without fused multiply-adds, so each trial's
-iterates are bitwise equal to the 1-d kernels'; ``tests/test_estimators.py``
-checks this bit for bit. Like the 1-d kernels' bits, they still depend on the
-BLAS kernel OpenBLAS picks for the CPU. :func:`two_timescale_window` is the
+compiles them, for the CPU it runs on. Each product of more than one term
+calls the routine of numpy's own scipy-openblas64 that numpy's ``@`` calls on
+the same vectors, a product of one term is one rounded multiply added to +0
+as in numpy, and the elementwise arithmetic keeps the 1-d kernels' order
+without fused multiply-adds, so each trial's iterates are bitwise equal to
+the 1-d kernels'; ``tests/test_estimators.py`` checks this bit for bit. Like
+the 1-d kernels' bits, they still depend on the BLAS kernel OpenBLAS picks
+for the CPU. :func:`two_timescale_window` is the
 one loop of both two-timescale updates. It steps S thetas against one gamma,
 so the harness steps the two-timescale specs that share a first stage (same
 stream, alpha, beta and gamma0) in one call; :data:`WINDOW_KERNELS` holds the

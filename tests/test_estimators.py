@@ -1,6 +1,7 @@
 import _ctypes
 import copy
 import os
+import platform
 import subprocess
 import sys
 import types
@@ -354,34 +355,78 @@ class TestBatchKernels:
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
         draws = [dgp.sample_two_block(rng, cfg, n) for _ in range(b)]
         blocks = [[d[k] for d in draws] for k in range(4)]
-        z, x, x_prime, y = (np.stack(field, axis=1) for field in blocks)
         decay = np.arange(1.0, n + 1.0) ** -0.95
         alphas, betas = 0.9 / (d_x + 2.0) * decay, 1.5 / (d_z + 2.0) * decay
-        algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
-        thetas, gamma = rng.standard_normal((len(algorithms), b, d_x)), 0.1 * rng.standard_normal((b, d_z, d_x))
-        if lane in est.WINDOW_KERNELS:
-            state = (thetas[0], gamma)
-            if lane == "online_2sls":
-                state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
-            trial = lambda s, i: tuple(part[i] for part in state)  # noqa: E731
-            window = _bind(lane, state, *blocks)
-        else:
-            state = (thetas, gamma)
-            trial = lambda s, i: (thetas[s, i], gamma[i])  # noqa: E731
-            window = _bind("two_timescale", state, *blocks, [a == "direct_sgd" for a in algorithms])
-        trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
-        start = 0
-        for rows in windows:
+        thetas = rng.standard_normal((2 if lane == "both" else 1, b, d_x))
+        gamma = 0.1 * rng.standard_normal((b, d_z, d_x))
+        trials, raised = _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas)
+        assert not raised
+        assert all(np.isfinite(part).all() for per in trials for st in per for part in st)
+
+    # d_z = 1 < d_x is the vecmat of one row of gamma, which fit reaches too.
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 1), (1, 3)])
+    @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
+    def test_edge_rows_bitwise_equal_to_1d_kernels(self, lane, d_x, d_z):
+        # Rows, thetas and gammas of EDGE_VALUES, in windows of 1, 7 and 32
+        # rows: every byte, non-finite ones too, is the 1-d kernels'.
+        windows, b = (1, 7, 32), 16
+        n = sum(windows)
+        rng = make_rng(31 * d_x + d_z)
+        blocks = [[rng.choice(EDGE_VALUES, shape) for _ in range(b)] for shape in ((n, d_z), (n, d_x), (n, d_x), (n,))]
+        thetas = rng.choice(EDGE_VALUES, (2 if lane == "both" else 1, b, d_x))
+        gamma = rng.choice(EDGE_VALUES, (b, d_z, d_x))
+        _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, np.full(n, 0.5), np.full(n, 0.25))
+
+
+#: Signed zeros, the least subnormal, products that underflow and products that overflow.
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, 3.0])
+
+
+def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas):
+    """Step ``lane``'s loop on B trials' ``blocks`` in ``windows`` of rows, checking each trial against its 1-d kernel.
+
+    ``lane`` is an algorithm, or "both" for a two-stage and a direct theta on
+    one gamma; ``thetas`` holds one (B, d_x) theta per algorithm. After each
+    window every trial's bytes are its 1-d kernel's, row by row, except that a
+    trial whose kernel raised has ended NaN, as the loop's contract says.
+    Returns the kernels' final states and the (theta, trial) pairs that raised.
+    """
+    algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
+    b, (d_z, d_x) = len(blocks[0]), gamma.shape[1:]
+    z, x, x_prime, y = (np.stack(field, axis=1) for field in blocks)
+    if lane in est.WINDOW_KERNELS:
+        state = (thetas[0], gamma)
+        if lane == "online_2sls":
+            state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
+        trial = lambda s, i: tuple(part[i] for part in state)  # noqa: E731
+        window = _bind(lane, state, *blocks)
+    else:
+        state = (thetas, gamma)
+        trial = lambda s, i: (thetas[s, i], gamma[i])  # noqa: E731
+        window = _bind("two_timescale", state, *blocks, [a == "direct_sgd" for a in algorithms])
+    trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
+    raised, start = set(), 0
+    for rows in windows:
+        with np.errstate(all="ignore"):
             _step(window, start, rows, alphas, betas)
             for t in range(start, start + rows):
-                trials = [[_reference_step(a, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
-                           for i, st in enumerate(per)] for a, per in zip(algorithms, trials)]
-            start += rows
-            for s, per in enumerate(trials):
-                for i, st in enumerate(per):
-                    for got, want in zip(trial(s, i), st):
-                        assert np.isfinite(want).all()
+                for s, (a, per) in enumerate(zip(algorithms, trials)):
+                    for i, st in enumerate(per):
+                        if (s, i) not in raised:
+                            try:
+                                per[i] = _reference_step(a, st, z[t, i], x[t, i], x_prime[t, i], y[t, i],
+                                                         alphas[t], betas[t])
+                            except FloatingPointError:
+                                raised.add((s, i))
+        start += rows
+        for s, per in enumerate(trials):
+            for i, st in enumerate(per):
+                for got, want in zip(trial(s, i), st):
+                    if (s, i) in raised:
+                        assert np.isnan(got).all()
+                    else:
                         assert got.tobytes() == want.tobytes()
+    return trials, raised
 
 
 _FIELDS = {"two_sample_sgd": ("x", "x_prime", "y"), "two_timescale": ("z", "x", "y"), "online_2sls": ("z", "x", "y")}
@@ -447,6 +492,24 @@ class TestNativeLoops:
         other.write_text("kept", encoding="utf-8")
         built = _native.build(tmp_path)
         assert sorted(tmp_path.iterdir()) == sorted([built, in_progress, other])
+
+    def test_each_cpu_has_its_own_build(self, tmp_path, monkeypatch):
+        # A cache shared by two machines: a build for one CPU is never loaded
+        # on the other, and a CPU's own build is reused. Each is compiled for
+        # the CPU it runs on.
+        assert _native.cpu().startswith(platform.machine() + " ")
+        compiled, run = [], _native.subprocess.run
+        monkeypatch.setattr(_native.subprocess, "run", lambda cmd, **k: compiled.append(cmd) or run(cmd, **k))
+        monkeypatch.setattr(_native, "cpu", lambda: "x86_64 flags : fpu sse2 avx2")
+        first = _native.build(tmp_path)
+        assert _native.build(tmp_path) == first and len(compiled) == 1
+        monkeypatch.setattr(_native, "cpu", lambda: "x86_64 flags : fpu sse2 avx2 avx512f")
+        second = _native.build(tmp_path)
+        assert second != first and len(compiled) == 2
+        assert _native.build(tmp_path) == second and len(compiled) == 2
+        for cmd in compiled:  # for the CPU it runs on, with no reordered or fused arithmetic
+            assert "-march=native" in cmd and "-ffp-contract=off" in cmd
+            assert not any("fast-math" in arg or "associative" in arg for arg in cmd)
 
     def test_no_compiler_fails_at_the_first_window_only(self, tmp_path):
         # Importing, the 1-d kernels and partial_fit run without a compiler. A
@@ -966,6 +1029,43 @@ class TestFitThroughWindows:
         for a, value in want.items():
             assert np.isfinite(value).all()
             assert getattr(reg, a).tobytes() == value.tobytes(), a
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 1), (1, 3)])
+    def test_edge_rows_fit_as_partial_fit(self, name, d_x, d_z):
+        # Streams and first iterates of EDGE_VALUES, under numpy's default
+        # error handling, with every event ignored (fit replays only windows
+        # that end non-finite) and with every event raising: fit ends with
+        # partial_fit's bytes and n_iter_, after the same warnings, or raises
+        # at the same row.
+        rng = make_rng(37 * d_x + d_z)
+        defaults = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            z, x, x_prime = (rng.choice(EDGE_VALUES, (n, d)) for d in (d_z, d_x, d_x))
+            y = rng.choice(EDGE_VALUES, n)
+            start = {"theta0": rng.choice(EDGE_VALUES, d_x), "gamma0": rng.choice(EDGE_VALUES, (d_z, d_x))}
+            for errors in (defaults, {"all": "ignore"}, {"all": "raise"}):
+                ends = []
+                for how in ("fit", "partial_fit"):
+                    reg, raised = _regressor(name, d_x, d_z), None
+                    reg.set_params(**{p: v for p, v in start.items() if p in reg.get_params()})
+                    with warnings.catch_warnings(record=True) as seen, np.errstate(**errors):
+                        warnings.simplefilter("always")
+                        try:
+                            if how == "fit":
+                                reg.fit(*_args(reg, z, x, y, x_prime))
+                            else:
+                                for i in range(n):
+                                    reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
+                        except FloatingPointError as e:
+                            raised = str(e)
+                    ends.append((reg, [(w.category, str(w.message)) for w in seen], raised))
+                (fitted, *end), (streamed, *want) = ends
+                assert end == want
+                assert fitted.n_iter_ == streamed.n_iter_
+                for a in streamed._iterates:
+                    assert getattr(fitted, a).tobytes() == getattr(streamed, a).tobytes(), a
 
     @pytest.mark.parametrize("name", ["two_sample", "two_stage", "direct"])
     def test_numpy_float32_schedule_fits_as_partial_fit(self, name):

@@ -216,11 +216,15 @@ class TestLockstep:
         # Two groups of four trials. The peak grows by less than half a block
         # from 4 to 8 blocks per trial, where holding one more block would add
         # a whole one. It stays within the group's blocks, which the loops read
-        # in place, one block's steps, and one sampler call.
+        # in place, one block's steps, and one sampler call. A first draw and a
+        # first run pay one-time costs (numpy.random's lazy import, about
+        # 900 KB), so both come before the tracing starts.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
         runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 4 * _block_bytes(runs[0]))
         sample = dgp.sample_two_block if algorithm in harness.TWO_SAMPLE_ALGORITHMS else dgp.sample_one_block
+        sample(np.random.Generator(np.random.PCG64(0)), runs[0].dgp, 512)
+        harness.run_experiment(_lockstep_spec(algorithm, trials=1, test_n=0, T=8))
         tracemalloc.start()
         try:
             sample(np.random.Generator(np.random.PCG64(0)), runs[0].dgp, 512)
