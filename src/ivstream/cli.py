@@ -142,21 +142,23 @@ def _check_gradient(seed: int, n: int) -> float:
 
 
 def _check_sherman_morrison(seed: int) -> tuple[float, float]:
-    """max |U A_U - I| and max |V A_V - I| after 1000 rows; inf if the state breaks."""
+    """max |U A_U - I| and max |V A_V - I| after 1000 rows, each one call of the 2SLS
+    window loop that every run steps, at B = 1; inf if the state breaks (ends NaN)."""
     cfg = endogenous_linear_config(8, 16, rho=4.0, sigma_eps=1.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     z, x, y = sample_one_block(rng, cfg, 1000)
     lam = 0.1
     theta, gamma, u, v = est.initial_state(8, 16, lam=lam)
+    state = (theta[None, None], gamma[None], u[None], v[None])
+    window = est.Online2SLSRegressor._loop(state, [z], [x], None, [y], (False,))
     acc_u = lam * np.eye(8)
     acc_v = lam * np.eye(16)
-    try:
-        for t in range(1000):
-            w = z[t] @ gamma
-            acc_u += np.outer(w, w)
-            acc_v += np.outer(z[t], z[t])
-            theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, z[t], x[t], y[t])
-    except FloatingPointError:
+    for t in range(1000):
+        w = z[t] @ gamma  # the gamma before row t
+        acc_u += np.outer(w, w)
+        acc_v += np.outer(z[t], z[t])
+        window.step(t, 1)
+    if not all(np.isfinite(a).all() for a in state):
         return float("inf"), float("inf")
     return float(np.abs(u @ acc_u - np.eye(8)).max()), float(np.abs(v @ acc_v - np.eye(16)).max())
 

@@ -60,16 +60,18 @@ as in numpy, and the elementwise arithmetic keeps the 1-d kernels' order
 without fused multiply-adds, so each trial's iterates are bitwise equal to
 the 1-d kernels'; ``tests/test_estimators.py`` checks this bit for bit. Like
 the 1-d kernels' bits, they still depend on the BLAS kernel OpenBLAS picks
-for the CPU. :func:`two_timescale_window` is the
-one loop of both two-timescale updates. It steps S thetas against one gamma,
-so the harness steps the two-timescale specs that share a first stage (same
-stream, alpha, beta and gamma0) in one call; :data:`WINDOW_KERNELS` holds the
-other two.
+for the CPU. Every loop takes thetas stacked as (S, B, d_x) and S flags
+``direct``; :func:`two_timescale_window`, the loop of both two-timescale
+updates, steps S thetas on one gamma, so the harness steps the two-timescale
+specs that share a first stage (same stream, alpha, beta and gamma0) in one
+call. The other two loops take S = 1.
 
 The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
 ``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
 algorithms compose with the wider ecosystem; fitted state lives in the
-``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes. ``partial_fit``
+``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes; :data:`REGRESSORS`
+maps each algorithm id to its class, which states its facts for the harness
+too. ``partial_fit``
 steps its row through the 1-d kernel. ``fit`` makes its rows C-contiguous
 float64 once, binds the compiled loop to them with B = 1 once per fit, and
 steps windows of up to :data:`FIT_WINDOW_ROWS` rows, each one call. The
@@ -164,12 +166,12 @@ def online_2sls_update(theta, gamma, u, v, z, x, y: float):
 # and returns a :class:`Window` on them, whose ``step`` runs a window of rows
 # through the compiled loop in ``_windows.c``, updating the state in place; the
 # blocks are read in place, never written or copied. ``state`` is (theta,
-# gamma), plus (U, V) for streaming 2SLS, with shapes (B, d_x), (B, d_z, d_x),
-# (B, d_x, d_x) and (B, d_z, d_z); theta is (S, B, d_x) for
-# :func:`two_timescale_window`, which also takes the S flags ``direct``. ``z``,
-# ``x``, ``x_prime`` and ``y`` hold one block per trial, of shapes (n, d_z),
-# (n, d_x), (n, d_x) and (n,); a field the loop does not read may be None.
-# Theta gives B, and the first trial's blocks give n, d_z and d_x.
+# gamma), plus (U, V) for streaming 2SLS, with shapes (S, B, d_x), (B, d_z, d_x),
+# (B, d_x, d_x) and (B, d_z, d_z), and ``direct`` holds the S thetas' flags; only
+# :func:`two_timescale_window` takes S > 1 and reads the flags. ``z``, ``x``,
+# ``x_prime`` and ``y`` hold one block per trial, of shapes (n, d_z), (n, d_x),
+# (n, d_x) and (n,); a field the loop does not read may be None. Theta gives B,
+# and the first trial's blocks give n, d_z and d_x.
 
 
 def _trials(state) -> int:
@@ -230,10 +232,10 @@ class Window:
         return events
 
 
-def two_sample_window(state, z, x, x_prime, y) -> Window:
+def two_sample_window(state, z, x, x_prime, y, direct) -> Window:
     """:func:`two_sample_update` on B trials; it takes ``alphas`` and reads neither gamma nor ``z``."""
     b, n, d_x = _trials(state), len(y[0]), np.shape(x[0])[-1]
-    return Window("two_sample_window", (b, d_x), {"theta": (state[0], (b, d_x))},
+    return Window("two_sample_window", (b, d_x), {"theta": (state[0], (1, b, d_x))},
                   {"x": (x, (n, d_x)), "x_prime": (x_prime, (n, d_x)), "y": (y, (n,))}, n)
 
 
@@ -254,7 +256,7 @@ def two_timescale_window(state, z, x, x_prime, y, direct) -> Window:
                   {"z": (z, (n, d_z)), "x": (x, (n, d_x)), "y": (y, (n,))}, n, direct)
 
 
-def online_2sls_window(state, z, x, x_prime, y) -> Window:
+def online_2sls_window(state, z, x, x_prime, y, direct) -> Window:
     """:func:`online_2sls_update` on B trials; it takes no steps.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
@@ -263,17 +265,9 @@ def online_2sls_window(state, z, x, x_prime, y) -> Window:
     records that trial as diverged.
     """
     b, n, d_z, d_x = _trials(state), len(y[0]), np.shape(z[0])[-1], np.shape(x[0])[-1]
-    shapes = ((b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))
+    shapes = ((1, b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))
     return Window("online_2sls_window", (b, d_z, d_x), dict(zip(("theta", "gamma", "U", "V"), zip(state, shapes))),
                   {"z": (z, (n, d_z)), "x": (x, (n, d_x)), "y": (y, (n,))}, n)
-
-
-#: Window loop of each harness algorithm that steps its own state; the
-#: two-timescale algorithms share :func:`two_timescale_window`.
-WINDOW_KERNELS = {
-    "two_sample_sgd": two_sample_window,
-    "online_2sls": online_2sls_window,
-}
 
 
 def initial_state(d_x: int, d_z: int, theta0=None, gamma0=None, lam=None) -> tuple[np.ndarray, ...]:
@@ -315,6 +309,8 @@ class _BaseIVRegressor:
     _param_names: tuple[str, ...] = ()
     _schedules: tuple[str, ...] = ()  # the step sizes the update takes, in its order
     _iterates = ("theta_", "gamma_")  # the attributes set from :func:`initial_state`, in its order
+    _reads_x_prime = False  # whether a row holds X', the two-sample oracle's second draw
+    _raw_residual = False  # whether the theta step takes the raw residual X^T theta - Y
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -375,7 +371,7 @@ class _BaseIVRegressor:
         return self
 
     def _window(self, state, *blocks) -> Window:
-        return self._loop([a[None] for a in state], *blocks)
+        return self._loop((state[0][None, None], *(a[None] for a in state[1:])), *blocks, (self._raw_residual,))
 
     def _update_windows(self, *rows):
         schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
@@ -430,6 +426,7 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
     _param_names = ("alpha", "theta0")
     _schedules = ("alpha",)
     _iterates = ("theta_",)
+    _reads_x_prime = True
     _loop = staticmethod(two_sample_window)
 
     def __init__(self, alpha=0.01, theta0=None):
@@ -456,7 +453,7 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
 class _TwoTimescaleRegressor(_BaseIVRegressor):
     _param_names = ("alpha", "beta", "theta0", "gamma0")
     _schedules = ("alpha", "beta")
-    _kernel = staticmethod(two_stage_update)
+    _loop = staticmethod(two_timescale_window)
 
     def __init__(self, alpha=0.01, beta=0.1, theta0=None, gamma0=None):
         self.alpha = alpha
@@ -464,13 +461,9 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.theta0 = theta0
         self.gamma0 = gamma0
 
-    def _window(self, state, *blocks) -> Window:
-        theta, gamma = state
-        direct = (self._kernel is direct_residual_update,)
-        return two_timescale_window((theta[None, None], gamma[None]), *blocks, direct)
-
     def _row(self, z, x, x_prime, y, alpha, beta):
-        self.theta_, self.gamma_ = self._kernel(self.theta_, self.gamma_, z, x, y, alpha, beta)
+        update = direct_residual_update if self._raw_residual else two_stage_update
+        self.theta_, self.gamma_ = update(self.theta_, self.gamma_, z, x, y, alpha, beta)
 
 
 class TwoStageSGDRegressor(_TwoTimescaleRegressor):
@@ -480,7 +473,7 @@ class TwoStageSGDRegressor(_TwoTimescaleRegressor):
 class DirectSGDRegressor(_TwoTimescaleRegressor):
     """Plug-in two-timescale variant (raw residual in the theta step)."""
 
-    _kernel = staticmethod(direct_residual_update)
+    _raw_residual = True
 
 
 class Online2SLSRegressor(_BaseIVRegressor):
@@ -506,3 +499,16 @@ class Online2SLSRegressor(_BaseIVRegressor):
     def _row(self, z, x, x_prime, y):
         self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(self.theta_, self.gamma_, self.u_, self.v_,
                                                                         z, x, y)
+
+
+#: Each algorithm id of the harness and the configs, with the regressor class
+#: that states its facts once: the schedules it takes (``_schedules``), whether
+#: its rows hold X' (``_reads_x_prime``), whether its theta step takes the raw
+#: residual (``_raw_residual``), its window loop (``_loop``), and ``lam`` among
+#: its parameters for streaming 2SLS.
+REGRESSORS = {
+    "two_sample_sgd": TwoSampleSGDRegressor,
+    "two_stage_sgd": TwoStageSGDRegressor,
+    "direct_sgd": DirectSGDRegressor,
+    "online_2sls": Online2SLSRegressor,
+}

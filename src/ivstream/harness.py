@@ -45,16 +45,18 @@ The algorithms of one config read the same streams: the same
 checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
 pass, so each trial's held-out set, ``oracle_mse`` and blocks are drawn,
 hashed once. Within a pass, the specs step in lanes, one loop call per lane
-and window. The two-timescale specs (``two_stage_sgd`` and
-``direct_sgd``) with equal alpha, beta and gamma0 share a lane: their thetas
-are stacked on one gamma and stepped by one
+and window, each algorithm's facts read from
+:data:`ivstream.estimators.REGRESSORS`. A lane stacks its S specs' thetas as
+(S, B, d_x) on one gamma. The two-timescale specs (``two_stage_sgd`` and
+``direct_sgd``) with equal alpha, beta and gamma0 share a lane, stepped by one
 :func:`~ivstream.estimators.two_timescale_window` call. This is exact because
 their gamma recursions read the same rows with the same steps from the same
-start and never read theta. Every other spec has a lane of its own. Each spec
-records its own metrics from its own theta, and a spec whose trials have all
-diverged leaves its lane while the others step on. Step sizes are computed
-once per block, so no array of T steps is held. Specs that do not share a stream
-run in separate passes; :func:`run_experiment` is the one-spec case.
+start and never read theta. Every other spec has a lane of its own (S = 1).
+Each spec records its own metrics from its own theta, and a spec whose trials
+have all diverged leaves its lane while the others step on. Step sizes are
+computed once per block, so no array of T steps is held. Specs that do not
+share a stream run in separate passes; :func:`run_experiment` is the one-spec
+case.
 """
 
 from __future__ import annotations
@@ -68,18 +70,6 @@ from . import estimators as est
 from ._validation import check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
-
-#: The step schedules each algorithm takes.
-SCHEDULES = {
-    "two_sample_sgd": ("alpha",),
-    "two_stage_sgd": ("alpha", "beta"),
-    "direct_sgd": ("alpha", "beta"),
-    "online_2sls": (),
-}
-ALGORITHMS = tuple(SCHEDULES)
-
-#: Algorithms that consume the two-sample oracle rather than one-sample data.
-TWO_SAMPLE_ALGORITHMS = ("two_sample_sgd",)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -170,10 +160,10 @@ class ExperimentSpec:
     experiment_id: str = "experiment"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        if self.algorithm not in est.REGRESSORS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(est.REGRESSORS)}")
         for which in ("alpha", "beta"):
-            if getattr(self, which) is not None or which in SCHEDULES[self.algorithm]:
+            if getattr(self, which) is not None or which in est.REGRESSORS[self.algorithm]._schedules:
                 object.__setattr__(self, which, est._as_schedule(getattr(self, which), which))
         checked = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
                             self.lam, self.theta0, self.gamma0, self.experiment_id)
@@ -224,7 +214,7 @@ def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
     for the two-sample oracle and Z, X and Y otherwise.
     """
     d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
-    width = 2 * d_x + 1 if spec.algorithm in TWO_SAMPLE_ALGORITHMS else d_z + d_x + 1
+    width = 2 * d_x + 1 if est.REGRESSORS[spec.algorithm]._reads_x_prime else d_z + d_x + 1
     block_bytes = 8 * width * min(_SAMPLE_BLOCK, spec.T)
     size = min(GROUP_SIZE, max(1, _GROUP_BYTES // block_bytes))
     return np.array_split(np.arange(spec.trials), -(-spec.trials // size))
@@ -232,7 +222,7 @@ def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
 
 def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
     """The spec's :func:`~ivstream.estimators.initial_state`, stacked for ``b`` trials."""
-    lam = spec.lam if spec.algorithm == "online_2sls" else None
+    lam = spec.lam if "lam" in est.REGRESSORS[spec.algorithm]._param_names else None
     state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0, lam)
     return tuple(np.tile(a, (b,) + (1,) * a.ndim) for a in state)
 
@@ -240,17 +230,14 @@ def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
 def _stream_key(spec: ExperimentSpec) -> tuple:
     """What a spec's stream depends on; specs with equal keys read the same rows."""
     return (spec.dgp, spec.base_seed, spec.T, spec.trials, spec.test_n, spec.checkpoints,
-            spec.algorithm in TWO_SAMPLE_ALGORITHMS)
-
-
-#: The two-timescale algorithms, each with whether its theta step takes the raw residual.
-_RAW_RESIDUAL = {"two_stage_sgd": False, "direct_sgd": True}
+            est.REGRESSORS[spec.algorithm]._reads_x_prime)
 
 
 def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
-    """Specs of one pass with equal keys share a lane: two-timescale specs with
-    equal alpha, beta and gamma0, whose gamma recursions are then identical."""
-    if spec.algorithm not in _RAW_RESIDUAL:
+    """Specs of one pass with equal keys share a lane: specs of the two-timescale
+    loop, which steps several thetas on one gamma, with equal alpha, beta and
+    gamma0, whose gamma recursions are then identical."""
+    if est.REGRESSORS[spec.algorithm]._loop is not est.two_timescale_window:
         return ("own", k)
     return ("two_timescale", spec.alpha, spec.beta, _initial_state(spec, 1)[1].tobytes())
 
@@ -258,31 +245,23 @@ def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
 class _Lane:
     """The specs of a pass that one window loop steps.
 
-    A two-timescale lane stacks its specs' thetas as (S, B, d_x) on one gamma
-    and steps them with :func:`ivstream.estimators.two_timescale_window`; any
-    other lane is one spec and its :data:`~ivstream.estimators.WINDOW_KERNELS`
-    loop. For each sample block, :meth:`bind` checks the group's blocks, binds
-    the loop to them and to the lane's state, and computes the block's steps,
-    so that a window is one call on integers and addresses read once.
+    A lane stacks its S specs' thetas as (S, B, d_x) on the first spec's gamma
+    (and U, V), and steps them with their window loop and their S raw-residual
+    flags; only a two-timescale lane has S > 1 (:func:`_lane_key`). For each
+    sample block, :meth:`bind` checks the group's blocks, binds the loop to
+    them and to the lane's state, and computes the block's steps, so that a
+    window is one call on integers and addresses read once.
     """
 
     def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int):
         lead = specs[members[0]]
         self.members = members  # the specs' indices in the pass, one per theta
         self.schedules = [s for s in (lead.alpha, lead.beta) if s is not None]
+        self.loop = est.REGRESSORS[lead.algorithm]._loop
+        self.direct = [est.REGRESSORS[specs[k].algorithm]._raw_residual for k in members]
         states = [_initial_state(specs[k], b) for k in members]
-        if lead.algorithm in _RAW_RESIDUAL:
-            self.direct = [_RAW_RESIDUAL[specs[k].algorithm] for k in members]
-            self.state = (np.stack([st[0] for st in states]), states[0][1])
-        else:
-            self.direct, self.state = None, states[0]
-            self.loop = est.WINDOW_KERNELS[lead.algorithm]
+        self.state = (np.stack([st[0] for st in states]), *states[0][1:])
         self.window = None
-
-    @property
-    def thetas(self) -> np.ndarray:
-        """(S, B, d_x): the theta of each member, in order."""
-        return self.state[0] if self.direct is not None else self.state[0][None]
 
     def bind(self, fields: list, start: int, end: int) -> None:
         """Bind the loop to the group's blocks of rows ``start + 1`` to ``end``: each
@@ -290,13 +269,7 @@ class _Lane:
         self.fields = fields
         self.steps = [steps(s, end, start) for s in self.schedules]
         self.addresses = [a.ctypes.data for a in self.steps]
-        self._bind_state()
-
-    def _bind_state(self) -> None:
-        if self.direct is None:
-            self.window = self.loop(self.state, *self.fields)
-        else:
-            self.window = est.two_timescale_window(self.state, *self.fields, self.direct)
+        self.window = self.loop(self.state, *fields, self.direct)
 
     def step(self, r: int, rows: int) -> None:
         """Step rows ``r`` to ``r + rows - 1`` of the blocks."""
@@ -305,11 +278,10 @@ class _Lane:
     def keep(self, alive: np.ndarray) -> None:
         """Drop the members not ``alive``; the shared gamma steps on for the others."""
         self.members = [k for k, keep in zip(self.members, alive) if keep]
-        if self.direct is not None:
-            self.direct = [d for d, keep in zip(self.direct, alive) if keep]
-            self.state = (self.state[0][alive], self.state[1])
-            if self.members:  # the thetas moved: bind the loop to them
-                self._bind_state()
+        self.direct = [d for d, keep in zip(self.direct, alive) if keep]
+        self.state = (self.state[0][alive], *self.state[1:])
+        if self.members:  # the thetas moved: bind the loop to them
+            self.window = self.loop(self.state, *self.fields, self.direct)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
@@ -349,7 +321,7 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
         lanes.setdefault(_lane_key(s, k), []).append(k)
     active = [_Lane(specs, members, b) for members in lanes.values()]
 
-    two_sample = spec.algorithm in TWO_SAMPLE_ALGORITHMS
+    two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     sample = sample_two_block if two_sample else sample_one_block
     digests = [hashlib.sha256() for _ in rngs]
     # Each trial's current block of z, x, x_prime and y; the two-sample
@@ -384,7 +356,7 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
             # The arithmetic of metrics.dist_to_opt without its finiteness check,
             # bitwise equal to it trial by trial.
             for lane in active:
-                for k, theta in zip(lane.members, lane.thetas):
+                for k, theta in zip(lane.members, lane.state[0]):
                     d = theta - theta_star
                     np.vecdot(d, d, out=out[k]["dist_sq"][:, cp_idx])
                     if tests:
@@ -463,8 +435,9 @@ def run_experiment(spec: ExperimentSpec) -> MetricSeries:
 def fit_slope(iterations, values, tail_fraction: float) -> float:
     """Least-squares slope of log10(values) on log10(iterations) over the tail.
 
-    ``tail_fraction`` selects the trailing fraction of checkpoints. Raises if the
-    tail window holds fewer than 5 checkpoints or a non-finite or non-positive value.
+    ``tail_fraction`` selects the trailing fraction of checkpoints. Raises ``ValueError``
+    if the tail window holds fewer than 5 checkpoints, iterations that are not
+    finite, positive and strictly increasing, or a non-finite or non-positive value.
     """
     iterations = np.asarray(iterations, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -477,6 +450,8 @@ def fit_slope(iterations, values, tail_fraction: float) -> float:
     window_val = values[-k:]
     if len(window_val) < 5:
         raise ValueError(f"tail window has {len(window_val)} checkpoints; need >= 5")
+    if not (np.isfinite(window_it).all() and window_it[0] > 0.0 and (np.diff(window_it) > 0.0).all()):
+        raise ValueError("tail window's iterations must be finite, positive and strictly increasing")
     if not (np.isfinite(window_val) & (window_val > 0.0)).all():
         raise ValueError("tail window contains non-finite or non-positive values; slope undefined")
     coeffs = np.polyfit(np.log10(window_it), np.log10(window_val), 1)

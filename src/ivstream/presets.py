@@ -68,8 +68,8 @@ import numbers
 import numpy as np
 
 from .dgp import DgpConfig, EndogenousLinear, endogenous_linear_config, shared_confounder_config
-from .estimators import DEFAULT_RIDGE
-from .harness import ALGORITHMS, SCHEDULES, ExperimentSpec, check_run
+from .estimators import DEFAULT_RIDGE, REGRESSORS
+from .harness import ExperimentSpec, check_run
 from .oracle import theory_constants
 from .schedule import Constant, Polynomial, StepSchedule, log_horizon_alpha, two_timescale_schedules
 
@@ -220,9 +220,9 @@ def specs_from_config(
         algorithms = config["algorithms"] if "algorithms" in config else [config["algorithm"]]
         if not isinstance(algorithms, list) or not algorithms:
             raise ConfigError("'algorithms' must be a non-empty list")
-        unknown = [a for a in algorithms if a not in ALGORITHMS]
+        unknown = [a for a in algorithms if a not in REGRESSORS]
         if unknown:
-            raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {ALGORITHMS}")
+            raise ConfigError(f"unknown algorithm {unknown[0]!r}; expected one of {tuple(REGRESSORS)}")
         repeated = [a for i, a in enumerate(algorithms) if a in algorithms[:i]]
         if repeated:
             raise ConfigError(f"'algorithms' repeats {repeated[0]!r}")
@@ -249,7 +249,7 @@ def specs_from_config(
         _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
         # A schedule no listed algorithm reads would never be checked; the
         # null that spec_to_dict writes for one is no entry.
-        read = {which for alg in algorithms for which in SCHEDULES[alg]}
+        read = {which for alg in algorithms for which in REGRESSORS[alg]._schedules}
         unread = [which for which in ("alpha", "beta") if sched.get(which) is not None and which not in read]
         if unread:
             raise ConfigError(f"schedule.{unread[0]} is given, but no listed algorithm reads it: {algorithms}")
@@ -268,7 +268,7 @@ def specs_from_config(
             ExperimentSpec(
                 dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed,
                 lam=lam, checkpoints=checkpoints, test_n=test_n, theta0=theta0, gamma0=gamma0,
-                experiment_id=experiment_id, **{which: resolved(which) for which in SCHEDULES[alg]},
+                experiment_id=experiment_id, **{which: resolved(which) for which in REGRESSORS[alg]._schedules},
             )
             for alg in algorithms
         ]

@@ -499,21 +499,32 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_corrupted_u0_negative_control(self, capsys, monkeypatch):
-        # The check fails when the 2SLS kernel it steps drifts U off the exact
-        # inverse, and when the kernel raises on corrupted state.
-        kernel = estimators.online_2sls_update
+        # The check fails when the U of the 2SLS window loop it steps drifts off
+        # the exact inverse, and when U starts negative definite, so that a
+        # rank-one denominator is not positive and the loop ends NaN.
+        loop = estimators.Online2SLSRegressor._loop
 
-        def drifting(*args):
-            theta, gamma, u, v = kernel(*args)
-            return theta, gamma, u * (1.0 + 1e-6), v
+        def drifting(state, *blocks):
+            window = loop(state, *blocks)
+            step = window.step
 
-        def raising(*args):
-            raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+            def drift(*args):
+                events = step(*args)
+                state[2][...] *= 1.0 + 1e-6
+                return events
 
-        for corrupted in (drifting, raising):
-            monkeypatch.setattr(estimators, "online_2sls_update", corrupted)
+            window.step = drift
+            return window
+
+        def negative(state, *blocks):
+            state[2][...] *= -1.0
+            return loop(state, *blocks)
+
+        for corrupted in (drifting, negative):
+            monkeypatch.setattr(estimators.Online2SLSRegressor, "_loop", staticmethod(corrupted))
             rc = cli.main(["check"])
             assert rc != 0
             captured = capsys.readouterr()
             assert "sherman_morrison" in captured.err
             assert "FAIL" in captured.out
+        assert cli._check_sherman_morrison(0x5A) == (math.inf, math.inf)  # the NaN state reads inf

@@ -215,17 +215,10 @@ def _step(window, start, rows, alphas=None, betas=None):
     return window.step(start, rows, *(0 if a is None else a[start:].ctypes.data for a in (alphas, betas)))
 
 
-def _bind(lane, state, z, x, x_prime, y, direct=None):
-    """The window loop of ``lane`` (an algorithm, or "two_timescale" with the flags ``direct``) on these blocks."""
-    if lane in est.WINDOW_KERNELS:
-        return est.WINDOW_KERNELS[lane](state, z, x, x_prime, y)
-    return est.two_timescale_window(state, z, x, x_prime, y, direct)
-
-
 class TestBatchKernels:
     """The window loops on B trials' blocks, each read in place, against the 1-d kernels row by row."""
 
-    @pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(est.REGRESSORS))
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_bitwise_equal_to_1d_kernel(self, algorithm, d_x, d_z, b):
@@ -245,10 +238,8 @@ class TestBatchKernels:
             for st in trials:
                 st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
         state = tuple(np.stack(parts) for parts in zip(*trials))
-        if algorithm in est.WINDOW_KERNELS:
-            window = _bind(algorithm, state, *blocks)
-        else:  # one theta on its gamma
-            window = _bind("two_timescale", (state[0][None], state[1]), *blocks, (algorithm == "direct_sgd",))
+        reg = est.REGRESSORS[algorithm]  # its loop, on one theta: S = 1
+        window = reg._loop((state[0][None], *state[1:]), *blocks, (reg._raw_residual,))
         start = 0
         for rows in windows:
             _step(window, start, rows, alphas, betas)  # a loop ignores the steps it does not take
@@ -319,7 +310,8 @@ class TestBatchKernels:
         with np.errstate(invalid="raise", over="raise"):
             for rows in (k, k + 1, n):  # the last window has row k in its middle
                 state = tuple(a.copy() for a in start)
-                est.online_2sls_window(state, blocks[0], blocks[1], None, blocks[2]).step(0, rows)
+                stacked = (state[0][None], *state[1:])
+                est.online_2sls_window(stacked, blocks[0], blocks[1], None, blocks[2], (False,)).step(0, rows)
                 if rows == k:
                     assert all(got[1].tobytes() == want.tobytes() for got, want in zip(state, reference[1, k]))
                 else:
@@ -335,11 +327,11 @@ class TestBatchKernels:
         # same row where V = -10 I makes the other one negative: the 1-d kernel
         # raises there, so the trial must end the window NaN.
         z, x, y = np.ones((1, 2)), np.ones((1, 2)), np.ones(1)
-        state = (np.zeros((1, 2)), np.eye(2)[None], np.diag([np.inf, -np.inf])[None], -10.0 * np.eye(2)[None])
+        state = (np.zeros((1, 1, 2)), np.eye(2)[None], np.diag([np.inf, -np.inf])[None], -10.0 * np.eye(2)[None])
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            est.online_2sls_update(*(a[0] for a in state), z[0], x[0], y[0])
+            est.online_2sls_update(state[0][0, 0], *(a[0] for a in state[1:]), z[0], x[0], y[0])
         with np.errstate(invalid="ignore"):
-            est.online_2sls_window(state, [z], [x], None, [y]).step(0, 1)
+            est.online_2sls_window(state, [z], [x], None, [y], (False,)).step(0, 1)
         assert all(not np.isfinite(part).any() for part in state)
 
     # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
@@ -394,16 +386,12 @@ def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas
     algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
     b, (d_z, d_x) = len(blocks[0]), gamma.shape[1:]
     z, x, x_prime, y = (np.stack(field, axis=1) for field in blocks)
-    if lane in est.WINDOW_KERNELS:
-        state = (thetas[0], gamma)
-        if lane == "online_2sls":
-            state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
-        trial = lambda s, i: tuple(part[i] for part in state)  # noqa: E731
-        window = _bind(lane, state, *blocks)
-    else:
-        state = (thetas, gamma)
-        trial = lambda s, i: (thetas[s, i], gamma[i])  # noqa: E731
-        window = _bind("two_timescale", state, *blocks, [a == "direct_sgd" for a in algorithms])
+    state = (thetas, gamma)
+    if lane == "online_2sls":
+        state += (np.tile(np.eye(d_x) / 0.1, (b, 1, 1)), np.tile(np.eye(d_z) / 0.1, (b, 1, 1)))
+    trial = lambda s, i: (thetas[s, i], *(part[i] for part in state[1:]))  # noqa: E731
+    regs = [est.REGRESSORS[a] for a in algorithms]
+    window = regs[0]._loop(state, *blocks, [reg._raw_residual for reg in regs])
     trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
     raised, start = set(), 0
     for rows in windows:
@@ -430,6 +418,8 @@ def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas
 
 
 _FIELDS = {"two_sample_sgd": ("x", "x_prime", "y"), "two_timescale": ("z", "x", "y"), "online_2sls": ("z", "x", "y")}
+_LOOPS = {"two_sample_sgd": est.two_sample_window, "two_timescale": est.two_timescale_window,
+          "online_2sls": est.online_2sls_window}
 
 
 def _fresh_blocks(b=3, d_x=2, d_z=3, rows=4) -> dict:
@@ -442,12 +432,12 @@ def _fresh_blocks(b=3, d_x=2, d_z=3, rows=4) -> dict:
 def _window_of(kernel, state, blocks):
     """``kernel``'s window loop on ``state`` and the fields of ``blocks`` it reads."""
     fields = [blocks[name] if name in _FIELDS[kernel] else None for name in ("z", "x", "x_prime", "y")]
-    return _bind(kernel, tuple(state), *fields, (False, True))
+    return _LOOPS[kernel](tuple(state), *fields, (False, True)[:len(state[0])])
 
 
 def _fresh_state(kernel, b=3, d_x=2, d_z=3):
     rng = make_rng(6)
-    theta = rng.standard_normal((2, b, d_x) if kernel == "two_timescale" else (b, d_x))
+    theta = rng.standard_normal((2 if kernel == "two_timescale" else 1, b, d_x))
     state = [theta, 0.1 * rng.standard_normal((b, d_z, d_x))]
     if kernel == "online_2sls":
         state += [np.tile(np.eye(d_x) * 10.0, (b, 1, 1)), np.tile(np.eye(d_z) * 10.0, (b, 1, 1))]
@@ -570,7 +560,7 @@ class TestNativeLoops:
         state, blocks = _fresh_state(kernel), _fresh_blocks()
         k = 0 if kernel == "two_sample_sgd" else len(state) - 1  # the part the loop writes last
         part = state[k]
-        state[k] = part[:, :-1].copy() if bad == "shape" else _misfit(part, bad)
+        state[k] = part[..., :-1].copy() if bad == "shape" else _misfit(part, bad)
         before = copy.deepcopy(state)
         with pytest.raises(ValueError, match=("theta", "gamma", "U", "V")[k]):
             _window_of(kernel, state, blocks)
@@ -806,10 +796,10 @@ class TestStates:
             reg.partial_fit(np.ones(1), np.ones(1), 1.0, np.ones(1))
 
     @pytest.mark.parametrize("algorithm,init", [
-        *((alg, {}) for alg in harness.ALGORITHMS),
-        *((alg, {"theta0": [0.5, -1.0]}) for alg in harness.ALGORITHMS),
-        *((alg, {"theta0": [0.5, -1.0], "gamma0": np.ones((3, 2))}) for alg in harness.ALGORITHMS
-          if alg not in harness.TWO_SAMPLE_ALGORITHMS),
+        *((alg, {}) for alg in est.REGRESSORS),
+        *((alg, {"theta0": [0.5, -1.0]}) for alg in est.REGRESSORS),
+        *((alg, {"theta0": [0.5, -1.0], "gamma0": np.ones((3, 2))}) for alg, reg in est.REGRESSORS.items()
+          if not reg._reads_x_prime),
         ("online_2sls", {"lam": 2.5}),
     ])
     def test_experiment_starts_where_its_regressor_starts(self, algorithm, init):
@@ -817,8 +807,7 @@ class TestStates:
         cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
         spec = harness.ExperimentSpec(dgp=cfg, algorithm=algorithm, T=10, trials=1, base_seed=0, alpha=0.1, beta=0.2,
                                       **init)
-        reg = {"two_sample_sgd": est.TwoSampleSGDRegressor, "two_stage_sgd": est.TwoStageSGDRegressor,
-               "direct_sgd": est.DirectSGDRegressor, "online_2sls": est.Online2SLSRegressor}[algorithm](**init)
+        reg = est.REGRESSORS[algorithm](**init)
         reg.fit(*_args(reg, np.empty((0, 3)), np.empty((0, 2)), np.empty(0), np.empty((0, 2))))
         assert reg.n_iter_ == 0
         start = harness._initial_state(spec, 1)

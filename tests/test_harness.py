@@ -118,7 +118,7 @@ class TestRunExperiment:
 
 
 def _lockstep_spec(algorithm, **over):
-    two_sample = algorithm in harness.TWO_SAMPLE_ALGORITHMS
+    two_sample = est.REGRESSORS[algorithm]._reads_x_prime
     kw = dict(
         dgp=(dgp.shared_confounder_config(4, 8, c=0.1) if two_sample
              else dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)),
@@ -133,7 +133,7 @@ def _lockstep_spec(algorithm, **over):
 def _block_bytes(spec) -> int:
     """Bytes of one kept sample block of ``spec``: X, X', Y (two-sample) or Z, X, Y."""
     d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
-    width = 2 * d_x + 1 if spec.algorithm in harness.TWO_SAMPLE_ALGORITHMS else d_z + d_x + 1
+    width = 2 * d_x + 1 if est.REGRESSORS[spec.algorithm]._reads_x_prime else d_z + d_x + 1
     return 8 * width * min(harness._SAMPLE_BLOCK, spec.T)
 
 
@@ -160,7 +160,7 @@ class TestLockstep:
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", one_sample.T // 2)
         assert sizes(one_sample) == [2] * 5  # a group holds one block, not the whole stream
 
-    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", list(est.REGRESSORS))
     def test_run_trial_equals_its_lockstep_trial(self, algorithm, monkeypatch):
         # trials=7 runs as one group, and as groups 3+2+2 under a budget of
         # three blocks; each trial alone must give the same bytes.
@@ -222,7 +222,7 @@ class TestLockstep:
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
         runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 4 * _block_bytes(runs[0]))
-        sample = dgp.sample_two_block if algorithm in harness.TWO_SAMPLE_ALGORITHMS else dgp.sample_one_block
+        sample = dgp.sample_two_block if est.REGRESSORS[algorithm]._reads_x_prime else dgp.sample_one_block
         sample(np.random.Generator(np.random.PCG64(0)), runs[0].dgp, 512)
         harness.run_experiment(_lockstep_spec(algorithm, trials=1, test_n=0, T=8))
         tracemalloc.start()
@@ -251,7 +251,7 @@ def _kernel_run(spec, i) -> list[float]:
     rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
     if spec.test_n > 0:
         dgp.sample_one_block(rng, spec.dgp, spec.test_n)
-    two_sample = spec.algorithm in harness.TWO_SAMPLE_ALGORITHMS
+    two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     alphas, betas = (None if s is None else steps(s, spec.T) for s in (spec.alpha, spec.beta))
     state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
                               spec.lam if spec.algorithm == "online_2sls" else None)
@@ -275,7 +275,7 @@ def _kernel_run(spec, i) -> list[float]:
 
 
 class TestHarnessPath:
-    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", list(est.REGRESSORS))
     @pytest.mark.parametrize("b", [1, 3])
     def test_each_trial_is_its_1d_kernel_run(self, algorithm, b, monkeypatch):
         # Blocks of 97 rows: windows start inside blocks, and checkpoints fall
@@ -432,6 +432,21 @@ class TestFitSlope:
         t = np.logspace(0, 2, 10)
         with pytest.raises(ValueError):
             harness.fit_slope(t, 1 / t, 0.0)
+
+    @pytest.mark.parametrize("iterations", [
+        [0, 1, 2, 3, 4, 5],  # log10(0) is -inf
+        [1] * 6,  # no spread: the fit is singular
+        [-1, 1, 2, 3, 4, 5],
+        [1, 2, 3, 5, 4, 6],
+        [1, 2, 3, 3, 4, 5],
+        [1, 2, 3, 4, 5, np.inf],
+        [1, 2, np.nan, 4, 5, 6],
+    ])
+    def test_bad_iterations_error(self, iterations, capfd):
+        # Iterations must be what checkpoints are; LAPACK is never reached with others.
+        with pytest.raises(ValueError, match="iterations must be finite, positive and strictly increasing"):
+            harness.fit_slope(iterations, [1, 2, 3, 4, 5, 6], 1.0)
+        assert capfd.readouterr().err == ""
 
 
 class TestSpecValidation:

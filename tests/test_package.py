@@ -34,6 +34,14 @@ def test_every_tracer_target_exists():
     assert missing == []
 
 
+def test_readme_algorithm_table_lists_every_algorithm():
+    # "What's in the box" names each algorithm id of the table once, with its class.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What's in the box", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M)
+    assert rows == [(alg, reg.__name__) for alg, reg in ivstream.estimators.REGRESSORS.items()]
+
+
 def test_readme_quick_start_runs_as_written():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
