@@ -1,8 +1,9 @@
-"""Build and load the compiled window loops of :mod:`ivstream.estimators`.
+"""Build and load the window loops of :mod:`ivstream.estimators` and the normal sampler of :mod:`ivstream.dgp`.
 
-``_windows.c`` is compiled with the system ``cc`` on the first bind of a
-window loop (a harness group's first block, or a regressor's first ``fit``)
-and loaded with ctypes; importing ivstream never compiles. It is compiled
+``_windows.c`` is compiled with the system ``cc`` on the first draw of a
+sample block or the first bind of a window loop (a harness group's first
+block, or a regressor's first ``fit``), whichever comes first, and loaded
+with ctypes; importing ivstream never compiles. It is compiled
 for the CPU it runs on (``-march=native``), so the build is cached in
 ``~/.cache/ivstream`` under a hash of the source, the flags, the libraries
 and the CPU (:func:`cpu`): a cache that two machines share never loads a
@@ -11,7 +12,9 @@ later process loads it without a compiler; a new build removes the older
 builds beside it. The loops call the scipy-openblas64 routines that numpy's
 own gufuncs call, found through numpy's extension module when they are
 loaded, for every product of more than one term, and libm's ``pow`` for the
-steps of a regressor's ``fit``.
+steps of a regressor's ``fit``. The sampler calls libm's ``exp`` and
+``log1p``, the glibc functions numpy's random module calls, which glibc
+resolves for the same CPU in both.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ SOURCE = Path(__file__).with_name("_windows.c")
 #: ``-O3`` and ``-march=native`` keep the bits (``_windows.c`` says why);
 #: ``-ffast-math`` would not. A build for the native CPU is keyed by :func:`cpu`.
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
-#: libm, for ``pow`` and the floating-point exception flags.
+#: libm, for ``pow``, ``exp``, ``log1p`` and the floating-point exception flags.
 LIBS = ("-lm",)
 
 
@@ -91,6 +94,7 @@ def loops() -> ctypes.CDLL:
     n, p = ctypes.c_int64, ctypes.c_void_p
     lib.use_blas.argtypes, lib.use_blas.restype = (p, p), None
     lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None
+    lib.standard_normals.argtypes, lib.standard_normals.restype = (p, n, p), None
     tail = (n, n, p, p)  # t0, rows, alphas, betas
     lib.two_sample_window.argtypes = (n, n) + (p,) * 4 + tail
     lib.two_timescale_window.argtypes = (n,) * 4 + (ctypes.c_char_p,) + (p,) * 5 + tail

@@ -50,16 +50,27 @@ scheduled:
 
 A stream of single observations is the rows of one :func:`sample_one_block`
 call; :func:`test_set` boxes such rows as :class:`OneSample` objects.
+
+Normals
+-------
+The generator must be a PCG64 one; any other bit generator is refused with
+``ValueError``. Each normal block is drawn by the compiled sampler of
+``_windows.c`` (built on first use, see :mod:`ivstream._native`), which
+returns the bits of ``rng.standard_normal`` and leaves the generator where
+that call would. A draw reads the generator's state once and writes it back
+once, and the model's arithmetic runs in place on the blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _native
 from ._validation import (
     as_float_matrix,
     as_float_vector,
@@ -74,6 +85,8 @@ PHI_SQUARE = "square"
 # Standard deviation of the exogenous part of the outcome noise nu in the
 # endogenous_linear family: nu = rho * eps_1 + N(0, 0.25).
 _NU_EXTRA_STD = 0.5
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -238,36 +251,74 @@ def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[
     return mean if isinstance(cfg.family, EndogenousLinear) else mean + cfg.family.c
 
 
-def _draw_z(rng: np.random.Generator, cfg: DgpConfig, n: int) -> NDArray[np.float64]:
-    z = rng.standard_normal((n, cfg.d_z))
-    return z if cfg._z_chol is None else z @ cfg._z_chol.T
+@contextlib.contextmanager
+def _normals(rng: np.random.Generator):
+    """A function of a shape that draws ``rng.standard_normal(shape)``, bit for bit, with the compiled sampler.
+
+    The PCG64 state is read once on entry and written back once on exit, so
+    the generator then sits where ``standard_normal`` would have left it.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise ValueError(f"the streams are drawn from a PCG64 generator, got {type(bit_generator).__name__}")
+    fill = _native.loops().standard_normals
+    state = bit_generator.state
+    pcg = state["state"]
+    words = np.array([pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64],
+                     dtype=np.uint64)
+    address = words.ctypes.data
+
+    def normal(shape) -> NDArray[np.float64]:
+        out = np.empty(shape)
+        fill(address, out.size, out.ctypes.data)
+        return out
+
+    try:
+        yield normal
+    finally:
+        pcg["state"] = int(words[0]) << 64 | int(words[1])
+        bit_generator.state = state
 
 
 def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int) -> tuple:
     """``(Z, X_1, ..., X_copies, Y)``: copies of X independent given Z, Y from X_1.
 
-    The blocks are drawn in the module's frozen layout. Each copy starts as
-    its noise block and becomes X in place once the link is known. Y adds its
-    outcome noise terms to theta_star^T X_1 one at a time, in model order:
-    summing the terms first would move the last bit.
+    The blocks are drawn in the module's frozen layout. Each normal block is
+    filled once and the model's arithmetic runs on it in place: each copy
+    becomes X once the link is known, and Y adds its outcome noise terms to
+    theta_star^T X_1 one at a time, in model order: summing the terms first
+    would move the last bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = _draw_z(rng, cfg, n)
-    fam, shape = cfg.family, (n, cfg.d_x)
-    if isinstance(fam, EndogenousLinear):
-        xs = [fam.sigma_eps * rng.standard_normal(shape) for _ in range(copies)]  # eps
-        nu = (fam.rho * xs[0][:, 0], _NU_EXTRA_STD * rng.standard_normal(n))
-    else:
+    with _normals(rng) as normal:
+        z = normal((n, cfg.d_z))
+        if cfg._z_chol is not None:
+            z = z @ cfg._z_chol.T
+        fam, shape = cfg.family, (n, cfg.d_x)
         xs = []
-        for _ in range(copies):
-            x = 1.0 + rng.standard_normal(shape)  # h
-            if not xs:
-                h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
-            x += rng.standard_normal(shape)  # + e_x
-            x *= fam.c
-            xs.append(x)
-        nu = (fam.c * (h_1 + rng.standard_normal(n)),)
+        if isinstance(fam, EndogenousLinear):
+            for _ in range(copies):
+                x = normal(shape)  # eps
+                x *= fam.sigma_eps
+                xs.append(x)
+            w = normal(n)
+            w *= _NU_EXTRA_STD
+            nu = (fam.rho * xs[0][:, 0], w)
+        else:
+            for _ in range(copies):
+                x = normal(shape)  # h
+                x += 1.0
+                if not xs:
+                    h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
+                x += normal(shape)  # + e_x
+                x *= fam.c
+                xs.append(x)
+            e_y = normal(n)
+            e_y += h_1
+            e_y *= fam.c
+            nu = (e_y,)
+            del h_1  # so the peak never holds it beside the link
     link = _link(cfg, z)
     for x in xs:
         x += link

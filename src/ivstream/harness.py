@@ -143,7 +143,7 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``,
-    and ``lam`` is kept as a Python float."""
+    a step the algorithm does not read is rejected, and ``lam`` is kept as a Python float."""
 
     dgp: DgpConfig
     algorithm: str
@@ -162,9 +162,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in est.REGRESSORS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(est.REGRESSORS)}")
+        read = est.REGRESSORS[self.algorithm]._schedules
         for which in ("alpha", "beta"):
-            if getattr(self, which) is not None or which in est.REGRESSORS[self.algorithm]._schedules:
+            if which in read:
                 object.__setattr__(self, which, est._as_schedule(getattr(self, which), which))
+            elif getattr(self, which) is not None:  # it would never be checked or stepped
+                raise ValueError(f"{which} is given, but {self.algorithm} does not read it")
         checked = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
                             self.lam, self.theta0, self.gamma0, self.experiment_id)
         for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
@@ -256,7 +259,7 @@ class _Lane:
     def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int):
         lead = specs[members[0]]
         self.members = members  # the specs' indices in the pass, one per theta
-        self.schedules = [s for s in (lead.alpha, lead.beta) if s is not None]
+        self.schedules = [getattr(lead, which) for which in est.REGRESSORS[lead.algorithm]._schedules]
         self.loop = est.REGRESSORS[lead.algorithm]._loop
         self.direct = [est.REGRESSORS[specs[k].algorithm]._raw_residual for k in members]
         states = [_initial_state(specs[k], b) for k in members]

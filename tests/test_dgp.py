@@ -1,4 +1,8 @@
 import hashlib
+import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,125 @@ class TestPinnedStreams:
             for arr in getattr(dgp, sampler)(make_rng(2024), PINNED_CASES[case](), n):
                 h.update(arr.tobytes())
         assert h.hexdigest() == PINNED_SHA256[(case, sampler)]
+
+
+def _sampler(rng, n):
+    """``n`` normals from the compiled sampler, in one call."""
+    with dgp._normals(rng) as normal:
+        return normal(n)
+
+
+def _ziggurat_tables():
+    """ki (integers), wi and fi (doubles): the tables the sampler's source holds."""
+    source = (Path(dgp.__file__).parent / "_windows.c").read_text()
+    words = [np.array([int(w, 16) for w in re.findall(r"0x[0-9a-f]{16}", body)], dtype=np.uint64)
+             for body in (re.search(rf"zig_{t} = {{{{(.*?)}}}};", source, re.S).group(1) for t in ("ki", "wi", "fi"))]
+    assert all(len(w) == 256 for w in words)
+    return words[0], words[1].view(np.float64), words[2].view(np.float64)
+
+
+def _ziggurat_paths(words: np.ndarray, x: np.ndarray) -> tuple[int, int, int]:
+    """Walk numpy's ziggurat over the raw PCG64 ``words`` that drew ``x``:
+    ``(words consumed, draws that took the idx-0 tail, wedge tests)``.
+
+    Every draw whose first word passes the layer test is that word's normal;
+    the walk replays only the others, each with the same operations as the
+    sampler, and checks the value each one returns.
+    """
+    ki, wi, fi = _ziggurat_tables()
+    r_tail, inv_r = float.fromhex("0x1.d3bb48209ad33p+1"), float.fromhex("0x1.183aa6c20e8c1p-2")
+    idx, rabs = (words & 0xFF).astype(np.intp), (words >> 9) & 0x000FFFFFFFFFFFFF
+    slow = np.flatnonzero(rabs >= ki[idx])
+
+    def uniform(j):
+        return float(int(words[j]) >> 11) * (1.0 / 9007199254740992.0)
+
+    def signed(value, bit):
+        return -value if bit & 1 else value
+
+    i = j = tails = wedges = 0
+    while True:
+        k = np.searchsorted(slow, j)
+        if k == len(slow) or i + (slow[k] - j) >= len(x):
+            return j + len(x) - i, tails, wedges
+        i, j = i + slow[k] - j, slow[k]  # draw i starts at word j and misses its layer
+        if idx[j] == 0:
+            tails += 1
+            start = j
+            while True:
+                xx = -inv_r * math.log1p(-uniform(j + 1))
+                yy = -math.log1p(-uniform(j + 2))
+                j += 2
+                if yy + yy > xx * xx:
+                    break
+            assert x[i] == signed(r_tail + xx, int(rabs[start]) >> 8)
+            i, j = i + 1, j + 1
+        else:
+            wedges += 1
+            v = signed(float(rabs[j]) * wi[idx[j]], int(words[j]) >> 8)
+            accept = (fi[idx[j] - 1] - fi[idx[j]]) * uniform(j + 1) + fi[idx[j]] < math.exp(-0.5 * v * v)
+            if accept:
+                assert x[i] == v
+                i += 1
+            j += 2
+
+
+class TestNormalSampler:
+    """The compiled sampler is numpy's ``Generator.standard_normal`` on PCG64, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 4097, 1_000_000])
+    def test_equals_standard_normal_bit_for_bit(self, seed, n):
+        # Interleaved with numpy's own draws, after a 32-bit draw that leaves
+        # half a word buffered in the state (has_uint32, uinteger); the
+        # generators then agree on every field of the state, the buffer too.
+        ref, rng = make_rng(seed), make_rng(seed)
+        for g in (ref, rng):
+            g.integers(2**32, dtype=np.uint32)
+        expected = [ref.standard_normal(n) for _ in range(3)]
+        got = [rng.standard_normal(n), _sampler(rng, n), rng.standard_normal(n)]
+        for a, b in zip(expected, got):
+            assert a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_a_run_takes_the_tail_and_the_wedge(self, seed):
+        # A million normals miss the ziggurat's layers about 7000 times; the
+        # words a clone of the generator reads show which slow path each took.
+        rng = make_rng(seed)
+        words = np.random.Generator(np.random.PCG64(seed)).bit_generator.random_raw(1_050_000)
+        x = _sampler(rng, 1_000_000)
+        consumed, tails, wedges = _ziggurat_paths(words, x)
+        clone = np.random.PCG64(seed)
+        clone.random_raw(consumed)
+        assert clone.state == rng.bit_generator.state
+        assert tails > 100 and wedges > 5000, (tails, wedges)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+    @pytest.mark.parametrize("sampler", ["sample_one_block", "sample_two_block"])
+    def test_only_pcg64_is_sampled(self, bit_generator, sampler):
+        cfg = dgp.shared_confounder_config(2, 3, c=0.5)
+        rng = np.random.Generator(bit_generator(5))
+        with pytest.raises(ValueError, match=f"PCG64 generator, got {bit_generator.__name__}$"):
+            getattr(dgp, sampler)(rng, cfg, 10)
+        assert rng.random() == np.random.Generator(bit_generator(5)).random()  # nothing was drawn
+
+    @pytest.mark.parametrize("phi", ["identity", "square"])
+    def test_memory_of_a_draw_does_not_grow(self, phi):
+        # fig1's dx8_dz16 oracle draw of 50 000 rows: Z, X and X' (13.2 MB)
+        # beside the link (3.2 MB). 16 801 192 bytes were traced at the peak
+        # before the compiled sampler, which fills each normal block in place.
+        cfg = dgp.shared_confounder_config(8, 16, c=1.0, phi=phi)
+        dgp.sample_two_block(make_rng(1), cfg, 10)  # the sampler is built and loaded
+        tracemalloc.start()
+        try:
+            dgp.sample_two_block(make_rng(1), cfg, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16_801_192
 
 
 class TestValidation:

@@ -805,8 +805,8 @@ class TestStates:
     def test_experiment_starts_where_its_regressor_starts(self, algorithm, init):
         # Row 0 of a harness start equals the regressor's iterates after a fit of zero rows.
         cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
-        spec = harness.ExperimentSpec(dgp=cfg, algorithm=algorithm, T=10, trials=1, base_seed=0, alpha=0.1, beta=0.2,
-                                      **init)
+        steps = {w: v for w, v in (("alpha", 0.1), ("beta", 0.2)) if w in est.REGRESSORS[algorithm]._schedules}
+        spec = harness.ExperimentSpec(dgp=cfg, algorithm=algorithm, T=10, trials=1, base_seed=0, **steps, **init)
         reg = est.REGRESSORS[algorithm](**init)
         reg.fit(*_args(reg, np.empty((0, 3)), np.empty((0, 2)), np.empty(0), np.empty((0, 2))))
         assert reg.n_iter_ == 0

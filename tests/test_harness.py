@@ -460,6 +460,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="alpha"):
             _tiny_spec(algorithm="two_sample_sgd", alpha=None, beta=None)
 
+    @pytest.mark.parametrize("algorithm,which", [("online_2sls", "alpha"), ("online_2sls", "beta"),
+                                                 ("two_sample_sgd", "beta")])
+    def test_unread_schedule_is_rejected(self, algorithm, which):
+        # A schedule the algorithm does not take would be kept, checked and
+        # stepped for nothing; specs_from_config rejects one for the same reason.
+        with pytest.raises(ValueError, match=f"^{which} is given, but {algorithm} does not read it$"):
+            _tiny_spec(algorithm=algorithm, **{"alpha": None if algorithm == "online_2sls" else Constant(0.1),
+                                               "beta": None, which: Constant(0.1)})
+
+    @pytest.mark.parametrize("algorithm,calls", [("online_2sls", 0), ("two_stage_sgd", 4)])
+    def test_steps_are_computed_only_for_the_schedules_read(self, algorithm, calls, monkeypatch):
+        # 20 000 rows are two sample blocks; a 2SLS run used to compute an
+        # unread alpha and beta for each of them.
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return steps(*args)
+
+        monkeypatch.setattr(harness, "steps", counted)
+        unread = {"alpha": None, "beta": None} if algorithm == "online_2sls" else {}
+        harness.run_experiment(_tiny_spec(algorithm=algorithm, T=20_000, trials=1, checkpoints=(20_000,), **unread))
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("experiment_id", ["a,b", 'a"b', "a\rb", "a,b\nc", {"x": 1}, 5])
     def test_experiment_id_must_not_break_a_csv_row(self, experiment_id):
         with pytest.raises(ValueError, match="experiment_id"):
