@@ -74,6 +74,7 @@ from . import _native
 from ._validation import (
     as_float_matrix,
     as_float_vector,
+    check_finite,
     check_nonnegative,
     check_positive,
     check_symmetric_pd,
@@ -91,28 +92,27 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SharedConfounder:
-    """Family parameters: elementwise link and confounding strength c >= 0."""
+    """Family parameters: elementwise link and confounding strength c >= 0, kept as a Python float."""
 
     c: float
     phi: str = PHI_IDENTITY
 
     def __post_init__(self):
-        check_nonnegative(self.c, "c")
+        object.__setattr__(self, "c", check_nonnegative(self.c, "c"))
         if self.phi not in (PHI_IDENTITY, PHI_SQUARE):
             raise ValueError(f"phi must be '{PHI_IDENTITY}' or '{PHI_SQUARE}', got {self.phi!r}")
 
 
 @dataclass(frozen=True)
 class EndogenousLinear:
-    """Family parameters: endogeneity level rho and regressor noise scale."""
+    """Family parameters: endogeneity level rho and regressor noise scale, kept as Python floats."""
 
     rho: float
     sigma_eps: float
 
     def __post_init__(self):
-        if not np.isfinite(self.rho):
-            raise ValueError("rho must be finite")
-        check_positive(self.sigma_eps, "sigma_eps")
+        object.__setattr__(self, "rho", check_finite(self.rho, "rho"))
+        object.__setattr__(self, "sigma_eps", check_positive(self.sigma_eps, "sigma_eps"))
 
 
 Family = Union[SharedConfounder, EndogenousLinear]
@@ -252,11 +252,11 @@ def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[
 
 
 @contextlib.contextmanager
-def _normals(rng: np.random.Generator):
+def _normals(rng: np.random.Generator, digest=None):
     """A function of a shape that draws ``rng.standard_normal(shape)``, bit for bit, with the compiled sampler.
 
-    The PCG64 state is read once on entry and written back once on exit, so
-    the generator then sits where ``standard_normal`` would have left it.
+    The PCG64 state is read once on entry and written back once on exit, so the generator then sits
+    where ``standard_normal`` would have left it; its four words (state, increment) then go to ``digest``.
     """
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.PCG64):
@@ -278,9 +278,11 @@ def _normals(rng: np.random.Generator):
     finally:
         pcg["state"] = int(words[0]) << 64 | int(words[1])
         bit_generator.state = state
+        if digest is not None:
+            digest.update(words)
 
 
-def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int) -> tuple:
+def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest) -> tuple:
     """``(Z, X_1, ..., X_copies, Y)``: copies of X independent given Z, Y from X_1.
 
     The blocks are drawn in the module's frozen layout. Each normal block is
@@ -291,7 +293,7 @@ def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int) -> tupl
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _normals(rng) as normal:
+    with _normals(rng, digest) as normal:
         z = normal((n, cfg.d_z))
         if cfg._z_chol is not None:
             z = z @ cfg._z_chol.T
@@ -329,21 +331,21 @@ def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int) -> tupl
     return (z, *xs, y)
 
 
-def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
+def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None):
     """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
 
-    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,).
+    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). A hashlib ``digest`` gets the state words (:func:`_normals`).
     """
-    return _draw(rng, cfg, n, 1)
+    return _draw(rng, cfg, n, 1, digest)
 
 
-def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int):
+def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None):
     """Draw ``n`` two-sample observations as arrays ``(Z, X, X', Y)``.
 
     X and X' are conditionally independent given Z: X' is built from a fresh
-    confounder and fresh noise. Y uses X's noise realisation.
+    confounder and fresh noise. Y uses X's noise realisation; ``digest`` is as in :func:`sample_one_block`.
     """
-    return _draw(rng, cfg, n, 2)
+    return _draw(rng, cfg, n, 2, digest)
 
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:

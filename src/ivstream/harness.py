@@ -12,7 +12,8 @@ the SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``: first its
 held-out test set (when ``test_n > 0``), then its training stream in blocks
 of 16 384 rows. The mixing function and generator are fixed, so any two runs
 with the same base seed produce bitwise-identical streams regardless of how
-trials are grouped. Aggregation reduces over trials in index order.
+trials are grouped. Aggregation reduces over trials in index order. A trial's
+stream digest hashes the DGP, the blocks' shapes and the PCG64 words after each block.
 
 Lockstep groups
 ---------------
@@ -43,8 +44,8 @@ One pass per shared stream
 The algorithms of one config read the same streams: the same
 :class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
 checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
-pass, so each trial's held-out set, ``oracle_mse`` and blocks are drawn,
-hashed once. Within a pass, the specs step in lanes, one loop call per lane
+pass, so each trial's held-out set, ``oracle_mse``, blocks and stream digest
+are made once. Within a pass, the specs step in lanes, one loop call per lane
 and window, each algorithm's facts read from
 :data:`ivstream.estimators.REGRESSORS`. A lane stacks its S specs' thetas as
 (S, B, d_x) on one gamma. The two-timescale specs (``two_stage_sgd`` and
@@ -203,10 +204,7 @@ class MetricSeries:
         return {int(i): int(first[i]) for i in np.flatnonzero(bad.any(axis=1))}
 
     def combined_stream_digest(self) -> str:
-        h = hashlib.sha256()
-        for d in self.stream_digests:
-            h.update(bytes.fromhex(d))
-        return h.hexdigest()
+        return hashlib.sha256(b"".join(bytes.fromhex(d) for d in self.stream_digests)).hexdigest()
 
 
 def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
@@ -294,7 +292,7 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
     ``out`` holds each spec's (len(indices), checkpoints) rows of every
     metric, filled with ``inf``; the group writes its checkpoints into them in
     place and returns its trials' stream digests. Each trial's blocks are
-    drawn and hashed once, and the window loops read them in place, so the
+    drawn once, and the window loops read them in place, so the
     group holds one block per trial however many specs read it. A window runs
     from a checkpoint or block end to the next. The specs step in lanes
     (:func:`_lane_key`), each spec with its own theta; once every trial of a
@@ -326,7 +324,10 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
 
     two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     sample = sample_two_block if two_sample else sample_one_block
-    digests = [hashlib.sha256() for _ in rngs]
+    # A trial's stream digest: the DGP and the blocks' shapes once, then the PCG64 words after each block.
+    layout = repr((cfg.d_x, cfg.d_z, cfg.family, two_sample, spec.T, _SAMPLE_BLOCK)).encode()
+    head = hashlib.sha256(layout + cfg.theta_star.tobytes() + cfg.gamma_star.tobytes() + cfg.z_cov.tobytes())
+    digests = [head.copy() for _ in rngs]
     # Each trial's current block of z, x, x_prime and y; the two-sample
     # kernel reads no z, and the one-sample blocks have no x_prime.
     fields = [None, [], [], []] if two_sample else [[], [], None, []]
@@ -342,9 +343,7 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
             for k in kept:
                 fields[k].clear()
             for rng, digest in zip(rngs, digests):
-                block = sample(rng, cfg, n_blk)
-                for arr in block:
-                    digest.update(arr)
+                block = sample(rng, cfg, n_blk, digest)
                 for k, arr in zip(kept, block[-3:]):
                     fields[k].append(arr)
                 del block  # so no dropped z outlives the next draw
@@ -402,9 +401,9 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
     """Run one seeded trial and return its one-row checkpoint metrics.
 
     The held-out test set (when ``test_n > 0``) is drawn first, then the
-    training stream, all from the trial's own generator. The stream digest is
-    a SHA-256 over the raw sample blocks in draw order. The result equals row
-    ``trial_index`` of :func:`run_experiment`.
+    training stream, all from the trial's own generator, whose state after each
+    block the stream digest hashes. The result equals row ``trial_index`` of
+    :func:`run_experiment`.
     """
     if not (0 <= trial_index < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")

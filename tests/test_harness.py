@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import weakref
 
@@ -191,8 +192,8 @@ class TestLockstep:
         def release():
             live[0] -= 1
 
-        def counting_block(rng, cfg, n):
-            block = dgp.sample_one_block(rng, cfg, n)
+        def counting_block(rng, cfg, n, digest=None):
+            block = dgp.sample_one_block(rng, cfg, n, digest)
             if n > 30:  # training blocks, not the held-out set
                 live[0] += 1
                 peak[0] = max(peak[0], live[0])
@@ -353,9 +354,9 @@ class TestSharedPass:
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
         draws = []
 
-        def counting_block(rng, cfg, n):
+        def counting_block(rng, cfg, n, digest=None):
             draws.append(n)
-            return dgp.sample_one_block(rng, cfg, n)
+            return dgp.sample_one_block(rng, cfg, n, digest)
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 500)
         monkeypatch.setattr(harness, "sample_one_block", counting_block)
@@ -388,6 +389,103 @@ class TestSharedPass:
         for r, a in zip(results, alone):
             assert r.metrics["dist_sq"].tobytes() == a.metrics["dist_sq"].tobytes()
             assert r.stream_digests == a.stream_digests
+
+
+class TestStreamDigest:
+    """A trial's stream digest hashes the DGP and the blocks' shapes once, then
+    the PCG64 state and increment after each block."""
+
+    def test_is_the_dgp_then_the_state_after_each_block(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 200)
+        spec = _tiny_spec(T=500, test_n=20)
+        cfg, mask = spec.dgp, (1 << 64) - 1
+        rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, 1)))
+        h = hashlib.sha256(repr((cfg.d_x, cfg.d_z, cfg.family, False, spec.T, 200)).encode()
+                           + cfg.theta_star.tobytes() + cfg.gamma_star.tobytes() + cfg.z_cov.tobytes())
+        dgp.sample_one_block(rng, cfg, spec.test_n)  # the held-out set moves the state, not hashed on its own
+        for n in (200, 200, 100):
+            dgp.sample_one_block(rng, cfg, n)
+            pcg = rng.bit_generator.state["state"]
+            words = [pcg["state"] >> 64, pcg["state"] & mask, pcg["inc"] >> 64, pcg["inc"] & mask]
+            h.update(np.array(words, dtype=np.uint64).tobytes())
+        assert harness.run_trial(spec, 1).stream_digests == [h.hexdigest()]
+
+    @pytest.mark.parametrize("sample", [dgp.sample_one_block, dgp.sample_two_block])
+    def test_a_draw_with_a_digest_is_the_same_draw(self, sample):
+        cfg = dgp.shared_confounder_config(2, 3, c=0.5)
+        plain, hashed = (np.random.Generator(np.random.PCG64(3)) for _ in range(2))
+        digest = hashlib.sha256()
+        for a, b in zip(sample(plain, cfg, 50), sample(hashed, cfg, 50, digest)):
+            assert a.tobytes() == b.tobytes()
+        assert plain.bit_generator.state == hashed.bit_generator.state
+        assert digest.hexdigest() != hashlib.sha256().hexdigest()
+
+    @pytest.mark.parametrize("spec, digests, combined", [
+        (dict(dgp=dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5), test_n=20),
+         ["1af515bd9dbc7a97ed79723e259348bfca9b75ca909fa307cdcc681c58c14964",
+          "1018c81331f32a322d109eb787163e7a9deef7aff4a8ec97d2f13117c5c0720a"],
+         "2024ac33f5b5c7c075f37713ca3eb2a8c0425aa6f52a02389b102a6a925a40f5"),
+        (dict(dgp=dgp.shared_confounder_config(2, 3, c=0.5, phi="square"), algorithm="two_sample_sgd",
+              alpha=Constant(0.01), beta=None),
+         ["c0ae49019fef711b65e9a32fc6a939a24f663bd62fdddd38de416191db2198aa",
+          "9711fb03b6c9b7ef75f1a5eee172d9e509d0f0a854a7f8133c5c8af35d61cac1"],
+         "c09893cad9d7df0359236948e21627f0085eaa575b5f79b889cf62a6df9a7e38"),
+    ], ids=["one_sample", "two_sample"])
+    def test_pinned_digest(self, spec, digests, combined):
+        # The words drawn do not depend on numpy's SIMD path or the BLAS kernel.
+        series = harness.run_experiment(_tiny_spec(trials=2, **spec))
+        assert series.stream_digests == digests
+        assert series.combined_stream_digest() == combined
+
+    def test_changes_with_the_base_seed(self):
+        a = harness.run_experiment(_tiny_spec(base_seed=7)).stream_digests
+        b = harness.run_experiment(_tiny_spec(base_seed=8)).stream_digests
+        assert not set(a) & set(b)
+
+    def test_changes_with_one_more_normal(self, monkeypatch):
+        plain = harness.run_experiment(_tiny_spec()).stream_digests
+        held_out = harness.run_experiment(_tiny_spec(test_n=1)).stream_digests
+        assert not set(plain) & set(held_out)
+
+        def one_more(rng, cfg, n, digest=None):
+            rng.standard_normal()  # one normal before the block: the same shapes, one more word drawn
+            return dgp.sample_one_block(rng, cfg, n, digest)
+
+        monkeypatch.setattr(harness, "sample_one_block", one_more)
+        assert not set(plain) & set(harness.run_experiment(_tiny_spec()).stream_digests)
+
+    @pytest.mark.parametrize("other", [
+        dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5, theta_star=[2.0]),
+        dgp.endogenous_linear_config(1, 1, rho=2.0, sigma_eps=0.5),
+        dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5, z_cov=[[2.0]]),
+        dgp.shared_confounder_config(1, 1, c=0.5),
+    ], ids=["theta_star", "rho", "z_cov", "family"])
+    def test_changes_with_the_dgp(self, other):
+        # Each DGP draws as many normals of the same shapes: only its parameters tell them apart.
+        a = harness.run_experiment(_tiny_spec()).stream_digests
+        b = harness.run_experiment(_tiny_spec(dgp=other)).stream_digests
+        assert not set(a) & set(b)
+
+    def test_equal_dgps_give_equal_digests(self):
+        # A family parameter given as an integer is kept as a float, so the digest is the same.
+        a = harness.run_experiment(_tiny_spec(dgp=dgp.endogenous_linear_config(1, 1, rho=1, sigma_eps=0.5)))
+        b = harness.run_experiment(_tiny_spec(dgp=dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)))
+        assert a.stream_digests == b.stream_digests
+
+    def test_equal_across_a_pass_and_distinct_across_trials(self):
+        (specs,) = presets.build_preset("fig2", cell=FIG2_CELL, trials=5, T=300).values()
+        series = harness.run_experiments(specs)
+        assert len({tuple(s.stream_digests) for s in series}) == 1
+        assert len(set(series[0].stream_digests)) == 5
+
+    def test_run_trial_is_its_row(self, monkeypatch):
+        # Several blocks per trial and groups of 3+2; each trial alone gives its row's digest.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 97)
+        spec = _tiny_spec(trials=5, test_n=10)
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(spec))
+        assert [len(g) for g in harness.trial_groups(spec)] == [3, 2]
+        series = harness.run_experiment(spec)
+        assert [harness.run_trial(spec, i).stream_digests[0] for i in range(5)] == series.stream_digests
 
 
 class TestFitSlope:
