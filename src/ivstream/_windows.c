@@ -244,9 +244,9 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
 
 /*
  * The normal sampler of ivstream.dgp: numpy's Generator.standard_normal on a
- * PCG64 bit generator, bit for bit, with the generator's state passed in and
- * out. It is numpy's PCG64 step (the 128-bit LCG, then the XSL-RR output of
- * the new state) inlined into numpy's 256-layer normal ziggurat
+ * PCG64 bit generator, bit for bit, stepping the generator's state in place.
+ * It is numpy's PCG64 step (the 128-bit LCG, then the XSL-RR output of the
+ * new state) inlined into numpy's 256-layer normal ziggurat
  * (random_standard_normal in numpy/random/src/distributions): the same draws,
  * the same tables, the same operations in the same order, and the same slow
  * paths, the idx-0 tail through log1p and the wedge test through exp. The
@@ -256,6 +256,28 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
  * binds exp's older GLIBC_2.2.5 version, a wrapper that differs from the
  * default exp only in how it reports overflow and underflow, which the wedge
  * test's exp(-x * x / 2), |x| < 3.66, never reaches.
+ *
+ * normal() reads its words from a word source. Without AVX-512F and
+ * AVX-512DQ the source is the LCG stepped once per word. With them (the
+ * build's CPU macros choose; there is no option), 16 lanes of the same LCG
+ * draw the words ahead into a buffer, in stream order: lane j starts j + 1
+ * steps past the state and then jumps 16 steps at a time, state ->
+ * A * state + C with A = m^16 and C = inc * (m^15 + ... + m + 1), the closed
+ * form PCG64.advance uses. The 128-bit product is built from 64-bit lanes:
+ * vpmullq for the low words, a 32-bit vpmuludq high product for the carry
+ * into the high word, and vprorvq for XSL-RR. Word k of the buffer is then
+ * the output of the LCG's state k + 1 steps on, the word the scalar step
+ * returns k + 1 calls later, so both sources give the same words. The fast
+ * path runs normal()'s layer test on 8 words at once: it gathers wi and ki,
+ * scales the 52 bits (exact in a double) by wi in one rounded multiply, and
+ * XORs in the sign, the operations of the scalar test element by element.
+ * When all 8 pass, it stores 8 normals; otherwise it stores the passing
+ * prefix and leaves the first failing word unread, and normal() reads it
+ * again and goes on to the tail or the wedge, taking any further words from
+ * the same buffer. So each normal uses the same words as numpy's, in the
+ * same order. On exit the state is the entry state advanced by the words
+ * used, by the same closed form, which is where numpy leaves it; the words
+ * drawn ahead and not used are dropped.
  *
  * The tables are numpy's ki_double, wi_double and fi_double
  * (numpy/random/src/distributions/ziggurat_constants.h; copyright the NumPy
@@ -472,20 +494,147 @@ static const double zig_r = 0x1.d3bb48209ad33p+1, zig_inv_r = 0x1.183aa6c20e8c1p
 
 typedef unsigned __int128 pcg128;
 
+/* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128. */
+static const pcg128 pcg_multiplier = (pcg128)0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL;
+
 /* numpy's PCG64 next64: one LCG step, then the XSL-RR output of the new state. */
 static inline uint64_t pcg64_next(pcg128 *state, pcg128 inc)
 {
-    const pcg128 multiplier = (pcg128)0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL;
-    *state = *state * multiplier + inc;
+    *state = *state * pcg_multiplier + inc;
     uint64_t v = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
     unsigned rot = (unsigned)(*state >> 122);
     return (v >> rot) | (v << (-rot & 63));
 }
 
-/* numpy's next_double: the top 53 bits, scaled into [0, 1). */
-static inline double pcg64_next_double(pcg128 *state, pcg128 inc)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+
+/*
+ * The LCG's jump by delta steps, state -> *mult * state + *plus, by square and
+ * multiply (numpy's pcg_advance_lcg_128, which PCG64.advance calls).
+ */
+static void pcg64_jump(uint64_t delta, pcg128 inc, pcg128 *mult, pcg128 *plus)
 {
-    return (double)(pcg64_next(state, inc) >> 11) * (1.0 / 9007199254740992.0);
+    pcg128 m = pcg_multiplier, p = inc, acc_mult = 1, acc_plus = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= m;
+            acc_plus = acc_plus * m + p;
+        }
+        p *= m + 1;
+        m *= m;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
+}
+
+enum { ZIG_LANES = 16, ZIG_WORDS = 1024 }; /* ZIG_WORDS: the most words one refill draws */
+
+/*
+ * The stream's words, drawn ahead into buf by ZIG_LANES lanes of the LCG:
+ * lane j holds element j % 8 of hi[j / 8] and lo[j / 8], the high and low
+ * words of the state whose output is the next word at offset j of a round.
+ * left is the number of normals the call still owes, which bounds how far
+ * ahead a refill draws.
+ */
+struct words {
+    __m512i hi[2], lo[2];
+    __m512i jump_hi, jump_lo, plus_hi, plus_lo;
+    uint64_t *next, *end, drawn;
+    blasint left;
+    uint64_t buf[ZIG_WORDS + 8];
+};
+
+/* The high words of a * b, 64 by 64 bits in each element, from four 32 by 32-bit products; b_32 is b >> 32. */
+static inline __m512i mulhi_epu64(__m512i a, __m512i b, __m512i b_32)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+    __m512i a_32 = _mm512_srli_epi64(a, 32);
+    __m512i ll = _mm512_mul_epu32(a, b), hl = _mm512_mul_epu32(a_32, b);
+    __m512i lh = _mm512_mul_epu32(a, b_32), hh = _mm512_mul_epu32(a_32, b_32);
+    __m512i mid = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));
+    __m512i cross = _mm512_add_epi64(_mm512_and_si512(mid, low32), lh);
+    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid, 32)), _mm512_srli_epi64(cross, 32));
+}
+
+/* Draws rounds of ZIG_LANES words into buf after the unread ones, enough for the normals owed. */
+static void refill(struct words *src)
+{
+    blasint kept = src->end - src->next, rounds = (src->left + 8 - kept + ZIG_LANES - 1) / ZIG_LANES;
+    if (rounds > ZIG_WORDS / ZIG_LANES)
+        rounds = ZIG_WORDS / ZIG_LANES;
+    for (blasint k = 0; k < kept; k++) /* fewer than 8 */
+        src->buf[k] = src->next[k];
+    uint64_t *w = src->buf + kept;
+    __m512i hi[2] = {src->hi[0], src->hi[1]}, lo[2] = {src->lo[0], src->lo[1]};
+    const __m512i jump_hi = src->jump_hi, jump_lo = src->jump_lo, jump_lo32 = _mm512_srli_epi64(jump_lo, 32);
+    const __m512i plus_hi = src->plus_hi, plus_lo = src->plus_lo, ones = _mm512_set1_epi64(-1);
+    for (blasint r = 0; r < rounds; r++)
+        for (int v = 0; v < 2; v++, w += 8) {
+            __m512i out = _mm512_xor_si512(hi[v], lo[v]);
+            _mm512_storeu_si512(w, _mm512_rorv_epi64(out, _mm512_srli_epi64(hi[v], 58)));
+            /* state = jump * state + plus, mod 2^128 */
+            __m512i new_hi = _mm512_add_epi64(mulhi_epu64(lo[v], jump_lo, jump_lo32),
+                                              _mm512_add_epi64(_mm512_mullo_epi64(lo[v], jump_hi),
+                                                               _mm512_mullo_epi64(hi[v], jump_lo)));
+            lo[v] = _mm512_add_epi64(_mm512_mullo_epi64(lo[v], jump_lo), plus_lo);
+            __mmask8 carry = _mm512_cmplt_epu64_mask(lo[v], plus_lo);
+            hi[v] = _mm512_add_epi64(new_hi, plus_hi);
+            hi[v] = _mm512_mask_sub_epi64(hi[v], carry, hi[v], ones);
+        }
+    for (int v = 0; v < 2; v++) {
+        src->hi[v] = hi[v];
+        src->lo[v] = lo[v];
+    }
+    src->next = src->buf;
+    src->end = w;
+    src->drawn += (uint64_t)rounds * ZIG_LANES;
+}
+
+/* The lanes at the stream's state and an empty buffer (not cleared: a refill writes each word it holds). */
+static void start_words(struct words *src, pcg128 state, pcg128 inc)
+{
+    uint64_t lane_hi[ZIG_LANES], lane_lo[ZIG_LANES];
+    for (int j = 0; j < ZIG_LANES; j++) { /* lane j starts j + 1 steps ahead */
+        state = state * pcg_multiplier + inc;
+        lane_hi[j] = (uint64_t)(state >> 64);
+        lane_lo[j] = (uint64_t)state;
+    }
+    for (int v = 0; v < 2; v++) {
+        src->hi[v] = _mm512_loadu_si512(lane_hi + 8 * v);
+        src->lo[v] = _mm512_loadu_si512(lane_lo + 8 * v);
+    }
+    pcg128 mult, plus;
+    pcg64_jump(ZIG_LANES, inc, &mult, &plus);
+    src->jump_hi = _mm512_set1_epi64((int64_t)(uint64_t)(mult >> 64));
+    src->jump_lo = _mm512_set1_epi64((int64_t)(uint64_t)mult);
+    src->plus_hi = _mm512_set1_epi64((int64_t)(uint64_t)(plus >> 64));
+    src->plus_lo = _mm512_set1_epi64((int64_t)(uint64_t)plus);
+    src->next = src->end = src->buf;
+    src->drawn = 0;
+}
+
+static inline uint64_t next_word(struct words *src)
+{
+    if (src->next == src->end)
+        refill(src);
+    return *src->next++;
+}
+#else
+struct words {
+    pcg128 state, inc;
+};
+
+static inline uint64_t next_word(struct words *src)
+{
+    return pcg64_next(&src->state, src->inc);
+}
+#endif
+
+/* numpy's next_double: the top 53 bits, scaled into [0, 1). */
+static inline double next_double(struct words *src)
+{
+    return (double)(next_word(src) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* x with its sign bit XOR-ed with bit 0 of sign: -x when it is set, exactly. */
@@ -498,10 +647,10 @@ static inline double flip_sign(double x, uint64_t sign)
     return x;
 }
 
-static double normal(pcg128 *state, pcg128 inc)
+static double normal(struct words *src)
 {
     for (;;) {
-        uint64_t r = pcg64_next(state, inc);
+        uint64_t r = next_word(src);
         int idx = r & 0xff;
         r >>= 8;
         uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
@@ -510,28 +659,72 @@ static double normal(pcg128 *state, pcg128 inc)
             return x; /* 99.3% of draws */
         if (idx == 0) {
             for (;;) {
-                double xx = -zig_inv_r * log1p(-pcg64_next_double(state, inc));
-                double yy = -log1p(-pcg64_next_double(state, inc));
+                double xx = -zig_inv_r * log1p(-next_double(src));
+                double yy = -log1p(-next_double(src));
                 if (yy + yy > xx * xx)
                     return flip_sign(zig_r + xx, rabs >> 8);
             }
         }
-        if ((zig_fi.value[idx - 1] - zig_fi.value[idx]) * pcg64_next_double(state, inc) + zig_fi.value[idx] <
-            exp(-0.5 * x * x))
+        if ((zig_fi.value[idx - 1] - zig_fi.value[idx]) * next_double(src) + zig_fi.value[idx] < exp(-0.5 * x * x))
             return x;
     }
 }
 
 /*
- * n standard normals into out, drawn from the PCG64 state pcg = {state's high
- * word, its low word, inc's high word, its low word}; pcg's first two words
- * are then the state numpy's standard_normal would have left.
+ * n standard normals into out, drawn from the PCG64 generator whose numpy
+ * pcg64_state is at state_address (BitGenerator.ctypes.state_address): its
+ * first field points at the generator's {state, inc}, two unsigned __int128.
+ * The state is then the one numpy's standard_normal would have left.
  */
-void standard_normals(uint64_t *pcg, blasint n, double *out)
+void standard_normals(const void *state_address, blasint n, double *out)
 {
-    pcg128 state = (pcg128)pcg[0] << 64 | pcg[1], inc = (pcg128)pcg[2] << 64 | pcg[3];
+    pcg128 *pcg, state, inc;
+    memcpy(&pcg, state_address, sizeof pcg);
+    memcpy(&state, &pcg[0], sizeof state);
+    memcpy(&inc, &pcg[1], sizeof inc);
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+    struct words src;
+    start_words(&src, state, inc);
+    pcg128 mult, plus;
+    const __m512i byte = _mm512_set1_epi64(0xff), mantissa = _mm512_set1_epi64(0x000fffffffffffffLL);
+    const __m512i sign = _mm512_set1_epi64(INT64_MIN);
+    for (blasint i = 0; i < n;) {
+        if (src.end - src.next < 8) {
+            src.left = n - i;
+            refill(&src);
+        }
+        /* normal()'s layer test on the next 8 words at once */
+        uint64_t *next = src.next;
+        __m512i r = _mm512_loadu_si512(next);
+        __m512i idx = _mm512_and_si512(r, byte), rabs = _mm512_and_si512(_mm512_srli_epi64(r, 9), mantissa);
+        __m512d x = _mm512_mul_pd(_mm512_cvtepu64_pd(rabs), _mm512_i64gather_pd(idx, zig_wi.value, 8));
+        x = _mm512_xor_pd(x, _mm512_castsi512_pd(_mm512_and_si512(_mm512_slli_epi64(r, 55), sign)));
+        unsigned accept = _mm512_cmplt_epu64_mask(rabs, _mm512_i64gather_epi64(idx, zig_ki.bits, 8));
+        /* A branch, not the accepted count, moves on by 8: the next load need not wait for this test. */
+        if (accept == 0xff && n - i >= 8) {
+            _mm512_storeu_pd(out + i, x);
+            src.next = next + 8;
+            i += 8;
+            continue;
+        }
+        blasint k = __builtin_ctz(~accept); /* the accepted prefix */
+        if (k > n - i)
+            k = n - i;
+        _mm512_mask_storeu_pd(out + i, (__mmask8)((1u << k) - 1), x);
+        i += k;
+        src.next = next + k;
+        if (i < n) { /* the first rejected word: normal() reads it again and goes on */
+            src.left = n - i;
+            out[i++] = normal(&src);
+        }
+    }
+    pcg64_jump(src.drawn - (uint64_t)(src.end - src.next), inc, &mult, &plus);
+    state = mult * state + plus;
+#else
+    struct words src = {state, inc};
     for (blasint i = 0; i < n; i++)
-        out[i] = normal(&state, inc);
-    pcg[0] = (uint64_t)(state >> 64);
-    pcg[1] = (uint64_t)state;
+        out[i] = normal(&src);
+    state = src.state;
+#endif
+    memcpy(&pcg[0], &state, sizeof state);
 }

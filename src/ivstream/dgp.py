@@ -57,13 +57,15 @@ The generator must be a PCG64 one; any other bit generator is refused with
 ``ValueError``. Each normal block is drawn by the compiled sampler of
 ``_windows.c`` (built on first use, see :mod:`ivstream._native`), which
 returns the bits of ``rng.standard_normal`` and leaves the generator where
-that call would. A draw reads the generator's state once and writes it back
-once, and the model's arithmetic runs in place on the blocks.
+that call would. It steps the generator's state in place, through the address
+numpy's ``bit_generator.ctypes.state_address`` gives, not through the
+``bit_generator.state`` dict, and the model's arithmetic runs in place on the
+blocks.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -86,8 +88,6 @@ PHI_SQUARE = "square"
 # Standard deviation of the exogenous part of the outcome noise nu in the
 # endogenous_linear family: nu = rho * eps_1 + N(0, 0.25).
 _NU_EXTRA_STD = 0.5
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -251,35 +251,33 @@ def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[
     return mean if isinstance(cfg.family, EndogenousLinear) else mean + cfg.family.c
 
 
-@contextlib.contextmanager
-def _normals(rng: np.random.Generator, digest=None):
+def _normals(rng: np.random.Generator):
     """A function of a shape that draws ``rng.standard_normal(shape)``, bit for bit, with the compiled sampler.
 
-    The PCG64 state is read once on entry and written back once on exit, so the generator then sits
-    where ``standard_normal`` would have left it; its four words (state, increment) then go to ``digest``.
+    The sampler steps the PCG64 state in place, at ``bit_generator.ctypes.state_address``, so after each
+    call the generator sits where ``standard_normal`` would have left it.
     """
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.PCG64):
         raise ValueError(f"the streams are drawn from a PCG64 generator, got {type(bit_generator).__name__}")
     fill = _native.loops().standard_normals
-    state = bit_generator.state
-    pcg = state["state"]
-    words = np.array([pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64],
-                     dtype=np.uint64)
-    address = words.ctypes.data
 
     def normal(shape) -> NDArray[np.float64]:
         out = np.empty(shape)
-        fill(address, out.size, out.ctypes.data)
+        fill(bit_generator.ctypes.state_address, out.size, out.ctypes.data)
         return out
 
-    try:
-        yield normal
-    finally:
-        pcg["state"] = int(words[0]) << 64 | int(words[1])
-        bit_generator.state = state
-        if digest is not None:
-            digest.update(words)
+    return normal
+
+
+def _state_words(bit_generator: np.random.PCG64) -> NDArray[np.uint64]:
+    """The PCG64 state's words, read in place: (state high, state low, inc high, inc low).
+
+    ``ctypes.state_address`` is numpy's ``pcg64_state``, whose first field points at the generator's
+    ``pcg64_random_t``: the state and the increment, each an ``unsigned __int128``, low word first on x86-64.
+    """
+    pcg = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(pcg), dtype=np.uint64)[[1, 0, 3, 2]]
 
 
 def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest) -> tuple:
@@ -293,34 +291,36 @@ def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest)
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _normals(rng, digest) as normal:
-        z = normal((n, cfg.d_z))
-        if cfg._z_chol is not None:
-            z = z @ cfg._z_chol.T
-        fam, shape = cfg.family, (n, cfg.d_x)
-        xs = []
-        if isinstance(fam, EndogenousLinear):
-            for _ in range(copies):
-                x = normal(shape)  # eps
-                x *= fam.sigma_eps
-                xs.append(x)
-            w = normal(n)
-            w *= _NU_EXTRA_STD
-            nu = (fam.rho * xs[0][:, 0], w)
-        else:
-            for _ in range(copies):
-                x = normal(shape)  # h
-                x += 1.0
-                if not xs:
-                    h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
-                x += normal(shape)  # + e_x
-                x *= fam.c
-                xs.append(x)
-            e_y = normal(n)
-            e_y += h_1
-            e_y *= fam.c
-            nu = (e_y,)
-            del h_1  # so the peak never holds it beside the link
+    normal = _normals(rng)
+    z = normal((n, cfg.d_z))
+    if cfg._z_chol is not None:
+        z = z @ cfg._z_chol.T
+    fam, shape = cfg.family, (n, cfg.d_x)
+    xs = []
+    if isinstance(fam, EndogenousLinear):
+        for _ in range(copies):
+            x = normal(shape)  # eps
+            x *= fam.sigma_eps
+            xs.append(x)
+        w = normal(n)
+        w *= _NU_EXTRA_STD
+        nu = (fam.rho * xs[0][:, 0], w)
+    else:
+        for _ in range(copies):
+            x = normal(shape)  # h
+            x += 1.0
+            if not xs:
+                h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
+            x += normal(shape)  # + e_x
+            x *= fam.c
+            xs.append(x)
+        e_y = normal(n)
+        e_y += h_1
+        e_y *= fam.c
+        nu = (e_y,)
+        del h_1  # so the peak never holds it beside the link
+    if digest is not None:
+        digest.update(_state_words(rng.bit_generator))
     link = _link(cfg, z)
     for x in xs:
         x += link
@@ -334,7 +334,8 @@ def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest)
 def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None):
     """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
 
-    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). A hashlib ``digest`` gets the state words (:func:`_normals`).
+    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). A hashlib ``digest`` gets the state words after the
+    draw (:func:`_state_words`).
     """
     return _draw(rng, cfg, n, 1, digest)
 

@@ -1,6 +1,10 @@
+import ctypes
 import hashlib
 import math
+import platform
 import re
+import shutil
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from ivstream import dgp
+from ivstream import _native, dgp
 
 
 class TestNoiseFreeLimit:
@@ -172,8 +176,11 @@ class TestPinnedStreams:
 
 def _sampler(rng, n):
     """``n`` normals from the compiled sampler, in one call."""
-    with dgp._normals(rng) as normal:
-        return normal(n)
+    return dgp._normals(rng)(n)
+
+
+#: The most words one refill of the AVX-512 sampler's buffer draws.
+ZIG_WORDS = int(re.search(r"ZIG_WORDS = (\d+)", _native.SOURCE.read_text()).group(1))
 
 
 def _ziggurat_tables():
@@ -235,11 +242,14 @@ class TestNormalSampler:
     """The compiled sampler is numpy's ``Generator.standard_normal`` on PCG64, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2024, 2**64 - 1])
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 4097, 1_000_000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 255, 256, ZIG_WORDS - 1, ZIG_WORDS,
+                                   ZIG_WORDS + 1, 4097, 1_000_000])
     def test_equals_standard_normal_bit_for_bit(self, seed, n):
         # Interleaved with numpy's own draws, after a 32-bit draw that leaves
         # half a word buffered in the state (has_uint32, uinteger); the
         # generators then agree on every field of the state, the buffer too.
+        # The sizes take the AVX-512 path's 8-word fast path and its word
+        # buffer to their edges; n = 0 leaves the state as it was.
         ref, rng = make_rng(seed), make_rng(seed)
         for g in (ref, rng):
             g.integers(2**32, dtype=np.uint32)
@@ -250,6 +260,36 @@ class TestNormalSampler:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.bit_generator.state["has_uint32"] == 1
         assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="-mno-avx512f is an x86 flag")
+    def test_build_without_avx512_equals_standard_normal(self, tmp_path):
+        # The sampler without its AVX-512 path, one word at a time, whatever
+        # this CPU has; the default build takes that path where it can.
+        lib_path = tmp_path / "windows-no-avx512.so"
+        subprocess.run(["cc", *_native.CFLAGS, "-mno-avx512f", "-o", str(lib_path), str(_native.SOURCE),
+                        *_native.LIBS], check=True, capture_output=True)
+        fill = ctypes.CDLL(str(lib_path)).standard_normals
+        fill.argtypes, fill.restype = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), None
+        for seed in (0, 1, 2**64 - 1):
+            for n in (0, 1, 7, 8, 9, 17, ZIG_WORDS + 1, 100_000):
+                ref, bit_generator = np.random.PCG64(seed), np.random.PCG64(seed)
+                out = np.empty(n)
+                fill(bit_generator.ctypes.state_address, n, out.ctypes.data)
+                assert out.tobytes() == np.random.Generator(ref).standard_normal(n).tobytes()
+                assert bit_generator.state == ref.state
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
+    def test_state_words_read_in_place_are_the_state(self, seed):
+        # The sampler and the stream digest read numpy's pcg64_state through
+        # its address; the words must be the ones the state dict reports.
+        rng = make_rng(seed)
+        for draws in (0, 1, 1000):
+            rng.standard_normal(draws)
+            pcg = rng.bit_generator.state["state"]
+            words = [int(w) for w in dgp._state_words(rng.bit_generator)]
+            assert words == [pcg["state"] >> 64, pcg["state"] & (2**64 - 1), pcg["inc"] >> 64,
+                             pcg["inc"] & (2**64 - 1)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_a_run_takes_the_tail_and_the_wedge(self, seed):
