@@ -37,7 +37,8 @@
  *
  * Each loop clears the floating-point exception flags when it starts and
  * returns those its arithmetic raised, as numpy's NPY_FPE_* bits (see
- * fp_events), or -1 if it cannot allocate its work rows.
+ * fp_events), or -1 if it cannot allocate its work rows. online_2sls_window
+ * adds NOT_POSITIVE when a trial's rank-one denominator was not positive.
  */
 #include <fenv.h>
 #include <math.h>
@@ -46,6 +47,8 @@
 #include <string.h>
 
 typedef int64_t blasint;
+
+enum { NOT_POSITIVE = 16 };
 
 enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
 
@@ -186,7 +189,8 @@ int two_timescale_window(blasint b, blasint d_z, blasint d_x, blasint s, const c
 /*
  * online_2sls_update. A trial whose rank-one denominator is not positive,
  * where the 1-d kernel raises, ends the window with every entry of its
- * state NaN; a NaN denominator does not hide a non-positive one.
+ * state NaN, and the loop returns NOT_POSITIVE among its events; a NaN
+ * denominator does not hide a non-positive one.
  */
 int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, double *gamma, double *u, double *v,
                        blocks z, blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
@@ -198,6 +202,7 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
         return -1;
     feclearexcept(FE_ALL_EXCEPT);
     double *uw = w + d_x, *gain_u = uw + d_x, *x_w = gain_u + d_x, *vz = x_w + d_x, *gain_v = vz + d_z;
+    int not_positive = 0;
     for (blasint i = 0; i < b; i++) {
         double *th = theta + i * d_x, *g = gamma + i * d_z * d_x, *u_i = u + i * d_x * d_x,
                *v_i = v + i * d_z * d_z;
@@ -210,11 +215,13 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
             double denom_u = vecdot(d_x, w, uw);
             denom_u += 1.0;
             denom_v += 1.0;
-            if (denom_u <= 0.0 || denom_v <= 0.0) {
+            /* islessequal, unlike <=, raises no invalid event on a NaN, as numpy's comparison reports none */
+            if (islessequal(denom_u, 0.0) || islessequal(denom_v, 0.0)) {
                 for (double *p = th; p < th + d_x; p++) *p = NAN;
                 for (double *p = g; p < g + d_z * d_x; p++) *p = NAN;
                 for (double *p = u_i; p < u_i + d_x * d_x; p++) *p = NAN;
                 for (double *p = v_i; p < v_i + d_z * d_z; p++) *p = NAN;
+                not_positive = NOT_POSITIVE;
                 break;
             }
             for (blasint l = 0; l < d_z; l++)
@@ -237,7 +244,7 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
                 th[k] += gain_u[k] * resid;
         }
     }
-    int events = fp_events();
+    int events = fp_events() | not_positive;
     free(w);
     return events;
 }

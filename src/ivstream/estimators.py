@@ -44,43 +44,29 @@ These four updates are pure functions of (state, sample, steps): inputs are
 never mutated. Shape errors surface as ``ValueError`` from the array
 operations.
 
-The window loops run the same four updates for B trials, which the
-experiment harness advances in lockstep. A loop is bound once to the trials'
-stacked state and to one sample block per trial (a :class:`Window`), and each
-call then steps a window of rows of every trial's block, read in place, and
-updates the state in place; it never writes the blocks. The loops are C, in
-``_windows.c``, compiled on the first bind with the system ``cc`` and cached
-in ``~/.cache/ivstream`` (see :mod:`ivstream._native`). Importing the
-package, the 1-d kernels and the regressors' ``partial_fit`` and ``predict``
-need no compiler; a regressor's ``fit`` runs the loops, so its first call
-compiles them, for the CPU it runs on. Each product of more than one term
-calls the routine of numpy's own scipy-openblas64 that numpy's ``@`` calls on
-the same vectors, a product of one term is one rounded multiply added to +0
-as in numpy, and the elementwise arithmetic keeps the 1-d kernels' order
-without fused multiply-adds, so each trial's iterates are bitwise equal to
-the 1-d kernels'; ``tests/test_estimators.py`` checks this bit for bit. Like
-the 1-d kernels' bits, they still depend on the BLAS kernel OpenBLAS picks
-for the CPU. Every loop takes thetas stacked as (S, B, d_x) and S flags
-``direct``; :func:`two_timescale_window`, the loop of both two-timescale
-updates, steps S thetas on one gamma, so the harness steps the two-timescale
-specs that share a first stage (same stream, alpha, beta and gamma0) in one
-call. The other two loops take S = 1.
+The window loops are the one executed copy of each update: the harness steps
+its lockstep trials through them, and each regressor's ``fit`` and
+``partial_fit`` with B = 1; the 1-d kernels above are exported as the tests'
+bitwise reference. A :class:`Window` binds a loop once to B trials' stacked
+state and one sample block per trial; each call steps a window of rows of
+every block, read in place, and updates the state in place. The loops are C,
+in ``_windows.c``, compiled with the system ``cc`` on the first bind, for the
+CPU it runs on (see :mod:`ivstream._native`); importing the package, the 1-d
+kernels and ``predict`` need no compiler. A product of more than one term
+calls the scipy-openblas64 routine numpy's ``@`` calls, one of one term is a
+rounded multiply added to +0 as in numpy, and the elementwise arithmetic
+keeps the 1-d kernels' order without fused multiply-adds, so each trial is
+bitwise equal to the 1-d kernels (``tests/test_estimators.py`` checks this);
+like theirs, the bits depend on the BLAS kernel OpenBLAS picks for the CPU.
+:func:`two_timescale_window` steps S thetas on one gamma, for the specs that
+share a first stage.
 
-The ``*Regressor`` classes wrap the kernels behind a scikit-learn style
-``fit`` / ``partial_fit`` / ``predict`` / ``get_params`` surface so the
-algorithms compose with the wider ecosystem; fitted state lives in the
-``theta_`` (and ``gamma_``, ``u_``, ``v_``) attributes; :data:`REGRESSORS`
-maps each algorithm id to its class, which states its facts for the harness
-too. ``partial_fit``
-steps its row through the 1-d kernel. ``fit`` makes its rows C-contiguous
-float64 once, binds the compiled loop to them with B = 1 once per fit, and
-steps windows of up to :data:`FIT_WINDOW_ROWS` rows, each one call. The
-loops' ``fit_steps`` computes each window's steps with libm's ``pow``, which
-has the bits of :func:`ivstream.schedule.step`, so a ``fit`` is bitwise equal
-to ``partial_fit`` row by row. A window whose iterates end non-finite, or
-whose loop raised a floating-point event that ``np.geterr`` does not ignore,
-is undone and replayed row by row through the 1-d kernel, so ``fit`` warns
-and raises where ``partial_fit`` does.
+The ``*Regressor`` classes put a scikit-learn style surface on the loops;
+fitted state lives in ``theta_`` (and ``gamma_``, ``u_``, ``v_``), and
+:data:`REGRESSORS` maps each algorithm id to its class, which states its facts
+for the harness too. ``fit`` is bitwise equal to ``partial_fit`` row by row,
+and both report a row's floating-point events through numpy's error handling
+(as "... encountered in divide"), so they warn and raise at the same row.
 
 :func:`initial_state` builds every first iterate: the regressors', the harness's,
 ``ivstream check``'s and the oracle's. A real step size is a ``Constant`` schedule.
@@ -88,8 +74,10 @@ and raises where ``partial_fit`` does.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import numbers
+import operator
 
 import numpy as np
 
@@ -215,15 +203,13 @@ class Window:
         tables = [_table(blocks, shape, name, head[0]) for name, (blocks, shape) in fields.items()]
         self.n, self.direct = n, direct
         self._held = ([a for a, _ in state.values()], [tuple(blocks) for blocks, _ in fields.values()], tables)
-        self._call = functools.partial(getattr(_native.loops(), loop), *head, *addresses,
-                                       *(t.ctypes.data for t in tables))
+        loop = getattr(_native.loops(), loop)  # its arguments made C values once: each call converts fewer
+        self._call = functools.partial(loop, *(c(a) for c, a in zip(loop.argtypes, (
+            *head, *addresses, *(t.ctypes.data for t in tables)))))
 
     def step(self, t0: int, rows: int, alphas: int = 0, betas: int = 0) -> int:
-        """Step rows ``t0``, ..., ``t0 + rows - 1``, and return the floating-point events the loop raised.
-
-        ``alphas`` and ``betas`` are the addresses of the ``rows`` steps of the
-        schedules the loop takes, and 0 for one it does not take.
-        """
+        """Step rows ``t0`` to ``t0 + rows - 1`` and return the loop's events (see ``_windows.c``); ``alphas``
+        and ``betas`` are the addresses of the rows' steps of the schedules it takes, 0 for one it does not."""
         if not 0 <= t0 < t0 + rows <= self.n:
             raise ValueError(f"rows {t0} to {t0 + rows} are not within the blocks' {self.n} rows")
         events = self._call(t0, rows, alphas, betas)
@@ -260,9 +246,9 @@ def online_2sls_window(state, z, x, x_prime, y, direct) -> Window:
     """:func:`online_2sls_update` on B trials; it takes no steps.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
-    raises, ends the window with a NaN state, and a NaN denominator does not
-    hide a negative one. The other trials go on as before, and the harness
-    records that trial as diverged.
+    raises, ends the window with a NaN state, and the loop adds ``_NOT_POSITIVE``
+    to its events; a NaN denominator does not hide a negative one. The other
+    trials go on, and the harness, which ignores the bit, records that trial as diverged.
     """
     b, n, d_z, d_x = _trials(state), len(y[0]), np.shape(z[0])[-1], np.shape(x[0])[-1]
     shapes = ((1, b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))
@@ -296,11 +282,32 @@ FIT_WINDOW_ROWS = 4096
 
 #: The bit the window loops return for each floating-point event, by its ``np.geterr`` name.
 _FP_EVENTS = {"divide": 1, "over": 2, "under": 4, "invalid": 8}
+#: The bit ``online_2sls_window`` adds when a rank-one denominator was not positive.
+_NOT_POSITIVE = 16
+# 1 / 0, 1e308 / 1e-10, 1e-308 / 1e10 and 0 / 0: each divide raises one event, in _FP_EVENTS' order.
+_EVENT_DIVISIONS = np.array([[1.0, 1e308, 1e-308, 0.0], [0.0, 1e-10, 1e10, 0.0]])
 
 
 def _terms(s: StepSchedule) -> tuple[float, float]:
     """(coeff, exponent) of ``s`` for the loops' ``fit_steps``: a constant step has exponent 0."""
     return (float(s.alpha), 0.0) if isinstance(s, Constant) else (float(s.coeff), float(s.exponent))
+
+
+# A regressor's loop bound with B = 1 to copies of its iterates, ``work``, to
+# ``rows`` (z, x, x_prime and y, None for a field it does not read) and to
+# ``steps``, room from ``steps_at`` for ``n`` rows' steps of two schedules, the
+# most a loop takes. ``step_row`` steps the first row, as partial_fit does with
+# n = 1; partial_fit also sets ``handed``, the iterates it last handed out.
+class _Bound:
+    def __init__(self, reg, rows, n: int):
+        self.work = [np.array(getattr(reg, name), np.float64, order="C") for name in reg._iterates]
+        state = (self.work[0][None, None], *(a[None] for a in self.work[1:]))
+        self.window = reg._loop(state, *(None if a is None else (a,) for a in rows), (reg._raw_residual,))
+        self.rows = [a.reshape(-1) for a in rows if a is not None]  # flat, for partial_fit to fill
+        self.steps = (ctypes.c_double * (2 * n))()
+        self.steps_at = ctypes.addressof(self.steps)
+        # without Window.step's checks: partial_fit's one row is in range, and it checks for -1 (no memory) itself
+        self.step_row = functools.partial(self.window._call, 0, 1, *(self.steps_at + 8 * n * j for j in range(2)))
 
 
 class _BaseIVRegressor:
@@ -322,6 +329,10 @@ class _BaseIVRegressor:
             setattr(self, name, value)
         return self
 
+    # A copy or an unpickled regressor binds its own loop for partial_fit: the loop holds addresses.
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_one_row"}
+
     def predict(self, X) -> np.ndarray:
         if not hasattr(self, "theta_"):
             raise AttributeError(f"{type(self).__name__} is not fitted yet")
@@ -332,9 +343,7 @@ class _BaseIVRegressor:
     def _start(self, d_x: int, d_z: int) -> None:
         if not hasattr(self, "theta_"):
             start = initial_state(d_x, d_z, self.theta0, getattr(self, "gamma0", None), getattr(self, "lam", None))
-            for name, value in zip(self._iterates, start):
-                setattr(self, name, value)
-            self.n_iter_ = 0
+            vars(self).update(zip(self._iterates, start), n_iter_=0)
         elif self.theta_.shape != (d_x,) or (hasattr(self, "gamma_") and self.gamma_.shape != (d_z, d_x)):
             raise ValueError(f"rows have d_x={d_x}, d_z={d_z}, which do not match the fitted state")
 
@@ -346,69 +355,77 @@ class _BaseIVRegressor:
             raise ValueError("Z, X and y must have the same number of rows")
         return Z, X, y
 
-    # ``fit`` validates the whole stream once and runs ``_update_windows``;
-    # ``partial_fit`` validates its one row and runs ``_update``. A subclass
-    # gives only its two calls of one update: ``_window``, its compiled loop
-    # bound with B = 1 to the iterates and the stream, and ``_row``, its 1-d
-    # kernel; the two are bitwise equal. ``fit`` makes the rows C-contiguous
-    # float64 and copies the iterates once, binds the loop to them once, and
-    # steps windows of up to FIT_WINDOW_ROWS rows in place, each after
-    # ``fit_steps`` has computed its steps. A window that ends non-finite, or
-    # that raised a floating-point event numpy does not ignore, is undone and
-    # its rows are replayed through ``_update``, as ``partial_fit`` runs its
-    # row, so a row warns or raises just where it would in ``partial_fit``:
-    # where the iterates overflow, where a 2SLS denominator overflows or is not
-    # positive. ``_row`` sets the iterates, and then ``n_iter_`` is counted,
-    # only once the kernel has returned, so after a row raises they reflect
-    # exactly the rows consumed before it.
+    # The compiled loops are the one executed copy of each update.
+    # ``partial_fit`` validates its row and runs ``_update_row``: it copies
+    # the row into the one-row buffers of a loop it keeps bound (bound again
+    # only when an attribute is not the array it last handed out: fit ran, or
+    # a user set one), writes the row's steps, makes one call and reports the
+    # row's events; then it hands out copies, so it never writes an array it
+    # handed out. ``fit`` validates its rows once and runs ``_update_windows``:
+    # it binds the loop to them and to copies of the iterates once, and steps
+    # windows of up to FIT_WINDOW_ROWS rows, each after ``fit_steps`` has
+    # computed its steps. A window that raised a floating-point event numpy
+    # does not ignore, or met a non-positive 2SLS denominator, is undone and
+    # its rows are stepped again through ``_update_row``, so fit warns or
+    # raises just where partial_fit does. A row that raises leaves the
+    # iterates and ``n_iter_`` as they were before it.
 
-    def _update(self, Z, X, X_prime, y):
-        schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
-        for i in range(len(y)):
-            self._row(Z[i], X[i], None if X_prime is None else X_prime[i], float(y[i]),
-                      *[step(s, self.n_iter_ + 1) for s in schedules])
-            self.n_iter_ += 1
-        return self
-
-    def _window(self, state, *blocks) -> Window:
-        return self._loop((state[0][None, None], *(a[None] for a in state[1:])), *blocks, (self._raw_residual,))
-
-    def _update_windows(self, *rows):
-        schedules = [_as_schedule(getattr(self, name), name) for name in self._schedules]
-        lib, n, k = _native.loops(), len(rows[-1]), len(schedules)
-        rows = [None if a is None else np.ascontiguousarray(a, np.float64) for a in rows]
-        work = [np.array(getattr(self, name), np.float64, order="C") for name in self._iterates]
-        window = self._window(work, *(None if a is None else (a,) for a in rows))
-        terms = np.array([_terms(s) for s in schedules], np.float64)
-        steps = np.empty(k * min(n, FIT_WINDOW_ROWS))
-        terms_at, steps_at = terms.ctypes.data, steps.ctypes.data
-        reported = sum(bit for name, bit in _FP_EVENTS.items() if np.geterr()[name] != "ignore")
-        for name, a in zip(self._iterates, work):
-            setattr(self, name, a)
+    def _update_windows(self, Z, X, X_prime, y):
+        self._start(X.shape[1], Z.shape[1])
+        terms = np.array([_terms(_as_schedule(getattr(self, name), name)) for name in self._schedules], np.float64)
+        n, k, terms_at = len(y), len(terms), terms.ctypes.data
+        rows = [None if a is None else np.ascontiguousarray(a, np.float64) for a in (Z, X, X_prime, y)]
+        bound = _Bound(self, rows, min(n, FIT_WINDOW_ROWS))
+        reported = sum(bit for name, bit in _FP_EVENTS.items() if np.geterr()[name] != "ignore") | _NOT_POSITIVE
+        vars(self).update(zip(self._iterates, bound.work))
         for start in range(0, n, FIT_WINDOW_ROWS):
-            size, t, saved = min(FIT_WINDOW_ROWS, n - start), self.n_iter_, [a.copy() for a in work]
-            lib.fit_steps(size, t, k, terms_at, steps_at)
-            events = window.step(start, size, *(steps_at + 8 * size * j for j in range(k)))
-            if events & reported or not all(np.isfinite(a).all() for a in work):
-                for a, before in zip(work, saved):
-                    np.copyto(a, before)
-                self._update(*[None if a is None else a[start:start + size] for a in rows])
-                for name, a in zip(self._iterates, work):
+            size, before = min(FIT_WINDOW_ROWS, n - start), [a.copy() for a in bound.work]
+            _native.loops().fit_steps(size, self.n_iter_, k, terms_at, bound.steps_at)
+            if bound.window.step(start, size, *(bound.steps_at + 8 * size * j for j in range(k))) & reported:
+                vars(self).update(zip(self._iterates, before))
+                for i in range(start, start + size):
+                    self._update_row(*(None if a is None else a[i] for a in rows))
+                for a, name in zip(bound.work, self._iterates):
                     np.copyto(a, getattr(self, name))
                     setattr(self, name, a)
             else:
-                self.n_iter_ = t + size
+                self.n_iter_ += size
+        return self
+
+    def _update_row(self, z, x, x_prime, y):
+        self._start(x.shape[0], z.shape[0])
+        one = self.__dict__.get("_one_row")
+        if one is None or any(map(operator.is_not, map(self.__dict__.get, self._iterates), one.handed)):
+            fields = (None, x, x_prime, y) if self._reads_x_prime else (z, x, None, y)
+            one = self._one_row = _Bound(self, [None if a is None else np.empty((1, *np.shape(a))) for a in fields], 1)
+        t = self.n_iter_ + 1
+        for j, name in enumerate(self._schedules):
+            one.steps[j] = step(_as_schedule(getattr(self, name), name), t)
+        for row, value in zip(one.rows, (x, x_prime) if self._reads_x_prime else (z, x)):
+            row[...] = value
+        one.rows[-1][0] = y
+        events = one.step_row()
+        try:  # the row's events, through numpy's error handling: every np.errstate mode acts as numpy's own
+            if events < 0:
+                raise MemoryError("the window loop could not allocate its work rows")
+            if events:
+                np.divide(*_EVENT_DIVISIONS[:, [i for i in range(4) if events >> i & 1]])
+            if events & _NOT_POSITIVE:
+                raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+        except BaseException:  # the attributes keep the state before the row; its loop holds the row
+            del self._one_row
+            raise
+        self.n_iter_, one.handed = t, [a.copy() for a in one.work]
+        vars(self).update(zip(self._iterates, one.handed))
         return self
 
     def partial_fit(self, z, x, y: float):
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
-        self._start(x.shape[0], z.shape[0])
-        return self._update((z,), (x,), None, (y,))
+        return self._update_row(z, x, None, y)
 
     def fit(self, Z, X, y):
         """Consume the rows of (Z, X, y) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
-        self._start(X.shape[1], Z.shape[1])
         return self._update_windows(Z, X, None, y)
 
 
@@ -433,20 +450,15 @@ class TwoSampleSGDRegressor(_BaseIVRegressor):
         self.alpha = alpha
         self.theta0 = theta0
 
-    def _row(self, z, x, x_prime, y, alpha):
-        self.theta_ = two_sample_update(self.theta_, x, x_prime, y, alpha)
-
     def partial_fit(self, z, x, y: float, x_prime) -> "TwoSampleSGDRegressor":
         z, x, y = as_float_vector(z, name="z"), as_float_vector(x, name="x"), check_finite(y, "y")
         x_prime = as_float_vector(x_prime, n=x.shape[0], name="x_prime")
-        self._start(x.shape[0], z.shape[0])
-        return self._update((z,), (x,), (x_prime,), (y,))
+        return self._update_row(z, x, x_prime, y)
 
     def fit(self, Z, X, y, X_prime) -> "TwoSampleSGDRegressor":
         """Consume the rows of (Z, X, y, X_prime) in order as a stream."""
         Z, X, y = self._stack(Z, X, y)
         X_prime = as_float_matrix(np.atleast_2d(np.asarray(X_prime, dtype=float)), X.shape, "X_prime")
-        self._start(X.shape[1], Z.shape[1])
         return self._update_windows(Z, X, X_prime, y)
 
 
@@ -460,10 +472,6 @@ class _TwoTimescaleRegressor(_BaseIVRegressor):
         self.beta = beta
         self.theta0 = theta0
         self.gamma0 = gamma0
-
-    def _row(self, z, x, x_prime, y, alpha, beta):
-        update = direct_residual_update if self._raw_residual else two_stage_update
-        self.theta_, self.gamma_ = update(self.theta_, self.gamma_, z, x, y, alpha, beta)
 
 
 class TwoStageSGDRegressor(_TwoTimescaleRegressor):
@@ -495,10 +503,6 @@ class Online2SLSRegressor(_BaseIVRegressor):
         self.lam = lam
         self.theta0 = theta0
         self.gamma0 = gamma0
-
-    def _row(self, z, x, x_prime, y):
-        self.theta_, self.gamma_, self.u_, self.v_ = online_2sls_update(self.theta_, self.gamma_, self.u_, self.v_,
-                                                                        z, x, y)
 
 
 #: Each algorithm id of the harness and the configs, with the regressor class

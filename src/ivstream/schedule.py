@@ -14,8 +14,8 @@ second moment, first-stage norm) from which the prescribed schedules are
 computed. In simulation they are measured from the planted data-generating
 process by :func:`ivstream.oracle.theory_constants`.
 
-:func:`step` (libm's ``pow``) has the bits of a regressor's ``partial_fit``
-and ``fit``; :func:`steps` (numpy's ``power``) those of the harness.
+:func:`step` (libm's ``pow``) gives a regressor's ``partial_fit`` its steps, with the
+bits of ``fit``'s, which C computes with the same ``pow``; :func:`steps` (numpy's ``power``) the harness's.
 """
 
 from __future__ import annotations

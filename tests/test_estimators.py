@@ -1,6 +1,7 @@
 import _ctypes
 import copy
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -502,9 +503,9 @@ class TestNativeLoops:
             assert not any("fast-math" in arg or "associative" in arg for arg in cmd)
 
     def test_no_compiler_fails_at_the_first_window_only(self, tmp_path):
-        # Importing, the 1-d kernels and partial_fit run without a compiler. A
-        # regressor's fit steps windows, so each fit reports the missing cc
-        # before it consumes a row, and so does a run of the CLI.
+        # Importing and the 1-d kernels run without a compiler. A regressor's
+        # partial_fit and fit step the compiled loops, so each reports the
+        # missing cc before it consumes a row, and so does a run of the CLI.
         script = """if True:
             import sys
             import numpy as np
@@ -514,19 +515,18 @@ class TestNativeLoops:
             regs = (est.TwoSampleSGDRegressor(), est.TwoStageSGDRegressor(), est.DirectSGDRegressor(),
                     est.Online2SLSRegressor())
             args = lambda reg, *a: a + (a[1],) if isinstance(reg, est.TwoSampleSGDRegressor) else a
-            for reg in regs:
-                for i in range(5):
-                    reg.partial_fit(*args(reg, z[i], x[i], y[i]))
             est.two_sample_update(np.zeros(1), x[0], x[0], 1.0, 0.1)
             est.two_stage_update(np.zeros(1), np.zeros((2, 1)), z[0], x[0], 1.0, 0.1, 0.1)
             est.direct_residual_update(np.zeros(1), np.zeros((2, 1)), z[0], x[0], 1.0, 0.1, 0.1)
             est.online_2sls_update(*est.initial_state(1, 2, lam=0.1), z[0], x[0], 1.0)
-            print("streamed", [reg.n_iter_ for reg in regs])
+            print("kernels ran")
             for reg in regs:
-                try:
-                    reg.fit(*args(reg, z, x, y))
-                except RuntimeError as e:
-                    print(reg.n_iter_, e)
+                for rows in (lambda: reg.partial_fit(*args(reg, z[0], x[0], y[0])),
+                             lambda: reg.fit(*args(reg, z, x, y))):
+                    try:
+                        rows()
+                    except RuntimeError as e:
+                        print(reg.n_iter_, e)
             sys.exit(cli.main(["run", "--preset", "fig3", "--trials", "1", "--iters", "10", "--out", sys.argv[1]]))
         """
         message = "ivstream's window loops are compiled on first use, and there is no C compiler 'cc' on PATH"
@@ -536,7 +536,7 @@ class TestNativeLoops:
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stderr
-        assert done.stdout == "streamed [5, 5, 5, 5]\n" + f"5 {message}\n" * 4
+        assert done.stdout == "kernels ran\n" + f"0 {message}\n" * 8
         assert f"error: {message}" in done.stderr
         assert not (tmp_path / ".cache").exists()
 
@@ -1024,7 +1024,7 @@ class TestFitThroughWindows:
     def test_edge_rows_fit_as_partial_fit(self, name, d_x, d_z):
         # Streams and first iterates of EDGE_VALUES, under numpy's default
         # error handling, with every event ignored (fit replays only windows
-        # that end non-finite) and with every event raising: fit ends with
+        # with a non-positive 2SLS denominator) and with every event raising: fit ends with
         # partial_fit's bytes and n_iter_, after the same warnings, or raises
         # at the same row.
         rng = make_rng(37 * d_x + d_z)
@@ -1075,7 +1075,10 @@ class TestFitThroughWindows:
     def test_split_fit_equals_one_fit_late_in_the_stream(self, name):
         # fit(A); fit(B) == fit(A || B) with the split inside a window, at
         # n_iter_ above 1e6 where each step is libm's pow at a large t; both
-        # equal partial_fit row by row. A fit writes no array it handed out.
+        # equal partial_fit row by row. Neither fit nor partial_fit writes an
+        # array it handed out, and a deep copy or a pickled copy of a
+        # regressor that ran partial_fit steps on alone, not moving the
+        # original.
         n, cut = W + 300, 300
         z, x, x_prime, y = _stream(2, 3, n, seed=43)
         start = _regressor(name, 2, 3)
@@ -1084,16 +1087,63 @@ class TestFitThroughWindows:
         whole, parts, streamed = (copy.deepcopy(start) for _ in range(3))
         whole.fit(*_args(whole, z, x, y, x_prime))
         parts.fit(*_args(parts, z[:cut], x[:cut], y[:cut], x_prime[:cut]))
-        handed_out = _state(parts)
-        views = {a: getattr(parts, a) for a in parts._iterates}
+        handed_out = [(reg, _state(reg), {a: getattr(reg, a) for a in reg._iterates}) for reg in (parts,)]
         parts.fit(*_args(parts, z[cut:], x[cut:], y[cut:], x_prime[cut:]))
-        for i in range(len(y)):
-            streamed.partial_fit(*_args(streamed, z[i], x[i], y[i], x_prime[i]))
+        rows = [_args(streamed, z[i], x[i], y[i], x_prime[i]) for i in range(n)]
+        for row in rows[:cut]:
+            streamed.partial_fit(*row)
+        handed_out.append((streamed, _state(streamed), {a: getattr(streamed, a) for a in streamed._iterates}))
+        copies = (copy.deepcopy(streamed), pickle.loads(pickle.dumps(streamed)))
+        for reg in copies:
+            for row in rows[cut:]:
+                reg.partial_fit(*row)
+        _assert_same_state(streamed, handed_out[1][1])
+        for row in rows[cut:]:
+            streamed.partial_fit(*row)
         assert whole.n_iter_ == 1_234_567 + n
-        for reg in (parts, streamed):
+        for reg in (parts, streamed, *copies):
+            assert reg.n_iter_ == whole.n_iter_
             for a in whole._iterates:
                 assert getattr(reg, a).tobytes() == getattr(whole, a).tobytes(), a
-        _assert_same_state(views, {a: handed_out[a] for a in views})
+        for reg, state, views in handed_out:
+            _assert_same_state(views, {a: state[a] for a in views})
+
+    @pytest.mark.parametrize("name", REGRESSOR_NAMES)
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (1, 3), (3, 5)])
+    def test_partial_fit_reports_the_events_of_the_1d_kernel(self, name, d_x, d_z):
+        # Rows and first iterates of EDGE_VALUES, row by row from partial_fit's
+        # own iterates: under np.errstate(all="call") its loop reports through
+        # the callback the set of events that the 1-d kernel raises on the same
+        # row, and ends with the kernel's bytes; under all="raise" the two
+        # raise at the same rows.
+        rng = make_rng(59 * d_x + d_z)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            z, x, x_prime = (rng.choice(EDGE_VALUES, (n, d)) for d in (d_z, d_x, d_x))
+            y = rng.choice(EDGE_VALUES, n)
+            start = {"theta0": rng.choice(EDGE_VALUES, d_x), "gamma0": rng.choice(EDGE_VALUES, (d_z, d_x))}
+            for mode in ("call", "raise"):
+                reg = _regressor(name, d_x, d_z)
+                reg.set_params(**{p: v for p, v in start.items() if p in reg.get_params()})
+                reg.fit(*_args(reg, z[:0], x[:0], y[:0], x_prime[:0]))  # the first iterates, no row
+                for i in range(n):
+                    ends = []
+                    for how in ("kernel", "partial_fit"):
+                        flags, error = set(), None
+                        with np.errstate(all=mode, call=lambda kind, bits: flags.add(kind)):
+                            try:
+                                if how == "kernel":
+                                    want = _reference_fit(name, reg, z[i:i + 1], x[i:i + 1], x_prime[i:i + 1],
+                                                          y[i:i + 1])
+                                else:
+                                    reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
+                            except FloatingPointError as e:
+                                error = str(e) if mode == "call" else "raised"
+                        ends.append((flags, error))
+                    assert ends[0] == ends[1], (i, ends)
+                    if ends[0][1] is None:
+                        for a, value in want.items():
+                            assert getattr(reg, a).tobytes() == value.tobytes(), a
 
     @pytest.mark.parametrize("name", ["two_sample", "two_stage", "direct"])
     def test_overflow_warns_as_partial_fit_does(self, name):
