@@ -1,4 +1,4 @@
-"""Build and load the window loops of :mod:`ivstream.estimators` and the normal sampler of :mod:`ivstream.dgp`.
+"""Build and load the compiled loops of :mod:`ivstream.estimators`, :mod:`ivstream.dgp` and :mod:`ivstream.harness`.
 
 ``_windows.c`` is compiled with the system ``cc`` on the first draw of a
 sample block or the first bind of a window loop (a harness group's first
@@ -9,12 +9,12 @@ for the CPU it runs on (``-march=native``), so the build is cached in
 and the CPU (:func:`cpu`): a cache that two machines share never loads a
 build made for the other. A build is renamed into place once complete, so a
 later process loads it without a compiler; a new build removes the older
-builds beside it. The loops call the scipy-openblas64 routines that numpy's
-own gufuncs call, found through numpy's extension module when they are
-loaded, for every product of more than one term, and libm's ``pow`` for the
-steps of a regressor's ``fit``. The sampler calls libm's ``exp`` and
-``log1p``, the glibc functions numpy's random module calls, which glibc
-resolves for the same CPU in both.
+builds beside it. The loops and the checkpoint metrics call the
+scipy-openblas64 routines that numpy's own gufuncs call, found through
+numpy's extension module when they are loaded, for every product of more
+than one term, and libm's ``pow`` for the steps of a regressor's ``fit``.
+The sampler calls libm's ``exp`` and ``log1p``, the glibc functions numpy's
+random module calls, which glibc resolves for the same CPU in both.
 """
 
 from __future__ import annotations
@@ -101,5 +101,7 @@ def loops() -> ctypes.CDLL:
     lib.online_2sls_window.argtypes = (n,) * 3 + (p,) * 7 + tail
     for loop in (lib.two_sample_window, lib.two_timescale_window, lib.online_2sls_window):
         loop.restype = ctypes.c_int
+    # s, b, d_x, theta, theta_star, test_n, test_x, test_y, dist, mse, work, stride, col
+    lib.checkpoint_metrics.argtypes, lib.checkpoint_metrics.restype = (n,) * 3 + (p, p, n) + (p,) * 5 + (n, n), n
     lib.use_blas(*blas)
     return lib

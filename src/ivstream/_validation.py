@@ -9,15 +9,13 @@ from numpy.typing import NDArray
 
 
 def as_float_vector(x, n: int | None = None, name: str = "x") -> NDArray[np.float64]:
-    """Coerce to a finite 1-d float64 array, optionally checking its length."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
+    """Coerce to a finite 1-d C-contiguous float64 array (a scalar to length 1), optionally checking its length."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on short arrays
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -29,7 +27,7 @@ def as_float_matrix(x, shape: tuple[int, int] | None = None, name: str = "x") ->
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on short arrays
         raise ValueError(f"{name} has non-finite entries")
     return arr
 

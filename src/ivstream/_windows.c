@@ -1,13 +1,21 @@
 /*
  * Window loops of ivstream.estimators: B trials stepped through a window of
  * rows of their sample blocks, updating the state in place. The normal
- * sampler of ivstream.dgp, standard_normals, is at the end of the file.
+ * sampler of ivstream.dgp, standard_normals, follows them, and the
+ * checkpoint metrics of ivstream.harness, checkpoint_metrics, end the file,
+ * so that adding either moved no loop. checkpoint_metrics computes, with the
+ * same vecdot and matvec as the loops, each theta's
+ *   dist_sq              np.vecdot(d, d), d = theta - theta_star
+ *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
+ * bit for bit, as the harness computed them in numpy.
  *
  * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
  * buffers, because every product whose sum has more than one term calls the
  * OpenBLAS routine numpy itself calls, with the same arguments:
  *   np.vecdot(a, b)      0. + ddot(n, a, 1, b, 1)
- *   np.matvec(A, x)      dgemv(RowMajor, NoTrans) on the C-contiguous (m, n) A
+ *   np.matvec(A, x)      dgemv(RowMajor, NoTrans) on the C-contiguous (m, n) A,
+ *                        and one ddot when A has a single row (m = 1: only a
+ *                        held-out set of one row; the loops' A are square)
  *   np.vecmat(x, A)      dgemv(RowMajor, Trans) on the C-contiguous (n, m) A,
  *                        and one ddot when A has a single column (m = 1)
  * A sum of one term (a dot of length one, a matvec or vecmat whose inner
@@ -734,4 +742,43 @@ void standard_normals(const void *state_address, blasint n, double *out)
     state = src.state;
 #endif
     memcpy(&pcg[0], &state, sizeof state);
+}
+
+/*
+ * The harness's checkpoint metrics of a lane's S thetas (S, B, d_x), each
+ * written to column col of its (B, checkpoints) rows, row i at i * stride:
+ * dist[j] gets theta j's dist_sq, vecdot(d, d) with d = theta - theta_star,
+ * and, when test_n > 0, mse[j] its test_mse, vecdot(r, r) / test_n with
+ * r = test_y - matvec(test_x, theta) over trial i's held-out set, test_x[i]
+ * (test_n, d_x) and test_y[i] (test_n,). work holds d_x + test_n doubles. It
+ * returns the number of thetas with a finite dist_sq in some trial.
+ */
+blasint checkpoint_metrics(blasint s, blasint b, blasint d_x, const double *theta, const double *theta_star,
+                           blasint test_n, blocks test_x, blocks test_y, double *const *dist, double *const *mse,
+                           double *work, blasint stride, blasint col)
+{
+    double *d = work, *r = work + d_x;
+    blasint finite = 0;
+    for (blasint j = 0; j < s; j++) {
+        int any = 0;
+        for (blasint i = 0; i < b; i++) {
+            const double *th = theta + (j * b + i) * d_x;
+            for (blasint k = 0; k < d_x; k++)
+                d[k] = th[k] - theta_star[k];
+            double sq = vecdot(d_x, d, d);
+            dist[j][i * stride + col] = sq;
+            any |= isfinite(sq) != 0;
+            if (test_n > 0) {
+                if (test_n == 1) /* numpy's matvec takes the dot of a single row, not dgemv */
+                    r[0] = vecdot(d_x, test_x[i], th);
+                else
+                    matvec(test_n, d_x, test_x[i], th, r);
+                for (blasint k = 0; k < test_n; k++)
+                    r[k] = test_y[i][k] - r[k];
+                mse[j][i * stride + col] = vecdot(test_n, r, r) / (double)test_n;
+            }
+        }
+        finite += any;
+    }
+    return finite;
 }

@@ -40,7 +40,6 @@ import json
 import os
 import sys
 import tempfile
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +70,19 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def series_rows(series: MetricSeries) -> list[str]:
-    """One CSV line per (trial, checkpoint, recorded metric), in the schema's order, which is the
-    harness's: trials and checkpoints ascend and :data:`ivstream.harness.METRICS` is sorted."""
-    prefix = f"{series.spec.experiment_id},{series.spec.algorithm}"
-    names = [m for m in harness.METRICS if m in series.metrics]
-    values = np.stack([series.metrics[m] for m in names], axis=-1)
-    keys = product(range(values.shape[0]), series.iterations.tolist(), names)
-    return [f"{prefix},{trial},{it},{m},{v!r}" for (trial, it, m), v in zip(keys, values.ravel().tolist())]
+    """One CSV line per (trial, checkpoint, recorded metric) in the schema's order, the harness's: trials and
+    checkpoints ascend, :data:`ivstream.harness.METRICS` is sorted, and a trial's ``oracle_mse`` is constant."""
+    prefix, its, m = f"{series.spec.experiment_id},{series.spec.algorithm}", series.iterations.tolist(), series.metrics
+    lines = []
+    for trial, dist in enumerate(m["dist_sq"].tolist()):
+        head = f"{prefix},{trial},"
+        if "oracle_mse" not in m:
+            lines += [f"{head}{it},dist_sq,{d!r}" for it, d in zip(its, dist)]
+            continue
+        oracle = f",oracle_mse,{m['oracle_mse'][trial, 0].item()!r}"
+        for it, d, t in zip(its, dist, m["test_mse"][trial].tolist()):
+            lines += (f"{head}{it},dist_sq,{d!r}", f"{head}{it}{oracle}", f"{head}{it},test_mse,{t!r}")
+    return lines
 
 
 def write_series_csv(path: Path, lines: list[str]) -> None:

@@ -19,25 +19,21 @@ Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
 into balanced groups and advances each group on stacked state with one call
-of a window loop (:mod:`ivstream.estimators`) per window, which runs from one
-checkpoint or block end to the next. The loop reads each trial's rows in
-place from its own sample block: for each block, the group checks the blocks
+of a window loop (:mod:`ivstream.estimators`) per window, from one checkpoint
+or block end to the next. For each sample block the group checks the blocks
 once, binds the loop to a table of their addresses and to the stacked state,
 and computes the block's steps, so a window call passes only integers and
-addresses read once. Each trial keeps its own
-generator, stream digest and checkpoint metrics, and its iterates are bitwise
-equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is
-a pass whose one group is that trial. A group holds one sample block per
-trial (without ``z`` for the two-sample oracle, whose kernel never reads it),
-so :func:`trial_groups` sizes the groups by a block's bytes: as many trials
-as fit in 32 MiB of blocks, at most :data:`GROUP_SIZE`. The samples held are
-then bounded whatever the trial count or T, and a spec with small blocks runs
-all its trials in one group. A pass allocates each spec's (trials,
-checkpoints) array per metric and its list of stream digests once; the
-groups run one after another, each writing its contiguous rows in place. A
-trial that diverges is a recorded result: from its first non-finite
-checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``. Once every
-trial of a group has diverged, the group stops stepping that spec.
+addresses read once. A checkpoint's metrics are one call of the compiled
+``checkpoint_metrics`` per lane, bound like the loop to tables of the
+held-out sets and of the metric rows, which it writes in place with numpy's
+arithmetic and BLAS calls, bit for bit; ``oracle_mse`` is that call on
+theta_star. A trial's iterates are bitwise equal to a run of the 1-d kernel
+on its stream alone, so :func:`run_trial` is a pass whose one group is that
+trial. A group holds one sample block per trial, and :func:`trial_groups`
+sizes the groups by a block's bytes, so the samples held do not grow with the
+trial count or T. A trial that diverges is a recorded result: from its first
+non-finite checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``, and
+a spec whose trials of a group have all diverged stops.
 
 One pass per shared stream
 --------------------------
@@ -45,28 +41,29 @@ The algorithms of one config read the same streams: the same
 :class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
 checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
 pass, so each trial's held-out set, ``oracle_mse``, blocks and stream digest
-are made once. Within a pass, the specs step in lanes, one loop call per lane
-and window, each algorithm's facts read from
-:data:`ivstream.estimators.REGRESSORS`. A lane stacks its S specs' thetas as
-(S, B, d_x) on one gamma. The two-timescale specs (``two_stage_sgd`` and
-``direct_sgd``) with equal alpha, beta and gamma0 share a lane, stepped by one
-:func:`~ivstream.estimators.two_timescale_window` call. This is exact because
-their gamma recursions read the same rows with the same steps from the same
-start and never read theta. Every other spec has a lane of its own (S = 1).
-Each spec records its own metrics from its own theta, and a spec whose trials
-have all diverged leaves its lane while the others step on. Step sizes are
-computed once per block, so no array of T steps is held. Specs that do not
-share a stream run in separate passes; :func:`run_experiment` is the one-spec
-case.
+are made once. Within a pass, the specs step in lanes, one loop call and one
+metrics call per lane and window or checkpoint, each algorithm's facts read
+from :data:`ivstream.estimators.REGRESSORS`. A lane stacks its S specs'
+thetas as (S, B, d_x) on one gamma. The two-timescale specs (``two_stage_sgd``
+and ``direct_sgd``) with equal alpha, beta and gamma0 share a lane, stepped by
+one :func:`~ivstream.estimators.two_timescale_window` call. This is exact
+because their gamma recursions read the same rows with the same steps from the
+same start and never read theta. Every other spec has a lane of its own
+(S = 1). Each spec's metrics are those of its own theta, and a spec whose
+trials have all diverged leaves its lane while the others step on. Specs that
+do not share a stream run in separate passes; :func:`run_experiment` is the
+one-spec case.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from . import estimators as est
 from ._validation import check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
@@ -243,18 +240,31 @@ def _lane_key(spec: ExperimentSpec, k: int) -> tuple:
     return ("two_timescale", spec.alpha, spec.beta, _initial_state(spec, 1)[1].tobytes())
 
 
-class _Lane:
-    """The specs of a pass that one window loop steps.
+def _recorder(theta, tests: tuple, rows: list) -> functools.partial:
+    """``checkpoint_metrics`` (``_windows.c``) bound to S thetas (S, B, d_x), ``tests`` and ``rows``, as a lane
+    holds them; called with a column, it fills it and returns how many thetas have a finite ``dist_sq`` in it."""
+    loop, test_n = _native.loops().checkpoint_metrics, len(tests[2][0]) if tests[2] else 0
+    dist, mse = ([r[m] for r in rows if m in r] for m in ("dist_sq", "test_mse"))
+    held = [np.array([a.ctypes.data for a in arrays], np.uintp) for arrays in (*tests[1:], dist, mse)]
+    held += [np.empty(theta.shape[-1] + test_n), theta, tests, dist, mse]  # the work row, then what it reads
+    args = (*theta.shape, theta.ctypes.data, tests[0].ctypes.data, test_n, *(a.ctypes.data for a in held[:5]),
+            dist[0].strides[0] // 8)
+    record = functools.partial(loop, *(c(a) for c, a in zip(loop.argtypes, args)))
+    record.held = held  # the arrays whose addresses it passes
+    return record
 
-    A lane stacks its S specs' thetas as (S, B, d_x) on the first spec's gamma
-    (and U, V), and steps them with their window loop and their S raw-residual
-    flags; only a two-timescale lane has S > 1 (:func:`_lane_key`). For each
-    sample block, :meth:`bind` checks the group's blocks, binds the loop to
-    them and to the lane's state, and computes the block's steps, so that a
-    window is one call on integers and addresses read once.
+
+class _Lane:
+    """The specs of a pass that one window loop steps: S thetas stacked as (S, B, d_x) on the first spec's
+    gamma (and U, V), with their S raw-residual flags; only a two-timescale lane has S > 1 (:func:`_lane_key`).
+
+    For each sample block, :meth:`bind` checks the group's blocks, binds the loop to them and to the state,
+    and computes the block's steps, so a window is one call on integers and addresses read once. ``record``,
+    bound to the thetas, theta_star and the trials' held-out x and y in ``tests`` (lists empty without a test
+    set), writes a checkpoint's metrics into each member's (B, checkpoints) rows of ``out``.
     """
 
-    def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int):
+    def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int, out: list, tests: tuple):
         lead = specs[members[0]]
         self.members = members  # the specs' indices in the pass, one per theta
         self.schedules = [getattr(lead, which) for which in est.REGRESSORS[lead.algorithm]._schedules]
@@ -263,6 +273,8 @@ class _Lane:
         states = [_initial_state(specs[k], b) for k in members]
         self.state = (np.stack([st[0] for st in states]), *states[0][1:])
         self.window = None
+        self.out, self.tests = out, tests
+        self.record = _recorder(self.state[0], tests, [out[k] for k in members])
 
     def bind(self, fields: list, start: int, end: int) -> None:
         """Bind the loop to the group's blocks of rows ``start + 1`` to ``end``: each
@@ -276,51 +288,39 @@ class _Lane:
         """Step rows ``r`` to ``r + rows - 1`` of the blocks."""
         self.window.step(r, rows, *[a + 8 * r for a in self.addresses])
 
-    def keep(self, alive: np.ndarray) -> None:
-        """Drop the members not ``alive``; the shared gamma steps on for the others."""
+    def keep(self, col: int) -> None:
+        """Drop the members with no finite ``dist_sq`` in column ``col``; the shared gamma steps on for the others."""
+        alive = [np.isfinite(self.out[k]["dist_sq"][:, col]).any() for k in self.members]
         self.members = [k for k, keep in zip(self.members, alive) if keep]
         self.direct = [d for d, keep in zip(self.direct, alive) if keep]
         self.state = (self.state[0][alive], *self.state[1:])
-        if self.members:  # the thetas moved: bind the loop to them
+        if self.members:  # the thetas moved: bind the loop and the metrics to them
             self.window = self.loop(self.state, *self.fields, self.direct)
+            self.record = _recorder(self.state[0], self.tests, [self.out[k] for k in self.members])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging trial overflows
 def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]]) -> list[str]:
-    """Advance the trials ``indices`` of specs that share a stream, in lockstep.
+    """Advance the trials ``indices`` of specs that share a stream in lockstep; return their stream digests.
 
-    ``out`` holds each spec's (len(indices), checkpoints) rows of every
-    metric, filled with ``inf``; the group writes its checkpoints into them in
-    place and returns its trials' stream digests. Each trial's blocks are
-    drawn once, and the window loops read them in place, so the
-    group holds one block per trial however many specs read it. A window runs
-    from a checkpoint or block end to the next. The specs step in lanes
-    (:func:`_lane_key`), each spec with its own theta; once every trial of a
-    spec has a non-finite ``dist_sq``, the spec stops stepping and its later
-    checkpoints stay ``inf``.
+    ``out`` holds each spec's (len(indices), checkpoints) rows of every metric, filled with ``inf``, and the
+    group writes its checkpoints into them in place. Each trial's blocks are drawn once for all the specs,
+    which step in lanes (:func:`_lane_key`) until all their trials have diverged.
     """
     spec = specs[0]  # the stream's description, the same in every spec
     cfg, b = spec.dgp, len(indices)
-    theta_star = cfg.theta_star
     rngs = [np.random.Generator(np.random.PCG64(mix_seed(spec.base_seed, int(i)))) for i in indices]
-    tests = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
-    if tests:
-        test_x, test_y = np.stack([tx for tx, _ in tests]), np.stack([ty for _, ty in tests])
-
-        # Each trial's mean of (y - x . theta)^2 over its held-out set: the arithmetic of
-        # metrics.test_mse_arrays without its finiteness check, bitwise equal to it trial by trial.
-        def test_mse(theta):
-            r = test_y - np.matvec(test_x, theta)
-            return np.vecdot(r, r) / spec.test_n
-
-        oracle = test_mse(theta_star)
+    held_out = [sample_one_block(rng, cfg, spec.test_n)[1:] for rng in rngs] if spec.test_n > 0 else []
+    tests = (cfg.theta_star, [x for x, _ in held_out], [y for _, y in held_out])
+    if held_out:
+        oracle = np.empty((2, b, 1))  # theta_star's dist_sq and test_mse
+        _recorder(np.tile(tests[0], (1, b, 1)), tests, [dict(zip(("dist_sq", "test_mse"), oracle))])(0)
         for m in out:
-            m["oracle_mse"][:] = oracle[:, None]
+            m["oracle_mse"][:] = oracle[1]
 
     lanes: dict[tuple, list[int]] = {}
     for k, s in enumerate(specs):
         lanes.setdefault(_lane_key(s, k), []).append(k)
-    active = [_Lane(specs, members, b) for members in lanes.values()]
+    active = [_Lane(specs, members, b, out, tests) for members in lanes.values()]
 
     two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     sample = sample_two_block if two_sample else sample_one_block
@@ -355,18 +355,9 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
             lane.step(t - start, stop - t)
         t = stop
         if t == cps[cp_idx]:
-            # The arithmetic of metrics.dist_to_opt without its finiteness check,
-            # bitwise equal to it trial by trial.
-            for lane in active:
-                for k, theta in zip(lane.members, lane.state[0]):
-                    d = theta - theta_star
-                    np.vecdot(d, d, out=out[k]["dist_sq"][:, cp_idx])
-                    if tests:
-                        out[k]["test_mse"][:, cp_idx] = test_mse(theta)
-                # A spec whose trials have all diverged stops; its later checkpoints stay inf.
-                alive = np.array([np.isfinite(out[k]["dist_sq"][:, cp_idx]).any() for k in lane.members])
-                if not alive.all():
-                    lane.keep(alive)
+            for lane in active:  # a spec whose trials have all diverged stops; its later checkpoints stay inf
+                if lane.record(cp_idx) < len(lane.members):
+                    lane.keep(cp_idx)
             active = [lane for lane in active if lane.members]
             cp_idx += 1
     return [d.hexdigest() for d in digests]

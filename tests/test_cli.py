@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -481,6 +482,27 @@ class TestDivergence:
                     lines += [f"{spec.experiment_id},{spec.algorithm},{i},{c},dist_sq,{v!r}"
                               for c, v in zip(checkpoints, dist.tolist())]
         assert (out / "series.csv").read_text() == "\n".join(lines) + "\n"
+
+
+class TestSeriesRows:
+    @staticmethod
+    def _f_string_rows(series) -> list[str]:
+        """The formulation series_rows replaced: every value of every metric formatted in place."""
+        prefix = f"{series.spec.experiment_id},{series.spec.algorithm}"
+        names = [m for m in harness.METRICS if m in series.metrics]
+        values = np.stack([series.metrics[m] for m in names], axis=-1)
+        keys = itertools.product(range(values.shape[0]), series.iterations.tolist(), names)
+        return [f"{prefix},{trial},{it},{m},{v!r}" for (trial, it, m), v in zip(keys, values.ravel().tolist())]
+
+    @pytest.mark.parametrize("config, test_n", [(DIVERGING_PAIR, 40), (DIVERGING, 0), (DIVERGING_2SLS, 1)])
+    def test_rows_equal_the_f_string_formulation(self, config, test_n):
+        # series_rows formats a trial's oracle_mse once; the rows must be those
+        # of formatting each value, diverged (inf) rows and test_n = 0 among them.
+        specs = presets.specs_from_config({**config, "T": 400, "test_n": test_n})
+        for series in harness.run_experiments(specs):
+            assert np.isinf(series.metrics["dist_sq"]).any()
+            assert series.metrics.keys() == (set(harness.METRICS) if test_n else {"dist_sq"})
+            assert cli.series_rows(series) == self._f_string_rows(series)
 
 
 def test_python_m_entry_point():

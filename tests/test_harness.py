@@ -243,20 +243,21 @@ class TestLockstep:
         assert max(peaks) <= harness._GROUP_BYTES + 8 * 512 + sampler_peak
 
 
-def _kernel_run(spec, i) -> list[float]:
-    """Trial i's ``dist_sq`` at each checkpoint, from its 1-d kernel stepped row by row over its blocks.
+def _kernel_run(spec, i) -> dict[str, list[float]]:
+    """Trial i's ``dist_sq`` and, with a held-out set, ``test_mse`` at each checkpoint, from its 1-d kernel
+    stepped row by row over its blocks and :mod:`ivstream.metrics`.
 
     The blocks are drawn as the harness draws them, and the steps are one
     ``steps`` array over the whole run.
     """
     rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
     if spec.test_n > 0:
-        dgp.sample_one_block(rng, spec.dgp, spec.test_n)
+        _, test_x, test_y = dgp.sample_one_block(rng, spec.dgp, spec.test_n)
     two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     alphas, betas = (None if s is None else steps(s, spec.T) for s in (spec.alpha, spec.beta))
     state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
                               spec.lam if spec.algorithm == "online_2sls" else None)
-    dist_sq, t = [], 0
+    got, t = {"dist_sq": []} if spec.test_n == 0 else {"dist_sq": [], "test_mse": []}, 0
     while t < spec.T:
         block = (dgp.sample_two_block if two_sample else dgp.sample_one_block)(
             rng, spec.dgp, min(harness._SAMPLE_BLOCK, spec.T - t))
@@ -271,8 +272,10 @@ def _kernel_run(spec, i) -> list[float]:
                 state = update(*state, *(a[r] for a in block), alphas[t], betas[t])
             t += 1
             if t in spec.checkpoints:
-                dist_sq.append(metrics.dist_to_opt(state[0], spec.dgp.theta_star))
-    return dist_sq
+                got["dist_sq"].append(metrics.dist_to_opt(state[0], spec.dgp.theta_star))
+                if spec.test_n > 0:
+                    got["test_mse"].append(metrics.test_mse_arrays(state[0], test_x, test_y))
+    return got
 
 
 class TestHarnessPath:
@@ -285,12 +288,64 @@ class TestHarnessPath:
         spec = _lockstep_spec(algorithm, trials=b)
         assert [len(g) for g in harness.trial_groups(spec)] == [b]
         assert any(c % 97 for c in spec.checkpoints) and spec.T > 5 * 97
-        got = harness.run_experiment(spec).metrics["dist_sq"]
+        got = harness.run_experiment(spec).metrics
+        assert got.keys() == ({"dist_sq"} if spec.test_n == 0 else set(harness.METRICS))
         for i in range(b):
             want = _kernel_run(spec, i)
-            assert np.isfinite(want).all()
-            assert got[i].tobytes() == np.array(want).tobytes()
+            for m, values in want.items():
+                assert np.isfinite(values).all()
+                assert got[m][i].tobytes() == np.array(values).tobytes()
 
+
+class TestCheckpointMetrics:
+    @pytest.mark.parametrize("d_x", [1, 8])
+    @pytest.mark.parametrize("test_n", [0, 1, 400])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_equals_the_numpy_arithmetic(self, d_x, test_n, s, b):
+        # checkpoint_metrics against the numpy arithmetic the harness ran per
+        # spec, bit for bit, on thetas with inf, NaN, -0 and subnormal entries
+        # beside ordinary ones; it writes only its column of each row block and
+        # counts the thetas with a finite dist_sq in some trial.
+        rng = np.random.default_rng([d_x, test_n, s, b])
+        theta_star = rng.standard_normal(d_x)
+        theta_star[0] = -0.0
+        theta = rng.standard_normal((s, b, d_x))
+        edges = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e200]
+        for j, i in np.ndindex(s, b):
+            if (j, i) != (0, 0):  # theta 0 of trial 0 stays ordinary
+                theta[j, i, (j + i) % d_x] = edges[(3 * j + i) % len(edges)]
+        if (s, b) == (2, 3):
+            theta[1, :, 0] = np.nan  # theta 1 has a finite dist_sq in no trial
+        test_x = [rng.standard_normal((test_n, d_x)) for _ in range(b)] if test_n else []
+        test_y = [rng.standard_normal(test_n) for _ in range(b)] if test_n else []
+        names = ("dist_sq", "test_mse") if test_n else ("dist_sq",)
+        rows = [{m: np.full((b, 5), -7.0) for m in names} for _ in range(s)]
+        finite = harness._recorder(theta, (theta_star, test_x, test_y), rows)(2)
+        with np.errstate(all="ignore"):
+            d = theta - theta_star
+            dist = np.vecdot(d, d)
+            mse = [np.vecdot(r, r) / test_n for r in (np.stack(test_y) - np.matvec(np.stack(test_x), theta[j])
+                                                      for j in range(s))] if test_n else []
+        # theta 0 is finite in trial 0; theta 1 is in no trial when (s, b) is (2, 3)
+        assert finite == np.isfinite(dist).any(axis=1).sum() == (2 if (s, b) == (2, 1) else 1)
+        for j in range(s):
+            for m, want in zip(names, (dist[j], mse[j] if test_n else None)):
+                assert rows[j][m][:, 2].tobytes() == want.tobytes()
+                assert (np.delete(rows[j][m], 2, axis=1) == -7.0).all()
+
+
+    def test_strided_theta_star_is_read_by_value(self):
+        # checkpoint_metrics reads theta_star in place; a DgpConfig keeps a
+        # C-contiguous copy of a strided one, so the run is the same.
+        theta_star = (np.arange(4.0) + 0.5)[::2]
+        assert not theta_star.flags.c_contiguous
+        runs = [harness.run_experiment(_lockstep_spec("two_stage_sgd", dgp=dgp.endogenous_linear_config(
+                    2, 3, rho=1.0, sigma_eps=0.5, theta_star=t))) for t in (theta_star, theta_star.copy())]
+        assert runs[0].spec.dgp.theta_star.flags.c_contiguous
+        assert runs[0].metrics.keys() == runs[1].metrics.keys() == set(harness.METRICS)
+        for m, v in runs[0].metrics.items():
+            assert v.tobytes() == runs[1].metrics[m].tobytes()
 
 FIG2_CELL = "dx8_dz16_rho4_sig1"
 

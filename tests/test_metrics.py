@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_rng
 from ivstream import dgp, metrics
+from ivstream._validation import as_float_matrix, as_float_vector
 
 
 class TestDistToOpt:
@@ -49,3 +50,23 @@ class TestTestMse:
         cfg = dgp.endogenous_linear_config(2, 3, rho=4.0, sigma_eps=1.0)
         test = dgp.test_set(rng, cfg, 64)
         assert _test_mse(np.array([-3.0, 7.0]), test) >= 0.0
+
+
+class TestFloatVector:
+    def test_contiguous_float64_and_messages(self):
+        # The finiteness check counts the finite entries; the errors and
+        # their messages are those of the .all() it replaced.
+        strided = np.arange(6.0)[::2]
+        got = as_float_vector(strided, n=3, name="v")
+        assert got.flags.c_contiguous and got.dtype == np.float64 and got.tolist() == [0.0, 2.0, 4.0]
+        assert as_float_vector(2.5).tolist() == [2.5]
+        for bad in ([1.0, np.nan], [np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="^v has non-finite entries$"):
+                as_float_vector(bad, name="v")
+        with pytest.raises(ValueError, match=r"^v must be 1-d, got shape \(1, 2\)$"):
+            as_float_vector([[1.0, 2.0]], name="v")
+        with pytest.raises(ValueError, match="^v must have length 3, got 2$"):
+            as_float_vector([1.0, 2.0], n=3, name="v")
+        with pytest.raises(ValueError, match="^m has non-finite entries$"):
+            as_float_matrix([[1.0, np.nan]], name="m")
+        assert as_float_matrix([[1.0, 2.0]], shape=(1, 2)).tolist() == [[1.0, 2.0]]
