@@ -3,11 +3,10 @@
  * rows of their sample blocks, updating the state in place. The normal
  * sampler of ivstream.dgp, standard_normals, follows them, and the
  * checkpoint metrics of ivstream.harness, checkpoint_metrics, end the file,
- * so that adding either moved no loop. checkpoint_metrics computes, with the
- * same vecdot and matvec as the loops, each theta's
+ * so that adding either moved no loop. checkpoint_metrics computes each
+ * theta's metrics with the loops' vecdot and matvec, numpy's bits:
  *   dist_sq              np.vecdot(d, d), d = theta - theta_star
  *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
- * bit for bit, as the harness computed them in numpy.
  *
  * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
  * buffers, because every product whose sum has more than one term calls the

@@ -257,7 +257,8 @@ def _kernel_run(spec, i) -> dict[str, list[float]]:
     alphas, betas = (None if s is None else steps(s, spec.T) for s in (spec.alpha, spec.beta))
     state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
                               spec.lam if spec.algorithm == "online_2sls" else None)
-    got, t = {"dist_sq": []} if spec.test_n == 0 else {"dist_sq": [], "test_mse": []}, 0
+    got = {m: [] for m in (("dist_sq", "test_mse") if spec.test_n > 0 else ("dist_sq",))}
+    t = 0
     while t < spec.T:
         block = (dgp.sample_two_block if two_sample else dgp.sample_one_block)(
             rng, spec.dgp, min(harness._SAMPLE_BLOCK, spec.T - t))
@@ -303,8 +304,8 @@ class TestCheckpointMetrics:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("b", [1, 3])
     def test_equals_the_numpy_arithmetic(self, d_x, test_n, s, b):
-        # checkpoint_metrics against the numpy arithmetic the harness ran per
-        # spec, bit for bit, on thetas with inf, NaN, -0 and subnormal entries
+        # checkpoint_metrics against the same metrics in numpy (vecdot and
+        # matvec), bit for bit, on thetas with inf, NaN, -0 and subnormal entries
         # beside ordinary ones; it writes only its column of each row block and
         # counts the thetas with a finite dist_sq in some trial.
         rng = np.random.default_rng([d_x, test_n, s, b])
@@ -334,7 +335,6 @@ class TestCheckpointMetrics:
                 assert rows[j][m][:, 2].tobytes() == want.tobytes()
                 assert (np.delete(rows[j][m], 2, axis=1) == -7.0).all()
 
-
     def test_strided_theta_star_is_read_by_value(self):
         # checkpoint_metrics reads theta_star in place; a DgpConfig keeps a
         # C-contiguous copy of a strided one, so the run is the same.
@@ -346,6 +346,7 @@ class TestCheckpointMetrics:
         assert runs[0].metrics.keys() == runs[1].metrics.keys() == set(harness.METRICS)
         for m, v in runs[0].metrics.items():
             assert v.tobytes() == runs[1].metrics[m].tobytes()
+
 
 FIG2_CELL = "dx8_dz16_rho4_sig1"
 
