@@ -103,5 +103,34 @@ def loops() -> ctypes.CDLL:
         loop.restype = ctypes.c_int
     # s, b, d_x, theta, theta_star, test_n, test_x, test_y, dist, mse, work, stride, col
     lib.checkpoint_metrics.argtypes, lib.checkpoint_metrics.restype = (n,) * 3 + (p, p, n) + (p,) * 5 + (n, n), n
+    lib.use_pow5.argtypes, lib.use_pow5.restype = (p, p), None
+    lib.shortest_reprs.argtypes, lib.shortest_reprs.restype = (n, p, p), n
     lib.use_blas(*blas)
+    lib.pow5 = pow5_tables()  # the library reads them in place, so they live as long as it does
+    lib.use_pow5(lib.pow5[:POW5_INV_ROWS].ctypes.data, lib.pow5[POW5_INV_ROWS:].ctypes.data)
     return lib
+
+
+#: Rows of the tables of ``shortest_reprs``: a double is m * 2^e with e in [-1076, 969] in Ryū's
+#: terms; e >= 0 reads the first at q = floor(log10(2^e)) - (e > 3) <= 290, e < 0 the second at
+#: -e - q <= 325, with q = floor(log10(5^-e)) - (-e > 1).
+POW5_INV_ROWS, POW5_ROWS = 291, 326
+#: Bytes ``shortest_reprs`` may write per value: the longest repr, ``-2.2250738585072014e-308``, and a newline.
+REPR_BYTES = 25
+
+
+def pow5_tables() -> np.ndarray:
+    """The 125-bit tables of ``shortest_reprs`` as (low, high) uint64 rows, computed exactly: the first
+    ``POW5_INV_ROWS`` rows hold ``2**(bits(5**q) - 1 + 125) // 5**q + 1``, the next ``POW5_ROWS`` the top
+    125 bits of ``5**i``, where ``bits`` is the bit length."""
+    inv = [(1 << (5**q).bit_length() - 1 + 125) // 5**q + 1 for q in range(POW5_INV_ROWS)]
+    pos = [(5**i << 125) >> (5**i).bit_length() for i in range(POW5_ROWS)]
+    return np.array([(v & (2**64 - 1), v >> 64) for v in inv + pos], dtype=np.uint64)
+
+
+def reprs(values: np.ndarray) -> list[str]:
+    """``[repr(v) for v in values.ravel().tolist()]``, written by the compiled ``shortest_reprs``."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.empty(REPR_BYTES * values.size, dtype=np.uint8)
+    size = loops().shortest_reprs(values.size, values.ctypes.data, out.ctypes.data)
+    return out[:size].tobytes().decode("ascii").split()

@@ -1,10 +1,11 @@
 /*
  * Window loops of ivstream.estimators: B trials stepped through a window of
  * rows of their sample blocks, updating the state in place. The normal
- * sampler of ivstream.dgp, standard_normals, follows them, and the
- * checkpoint metrics of ivstream.harness, checkpoint_metrics, end the file,
- * so that adding either moved no loop. checkpoint_metrics computes each
- * theta's metrics with the loops' vecdot and matvec, numpy's bits:
+ * sampler of ivstream.dgp, standard_normals, follows them, then the
+ * checkpoint metrics of ivstream.harness, checkpoint_metrics, and last the
+ * formatter of ivstream.cli's CSV values, shortest_reprs (with use_pow5), so
+ * that adding each moved no function before it. checkpoint_metrics computes
+ * each theta's metrics with the loops' vecdot and matvec, numpy's bits:
  *   dist_sq              np.vecdot(d, d), d = theta - theta_star
  *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
  *
@@ -780,4 +781,187 @@ blasint checkpoint_metrics(blasint s, blasint b, blasint d_x, const double *thet
         finite += any;
     }
     return finite;
+}
+
+/*
+ * The text float.__repr__ gives each of n doubles, each followed by a
+ * newline, into out, which holds 25 bytes per value (the longest text,
+ * -2.2250738585072014e-308, and its newline); returns the bytes written. The digits are Ryu's (Adams, PLDI 2018): the shortest decimal
+ * that rounds back to the double, of those the closest to it, and of two
+ * equally close the one with an even last digit, which are the digits of
+ * David Gay's dtoa in mode 0, the routine repr calls. The layout is repr's:
+ * positional for 1e-4 <= |x| < 1e16 with ".0" on an integral value,
+ * d[.ddd]e+XX or e-XX with at least two exponent digits otherwise, and
+ * "-0.0", "inf", "-inf", "nan". Integer arithmetic only, on the 125-bit
+ * tables of 5^q and 2^j / 5^q that ivstream._native computes with Python's
+ * integers and hands over through use_pow5 before the first call.
+ */
+enum { POW5_BITS = 125 };
+
+static const uint64_t *pow5_inv, *pow5_pos;
+
+/* Row q of inv is floor(2^(bits(5^q) - 1 + 125) / 5^q) + 1 and row i of pos the top 125 bits of 5^i, (low, high). */
+void use_pow5(const uint64_t *inv, const uint64_t *pos)
+{
+    pow5_inv = inv;
+    pow5_pos = pos;
+}
+
+/* The bit length of 5^e, 1 for e = 0; floor(log10(2^e)); floor(log10(5^e)). */
+static inline int pow5_bits(int e) { return (int)(((uint32_t)e * 1217359) >> 19) + 1; }
+static inline int log10_pow2(int e) { return (int)(((uint32_t)e * 78913) >> 18); }
+static inline int log10_pow5(int e) { return (int)(((uint32_t)e * 732923) >> 20); }
+
+static inline int multiple_of_pow5(uint64_t v, int p)
+{
+    int count = 0;
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count >= p;
+}
+
+/* (m * mul) >> j for the 128-bit mul at row, j >= 64. */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *row, int j)
+{
+    pcg128 low = (pcg128)m * row[0], high = (pcg128)m * row[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest digits of the positive finite m2 * 2^e2 (Ryu's d2d), as digits * 10^*e10. */
+static uint64_t shortest(uint64_t m2, int e2, int even, int mm_shift, int *e10)
+{
+    uint64_t mv = 4 * m2, vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0, removed = 0, last = 0;
+    if (e2 >= 0) {
+        int q = log10_pow2(e2) - (e2 > 3), j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *row = pow5_inv + 2 * q;
+        vr = mul_shift(mv, row, j);
+        vp = mul_shift(mv + 2, row, j);
+        vm = mul_shift(mv - 1 - mm_shift, row, j);
+        *e10 = q;
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (even)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        int q = log10_pow5(-e2) - (-e2 > 1), i = -e2 - q, j = q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *row = pow5_pos + 2 * i;
+        vr = mul_shift(mv, row, j);
+        vp = mul_shift(mv + 2, row, j);
+        vm = mul_shift(mv - 1 - mm_shift, row, j);
+        *e10 = q + e2;
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ULL << q) - 1)) == 0;
+        }
+    }
+    if (vm_zeros || vr_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        if (vm_zeros)
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = (int)(vr % 10);
+                vr /= 10, vp /= 10, vm /= 10;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4; /* exactly half way: the even digit */
+        *e10 += removed;
+        return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    }
+    for (; vp / 10 > vm / 10; removed++) {
+        last = (int)(vr % 10);
+        vr /= 10, vp /= 10, vm /= 10;
+    }
+    *e10 += removed;
+    return vr + (vr == vm || last >= 5);
+}
+
+static char *repr(double x, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t mantissa = bits & ((1ULL << 52) - 1);
+    int exponent = (int)(bits >> 52) & 0x7ff;
+    if (exponent == 0x7ff && mantissa != 0) {
+        *p++ = 'n', *p++ = 'a', *p++ = 'n';
+        return p;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0x7ff) {
+        *p++ = 'i', *p++ = 'n', *p++ = 'f';
+        return p;
+    }
+    if (exponent == 0 && mantissa == 0) {
+        *p++ = '0', *p++ = '.', *p++ = '0';
+        return p;
+    }
+    int e10;
+    uint64_t m2 = exponent ? mantissa | 1ULL << 52 : mantissa;
+    uint64_t v = shortest(m2, (exponent ? exponent : 1) - 1077, (m2 & 1) == 0, mantissa != 0 || exponent <= 1, &e10);
+    char digits[20];
+    int n = 0;
+    for (; v; v /= 10)
+        digits[19 - n++] = (char)('0' + v % 10);
+    const char *d = digits + 20 - n;
+    int point = e10 + n; /* x = 0.d * 10^point */
+    if (point <= 0 && point > -4) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int k = point; k < 0; k++)
+            *p++ = '0';
+        for (int k = 0; k < n; k++)
+            *p++ = d[k];
+        return p;
+    }
+    if (point > 0 && point <= 16) {
+        for (int k = 0; k < n || k < point; k++) {
+            if (k == point)
+                *p++ = '.';
+            *p++ = k < n ? d[k] : '0';
+        }
+        if (point >= n) {
+            *p++ = '.';
+            *p++ = '0';
+        }
+        return p;
+    }
+    *p++ = d[0];
+    if (n > 1)
+        *p++ = '.';
+    for (int k = 1; k < n; k++)
+        *p++ = d[k];
+    int e = point - 1;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    e = e < 0 ? -e : e;
+    if (e >= 100)
+        *p++ = (char)('0' + e / 100);
+    *p++ = (char)('0' + e / 10 % 10);
+    *p++ = (char)('0' + e % 10);
+    return p;
+}
+
+blasint shortest_reprs(blasint n, const double *x, char *out)
+{
+    char *p = out;
+    for (blasint i = 0; i < n; i++) {
+        p = repr(x[i], p);
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimators as est, harness, presets
+from . import __version__, _native, estimators as est, harness, presets
 from .dgp import endogenous_linear_config, sample_one_block, sample_two_block, shared_confounder_config
 from .harness import ExperimentSpec, MetricSeries, RNG_ALGORITHM, SEED_MIXER
 from .oracle import grad_f, summarize
@@ -71,23 +71,36 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def series_rows(series: MetricSeries) -> list[str]:
     """One CSV line per (trial, checkpoint, recorded metric) in the schema's order, the harness's: trials and
-    checkpoints ascend, :data:`ivstream.harness.METRICS` is sorted, and a trial's ``oracle_mse`` is constant."""
-    prefix, its, m = f"{series.spec.experiment_id},{series.spec.algorithm}", series.iterations.tolist(), series.metrics
+    checkpoints ascend, :data:`ivstream.harness.METRICS` is sorted, and a trial's ``oracle_mse`` is constant.
+    The values are formatted in one compiled call (:func:`ivstream._native.reprs`), each as ``repr`` writes it,
+    and each iteration once."""
+    prefix, m = f"{series.spec.experiment_id},{series.spec.algorithm}", series.metrics
+    its = list(map(str, series.iterations.tolist()))
+    trials, n = m["dist_sq"].shape
+    scored = "oracle_mse" in m
+    values = [m["dist_sq"].ravel()] + ([m["test_mse"].ravel(), m["oracle_mse"][:, 0]] if scored else [])
+    texts, size = _native.reprs(np.concatenate(values)), trials * n
     lines = []
-    for trial, dist in enumerate(m["dist_sq"].tolist()):
-        head = f"{prefix},{trial},"
-        if "oracle_mse" not in m:
-            lines += [f"{head}{it},dist_sq,{d!r}" for it, d in zip(its, dist)]
+    for trial in range(trials):
+        at, head = trial * n, f"{prefix},{trial},"
+        dist = texts[at:at + n]
+        if not scored:
+            lines += [f"{head}{it},dist_sq,{d}" for it, d in zip(its, dist)]
             continue
-        oracle = f",oracle_mse,{m['oracle_mse'][trial, 0].item()!r}"
-        for it, d, t in zip(its, dist, m["test_mse"][trial].tolist()):
-            lines += (f"{head}{it},dist_sq,{d!r}", f"{head}{it}{oracle}", f"{head}{it},test_mse,{t!r}")
+        oracle, test = f",oracle_mse,{texts[2 * size + trial]}", texts[size + at:size + at + n]
+        for it, d, t in zip(its, dist, test):
+            lines += (f"{head}{it},dist_sq,{d}", f"{head}{it}{oracle}", f"{head}{it},test_mse,{t}")
     return lines
 
 
-def write_series_csv(path: Path, lines: list[str]) -> None:
-    """Write the header and ``lines``, already in CSV order, atomically."""
-    _atomic_write(path, "\n".join([CSV_HEADER, *lines]) + "\n")
+def _series_text(lines: list[str]) -> str:
+    """``lines`` as CSV text, each ended by LF."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def write_series_csv(path: Path, texts: list[str]) -> None:
+    """Write the header and ``texts``, whole CSV lines (:func:`_series_text`) already in CSV order, atomically."""
+    _atomic_write(path, "".join([CSV_HEADER, "\n", *texts]))
 
 
 def _utcnow() -> str:
@@ -101,19 +114,19 @@ def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
         raise ValueError(f"run_specs_to_dir takes one spec per algorithm, got {algorithms}")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
-    per_alg: dict[str, list[str]] = {}
+    texts: dict[str, str] = {}
     digests: dict[str, str] = {}
     diverged: dict[str, dict[int, int]] = {}
     for spec, series in zip(specs, harness.run_experiments(specs)):
-        per_alg[spec.algorithm] = series_rows(series)
+        texts[spec.algorithm] = _series_text(series_rows(series))
         digests[spec.algorithm] = series.combined_stream_digest()
         diverged[spec.algorithm] = series.diverged()
     outputs = ["series.csv"]
-    write_series_csv(out_dir / "series.csv", [line for alg in sorted(per_alg) for line in per_alg[alg]])
+    write_series_csv(out_dir / "series.csv", [texts[alg] for alg in sorted(texts)])
     if len(specs) > 1:
-        for alg, rows in per_alg.items():
+        for alg, text in texts.items():
             name = f"series_{alg}.csv"
-            write_series_csv(out_dir / name, rows)
+            write_series_csv(out_dir / name, [text])
             outputs.append(name)
     manifest = {
         "toolkit_version": __version__,

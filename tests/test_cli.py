@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ivstream import cli, dgp, estimators, harness, oracle, presets, schedule
+from ivstream import _native, cli, dgp, estimators, harness, oracle, presets, schedule
 
 
 def _write_config(path: Path, config: dict) -> str:
@@ -496,13 +497,139 @@ class TestSeriesRows:
 
     @pytest.mark.parametrize("config, test_n", [(DIVERGING_PAIR, 40), (DIVERGING, 0), (DIVERGING_2SLS, 1)])
     def test_rows_equal_the_f_string_formulation(self, config, test_n):
-        # series_rows formats a trial's oracle_mse once; the rows must be those
-        # of formatting each value, diverged (inf) rows and test_n = 0 among them.
+        # series_rows formats a series' values in one compiled call; the rows
+        # must be those of formatting each value with repr, diverged (inf)
+        # rows and test_n = 0 among them.
         specs = presets.specs_from_config({**config, "T": 400, "test_n": test_n})
         for series in harness.run_experiments(specs):
             assert np.isinf(series.metrics["dist_sq"]).any()
             assert series.metrics.keys() == (set(harness.METRICS) if test_n else {"dist_sq"})
             assert cli.series_rows(series) == self._f_string_rows(series)
+
+    def test_csv_files_are_the_f_string_bytes(self, tmp_path, monkeypatch):
+        # Values on both sides of repr's layout thresholds, 2.0, the least
+        # subnormal and inf, placed in every metric of a hand-built series of
+        # each algorithm, through run_specs_to_dir's whole CSV path.
+        edges = np.array([9999999999999998.0, 1e16, 0.0001, 1e-05, 2.0, 5e-324, math.inf])
+        specs = presets.specs_from_config({**DIVERGING_PAIR, "T": 400, "test_n": 5, "trials": 3})
+        n = len(specs[0].checkpoints)
+        series = []
+        for k, spec in enumerate(specs):
+            metrics = {"dist_sq": np.resize(np.roll(edges, k), (3, n)),
+                       "oracle_mse": np.repeat(np.roll(edges, 2 * k)[:3, None], n, axis=1),
+                       "test_mse": np.resize(-np.roll(edges, 3 * k), (3, n))}
+            series.append(harness.MetricSeries(spec, metrics, ["00" * 32] * 3))
+        monkeypatch.setattr(harness, "run_experiments", lambda _: series)
+        cli.run_specs_to_dir(specs, tmp_path)
+        rows = {s.spec.algorithm: self._f_string_rows(s) for s in series}
+
+        def csv(lines):  # write_series_csv's formulation before the texts were built once per algorithm
+            return ("\n".join([cli.CSV_HEADER, *lines]) + "\n").encode()
+
+        assert (tmp_path / "series.csv").read_bytes() == csv([line for alg in sorted(rows) for line in rows[alg]])
+        for alg, lines in rows.items():
+            assert (tmp_path / f"series_{alg}.csv").read_bytes() == csv(lines)
+        assert set(edges.tolist()) <= {float(line.rsplit(",", 1)[1]) for line in rows["direct_sgd"]}
+
+
+def _repr_cases() -> list[np.ndarray]:
+    """Doubles to format, in chunks: random bit patterns, every power of two, subnormals and the largest double,
+    signed zeros, infinities and NaNs, integers up to 2**53, both sides of repr's layout thresholds, and decimals
+    of 1 to 17 significant digits; each with its negation."""
+    rng = np.random.default_rng(2025)
+    random_bits = np.frombuffer(rng.bytes(8 * 1_000_000), dtype=np.float64)
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    subnormals = np.frombuffer((rng.integers(1, 2**52, 10_000, dtype=np.uint64)).tobytes(), dtype=np.float64)
+    edges = [0.0, math.inf, math.nan, tiny, 2 * tiny, np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+             huge, np.nextafter(huge, 0), 2.0**53, 2.0**53 - 1, 2.0**53 + 2]
+    thresholds = np.array([9999999999999998.0, 1e16, 0.0001, 1e-05])
+    integers = np.concatenate([np.arange(100_000), rng.integers(0, 2**53, 100_000, endpoint=True)]).astype(np.float64)
+    decimals = [float(f"{rng.integers(10 ** (k - 1), 10**k)}e{rng.integers(-340, 310)}")
+                for k in range(1, 18) for _ in range(5_000)]
+    others = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), subnormals, edges, thresholds,
+                             np.nextafter(thresholds, 0), np.nextafter(thresholds, math.inf), integers, decimals])
+    return np.split(random_bits, 10) + [others, -others]
+
+
+@pytest.fixture(scope="module")
+def repr_cases() -> list[tuple[np.ndarray, list[str]]]:
+    """Each chunk of :func:`_repr_cases` with the repr of each of its values."""
+    return [(values, list(map(repr, values.tolist()))) for values in _repr_cases()]
+
+
+def _recomputed_pow5() -> np.ndarray:
+    """The tables of shortest_reprs from their definition, each row checked against it."""
+    rows = []
+    for q in range(_native.POW5_INV_ROWS):
+        p, bits = 5**q, len(format(5**q, "b"))
+        j = bits - 1 + 125
+        inv = (1 << j) // p + 1
+        assert (inv - 1) * p <= 2**j < inv * p
+        rows.append(inv)
+    for i in range(_native.POW5_ROWS):
+        p, bits = 5**i, len(format(5**i, "b"))
+        top = p >> bits - 125 if bits > 125 else p << 125 - bits
+        assert top.bit_length() == 125 and top * 2**bits <= p * 2**125 < (top + 1) * 2**bits
+        rows.append(top)
+    return np.array([(v % 2**64, v // 2**64) for v in rows], dtype=np.uint64)
+
+
+def _formatter(lib):
+    """The shortest_reprs of the loaded build lib, on the recomputed tables, as _native.reprs calls it."""
+    tables = _recomputed_pow5()
+    lib.use_pow5.argtypes, lib.use_pow5.restype = (ctypes.c_void_p,) * 2, None
+    lib.use_pow5(tables[:_native.POW5_INV_ROWS].ctypes.data, tables[_native.POW5_INV_ROWS:].ctypes.data)
+    fmt = lib.shortest_reprs
+    fmt.argtypes, fmt.restype = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p), ctypes.c_int64
+
+    def reprs(values):
+        out = np.empty(_native.REPR_BYTES * values.size, dtype=np.uint8)
+        size = fmt(values.size, values.ctypes.data, out.ctypes.data)
+        return out[:size].tobytes().decode("ascii").split("\n")[:-1]
+
+    reprs.tables = tables  # the build reads them in place
+    return reprs
+
+
+class TestShortestRepr:
+    """The compiled formatter of the CSV values writes ``float.__repr__``'s text, byte for byte."""
+
+    @staticmethod
+    def _check(reprs, cases):
+        for values, want in cases:
+            got = reprs(values)
+            if got != want:
+                bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+                pytest.fail(f"{len(got)} texts for {len(want)} values; first differing: {bad[:5]}")
+            assert max(map(len, got)) < _native.REPR_BYTES
+
+    def test_equals_repr(self, repr_cases):
+        self._check(_native.reprs, repr_cases)
+
+    def test_build_without_avx512_equals_repr(self, repr_cases, no_avx512_build):
+        self._check(_formatter(no_avx512_build), repr_cases)
+
+    def test_cases_reach_every_layout(self, repr_cases):
+        texts = {text for _, want in repr_cases for text in want}
+        for text in ("0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "-1.7976931348623157e+308", "9999999999999998.0",
+                     "1e+16", "0.0001", "1e-05", "9007199254740992.0", "2.2250738585072014e-308", "2.0"):
+            assert text in texts
+
+    def test_tables_are_their_definition(self):
+        assert _native.pow5_tables().tobytes() == _recomputed_pow5().tobytes()
+
+    def test_table_rows_cover_every_double(self):
+        # A double is m * 2**e2 with e2 in [-1076, 969] in the routine's terms;
+        # its bit length and log10 formulas must be exact wherever it uses them.
+        def pow5_bits(e): return ((e * 1217359) >> 19) + 1
+        def log10_pow2(e): return (e * 78913) >> 18
+        def log10_pow5(e): return (e * 732923) >> 20
+
+        assert all(pow5_bits(e) == (5**e).bit_length() for e in range(_native.POW5_ROWS))
+        assert all(log10_pow2(e) == len(str(2**e)) - 1 for e in range(970))
+        assert all(log10_pow5(e) == len(str(5**e)) - 1 for e in range(1077))
+        assert max(log10_pow2(e) - (e > 3) for e in range(970)) + 1 == _native.POW5_INV_ROWS
+        assert max(e - (log10_pow5(e) - (e > 1)) for e in range(1, 1077)) + 1 == _native.POW5_ROWS
 
 
 def test_python_m_entry_point():
