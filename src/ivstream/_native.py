@@ -1,8 +1,10 @@
-"""Build and load the compiled loops of :mod:`ivstream.estimators`, :mod:`ivstream.dgp` and :mod:`ivstream.harness`.
+"""Build and load the compiled loops of :mod:`ivstream.estimators`, :mod:`ivstream.dgp`, :mod:`ivstream.harness`
+and :mod:`ivstream.cli`.
 
 ``_windows.c`` is compiled with the system ``cc`` on the first draw of a
-sample block or the first bind of a window loop (a harness group's first
-block, or a regressor's first ``fit``), whichever comes first, and loaded
+sample block, the first bind of a window loop (a harness group's first
+block, or a regressor's first ``fit``) or the first CSV values formatted,
+whichever comes first, and loaded
 with ctypes; importing ivstream never compiles. It is compiled
 for the CPU it runs on (``-march=native``), so the build is cached in
 ``~/.cache/ivstream`` under a hash of the source, the flags, the libraries
@@ -14,7 +16,11 @@ scipy-openblas64 routines that numpy's own gufuncs call, found through
 numpy's extension module when they are loaded, for every product of more
 than one term, and libm's ``pow`` for the steps of a regressor's ``fit``.
 The sampler calls libm's ``exp`` and ``log1p``, the glibc functions numpy's
-random module calls, which glibc resolves for the same CPU in both.
+random module calls, which glibc resolves for the same CPU in both. The CSV
+formatter ``shortest_reprs`` (:func:`reprs`) is integer arithmetic on the
+power-of-five tables of :func:`pow5_tables`, which are computed here with
+Python's exact integers and handed to the library once, on load, as numpy's
+BLAS routines are.
 """
 
 from __future__ import annotations

@@ -19,10 +19,13 @@ CSV schema
 ----------
 ``experiment_id,algorithm,trial,iteration,metric,value`` with metric in
 :data:`ivstream.harness.METRICS`; values are shortest round-trip decimals of
-64-bit floats, and ``inf`` for ``dist_sq`` and ``test_mse`` from a diverged
-trial's first non-finite checkpoint on; rows sorted by (algorithm, trial,
-iteration, metric); LF line endings, UTF-8. Files are written to a temporary
-name and renamed into place.
+64-bit floats, the text ``repr`` gives each, and ``inf`` for ``dist_sq`` and
+``test_mse`` from a diverged trial's first non-finite checkpoint on; rows
+sorted by (algorithm, trial, iteration, metric); LF line endings, UTF-8. The
+values of a series are formatted in one call of the compiled
+``shortest_reprs`` (:func:`ivstream._native.reprs`), each algorithm's CSV text
+is built once, and ``series.csv`` joins those texts. Files are written to a
+temporary name and renamed into place.
 
 Configs
 -------
@@ -93,13 +96,8 @@ def series_rows(series: MetricSeries) -> list[str]:
     return lines
 
 
-def _series_text(lines: list[str]) -> str:
-    """``lines`` as CSV text, each ended by LF."""
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def write_series_csv(path: Path, texts: list[str]) -> None:
-    """Write the header and ``texts``, whole CSV lines (:func:`_series_text`) already in CSV order, atomically."""
+    """Write the header and ``texts``, each whole LF-ended CSV lines, already in CSV order, atomically."""
     _atomic_write(path, "".join([CSV_HEADER, "\n", *texts]))
 
 
@@ -118,7 +116,7 @@ def run_specs_to_dir(specs: list[ExperimentSpec], out_dir: Path) -> None:
     digests: dict[str, str] = {}
     diverged: dict[str, dict[int, int]] = {}
     for spec, series in zip(specs, harness.run_experiments(specs)):
-        texts[spec.algorithm] = _series_text(series_rows(series))
+        texts[spec.algorithm] = "\n".join(series_rows(series)) + "\n"  # never empty: a spec has a trial and a checkpoint
         digests[spec.algorithm] = series.combined_stream_digest()
         diverged[spec.algorithm] = series.diverged()
     outputs = ["series.csv"]
