@@ -88,15 +88,16 @@ def build(cache: Path) -> Path:
 
 
 @functools.cache
-def loops() -> ctypes.CDLL:
-    """The window loops, built into ``~/.cache/ivstream`` on the first call, on numpy's BLAS."""
+def loops(path: Path | None = None) -> ctypes.CDLL:
+    """The window loops on numpy's BLAS: the build at ``path``, or by default the one in ``~/.cache/ivstream``,
+    built on the first call."""
     try:  # a library's handle also finds the symbols of the libraries it loaded
         numpy_lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         blas = [ctypes.cast(getattr(numpy_lib, f"scipy_cblas_{f}64_"), ctypes.c_void_p) for f in ("ddot", "dgemv")]
     except AttributeError:
         raise RuntimeError("ivstream's window loops need a numpy that bundles the scipy-openblas64 BLAS, "
                            f"as the numpy wheels do; numpy {np.__version__} here does not") from None
-    lib = ctypes.CDLL(str(build(Path.home() / ".cache" / "ivstream")))
+    lib = ctypes.CDLL(str(path or build(Path.home() / ".cache" / "ivstream")))
     n, p = ctypes.c_int64, ctypes.c_void_p
     lib.use_blas.argtypes, lib.use_blas.restype = (p, p), None
     lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None

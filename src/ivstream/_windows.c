@@ -27,11 +27,12 @@
  * Every other operation is one IEEE operation per element in numpy's order,
  * so the file must be compiled with -ffp-contract=off and without
  * -ffast-math. -O3 and -march=native keep these bits: the loops they
- * vectorise are the elementwise updates, where each element is still one
- * multiply and one subtract, add or divide, each correctly rounded in any
- * instruction set the CPU has, and no multiply and add are fused; every sum
- * of more than one term is a BLAS call, and gcc reorders no floating-point
- * sum without -ffast-math (or -fassociative-math).
+ * vectorise are the elementwise updates and, at d = 1, the loops over trials
+ * (see the row steps below), where each element is still one multiply and one
+ * subtract, add or divide, each correctly rounded in any instruction set the
+ * CPU has, and no multiply and add are fused; every sum of more than one term
+ * is a BLAS call, and gcc reorders no floating-point sum without -ffast-math
+ * (or -fassociative-math).
  * Arrays are C-contiguous float64: the state theta (B, d_x),
  * or (S, B, d_x) for the two-timescale loop, gamma (B, d_z, d_x),
  * U (B, d_x, d_x) and V (B, d_z, d_z). The samples are read in place from
@@ -40,8 +41,10 @@
  * row t of trial i is z[i] + t * d_z, x[i] + t * d_x, x_prime[i] + t * d_x
  * and y[i][t]. alphas and betas hold the window's steps, one per row. Every
  * loop takes the same (t0, rows, alphas, betas) tail and ignores the steps
- * it does not take. Trials never read each other's state, so each trial runs
- * through the whole window in turn.
+ * it does not take. Trials never read each other's state, so the trials of a
+ * window may step in any order: at d > 1 each trial runs through the whole
+ * window in turn, and at d_x = d_z = 1 (d_x = 1 for two_sample_window) each
+ * row steps every trial, in SIMD lanes.
  *
  * Each loop clears the floating-point exception flags when it starts and
  * returns those its arithmetic raised, as numpy's NPY_FPE_* bits (see
@@ -104,12 +107,12 @@ void fit_steps(blasint rows, blasint start, blasint n, const double *terms, doub
 }
 
 /* A sum of one term is 0. + a * b, as ddot and dgemv (alpha 1, beta 0) compute it; longer sums call them. */
-static double vecdot(blasint n, const double *a, const double *b)
+static inline double vecdot(blasint n, const double *a, const double *b)
 {
     return n == 1 ? 0. + a[0] * b[0] : 0. + ddot(n, a, 1, b, 1);
 }
 
-static void matvec(blasint m, blasint n, const double *a, const double *x, double *out)
+static inline void matvec(blasint m, blasint n, const double *a, const double *x, double *out)
 {
     if (n == 1)
         for (blasint k = 0; k < m; k++)
@@ -118,7 +121,7 @@ static void matvec(blasint m, blasint n, const double *a, const double *x, doubl
         dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
 }
 
-static void vecmat(blasint n, blasint m, const double *x, const double *a, double *out)
+static inline void vecmat(blasint n, blasint m, const double *x, const double *a, double *out)
 {
     if (m == 1)
         out[0] = vecdot(n, x, a);
@@ -130,7 +133,55 @@ static void vecmat(blasint n, blasint m, const double *x, const double *a, doubl
 }
 
 /*
- * two_sample_update: theta -= (alpha * (x . theta - y)) * x_prime.
+ * Each update is written once, as a static inline step of one trial on one
+ * row (*_row), and each loop calls it in one of two orders. At d > 1 a trial
+ * runs through the whole window before the next. At d = 1 the rows are outer
+ * and the trials inner (*_lanes), and the row step is called with constant
+ * sizes, so every product is the inline 0. + a * b, and gcc vectorises the
+ * loop over trials: the B trials' independent chains of operations run side
+ * by side in SIMD lanes, each lane loading its trial's row through the
+ * address tables. A lane does its trial's scalar operations in the scalar
+ * order, with no sum across lanes, so each trial's bits are the same in
+ * either order and at any vector width, and a window's events are the OR of
+ * each trial's own (online_2sls_lanes says how it keeps to that when a trial
+ * ends). The lanes' work values are locals of the loop body, or arrays of
+ * one entry per trial. gcc cannot tell the state it stores from the blocks
+ * it loads through the tables, so "#pragma GCC ivdep" states what holds: a
+ * trial's iteration writes only its own state, and the blocks are only read.
+ *
+ * The lane loops are functions of their own, compiled for 256-bit vectors: at
+ * B = 6, 512-bit vectors leave every trial to the 256-bit remainder loop and
+ * the scalar one, and a 512-bit divide takes about twice as long as a 256-bit
+ * one; streaming 2SLS took 30-55% more per trial-row at B = 4 and 6 with
+ * 512-bit vectors (measured on an AVX-512 Xeon).
+ */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define LANE_LOOP __attribute__((noinline, target("prefer-vector-width=256")))
+#else
+#define LANE_LOOP __attribute__((noinline))
+#endif
+
+/* two_sample_update on row t of one trial: theta -= (alpha * (x . theta - y)) * x_prime. */
+static inline void two_sample_row(blasint d_x, double *th, const double *x_t, const double *xp_t, double y,
+                                  double alpha)
+{
+    double resid = (vecdot(d_x, x_t, th) - y) * alpha;
+    for (blasint k = 0; k < d_x; k++)
+        th[k] -= resid * xp_t[k];
+}
+
+/* two_sample_window's rows at d_x = 1, trials inner. */
+LANE_LOOP
+static void two_sample_lanes(blasint b, double *theta, blocks x, blocks x_prime, blocks y, blasint t0, blasint rows,
+                             const double *alphas)
+{
+    for (blasint t = 0; t < rows; t++)
+#pragma GCC ivdep
+        for (blasint i = 0; i < b; i++)
+            two_sample_row(1, theta + i, x[i] + t0 + t, x_prime[i] + t0 + t, y[i][t0 + t], alphas[t]);
+}
+
+/*
  * The next row's dot reads back the theta this update stores. Stored in 256-
  * or 512-bit vectors, as -march=native would on an AVX-512 CPU, a row of
  * d_x = 4 or 8 made this loop 4-11% slower per row than 128-bit stores
@@ -144,116 +195,244 @@ int two_sample_window(blasint b, blasint d_x, double *theta, blocks x, blocks x_
 {
     (void)betas;
     feclearexcept(FE_ALL_EXCEPT);
-    for (blasint i = 0; i < b; i++) {
-        double *th = theta + i * d_x;
-        for (blasint t = 0; t < rows; t++) {
-            const double *x_t = x[i] + (t0 + t) * d_x, *xp_t = x_prime[i] + (t0 + t) * d_x;
-            double resid = (vecdot(d_x, x_t, th) - y[i][t0 + t]) * alphas[t];
-            for (blasint k = 0; k < d_x; k++)
-                th[k] -= resid * xp_t[k];
-        }
-    }
+    if (d_x == 1)
+        two_sample_lanes(b, theta, x, x_prime, y, t0, rows, alphas);
+    else
+        for (blasint i = 0; i < b; i++)
+            for (blasint t = 0; t < rows; t++)
+                two_sample_row(d_x, theta + i * d_x, x[i] + (t0 + t) * d_x, x_prime[i] + (t0 + t) * d_x,
+                               y[i][t0 + t], alphas[t]);
     return fp_events();
 }
 
 /*
- * S thetas on one gamma: theta s takes the raw residual x . theta - y when
- * direct[s], else the predicted one (z^T gamma) . theta - y.
+ * The S thetas of one trial on its gamma, on row t: theta s, at th + s * stride,
+ * takes the raw residual x . theta - y when direct[s], else the predicted one
+ * (z^T gamma) . theta - y. zg holds d_x values and resid S.
  */
+static inline void two_timescale_row(blasint d_z, blasint d_x, blasint s, const char *direct, double *th,
+                                     blasint stride, double *g, const double *z_t, const double *x_t, double y,
+                                     double alpha, double beta, double *zg, double *resid)
+{
+    vecmat(d_z, d_x, z_t, g, zg);
+    for (blasint j = 0; j < s; j++)
+        resid[j] = vecdot(d_x, direct[j] ? x_t : zg, th + j * stride);
+    for (blasint j = 0; j < s; j++) {
+        double *th_j = th + j * stride, r = (resid[j] - y) * alpha;
+        for (blasint k = 0; k < d_x; k++)
+            th_j[k] -= r * zg[k];
+    }
+    for (blasint k = 0; k < d_x; k++)
+        zg[k] -= x_t[k];
+    for (blasint l = 0; l < d_z; l++) {
+        double bz = beta * z_t[l];
+        for (blasint k = 0; k < d_x; k++)
+            g[l * d_x + k] -= bz * zg[k];
+    }
+}
+
+/*
+ * two_timescale_window's rows at d_x = d_z = 1, trials inner, for S of at most
+ * LANE_THETAS (gcc makes a copy of it for each constant S it is called with).
+ */
+enum { LANE_THETAS = 2 };
+
+LANE_LOOP
+static void two_timescale_lanes(blasint b, blasint s, const char *direct, double *theta, double *gamma, blocks z,
+                                blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
+                                const double *betas)
+{
+    /* a copy that no store of the loop may alias, so that the flags are read once, not per trial and row */
+    char flags[LANE_THETAS];
+    memcpy(flags, direct, (size_t)s);
+    for (blasint t = 0; t < rows; t++)
+#pragma GCC ivdep
+        for (blasint i = 0; i < b; i++) {
+            double zg[1], resid[LANE_THETAS];
+            two_timescale_row(1, 1, s, flags, theta + i, b, gamma + i, z[i] + t0 + t, x[i] + t0 + t,
+                              y[i][t0 + t], alphas[t], betas[t], zg, resid);
+        }
+}
+
+/* S thetas on one gamma (see two_timescale_row). */
 int two_timescale_window(blasint b, blasint d_z, blasint d_x, blasint s, const char *direct, double *theta,
                          double *gamma, blocks z, blocks x, blocks y, blasint t0, blasint rows,
                          const double *alphas, const double *betas)
 {
+    if (d_z == 1 && d_x == 1 && (s == 1 || s == LANE_THETAS)) {
+        feclearexcept(FE_ALL_EXCEPT);
+        if (s == 1)
+            two_timescale_lanes(b, 1, direct, theta, gamma, z, x, y, t0, rows, alphas, betas);
+        else
+            two_timescale_lanes(b, LANE_THETAS, direct, theta, gamma, z, x, y, t0, rows, alphas, betas);
+        return fp_events();
+    }
     double *zg = malloc((size_t)(d_x + s) * sizeof(double)), *resid = zg + d_x;
     if (zg == NULL)
         return -1;
     feclearexcept(FE_ALL_EXCEPT);
-    for (blasint i = 0; i < b; i++) {
-        double *g = gamma + i * d_z * d_x;
-        for (blasint t = 0; t < rows; t++) {
-            const double *z_t = z[i] + (t0 + t) * d_z, *x_t = x[i] + (t0 + t) * d_x;
-            vecmat(d_z, d_x, z_t, g, zg);
-            for (blasint j = 0; j < s; j++)
-                resid[j] = vecdot(d_x, direct[j] ? x_t : zg, theta + (j * b + i) * d_x);
-            for (blasint j = 0; j < s; j++) {
-                double *th = theta + (j * b + i) * d_x, r = (resid[j] - y[i][t0 + t]) * alphas[t];
-                for (blasint k = 0; k < d_x; k++)
-                    th[k] -= r * zg[k];
-            }
-            for (blasint k = 0; k < d_x; k++)
-                zg[k] -= x_t[k];
-            for (blasint l = 0; l < d_z; l++) {
-                double bz = betas[t] * z_t[l];
-                for (blasint k = 0; k < d_x; k++)
-                    g[l * d_x + k] -= bz * zg[k];
-            }
-        }
-    }
+    for (blasint i = 0; i < b; i++)
+        for (blasint t = 0; t < rows; t++)
+            two_timescale_row(d_z, d_x, s, direct, theta + i * d_x, b * d_x, gamma + i * d_z * d_x,
+                              z[i] + (t0 + t) * d_z, x[i] + (t0 + t) * d_x, y[i][t0 + t], alphas[t], betas[t],
+                              zg, resid);
     int events = fp_events();
     free(zg);
     return events;
 }
 
 /*
- * online_2sls_update. A trial whose rank-one denominator is not positive,
- * where the 1-d kernel raises, ends the window with every entry of its
- * state NaN, and the loop returns NOT_POSITIVE among its events; a NaN
- * denominator does not hide a non-positive one.
+ * online_2sls_update on row t of one trial, in two halves. The first computes
+ * w = z^T gamma, V z, U w and the two rank-one denominators; the second, run
+ * only when both are positive, updates the state, with d_x values in gain_u
+ * and x_w and d_z in gain_v.
+ */
+static inline void online_2sls_denominators(blasint d_z, blasint d_x, const double *g, const double *u_i,
+                                            const double *v_i, const double *z_t, double *w, double *vz,
+                                            double *uw, double *denom_u, double *denom_v)
+{
+    vecmat(d_z, d_x, z_t, g, w);
+    matvec(d_z, d_z, v_i, z_t, vz);
+    double dv = vecdot(d_z, z_t, vz);
+    matvec(d_x, d_x, u_i, w, uw);
+    *denom_u = vecdot(d_x, w, uw) + 1.0;
+    *denom_v = dv + 1.0;
+}
+
+/*
+ * Whether a denominator is not positive: +-0, or a number other than NaN with
+ * its sign bit set. On a NaN it must raise no invalid event, as numpy's
+ * comparison raises none. <= would, and gcc vectorises islessequal with a
+ * compare that does, so this compares only with ==, which is quiet, and the
+ * sign copied onto 1.0, which is never a NaN.
+ */
+static inline int not_positive(double denom)
+{
+    return (denom == 0.0) | ((copysign(1.0, denom) < 0.0) & (denom == denom));
+}
+
+static inline void online_2sls_apply(blasint d_z, blasint d_x, double *th, double *g, double *u_i, double *v_i,
+                                     const double *x_t, double y, const double *w, const double *vz,
+                                     const double *uw, double denom_u, double denom_v, double *gain_u,
+                                     double *x_w, double *gain_v)
+{
+    for (blasint l = 0; l < d_z; l++)
+        gain_v[l] = vz[l] / denom_v;
+    for (blasint l = 0; l < d_z; l++)
+        for (blasint m = 0; m < d_z; m++)
+            v_i[l * d_z + m] -= vz[l] * gain_v[m];
+    for (blasint k = 0; k < d_x; k++)
+        x_w[k] = x_t[k] - w[k];
+    for (blasint l = 0; l < d_z; l++)
+        for (blasint k = 0; k < d_x; k++)
+            g[l * d_x + k] += gain_v[l] * x_w[k];
+    for (blasint k = 0; k < d_x; k++)
+        gain_u[k] = uw[k] / denom_u;
+    for (blasint k = 0; k < d_x; k++)
+        for (blasint m = 0; m < d_x; m++)
+            u_i[k * d_x + m] -= uw[k] * gain_u[m];
+    double resid = y - vecdot(d_x, w, th);
+    for (blasint k = 0; k < d_x; k++)
+        th[k] += gain_u[k] * resid;
+}
+
+/*
+ * The whole row: NOT_POSITIVE, with every entry of the trial's state set to
+ * NaN, when a denominator is not positive (where the 1-d kernel raises),
+ * else 0. work holds 4 * d_x + 2 * d_z values.
+ */
+static inline int online_2sls_row(blasint d_z, blasint d_x, double *th, double *g, double *u_i, double *v_i,
+                                  const double *z_t, const double *x_t, double y, double *work)
+{
+    double *w = work, *uw = w + d_x, *gain_u = uw + d_x, *x_w = gain_u + d_x, *vz = x_w + d_x, *gain_v = vz + d_z;
+    double denom_u, denom_v;
+    online_2sls_denominators(d_z, d_x, g, u_i, v_i, z_t, w, vz, uw, &denom_u, &denom_v);
+    if (not_positive(denom_u) | not_positive(denom_v)) {
+        for (double *p = th; p < th + d_x; p++) *p = NAN;
+        for (double *p = g; p < g + d_z * d_x; p++) *p = NAN;
+        for (double *p = u_i; p < u_i + d_x * d_x; p++) *p = NAN;
+        for (double *p = v_i; p < v_i + d_z * d_z; p++) *p = NAN;
+        return NOT_POSITIVE;
+    }
+    online_2sls_apply(d_z, d_x, th, g, u_i, v_i, x_t, y, w, vz, uw, denom_u, denom_v, gain_u, x_w, gain_v);
+    return 0;
+}
+
+/*
+ * online_2sls_window's rows at d_x = d_z = 1, trials inner. A row first
+ * computes every trial's denominators, then, if all are positive, updates
+ * every trial. A row where one is not, and every row after a trial ended in
+ * this window, steps its trials one by one through the whole row step, as the
+ * scalar loop does, so that no trial computes what the scalar loop skips.
+ * work holds 6 values per trial. Returns NOT_POSITIVE if a trial ended.
+ */
+LANE_LOOP
+static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u, double *v, blocks z, blocks x,
+                             blocks y, blasint t0, blasint rows, double *work)
+{
+    double *w = work, *vz = w + b, *uw = vz + b, *denom_u = uw + b, *denom_v = denom_u + b;
+    char *ended = (char *)(denom_v + b);
+    int seen = 0;
+    memset(ended, 0, (size_t)b);
+    for (blasint t = t0; t < t0 + rows; t++) {
+        if (!seen) {
+            int bad = 0;
+#pragma GCC ivdep
+            for (blasint i = 0; i < b; i++) {
+                online_2sls_denominators(1, 1, gamma + i, u + i, v + i, z[i] + t, w + i, vz + i, uw + i,
+                                         denom_u + i, denom_v + i);
+                bad |= not_positive(denom_u[i]) | not_positive(denom_v[i]);
+            }
+            if (!bad) {
+#pragma GCC ivdep
+                for (blasint i = 0; i < b; i++) {
+                    double gain_u[1], x_w[1], gain_v[1];
+                    online_2sls_apply(1, 1, theta + i, gamma + i, u + i, v + i, x[i] + t, y[i][t], w + i, vz + i,
+                                      uw + i, denom_u[i], denom_v[i], gain_u, x_w, gain_v);
+                }
+                continue;
+            }
+        }
+        for (blasint i = 0; i < b; i++) {
+            double one[6]; /* online_2sls_row's work at d = 1 */
+            if (!ended[i] &&
+                online_2sls_row(1, 1, theta + i, gamma + i, u + i, v + i, z[i] + t, x[i] + t, y[i][t], one))
+                ended[i] = 1, seen = NOT_POSITIVE;
+        }
+    }
+    return seen;
+}
+
+/*
+ * online_2sls_update. A trial whose rank-one denominator is not positive
+ * ends the window with every entry of its state NaN, and the loop returns
+ * NOT_POSITIVE among its events; a NaN denominator does not hide a
+ * non-positive one.
  */
 int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, double *gamma, double *u, double *v,
                        blocks z, blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
                        const double *betas)
 {
     (void)alphas, (void)betas;
-    double *w = malloc((size_t)(4 * d_x + 2 * d_z) * sizeof(double));
-    if (w == NULL)
+    int lanes = d_z == 1 && d_x == 1, not_positive_seen = 0;
+    double *work = malloc((size_t)(lanes ? 6 * b : 4 * d_x + 2 * d_z) * sizeof(double));
+    if (work == NULL)
         return -1;
     feclearexcept(FE_ALL_EXCEPT);
-    double *uw = w + d_x, *gain_u = uw + d_x, *x_w = gain_u + d_x, *vz = x_w + d_x, *gain_v = vz + d_z;
-    int not_positive = 0;
-    for (blasint i = 0; i < b; i++) {
-        double *th = theta + i * d_x, *g = gamma + i * d_z * d_x, *u_i = u + i * d_x * d_x,
-               *v_i = v + i * d_z * d_z;
-        for (blasint t = 0; t < rows; t++) {
-            const double *z_t = z[i] + (t0 + t) * d_z, *x_t = x[i] + (t0 + t) * d_x;
-            vecmat(d_z, d_x, z_t, g, w);
-            matvec(d_z, d_z, v_i, z_t, vz);
-            double denom_v = vecdot(d_z, z_t, vz);
-            matvec(d_x, d_x, u_i, w, uw);
-            double denom_u = vecdot(d_x, w, uw);
-            denom_u += 1.0;
-            denom_v += 1.0;
-            /* islessequal, unlike <=, raises no invalid event on a NaN, as numpy's comparison reports none */
-            if (islessequal(denom_u, 0.0) || islessequal(denom_v, 0.0)) {
-                for (double *p = th; p < th + d_x; p++) *p = NAN;
-                for (double *p = g; p < g + d_z * d_x; p++) *p = NAN;
-                for (double *p = u_i; p < u_i + d_x * d_x; p++) *p = NAN;
-                for (double *p = v_i; p < v_i + d_z * d_z; p++) *p = NAN;
-                not_positive = NOT_POSITIVE;
-                break;
+    if (lanes)
+        not_positive_seen = online_2sls_lanes(b, theta, gamma, u, v, z, x, y, t0, rows, work);
+    else
+        for (blasint i = 0; i < b; i++)
+            for (blasint t = t0; t < t0 + rows; t++) {
+                int ended = online_2sls_row(d_z, d_x, theta + i * d_x, gamma + i * d_z * d_x, u + i * d_x * d_x,
+                                            v + i * d_z * d_z, z[i] + t * d_z, x[i] + t * d_x, y[i][t], work);
+                if (ended) {
+                    not_positive_seen = ended;
+                    break;
+                }
             }
-            for (blasint l = 0; l < d_z; l++)
-                gain_v[l] = vz[l] / denom_v;
-            for (blasint l = 0; l < d_z; l++)
-                for (blasint m = 0; m < d_z; m++)
-                    v_i[l * d_z + m] -= vz[l] * gain_v[m];
-            for (blasint k = 0; k < d_x; k++)
-                x_w[k] = x_t[k] - w[k];
-            for (blasint l = 0; l < d_z; l++)
-                for (blasint k = 0; k < d_x; k++)
-                    g[l * d_x + k] += gain_v[l] * x_w[k];
-            for (blasint k = 0; k < d_x; k++)
-                gain_u[k] = uw[k] / denom_u;
-            for (blasint k = 0; k < d_x; k++)
-                for (blasint m = 0; m < d_x; m++)
-                    u_i[k * d_x + m] -= uw[k] * gain_u[m];
-            double resid = y[i][t0 + t] - vecdot(d_x, w, th);
-            for (blasint k = 0; k < d_x; k++)
-                th[k] += gain_u[k] * resid;
-        }
-    }
-    int events = fp_events() | not_positive;
-    free(w);
+    int events = fp_events() | not_positive_seen;
+    free(work);
     return events;
 }
 

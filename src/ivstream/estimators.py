@@ -58,6 +58,12 @@ rounded multiply added to +0 as in numpy, and the elementwise arithmetic
 keeps the 1-d kernels' order without fused multiply-adds, so each trial is
 bitwise equal to the 1-d kernels (``tests/test_estimators.py`` checks this);
 like theirs, the bits depend on the BLAS kernel OpenBLAS picks for the CPU.
+At d > 1 a loop steps each trial through the whole window in turn. At
+d_x = d_z = 1 it steps every trial on each row before the next row, and the
+trials run side by side in SIMD lanes; a lane is its trial's scalar
+operations in their order, with no sum across lanes and no BLAS call, so the
+bits are the same at every vector width, and a window's events are the OR of
+each trial's own.
 :func:`two_timescale_window` steps S thetas on one gamma, for the specs that
 share a first stage.
 
@@ -376,7 +382,8 @@ class _BaseIVRegressor:
         n, k, terms_at = len(y), len(terms), terms.ctypes.data
         rows = [None if a is None else np.ascontiguousarray(a, np.float64) for a in (Z, X, X_prime, y)]
         bound = _Bound(self, rows, min(n, FIT_WINDOW_ROWS))
-        reported = sum(bit for name, bit in _FP_EVENTS.items() if np.geterr()[name] != "ignore") | _NOT_POSITIVE
+        errors = np.geterr()
+        reported = sum(bit for name, bit in _FP_EVENTS.items() if errors[name] != "ignore") | _NOT_POSITIVE
         vars(self).update(zip(self._iterates, bound.work))
         for start in range(0, n, FIT_WINDOW_ROWS):
             size, before = min(FIT_WINDOW_ROWS, n - start), [a.copy() for a in bound.work]

@@ -23,12 +23,15 @@ of a window loop (:mod:`ivstream.estimators`) per window, from one checkpoint
 or block end to the next. For each sample block the group checks the blocks
 once, binds the loop to a table of their addresses and to the stacked state,
 and computes the block's steps, so a window call passes only integers and
-addresses read once. A checkpoint's metrics are one call of the compiled
-``checkpoint_metrics`` per lane, bound like the loop to tables of the
-held-out sets and of the metric rows, which it writes in place with numpy's
-arithmetic and BLAS calls, bit for bit; ``oracle_mse`` is that call on
-theta_star. A trial's iterates are bitwise equal to a run of the 1-d kernel
-on its stream alone, so :func:`run_trial` is a pass whose one group is that
+addresses read once. At d_x = d_z = 1 the loop steps all the group's trials
+on each row before the next, in SIMD lanes, where a trial's row costs a few
+nanoseconds; at d > 1 it steps one trial through the window after another.
+Either order gives each trial the same bits. A checkpoint's metrics are one
+call of the compiled ``checkpoint_metrics`` per lane, bound like the loop to
+tables of the held-out sets and of the metric rows, which it writes in place
+with numpy's arithmetic and BLAS calls, bit for bit; ``oracle_mse`` is that
+call on theta_star. A trial's iterates are bitwise equal to a run of the 1-d
+kernel on its stream alone, so :func:`run_trial` is a pass whose one group is that
 trial. A group holds one sample block per trial, and :func:`trial_groups`
 sizes the groups by a block's bytes, so the samples held do not grow with the
 trial count or T. A trial that diverges is a recorded result: from its first

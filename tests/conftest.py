@@ -22,7 +22,8 @@ def rng():
 
 @pytest.fixture(scope="session")
 def no_avx512_build(tmp_path_factory) -> ctypes.CDLL:
-    """``_windows.c`` built with ``-mno-avx512f``, so without its AVX-512 paths whatever this CPU has."""
+    """``_windows.c`` built with ``-mno-avx512f``, so without its AVX-512 paths whatever this CPU has, and
+    loaded as ``_native.loops`` loads the default build."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler 'cc' on PATH")
     if platform.machine() not in ("x86_64", "AMD64"):
@@ -30,7 +31,7 @@ def no_avx512_build(tmp_path_factory) -> ctypes.CDLL:
     lib_path = tmp_path_factory.mktemp("no_avx512") / "windows-no-avx512.so"
     subprocess.run(["cc", *_native.CFLAGS, "-mno-avx512f", "-o", str(lib_path), str(_native.SOURCE), *_native.LIBS],
                    check=True, capture_output=True)
-    return ctypes.CDLL(str(lib_path))
+    return _native.loops(lib_path)
 
 
 def pytest_terminal_summary(terminalreporter):

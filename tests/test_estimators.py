@@ -1,5 +1,7 @@
 import _ctypes
 import copy
+import functools
+import operator
 import os
 import pickle
 import platform
@@ -369,6 +371,133 @@ class TestBatchKernels:
         thetas = rng.choice(EDGE_VALUES, (2 if lane == "both" else 1, b, d_x))
         gamma = rng.choice(EDGE_VALUES, (b, d_z, d_x))
         _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, np.full(n, 0.5), np.full(n, 0.25))
+
+    # At d_x = d_z = 1 the loops step the trials of each row in SIMD lanes:
+    # every B from 1 to 17 reaches the vector body and each of its tails.
+    @pytest.mark.parametrize("b", range(1, 18))
+    @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
+    def test_lanes_bitwise_equal_to_1d_kernels(self, lane, b, lane_build):
+        windows = (1, 7, 33)
+        n = sum(windows)
+        rng = make_rng(1000 + b)
+        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
+        draws = [dgp.sample_two_block(rng, cfg, n) for _ in range(b)]
+        blocks = [[d[k] for d in draws] for k in range(4)]
+        decay = np.arange(1.0, n + 1.0) ** -0.95
+        thetas = rng.standard_normal((2 if lane == "both" else 1, b, 1))
+        gamma = 0.1 * rng.standard_normal((b, 1, 1))
+        trials, raised = _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, 0.3 * decay, 0.5 * decay)
+        assert not raised
+        assert all(np.isfinite(part).all() for per in trials for st in per for part in st)
+
+    @pytest.mark.parametrize("b", [3, 6, 9, 17])
+    def test_online_2sls_corrupted_trial_is_flagged_in_lanes(self, b, lane_build):
+        # The d = 1 lanes, where each row steps every trial: trial 1 carries
+        # U = -10 and gamma = 1, and its instruments are zero before row k, so
+        # those rows leave its state as it was; at row k, w = z = 1 and
+        # 1 + w U w = -9, where the 1-d kernel raises. The last trial does the
+        # same at row k + 4, after trial 1 has ended in the same window.
+        n, k = 20, 9
+        ends = {1: k, b - 1: k + 4}
+        rng = make_rng(23 + b)
+        z, x, y = rng.standard_normal((n, b, 1)), rng.standard_normal((n, b, 1)), rng.standard_normal((n, b))
+        trials = [[np.zeros(1), np.eye(1), np.eye(1) * 10.0, np.eye(1) * 10.0] for _ in range(b)]
+        for i, row in ends.items():
+            z[:row, i], z[row, i] = 0.0, 1.0
+            trials[i][2] = -trials[i][2]
+        blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
+        start = tuple(np.stack(parts) for parts in zip(*trials))
+        reference = {}  # 1-d states after each row, up to the row where a trial's kernel raises
+        for i in range(b):
+            st = trials[i]
+            for t in range(ends.get(i, n)):
+                st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
+                reference[i, t + 1] = st
+        for i, row in ends.items():
+            with pytest.raises(FloatingPointError):
+                est.online_2sls_update(*reference[i, row], z[row, i], x[row, i], y[row, i])
+        with np.errstate(invalid="raise", over="raise"):
+            for rows in (k, k + 1, k + 4, k + 5, n):  # windows that end before, at and after each row
+                state = tuple(a.copy() for a in start)
+                stacked = (state[0][None], *state[1:])
+                window = est.online_2sls_window(stacked, blocks[0], blocks[1], None, blocks[2], (False,))
+                assert window.step(0, rows) == (est._NOT_POSITIVE if rows > k else 0)
+                for i in range(b):
+                    if rows > ends.get(i, n):
+                        assert all(np.isnan(got[i]).all() for got in state)
+                    else:
+                        for got, want in zip(state, reference[i, min(rows, ends.get(i, n))]):
+                            assert np.isfinite(want).all()
+                            assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
+    def test_lane_events_are_the_or_of_each_trials_own(self, lane, lane_build):
+        # A d = 1 window over B trials of EDGE_VALUES rows raises just the events
+        # that each trial's own window raises, and each trial's bytes are its
+        # own window's: the lanes compute nothing a trial alone does not.
+        windows, b = (1, 7, 32), 11
+        n = sum(windows)
+        rng = make_rng(41)
+        blocks = [[rng.choice(EDGE_VALUES, (n, 1)) for _ in range(b)] for _ in range(3)]
+        blocks.insert(3, [rng.choice(EDGE_VALUES, n) for _ in range(b)])
+        state = [rng.choice(EDGE_VALUES, (2 if lane == "both" else 1, b, 1)), rng.choice(EDGE_VALUES, (b, 1, 1))]
+        if lane == "online_2sls":  # half the trials on a positive U and V, half on EDGE_VALUES
+            state += [np.where(np.arange(b)[:, None, None] % 2, rng.choice(EDGE_VALUES, (b, 1, 1)), 10.0)
+                      for _ in range(2)]
+        regs = [est.REGRESSORS[a] for a in (("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,))]
+        direct = [reg._raw_residual for reg in regs]
+        steps = [np.full(n, 0.5), np.full(n, 0.25)]
+        one = lambda st, i: [st[0][:, i:i + 1].copy(), *(part[i:i + 1].copy() for part in st[1:])]  # noqa: E731
+        trials = [one(state, i) for i in range(b)]
+        window = regs[0]._loop(state, *blocks, direct)
+        alone = [regs[0]._loop(trials[i], *([field[i]] for field in blocks), direct) for i in range(b)]
+        seen, start = set(), 0
+        for rows in windows:
+            events = _step(window, start, rows, *steps)
+            own = [_step(w, start, rows, *steps) for w in alone]
+            assert events == functools.reduce(operator.or_, own)
+            seen.update(own)
+            for i, st in enumerate(trials):
+                assert all(got.tobytes() == want.tobytes() for got, want in zip(one(state, i), st))
+            start += rows
+        assert len(seen) > 1  # the trials' events differ, so the OR is not any one trial's
+
+    @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
+    def test_nan_trial_raises_nothing_beside_finite_ones(self, lane, lane_build):
+        # A trial whose state is NaN, as one that diverged or ended in an earlier
+        # window is, steps on in the d = 1 lanes and raises no event, as its
+        # quiet NaNs and the 1-d kernel's comparison raise none; the trials
+        # beside it step as they do without it.
+        b, rows, nan_trial = 9, 40, 4
+        rng = make_rng(43)
+        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
+        draws = [dgp.sample_two_block(rng, cfg, rows) for _ in range(b)]
+        blocks = [[d[k] for d in draws] for k in range(4)]
+        state = [rng.standard_normal((2 if lane == "both" else 1, b, 1)), 0.1 * rng.standard_normal((b, 1, 1))]
+        if lane == "online_2sls":
+            state += [np.full((b, 1, 1), 10.0), np.full((b, 1, 1), 10.0)]
+        kept = [i for i in range(b) if i != nan_trial]
+        without = [state[0][:, kept].copy(), *(part[kept].copy() for part in state[1:])]
+        state[0][:, nan_trial] = np.nan
+        for part in state[1:]:
+            part[nan_trial] = np.nan
+        regs = [est.REGRESSORS[a] for a in (("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,))]
+        direct = [reg._raw_residual for reg in regs]
+        steps = [c * np.arange(1.0, rows + 1.0) ** -0.95 for c in (0.3, 0.5)]
+        assert _step(regs[0]._loop(state, *blocks, direct), 0, rows, *steps) == 0
+        _step(regs[0]._loop(without, *([field[i] for i in kept] for field in blocks), direct), 0, rows, *steps)
+        assert np.isnan(state[0][:, nan_trial]).all() and all(np.isnan(part[nan_trial]).all() for part in state[1:])
+        assert state[0][:, kept].tobytes() == without[0].tobytes()
+        assert all(part[kept].tobytes() == want.tobytes() for part, want in zip(state[1:], without[1:]))
+
+
+@pytest.fixture(params=["default", "no_avx512"])
+def lane_build(request, monkeypatch):
+    """The build whose loops the windows bind: the default one, or the ``-mno-avx512f`` one."""
+    if request.param == "no_avx512":
+        lib = request.getfixturevalue("no_avx512_build")
+        monkeypatch.setattr(_native, "loops", lambda: lib)
+    return request.param
 
 
 #: Signed zeros, the least subnormal, products that underflow and products that overflow.
