@@ -40,6 +40,13 @@ def check_finite(value: float, name: str) -> float:
     return value
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as a Python int: a Python or numpy integer, not a bool, else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_positive(value: float, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:

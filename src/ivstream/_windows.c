@@ -42,9 +42,10 @@
  * and y[i][t]. alphas and betas hold the window's steps, one per row. Every
  * loop takes the same (t0, rows, alphas, betas) tail and ignores the steps
  * it does not take. Trials never read each other's state, so the trials of a
- * window may step in any order: at d > 1 each trial runs through the whole
- * window in turn, and at d_x = d_z = 1 (d_x = 1 for two_sample_window) each
- * row steps every trial, in SIMD lanes.
+ * window may step in any order: each row steps every trial, in SIMD lanes at
+ * d_x = d_z = 1 (d_x = 1 for two_sample_window), except that
+ * online_2sls_window at d > 1 runs each trial through the whole window in
+ * turn.
  *
  * Each loop clears the floating-point exception flags when it starts and
  * returns those its arithmetic raised, as numpy's NPY_FPE_* bits (see
@@ -134,20 +135,24 @@ static inline void vecmat(blasint n, blasint m, const double *x, const double *a
 
 /*
  * Each update is written once, as a static inline step of one trial on one
- * row (*_row), and each loop calls it in one of two orders. At d > 1 a trial
- * runs through the whole window before the next. At d = 1 the rows are outer
- * and the trials inner (*_lanes), and the row step is called with constant
- * sizes, so every product is the inline 0. + a * b, and gcc vectorises the
- * loop over trials: the B trials' independent chains of operations run side
- * by side in SIMD lanes, each lane loading its trial's row through the
- * address tables. A lane does its trial's scalar operations in the scalar
- * order, with no sum across lanes, so each trial's bits are the same in
- * either order and at any vector width, and a window's events are the OR of
- * each trial's own (online_2sls_lanes says how it keeps to that when a trial
- * ends). The lanes' work values are locals of the loop body, or arrays of
- * one entry per trial. gcc cannot tell the state it stores from the blocks
- * it loads through the tables, so "#pragma GCC ivdep" states what holds: a
- * trial's iteration writes only its own state, and the blocks are only read.
+ * row (*_row). two_sample_window and two_timescale_window call it in one loop
+ * nest (*_rows), rows outer and trials inner, at every d; online_2sls_window
+ * is the one loop with a second order (it says why). At d = 1 the nest is
+ * called with constant sizes (*_lanes), so every product is the inline
+ * 0. + a * b, and gcc vectorises the loop over trials: the B trials'
+ * independent chains of operations run side by side in SIMD lanes, each lane
+ * loading its trial's row through the address tables. At d > 1 a row step
+ * calls BLAS, and the trials of a row run one after another. A lane does its
+ * trial's scalar operations in the scalar order, with no sum across lanes,
+ * and a trial runs the same operations in either order, so each trial's bits
+ * are the same in either order and at any vector width, and a window's events
+ * are the OR of each trial's own (online_2sls_lanes says how it keeps to that
+ * when a trial ends). A
+ * trial's work values are its own: locals of the loop body, or its entries of
+ * an array. gcc cannot tell the state it stores from the blocks it loads
+ * through the tables, so "#pragma GCC ivdep" states what holds: a trial's
+ * iteration writes only its own state and work values, and the blocks are
+ * only read.
  *
  * The lane loops are functions of their own, compiled for 256-bit vectors: at
  * B = 6, 512-bit vectors leave every trial to the 256-bit remainder loop and
@@ -170,22 +175,32 @@ static inline void two_sample_row(blasint d_x, double *th, const double *x_t, co
         th[k] -= resid * xp_t[k];
 }
 
-/* two_sample_window's rows at d_x = 1, trials inner. */
-LANE_LOOP
-static void two_sample_lanes(blasint b, double *theta, blocks x, blocks x_prime, blocks y, blasint t0, blasint rows,
-                             const double *alphas)
+/* two_sample_window's loop nest: each row steps every trial. */
+static inline void two_sample_rows(blasint b, blasint d_x, double *theta, blocks x, blocks x_prime, blocks y,
+                                   blasint t0, blasint rows, const double *alphas)
 {
     for (blasint t = 0; t < rows; t++)
 #pragma GCC ivdep
         for (blasint i = 0; i < b; i++)
-            two_sample_row(1, theta + i, x[i] + t0 + t, x_prime[i] + t0 + t, y[i][t0 + t], alphas[t]);
+            two_sample_row(d_x, theta + i * d_x, x[i] + (t0 + t) * d_x, x_prime[i] + (t0 + t) * d_x, y[i][t0 + t],
+                           alphas[t]);
+}
+
+/* The nest at d_x = 1, in SIMD lanes. */
+LANE_LOOP
+static void two_sample_lanes(blasint b, double *theta, blocks x, blocks x_prime, blocks y, blasint t0, blasint rows,
+                             const double *alphas)
+{
+    two_sample_rows(b, 1, theta, x, x_prime, y, t0, rows, alphas);
 }
 
 /*
- * The next row's dot reads back the theta this update stores. Stored in 256-
- * or 512-bit vectors, as -march=native would on an AVX-512 CPU, a row of
- * d_x = 4 or 8 made this loop 4-11% slower per row than 128-bit stores
- * (measured on an AVX-512 Xeon), so it alone keeps to 128-bit vectors.
+ * At d_x > 1 a trial's next row follows closely when B is small, and its dot
+ * reads back the theta this row stores. Stored in 256- or 512-bit vectors, as
+ * -march=native would on an AVX-512 CPU, the nest took 27% more per
+ * trial-row at B = 1, d_x = 8 and 11% more at B = 27, d_x = 4 than with
+ * 128-bit stores (measured on an AVX-512 Xeon), so this instantiation keeps to
+ * 128-bit vectors.
  */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 __attribute__((target("prefer-vector-width=128")))
@@ -198,10 +213,7 @@ int two_sample_window(blasint b, blasint d_x, double *theta, blocks x, blocks x_
     if (d_x == 1)
         two_sample_lanes(b, theta, x, x_prime, y, t0, rows, alphas);
     else
-        for (blasint i = 0; i < b; i++)
-            for (blasint t = 0; t < rows; t++)
-                two_sample_row(d_x, theta + i * d_x, x[i] + (t0 + t) * d_x, x_prime[i] + (t0 + t) * d_x,
-                               y[i][t0 + t], alphas[t]);
+        two_sample_rows(b, d_x, theta, x, x_prime, y, t0, rows, alphas);
     return fp_events();
 }
 
@@ -231,12 +243,29 @@ static inline void two_timescale_row(blasint d_z, blasint d_x, blasint s, const 
     }
 }
 
-/*
- * two_timescale_window's rows at d_x = d_z = 1, trials inner, for S of at most
- * LANE_THETAS (gcc makes a copy of it for each constant S it is called with).
- */
+/* The thetas of a d = 1 lane: at most LANE_THETAS, so that zg and resid fit in a local array. */
 enum { LANE_THETAS = 2 };
 
+/*
+ * two_timescale_window's loop nest: each row steps every trial. A trial's zg
+ * and resid are a local array of its iteration when they fit in one, as at
+ * d = 1, where they stay in registers, else its d_x + S entries of work.
+ */
+static inline void two_timescale_rows(blasint b, blasint d_z, blasint d_x, blasint s, const char *direct,
+                                      double *theta, double *gamma, blocks z, blocks x, blocks y, blasint t0,
+                                      blasint rows, const double *alphas, const double *betas, double *work)
+{
+    for (blasint t = 0; t < rows; t++)
+#pragma GCC ivdep
+        for (blasint i = 0; i < b; i++) {
+            double local[1 + LANE_THETAS], *zg = d_x + s <= 1 + LANE_THETAS ? local : work + i * (d_x + s);
+            two_timescale_row(d_z, d_x, s, direct, theta + i * d_x, b * d_x, gamma + i * d_z * d_x,
+                              z[i] + (t0 + t) * d_z, x[i] + (t0 + t) * d_x, y[i][t0 + t], alphas[t], betas[t], zg,
+                              zg + d_x);
+        }
+}
+
+/* The nest at d_x = d_z = 1, in SIMD lanes (gcc makes a copy of it for each constant S it is called with). */
 LANE_LOOP
 static void two_timescale_lanes(blasint b, blasint s, const char *direct, double *theta, double *gamma, blocks z,
                                 blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
@@ -245,13 +274,7 @@ static void two_timescale_lanes(blasint b, blasint s, const char *direct, double
     /* a copy that no store of the loop may alias, so that the flags are read once, not per trial and row */
     char flags[LANE_THETAS];
     memcpy(flags, direct, (size_t)s);
-    for (blasint t = 0; t < rows; t++)
-#pragma GCC ivdep
-        for (blasint i = 0; i < b; i++) {
-            double zg[1], resid[LANE_THETAS];
-            two_timescale_row(1, 1, s, flags, theta + i, b, gamma + i, z[i] + t0 + t, x[i] + t0 + t,
-                              y[i][t0 + t], alphas[t], betas[t], zg, resid);
-        }
+    two_timescale_rows(b, 1, 1, s, flags, theta, gamma, z, x, y, t0, rows, alphas, betas, NULL);
 }
 
 /* S thetas on one gamma (see two_timescale_row). */
@@ -267,17 +290,13 @@ int two_timescale_window(blasint b, blasint d_z, blasint d_x, blasint s, const c
             two_timescale_lanes(b, LANE_THETAS, direct, theta, gamma, z, x, y, t0, rows, alphas, betas);
         return fp_events();
     }
-    double *zg = malloc((size_t)(d_x + s) * sizeof(double)), *resid = zg + d_x;
-    if (zg == NULL)
+    double *work = malloc((size_t)(b * (d_x + s)) * sizeof(double));
+    if (work == NULL)
         return -1;
     feclearexcept(FE_ALL_EXCEPT);
-    for (blasint i = 0; i < b; i++)
-        for (blasint t = 0; t < rows; t++)
-            two_timescale_row(d_z, d_x, s, direct, theta + i * d_x, b * d_x, gamma + i * d_z * d_x,
-                              z[i] + (t0 + t) * d_z, x[i] + (t0 + t) * d_x, y[i][t0 + t], alphas[t], betas[t],
-                              zg, resid);
+    two_timescale_rows(b, d_z, d_x, s, direct, theta, gamma, z, x, y, t0, rows, alphas, betas, work);
     int events = fp_events();
-    free(zg);
+    free(work);
     return events;
 }
 
@@ -408,6 +427,12 @@ static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u,
  * ends the window with every entry of its state NaN, and the loop returns
  * NOT_POSITIVE among its events; a NaN denominator does not hide a
  * non-positive one.
+ *
+ * This is the one loop with two orders: rows outer at d = 1, and at d > 1
+ * each trial through the whole window in turn. At d > 1 a rows-outer nest of
+ * online_2sls_row took 4-8% more per trial-row than this order at B = 1, 6
+ * and 10, at d_x = 4, d_z = 8 and at d_x = 8, d_z = 16 (measured on an
+ * AVX-512 Xeon).
  */
 int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, double *gamma, double *u, double *v,
                        blocks z, blocks x, blocks y, blasint t0, blasint rows, const double *alphas,

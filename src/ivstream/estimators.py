@@ -58,12 +58,14 @@ rounded multiply added to +0 as in numpy, and the elementwise arithmetic
 keeps the 1-d kernels' order without fused multiply-adds, so each trial is
 bitwise equal to the 1-d kernels (``tests/test_estimators.py`` checks this);
 like theirs, the bits depend on the BLAS kernel OpenBLAS picks for the CPU.
-At d > 1 a loop steps each trial through the whole window in turn. At
-d_x = d_z = 1 it steps every trial on each row before the next row, and the
-trials run side by side in SIMD lanes; a lane is its trial's scalar
-operations in their order, with no sum across lanes and no BLAS call, so the
-bits are the same at every vector width, and a window's events are the OR of
-each trial's own.
+A loop steps every trial on each row before the next row; the one exception
+is :func:`online_2sls_window` at d > 1, which steps each trial through the
+whole window in turn, as that measured 4-8% cheaper per trial-row there
+(``_windows.c``). At d_x = d_z = 1 the trials of a row run side by side in
+SIMD lanes; a lane is its trial's scalar operations in their order, with no
+sum across lanes and no BLAS call, so the bits are the same at every vector
+width. A trial runs the same operations in either order, so a window's
+events are the OR of each trial's own.
 :func:`two_timescale_window` steps S thetas on one gamma, for the specs that
 share a first stage.
 

@@ -23,16 +23,16 @@ of a window loop (:mod:`ivstream.estimators`) per window, from one checkpoint
 or block end to the next. For each sample block the group checks the blocks
 once, binds the loop to a table of their addresses and to the stacked state,
 and computes the block's steps, so a window call passes only integers and
-addresses read once. At d_x = d_z = 1 the loop steps all the group's trials
-on each row before the next, in SIMD lanes, where a trial's row costs a few
-nanoseconds; at d > 1 it steps one trial through the window after another.
-Either order gives each trial the same bits. A checkpoint's metrics are one
-call of the compiled ``checkpoint_metrics`` per lane, bound like the loop to
-tables of the held-out sets and of the metric rows, which it writes in place
-with numpy's arithmetic and BLAS calls, bit for bit; ``oracle_mse`` is that
-call on theta_star. A trial's iterates are bitwise equal to a run of the 1-d
-kernel on its stream alone, so :func:`run_trial` is a pass whose one group is that
-trial. A group holds one sample block per trial, and :func:`trial_groups`
+addresses read once. The loop steps all the group's trials on each row before
+the next, in SIMD lanes at d_x = d_z = 1, where a trial's row costs a few
+nanoseconds; streaming 2SLS at d > 1 steps one trial through the window after
+another instead. Either order gives each trial the same bits. A checkpoint's
+metrics are one call of the compiled ``checkpoint_metrics`` per lane, bound
+like the loop to tables of the held-out sets and of the metric rows, which it
+writes in place with numpy's arithmetic and BLAS calls, bit for bit;
+``oracle_mse`` is that call on theta_star. A trial's iterates are bitwise
+equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is a
+pass whose one group is that trial. A group holds one sample block per trial, and :func:`trial_groups`
 sizes the groups by a block's bytes, so the samples held do not grow with the
 trial count or T. A trial that diverges is a recorded result: from its first
 non-finite checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``, and
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import _native
 from . import estimators as est
-from ._validation import check_positive
+from ._validation import check_integer, check_positive
 from .dgp import DgpConfig, sample_one_block, sample_two_block
 from .schedule import StepSchedule, steps
 
@@ -122,9 +122,7 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
     if not isinstance(experiment_id, str) or any(c in experiment_id for c in ',"\r\n'):
         raise ValueError(f"experiment_id must be a string without commas, quotes or line breaks, got {experiment_id!r}")
     for name, value, least in (("T", T, 1), ("trials", trials, 1), ("test_n", test_n, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
+        if check_integer(value, name) < least:
             raise ValueError(f"{name} must be >= {least}")
     if checkpoints is None:
         checkpoints = tuple(log_checkpoints(T))
@@ -144,7 +142,8 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``,
-    a step the algorithm does not read is rejected, and ``lam`` is kept as a Python float."""
+    a step the algorithm does not read is rejected, ``lam`` is kept as a Python float and ``T``,
+    ``trials``, ``base_seed`` and ``test_n`` as Python ints."""
 
     dgp: DgpConfig
     algorithm: str
@@ -173,6 +172,8 @@ class ExperimentSpec:
                             self.lam, self.theta0, self.gamma0, self.experiment_id)
         for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
             object.__setattr__(self, name, value)
+        for name in ("T", "trials", "base_seed", "test_n"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         object.__setattr__(self, "lam", float(self.lam))
 
 

@@ -210,6 +210,29 @@ class TestManifest:
         first, second = (e["schedule"] for e in manifest["experiments"])
         assert (first["alpha"]["coeff"], first["alpha"]["exponent"], first["beta"]["value"], second["lambda"]) == f32
 
+    @pytest.mark.parametrize("field", ["T", "trials", "base_seed", "test_n"])
+    def test_numpy_integers_in_a_spec_write_the_manifest(self, tmp_path, field):
+        # A numpy integer is kept as a Python int, so the cell writes the same
+        # series.csv and, apart from its timestamps, the same manifest as the int.
+        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
+        given = {"T": 20, "trials": 2, "base_seed": 3, "test_n": 4}
+        written = []
+        for value in (given[field], np.int64(given[field])):
+            spec = harness.ExperimentSpec(dgp=cfg, algorithm="two_stage_sgd", alpha=schedule.Polynomial(0.3, 0.95),
+                                          beta=schedule.Constant(0.2), **given | {field: value})
+            out = tmp_path / type(value).__name__
+            cli.run_specs_to_dir([spec], out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["started_utc"], manifest["finished_utc"]
+            written.append(((out / "series.csv").read_bytes(), manifest))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_base_seed_must_be_an_integer(self, seed):
+        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
+        with pytest.raises(ValueError, match="base_seed must be an integer"):
+            harness.ExperimentSpec(dgp=cfg, algorithm="online_2sls", T=20, trials=1, base_seed=seed)
+
     def test_csv_manifest_pairing(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", MINIMAL)
         out = tmp_path / "out"

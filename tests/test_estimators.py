@@ -5,6 +5,8 @@ import operator
 import os
 import pickle
 import platform
+import re
+import shutil
 import subprocess
 import sys
 import types
@@ -430,20 +432,22 @@ class TestBatchKernels:
                             assert np.isfinite(want).all()
                             assert got[i].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 1), (1, 3), (4, 8)])
     @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
-    def test_lane_events_are_the_or_of_each_trials_own(self, lane, lane_build):
-        # A d = 1 window over B trials of EDGE_VALUES rows raises just the events
-        # that each trial's own window raises, and each trial's bytes are its
-        # own window's: the lanes compute nothing a trial alone does not.
+    def test_lane_events_are_the_or_of_each_trials_own(self, lane, d_x, d_z, lane_build):
+        # A window over B trials of EDGE_VALUES rows raises just the events that
+        # each trial's own window raises, and each trial's bytes are its own
+        # window's: a window computes nothing a trial alone does not, in the d = 1
+        # lanes or at d > 1.
         windows, b = (1, 7, 32), 11
         n = sum(windows)
         rng = make_rng(41)
-        blocks = [[rng.choice(EDGE_VALUES, (n, 1)) for _ in range(b)] for _ in range(3)]
+        blocks = [[rng.choice(EDGE_VALUES, (n, d)) for _ in range(b)] for d in (d_z, d_x, d_x)]
         blocks.insert(3, [rng.choice(EDGE_VALUES, n) for _ in range(b)])
-        state = [rng.choice(EDGE_VALUES, (2 if lane == "both" else 1, b, 1)), rng.choice(EDGE_VALUES, (b, 1, 1))]
+        state = [rng.choice(EDGE_VALUES, (2 if lane == "both" else 1, b, d_x)), rng.choice(EDGE_VALUES, (b, d_z, d_x))]
         if lane == "online_2sls":  # half the trials on a positive U and V, half on EDGE_VALUES
-            state += [np.where(np.arange(b)[:, None, None] % 2, rng.choice(EDGE_VALUES, (b, 1, 1)), 10.0)
-                      for _ in range(2)]
+            state += [np.where(np.arange(b)[:, None, None] % 2, rng.choice(EDGE_VALUES, (b, d, d)), 10.0 * np.eye(d))
+                      for d in (d_x, d_z)]
         regs = [est.REGRESSORS[a] for a in (("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,))]
         direct = [reg._raw_residual for reg in regs]
         steps = [np.full(n, 0.5), np.full(n, 0.25)]
@@ -462,20 +466,20 @@ class TestBatchKernels:
             start += rows
         assert len(seen) > 1  # the trials' events differ, so the OR is not any one trial's
 
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 1), (1, 3), (4, 8)])
     @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
-    def test_nan_trial_raises_nothing_beside_finite_ones(self, lane, lane_build):
+    def test_nan_trial_raises_nothing_beside_finite_ones(self, lane, d_x, d_z, lane_build):
         # A trial whose state is NaN, as one that diverged or ended in an earlier
-        # window is, steps on in the d = 1 lanes and raises no event, as its
-        # quiet NaNs and the 1-d kernel's comparison raise none; the trials
-        # beside it step as they do without it.
+        # window is, steps on beside finite trials, in the d = 1 lanes or at
+        # d > 1, and raises no event, as its quiet NaNs and the 1-d kernel's
+        # comparison raise none; the trials beside it step as they do without it.
         b, rows, nan_trial = 9, 40, 4
         rng = make_rng(43)
-        cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
-        draws = [dgp.sample_two_block(rng, cfg, rows) for _ in range(b)]
-        blocks = [[d[k] for d in draws] for k in range(4)]
-        state = [rng.standard_normal((2 if lane == "both" else 1, b, 1)), 0.1 * rng.standard_normal((b, 1, 1))]
+        blocks = [[rng.standard_normal(shape) for _ in range(b)] for shape in ((rows, d_z), (rows, d_x), (rows, d_x),
+                                                                            (rows,))]
+        state = [rng.standard_normal((2 if lane == "both" else 1, b, d_x)), 0.1 * rng.standard_normal((b, d_z, d_x))]
         if lane == "online_2sls":
-            state += [np.full((b, 1, 1), 10.0), np.full((b, 1, 1), 10.0)]
+            state += [np.tile(10.0 * np.eye(d), (b, 1, 1)) for d in (d_x, d_z)]
         kept = [i for i in range(b) if i != nan_trial]
         without = [state[0][:, kept].copy(), *(part[kept].copy() for part in state[1:])]
         state[0][:, nan_trial] = np.nan
@@ -483,12 +487,32 @@ class TestBatchKernels:
             part[nan_trial] = np.nan
         regs = [est.REGRESSORS[a] for a in (("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,))]
         direct = [reg._raw_residual for reg in regs]
-        steps = [c * np.arange(1.0, rows + 1.0) ** -0.95 for c in (0.3, 0.5)]
+        steps = [c / (d + 2.0) * np.arange(1.0, rows + 1.0) ** -0.95 for c, d in ((0.9, d_x), (1.5, d_z))]
         assert _step(regs[0]._loop(state, *blocks, direct), 0, rows, *steps) == 0
         _step(regs[0]._loop(without, *([field[i] for i in kept] for field in blocks), direct), 0, rows, *steps)
         assert np.isnan(state[0][:, nan_trial]).all() and all(np.isnan(part[nan_trial]).all() for part in state[1:])
         assert state[0][:, kept].tobytes() == without[0].tobytes()
         assert all(part[kept].tobytes() == want.tobytes() for part, want in zip(state[1:], without[1:]))
+
+
+def test_lane_loops_are_vectorised(tmp_path):
+    # Bits cannot show a lost vectorisation: a loop over trials that gcc stops
+    # vectorising changes no byte and passes every other test, while the d = 1
+    # lanes get several times slower. gcc reports each loop it vectorises;
+    # every loop over trials is the line after a "#pragma GCC ivdep".
+    cc = shutil.which("cc")
+    if cc is None or platform.machine() not in ("x86_64", "AMD64") or "gcc version" not in subprocess.run(
+            [cc, "-v"], capture_output=True, text=True).stderr:
+        pytest.skip("the vectoriser's report is gcc's, on x86-64")
+    if " avx2 " not in f"{_native.cpu()} ":
+        pytest.skip("32-byte vectors need AVX2")
+    lines = _native.SOURCE.read_text(encoding="utf-8").splitlines()
+    loops = [k + 2 for k, line in enumerate(lines) if line.strip() == "#pragma GCC ivdep"]
+    done = subprocess.run([cc, *_native.CFLAGS, "-fopt-info-vec-optimized", "-o", str(tmp_path / "windows.so"),
+                           str(_native.SOURCE), *_native.LIBS], capture_output=True, text=True, check=True)
+    vectorised = {int(m[1]) for m in re.finditer(r":(\d+):\d+: optimized: loop vectorized using 32 byte vectors$",
+                                                 done.stderr, re.MULTILINE)}
+    assert loops and [k for k in loops if k not in vectorised] == []
 
 
 @pytest.fixture(params=["default", "no_avx512"])
