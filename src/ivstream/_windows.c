@@ -146,8 +146,9 @@ static inline void vecmat(blasint n, blasint m, const double *x, const double *a
  * trial's scalar operations in the scalar order, with no sum across lanes,
  * and a trial runs the same operations in either order, so each trial's bits
  * are the same in either order and at any vector width, and a window's events
- * are the OR of each trial's own (online_2sls_lanes says how it keeps to that
- * when a trial ends). A
+ * are the OR of each trial's own. A streaming 2SLS trial whose denominator is
+ * not positive is NaN from that row on, in either order, and the quiet NaN
+ * arithmetic of its later steps raises no event. A
  * trial's work values are its own: locals of the loop body, or its entries of
  * an array. gcc cannot tell the state it stores from the blocks it loads
  * through the tables, so "#pragma GCC ivdep" states what holds: a trial's
@@ -378,55 +379,50 @@ static inline int online_2sls_row(blasint d_z, blasint d_x, double *th, double *
 }
 
 /*
- * online_2sls_window's rows at d_x = d_z = 1, trials inner. A row first
- * computes every trial's denominators, then, if all are positive, updates
- * every trial. A row where one is not, and every row after a trial ended in
- * this window, steps its trials one by one through the whole row step, as the
- * scalar loop does, so that no trial computes what the scalar loop skips.
- * work holds 6 values per trial. Returns NOT_POSITIVE if a trial ended.
+ * online_2sls_window's rows at d_x = d_z = 1, trials inner. A row computes
+ * every trial's denominators; then, in a row where one is not positive, each
+ * trial with such a denominator has its state and its row values set to NaN;
+ * then the row updates every trial. A NaN trial's update, in that row and
+ * every later one, is quiet NaN arithmetic, which raises no event. work holds
+ * 5 values per trial. Returns NOT_POSITIVE if a trial ended.
  */
 LANE_LOOP
 static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u, double *v, blocks z, blocks x,
                              blocks y, blasint t0, blasint rows, double *work)
 {
     double *w = work, *vz = w + b, *uw = vz + b, *denom_u = uw + b, *denom_v = denom_u + b;
-    char *ended = (char *)(denom_v + b);
-    int seen = 0;
-    memset(ended, 0, (size_t)b);
+    int not_positive_seen = 0;
     for (blasint t = t0; t < t0 + rows; t++) {
-        if (!seen) {
-            int bad = 0;
+        int bad = 0;
 #pragma GCC ivdep
-            for (blasint i = 0; i < b; i++) {
-                online_2sls_denominators(1, 1, gamma + i, u + i, v + i, z[i] + t, w + i, vz + i, uw + i,
-                                         denom_u + i, denom_v + i);
-                bad |= not_positive(denom_u[i]) | not_positive(denom_v[i]);
-            }
-            if (!bad) {
-#pragma GCC ivdep
-                for (blasint i = 0; i < b; i++) {
-                    double gain_u[1], x_w[1], gain_v[1];
-                    online_2sls_apply(1, 1, theta + i, gamma + i, u + i, v + i, x[i] + t, y[i][t], w + i, vz + i,
-                                      uw + i, denom_u[i], denom_v[i], gain_u, x_w, gain_v);
-                }
-                continue;
-            }
-        }
         for (blasint i = 0; i < b; i++) {
-            double one[6]; /* online_2sls_row's work at d = 1 */
-            if (!ended[i] &&
-                online_2sls_row(1, 1, theta + i, gamma + i, u + i, v + i, z[i] + t, x[i] + t, y[i][t], one))
-                ended[i] = 1, seen = NOT_POSITIVE;
+            online_2sls_denominators(1, 1, gamma + i, u + i, v + i, z[i] + t, w + i, vz + i, uw + i, denom_u + i,
+                                     denom_v + i);
+            bad |= not_positive(denom_u[i]) | not_positive(denom_v[i]);
+        }
+        if (bad)
+            for (blasint i = 0; i < b; i++)
+                if (not_positive(denom_u[i]) | not_positive(denom_v[i])) {
+                    theta[i] = gamma[i] = u[i] = v[i] = NAN;
+                    w[i] = vz[i] = uw[i] = denom_u[i] = denom_v[i] = NAN;
+                    not_positive_seen = NOT_POSITIVE;
+                }
+#pragma GCC ivdep
+        for (blasint i = 0; i < b; i++) {
+            double gain_u[1], x_w[1], gain_v[1];
+            online_2sls_apply(1, 1, theta + i, gamma + i, u + i, v + i, x[i] + t, y[i][t], w + i, vz + i, uw + i,
+                              denom_u[i], denom_v[i], gain_u, x_w, gain_v);
         }
     }
-    return seen;
+    return not_positive_seen;
 }
 
 /*
- * online_2sls_update. A trial whose rank-one denominator is not positive
- * ends the window with every entry of its state NaN, and the loop returns
- * NOT_POSITIVE among its events; a NaN denominator does not hide a
- * non-positive one.
+ * online_2sls_update. A trial whose rank-one denominator is not positive,
+ * where the 1-d kernel raises, is NaN from that row on: every entry of its
+ * state is NaN, and the loop returns NOT_POSITIVE among its events; a NaN
+ * denominator does not hide a non-positive one. At d > 1 the loop goes on to
+ * the next trial, as that trial's later rows would step NaN on NaN.
  *
  * This is the one loop with two orders: rows outer at d = 1, and at d > 1
  * each trial through the whole window in turn. At d > 1 a rows-outer nest of
@@ -440,7 +436,7 @@ int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, doubl
 {
     (void)alphas, (void)betas;
     int lanes = d_z == 1 && d_x == 1, not_positive_seen = 0;
-    double *work = malloc((size_t)(lanes ? 6 * b : 4 * d_x + 2 * d_z) * sizeof(double));
+    double *work = malloc((size_t)(lanes ? 5 * b : 4 * d_x + 2 * d_z) * sizeof(double));
     if (work == NULL)
         return -1;
     feclearexcept(FE_ALL_EXCEPT);

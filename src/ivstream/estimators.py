@@ -254,9 +254,9 @@ def online_2sls_window(state, z, x, x_prime, y, direct) -> Window:
     """:func:`online_2sls_update` on B trials; it takes no steps.
 
     A trial whose rank-one denominator is not positive, where the 1-d kernel
-    raises, ends the window with a NaN state, and the loop adds ``_NOT_POSITIVE``
-    to its events; a NaN denominator does not hide a negative one. The other
-    trials go on, and the harness, which ignores the bit, records that trial as diverged.
+    raises, is NaN from that row on, and the loop adds ``_NOT_POSITIVE`` to its
+    events; a NaN denominator does not hide a negative one. The other trials go
+    on, and the harness, which ignores the bit, records that trial as diverged.
     """
     b, n, d_z, d_x = _trials(state), len(y[0]), np.shape(z[0])[-1], np.shape(x[0])[-1]
     shapes = ((1, b, d_x), (b, d_z, d_x), (b, d_x, d_x), (b, d_z, d_z))

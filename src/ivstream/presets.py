@@ -238,14 +238,11 @@ def specs_from_config(
                 raise ConfigError(f"checkpoints must be a list of integers, got {checkpoints!r}")
             checkpoints = [_integer(c, "checkpoints") for c in checkpoints]
 
-        init = config.get("init") or {}
-        if not isinstance(init, dict):
-            raise ConfigError("'init' must be an object")
+        init, sched = ({} if config.get(key) is None else config[key] for key in ("init", "schedule"))
+        for key, value in (("init", init), ("schedule", sched)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"'{key}' must be an object, got {value!r}")
         _reject_unknown(init, {"theta0", "gamma0"}, "init")
-
-        sched = config.get("schedule") or {}
-        if not isinstance(sched, dict):
-            raise ConfigError("'schedule' must be an object")
         _reject_unknown(sched, {"alpha", "beta", "lambda"}, "schedule")
         # A schedule no listed algorithm reads would never be checked; the
         # null that spec_to_dict writes for one is no entry.

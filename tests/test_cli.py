@@ -269,6 +269,12 @@ class TestConfigErrors:
         (lambda c: c["dgp"].update(z_cov=[[True]]), "dgp.z_cov must be an array of numbers"),
         (lambda c: c.update(init={"gamma0": [[None]]}), "init.gamma0 must be an array of numbers"),
         (lambda c: c.update(checkpoints=5), "checkpoints must be a list of integers"),
+        # Only a missing or null 'schedule' or 'init' is absent; an empty value of another type is an error.
+        (lambda c: c.update(schedule=[]), "'schedule' must be an object, got []"),
+        (lambda c: c.update(schedule=0), "'schedule' must be an object, got 0"),
+        (lambda c: c.update(schedule=""), "'schedule' must be an object, got ''"),
+        (lambda c: c.update(init=[]), "'init' must be an object, got []"),
+        (lambda c: c.update(init=False), "'init' must be an object, got false"),
         # An id that would split a CSV row, or that is not a string, is rejected.
         (lambda c: c.update(experiment_id="a,b\nc"), "experiment_id must be a string"),
         (lambda c: c.update(experiment_id={"x": 1}), "experiment_id must be a string"),
@@ -318,6 +324,10 @@ class TestConfigErrors:
         assert match in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_null_schedule_and_init_are_absent(self):
+        absent, null = (presets.specs_from_config(c) for c in (MINIMAL, dict(MINIMAL, schedule=None, init=None)))
+        assert list(map(presets.spec_to_dict, null)) == list(map(presets.spec_to_dict, absent))
 
     def test_integral_floats_are_integers(self, tmp_path):
         outs = []

@@ -292,40 +292,50 @@ class TestBatchKernels:
                     assert state[0][s, i].tobytes() == theta.tobytes()
                     assert state[1][i].tobytes() == gamma.tobytes()
 
-    def test_online_2sls_corrupted_trial_is_flagged(self):
-        # Trial 1 of 3 carries U = -10 I and gamma = I, and its instruments are
-        # zero before row k, so those rows leave its state as it was. At row k,
-        # w = z and w^T U w = -10 |z|^2 is below -1: the 1-d kernel raises there.
-        b, d, n, k = 3, 2, 20, 9
-        rng = make_rng(17)
-        z, x, y = rng.standard_normal((n, b, d)), rng.standard_normal((n, b, d)), rng.standard_normal((n, b))
-        z[:k, 1] = 0.0
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (2, 3), (4, 8)])
+    @pytest.mark.parametrize("b", [3, 6, 9, 17])
+    def test_online_2sls_corrupted_trial_is_flagged(self, d_x, d_z, b, lane_build):
+        # Every trial starts at gamma = I. Trial 1 carries U = -10 I, and its
+        # instruments are zero before row k, so those rows leave its state as
+        # it was; at row k, z is all ones, w = z^T gamma is too and
+        # 1 + w^T U w = 1 - 10 d_x < 0, where the 1-d kernel raises. The last
+        # trial carries V = -I and ends at row k + 4, after trial 1 has ended in
+        # the same window, where z = e_1 makes 1 + z^T V z = +0, which no divide
+        # may see. In the lanes at d = 1 each row steps every trial; at d > 1
+        # the trials step one after another.
+        n, k = 20, 9
+        ends = {1: k, b - 1: k + 4}
+        rng = make_rng(23 + b)
+        z, x, y = rng.standard_normal((n, b, d_z)), rng.standard_normal((n, b, d_x)), rng.standard_normal((n, b))
+        trials = [[np.zeros(d_x), np.eye(d_z, d_x), np.eye(d_x) * 10.0, np.eye(d_z) * 10.0] for _ in range(b)]
+        for i, row in ends.items():
+            z[:row, i] = 0.0
+        z[k, 1], trials[1][2] = 1.0, -trials[1][2]
+        z[k + 4, b - 1], trials[b - 1][3] = np.eye(d_z)[0], -np.eye(d_z)
         blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
-        trials = [[np.zeros(d), np.eye(d), np.eye(d) * 10.0, np.eye(d) * 10.0] for _ in range(b)]
-        trials[1][2] = -trials[1][2]
         start = tuple(np.stack(parts) for parts in zip(*trials))
-        reference = {}  # 1-d states after each row; trial 1 only before row k
+        reference = {}  # 1-d states after each row, up to the row where a trial's kernel raises
         for i in range(b):
             st = trials[i]
-            for t in range(n if i != 1 else k):
+            for t in range(ends.get(i, n)):
                 st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
                 reference[i, t + 1] = st
-        with pytest.raises(FloatingPointError):
-            est.online_2sls_update(*reference[1, k], z[k, 1], x[k, 1], y[k, 1])
+        for i, row in ends.items():
+            with pytest.raises(FloatingPointError):
+                est.online_2sls_update(*reference[i, row], z[row, i], x[row, i], y[row, i])
         with np.errstate(invalid="raise", over="raise"):
-            for rows in (k, k + 1, n):  # the last window has row k in its middle
+            for rows in (k, k + 1, k + 4, k + 5, n):  # windows that end before, at and after each row
                 state = tuple(a.copy() for a in start)
                 stacked = (state[0][None], *state[1:])
-                est.online_2sls_window(stacked, blocks[0], blocks[1], None, blocks[2], (False,)).step(0, rows)
-                if rows == k:
-                    assert all(got[1].tobytes() == want.tobytes() for got, want in zip(state, reference[1, k]))
-                else:
-                    assert all(not np.isfinite(got[1]).any() for got in state)
-                for i in (0, 2):
-                    for got, want in zip(state, reference[i, rows]):
-                        assert np.isfinite(want).all()
-                        assert got[i].tobytes() == want.tobytes()
-
+                window = est.online_2sls_window(stacked, blocks[0], blocks[1], None, blocks[2], (False,))
+                assert window.step(0, rows) == (est._NOT_POSITIVE if rows > k else 0)
+                for i in range(b):
+                    if rows > ends.get(i, n):
+                        assert all(np.isnan(got[i]).all() for got in state)
+                    else:
+                        for got, want in zip(state, reference[i, min(rows, ends.get(i, n))]):
+                            assert np.isfinite(want).all()
+                            assert got[i].tobytes() == want.tobytes()
 
     def test_online_2sls_nan_denominator_does_not_hide_a_negative_one(self):
         # U = diag(inf, -inf) makes w^T U w = inf - inf, a NaN denominator, in the
@@ -338,6 +348,39 @@ class TestBatchKernels:
         with np.errstate(invalid="ignore"):
             est.online_2sls_window(state, [z], [x], None, [y], (False,)).step(0, 1)
         assert all(not np.isfinite(part).any() for part in state)
+
+    def test_online_2sls_nan_denominator_does_not_hide_a_negative_one_in_lanes(self, lane_build):
+        # The d = 1 lanes at B = 9: trial 4 carries U = NaN, so its w U w is NaN
+        # in every row, and V = -10; its instruments are zero before row k, and
+        # at row k, z = 1 makes 1 + z V z = -9, where the 1-d kernel raises. It
+        # ends NaN, and the trials beside it step as their own 1-d kernels do.
+        b, n, k, bad = 9, 12, 5, 4
+        rng = make_rng(29)
+        z, x, y = rng.standard_normal((n, b, 1)), rng.standard_normal((n, b, 1)), rng.standard_normal((n, b))
+        z[:k, bad], z[k, bad] = 0.0, 1.0
+        trials = [[np.zeros(1), np.eye(1), np.eye(1) * 10.0, np.eye(1) * 10.0] for _ in range(b)]
+        trials[bad][2:] = [np.full((1, 1), np.nan), np.full((1, 1), -10.0)]
+        blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
+        start = tuple(np.stack(parts) for parts in zip(*trials))
+        st = trials[bad]
+        for t in range(k):
+            st = est.online_2sls_update(*st, z[t, bad], x[t, bad], y[t, bad])
+        with pytest.raises(FloatingPointError):
+            est.online_2sls_update(*st, z[k, bad], x[k, bad], y[k, bad])
+        for rows in (k, n):  # a window that ends before row k, and one that ends after it
+            state = tuple(a.copy() for a in start)
+            with np.errstate(invalid="raise", over="raise"):
+                window = est.online_2sls_window((state[0][None], *state[1:]), blocks[0], blocks[1], None, blocks[2],
+                                                (False,))
+                assert window.step(0, rows) == (est._NOT_POSITIVE if rows > k else 0)
+            for i in (i for i in range(b) if i != bad):
+                st = trials[i]
+                for t in range(rows):
+                    st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
+                for got, want in zip(state, st):
+                    assert np.isfinite(want).all()
+                    assert got[i].tobytes() == want.tobytes()
+        assert all(np.isnan(part[bad]).all() for part in state)
 
     # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
     # vecmat at d_z > 1, which takes one ddot where every other size takes a dgemv.
@@ -391,46 +434,6 @@ class TestBatchKernels:
         trials, raised = _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, 0.3 * decay, 0.5 * decay)
         assert not raised
         assert all(np.isfinite(part).all() for per in trials for st in per for part in st)
-
-    @pytest.mark.parametrize("b", [3, 6, 9, 17])
-    def test_online_2sls_corrupted_trial_is_flagged_in_lanes(self, b, lane_build):
-        # The d = 1 lanes, where each row steps every trial: trial 1 carries
-        # U = -10 and gamma = 1, and its instruments are zero before row k, so
-        # those rows leave its state as it was; at row k, w = z = 1 and
-        # 1 + w U w = -9, where the 1-d kernel raises. The last trial does the
-        # same at row k + 4, after trial 1 has ended in the same window.
-        n, k = 20, 9
-        ends = {1: k, b - 1: k + 4}
-        rng = make_rng(23 + b)
-        z, x, y = rng.standard_normal((n, b, 1)), rng.standard_normal((n, b, 1)), rng.standard_normal((n, b))
-        trials = [[np.zeros(1), np.eye(1), np.eye(1) * 10.0, np.eye(1) * 10.0] for _ in range(b)]
-        for i, row in ends.items():
-            z[:row, i], z[row, i] = 0.0, 1.0
-            trials[i][2] = -trials[i][2]
-        blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
-        start = tuple(np.stack(parts) for parts in zip(*trials))
-        reference = {}  # 1-d states after each row, up to the row where a trial's kernel raises
-        for i in range(b):
-            st = trials[i]
-            for t in range(ends.get(i, n)):
-                st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
-                reference[i, t + 1] = st
-        for i, row in ends.items():
-            with pytest.raises(FloatingPointError):
-                est.online_2sls_update(*reference[i, row], z[row, i], x[row, i], y[row, i])
-        with np.errstate(invalid="raise", over="raise"):
-            for rows in (k, k + 1, k + 4, k + 5, n):  # windows that end before, at and after each row
-                state = tuple(a.copy() for a in start)
-                stacked = (state[0][None], *state[1:])
-                window = est.online_2sls_window(stacked, blocks[0], blocks[1], None, blocks[2], (False,))
-                assert window.step(0, rows) == (est._NOT_POSITIVE if rows > k else 0)
-                for i in range(b):
-                    if rows > ends.get(i, n):
-                        assert all(np.isnan(got[i]).all() for got in state)
-                    else:
-                        for got, want in zip(state, reference[i, min(rows, ends.get(i, n))]):
-                            assert np.isfinite(want).all()
-                            assert got[i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 1), (1, 3), (4, 8)])
     @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
