@@ -383,15 +383,18 @@ static inline int online_2sls_row(blasint d_z, blasint d_x, double *th, double *
  * every trial's denominators; then, in a row where one is not positive, each
  * trial with such a denominator has its state and its row values set to NaN;
  * then the row updates every trial. A NaN trial's update, in that row and
- * every later one, is quiet NaN arithmetic, which raises no event. work holds
- * 5 values per trial. Returns NOT_POSITIVE if a trial ended.
+ * every later one, is quiet NaN arithmetic, which raises no event and keeps
+ * every entry the NaN it is, so once each of the B trials has ended in the
+ * window the loop stops. (A trial that came in NaN never ends here, as its
+ * denominators are NaN.) work holds 5 values per trial. Returns NOT_POSITIVE
+ * if a trial ended.
  */
 LANE_LOOP
 static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u, double *v, blocks z, blocks x,
                              blocks y, blasint t0, blasint rows, double *work)
 {
     double *w = work, *vz = w + b, *uw = vz + b, *denom_u = uw + b, *denom_v = denom_u + b;
-    int not_positive_seen = 0;
+    blasint ended = 0;
     for (blasint t = t0; t < t0 + rows; t++) {
         int bad = 0;
 #pragma GCC ivdep
@@ -400,13 +403,16 @@ static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u,
                                      denom_v + i);
             bad |= not_positive(denom_u[i]) | not_positive(denom_v[i]);
         }
-        if (bad)
+        if (bad) {
             for (blasint i = 0; i < b; i++)
                 if (not_positive(denom_u[i]) | not_positive(denom_v[i])) {
                     theta[i] = gamma[i] = u[i] = v[i] = NAN;
                     w[i] = vz[i] = uw[i] = denom_u[i] = denom_v[i] = NAN;
-                    not_positive_seen = NOT_POSITIVE;
+                    ended++;
                 }
+            if (ended == b)
+                break;
+        }
 #pragma GCC ivdep
         for (blasint i = 0; i < b; i++) {
             double gain_u[1], x_w[1], gain_v[1];
@@ -414,7 +420,7 @@ static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u,
                               denom_u[i], denom_v[i], gain_u, x_w, gain_v);
         }
     }
-    return not_positive_seen;
+    return ended ? NOT_POSITIVE : 0;
 }
 
 /*

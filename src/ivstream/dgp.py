@@ -49,7 +49,9 @@ scheduled:
    or ``e_y``.
 
 A stream of single observations is the rows of one :func:`sample_one_block`
-call; :func:`test_set` boxes such rows as :class:`OneSample` objects.
+call; :func:`test_set` boxes such rows as :class:`OneSample` objects. A draw
+returns new arrays, or fills the caller's ``out`` arrays in place with the
+same bits, as the harness fills one buffer with every block of a pass.
 
 Normals
 -------
@@ -59,8 +61,10 @@ The generator must be a PCG64 one; any other bit generator is refused with
 returns the bits of ``rng.standard_normal`` and leaves the generator where
 that call would. It steps the generator's state in place, through the address
 numpy's ``bit_generator.ctypes.state_address`` gives, not through the
-``bit_generator.state`` dict, and the model's arithmetic runs in place on the
-blocks.
+``bit_generator.state`` dict. It writes each normal block straight into the
+array that keeps it, Z or a copy of X, or else into one scratch array, and the
+model's arithmetic runs in place, so a draw allocates that scratch and no
+other block beside the ones it returns (see :func:`_draw`).
 """
 
 from __future__ import annotations
@@ -237,9 +241,9 @@ def endogenous_linear_config(
     return DgpConfig(d_x, d_z, theta, gamma, EndogenousLinear(rho=rho, sigma_eps=sigma_eps), z_cov)
 
 
-def _link(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[np.float64]:
-    """phi(gamma_star^T z) for each row: the square only for a square-link family."""
-    base = z_block @ cfg.gamma_star
+def _link(cfg: DgpConfig, z_block: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+    """phi(gamma_star^T z) for each row, in ``out`` when given: the square only for a square-link family."""
+    base = np.matmul(z_block, cfg.gamma_star, out=out)
     if isinstance(cfg.family, SharedConfounder) and cfg.family.phi == PHI_SQUARE:
         np.square(base, out=base)
     return base
@@ -252,7 +256,8 @@ def conditional_mean_x(cfg: DgpConfig, z_block: NDArray[np.float64]) -> NDArray[
 
 
 def _normals(rng: np.random.Generator):
-    """A function of a shape that draws ``rng.standard_normal(shape)``, bit for bit, with the compiled sampler.
+    """A function that fills a C-contiguous float64 array with ``rng.standard_normal(out.shape)``, bit for bit,
+    by the compiled sampler, and returns it.
 
     The sampler steps the PCG64 state in place, at ``bit_generator.ctypes.state_address``, so after each
     call the generator sits where ``standard_normal`` would have left it.
@@ -262,8 +267,7 @@ def _normals(rng: np.random.Generator):
         raise ValueError(f"the streams are drawn from a PCG64 generator, got {type(bit_generator).__name__}")
     fill = _native.loops().standard_normals
 
-    def normal(shape) -> NDArray[np.float64]:
-        out = np.empty(shape)
+    def normal(out: NDArray[np.float64]) -> NDArray[np.float64]:
         fill(bit_generator.ctypes.state_address, out.size, out.ctypes.data)
         return out
 
@@ -280,73 +284,92 @@ def _state_words(bit_generator: np.random.PCG64) -> NDArray[np.uint64]:
     return np.frombuffer((ctypes.c_uint64 * 4).from_address(pcg), dtype=np.uint64)[[1, 0, 3, 2]]
 
 
-def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest) -> tuple:
-    """``(Z, X_1, ..., X_copies, Y)``: copies of X independent given Z, Y from X_1.
+def _blocks(out, shapes: tuple) -> tuple:
+    """``out``, checked to hold one writeable C-contiguous float64 array of each of ``shapes``, or new arrays."""
+    if out is None:
+        return tuple(np.empty(shape) for shape in shapes)
+    out = tuple(out)
+    if len(out) != len(shapes):
+        raise ValueError(f"out must hold {len(shapes)} arrays, got {len(out)}")
+    for a, shape in zip(out, shapes):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError("out must hold writeable C-contiguous float64 arrays, as the draw fills them in place")
+        if a.shape != shape:
+            raise ValueError(f"an out array has shape {a.shape}, expected {shape}")
+    return out
 
-    The blocks are drawn in the module's frozen layout. Each normal block is
-    filled once and the model's arithmetic runs on it in place: each copy
-    becomes X once the link is known, and Y adds its outcome noise terms to
-    theta_star^T X_1 one at a time, in model order: summing the terms first
-    would move the last bit.
+
+def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest, out) -> tuple:
+    """``(Z, X_1, ..., X_copies, Y)``, in ``out`` when given: copies of X independent given Z, Y from X_1.
+
+    The blocks are drawn in the module's frozen layout and the model's
+    arithmetic runs in place, each operation on the operands, and in the
+    order, of the model's formula: Y adds its terms to theta_star^T X_1 one at
+    a time, as summing the terms first would move the last bit. Until then Y's
+    array holds rho * eps_1, or h_1 and then c * (e_y + h_1). The one
+    temporary, an (n, d_x) scratch ((n, d_z) when z_cov is not the identity),
+    holds in turn Z's normals, each copy's e_x, e_y, the link, theta_star^T X_1
+    and w.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    d_x, d_z = cfg.d_x, cfg.d_z
+    z, *xs, y = out = _blocks(out, ((n, d_z), *[(n, d_x)] * copies, (n,)))
     normal = _normals(rng)
-    z = normal((n, cfg.d_z))
-    if cfg._z_chol is not None:
-        z = z @ cfg._z_chol.T
-    fam, shape = cfg.family, (n, cfg.d_x)
-    xs = []
-    if isinstance(fam, EndogenousLinear):
-        for _ in range(copies):
-            x = normal(shape)  # eps
-            x *= fam.sigma_eps
-            xs.append(x)
-        w = normal(n)
-        w *= _NU_EXTRA_STD
-        nu = (fam.rho * xs[0][:, 0], w)
+    scratch = np.empty(n * (d_x if cfg._z_chol is None else d_z))
+    link, head = scratch[:n * d_x].reshape(n, d_x), scratch[:n]
+    if cfg._z_chol is None:
+        normal(z)
     else:
-        for _ in range(copies):
-            x = normal(shape)  # h
+        np.matmul(normal(scratch.reshape(n, d_z)), cfg._z_chol.T, out=z)
+    fam = cfg.family
+    if isinstance(fam, EndogenousLinear):
+        for x in xs:
+            normal(x)  # eps
+            x *= fam.sigma_eps
+        np.multiply(fam.rho, xs[0][:, 0], out=y)  # rho * eps_1
+    else:
+        for x in xs:
+            normal(x)  # h
             x += 1.0
-            if not xs:
-                h_1 = x[:, 0].copy()  # X_1's confounder also enters Y
-            x += normal(shape)  # + e_x
+            if x is xs[0]:
+                np.copyto(y, x[:, 0])  # X_1's confounder h_1 also enters Y
+            x += normal(link)  # + e_x
             x *= fam.c
-            xs.append(x)
-        e_y = normal(n)
-        e_y += h_1
-        e_y *= fam.c
-        nu = (e_y,)
-        del h_1  # so the peak never holds it beside the link
-    if digest is not None:
-        digest.update(_state_words(rng.bit_generator))
-    link = _link(cfg, z)
+        np.add(normal(head), y, out=y)  # e_y + h_1
+        y *= fam.c
+    _link(cfg, z, out=link)
     for x in xs:
         x += link
-    del link  # so the peak never holds the link and Y together
-    y = xs[0] @ cfg.theta_star
-    for term in nu:
-        y += term
-    return (z, *xs, y)
+    np.add(np.matmul(xs[0], cfg.theta_star, out=head), y, out=y)
+    if isinstance(fam, EndogenousLinear):  # nu's last term, 0.5 * w, drawn once the link has left the scratch
+        w = normal(head)
+        w *= _NU_EXTRA_STD
+        y += w
+    if digest is not None:
+        digest.update(_state_words(rng.bit_generator))
+    return out
 
 
-def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None):
+def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None, out=None):
     """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
 
     Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). A hashlib ``digest`` gets the state words after the
-    draw (:func:`_state_words`).
+    draw (:func:`_state_words`). ``out``, three writeable C-contiguous float64 arrays of these shapes, takes
+    the draw in place, bit for bit the arrays it would return otherwise; any other ``out`` raises
+    ``ValueError``.
     """
-    return _draw(rng, cfg, n, 1, digest)
+    return _draw(rng, cfg, n, 1, digest, out)
 
 
-def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None):
+def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None, out=None):
     """Draw ``n`` two-sample observations as arrays ``(Z, X, X', Y)``.
 
     X and X' are conditionally independent given Z: X' is built from a fresh
-    confounder and fresh noise. Y uses X's noise realisation; ``digest`` is as in :func:`sample_one_block`.
+    confounder and fresh noise. Y uses X's noise realisation; ``digest`` and ``out`` (four arrays, X' shaped as
+    X) are as in :func:`sample_one_block`.
     """
-    return _draw(rng, cfg, n, 2, digest)
+    return _draw(rng, cfg, n, 2, digest, out)
 
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:

@@ -32,9 +32,13 @@ like the loop to tables of the held-out sets and of the metric rows, which it
 writes in place with numpy's arithmetic and BLAS calls, bit for bit;
 ``oracle_mse`` is that call on theta_star. A trial's iterates are bitwise
 equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is a
-pass whose one group is that trial. A group holds one sample block per trial, and :func:`trial_groups`
-sizes the groups by a block's bytes, so the samples held do not grow with the
-trial count or T. A trial that diverges is a recorded result: from its first
+pass whose one group is that trial. A pass allocates one buffer, which holds
+a sample block of each trial of its largest group (:func:`_pass_blocks`), and
+draws every block of every group into it in place, so no block costs fresh
+pages (a freed array's pages, once the allocator returns them to the system,
+fault again when the next array touches them). :func:`trial_groups` sizes the
+groups by a block's bytes, so the samples held do not grow with the trial
+count or T. A trial that diverges is a recorded result: from its first
 non-finite checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``, and
 a spec whose trials of a group have all diverged stops.
 
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +87,8 @@ _SAMPLE_BLOCK = 16_384
 #: Most trials advanced by one kernel call, whatever the size of their blocks.
 GROUP_SIZE = 64
 
-#: Bytes of sample blocks a lockstep group may hold at once (one per trial).
+#: Bytes of sample blocks a lockstep group may hold at once (one per trial); a pass's one buffer holds
+#: those of its largest group, plus a shared Z for the two-sample oracle.
 _GROUP_BYTES = 32 << 20
 
 #: The checkpoint metrics, in CSV order; the last two need ``test_n > 0``.
@@ -213,13 +219,34 @@ def trial_groups(spec: ExperimentSpec) -> list[np.ndarray]:
 
     A group takes as many trials as their blocks fit in ``_GROUP_BYTES``, at
     least one and at most :data:`GROUP_SIZE`. A block's row holds X, X' and Y
-    for the two-sample oracle and Z, X and Y otherwise.
+    for the two-sample oracle and Z, X and Y otherwise (:func:`_kept_shapes`).
     """
-    d_x, d_z = spec.dgp.d_x, spec.dgp.d_z
-    width = 2 * d_x + 1 if est.REGRESSORS[spec.algorithm]._reads_x_prime else d_z + d_x + 1
-    block_bytes = 8 * width * min(_SAMPLE_BLOCK, spec.T)
+    block_bytes = 8 * sum(map(math.prod, _kept_shapes(spec)))
     size = min(GROUP_SIZE, max(1, _GROUP_BYTES // block_bytes))
     return np.array_split(np.arange(spec.trials), -(-spec.trials // size))
+
+
+def _kept_shapes(spec: ExperimentSpec) -> list[tuple]:
+    """The shapes of the fields of a trial's sample block that the loops read: X, X' and Y for the
+    two-sample oracle, whose kernel reads no Z, and Z, X and Y otherwise."""
+    d_x, d_z, n = spec.dgp.d_x, spec.dgp.d_z, min(_SAMPLE_BLOCK, spec.T)
+    return [(n, d_x), (n, d_x), (n,)] if est.REGRESSORS[spec.algorithm]._reads_x_prime else [(n, d_z), (n, d_x), (n,)]
+
+
+def _pass_blocks(spec: ExperimentSpec, b: int) -> list[list[np.ndarray]]:
+    """The arrays that each of ``b`` trials draws its sample blocks into, full-sized views of one buffer.
+
+    A trial's draw fills Z, X and Y, or Z, X, X' and Y for the two-sample
+    oracle. The buffer holds each trial's kept fields, one trial after
+    another, and for the two-sample oracle one Z at its end, which its
+    trials share.
+    """
+    kept = _kept_shapes(spec)
+    shared = [(kept[0][0], spec.dgp.d_z)] if est.REGRESSORS[spec.algorithm]._reads_x_prime else []
+    shapes = kept * b + shared
+    sizes = [math.prod(shape) for shape in shapes]
+    arrays = [a.reshape(shape) for a, shape in zip(np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]), shapes)]
+    return [arrays[3 * b:] + arrays[3 * j:3 * j + 3] for j in range(b)]
 
 
 def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
@@ -303,12 +330,14 @@ class _Lane:
             self.record = _recorder(self.state[0], self.tests, [self.out[k] for k in self.members])
 
 
-def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]]) -> list[str]:
+def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]],
+               blocks: list[list[np.ndarray]]) -> list[str]:
     """Advance the trials ``indices`` of specs that share a stream in lockstep; return their stream digests.
 
     ``out`` holds each spec's (len(indices), checkpoints) rows of every metric, filled with ``inf``, and the
     group writes its checkpoints into them in place. Each trial's blocks are drawn once for all the specs,
-    which step in lanes (:func:`_lane_key`) until all their trials have diverged.
+    which step in lanes (:func:`_lane_key`) until all their trials have diverged, into the trial's arrays
+    of the pass's ``blocks`` (:func:`_pass_blocks`); a short last block fills their first rows.
     """
     spec = specs[0]  # the stream's description, the same in every spec
     cfg, b = spec.dgp, len(indices)
@@ -343,14 +372,15 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
         if t == end:
             n_blk = min(_SAMPLE_BLOCK, spec.T - t)
             for lane in active:
-                lane.window = None  # it holds the blocks that this draw replaces
+                lane.window = None  # bound again after the draws; its tables need not sit beside a draw
             for k in kept:
                 fields[k].clear()
-            for rng, digest in zip(rngs, digests):
-                block = sample(rng, cfg, n_blk, digest)
+            for rng, digest, arrays in zip(rngs, digests, blocks):
+                if n_blk < len(arrays[-1]):  # a short last block fills the arrays' first rows
+                    arrays = [a[:n_blk] for a in arrays]
+                block = sample(rng, cfg, n_blk, digest, out=arrays)
                 for k, arr in zip(kept, block[-3:]):
                     fields[k].append(arr)
-                del block  # so no dropped z outlives the next draw
             start, end = t, t + n_blk
             for lane in active:
                 lane.bind(fields, start, end)
@@ -371,16 +401,19 @@ def _run_pass(specs: list[ExperimentSpec], groups: list[np.ndarray]) -> list[Met
     """Run the lockstep ``groups`` of specs that share a stream; one series per spec.
 
     Each spec's (trials, checkpoints) arrays and the digest list are allocated
-    once, and each group writes its contiguous rows of them in place.
+    once, and each group writes its contiguous rows of them in place. So is
+    the one buffer that every group draws its blocks into (:func:`_pass_blocks`),
+    sized for the largest group.
     """
     spec = specs[0]
     shape = (sum(len(g) for g in groups), len(spec.checkpoints))
     names = METRICS if spec.test_n > 0 else METRICS[:1]
     metrics = [{m: np.full(shape, np.inf) for m in names} for _ in specs]
+    blocks = _pass_blocks(spec, max(map(len, groups)))
     digests: list[str] = []
     for group in groups:
         rows = slice(len(digests), len(digests) + len(group))
-        digests += _run_group(specs, group, [{m: v[rows] for m, v in mk.items()} for mk in metrics])
+        digests += _run_group(specs, group, [{m: v[rows] for m, v in mk.items()} for mk in metrics], blocks)
     series = []
     for s, m in zip(specs, metrics):
         # A trial's first non-finite checkpoint marks it and every later one inf.

@@ -171,9 +171,72 @@ class TestPinnedStreams:
         assert h.hexdigest() == PINNED_SHA256[(case, sampler)]
 
 
+#: Families of every link, with the identity z_cov and another one.
+OUT_CASES = {
+    "endogenous": lambda d_x, d_z, z_cov: dgp.endogenous_linear_config(d_x, d_z, rho=1.5, sigma_eps=0.5, z_cov=z_cov),
+    "shared_identity": lambda d_x, d_z, z_cov: dgp.shared_confounder_config(d_x, d_z, c=0.7, z_cov=z_cov),
+    "shared_square": lambda d_x, d_z, z_cov: dgp.shared_confounder_config(d_x, d_z, c=0.7, phi="square", z_cov=z_cov),
+}
+
+
+class TestDrawInto:
+    """A draw into ``out`` is the draw that returns new arrays, bit for bit, wherever the arrays sit."""
+
+    @pytest.mark.parametrize("case", sorted(OUT_CASES))
+    @pytest.mark.parametrize("z_cov", [False, True], ids=["identity_z_cov", "z_cov"])
+    @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 5), (8, 16)])
+    @pytest.mark.parametrize("sampler", ["sample_one_block", "sample_two_block"])
+    def test_equals_a_draw_of_new_arrays(self, case, z_cov, d_x, d_z, sampler):
+        # The arrays are the first rows of the slots of a larger buffer, as the
+        # harness's short last block is, each 0 to 3 floats after the last, so
+        # the in-place and out= arithmetic and BLAS calls run at other
+        # alignments than on new arrays. The buffer holds NaNs: the draw must
+        # overwrite them in the rows it fills and leave them in the rest.
+        cfg = OUT_CASES[case](d_x, d_z, np.eye(d_z) + 0.3 if z_cov else None)
+        sample = getattr(dgp, sampler)
+        for n in (1, 7, 300):
+            want_rng, want_digest = make_rng(n), hashlib.sha256()
+            want = sample(want_rng, cfg, n, want_digest)
+            for skip in range(4):
+                shapes = [(n + 5, *a.shape[1:]) for a in want]
+                sizes = [math.prod(shape) for shape in shapes]
+                buffer = np.full(4 * skip + sum(sizes), np.nan)
+                starts = np.cumsum([skip, *(size + skip for size in sizes)])[:-1]
+                slots = [buffer[a:a + size].reshape(shape) for a, size, shape in zip(starts, sizes, shapes)]
+                out = [slot[:n] for slot in slots]
+                rng, digest = make_rng(n), hashlib.sha256()
+                got = sample(rng, cfg, n, digest, out=out)
+                assert len(got) == len(out) and all(a is b for a, b in zip(got, out))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                assert np.isnan(buffer).sum() == buffer.size - sum(a.size for a in out)
+                assert rng.bit_generator.state == want_rng.bit_generator.state
+                assert digest.digest() == want_digest.digest()
+
+    @pytest.mark.parametrize("sampler", ["sample_one_block", "sample_two_block"])
+    def test_bad_out_is_refused_before_a_draw(self, sampler):
+        cfg = dgp.shared_confounder_config(2, 3, c=0.5)
+        sample, n = getattr(dgp, sampler), 10
+        good = [np.empty(a.shape) for a in sample(make_rng(0), cfg, n)]
+        bad = {
+            "shape": [np.empty((n + 1, *good[0].shape[1:])), *good[1:]],
+            "rows": [*good[:-1], np.empty((n, 1))],
+            "non_contiguous": [good[0], np.empty((n, 2 * good[1].shape[1]))[:, ::2], *good[2:]],
+            "fortran_order": [np.asfortranarray(good[0]), *good[1:]],
+            "float32": [good[0].astype(np.float32), *good[1:]],
+            "read_only": [*good[:-1], np.lib.stride_tricks.as_strided(good[-1], writeable=False)],
+            "list": [good[0].tolist(), *good[1:]],
+            "count": good[:-1],
+        }
+        for name, out in bad.items():
+            rng = make_rng(0)
+            with pytest.raises(ValueError, match="out"):
+                sample(rng, cfg, n, out=out)
+            assert rng.bit_generator.state == make_rng(0).bit_generator.state, name
+
+
 def _sampler(rng, n):
     """``n`` normals from the compiled sampler, in one call."""
-    return dgp._normals(rng)(n)
+    return dgp._normals(rng)(np.empty(n))
 
 
 #: The most words one refill of the AVX-512 sampler's buffer draws.
@@ -307,9 +370,10 @@ class TestNormalSampler:
 
     @pytest.mark.parametrize("phi", ["identity", "square"])
     def test_memory_of_a_draw_does_not_grow(self, phi):
-        # fig1's dx8_dz16 oracle draw of 50 000 rows: Z, X and X' (13.2 MB)
-        # beside the link (3.2 MB). 16 801 192 bytes were traced at the peak
-        # before the compiled sampler, which fills each normal block in place.
+        # fig1's dx8_dz16 oracle draw of 50 000 rows: Z, X, X' and Y (13.2 MB)
+        # beside the draw's scratch, which holds the link (3.2 MB). 16 801 192
+        # bytes were traced at the peak before the compiled sampler, which
+        # fills each normal block in place.
         cfg = dgp.shared_confounder_config(8, 16, c=1.0, phi=phi)
         dgp.sample_two_block(make_rng(1), cfg, 10)  # the sampler is built and loaded
         tracemalloc.start()

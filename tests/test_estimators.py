@@ -382,6 +382,48 @@ class TestBatchKernels:
                     assert got[i].tobytes() == want.tobytes()
         assert all(np.isnan(part[bad]).all() for part in state)
 
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_online_2sls_lanes_stop_once_every_trial_has_ended(self, b, lane_build):
+        # The d = 1 lanes: trial i carries U = -10 and gamma = 1, and its
+        # instruments are zero before row 1 + 2i and one at it, where
+        # 1 + w U w = -9 ends it. Every row after the last trial's end holds
+        # signalling NaNs, which any arithmetic raises as an invalid event, so a
+        # window that stepped on would report it: the loop stops instead, and
+        # leaves the bytes that the window ending at that row leaves.
+        n = 4096
+        ends = [1 + 2 * i for i in range(b)]
+        rng = make_rng(41 + b)
+        z, x, y = rng.standard_normal((n, b, 1)), rng.standard_normal((n, b, 1)), rng.standard_normal((n, b))
+        for i, row in enumerate(ends):
+            z[:row, i], z[row, i] = 0.0, 1.0
+        snan = np.array(0x7FF0000000000001, np.uint64).view(np.float64)
+        for a in (z, x, y):
+            a[ends[-1] + 1:] = snan
+        assert (z[-1].view(np.uint64) == 0x7FF0000000000001).all()
+        blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
+        start = (np.zeros((1, b, 1)), np.ones((b, 1, 1)), np.full((b, 1, 1), -10.0), np.full((b, 1, 1), 10.0))
+        states = []
+        for rows in (ends[-1] + 1, n):
+            state = tuple(a.copy() for a in start)
+            with np.errstate(all="raise"):
+                assert est.online_2sls_window(state, *blocks[:2], None, blocks[2], (False,)).step(0, rows) == \
+                    est._NOT_POSITIVE
+            assert all(np.isnan(part).all() for part in state)
+            states.append(b"".join(part.tobytes() for part in state))
+        assert states[0] == states[1]
+        # fit, at B = 1, meets the end at row 1 of its window: it undoes the
+        # window and replays its rows one by one, raising at that row.
+        reg = est.Online2SLSRegressor().partial_fit(np.zeros(1), x[0, 0], y[0, 0])
+        reg.gamma_, reg.u_ = np.ones((1, 1)), np.full((1, 1), -10.0)
+        rows = np.zeros((n, 1)), rng.standard_normal((n, 1)), rng.standard_normal(n)
+        rows[0][1] = 1.0
+        ref = copy.deepcopy(reg).partial_fit(rows[0][0], rows[1][0], rows[2][0])
+        with pytest.raises(FloatingPointError):
+            reg.fit(*rows)
+        assert reg.n_iter_ == ref.n_iter_ == 2
+        for name in reg._iterates:
+            assert getattr(reg, name).tobytes() == getattr(ref, name).tobytes()
+
     # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
     # vecmat at d_z > 1, which takes one ddot where every other size takes a dgemv.
     @pytest.mark.parametrize("d_x,d_z,b", [(1, 1, 50), (1, 4, 7), (2, 3, 2), (3, 7, 1), (4, 4, 7),

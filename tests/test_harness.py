@@ -178,6 +178,36 @@ class TestLockstep:
                 assert res.stream_digests == [series.stream_digests[i]]
             assert len(set(series.stream_digests)) == spec.trials
 
+    @pytest.mark.parametrize("algorithm", list(est.REGRESSORS))
+    def test_blocks_and_groups_reuse_the_buffer(self, algorithm, monkeypatch):
+        # T spans 2.5 blocks and the 7 trials run as groups of 3, 2 and 2: each
+        # group draws two full blocks and a short last one into the buffer the
+        # group before it used. Each trial is its run alone, and its 1-d
+        # kernel's on its blocks drawn into new arrays, and its stream digest
+        # hashes the words after each of those blocks.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 40)
+        spec = _lockstep_spec(algorithm, T=100)
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(spec))
+        assert [len(g) for g in harness.trial_groups(spec)] == [3, 2, 2]
+        series = harness.run_experiment(spec)
+        cfg, two_sample = spec.dgp, est.REGRESSORS[algorithm]._reads_x_prime
+        sample = dgp.sample_two_block if two_sample else dgp.sample_one_block
+        for i in range(spec.trials):
+            alone = harness.run_trial(spec, i)
+            assert alone.metrics.keys() == series.metrics.keys()
+            for m, v in series.metrics.items():
+                assert alone.metrics[m].tobytes() == v[i:i + 1].tobytes()
+            for m, values in _kernel_run(spec, i).items():
+                assert series.metrics[m][i].tobytes() == np.array(values).tobytes()
+            rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+            digest = hashlib.sha256(repr((cfg.d_x, cfg.d_z, cfg.family, two_sample, spec.T, 40)).encode()
+                                    + cfg.theta_star.tobytes() + cfg.gamma_star.tobytes() + cfg.z_cov.tobytes())
+            if spec.test_n:
+                dgp.sample_one_block(rng, cfg, spec.test_n)
+            for n in (40, 40, 20):
+                sample(rng, cfg, n, digest)
+            assert alone.stream_digests == [series.stream_digests[i]] == [digest.hexdigest()]
+
     def test_held_out_set_drawn_from_arrays(self):
         # The held-out set comes first in the trial's stream, as dgp.test_set draws it.
         spec = _lockstep_spec("two_stage_sgd", trials=1)
@@ -186,40 +216,53 @@ class TestLockstep:
         res = harness.run_trial(spec, 0)
         assert res.metrics["oracle_mse"][0, 0] == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
 
-    def test_at_most_one_block_per_trial_of_a_group(self, monkeypatch):
-        live, peak = [0], [0]
+    @pytest.mark.parametrize("algorithm", ["direct_sgd", "two_sample_sgd"])
+    def test_at_most_one_block_per_trial_of_a_group(self, algorithm, monkeypatch):
+        # Every training draw of a pass fills views of one buffer: a block of
+        # each trial of the largest group, and for the two-sample oracle one Z
+        # that its trials share; the trials of a group never share a kept field.
+        two_sample = est.REGRESSORS[algorithm]._reads_x_prime
+        sampler = "sample_two_block" if two_sample else "sample_one_block"
+        draws = []
 
-        def release():
-            live[0] -= 1
-
-        def counting_block(rng, cfg, n, digest=None):
-            block = dgp.sample_one_block(rng, cfg, n, digest)
+        def counting_block(rng, cfg, n, digest=None, out=None):
             if n > 30:  # training blocks, not the held-out set
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-                weakref.finalize(block[0], release)
-            return block
+                draws.append(out)
+            return getattr(dgp, sampler)(rng, cfg, n, digest, out)
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
-        monkeypatch.setattr(harness, "sample_one_block", counting_block)
-        spec = _lockstep_spec("direct_sgd", trials=10)
+        monkeypatch.setattr(harness, sampler, counting_block)
+        spec = _lockstep_spec(algorithm, trials=10)
+        z_bytes = 8 * spec.dgp.d_z * harness._SAMPLE_BLOCK if two_sample else 0
         for budget, expected in ((harness._GROUP_BYTES, [10]), (3 * _block_bytes(spec), [3, 3, 2, 2])):
             monkeypatch.setattr(harness, "_GROUP_BYTES", budget)
             sizes = [len(g) for g in harness.trial_groups(spec)]
             assert sizes == expected
-            peak[0] = 0
+            draws.clear()
             series = harness.run_experiment(spec)
             assert series.metrics["dist_sq"].shape[0] == 10
-            assert peak[0] == max(sizes)
+            blocks = -(-spec.T // 100)
+            assert len(draws) == 10 * blocks
+            buffer = draws[0][0].base
+            assert all(a.base is buffer for out in draws for a in out)
+            assert buffer.nbytes == max(sizes) * _block_bytes(spec) + z_bytes
+            starts = np.cumsum([0] + [size for size in sizes for _ in range(blocks)])
+            for a, b in zip(starts, starts[1:]):  # one block of each trial of a group
+                kept = [field for out in draws[a:b] for field in out[-3:]]
+                assert not any(np.shares_memory(f, g) for j, f in enumerate(kept) for g in kept[:j])
+            if two_sample:
+                assert len({out[0].ctypes.data for out in draws}) == 1
 
     @pytest.mark.parametrize("algorithm", ["online_2sls", "two_sample_sgd"])
     def test_memory_does_not_grow_with_T(self, algorithm, monkeypatch):
         # Two groups of four trials. The peak grows by less than half a block
         # from 4 to 8 blocks per trial, where holding one more block would add
         # a whole one. It stays within the group's blocks, which the loops read
-        # in place, one block's steps, and one sampler call. A first draw and a
-        # first run pay one-time costs (numpy.random's lazy import, about
-        # 900 KB), so both come before the tracing starts.
+        # in place, one block's steps, and one sampler call that returns new
+        # arrays: the pass's buffer holds the blocks, and a draw into it
+        # allocates less than such a call. A first draw and a first run pay
+        # one-time costs (numpy.random's lazy import, about 900 KB), so both
+        # come before the tracing starts.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 512)
         runs = [_lockstep_spec(algorithm, trials=8, test_n=0, T=blocks * 512) for blocks in (4, 8)]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 4 * _block_bytes(runs[0]))
@@ -410,9 +453,9 @@ class TestSharedPass:
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
         draws = []
 
-        def counting_block(rng, cfg, n, digest=None):
+        def counting_block(rng, cfg, n, digest=None, out=None):
             draws.append(n)
-            return dgp.sample_one_block(rng, cfg, n, digest)
+            return dgp.sample_one_block(rng, cfg, n, digest, out)
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 500)
         monkeypatch.setattr(harness, "sample_one_block", counting_block)
@@ -503,9 +546,9 @@ class TestStreamDigest:
         held_out = harness.run_experiment(_tiny_spec(test_n=1)).stream_digests
         assert not set(plain) & set(held_out)
 
-        def one_more(rng, cfg, n, digest=None):
+        def one_more(rng, cfg, n, digest=None, out=None):
             rng.standard_normal()  # one normal before the block: the same shapes, one more word drawn
-            return dgp.sample_one_block(rng, cfg, n, digest)
+            return dgp.sample_one_block(rng, cfg, n, digest, out)
 
         monkeypatch.setattr(harness, "sample_one_block", one_more)
         assert not set(plain) & set(harness.run_experiment(_tiny_spec()).stream_digests)
