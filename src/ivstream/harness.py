@@ -234,13 +234,8 @@ def _kept_shapes(spec: ExperimentSpec) -> list[tuple]:
 
 
 def _pass_blocks(spec: ExperimentSpec, b: int) -> list[list[np.ndarray]]:
-    """The arrays that each of ``b`` trials draws its sample blocks into, full-sized views of one buffer.
-
-    A trial's draw fills Z, X and Y, or Z, X, X' and Y for the two-sample
-    oracle. The buffer holds each trial's kept fields, one trial after
-    another, and for the two-sample oracle one Z at its end, which its
-    trials share.
-    """
+    """The arrays each of ``b`` trials draws its blocks into: full-sized views of one buffer that holds each
+    trial's kept fields (:func:`_kept_shapes`) in turn and, for the two-sample oracle, one Z they share."""
     kept = _kept_shapes(spec)
     shared = [(kept[0][0], spec.dgp.d_z)] if est.REGRESSORS[spec.algorithm]._reads_x_prime else []
     shapes = kept * b + shared

@@ -216,42 +216,45 @@ class TestLockstep:
         res = harness.run_trial(spec, 0)
         assert res.metrics["oracle_mse"][0, 0] == metrics.test_mse_arrays(spec.dgp.theta_star, tx, ty)
 
-    @pytest.mark.parametrize("algorithm", ["direct_sgd", "two_sample_sgd"])
-    def test_at_most_one_block_per_trial_of_a_group(self, algorithm, monkeypatch):
+    def test_at_most_one_block_per_trial_of_a_group(self, monkeypatch):
         # Every training draw of a pass fills views of one buffer: a block of
         # each trial of the largest group, and for the two-sample oracle one Z
         # that its trials share; the trials of a group never share a kept field.
-        two_sample = est.REGRESSORS[algorithm]._reads_x_prime
-        sampler = "sample_two_block" if two_sample else "sample_one_block"
         draws = []
 
-        def counting_block(rng, cfg, n, digest=None, out=None):
-            if n > 30:  # training blocks, not the held-out set
-                draws.append(out)
-            return getattr(dgp, sampler)(rng, cfg, n, digest, out)
+        def counting(sample):
+            def counting_block(rng, cfg, n, digest=None, out=None):
+                if n > 30:  # training blocks, not the held-out set
+                    draws.append(out)
+                return sample(rng, cfg, n, digest, out)
+            return counting_block
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
-        monkeypatch.setattr(harness, sampler, counting_block)
-        spec = _lockstep_spec(algorithm, trials=10)
-        z_bytes = 8 * spec.dgp.d_z * harness._SAMPLE_BLOCK if two_sample else 0
-        for budget, expected in ((harness._GROUP_BYTES, [10]), (3 * _block_bytes(spec), [3, 3, 2, 2])):
-            monkeypatch.setattr(harness, "_GROUP_BYTES", budget)
-            sizes = [len(g) for g in harness.trial_groups(spec)]
-            assert sizes == expected
-            draws.clear()
-            series = harness.run_experiment(spec)
-            assert series.metrics["dist_sq"].shape[0] == 10
-            blocks = -(-spec.T // 100)
-            assert len(draws) == 10 * blocks
-            buffer = draws[0][0].base
-            assert all(a.base is buffer for out in draws for a in out)
-            assert buffer.nbytes == max(sizes) * _block_bytes(spec) + z_bytes
-            starts = np.cumsum([0] + [size for size in sizes for _ in range(blocks)])
-            for a, b in zip(starts, starts[1:]):  # one block of each trial of a group
-                kept = [field for out in draws[a:b] for field in out[-3:]]
-                assert not any(np.shares_memory(f, g) for j, f in enumerate(kept) for g in kept[:j])
-            if two_sample:
-                assert len({out[0].ctypes.data for out in draws}) == 1
+        monkeypatch.setattr(harness, "sample_one_block", counting(dgp.sample_one_block))
+        monkeypatch.setattr(harness, "sample_two_block", counting(dgp.sample_two_block))
+        default = harness._GROUP_BYTES
+        for algorithm in ("direct_sgd", "two_sample_sgd"):
+            spec = _lockstep_spec(algorithm, trials=10)
+            two_sample = est.REGRESSORS[algorithm]._reads_x_prime
+            z_bytes = 8 * spec.dgp.d_z * harness._SAMPLE_BLOCK if two_sample else 0
+            for budget, expected in ((default, [10]), (3 * _block_bytes(spec), [3, 3, 2, 2])):
+                monkeypatch.setattr(harness, "_GROUP_BYTES", budget)
+                sizes = [len(g) for g in harness.trial_groups(spec)]
+                assert sizes == expected
+                draws.clear()
+                series = harness.run_experiment(spec)
+                assert series.metrics["dist_sq"].shape[0] == 10
+                blocks = -(-spec.T // 100)
+                assert len(draws) == 10 * blocks
+                buffer = draws[0][0].base
+                assert all(a.base is buffer for out in draws for a in out)
+                assert buffer.nbytes == max(sizes) * _block_bytes(spec) + z_bytes
+                starts = np.cumsum([0] + [size for size in sizes for _ in range(blocks)])
+                for a, b in zip(starts, starts[1:]):  # one block of each trial of a group
+                    kept = [field for out in draws[a:b] for field in out[-3:]]
+                    assert not any(np.shares_memory(f, g) for j, f in enumerate(kept) for g in kept[:j])
+                if two_sample:
+                    assert len({out[0].ctypes.data for out in draws}) == 1
 
     @pytest.mark.parametrize("algorithm", ["online_2sls", "two_sample_sgd"])
     def test_memory_does_not_grow_with_T(self, algorithm, monkeypatch):
