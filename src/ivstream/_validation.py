@@ -32,6 +32,18 @@ def as_float_matrix(x, shape: tuple[int, int] | None = None, name: str = "x") ->
     return arr
 
 
+def check_in_place(a, shape: tuple, name: str, writeable: bool = True) -> int:
+    """The address of ``a``, which the compiled code reads, and writes when ``writeable``, in place: it must
+    be a C-contiguous float64 array of ``shape``, as a copy would not be the array it was given."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and (a.flags.writeable or not writeable)):
+        kind, use = ("writeable ", "written") if writeable else ("", "read")
+        raise ValueError(f"{name} must be a {kind}C-contiguous float64 array, as it is {use} in place")
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a.ctypes.data
+
+
 # Coerces to a float; a non-finite one is rejected with as_float_vector's message.
 def check_finite(value: float, name: str) -> float:
     value = float(value)

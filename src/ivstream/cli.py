@@ -6,8 +6,9 @@ Subcommands
     Execute one experiment (from a JSON config or a named preset cell) and
     write ``series.csv`` plus ``manifest.json`` into the output directory.
     Presets with several cells write one subdirectory per cell. A config
-    or cell listing several algorithms runs them on the same per-trial
-    streams and also writes one ``series_<algorithm>.csv`` per algorithm.
+    or cell listing several algorithms runs those of one oracle on the same
+    per-trial streams (``two_sample_sgd`` on two-sample streams of its own)
+    and also writes one ``series_<algorithm>.csv`` per algorithm.
 
 ``check``
     Run the reduced-scale validation suites (gradient unbiasedness of the

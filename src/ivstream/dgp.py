@@ -51,7 +51,8 @@ scheduled:
 A stream of single observations is the rows of one :func:`sample_one_block`
 call; :func:`test_set` boxes such rows as :class:`OneSample` objects. A draw
 returns new arrays, or fills the caller's ``out`` arrays in place with the
-same bits, as the harness fills one buffer with every block of a pass.
+same bits, as the harness fills one buffer with every block of a pass; the
+harness's stream digest reads the generator's state after each draw.
 
 Normals
 -------
@@ -69,7 +70,6 @@ other block beside the ones it returns (see :func:`_draw`).
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -81,6 +81,7 @@ from ._validation import (
     as_float_matrix,
     as_float_vector,
     check_finite,
+    check_in_place,
     check_nonnegative,
     check_positive,
     check_symmetric_pd,
@@ -274,16 +275,6 @@ def _normals(rng: np.random.Generator):
     return normal
 
 
-def _state_words(bit_generator: np.random.PCG64) -> NDArray[np.uint64]:
-    """The PCG64 state's words, read in place: (state high, state low, inc high, inc low).
-
-    ``ctypes.state_address`` is numpy's ``pcg64_state``, whose first field points at the generator's
-    ``pcg64_random_t``: the state and the increment, each an ``unsigned __int128``, low word first on x86-64.
-    """
-    pcg = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
-    return np.frombuffer((ctypes.c_uint64 * 4).from_address(pcg), dtype=np.uint64)[[1, 0, 3, 2]]
-
-
 def _blocks(out, shapes: tuple) -> tuple:
     """``out``, checked to hold one writeable C-contiguous float64 array of each of ``shapes``, or new arrays."""
     if out is None:
@@ -292,14 +283,11 @@ def _blocks(out, shapes: tuple) -> tuple:
     if len(out) != len(shapes):
         raise ValueError(f"out must hold {len(shapes)} arrays, got {len(out)}")
     for a, shape in zip(out, shapes):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
-            raise ValueError("out must hold writeable C-contiguous float64 arrays, as the draw fills them in place")
-        if a.shape != shape:
-            raise ValueError(f"an out array has shape {a.shape}, expected {shape}")
+        check_in_place(a, shape, "an out array")
     return out
 
 
-def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest, out) -> tuple:
+def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, out) -> tuple:
     """``(Z, X_1, ..., X_copies, Y)``, in ``out`` when given: copies of X independent given Z, Y from X_1.
 
     The blocks are drawn in the module's frozen layout and the model's
@@ -346,30 +334,27 @@ def _draw(rng: np.random.Generator, cfg: DgpConfig, n: int, copies: int, digest,
         w = normal(head)
         w *= _NU_EXTRA_STD
         y += w
-    if digest is not None:
-        digest.update(_state_words(rng.bit_generator))
     return out
 
 
-def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None, out=None):
+def sample_one_block(rng: np.random.Generator, cfg: DgpConfig, n: int, *, out=None):
     """Draw ``n`` one-sample observations as arrays ``(Z, X, Y)``.
 
-    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). A hashlib ``digest`` gets the state words after the
-    draw (:func:`_state_words`). ``out``, three writeable C-contiguous float64 arrays of these shapes, takes
-    the draw in place, bit for bit the arrays it would return otherwise; any other ``out`` raises
-    ``ValueError``.
+    Shapes: Z is (n, d_z), X is (n, d_x), Y is (n,). ``out``, three writeable C-contiguous float64 arrays of
+    these shapes, takes the draw in place, bit for bit the arrays it would return otherwise; any other
+    ``out`` raises ``ValueError``. Either way the generator ends where the draw of new arrays leaves it.
     """
-    return _draw(rng, cfg, n, 1, digest, out)
+    return _draw(rng, cfg, n, 1, out)
 
 
-def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int, digest=None, out=None):
+def sample_two_block(rng: np.random.Generator, cfg: DgpConfig, n: int, *, out=None):
     """Draw ``n`` two-sample observations as arrays ``(Z, X, X', Y)``.
 
     X and X' are conditionally independent given Z: X' is built from a fresh
-    confounder and fresh noise. Y uses X's noise realisation; ``digest`` and ``out`` (four arrays, X' shaped as
-    X) are as in :func:`sample_one_block`.
+    confounder and fresh noise. Y uses X's noise realisation; ``out`` (four arrays, X' shaped as X) is as in
+    :func:`sample_one_block`.
     """
-    return _draw(rng, cfg, n, 2, digest, out)
+    return _draw(rng, cfg, n, 2, out)
 
 
 def test_set(rng: np.random.Generator, cfg: DgpConfig, n: int) -> list[OneSample]:

@@ -90,7 +90,7 @@ import operator
 import numpy as np
 
 from . import _native
-from ._validation import as_float_matrix, as_float_vector, check_finite, check_positive
+from ._validation import as_float_matrix, as_float_vector, check_finite, check_in_place, check_positive
 from .schedule import Constant, Polynomial, StepSchedule, step
 
 DEFAULT_RIDGE = 0.1
@@ -176,24 +176,10 @@ def _trials(state) -> int:
 
 
 def _table(blocks, shape, name, b) -> np.ndarray:
-    """The addresses of the B trials' blocks of ``name``, each a C-contiguous float64 array of ``shape``."""
+    """The addresses of the B trials' blocks of ``name``, each read in place."""
     if len(blocks) != b:
         raise ValueError(f"need one {name} block for each of the {b} trials, got {len(blocks)}")
-    for a in blocks:
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous):
-            raise ValueError(f"{name} blocks must be C-contiguous float64 arrays, as the loops read them in place")
-        if a.shape != shape:
-            raise ValueError(f"a {name} block has shape {a.shape}, expected {shape}")
-    return np.array([a.ctypes.data for a in blocks], np.uintp)
-
-
-def _address(a, shape, name) -> int:
-    """The address of a state part, which a loop updates in place: never a copy, so it must already fit."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError(f"{name} must be a writeable C-contiguous float64 array, as it is updated in place")
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    return a.ctypes.data
+    return np.array([check_in_place(a, shape, f"{name} block", writeable=False) for a in blocks], np.uintp)
 
 
 class Window:
@@ -207,7 +193,7 @@ class Window:
 
     def __init__(self, loop: str, head: tuple, state: dict, fields: dict, n: int, direct=None):
         # ``state`` maps each state part's name to (array, shape), ``fields`` each field's to (blocks, shape).
-        addresses = [_address(a, shape, name) for name, (a, shape) in state.items()]
+        addresses = [check_in_place(a, shape, name) for name, (a, shape) in state.items()]
         tables = [_table(blocks, shape, name, head[0]) for name, (blocks, shape) in fields.items()]
         self.n, self.direct = n, direct
         self._held = ([a for a, _ in state.values()], [tuple(blocks) for blocks, _ in fields.values()], tables)
@@ -296,6 +282,17 @@ _NOT_POSITIVE = 16
 _EVENT_DIVISIONS = np.array([[1.0, 1e308, 1e-308, 0.0], [0.0, 1e-10, 1e10, 0.0]])
 
 
+def _report(events: int) -> None:
+    """Report a loop call's events through numpy's error handling, one divide raising each floating-point event,
+    so every ``np.errstate`` mode acts as numpy's own; a non-positive 2SLS denominator raises FloatingPointError."""
+    if events < 0:
+        raise MemoryError("the window loop could not allocate its work rows")
+    if events:
+        np.divide(*_EVENT_DIVISIONS[:, [i for i in range(4) if events >> i & 1]])
+    if events & _NOT_POSITIVE:
+        raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+
+
 def _terms(s: StepSchedule) -> tuple[float, float]:
     """(coeff, exponent) of ``s`` for the loops' ``fit_steps``: a constant step has exponent 0."""
     return (float(s.alpha), 0.0) if isinstance(s, Constant) else (float(s.coeff), float(s.exponent))
@@ -374,9 +371,12 @@ class _BaseIVRegressor:
     # windows of up to FIT_WINDOW_ROWS rows, each after ``fit_steps`` has
     # computed its steps. A window that raised a floating-point event numpy
     # does not ignore, or met a non-positive 2SLS denominator, is undone and
-    # its rows are stepped again through ``_update_row``, so fit warns or
-    # raises just where partial_fit does. A row that raises leaves the
-    # iterates and ``n_iter_`` as they were before it.
+    # its rows are stepped again one per call of the same loop, with the same
+    # steps, each row's events reported as partial_fit reports them, so fit
+    # warns or raises just where partial_fit does. A row that raises is
+    # undone, so the iterates and ``n_iter_`` are as they were before it: the
+    # rows before it are stepped again from the window's start in one call,
+    # which gives the bits of one call per row.
 
     def _update_windows(self, Z, X, X_prime, y):
         self._start(X.shape[1], Z.shape[1])
@@ -390,15 +390,22 @@ class _BaseIVRegressor:
         for start in range(0, n, FIT_WINDOW_ROWS):
             size, before = min(FIT_WINDOW_ROWS, n - start), [a.copy() for a in bound.work]
             _native.loops().fit_steps(size, self.n_iter_, k, terms_at, bound.steps_at)
-            if bound.window.step(start, size, *(bound.steps_at + 8 * size * j for j in range(k))) & reported:
-                vars(self).update(zip(self._iterates, before))
-                for i in range(start, start + size):
-                    self._update_row(*(None if a is None else a[i] for a in rows))
-                for a, name in zip(bound.work, self._iterates):
-                    np.copyto(a, getattr(self, name))
-                    setattr(self, name, a)
-            else:
+            at = [bound.steps_at + 8 * size * j for j in range(2)]  # the addresses of the window's steps
+            if not bound.window.step(start, size, *at) & reported:
                 self.n_iter_ += size
+                continue
+            for a, b in zip(bound.work, before):  # undo the window, then step its rows one per call
+                np.copyto(a, b)
+            for r in range(size):
+                try:
+                    _report(bound.window._call(start + r, 1, at[0] + 8 * r, at[1] + 8 * r))
+                except BaseException:  # undo the row
+                    for a, b in zip(bound.work, before):
+                        np.copyto(a, b)
+                    if r:
+                        bound.window.step(start, r, *at)
+                    raise
+                self.n_iter_ += 1
         return self
 
     def _update_row(self, z, x, x_prime, y):
@@ -413,14 +420,8 @@ class _BaseIVRegressor:
         for row, value in zip(one.rows, (x, x_prime) if self._reads_x_prime else (z, x)):
             row[...] = value
         one.rows[-1][0] = y
-        events = one.step_row()
-        try:  # the row's events, through numpy's error handling: every np.errstate mode acts as numpy's own
-            if events < 0:
-                raise MemoryError("the window loop could not allocate its work rows")
-            if events:
-                np.divide(*_EVENT_DIVISIONS[:, [i for i in range(4) if events >> i & 1]])
-            if events & _NOT_POSITIVE:
-                raise FloatingPointError("rank-one denominator is not positive; U/V state corrupted")
+        try:
+            _report(one.step_row())
         except BaseException:  # the attributes keep the state before the row; its loop holds the row
             del self._one_row
             raise

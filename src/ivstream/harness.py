@@ -7,22 +7,25 @@ keeps every trial's row; :meth:`MetricSeries.mean` averages them.
 
 Reproducibility contract
 ------------------------
-Trial i draws from ``PCG64(mix_seed(base_seed, i))`` where ``mix_seed`` is
-the SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``: first its
-held-out test set (when ``test_n > 0``), then its training stream in blocks
-of 16 384 rows. The mixing function and generator are fixed, so any two runs
-with the same base seed produce bitwise-identical streams regardless of how
-trials are grouped. Aggregation reduces over trials in index order. A trial's
-stream digest hashes the DGP, the blocks' shapes and the PCG64 words after each block.
+Trial i draws from ``PCG64(mix_seed(base_seed, i))`` where ``mix_seed`` is the
+SplitMix64 finalizer over ``base_seed + GOLDEN * (i + 1)``: first its held-out
+test set (when ``test_n > 0``), then its training stream in blocks of 16 384
+rows. The mixing function and generator are fixed, so any two runs with the
+same base seed produce bitwise-identical streams regardless of how trials are
+grouped. Aggregation reduces over trials in index order. A trial's stream
+digest hashes the DGP, the blocks' shapes and the PCG64 state and increment
+after each block, read from ``bit_generator.state``.
 
 Lockstep groups
 ---------------
 Trials share T, the schedules and the checkpoints, so the engine splits them
 into balanced groups and advances each group on stacked state with one call
 of a window loop (:mod:`ivstream.estimators`) per window, from one checkpoint
-or block end to the next. For each sample block the group checks the blocks
-once, binds the loop to a table of their addresses and to the stacked state,
-and computes the block's steps, so a window call passes only integers and
+or block end to the next. Every block of a group is drawn into the same
+arrays of the pass's one buffer, so each lane binds its loop once per group,
+to a table of those arrays' addresses and to the stacked state, and again
+only when its thetas change (:class:`_Lane`); for each sample block it only
+computes the block's steps, so a window call passes only integers and
 addresses read once. The loop steps all the group's trials on each row before
 the next, in SIMD lanes at d_x = d_z = 1, where a trial's row costs a few
 nanoseconds; streaming 2SLS at d > 1 steps one trial through the window after
@@ -44,22 +47,22 @@ a spec whose trials of a group have all diverged stops.
 
 One pass per shared stream
 --------------------------
-The algorithms of one config read the same streams: the same
-:class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials, ``test_n``,
-checkpoints and oracle kind. :func:`run_experiments` runs such specs in one
-pass, so each trial's held-out set, ``oracle_mse``, blocks and stream digest
-are made once. Within a pass, the specs step in lanes, one loop call and one
-metrics call per lane and window or checkpoint, each algorithm's facts read
-from :data:`ivstream.estimators.REGRESSORS`. A lane stacks its S specs'
-thetas as (S, B, d_x) on one gamma. The two-timescale specs (``two_stage_sgd``
-and ``direct_sgd``) with equal alpha, beta and gamma0 share a lane, stepped by
-one :func:`~ivstream.estimators.two_timescale_window` call. This is exact
-because their gamma recursions read the same rows with the same steps from the
-same start and never read theta. Every other spec has a lane of its own
-(S = 1). Each spec's metrics are those of its own theta, and a spec whose
-trials have all diverged leaves its lane while the others step on. Specs that
-do not share a stream run in separate passes; :func:`run_experiment` is the
-one-spec case.
+The algorithms of one config that read the same oracle read the same streams:
+the same :class:`~ivstream.dgp.DgpConfig` object, base seed, T, trials,
+``test_n``, checkpoints and oracle kind. :func:`run_experiments` runs such
+specs in one pass, so each trial's held-out set, ``oracle_mse``, blocks and
+stream digest are made once. Within a pass, the specs step in lanes, one loop
+call and one metrics call per lane and window or checkpoint, each algorithm's
+facts read from :data:`ivstream.estimators.REGRESSORS`. A lane stacks its S
+specs' thetas as (S, B, d_x) on one gamma. The two-timescale specs
+(``two_stage_sgd`` and ``direct_sgd``) with equal alpha, beta and gamma0 share
+a lane, stepped by one :func:`~ivstream.estimators.two_timescale_window` call.
+This is exact because their gamma recursions read the same rows with the same
+steps from the same start and never read theta. Every other spec has a lane of
+its own (S = 1). Each spec's metrics are those of its own theta, and a spec
+whose trials have all diverged leaves its lane while the others step on. Specs
+that do not share a stream run in separate passes; :func:`run_experiment` is
+the one-spec case.
 """
 
 from __future__ import annotations
@@ -233,15 +236,18 @@ def _kept_shapes(spec: ExperimentSpec) -> list[tuple]:
     return [(n, d_x), (n, d_x), (n,)] if est.REGRESSORS[spec.algorithm]._reads_x_prime else [(n, d_z), (n, d_x), (n,)]
 
 
-def _pass_blocks(spec: ExperimentSpec, b: int) -> list[list[np.ndarray]]:
-    """The arrays each of ``b`` trials draws its blocks into: full-sized views of one buffer that holds each
-    trial's kept fields (:func:`_kept_shapes`) in turn and, for the two-sample oracle, one Z they share."""
+def _pass_blocks(spec: ExperimentSpec, b: int) -> tuple[list[list[np.ndarray]], list]:
+    """The arrays each of ``b`` trials draws its blocks into, full-sized views of one buffer that holds each
+    trial's kept fields (:func:`_kept_shapes`) in turn and, for the two-sample oracle, one Z they share; and
+    the loops' fields on them: the trials' z, x, x_prime and y, a list per field, None for one not kept."""
+    two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     kept = _kept_shapes(spec)
-    shared = [(kept[0][0], spec.dgp.d_z)] if est.REGRESSORS[spec.algorithm]._reads_x_prime else []
-    shapes = kept * b + shared
+    shapes = kept * b + ([(kept[0][0], spec.dgp.d_z)] if two_sample else [])
     sizes = [math.prod(shape) for shape in shapes]
     arrays = [a.reshape(shape) for a, shape in zip(np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]), shapes)]
-    return [arrays[3 * b:] + arrays[3 * j:3 * j + 3] for j in range(b)]
+    fields = [arrays[k:3 * b:3] for k in range(3)]
+    fields = [None, *fields] if two_sample else [*fields[:2], None, fields[2]]
+    return [arrays[3 * b:] + arrays[3 * j:3 * j + 3] for j in range(b)], fields
 
 
 def _initial_state(spec: ExperimentSpec, b: int) -> tuple[np.ndarray, ...]:
@@ -284,13 +290,15 @@ class _Lane:
     """The specs of a pass that one window loop steps: S thetas stacked as (S, B, d_x) on the first spec's
     gamma (and U, V), with their S raw-residual flags; only a two-timescale lane has S > 1 (:func:`_lane_key`).
 
-    For each sample block, :meth:`bind` checks the group's blocks, binds the loop to them and to the state,
-    and computes the block's steps, so a window is one call on integers and addresses read once. ``record``,
-    bound to the thetas, theta_star and the trials' held-out x and y in ``tests`` (lists empty without a test
-    set), writes a checkpoint's metrics into each member's (B, checkpoints) rows of ``out``.
+    The lane binds its loop once, to the state and to the group's ``fields`` on the pass's buffer (each
+    trial's z, x, x_prime and y, a list per field or None), whose addresses hold every block of the group;
+    it binds again only when :meth:`keep` drops thetas. For each block, :meth:`block` computes the steps, so
+    a window is one call on integers and addresses read once. ``record``, bound to the thetas, theta_star
+    and the trials' held-out x and y in ``tests`` (lists empty without a test set), writes a checkpoint's
+    metrics into each member's (B, checkpoints) rows of ``out``.
     """
 
-    def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int, out: list, tests: tuple):
+    def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int, fields: list, out: list, tests):
         lead = specs[members[0]]
         self.members = members  # the specs' indices in the pass, one per theta
         self.schedules = [getattr(lead, which) for which in est.REGRESSORS[lead.algorithm]._schedules]
@@ -298,20 +306,17 @@ class _Lane:
         self.direct = [est.REGRESSORS[specs[k].algorithm]._raw_residual for k in members]
         states = [_initial_state(specs[k], b) for k in members]
         self.state = (np.stack([st[0] for st in states]), *states[0][1:])
-        self.window = None
-        self.out, self.tests = out, tests
+        self.fields, self.out, self.tests = fields, out, tests
+        self.window = self.loop(self.state, *fields, self.direct)
         self.record = _recorder(self.state[0], tests, [out[k] for k in members])
 
-    def bind(self, fields: list, start: int, end: int) -> None:
-        """Bind the loop to the group's blocks of rows ``start + 1`` to ``end``: each
-        trial's z, x, x_prime and y, a list per field or None; compute their steps."""
-        self.fields = fields
+    def block(self, start: int, end: int) -> None:
+        """Compute the steps of rows ``start + 1`` to ``end``, the block drawn last."""
         self.steps = [steps(s, end, start) for s in self.schedules]
         self.addresses = [a.ctypes.data for a in self.steps]
-        self.window = self.loop(self.state, *fields, self.direct)
 
     def step(self, r: int, rows: int) -> None:
-        """Step rows ``r`` to ``r + rows - 1`` of the blocks."""
+        """Step rows ``r`` to ``r + rows - 1`` of the block."""
         self.window.step(r, rows, *[a + 8 * r for a in self.addresses])
 
     def keep(self, col: int) -> None:
@@ -326,13 +331,14 @@ class _Lane:
 
 
 def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]],
-               blocks: list[list[np.ndarray]]) -> list[str]:
+               blocks: list[list[np.ndarray]], fields: list) -> list[str]:
     """Advance the trials ``indices`` of specs that share a stream in lockstep; return their stream digests.
 
     ``out`` holds each spec's (len(indices), checkpoints) rows of every metric, filled with ``inf``, and the
     group writes its checkpoints into them in place. Each trial's blocks are drawn once for all the specs,
     which step in lanes (:func:`_lane_key`) until all their trials have diverged, into the trial's arrays
-    of the pass's ``blocks`` (:func:`_pass_blocks`); a short last block fills their first rows.
+    of the pass's ``blocks``, which the loops read as ``fields`` (:func:`_pass_blocks`); a short last block
+    fills their first rows.
     """
     spec = specs[0]  # the stream's description, the same in every spec
     cfg, b = spec.dgp, len(indices)
@@ -348,37 +354,27 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
     lanes: dict[tuple, list[int]] = {}
     for k, s in enumerate(specs):
         lanes.setdefault(_lane_key(s, k), []).append(k)
-    active = [_Lane(specs, members, b, out, tests) for members in lanes.values()]
+    active = [_Lane(specs, members, b, fields, out, tests) for members in lanes.values()]
 
     two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
     sample = sample_two_block if two_sample else sample_one_block
-    # A trial's stream digest: the DGP and the blocks' shapes once, then the PCG64 words after each block.
+    # A trial's stream digest: the DGP and the blocks' shapes once, then the PCG64 state and increment after
+    # each block, as four 64-bit words, the high one of each first.
     layout = repr((cfg.d_x, cfg.d_z, cfg.family, two_sample, spec.T, _SAMPLE_BLOCK)).encode()
     head = hashlib.sha256(layout + cfg.theta_star.tobytes() + cfg.gamma_star.tobytes() + cfg.z_cov.tobytes())
     digests = [head.copy() for _ in rngs]
-    # Each trial's current block of z, x, x_prime and y; the two-sample
-    # kernel reads no z, and the one-sample blocks have no x_prime.
-    fields = [None, [], [], []] if two_sample else [[], [], None, []]
-    kept = (1, 2, 3) if two_sample else (0, 1, 3)  # the field of each of a block's last three arrays
     cps = (*spec.checkpoints, spec.T + 1)  # the sentinel is never reached
     cp_idx = 0
     t = start = end = 0
     while t < spec.T:
         if t == end:
-            n_blk = min(_SAMPLE_BLOCK, spec.T - t)
-            for lane in active:
-                lane.window = None  # bound again after the draws; its tables need not sit beside a draw
-            for k in kept:
-                fields[k].clear()
+            start, end = t, min(t + _SAMPLE_BLOCK, spec.T)
             for rng, digest, arrays in zip(rngs, digests, blocks):
-                if n_blk < len(arrays[-1]):  # a short last block fills the arrays' first rows
-                    arrays = [a[:n_blk] for a in arrays]
-                block = sample(rng, cfg, n_blk, digest, out=arrays)
-                for k, arr in zip(kept, block[-3:]):
-                    fields[k].append(arr)
-            start, end = t, t + n_blk
+                sample(rng, cfg, end - start, out=[a[:end - start] for a in arrays])
+                pcg = rng.bit_generator.state["state"]
+                digest.update(np.array([*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64)], np.uint64))
             for lane in active:
-                lane.bind(fields, start, end)
+                lane.block(start, end)
         stop = min(end, cps[cp_idx])
         for lane in active:
             lane.step(t - start, stop - t)
@@ -404,11 +400,12 @@ def _run_pass(specs: list[ExperimentSpec], groups: list[np.ndarray]) -> list[Met
     shape = (sum(len(g) for g in groups), len(spec.checkpoints))
     names = METRICS if spec.test_n > 0 else METRICS[:1]
     metrics = [{m: np.full(shape, np.inf) for m in names} for _ in specs]
-    blocks = _pass_blocks(spec, max(map(len, groups)))
+    blocks, fields = _pass_blocks(spec, max(map(len, groups)))
     digests: list[str] = []
     for group in groups:
-        rows = slice(len(digests), len(digests) + len(group))
-        digests += _run_group(specs, group, [{m: v[rows] for m, v in mk.items()} for mk in metrics], blocks)
+        b, rows = len(group), slice(len(digests), len(digests) + len(group))
+        digests += _run_group(specs, group, [{m: v[rows] for m, v in mk.items()} for mk in metrics], blocks[:b],
+                              [None if f is None else f[:b] for f in fields])
     series = []
     for s, m in zip(specs, metrics):
         # A trial's first non-finite checkpoint marks it and every later one inf.

@@ -103,6 +103,29 @@ class TestCompare:
         # identical per-trial sample streams across algorithms
         assert len(set(digests.values())) == 1
 
+    def test_two_oracles_write_one_digest_each(self, tmp_path):
+        # two_sample_sgd reads two-sample streams, so it runs in a pass of its
+        # own beside the one-sample algorithms: the manifest holds one digest
+        # per oracle, and each algorithm's CSV is its run alone.
+        config = {
+            "dgp": {"family": "shared_confounder", "d_x": 2, "d_z": 3, "c": 0.5},
+            "algorithms": ["two_stage_sgd", "two_sample_sgd", "direct_sgd"],
+            "schedule": {"alpha": {"kind": "polynomial", "coeff": 0.2, "exponent": 0.9},
+                         "beta": {"kind": "polynomial", "coeff": 0.3, "exponent": 0.8}},
+            "T": 300, "trials": 2, "seed": 5,
+        }
+        specs = presets.specs_from_config(config)
+        cli.run_specs_to_dir(specs, tmp_path / "all")
+        digests = json.loads((tmp_path / "all" / "manifest.json").read_text())["stream_digests"]
+        assert digests["two_stage_sgd"] == digests["direct_sgd"] != digests["two_sample_sgd"]
+        for spec in specs:
+            alone = tmp_path / spec.algorithm
+            cli.run_specs_to_dir([spec], alone)
+            assert json.loads((alone / "manifest.json").read_text())["stream_digests"] == {
+                spec.algorithm: digests[spec.algorithm]}
+            assert (tmp_path / "all" / f"series_{spec.algorithm}.csv").read_bytes() == \
+                (alone / "series.csv").read_bytes()
+
     def test_series_csv_joins_the_per_algorithm_files_in_order(self, tmp_path):
         # series_rows returns each series in the harness's order and
         # series.csv joins the per-algorithm files without sorting rows.

@@ -191,12 +191,14 @@ class TestDrawInto:
         # harness's short last block is, each 0 to 3 floats after the last, so
         # the in-place and out= arithmetic and BLAS calls run at other
         # alignments than on new arrays. The buffer holds NaNs: the draw must
-        # overwrite them in the rows it fills and leave them in the rest.
+        # overwrite them in the rows it fills and leave them in the rest. The
+        # generator ends where the plain draw leaves it, which is all that the
+        # harness's stream digest reads of a draw.
         cfg = OUT_CASES[case](d_x, d_z, np.eye(d_z) + 0.3 if z_cov else None)
         sample = getattr(dgp, sampler)
         for n in (1, 7, 300):
-            want_rng, want_digest = make_rng(n), hashlib.sha256()
-            want = sample(want_rng, cfg, n, want_digest)
+            want_rng = make_rng(n)
+            want = sample(want_rng, cfg, n)
             for skip in range(4):
                 shapes = [(n + 5, *a.shape[1:]) for a in want]
                 sizes = [math.prod(shape) for shape in shapes]
@@ -204,13 +206,12 @@ class TestDrawInto:
                 starts = np.cumsum([skip, *(size + skip for size in sizes)])[:-1]
                 slots = [buffer[a:a + size].reshape(shape) for a, size, shape in zip(starts, sizes, shapes)]
                 out = [slot[:n] for slot in slots]
-                rng, digest = make_rng(n), hashlib.sha256()
-                got = sample(rng, cfg, n, digest, out=out)
+                rng = make_rng(n)
+                got = sample(rng, cfg, n, out=out)
                 assert len(got) == len(out) and all(a is b for a, b in zip(got, out))
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 assert np.isnan(buffer).sum() == buffer.size - sum(a.size for a in out)
                 assert rng.bit_generator.state == want_rng.bit_generator.state
-                assert digest.digest() == want_digest.digest()
 
     @pytest.mark.parametrize("sampler", ["sample_one_block", "sample_two_block"])
     def test_bad_out_is_refused_before_a_draw(self, sampler):
@@ -333,18 +334,6 @@ class TestNormalSampler:
                 fill(bit_generator.ctypes.state_address, n, out.ctypes.data)
                 assert out.tobytes() == np.random.Generator(ref).standard_normal(n).tobytes()
                 assert bit_generator.state == ref.state
-
-    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
-    def test_state_words_read_in_place_are_the_state(self, seed):
-        # The sampler and the stream digest read numpy's pcg64_state through
-        # its address; the words must be the ones the state dict reports.
-        rng = make_rng(seed)
-        for draws in (0, 1, 1000):
-            rng.standard_normal(draws)
-            pcg = rng.bit_generator.state["state"]
-            words = [int(w) for w in dgp._state_words(rng.bit_generator)]
-            assert words == [pcg["state"] >> 64, pcg["state"] & (2**64 - 1), pcg["inc"] >> 64,
-                             pcg["inc"] & (2**64 - 1)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_a_run_takes_the_tail_and_the_wedge(self, seed):

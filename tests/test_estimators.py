@@ -1366,6 +1366,38 @@ class TestFitThroughWindows:
         for a in regs[0]._iterates:
             assert getattr(regs[0], a).tobytes() == getattr(regs[1], a).tobytes()
 
+    @pytest.mark.parametrize("name", ["two_sample", "two_stage", "direct"])
+    def test_diverged_fit_replays_through_the_loop_it_bound(self, name, monkeypatch):
+        # Every window of a diverging fit raises an event numpy warns of, so
+        # each is undone and stepped again one row per call of the loop fit
+        # bound: fit binds one loop, sets no one-row loop of partial_fit's, and
+        # ends with partial_fit's bytes.
+        z, x, x_prime, y = _stream(1, 1, 2 * W + 3, seed=61)
+        binds, init = [], est.Window.__init__
+
+        def counting(window, *args, **kwargs):
+            binds.append(args[0])
+            init(window, *args, **kwargs)
+
+        regs = []
+        for how in ("fit", "partial_fit"):
+            reg = _regressor(name, 1, 1)
+            reg.set_params(**{p: 50.0 for p in ("alpha", "beta") if p in reg.get_params()})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if how == "fit":
+                    monkeypatch.setattr(est.Window, "__init__", counting)
+                    reg.fit(*_args(reg, z, x, y, x_prime))
+                    monkeypatch.undo()
+                else:
+                    for i in range(len(y)):
+                        reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
+            regs.append(reg)
+        assert len(binds) == 1 and "_one_row" not in vars(regs[0])
+        assert not np.isfinite(regs[0].theta_).all() and regs[0].n_iter_ == regs[1].n_iter_ == len(y)
+        for a in regs[0]._iterates:
+            assert getattr(regs[0], a).tobytes() == getattr(regs[1], a).tobytes(), a
+
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
     @pytest.mark.parametrize("layout", ["fortran_z", "strided_x", "integer_y"])
     def test_any_layout_fits_as_its_contiguous_float64_copy(self, name, layout):

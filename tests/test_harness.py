@@ -184,7 +184,7 @@ class TestLockstep:
         # group draws two full blocks and a short last one into the buffer the
         # group before it used. Each trial is its run alone, and its 1-d
         # kernel's on its blocks drawn into new arrays, and its stream digest
-        # hashes the words after each of those blocks.
+        # hashes the generator's state words after each of those blocks.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 40)
         spec = _lockstep_spec(algorithm, T=100)
         monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(spec))
@@ -192,6 +192,7 @@ class TestLockstep:
         series = harness.run_experiment(spec)
         cfg, two_sample = spec.dgp, est.REGRESSORS[algorithm]._reads_x_prime
         sample = dgp.sample_two_block if two_sample else dgp.sample_one_block
+        mask = (1 << 64) - 1
         for i in range(spec.trials):
             alone = harness.run_trial(spec, i)
             assert alone.metrics.keys() == series.metrics.keys()
@@ -205,8 +206,45 @@ class TestLockstep:
             if spec.test_n:
                 dgp.sample_one_block(rng, cfg, spec.test_n)
             for n in (40, 40, 20):
-                sample(rng, cfg, n, digest)
+                sample(rng, cfg, n)
+                pcg = rng.bit_generator.state["state"]
+                digest.update(np.array([pcg["state"] >> 64, pcg["state"] & mask, pcg["inc"] >> 64,
+                                        pcg["inc"] & mask], dtype=np.uint64).tobytes())
             assert alone.stream_digests == [series.stream_digests[i]] == [digest.hexdigest()]
+
+    def test_each_lane_binds_its_loop_once_per_group(self, monkeypatch):
+        # T spans 2.5 blocks, the 7 trials run as groups of 3, 2 and 2, and the
+        # three one-sample algorithms step in two lanes (the two-timescale pair
+        # and streaming 2SLS). A lane binds its loop to the pass's buffer once
+        # per group, and again only when keep() drops a theta, not once per
+        # block; each trial is still its run alone.
+        monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 40)
+        cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
+        specs = [_lockstep_spec(a, dgp=cfg, T=100) for a in ("two_stage_sgd", "direct_sgd", "online_2sls")]
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(specs[0]))
+        assert [len(g) for g in harness.trial_groups(specs[0])] == [3, 2, 2]
+        binds, keeps = [], []
+        init, keep = est.Window.__init__, harness._Lane.keep
+
+        def counting_init(window, *args, **kwargs):
+            binds.append(args[0])
+            init(window, *args, **kwargs)
+
+        def counting_keep(lane, col):
+            keeps.append(col)
+            keep(lane, col)
+
+        monkeypatch.setattr(est.Window, "__init__", counting_init)
+        monkeypatch.setattr(harness._Lane, "keep", counting_keep)
+        together = harness.run_experiments(specs)
+        assert sorted(binds) == sorted(["two_timescale_window", "online_2sls_window"] * 3) and not keeps
+        for spec, series in zip(specs, together):
+            for i in range(spec.trials):
+                alone = harness.run_trial(spec, i)
+                assert alone.metrics.keys() == series.metrics.keys()
+                for m, v in series.metrics.items():
+                    assert alone.metrics[m].tobytes() == v[i:i + 1].tobytes()
+                assert alone.stream_digests == [series.stream_digests[i]]
 
     def test_held_out_set_drawn_from_arrays(self):
         # The held-out set comes first in the trial's stream, as dgp.test_set draws it.
@@ -223,10 +261,10 @@ class TestLockstep:
         draws = []
 
         def counting(sample):
-            def counting_block(rng, cfg, n, digest=None, out=None):
+            def counting_block(rng, cfg, n, out=None):
                 if n > 30:  # training blocks, not the held-out set
                     draws.append(out)
-                return sample(rng, cfg, n, digest, out)
+                return sample(rng, cfg, n, out=out)
             return counting_block
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 100)
@@ -456,9 +494,9 @@ class TestSharedPass:
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
         draws = []
 
-        def counting_block(rng, cfg, n, digest=None, out=None):
+        def counting_block(rng, cfg, n, out=None):
             draws.append(n)
-            return dgp.sample_one_block(rng, cfg, n, digest, out)
+            return dgp.sample_one_block(rng, cfg, n, out=out)
 
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 500)
         monkeypatch.setattr(harness, "sample_one_block", counting_block)
@@ -512,16 +550,6 @@ class TestStreamDigest:
             h.update(np.array(words, dtype=np.uint64).tobytes())
         assert harness.run_trial(spec, 1).stream_digests == [h.hexdigest()]
 
-    @pytest.mark.parametrize("sample", [dgp.sample_one_block, dgp.sample_two_block])
-    def test_a_draw_with_a_digest_is_the_same_draw(self, sample):
-        cfg = dgp.shared_confounder_config(2, 3, c=0.5)
-        plain, hashed = (np.random.Generator(np.random.PCG64(3)) for _ in range(2))
-        digest = hashlib.sha256()
-        for a, b in zip(sample(plain, cfg, 50), sample(hashed, cfg, 50, digest)):
-            assert a.tobytes() == b.tobytes()
-        assert plain.bit_generator.state == hashed.bit_generator.state
-        assert digest.hexdigest() != hashlib.sha256().hexdigest()
-
     @pytest.mark.parametrize("spec, digests, combined", [
         (dict(dgp=dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5), test_n=20),
          ["1af515bd9dbc7a97ed79723e259348bfca9b75ca909fa307cdcc681c58c14964",
@@ -549,9 +577,9 @@ class TestStreamDigest:
         held_out = harness.run_experiment(_tiny_spec(test_n=1)).stream_digests
         assert not set(plain) & set(held_out)
 
-        def one_more(rng, cfg, n, digest=None, out=None):
+        def one_more(rng, cfg, n, out=None):
             rng.standard_normal()  # one normal before the block: the same shapes, one more word drawn
-            return dgp.sample_one_block(rng, cfg, n, digest, out)
+            return dgp.sample_one_block(rng, cfg, n, out=out)
 
         monkeypatch.setattr(harness, "sample_one_block", one_more)
         assert not set(plain) & set(harness.run_experiment(_tiny_spec()).stream_digests)
