@@ -1,5 +1,5 @@
-"""Build and load the compiled loops of :mod:`ivstream.estimators`, :mod:`ivstream.dgp`, :mod:`ivstream.harness`
-and :mod:`ivstream.cli`.
+"""Build and load the compiled loops of :mod:`ivstream.estimators`, :mod:`ivstream.dgp`, :mod:`ivstream.harness`,
+:mod:`ivstream.cli` and :mod:`ivstream.oracle`.
 
 ``_windows.c`` is compiled with the system ``cc`` on the first draw of a
 sample block, the first bind of a window loop (a harness group's first
@@ -20,7 +20,9 @@ random module calls, which glibc resolves for the same CPU in both. The CSV
 formatter ``shortest_reprs`` (:func:`reprs`) is integer arithmetic on the
 power-of-five tables of :func:`pow5_tables`, which are computed here with
 Python's exact integers and handed to the library once, on load, as numpy's
-BLAS routines are.
+BLAS routines are. The oracle's Monte-Carlo sums, ``cross_sums`` and
+``noise_norms``, are plain arithmetic in the order of the numpy reductions
+they replace, with no library call.
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ def loops(path: Path | None = None) -> ctypes.CDLL:
     lib.checkpoint_metrics.argtypes, lib.checkpoint_metrics.restype = (n,) * 3 + (p, p, n) + (p,) * 5 + (n, n), n
     lib.use_pow5.argtypes, lib.use_pow5.restype = (p, p), None
     lib.shortest_reprs.argtypes, lib.shortest_reprs.restype = (n, p, p), n
+    # n, d_x, x, x_prime, y, xx, xy; n, d_x, x, x_prime, m, cond_xx, sq_xx, sq_mm, work
+    lib.cross_sums.argtypes, lib.cross_sums.restype = (n, n) + (p,) * 5, None
+    lib.noise_norms.argtypes, lib.noise_norms.restype = (n, n) + (p,) * 7, None
     lib.use_blas(*blas)
     lib.pow5 = pow5_tables()  # the library reads them in place, so they live as long as it does
     lib.use_pow5(lib.pow5[:POW5_INV_ROWS].ctypes.data, lib.pow5[POW5_INV_ROWS:].ctypes.data)

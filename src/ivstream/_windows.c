@@ -2,10 +2,13 @@
  * Window loops of ivstream.estimators: B trials stepped through a window of
  * rows of their sample blocks, updating the state in place. The normal
  * sampler of ivstream.dgp, standard_normals, follows them, then the
- * checkpoint metrics of ivstream.harness, checkpoint_metrics, and last the
- * formatter of ivstream.cli's CSV values, shortest_reprs (with use_pow5), so
- * that adding each moved no function before it. checkpoint_metrics computes
- * each theta's metrics with the loops' vecdot and matvec, numpy's bits:
+ * checkpoint metrics of ivstream.harness, checkpoint_metrics, the formatter
+ * of ivstream.cli's CSV values, shortest_reprs (with use_pow5), and last the
+ * Monte-Carlo sums of ivstream.oracle, cross_sums and noise_norms (with
+ * pairwise_dot), so that adding each moved no function before it. The sums
+ * make no library call; they are numpy's reductions, in numpy's order (see
+ * there). checkpoint_metrics computes each theta's metrics with the loops'
+ * vecdot and matvec, numpy's bits:
  *   dist_sq              np.vecdot(d, d), d = theta - theta_star
  *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
  *
@@ -1170,4 +1173,102 @@ blasint shortest_reprs(blasint n, const double *x, char *out)
         *p++ = '\n';
     }
     return p - out;
+}
+
+/*
+ * The Monte-Carlo moments of ivstream.oracle, over n two-sample draws with
+ * rows x[i], x_prime[i] (d_x,) and y[i] and conditional means m[i] (d_x,),
+ * each a C-contiguous table of rows. Every product and difference is rounded
+ * once, as numpy's elementwise ufuncs round it, and every sum runs in the
+ * order of the numpy reduction it replaces: add.reduce starts a sum at +0;
+ * over axis 0 of (n, k) products with k > 1 it adds the draws one after
+ * another, and over one contiguous axis, as over the n products at d_x = 1
+ * or the d_x^2 entries of one draw, it takes numpy's pairwise_sum.
+ */
+
+/*
+ * numpy's pairwise_sum (loops_utils.h.src) of the n products a[i] * b[i]:
+ * fewer than 8 in turn; up to 128 in 8 accumulators of every eighth product,
+ * summed as a tree, then the rest in turn; above that the two halves, the
+ * first rounded down to a multiple of 8. gcc places a called static
+ * function ahead of every exported one, and inlining this recursion swaps
+ * the order of the two_timescale_lanes clones; a hidden function that is
+ * never inlined stays here and leaves every loop before it where it was.
+ */
+__attribute__((visibility("hidden"), noinline)) double pairwise_dot(blasint n, const double *a, const double *b)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (blasint i = 0; i < n; i++)
+            res += a[i] * b[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k] * b[k];
+        blasint i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k] * b[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i] * b[i];
+        return res;
+    }
+    blasint n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_dot(n2, a, b) + pairwise_dot(n - n2, a + n2, b + n2);
+}
+
+/*
+ * The sums over the draws that oracle.mc_moments divides by n:
+ *   xx (d_x, d_x)   (x_prime[:, :, None] * x[:, None, :]).sum(axis=0)
+ *   xy (d_x,)       (x_prime * y[:, None]).sum(axis=0)
+ */
+void cross_sums(blasint n, blasint d_x, const double *x, const double *x_prime, const double *y, double *xx,
+                double *xy)
+{
+    if (d_x == 1) {
+        xx[0] = 0. + pairwise_dot(n, x_prime, x);
+        xy[0] = 0. + pairwise_dot(n, x_prime, y);
+        return;
+    }
+    for (blasint j = 0; j < d_x; j++) {
+        for (blasint k = 0; k < d_x; k++)
+            xx[j * d_x + k] = 0. + x_prime[j] * x[k];
+        xy[j] = 0. + x_prime[j] * y[0];
+    }
+    for (blasint i = 1; i < n; i++) {
+        const double *x_i = x + i * d_x, *xp_i = x_prime + i * d_x;
+        for (blasint j = 0; j < d_x; j++) {
+            for (blasint k = 0; k < d_x; k++)
+                xx[j * d_x + k] += xp_i[j] * x_i[k];
+            xy[j] += xp_i[j] * y[i];
+        }
+    }
+}
+
+/*
+ * The squared Frobenius norms per draw behind oracle.theory_constants's
+ * sigma1_sq, with mm = m[:, :, None] * m[:, None, :] and M = cond_xx (d_x, d_x):
+ *   sq_xx (n,)   ((x_prime[:, :, None] * x[:, None, :] - mm) ** 2).sum(axis=(1, 2))
+ *   sq_mm (n,)   ((mm - M) ** 2).sum(axis=(1, 2))
+ * work holds d_x * d_x doubles.
+ */
+void noise_norms(blasint n, blasint d_x, const double *x, const double *x_prime, const double *m,
+                 const double *cond_xx, double *sq_xx, double *sq_mm, double *work)
+{
+    blasint entries = d_x * d_x;
+    for (blasint i = 0; i < n; i++) {
+        const double *x_i = x + i * d_x, *xp_i = x_prime + i * d_x, *m_i = m + i * d_x;
+        for (blasint j = 0; j < d_x; j++)
+            for (blasint k = 0; k < d_x; k++)
+                work[j * d_x + k] = xp_i[j] * x_i[k] - m_i[j] * m_i[k];
+        sq_xx[i] = 0. + pairwise_dot(entries, work, work);
+        for (blasint j = 0; j < d_x; j++)
+            for (blasint k = 0; k < d_x; k++)
+                work[j * d_x + k] = m_i[j] * m_i[k] - cond_xx[j * d_x + k];
+        sq_mm[i] = 0. + pairwise_dot(entries, work, work);
+    }
 }

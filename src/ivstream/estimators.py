@@ -20,8 +20,11 @@ Four single-pass algorithms, each consuming one observation per step:
         gamma' = gamma - beta * Z (Z^T gamma - X^T).
 
     The theta step always sees the positive semi-definite curvature
-    gamma^T Z Z^T gamma, which is what keeps the coupled system stable from
-    arbitrary initialisation.
+    gamma^T Z Z^T gamma. That does not make the coupled system stable from
+    every initialisation: under the ``fig3`` preset's steps from gamma0 = 10,
+    a first row with a large |z| makes the first gamma step overshoot and
+    theta blow up, and at ``fig3`` seeds 7, 8, 11 and 101 one trial in 50
+    has not recovered by T = 1e5 (the preset's seed 303 has no such trial).
 
 ``direct_residual_update``
     Same fast recursion, but the theta step plugs the raw residual in

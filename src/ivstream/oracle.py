@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _native
 from ._validation import as_float_vector, check_symmetric_pd
 from .dgp import DgpConfig, EndogenousLinear, conditional_mean_x, sample_two_block
 from .estimators import initial_state
@@ -108,8 +109,15 @@ def grad_f(theta, summary: PopulationSummary) -> NDArray[np.float64]:
     return summary.cond_xx @ theta - summary.cond_xy
 
 
-#: Draws per (rows, d_x, d_x) temporary of the Monte-Carlo moments.
-_CHUNK = 2048
+def _moments(z, x, x_p, y) -> PopulationSummary:
+    """The Monte-Carlo summary of these two-sample draws: see :func:`mc_moments`."""
+    n, d_x = x.shape
+    cond_xx, cond_xy = np.empty((d_x, d_x)), np.empty(d_x)
+    _native.loops().cross_sums(n, d_x, x.ctypes.data, x_p.ctypes.data, y.ctypes.data, cond_xx.ctypes.data,
+                               cond_xy.ctypes.data)
+    cond_xx = cond_xx / n
+    cond_xx = 0.5 * (cond_xx + cond_xx.T)
+    return _summary(z.T @ z / n, z.T @ x / n, z.T @ y / n, cond_xx, cond_xy / n)
 
 
 def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSummary:
@@ -117,27 +125,15 @@ def mc_moments(rng: np.random.Generator, cfg: DgpConfig, n: int) -> PopulationSu
 
     Works for every family, including the square link. The conditional-mean
     second moments are estimated by the two-sample product X' X^T, which is
-    unbiased for M without knowing the conditional means.
+    unbiased for M without knowing the conditional means. The sums over the
+    draws of X' X^T and X' Y are the compiled ``cross_sums``, bitwise numpy's
+    ``.sum(axis=0)`` of the (n, d_x, d_x) and (n, d_x) products, and numpy
+    divides them by n.
     """
     n = int(n)
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
-    z, x, x_p, y = sample_two_block(rng, cfg, n)
-
-    # Mean of per-draw X' X^T. For d_x > 1, .mean(axis=0) sums the draws in
-    # one sequential pass, which each chunk continues, so the result is
-    # bitwise the same without an (n, d_x, d_x) tensor. At d_x = 1 the sum
-    # runs pairwise along the one contiguous axis, so those n products are
-    # summed as one chunk.
-    chunk = n if cfg.d_x == 1 else _CHUNK
-    prods = (x_p[lo:lo + chunk, :, None] * x[lo:lo + chunk, None, :] for lo in range(0, n, chunk))
-    cond_xx = next(prods).sum(axis=0)
-    for p in prods:
-        cond_xx = np.add.reduce(np.concatenate([cond_xx[None], p]), axis=0)
-    cond_xx = cond_xx / n
-    cond_xx = 0.5 * (cond_xx + cond_xx.T)
-    cond_xy = (x_p * y[:, None]).mean(axis=0)
-    return _summary(z.T @ z / n, z.T @ x / n, z.T @ y / n, cond_xx, cond_xy)
+    return _moments(*sample_two_block(rng, cfg, n))
 
 
 #: Seed and size of the Monte-Carlo samples behind the measured constants.
@@ -153,11 +149,15 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     and so the same schedules.
 
     ``mu`` comes from the analytic summary when the link is linear and from
-    :func:`mc_moments` otherwise. The gradient-noise second moment
-    ``sigma1_sq`` is measured by Monte Carlo in the Frobenius norm (an upper
-    bound on the spectral-norm moment, so the step-size clamp derived from it
-    stays valid). The fast-iterate set diameter ``c_gamma``
-    covers a ball around the planted first-stage parameter that contains the
+    :func:`mc_moments`'s summary of the stream's first 50 000 draws
+    otherwise. The gradient-noise second moment ``sigma1_sq`` is measured by
+    Monte Carlo, from the next 50 000 draws (drawn into the same arrays), in
+    the Frobenius norm (an upper bound on the spectral-norm moment, so the
+    step-size clamp derived from it stays valid): the compiled
+    ``noise_norms`` gives each draw's squared norms, bitwise numpy's
+    ``.sum(axis=(1, 2))`` of the (n, d_x, d_x) deviations, and numpy takes
+    their means. The fast-iterate set diameter ``c_gamma`` covers a ball
+    around the planted first-stage parameter that contains the
     initialisation ``gamma0`` (default zero).
 
     A single process pins the constants at its actual d_z, so they include
@@ -166,7 +166,12 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     :func:`ivstream.schedule.two_timescale_schedules`.
     """
     rng = np.random.Generator(np.random.PCG64(_MC_SEED))
-    summary = summarize(cfg) if cfg.is_linear else mc_moments(rng, cfg, _MC_N)
+    draws = sample_two_block(rng, cfg, _MC_N)
+    if cfg.is_linear:
+        summary = summarize(cfg)
+    else:  # mc_moments's draws, then the sigma1_sq draws into the same arrays
+        summary = _moments(*draws)
+        sample_two_block(rng, cfg, _MC_N, out=draws)
     lambda_z = float(np.linalg.eigvalsh(cfg.z_cov)[-1])
     gamma = cfg.gamma_star
     gnorm_spec = float(np.linalg.norm(gamma, 2))
@@ -174,17 +179,12 @@ def theory_constants(cfg: DgpConfig, gamma0=None) -> TheoryConstants:
     g0 = initial_state(cfg.d_x, cfg.d_z, gamma0=gamma0)[1]
     c_gamma = max(2.0 * gnorm_fro, float(np.linalg.norm(g0 - gamma)) + gnorm_fro)
 
-    z, x, x_p, _ = sample_two_block(rng, cfg, _MC_N)
+    z, x, x_p, _ = draws
     m_z = conditional_mean_x(cfg, z)
-    # Frobenius-norm analogue of the gradient-noise second-moment bound. The
-    # per-draw squared norms are taken a chunk of draws at a time; each row's
-    # sum does not depend on the chunk, so the means are those of one tensor.
-    sq_xx, sq_mm = np.empty(_MC_N), np.empty(_MC_N)
-    for lo in range(0, _MC_N, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        mm = m_z[rows, :, None] * m_z[rows, None, :]
-        sq_xx[rows] = ((x_p[rows, :, None] * x[rows, None, :] - mm) ** 2).sum(axis=(1, 2))
-        sq_mm[rows] = ((mm - summary.cond_xx[None, :, :]) ** 2).sum(axis=(1, 2))
+    # Frobenius-norm analogue of the gradient-noise second-moment bound.
+    sq_xx, sq_mm, work = np.empty(_MC_N), np.empty(_MC_N), np.empty(cfg.d_x**2)
+    _native.loops().noise_norms(_MC_N, cfg.d_x, x.ctypes.data, x_p.ctypes.data, m_z.ctypes.data,
+                                summary.cond_xx.ctypes.data, sq_xx.ctypes.data, sq_mm.ctypes.data, work.ctypes.data)
     sigma1_sq = 2.0 * float(sq_xx.mean()) + 2.0 * float(sq_mm.mean())
 
     return TheoryConstants(

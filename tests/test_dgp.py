@@ -223,7 +223,7 @@ class TestDrawInto:
             "rows": [*good[:-1], np.empty((n, 1))],
             "non_contiguous": [good[0], np.empty((n, 2 * good[1].shape[1]))[:, ::2], *good[2:]],
             "fortran_order": [np.asfortranarray(good[0]), *good[1:]],
-            "float32": [good[0].astype(np.float32), *good[1:]],
+            "float32": [np.zeros(good[0].shape, np.float32), *good[1:]],
             "read_only": [*good[:-1], np.lib.stride_tricks.as_strided(good[-1], writeable=False)],
             "list": [good[0].tolist(), *good[1:]],
             "count": good[:-1],

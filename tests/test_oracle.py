@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from ivstream import dgp, oracle
+from ivstream import _native, dgp, oracle
 from ivstream.oracle import PopulationSummary
 
 
@@ -147,22 +147,39 @@ class TestMcMoments:
         assert mc.mu == pytest.approx(2.0, rel=0.1)
 
 
-class TestChunkedMoments:
-    """The chunked Monte-Carlo moments equal the full-tensor expressions bitwise."""
+def _numpy_moments(z, x, x_p, y) -> PopulationSummary:
+    """mc_moments's summary of these draws from numpy's full-tensor reductions."""
+    n = len(y)
+    cond_xx = (x_p[:, :, None] * x[:, None, :]).mean(axis=0)
+    cond_xx = 0.5 * (cond_xx + cond_xx.T)
+    cond_xy = (x_p * y[:, None]).mean(axis=0)
+    return oracle._summary(z.T @ z / n, z.T @ x / n, z.T @ y / n, cond_xx, cond_xy)
 
-    CELLS = [
-        dgp.shared_confounder_config(4, 8, c=0.1, phi="square"),
-        dgp.shared_confounder_config(1, 1, c=0.3, phi="square"),
-        dgp.endogenous_linear_config(3, 5, rho=4.0, sigma_eps=1.0),
-    ]
 
-    @pytest.mark.parametrize("chunk", [2048, 999])
-    @pytest.mark.parametrize("cfg", CELLS)
-    def test_sigma1_sq(self, cfg, chunk, monkeypatch):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+def _moment_cases():
+    """(cfg, n): square links at d_x^2 below 8, from 8 to 128 and above it, over n at d_x = 1's pairwise
+    sum's edges, where an (n, d_x, d_x) tensor stays within 6.4 MB; and one correlated Z."""
+    cases = [(dgp.shared_confounder_config(d_x, d_x + 2, c=0.3, phi="square"), n)
+             for d_x in (1, 2, 3, 4, 8, 12, 16) for n in (1000, 1001, 50_000) if n * d_x**2 <= 50_000 * 16]
+    z_cov = np.eye(5) + 0.4 * np.ones((5, 5))
+    return cases + [(dgp.endogenous_linear_config(3, 5, rho=4.0, sigma_eps=1.0, z_cov=z_cov), 50_000)]
+
+
+def _case_id(case):
+    cfg, n = case
+    return f"{type(cfg.family).__name__}-dx{cfg.d_x}-n{n}"
+
+
+class TestCompiledMoments:
+    """The compiled Monte-Carlo sums give numpy's full-tensor expressions bit for bit."""
+
+    @pytest.mark.parametrize("case", _moment_cases(), ids=_case_id)
+    def test_theory_constants(self, case, monkeypatch):
+        cfg, n = case
+        monkeypatch.setattr(oracle, "_MC_N", n)
         rng = np.random.Generator(np.random.PCG64(oracle._MC_SEED))
-        summary = oracle.summarize(cfg) if cfg.is_linear else oracle.mc_moments(rng, cfg, oracle._MC_N)
-        z, x, x_p, _ = dgp.sample_two_block(rng, cfg, oracle._MC_N)
+        summary = oracle.summarize(cfg) if cfg.is_linear else _numpy_moments(*dgp.sample_two_block(rng, cfg, n))
+        z, x, x_p, _ = dgp.sample_two_block(rng, cfg, n)
         m_z = dgp.conditional_mean_x(cfg, z)
         mm = m_z[:, :, None] * m_z[:, None, :]
         dev_xx = x_p[:, :, None] * x[:, None, :] - mm
@@ -170,17 +187,37 @@ class TestChunkedMoments:
         full = 2.0 * float((dev_xx**2).sum(axis=(1, 2)).mean()) + 2.0 * float(
             (dev_mm**2).sum(axis=(1, 2)).mean()
         )
-        assert oracle.theory_constants(cfg).sigma1_sq.hex() == full.hex()
+        k = oracle.theory_constants(cfg)
+        assert (k.sigma1_sq.hex(), k.mu.hex()) == (full.hex(), summary.mu.hex())
 
-    @pytest.mark.parametrize("n", [1000, 50_000])
-    @pytest.mark.parametrize("chunk", [2048, 999])
-    @pytest.mark.parametrize("cfg", CELLS)
-    def test_cond_xx(self, cfg, chunk, n, monkeypatch):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        _, x, x_p, _ = dgp.sample_two_block(make_rng(3), cfg, n)
-        full = (x_p[:, :, None] * x[:, None, :]).mean(axis=0)
-        full = 0.5 * (full + full.T)
-        assert oracle.mc_moments(make_rng(3), cfg, n).cond_xx.tobytes() == full.tobytes()
+    @pytest.mark.parametrize("case", _moment_cases(), ids=_case_id)
+    def test_mc_moments(self, case):
+        cfg, n = case
+        full = _numpy_moments(*dgp.sample_two_block(make_rng(3), cfg, n))
+        mc = oracle.mc_moments(make_rng(3), cfg, n)
+        for name in ("cond_xx", "cond_xy", "theta_closed", "gamma_closed"):
+            assert getattr(mc, name).tobytes() == getattr(full, name).tobytes(), name
+        assert mc.mu.hex() == full.mu.hex()
+
+    @pytest.mark.parametrize("case", _moment_cases(), ids=_case_id)
+    def test_per_draw_sums(self, case):
+        """The compiled sums before numpy divides them or takes their means, which could round a wrong order
+        away."""
+        cfg, n = case
+        z, x, x_p, y = dgp.sample_two_block(make_rng(5), cfg, n)
+        m_z = dgp.conditional_mean_x(cfg, z)
+        cond_xx = oracle.mc_moments(make_rng(6), cfg, 1000).cond_xx
+        xx, xy = np.empty((cfg.d_x, cfg.d_x)), np.empty(cfg.d_x)
+        sq_xx, sq_mm, work = np.empty(n), np.empty(n), np.empty(cfg.d_x**2)
+        lib = _native.loops()
+        lib.cross_sums(n, cfg.d_x, x.ctypes.data, x_p.ctypes.data, y.ctypes.data, xx.ctypes.data, xy.ctypes.data)
+        lib.noise_norms(n, cfg.d_x, x.ctypes.data, x_p.ctypes.data, m_z.ctypes.data, cond_xx.ctypes.data,
+                        sq_xx.ctypes.data, sq_mm.ctypes.data, work.ctypes.data)
+        mm = m_z[:, :, None] * m_z[:, None, :]
+        assert xx.tobytes() == (x_p[:, :, None] * x[:, None, :]).sum(axis=0).tobytes()
+        assert xy.tobytes() == (x_p * y[:, None]).sum(axis=0).tobytes()
+        assert sq_xx.tobytes() == ((x_p[:, :, None] * x[:, None, :] - mm) ** 2).sum(axis=(1, 2)).tobytes()
+        assert sq_mm.tobytes() == ((mm - cond_xx) ** 2).sum(axis=(1, 2)).tobytes()
 
 
 class TestTheoryConstants:
