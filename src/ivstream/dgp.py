@@ -82,6 +82,7 @@ from ._validation import (
     as_float_vector,
     check_finite,
     check_in_place,
+    check_integer,
     check_nonnegative,
     check_positive,
     check_symmetric_pd,
@@ -154,8 +155,8 @@ class DgpConfig:
     _z_chol: NDArray[np.float64] = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        d_x = int(self.d_x)
-        d_z = int(self.d_z)
+        d_x = check_integer(self.d_x, "d_x")
+        d_z = check_integer(self.d_z, "d_z")
         if d_x < 1:
             raise ValueError("d_x must be >= 1")
         if d_z < d_x:

@@ -23,13 +23,13 @@ into balanced groups and advances each group on stacked state with one call
 of a window loop (:mod:`ivstream.estimators`) per window, from one checkpoint
 or block end to the next. Every block of a group is drawn into the same
 arrays of the pass's one buffer, so each lane binds its loop once per group,
-to a table of those arrays' addresses and to the stacked state, and again
-only when its thetas change (:class:`_Lane`); for each sample block it only
-computes the block's steps, so a window call passes only integers and
-addresses read once. The loop steps all the group's trials on each row before
-the next, in SIMD lanes at d_x = d_z = 1, where a trial's row costs a few
-nanoseconds; streaming 2SLS at d > 1 steps one trial through the window after
-another instead. Either order gives each trial the same bits. A checkpoint's
+to a table of those arrays' addresses and to the stacked state, and never
+again (:class:`_Lane`); for each sample block it only computes the block's
+steps, so a window call passes only integers and addresses read once. The
+loop steps all the group's trials on each row before the next, in SIMD lanes
+at d_x = d_z = 1, where a trial's row costs a few nanoseconds; streaming
+2SLS at d > 1 steps one trial through the window after another instead.
+Either order gives each trial the same bits. A checkpoint's
 metrics are one call of the compiled ``checkpoint_metrics`` per lane, bound
 like the loop to tables of the held-out sets and of the metric rows, which it
 writes in place with numpy's arithmetic and BLAS calls, bit for bit;
@@ -43,7 +43,7 @@ fault again when the next array touches them). :func:`trial_groups` sizes the
 groups by a block's bytes, so the samples held do not grow with the trial
 count or T. A trial that diverges is a recorded result: from its first
 non-finite checkpoint on, its ``dist_sq`` and ``test_mse`` are ``inf``, and
-a spec whose trials of a group have all diverged stops.
+a lane stops once every trial of every spec in it has diverged.
 
 One pass per shared stream
 --------------------------
@@ -59,10 +59,10 @@ specs' thetas as (S, B, d_x) on one gamma. The two-timescale specs
 a lane, stepped by one :func:`~ivstream.estimators.two_timescale_window` call.
 This is exact because their gamma recursions read the same rows with the same
 steps from the same start and never read theta. Every other spec has a lane of
-its own (S = 1). Each spec's metrics are those of its own theta, and a spec
-whose trials have all diverged leaves its lane while the others step on. Specs
-that do not share a stream run in separate passes; :func:`run_experiment` is
-the one-spec case.
+its own (S = 1). Each spec's metrics are those of its own theta; a diverged
+spec steps on beside a partner that has not, its later checkpoints ``inf``.
+Specs that do not share a stream run in separate passes; :func:`run_experiment`
+is the one-spec case.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
     if checkpoints is None:
         checkpoints = tuple(log_checkpoints(T))
     else:
-        checkpoints = tuple(int(c) for c in checkpoints)
+        checkpoints = tuple(check_integer(c, "checkpoints") for c in checkpoints)
         if not checkpoints:
             raise ValueError("checkpoints must be non-empty")
         if any(c < 1 or c > T for c in checkpoints):
@@ -290,25 +290,22 @@ class _Lane:
     """The specs of a pass that one window loop steps: S thetas stacked as (S, B, d_x) on the first spec's
     gamma (and U, V), with their S raw-residual flags; only a two-timescale lane has S > 1 (:func:`_lane_key`).
 
-    The lane binds its loop once, to the state and to the group's ``fields`` on the pass's buffer (each
-    trial's z, x, x_prime and y, a list per field or None), whose addresses hold every block of the group;
-    it binds again only when :meth:`keep` drops thetas. For each block, :meth:`block` computes the steps, so
-    a window is one call on integers and addresses read once. ``record``, bound to the thetas, theta_star
-    and the trials' held-out x and y in ``tests`` (lists empty without a test set), writes a checkpoint's
-    metrics into each member's (B, checkpoints) rows of ``out``.
+    The lane binds its loop once, when it is made, to the state and to the group's ``fields`` on the pass's
+    buffer (each trial's z, x, x_prime and y, a list per field or None), whose addresses hold every block of
+    the group. For each block, :meth:`block` computes the steps, so a window is one call on integers and
+    addresses read once. ``record``, bound once too, to the thetas, theta_star and the trials' held-out x and
+    y in ``tests`` (lists empty without a test set), writes a checkpoint's metrics into each spec's
+    (B, checkpoints) rows of ``out`` and returns how many of the S thetas have a finite ``dist_sq`` there.
     """
 
     def __init__(self, specs: list[ExperimentSpec], members: list[int], b: int, fields: list, out: list, tests):
         lead = specs[members[0]]
-        self.members = members  # the specs' indices in the pass, one per theta
         self.schedules = [getattr(lead, which) for which in est.REGRESSORS[lead.algorithm]._schedules]
-        self.loop = est.REGRESSORS[lead.algorithm]._loop
-        self.direct = [est.REGRESSORS[specs[k].algorithm]._raw_residual for k in members]
+        direct = [est.REGRESSORS[specs[k].algorithm]._raw_residual for k in members]
         states = [_initial_state(specs[k], b) for k in members]
-        self.state = (np.stack([st[0] for st in states]), *states[0][1:])
-        self.fields, self.out, self.tests = fields, out, tests
-        self.window = self.loop(self.state, *fields, self.direct)
-        self.record = _recorder(self.state[0], tests, [out[k] for k in members])
+        state = (np.stack([st[0] for st in states]), *states[0][1:])  # the window and the recorder hold it
+        self.window = est.REGRESSORS[lead.algorithm]._loop(state, *fields, direct)
+        self.record = _recorder(state[0], tests, [out[k] for k in members])
 
     def block(self, start: int, end: int) -> None:
         """Compute the steps of rows ``start + 1`` to ``end``, the block drawn last."""
@@ -318,16 +315,6 @@ class _Lane:
     def step(self, r: int, rows: int) -> None:
         """Step rows ``r`` to ``r + rows - 1`` of the block."""
         self.window.step(r, rows, *[a + 8 * r for a in self.addresses])
-
-    def keep(self, col: int) -> None:
-        """Drop the members with no finite ``dist_sq`` in column ``col``; the shared gamma steps on for the others."""
-        alive = [np.isfinite(self.out[k]["dist_sq"][:, col]).any() for k in self.members]
-        self.members = [k for k, keep in zip(self.members, alive) if keep]
-        self.direct = [d for d, keep in zip(self.direct, alive) if keep]
-        self.state = (self.state[0][alive], *self.state[1:])
-        if self.members:  # the thetas moved: bind the loop and the metrics to them
-            self.window = self.loop(self.state, *self.fields, self.direct)
-            self.record = _recorder(self.state[0], self.tests, [self.out[k] for k in self.members])
 
 
 def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndarray]],
@@ -380,10 +367,8 @@ def _run_group(specs: list[ExperimentSpec], indices, out: list[dict[str, np.ndar
             lane.step(t - start, stop - t)
         t = stop
         if t == cps[cp_idx]:
-            for lane in active:  # a spec whose trials have all diverged stops; its later checkpoints stay inf
-                if lane.record(cp_idx) < len(lane.members):
-                    lane.keep(cp_idx)
-            active = [lane for lane in active if lane.members]
+            # A lane whose trials have all diverged, in every spec, stops; its later checkpoints stay inf.
+            active = [lane for lane in active if lane.record(cp_idx)]
             cp_idx += 1
     return [d.hexdigest() for d in digests]
 
@@ -425,7 +410,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> MetricSeries:
     block the stream digest hashes. The result equals row ``trial_index`` of
     :func:`run_experiment`.
     """
-    if not (0 <= trial_index < spec.trials):
+    if not (0 <= check_integer(trial_index, "trial_index") < spec.trials):
         raise ValueError(f"trial_index must be in [0, {spec.trials})")
     return _run_pass([spec], [np.array([trial_index])])[0]
 

@@ -409,12 +409,18 @@ DIVERGING = {
 
 # Both two-timescale updates on one stream from gamma0 = 1e4: all four trials
 # of two_stage_sgd diverge within 50 steps, while direct_sgd keeps three of
-# its four finite, so direct_sgd steps on alone in the lane they shared.
+# its four finite, so the lane they share steps both thetas up to T.
 DIVERGING_PAIR = {**DIVERGING, "algorithms": ["two_stage_sgd", "direct_sgd"],
                   "schedule": {"alpha": {"kind": "polynomial", "coeff": 1.0, "exponent": 0.5},
                                "beta": {"kind": "polynomial", "coeff": 0.5, "exponent": 0.65}},
                   "init": {"theta0": [0.0], "gamma0": [[1e4]]}}
 del DIVERGING_PAIR["algorithm"]
+
+# Both two-timescale updates with DIVERGING's steps and start: every trial of
+# both diverges, those of two_stage_sgd first, so the lane they share steps
+# both thetas up to direct_sgd's last divergence.
+DIVERGING_BOTH = {**DIVERGING, "algorithms": ["two_stage_sgd", "direct_sgd"]}
+del DIVERGING_BOTH["algorithm"]
 
 # Streaming 2SLS from a far first-stage start with a tiny ridge: in half of
 # the trials a rank-one denominator turns non-positive within 30 steps.
@@ -476,14 +482,20 @@ class TestDivergence:
         assert sorted(expected) == ["0", "1", "4", "7"]
 
     def test_spec_stops_stepping_once_all_trials_diverged(self, tmp_path, monkeypatch):
-        self._check_stepping(tmp_path, monkeypatch, DIVERGING)
+        [last] = self._check_stepping(tmp_path, monkeypatch, DIVERGING)
+        assert last < DIVERGING["T"]
 
-    def test_spec_stops_stepping_beside_a_partner_that_does_not(self, tmp_path, monkeypatch):
-        self._check_stepping(tmp_path, monkeypatch, DIVERGING_PAIR)
+    def test_diverged_spec_steps_on_beside_a_partner_that_does_not(self, tmp_path, monkeypatch):
+        two_stage, direct = self._check_stepping(tmp_path, monkeypatch, DIVERGING_PAIR)
+        assert two_stage < direct == DIVERGING_PAIR["T"]
+
+    def test_lane_stops_once_every_spec_has_diverged(self, tmp_path, monkeypatch):
+        assert self._check_stepping(tmp_path, monkeypatch, DIVERGING_BOTH) == [16, 43]
 
     @staticmethod
-    def _check_stepping(tmp_path, monkeypatch, config):
-        """Each spec steps up to its last trial's divergence, if all diverge, and writes the 1-d kernel's bytes."""
+    def _check_stepping(tmp_path, monkeypatch, config) -> list[int]:
+        """Each spec's last trial's divergence, or T if not all diverge, in spec order; checks that the specs'
+        one lane steps every theta up to the latest of them and writes the 1-d kernel's bytes."""
         calls = []  # per window of the two-timescale lane: rows, and the raw-residual flag of each theta
         step = estimators.Window.step
 
@@ -498,25 +510,17 @@ class TestDivergence:
         manifest = json.loads((out / "manifest.json").read_text())
         checkpoints = manifest["experiments"][0]["checkpoints"]
         specs = presets.specs_from_config(config)
-        stopped = []
+        lasts = []
         for spec in specs:
             diverged = manifest["diverged"][spec.algorithm]
-            # All trials run as one group: a spec steps up to its last trial's divergence, if all diverge.
-            last = max(diverged.values()) if len(diverged) == spec.trials else spec.T
-            stopped.append(last < spec.T)
-            rows = [n for n, direct in calls if (spec.algorithm == "direct_sgd") in direct]
-            # One call per window from one checkpoint or block end to the next, up to `last`.
-            block = harness._SAMPLE_BLOCK
-            ends = {c for c in checkpoints if c <= last} | set(range(block, last, block))
-            assert rows == np.diff([0, *sorted(ends)]).tolist()
-        # Alone, the spec stops. Beside a partner that does not stop, both thetas
-        # share each call until the diverged one is dropped from the lane.
-        if len(specs) == 1:
-            assert stopped == [True] and {d for _, d in calls} == {(True,)}
-        else:
-            assert stopped == [True, False]
-            shared = len([n for n, d in calls if False in d])
-            assert [d for _, d in calls] == [(False, True)] * shared + [(True,)] * (len(calls) - shared)
+            lasts.append(max(diverged.values()) if len(diverged) == spec.trials else spec.T)
+        # All trials run as one group, in one lane that steps every theta in each call until every trial of
+        # every spec has diverged: one call per window from one checkpoint or block end to the next, up to the
+        # last divergence.
+        last, block = max(lasts), harness._SAMPLE_BLOCK
+        ends = {c for c in checkpoints if c <= last} | set(range(block, last, block))
+        assert [n for n, _ in calls] == np.diff([0, *sorted(ends)]).tolist()
+        assert {d for _, d in calls} == {tuple(spec.algorithm == "direct_sgd" for spec in specs)}
         # The bytes are those of stepping every row: the 1-d kernel over the whole
         # stream, with the harness's step sizes.
         lines = [cli.CSV_HEADER]
@@ -539,6 +543,7 @@ class TestDivergence:
                     lines += [f"{spec.experiment_id},{spec.algorithm},{i},{c},dist_sq,{v!r}"
                               for c, v in zip(checkpoints, dist.tolist())]
         assert (out / "series.csv").read_text() == "\n".join(lines) + "\n"
+        return lasts
 
 
 class TestSeriesRows:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import hashlib
 import math
 import re
@@ -378,6 +379,14 @@ class TestValidation:
     def test_dz_must_dominate_dx(self):
         with pytest.raises(ValueError, match="d_z"):
             dgp.endogenous_linear_config(4, 2, rho=1.0, sigma_eps=0.5)
+
+    @pytest.mark.parametrize("field,value", [("d_x", 2.7), ("d_x", 2.0), ("d_x", True), ("d_z", 3.5),
+                                             ("d_z", np.float64(3.0)), ("d_z", "3")])
+    def test_dimensions_must_be_integers(self, field, value):
+        # DgpConfig(2.7, 3, ...) used to build a config with d_x = 2.
+        cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            dataclasses.replace(cfg, **{field: value})
 
     def test_identification_requires_pd_first_stage(self):
         with pytest.raises(ValueError):

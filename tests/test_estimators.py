@@ -106,22 +106,39 @@ class TestTwoTimescaleUpdates:
     def test_gamma_rate_trend(self):
         # Under the prescribed decay exponent the first-stage error
         # E||gamma_t - gamma*||^2 keeps decreasing with tail slope <= -0.7.
+        # The trials step in groups of 25 through the two-timescale window
+        # loop, one call per checkpoint interval; it gives each trial the 1-d
+        # kernel's bits, as trials 0 and 57 check against the kernel here.
         cfg = dgp.endogenous_linear_config(1, 1, rho=1.0, sigma_eps=0.5)
         beta = Polynomial(0.5, 0.95)
-        T, trials = 20_000, 100
+        T, trials, group = 20_000, 100, 25
         checkpoints = np.unique(np.logspace(0, np.log10(T), 30).astype(int))
+        alphas = np.array([0.3 * (t + 1.0) ** -0.95 for t in range(T)])
+        betas = np.array([beta.coeff * (t + 1.0) ** -beta.exponent for t in range(T)])
         errs = np.zeros((trials, len(checkpoints)))
-        for k in range(trials):
+        traced = {0: [], 57: []}
+        for first in range(0, trials, group):
+            z, x, y = zip(*(dgp.sample_one_block(make_rng(1000 + k), cfg, T) for k in range(first, first + group)))
+            theta, gamma = np.zeros((1, group, 1)), np.zeros((group, 1, 1))
+            window = est.two_timescale_window((theta, gamma), z, x, None, y, [False])
+            t = 0
+            for cp, c in enumerate(checkpoints.tolist()):
+                window.step(t, c - t, alphas.ctypes.data + 8 * t, betas.ctypes.data + 8 * t)
+                t = c
+                for k in range(group):
+                    errs[first + k, cp] = float(((gamma[k] - cfg.gamma_star) ** 2).sum())
+                    if first + k in traced:
+                        traced[first + k].append(gamma[k].copy())
+        ends = set(checkpoints.tolist())
+        for k, trace in traced.items():
             z, x, y = dgp.sample_one_block(make_rng(1000 + k), cfg, T)
             theta, gamma = np.zeros(1), np.zeros((1, 1))
-            cp = 0
+            kernel = []
             for t in range(T):
-                theta, gamma = est.two_stage_update(theta, gamma, z[t], x[t], y[t],
-                                                    0.3 * (t + 1.0) ** -0.95,
-                                                    beta.coeff * (t + 1.0) ** -beta.exponent)
-                if cp < len(checkpoints) and t + 1 == checkpoints[cp]:
-                    errs[k, cp] = float(((gamma - cfg.gamma_star) ** 2).sum())
-                    cp += 1
+                theta, gamma = est.two_stage_update(theta, gamma, z[t], x[t], y[t], alphas[t], betas[t])
+                if t + 1 in ends:
+                    kernel.append(gamma)
+            assert np.array(trace).tobytes() == np.array(kernel).tobytes()
         mean_err = errs.mean(axis=0)
         tail = checkpoints >= 2000
         coeffs = np.polyfit(np.log10(checkpoints[tail]), np.log10(mean_err[tail]), 1)
@@ -662,6 +679,15 @@ class TestNativeLoops:
     A loop checks its state and blocks once, when it is bound, and never writes a copy.
     """
 
+    @pytest.fixture
+    def small_source(self, tmp_path_factory, monkeypatch):
+        # The cache's keys, reuse, clean-up and flags do not depend on the
+        # source, so the cache tests compile a few lines of C, not the loops.
+        source = tmp_path_factory.mktemp("source") / "small.c"
+        source.write_text("double twice(double x)\n{\n    return 2.0 * x;\n}\n", encoding="utf-8")
+        monkeypatch.setattr(_native, "SOURCE", source)
+
+    @pytest.mark.usefixtures("small_source")
     def test_second_build_reuses_the_cache(self, tmp_path, monkeypatch):
         built = _native.build(tmp_path)
         stamp = built.stat().st_mtime_ns
@@ -670,6 +696,7 @@ class TestNativeLoops:
         assert built.stat().st_mtime_ns == stamp
         assert list(tmp_path.iterdir()) == [built]  # no temporary file is left beside it
 
+    @pytest.mark.usefixtures("small_source")
     def test_new_build_removes_older_builds_only(self, tmp_path):
         # An older build goes once a new one is in place; another process's
         # build in progress (a *.tmp) and other files stay.
@@ -682,6 +709,7 @@ class TestNativeLoops:
         built = _native.build(tmp_path)
         assert sorted(tmp_path.iterdir()) == sorted([built, in_progress, other])
 
+    @pytest.mark.usefixtures("small_source")
     def test_each_cpu_has_its_own_build(self, tmp_path, monkeypatch):
         # A cache shared by two machines: a build for one CPU is never loaded
         # on the other, and a CPU's own build is reused. Each is compiled for

@@ -92,6 +92,12 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             harness.run_trial(_tiny_spec(trials=2), 2)
 
+    @pytest.mark.parametrize("trial_index", [1.5, 1.0, True, "1"])
+    def test_trial_index_must_be_an_integer(self, trial_index):
+        # run_trial(spec, 1.5) used to run trial 1.
+        with pytest.raises(ValueError, match="^trial_index must be an integer"):
+            harness.run_trial(_tiny_spec(trials=2), trial_index)
+
 
 class TestRunExperiment:
     def test_single_trial_aggregate(self):
@@ -216,28 +222,23 @@ class TestLockstep:
         # T spans 2.5 blocks, the 7 trials run as groups of 3, 2 and 2, and the
         # three one-sample algorithms step in two lanes (the two-timescale pair
         # and streaming 2SLS). A lane binds its loop to the pass's buffer once
-        # per group, and again only when keep() drops a theta, not once per
-        # block; each trial is still its run alone.
+        # per group, when it is made, not once per block; each trial is still
+        # its run alone.
         monkeypatch.setattr(harness, "_SAMPLE_BLOCK", 40)
         cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
         specs = [_lockstep_spec(a, dgp=cfg, T=100) for a in ("two_stage_sgd", "direct_sgd", "online_2sls")]
         monkeypatch.setattr(harness, "_GROUP_BYTES", 3 * _block_bytes(specs[0]))
         assert [len(g) for g in harness.trial_groups(specs[0])] == [3, 2, 2]
-        binds, keeps = [], []
-        init, keep = est.Window.__init__, harness._Lane.keep
+        binds = []
+        init = est.Window.__init__
 
         def counting_init(window, *args, **kwargs):
             binds.append(args[0])
             init(window, *args, **kwargs)
 
-        def counting_keep(lane, col):
-            keeps.append(col)
-            keep(lane, col)
-
         monkeypatch.setattr(est.Window, "__init__", counting_init)
-        monkeypatch.setattr(harness._Lane, "keep", counting_keep)
         together = harness.run_experiments(specs)
-        assert sorted(binds) == sorted(["two_timescale_window", "online_2sls_window"] * 3) and not keeps
+        assert sorted(binds) == sorted(["two_timescale_window", "online_2sls_window"] * 3)
         for spec, series in zip(specs, together):
             for i in range(spec.trials):
                 alone = harness.run_trial(spec, i)
@@ -725,10 +726,12 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field,value", [("T", 100.5), ("T", 100.0), ("T", "100"), ("T", True),
                                              ("trials", 2.5), ("trials", np.float64(2.0)), ("trials", None),
-                                             ("test_n", 5.5)])
+                                             ("test_n", 5.5), ("checkpoints", (1.9, 10)),
+                                             ("checkpoints", (True, 10)), ("checkpoints", ("3", 10))])
     def test_counts_must_be_integers(self, field, value):
         # A fractional T or trials used to build a spec that ran a different
-        # number of trials, or died in the run with TypeError.
+        # number of trials, or died in the run with TypeError; a checkpoint
+        # of 1.9, True or "3" ran as 1, 1 or 3.
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _tiny_spec(**{field: value})
 
