@@ -26,7 +26,8 @@ sorted by (algorithm, trial, iteration, metric); LF line endings, UTF-8. The
 values of a series are formatted in one call of the compiled
 ``shortest_reprs`` (:func:`ivstream._native.reprs`), each algorithm's CSV text
 is built once, and ``series.csv`` joins those texts. Files are written to a
-temporary name and renamed into place.
+temporary name and renamed into place, each with the mode a plain ``open()``
+gives: 0o666 less the umask.
 
 Configs
 -------
@@ -42,8 +43,8 @@ import argparse
 import datetime
 import json
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,10 @@ CSV_HEADER = "experiment_id,algorithm,trial,iteration,metric,value"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``text`` to a new temporary name, then rename it to ``path``. ``os.open`` creates the file with
+    the mode a plain ``open()`` gives, 0o666 less the umask; ``mkstemp``'s 0o600 would survive the rename."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)

@@ -143,7 +143,9 @@ class DgpConfig:
 
     Construction validates that gamma_star^T z_cov gamma_star is positive
     definite (the identification condition for the planted model) and that
-    all entries are finite.
+    all entries are finite. A ``z_cov`` the caller gives, an explicit identity
+    too, is checked to be symmetric positive definite and of shape
+    (d_z, d_z); the default identity is taken as it is, unchecked.
     """
 
     d_x: int
@@ -165,18 +167,21 @@ class DgpConfig:
         object.__setattr__(self, "d_z", d_z)
         object.__setattr__(self, "theta_star", as_float_vector(self.theta_star, d_x, "theta_star"))
         object.__setattr__(self, "gamma_star", as_float_matrix(self.gamma_star, (d_z, d_x), "gamma_star"))
-        z_cov = np.eye(d_z) if self.z_cov is None else self.z_cov
-        z_cov = check_symmetric_pd(z_cov, "z_cov")
-        if z_cov.shape != (d_z, d_z):
-            raise ValueError(f"z_cov must have shape ({d_z}, {d_z}), got {z_cov.shape}")
+        # The identity's factor, None, as it would leave each Z block unchanged; the default needs no check.
+        if self.z_cov is None:
+            z_cov, z_chol = np.eye(d_z), None
+        else:
+            z_cov = check_symmetric_pd(self.z_cov, "z_cov")
+            if z_cov.shape != (d_z, d_z):
+                raise ValueError(f"z_cov must have shape ({d_z}, {d_z}), got {z_cov.shape}")
+            z_chol = None if np.array_equal(z_cov, np.eye(d_z)) else np.linalg.cholesky(z_cov)
         object.__setattr__(self, "z_cov", z_cov)
         if not isinstance(self.family, (SharedConfounder, EndogenousLinear)):
             raise ValueError(f"unknown family {self.family!r}")
         # Identification: gamma_star^T z_cov gamma_star must be PD.
         gzg = self.gamma_star.T @ z_cov @ self.gamma_star
         check_symmetric_pd(0.5 * (gzg + gzg.T), "gamma_star^T z_cov gamma_star")
-        # None for the identity, whose factor would leave each Z block unchanged.
-        object.__setattr__(self, "_z_chol", None if np.array_equal(z_cov, np.eye(d_z)) else np.linalg.cholesky(z_cov))
+        object.__setattr__(self, "_z_chol", z_chol)
 
     @property
     def is_linear(self) -> bool:

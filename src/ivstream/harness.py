@@ -67,6 +67,7 @@ is the one-spec case.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -124,8 +125,10 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
               experiment_id: str) -> tuple:
     """Validated ``(checkpoints, theta0, gamma0)`` of a run of ``dgp``.
 
-    These are the checks of :class:`ExperimentSpec` that need no schedule;
-    each failure raises ``ValueError``.
+    These are the checks of :class:`ExperimentSpec` that need no algorithm;
+    each failure raises ``ValueError``. A spec built directly runs them on
+    construction; :func:`ivstream.presets.specs_from_config` runs them once per
+    config and builds each algorithm's spec from their result.
     """
     # An id starts every CSV row, so it must not split a field or a line.
     if not isinstance(experiment_id, str) or any(c in experiment_id for c in ',"\r\n'):
@@ -152,7 +155,12 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
 class ExperimentSpec:
     """Everything needed to reproduce one (DGP, algorithm, schedule) run; a real step is a ``Constant``,
     a step the algorithm does not read is rejected, ``lam`` is kept as a Python float and ``T``,
-    ``trials``, ``base_seed`` and ``test_n`` as Python ints."""
+    ``trials``, ``base_seed`` and ``test_n`` as Python ints.
+
+    Construction runs every check, each failure a ``ValueError``: the algorithm's (its name, the schedules
+    it reads or refuses, the integer fields), then :func:`check_run`'s on the run fields. A config's specs
+    (:func:`ivstream.presets.specs_from_config`) share one ``check_run`` and run only the algorithm's.
+    """
 
     dgp: DgpConfig
     algorithm: str
@@ -169,6 +177,21 @@ class ExperimentSpec:
     experiment_id: str = "experiment"
 
     def __post_init__(self):
+        self._check(None)
+
+    @classmethod
+    def _of_run(cls, run: tuple, **fields) -> ExperimentSpec:
+        """A spec of ``fields`` whose ``checkpoints``, ``theta0`` and ``gamma0`` are ``run``, :func:`check_run`'s
+        result on its run fields, so only the algorithm's checks run."""
+        spec = cls.__new__(cls)
+        for f in dataclasses.fields(cls):
+            object.__setattr__(spec, f.name, fields.get(f.name, f.default))
+        spec._check(run)
+        return spec
+
+    def _check(self, run: tuple | None) -> None:
+        """The algorithm's checks: its name, the schedules it reads or refuses and the integer fields. The run
+        fields take ``run``, :func:`check_run`'s result on them, or are checked here when it is None."""
         if self.algorithm not in est.REGRESSORS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(est.REGRESSORS)}")
         read = est.REGRESSORS[self.algorithm]._schedules
@@ -177,9 +200,10 @@ class ExperimentSpec:
                 object.__setattr__(self, which, est._as_schedule(getattr(self, which), which))
             elif getattr(self, which) is not None:  # it would never be checked or stepped
                 raise ValueError(f"{which} is given, but {self.algorithm} does not read it")
-        checked = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
+        if run is None:
+            run = check_run(self.dgp, self.T, self.trials, self.test_n, self.checkpoints,
                             self.lam, self.theta0, self.gamma0, self.experiment_id)
-        for name, value in zip(("checkpoints", "theta0", "gamma0"), checked):
+        for name, value in zip(("checkpoints", "theta0", "gamma0"), run):
             object.__setattr__(self, name, value)
         for name in ("T", "trials", "base_seed", "test_n"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))

@@ -207,7 +207,13 @@ def specs_from_config(
     trials: int | None = None,
     T: int | None = None,
 ) -> list[ExperimentSpec]:
-    """Resolve a config dict into one spec per requested algorithm; a malformed one raises ConfigError."""
+    """Resolve a config dict into one spec per requested algorithm; a malformed one raises ConfigError.
+
+    The run fields (the DGP, T, trials, ``test_n``, checkpoints, ``lam``, ``init`` and
+    ``experiment_id``) go through :func:`~ivstream.harness.check_run` once, before any
+    schedule is resolved; each algorithm's spec is built from its result and runs only
+    the algorithm's checks (see :class:`~ivstream.harness.ExperimentSpec`).
+    """
     try:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
@@ -253,19 +259,18 @@ def specs_from_config(
 
         experiment_id = config.get("experiment_id", "experiment")
         lam = _real(sched.get("lambda", DEFAULT_RIDGE), "schedule.lambda")
-        # Everything but the schedules is checked first, so a bad config is rejected
-        # before the constants are measured.
-        checkpoints, theta0, gamma0 = check_run(cfg, horizon, n_trials, test_n, checkpoints, lam,
-                                                *(_array(init.get(k), f"init.{k}") for k in ("theta0", "gamma0")),
-                                                experiment_id)
+        # Everything but the schedules is checked first, once, so a bad config is rejected
+        # before the constants are measured; each spec runs only its algorithm's checks.
+        run = check_run(cfg, horizon, n_trials, test_n, checkpoints, lam,
+                        *(_array(init.get(k), f"init.{k}") for k in ("theta0", "gamma0")), experiment_id)
         # Each schedule, and the constants it may need, is resolved once per config.
-        constants = functools.cache(lambda: theory_constants(cfg, gamma0=gamma0))
+        constants = functools.cache(lambda: theory_constants(cfg, gamma0=run[2]))
         resolved = functools.cache(lambda which: _resolve_schedule(sched.get(which), which, cfg, horizon, constants))
         return [
-            ExperimentSpec(
-                dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed,
-                lam=lam, checkpoints=checkpoints, test_n=test_n, theta0=theta0, gamma0=gamma0,
-                experiment_id=experiment_id, **{which: resolved(which) for which in REGRESSORS[alg]._schedules},
+            ExperimentSpec._of_run(
+                run, dgp=cfg, algorithm=alg, T=horizon, trials=n_trials, base_seed=base_seed, lam=lam,
+                test_n=test_n, experiment_id=experiment_id,
+                **{which: resolved(which) for which in REGRESSORS[alg]._schedules},
             )
             for alg in algorithms
         ]

@@ -73,6 +73,22 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(set(manifest["stream_digests"].values())) == 1
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_files_get_the_mode_open_gives(self, umask, tmp_path):
+        # The rename keeps the temporary file's mode, which must not be owner-only whatever the umask.
+        pair = {k: v for k, v in MINIMAL.items() if k != "algorithm"}
+        cfg = _write_config(tmp_path / "cfg.json", dict(pair, algorithms=["two_stage_sgd", "direct_sgd"]))
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json", "series.csv", "series_direct_sgd.csv", "series_two_stage_sgd.csv"]
+        for name in names:
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", dict(MINIMAL, seed=5))
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import make_rng
 from ivstream import _native, dgp
+from ivstream._validation import check_symmetric_pd
 
 
 class TestNoiseFreeLimit:
@@ -405,6 +406,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="z_cov"):
             dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5,
                                          z_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("z_cov", [None, "identity"])
+    def test_only_a_given_z_cov_is_checked(self, z_cov, monkeypatch):
+        # The default identity needs no eigvalsh; an explicit one is checked as any other.
+        checked = []
+
+        def recorded(a, name="matrix"):
+            checked.append(name)
+            return check_symmetric_pd(a, name)
+
+        monkeypatch.setattr(dgp, "check_symmetric_pd", recorded)
+        cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5,
+                                           z_cov=None if z_cov is None else np.eye(3))
+        given = [] if z_cov is None else ["z_cov"]
+        assert checked == given + ["gamma_star^T z_cov gamma_star"]
+        assert cfg._z_chol is None
+        assert cfg.z_cov.dtype == np.float64 and cfg.z_cov.tobytes() == np.eye(3).tobytes()
+
+    @pytest.mark.parametrize("z_cov,message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "z_cov must be symmetric"),
+        (np.eye(3), r"z_cov must have shape \(2, 2\)"),
+        (np.eye(2)[:1], "z_cov must be square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "z_cov has non-finite entries"),
+    ])
+    def test_given_z_cov_is_checked(self, z_cov, message):
+        # test_non_pd_z_cov_rejected covers a z_cov that is not positive definite.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5, z_cov=z_cov)
 
     def test_nonfinite_theta_rejected(self):
         with pytest.raises(ValueError):

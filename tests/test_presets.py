@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ivstream import cli, presets
+from ivstream import cli, harness, presets
+from ivstream.harness import check_run
 from ivstream.schedule import Constant, Polynomial
 
 
@@ -64,6 +66,36 @@ class TestBuild:
     def test_unknown_cell(self):
         with pytest.raises(ValueError, match="cell"):
             presets.build_preset("fig2", cell="nope")
+
+    @pytest.mark.parametrize("name,cell,algorithms", [("fig2", "dx1_dz1_rho1_sig0.5", 3),
+                                                      ("fig1", "dx4_dz8_c0.1_phi_id", 1)])
+    def test_each_cell_checks_its_run_once(self, name, cell, algorithms, monkeypatch):
+        # The config's check_run is the only one: each spec takes its result.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_run(*args)
+
+        monkeypatch.setattr(harness, "check_run", counted)
+        monkeypatch.setattr(presets, "check_run", counted)
+        (specs,) = presets.build_preset(name, cell=cell, trials=2, T=1000).values()
+        assert len(specs) == algorithms
+        assert len(calls) == 1
+
+    def test_cell_specs_equal_specs_built_directly(self):
+        # A config's specs skip the check_run a direct spec runs, and keep every field it would have.
+        (specs,) = presets.build_preset("fig3", trials=2, T=50).values()
+        for spec in specs:
+            fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+            direct = harness.ExperimentSpec(**fields)
+            for name, value in fields.items():
+                again = getattr(direct, name)
+                assert type(again) is type(value), name
+                if isinstance(value, np.ndarray):
+                    assert again.dtype == value.dtype and again.tobytes() == value.tobytes(), name
+                else:
+                    assert again == value, name
 
 
 ALL_CELLS = [(name, cell) for name in presets.PRESETS for cell in presets.preset_cells(name)]
