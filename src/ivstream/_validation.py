@@ -44,9 +44,17 @@ def check_in_place(a, shape: tuple, name: str, writeable: bool = True) -> int:
     return a.ctypes.data
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float, as ``float()`` converts it; what it cannot convert is a ``ValueError`` naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 # Coerces to a float; a non-finite one is rejected with as_float_vector's message.
 def check_finite(value: float, name: str) -> float:
-    value = float(value)
+    value = as_float(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} has non-finite entries")
     return value
@@ -60,14 +68,14 @@ def check_integer(value, name: str) -> int:
 
 
 def check_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = as_float(value, name)
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
     return value
 
 
 def check_nonnegative(value: float, name: str) -> float:
-    value = float(value)
+    value = as_float(value, name)
     if not np.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value}")
     return value

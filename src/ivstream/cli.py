@@ -3,12 +3,15 @@
 Subcommands
 -----------
 ``run``
-    Execute one experiment (from a JSON config or a named preset cell) and
-    write ``series.csv`` plus ``manifest.json`` into the output directory.
-    Presets with several cells write one subdirectory per cell. A config
-    or cell listing several algorithms runs those of one oracle on the same
-    per-trial streams (``two_sample_sgd`` on two-sample streams of its own)
-    and also writes one ``series_<algorithm>.csv`` per algorithm.
+    Run a JSON config as one cell, or a preset's cells (``--cell``, which
+    needs ``--preset``, picks one), writing ``series.csv`` and
+    ``manifest.json`` into the output directory for one cell, else into a
+    subdirectory per cell. A config or cell listing several algorithms runs
+    those of one oracle on the same per-trial streams (``two_sample_sgd`` on
+    two-sample streams of its own) and writes one ``series_<algorithm>.csv``
+    per algorithm too. A usage error (a bad config, ``--cell`` with
+    ``--config``, an unknown cell) exits 2 before anything runs; a failure
+    in a run exits 1.
 
 ``check``
     Run the reduced-scale validation suites (gradient unbiasedness of the
@@ -31,10 +34,8 @@ gives: 0o666 less the umask.
 
 Configs
 -------
-``run --config`` reads a JSON config in the schema of
-:mod:`ivstream.presets`, which parses it and writes the manifest's resolved
-``experiments`` in the same schema; ``run --preset`` runs a preset cell's
-config.
+A config is in the schema of :mod:`ivstream.presets`, which parses it and
+writes the manifest's resolved ``experiments`` in the same schema.
 """
 
 from __future__ import annotations
@@ -240,25 +241,23 @@ def _build_parser() -> argparse.ArgumentParser:
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="JSON experiment config")
     src.add_argument("--preset", choices=presets.PRESETS, help="named benchmark preset")
-    run_p.add_argument("--cell", default=None, help="single preset cell id (see docs)")
+    run_p.add_argument("--cell", default=None, help="run only this cell of --preset")
 
     sub.add_parser("check", help="run the validation suites")
     return parser
 
 
 def cmd_run(args) -> int:
-    out_dir = Path(args.out)
-    if args.config:
-        specs = specs_from_config(_load_config(args.config), seed=args.seed, trials=args.trials, T=args.iters)
-        run_specs_to_dir(specs, out_dir)
-        return 0
-    cells = presets.build_preset(args.preset, cell=args.cell, seed=args.seed, trials=args.trials, T=args.iters)
-    if len(cells) == 1:
-        ((_, specs),) = cells.items()
-        run_specs_to_dir(specs, out_dir)
+    # A config is one cell. Every cell's specs are built before any cell runs, so a usage error writes nothing.
+    out, overrides = Path(args.out), {"seed": args.seed, "trials": args.trials, "T": args.iters}
+    if args.config is not None:
+        if args.cell is not None:
+            raise ConfigError(f"--cell {args.cell!r} selects a preset cell; it needs --preset, not --config")
+        cells = {"": specs_from_config(_load_config(args.config), **overrides)}
     else:
-        for cell_id, specs in cells.items():
-            run_specs_to_dir(specs, out_dir / cell_id)
+        cells = presets.build_preset(args.preset, cell=args.cell, **overrides)
+    for cell_id, specs in cells.items():
+        run_specs_to_dir(specs, out if len(cells) == 1 else out / cell_id)
     return 0
 
 

@@ -139,6 +139,10 @@ def check_run(dgp: DgpConfig, T: int, trials: int, test_n: int, checkpoints, lam
     if checkpoints is None:
         checkpoints = tuple(log_checkpoints(T))
     else:
+        try:
+            checkpoints = tuple(checkpoints)
+        except TypeError:  # not iterable
+            raise ValueError(f"checkpoints must be a sequence of integers, got {checkpoints!r}") from None
         checkpoints = tuple(check_integer(c, "checkpoints") for c in checkpoints)
         if not checkpoints:
             raise ValueError("checkpoints must be non-empty")

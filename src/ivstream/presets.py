@@ -15,10 +15,10 @@ Required: ``dgp.family``, ``algorithm`` (or a list of distinct ``algorithms``),
       "experiment_id": "experiment",
       "dgp": {
         "family": "endogenous_linear" | "shared_confounder",
-        "d_x": 1, "d_z": 1,
-        "rho": 1.0, "sigma_eps": 0.5,          # endogenous_linear
-        "c": 0.1, "phi": "identity",           # shared_confounder
-        "theta_star": [...], "gamma_star": [[...]], "z_cov": [[...]]
+        "d_x": 1, "d_z": d_x,
+        "theta_star": [...], "gamma_star": [[...]], "z_cov": [[...]],
+        "rho": 1.0, "sigma_eps": 0.5,          # endogenous_linear only
+        "c": 0.1, "phi": "identity"            # shared_confounder only
       },
       "algorithm": "two_stage_sgd",
       "schedule": {
@@ -33,6 +33,9 @@ Required: ``dgp.family``, ``algorithm`` (or a list of distinct ``algorithms``),
       "checkpoints": [1, 10, ...],
       "init": {"theta0": [...], "gamma0": [[...]]}
     }
+
+A ``dgp`` object takes the six shared keys and those of its own family; a key
+of the other family, like any unknown key, is a :class:`ConfigError`.
 
 Presets
 -------
@@ -67,7 +70,7 @@ import numbers
 
 import numpy as np
 
-from .dgp import DgpConfig, EndogenousLinear, endogenous_linear_config, shared_confounder_config
+from .dgp import DgpConfig, EndogenousLinear, SharedConfounder, endogenous_linear_config, shared_confounder_config
 from .estimators import DEFAULT_RIDGE, REGRESSORS
 from .harness import ExperimentSpec, check_run
 from .oracle import theory_constants
@@ -114,44 +117,35 @@ def _array(value, name: str):
     return arr.astype(np.float64)
 
 
+# Each family's config name: its parameter class, its config function and the defaults of the keys
+# only it reads. A dgp object takes the family, d_x, d_z and _DGP_ARRAYS, and its own family's keys.
+_FAMILIES = {
+    "endogenous_linear": (EndogenousLinear, endogenous_linear_config, {"rho": 1.0, "sigma_eps": 0.5}),
+    "shared_confounder": (SharedConfounder, shared_confounder_config, {"c": 0.1, "phi": "identity"}),
+}
+_DGP_ARRAYS = ("theta_star", "gamma_star", "z_cov")
+
+
 def _dgp_from_dict(d: dict) -> DgpConfig:
     if not isinstance(d, dict):
         raise ConfigError("'dgp' must be an object")
-    _reject_unknown(
-        d,
-        {"family", "d_x", "d_z", "rho", "sigma_eps", "c", "phi", "theta_star", "gamma_star", "z_cov"},
-        "dgp",
-    )
     family = d.get("family")
-    kw = {key: _array(d.get(key), f"dgp.{key}") for key in ("theta_star", "gamma_star", "z_cov")}
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise ConfigError(f"dgp.family must be one of {list(_FAMILIES)}, got {family!r}")
+    _, make, own = _FAMILIES[family]
+    _reject_unknown(d, {"family", "d_x", "d_z", *_DGP_ARRAYS, *own}, f"dgp of family {family!r}")
+    kw = {key: _array(d.get(key), f"dgp.{key}") for key in _DGP_ARRAYS}
     d_x = _integer(d.get("d_x", 1), "dgp.d_x")
     d_z = _integer(d.get("d_z", d_x), "dgp.d_z")
-    if family == "endogenous_linear":
-        return endogenous_linear_config(d_x, d_z, rho=_real(d.get("rho", 1.0), "dgp.rho"),
-                                        sigma_eps=_real(d.get("sigma_eps", 0.5), "dgp.sigma_eps"), **kw)
-    if family == "shared_confounder":
-        return shared_confounder_config(d_x, d_z, c=_real(d.get("c", 0.1), "dgp.c"),
-                                        phi=d.get("phi", "identity"), **kw)
-    raise ConfigError(f"dgp.family must be 'endogenous_linear' or 'shared_confounder', got {family!r}")
+    # The link is a name, which the family checks; every other family key is a number.
+    kw |= {key: d.get(key, v) if isinstance(v, str) else _real(d.get(key, v), f"dgp.{key}") for key, v in own.items()}
+    return make(d_x, d_z, **kw)
 
 
 def _dgp_to_dict(cfg: DgpConfig) -> dict:
-    d = {
-        "d_x": cfg.d_x,
-        "d_z": cfg.d_z,
-        "theta_star": cfg.theta_star.tolist(),
-        "gamma_star": cfg.gamma_star.tolist(),
-        "z_cov": cfg.z_cov.tolist(),
-    }
-    if isinstance(cfg.family, EndogenousLinear):
-        d["family"] = "endogenous_linear"
-        d["rho"] = cfg.family.rho
-        d["sigma_eps"] = cfg.family.sigma_eps
-    else:
-        d["family"] = "shared_confounder"
-        d["c"] = cfg.family.c
-        d["phi"] = cfg.family.phi
-    return d
+    family, own = next((name, own) for name, (cls, _, own) in _FAMILIES.items() if isinstance(cfg.family, cls))
+    return {"family": family, "d_x": cfg.d_x, "d_z": cfg.d_z, **{key: getattr(cfg.family, key) for key in own},
+            **{key: getattr(cfg, key).tolist() for key in _DGP_ARRAYS}}
 
 
 def _schedule_to_dict(s: StepSchedule | None) -> dict | None:
@@ -348,7 +342,7 @@ def _cell_configs(name: str) -> dict[str, dict]:
             "init": {"theta0": [0.0], "gamma0": [[10.0]]},
         }
     else:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+        raise ConfigError(f"unknown preset {name!r}; expected one of {PRESETS}")
     return {
         cell: {"experiment_id": f"{name}_{cell}", **config, "trials": 50, "seed": _DEFAULT_SEEDS[name]}
         for cell, config in cells.items()
@@ -376,6 +370,6 @@ def build_preset(
     configs = _cell_configs(name)
     if cell is not None:
         if cell not in configs:
-            raise ValueError(f"preset {name!r} has no cell {cell!r}; known cells: {list(configs)}")
+            raise ConfigError(f"preset {name!r} has no cell {cell!r}; known cells: {list(configs)}")
         configs = {cell: configs[cell]}
     return {cell_id: specs_from_config(config, seed=seed, trials=trials, T=T) for cell_id, config in configs.items()}

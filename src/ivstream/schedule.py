@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from ._validation import check_nonnegative, check_positive
+from ._validation import as_float, check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Polynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", check_positive(self.coeff, "coeff"))
-        e = float(self.exponent)
+        e = as_float(self.exponent, "exponent")
         if not (0.0 < e <= 1.0):
             raise ValueError(f"exponent must be in (0, 1], got {e}")
         object.__setattr__(self, "exponent", e)

@@ -234,6 +234,22 @@ class TestManifest:
         assert [which for which in ("alpha", "beta") if snap["schedule"][which] is None] == nulls
         assert cli.spec_to_dict(cli.specs_from_config(snap)[0]) == snap
 
+    @pytest.mark.parametrize("family, own, other", [
+        ("endogenous_linear", {"rho": 4.0, "sigma_eps": 1.0}, {"c": 1.0, "phi": "square"}),
+        ("shared_confounder", {"c": 1.0, "phi": "square"}, {"rho": 4.0, "sigma_eps": 1.0}),
+    ])
+    def test_every_key_of_a_family_round_trips(self, family, own, other):
+        # The snapshot holds the family's keys as given, and no key of the other family, which a dgp refuses.
+        given = {"family": family, "d_x": 2, "d_z": 3, **own, "theta_star": [1.0, -0.5],
+                 "gamma_star": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], "z_cov": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                                             [0.0, 0.0, 1.0]]}
+        snap = cli.spec_to_dict(cli.specs_from_config(dict(MINIMAL, dgp=given))[0])
+        assert snap["dgp"] == given
+        assert cli.spec_to_dict(cli.specs_from_config(snap)[0]) == snap
+        for key, value in other.items():
+            with pytest.raises(presets.ConfigError, match=f"unknown keys \\['{key}'\\] in dgp of family '{family}'"):
+                cli.specs_from_config(dict(snap, dgp=dict(given, **{key: value})))
+
     def test_numpy_scalars_in_a_spec_write_the_manifest(self, tmp_path):
         # Schedule numbers and lam given as numpy float32 are kept as Python
         # floats, so the manifest holds them as JSON numbers.
@@ -324,6 +340,13 @@ class TestConfigErrors:
          "schedule.beta is given"),
         (lambda c: c.update(algorithm="two_sample_sgd", dgp={"family": "shared_confounder"},
                             schedule={"beta": {"kind": "two_timescale"}}), "schedule.beta is given"),
+        # A key of the other family was accepted and ignored.
+        (lambda c: c["dgp"].update(c=1.0), "unknown keys ['c'] in dgp of family 'endogenous_linear'"),
+        (lambda c: c["dgp"].update(phi="square"), "unknown keys ['phi'] in dgp of family 'endogenous_linear'"),
+        (lambda c: c.update(dgp={"family": "shared_confounder", "rho": 4.0}),
+         "unknown keys ['rho'] in dgp of family 'shared_confounder'"),
+        (lambda c: c.update(dgp={"family": "shared_confounder", "sigma_eps": 1.0}),
+         "unknown keys ['sigma_eps'] in dgp of family 'shared_confounder'"),
     ])
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys, mutate, match):
         # A config error exits 2 before anything runs or is written.
@@ -362,6 +385,18 @@ class TestConfigErrors:
         assert cli.main(["run", "--config", _write_config(tmp_path / "cfg.json", config), "--out", str(out)]) == 2
         assert match in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--config", "CFG", "--cell", "x"], "--cell 'x' selects a preset cell; it needs --preset"),
+        (["--preset", "fig1", "--cell", "nope"], "preset 'fig1' has no cell 'nope'"),
+    ])
+    def test_a_cell_the_run_cannot_take_exits_2(self, tmp_path, capsys, argv, match):
+        # --cell with --config was ignored, and an unknown cell exited 1.
+        out = tmp_path / "out"
+        argv = [_write_config(tmp_path / "cfg.json", MINIMAL) if a == "CFG" else a for a in argv]
+        assert cli.main(["run", *argv, "--out", str(out), "--trials", "1", "--iters", "10"]) == 2
+        assert match in capsys.readouterr().err
         assert not out.exists()
 
     def test_null_schedule_and_init_are_absent(self):

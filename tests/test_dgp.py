@@ -389,6 +389,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             dataclasses.replace(cfg, **{field: value})
 
+    @pytest.mark.parametrize("family,kwargs,field", [
+        (dgp.EndogenousLinear, {"rho": None, "sigma_eps": 0.5}, "rho"),
+        (dgp.EndogenousLinear, {"rho": 1.0, "sigma_eps": "x"}, "sigma_eps"),
+        (dgp.SharedConfounder, {"c": None}, "c"),
+    ])
+    def test_a_parameter_that_is_no_number_is_named(self, family, kwargs, field):
+        # None raised TypeError from float(), "x" a ValueError that named no field.
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {kwargs[field]!r}$"):
+            family(**kwargs)
+
     def test_identification_requires_pd_first_stage(self):
         with pytest.raises(ValueError):
             dgp.endogenous_linear_config(2, 2, rho=1.0, sigma_eps=0.5,

@@ -735,6 +735,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _tiny_spec(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("checkpoints", 5, "checkpoints must be a sequence of integers, got 5"),
+        ("lam", None, "lam must be a number, got None"),
+        ("lam", "x", "lam must be a number, got 'x'"),
+    ])
+    def test_a_bad_number_is_a_value_error_naming_its_field(self, field, value, message):
+        # checkpoints=5 and lam=None raised TypeError, lam="x" a ValueError that named no field.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _tiny_spec(**{field: value})
+
+    @pytest.mark.parametrize("checkpoints", [np.array([5, 10]), range(5, 11, 5), iter((5, 10))])
+    def test_checkpoints_may_be_any_iterable_of_integers(self, checkpoints):
+        assert _tiny_spec(checkpoints=checkpoints).checkpoints == (5, 10)
+
     def test_numpy_integer_counts_are_integers(self):
         spec = _tiny_spec(T=np.int64(50), trials=np.int32(2), test_n=np.int64(0))
         assert harness.run_experiment(spec).metrics["dist_sq"].shape == (2, len(spec.checkpoints))

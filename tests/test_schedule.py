@@ -77,6 +77,15 @@ class TestStep:
         with pytest.raises(ValueError):
             Polynomial(**bad)
 
+    @pytest.mark.parametrize("args,field", [((Constant, None), "alpha"), ((Polynomial, None, 0.5), "coeff"),
+                                            ((Polynomial, 0.3, None), "exponent"),
+                                            ((Polynomial, 0.3, "x"), "exponent")])
+    def test_a_number_that_is_no_number_is_named(self, args, field):
+        # None raised TypeError from float(), "x" a ValueError that named no field.
+        make, *values = args
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            make(*values)
+
     def test_invalid_constant(self):
         with pytest.raises(ValueError):
             Constant(0.0)
