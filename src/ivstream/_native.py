@@ -11,10 +11,13 @@ for the CPU it runs on (``-march=native``), so the build is cached in
 and the CPU (:func:`cpu`): a cache that two machines share never loads a
 build made for the other. A build is renamed into place once complete, so a
 later process loads it without a compiler; a new build removes the older
-builds beside it. The loops and the checkpoint metrics call the
-scipy-openblas64 routines that numpy's own gufuncs call, found through
-numpy's extension module when they are loaded, for every product of more
-than one term, and libm's ``pow`` for the steps of a regressor's ``fit``.
+builds beside it. The loops and the checkpoint metrics sum every product
+of more than one term as the scipy-openblas64 routines that numpy's own
+gufuncs call do: inline, in the order of OpenBLAS's SkylakeX kernels, when
+OpenBLAS names its core ``SkylakeX``, and otherwise, or past the lengths that
+order holds for, by calling those routines, found through numpy's extension
+module when the library is loaded (``_windows.c`` gives the orders and the
+lengths). They call libm's ``pow`` for the steps of a regressor's ``fit``.
 The sampler calls libm's ``exp`` and ``log1p``, the glibc functions numpy's
 random module calls, which glibc resolves for the same CPU in both. The CSV
 formatter ``shortest_reprs`` (:func:`reprs`) is integer arithmetic on the
@@ -96,12 +99,13 @@ def loops(path: Path | None = None) -> ctypes.CDLL:
     try:  # a library's handle also finds the symbols of the libraries it loaded
         numpy_lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         blas = [ctypes.cast(getattr(numpy_lib, f"scipy_cblas_{f}64_"), ctypes.c_void_p) for f in ("ddot", "dgemv")]
+        corename = numpy_lib.scipy_openblas_get_corename64_
     except AttributeError:
         raise RuntimeError("ivstream's window loops need a numpy that bundles the scipy-openblas64 BLAS, "
                            f"as the numpy wheels do; numpy {np.__version__} here does not") from None
     lib = ctypes.CDLL(str(path or build(Path.home() / ".cache" / "ivstream")))
     n, p = ctypes.c_int64, ctypes.c_void_p
-    lib.use_blas.argtypes, lib.use_blas.restype = (p, p), None
+    lib.use_blas.argtypes, lib.use_blas.restype = (p, p, ctypes.c_int), None
     lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None
     lib.standard_normals.argtypes, lib.standard_normals.restype = (p, n, p), None
     tail = (n, n, p, p)  # t0, rows, alphas, betas
@@ -112,12 +116,14 @@ def loops(path: Path | None = None) -> ctypes.CDLL:
         loop.restype = ctypes.c_int
     # s, b, d_x, theta, theta_star, test_n, test_x, test_y, dist, mse, work, stride, col
     lib.checkpoint_metrics.argtypes, lib.checkpoint_metrics.restype = (n,) * 3 + (p, p, n) + (p,) * 5 + (n, n), n
+    lib.products.argtypes, lib.products.restype = (n, n, n, p, p, p), ctypes.c_int
     lib.use_pow5.argtypes, lib.use_pow5.restype = (p, p), None
     lib.shortest_reprs.argtypes, lib.shortest_reprs.restype = (n, p, p), n
     # n, d_x, x, x_prime, y, xx, xy; n, d_x, x, x_prime, m, cond_xx, sq_xx, sq_mm, work
     lib.cross_sums.argtypes, lib.cross_sums.restype = (n, n) + (p,) * 5, None
     lib.noise_norms.argtypes, lib.noise_norms.restype = (n, n) + (p,) * 7, None
-    lib.use_blas(*blas)
+    corename.restype = ctypes.c_char_p
+    lib.use_blas(*blas, corename() == b"SkylakeX")  # the core whose orders the loops compute inline
     lib.pow5 = pow5_tables()  # the library reads them in place, so they live as long as it does
     lib.use_pow5(lib.pow5[:POW5_INV_ROWS].ctypes.data, lib.pow5[POW5_INV_ROWS:].ctypes.data)
     return lib

@@ -13,8 +13,8 @@
  *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
  *
  * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
- * buffers, because every product whose sum has more than one term calls the
- * OpenBLAS routine numpy itself calls, with the same arguments:
+ * buffers, because every product sums its terms in the order of the OpenBLAS
+ * routine numpy itself calls, with the same arguments:
  *   np.vecdot(a, b)      0. + ddot(n, a, 1, b, 1)
  *   np.matvec(A, x)      dgemv(RowMajor, NoTrans) on the C-contiguous (m, n) A,
  *                        and one ddot when A has a single row (m = 1: only a
@@ -26,16 +26,24 @@
  * d_z = 1 < d_x) is computed inline as 0. + a * b, which has the same bits:
  * ddot, and dgemv with beta 0 (which zeroes y) and alpha 1, start the sum at
  * +0 and add the one product, so the product is rounded once and -0 becomes
- * +0, as here; numpy's own loop for a one-term matmul does the same.
+ * +0, as here; numpy's own loop for a one-term matmul does the same. A longer
+ * sum is computed inline too when OpenBLAS runs its SkylakeX kernels (numpy
+ * 2.4.6's OpenBLAS 0.3.31 names its core; use_blas is told), in the order
+ * those kernels use, written out term by term below (dot_order, matvec_order,
+ * vecmat_order) with C's fma() where they fuse, and within the lengths where
+ * OpenBLAS sums in one pass on one thread. Any other core, and a longer sum,
+ * calls the routine. Where two NaNs of different bits meet in one sum, x86
+ * keeps the one its instruction puts first, and the inline order may keep the
+ * other: the result is a NaN either way, with the same events.
  * Every other operation is one IEEE operation per element in numpy's order,
  * so the file must be compiled with -ffp-contract=off and without
  * -ffast-math. -O3 and -march=native keep these bits: the loops they
- * vectorise are the elementwise updates and, at d = 1, the loops over trials
- * (see the row steps below), where each element is still one multiply and one
- * subtract, add or divide, each correctly rounded in any instruction set the
- * CPU has, and no multiply and add are fused; every sum of more than one term
- * is a BLAS call, and gcc reorders no floating-point sum without -ffast-math
- * (or -fassociative-math).
+ * vectorise are the elementwise updates, the lanes of the inline sums and,
+ * at d = 1, the loops over trials (see the row steps below), where each
+ * element is still one multiply and one subtract, add or divide, each
+ * correctly rounded in any instruction set the CPU has, and no multiply and
+ * add are fused but by fma(); and gcc reorders no floating-point sum without
+ * -ffast-math (or -fassociative-math).
  * Arrays are C-contiguous float64: the state theta (B, d_x),
  * or (S, B, d_x) for the two-timescale loop, gamma (B, d_z, d_x),
  * U (B, d_x, d_x) and V (B, d_z, d_z). The samples are read in place from
@@ -60,6 +68,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __FMA__
+#include <immintrin.h>
+#endif
 
 typedef int64_t blasint;
 
@@ -73,14 +84,20 @@ typedef void dgemv_fn(int order, int trans, blasint m, blasint n, double alpha, 
 /* A table of B blocks, one per trial, each read in place. */
 typedef const double *const *blocks;
 
-static ddot_fn *ddot;
-static dgemv_fn *dgemv;
+static ddot_fn *numpy_ddot, *ddot;
+static dgemv_fn *numpy_dgemv, *dgemv;
+/* Whether OpenBLAS runs its SkylakeX kernels, whose orders the products compute inline. */
+static int skylakex;
 
-/* numpy's own scipy_cblas_ddot64_ and scipy_cblas_dgemv64_; set before any loop runs. */
-void use_blas(ddot_fn *numpy_ddot, dgemv_fn *numpy_dgemv)
+/*
+ * numpy's own scipy_cblas_ddot64_ and scipy_cblas_dgemv64_, and whether
+ * OpenBLAS named its core SkylakeX; set before any loop runs.
+ */
+void use_blas(ddot_fn *ddot_routine, dgemv_fn *dgemv_routine, int skylakex_core)
 {
-    ddot = numpy_ddot;
-    dgemv = numpy_dgemv;
+    ddot = numpy_ddot = ddot_routine;
+    dgemv = numpy_dgemv = dgemv_routine;
+    skylakex = skylakex_core;
 }
 
 /* The flags raised since the loop began: divide 1, overflow 2, underflow 4, invalid 8, as numpy's. */
@@ -110,17 +127,184 @@ void fit_steps(blasint rows, blasint start, blasint n, const double *terms, doub
     }
 }
 
-/* A sum of one term is 0. + a * b, as ddot and dgemv (alpha 1, beta 0) compute it; longer sums call them. */
+/*
+ * Four doubles side by side. Each + and * of two of them, and each lane of
+ * fma4, is one rounding per lane, as the same operations on each double.
+ */
+typedef double f64x4 __attribute__((vector_size(32)));
+
+static inline f64x4 load4(const double *p)
+{
+    f64x4 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline f64x4 fma4(f64x4 a, f64x4 b, f64x4 c)
+{
+#ifdef __FMA__
+    return _mm256_fmadd_pd(a, b, c);
+#else
+    return (f64x4){fma(a[0], b[0], c[0]), fma(a[1], b[1], c[1]), fma(a[2], b[2], c[2]), fma(a[3], b[3], c[3])};
+#endif
+}
+
+/*
+ * The sums of OpenBLAS's SkylakeX ddot and dgemv, term by term. fma is one
+ * rounding of a * b + c; every other + and * is one rounding too.
+ *
+ * ddot (dot_order): the blocks of 32 terms go by fmas into four accumulators
+ * of 8 lanes (term 8 k + j of a block in accumulator k, lane j), each then
+ * folded to 4 lanes, lane j plus lane j + 4; the 16-term blocks after them go
+ * by fmas into those four (term 4 k + j in accumulator k, lane j); the four
+ * are summed lane by lane, ((c0 + c1) + c2) + c3, and the lanes as
+ * (l0 + l2) + (l1 + l3); then an fma chain takes the rest. Below 16 terms it
+ * is the fma chain alone.
+ */
+static double dot_order(blasint n, const double *a, const double *b)
+{
+    double s = 0.0;
+    blasint i = 0;
+    if (n >= 16) {
+        f64x4 c[4] = {{0.0}};
+        if (n >= 32) {
+            f64x4 w[8] = {{0.0}}; /* accumulator k's lanes 0-3 in w[2 k], 4-7 in w[2 k + 1] */
+            for (; i < (n & -32); i += 32)
+                for (int q = 0; q < 8; q++)
+                    w[q] = fma4(load4(a + i + 4 * q), load4(b + i + 4 * q), w[q]);
+            for (int k = 0; k < 4; k++)
+                c[k] = w[2 * k] + w[2 * k + 1];
+        }
+        for (; i < (n & -16); i += 16)
+            for (int k = 0; k < 4; k++)
+                c[k] = fma4(load4(a + i + 4 * k), load4(b + i + 4 * k), c[k]);
+        f64x4 v = ((c[0] + c[1]) + c[2]) + c[3];
+        s = (v[0] + v[2]) + (v[1] + v[3]);
+    }
+    for (; i < n; i++)
+        s = fma(a[i], b[i], s);
+    return 0. + s;
+}
+
+/*
+ * dgemv, RowMajor NoTrans on the (m, n) A, m >= 2 (matvec_order): each row's
+ * first n & -4 terms go round lanes, term i in lane i % 4, then the lanes are
+ * summed. The rows below m & -4 go by fmas into 4 lanes, summed as
+ * (l0 + l2) + (l1 + l3); the next two, if m % 4 >= 2, by a product and an
+ * add into 2 lanes, summed as l0 + l1 (term i in lane i % 2); an odd m's last
+ * row by a product and an add into 4 lanes, summed as the first rows'. Each
+ * row is then 0. plus its lanes, plus its last n % 4 terms: one by an fma,
+ * two or three as one fma chain started on a product.
+ */
+static void matvec_order(blasint m, blasint n, const double *a, const double *x, double *out)
+{
+    blasint n4 = n & -4, r = 0;
+    for (; r < (m & -4); r += 4) { /* four rows at a time */
+        f64x4 l[4] = {{0.0}};
+        for (blasint i = 0; i < n4; i += 4)
+            for (int q = 0; q < 4; q++)
+                l[q] = fma4(load4(a + (r + q) * n + i), load4(x + i), l[q]);
+        for (int q = 0; q < 4; q++)
+            out[r + q] = 0. + ((l[q][0] + l[q][2]) + (l[q][1] + l[q][3]));
+    }
+    for (; r < m; r++) {
+        const double *row = a + r * n;
+        double l[4] = {0.0, 0.0, 0.0, 0.0};
+        if (r < (m & -2)) {
+            for (blasint i = 0; i < n4; i++)
+                l[i & 1] = l[i & 1] + row[i] * x[i];
+            out[r] = 0. + (l[0] + l[1]);
+        } else {
+            for (blasint i = 0; i < n4; i++)
+                l[i & 3] = l[i & 3] + row[i] * x[i];
+            out[r] = 0. + ((l[0] + l[2]) + (l[1] + l[3]));
+        }
+    }
+    if (n == n4)
+        return;
+    for (r = 0; r < m; r++) {
+        const double *ra = a + r * n + n4, *rx = x + n4;
+        if (n - n4 == 1)
+            out[r] = fma(ra[0], rx[0], out[r]);
+        else if (n - n4 == 2)
+            out[r] = out[r] + fma(ra[0], rx[0], ra[1] * rx[1]);
+        else
+            out[r] = out[r] + fma(ra[2], rx[2], fma(ra[0], rx[0], ra[1] * rx[1]));
+    }
+}
+
+/*
+ * dgemv, RowMajor Trans on the (n, m) A, m >= 2 (vecmat_order): the rows of
+ * A, x's terms, go in blocks of 4. Outputs below m & -4 add each block's
+ * fma chain, started on the product of its second row, to a sum from 0.; then
+ * a last pair of rows, the same way, and a last single row's product. (Such a
+ * sum from +0. is never -0, so it is already 0. plus itself.) The outputs at
+ * m & -4 and above are one fma chain from 0. when m >= 5; when m < 4 each
+ * adds two fma chains a block, each of two rows, then an fma chain over the
+ * rest.
+ */
+static void vecmat_order(blasint n, blasint m, const double *x, const double *a, double *out)
+{
+    blasint n4 = n & -4, m4 = m & -4;
+    for (blasint k = 0; k < m4; k++)
+        out[k] = 0.0;
+    for (blasint i = 0; i < n4; i += 4) {
+        const double *a0 = a + i * m, *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
+        for (blasint k = 0; k < m4; k++)
+            out[k] = out[k] + fma(a3[k], x[i + 3], fma(a2[k], x[i + 2], fma(a0[k], x[i], a1[k] * x[i + 1])));
+    }
+    const double *rest = a + n4 * m;
+    if ((n & 2) != 0)
+        for (blasint k = 0; k < m4; k++)
+            out[k] = out[k] + fma(rest[k], x[n4], rest[m + k] * x[n4 + 1]);
+    if ((n & 1) != 0)
+        for (blasint k = 0; k < m4; k++)
+            out[k] = out[k] + rest[(n & 2) * m + k] * x[n - 1];
+    for (blasint j = m4; j < m; j++) {
+        double t = 0.0;
+        blasint i = 0;
+        if (m < 4)
+            for (; i < n4; i += 4) {
+                t = t + fma(a[i * m + j], x[i], a[(i + 1) * m + j] * x[i + 1]);
+                t = t + fma(a[(i + 2) * m + j], x[i + 2], a[(i + 3) * m + j] * x[i + 3]);
+            }
+        for (; i < n; i++)
+            t = fma(a[i * m + j], x[i], t);
+        out[j] = 0. + t;
+    }
+}
+
+/*
+ * The orders above are OpenBLAS's where it sums each product in one pass on
+ * one thread. It splits a ddot of more than DOT_INLINE terms across its
+ * threads and may split a dgemv whose m * n reaches GEMV_INLINE; dgemv
+ * NoTrans sums the inner length in blocks of GEMV_INNER_INLINE terms.
+ */
+enum { DOT_INLINE = 10000, GEMV_INLINE = 9216, GEMV_INNER_INLINE = 2048 };
+
+/*
+ * numpy's products: a sum of one term is 0. + a * b, as ddot and dgemv
+ * (alpha 1, beta 0) compute it; a longer one is OpenBLAS's order, inline on
+ * its SkylakeX core within the bounds above, else a call of the routine.
+ */
 static inline double vecdot(blasint n, const double *a, const double *b)
 {
-    return n == 1 ? 0. + a[0] * b[0] : 0. + ddot(n, a, 1, b, 1);
+    if (n == 1)
+        return 0. + a[0] * b[0];
+    if (skylakex && n <= DOT_INLINE)
+        return dot_order(n, a, b);
+    return 0. + ddot(n, a, 1, b, 1);
 }
 
 static inline void matvec(blasint m, blasint n, const double *a, const double *x, double *out)
 {
-    if (n == 1)
+    if (m == 1)
+        out[0] = vecdot(n, a, x);
+    else if (n == 1)
         for (blasint k = 0; k < m; k++)
             out[k] = 0. + a[k] * x[0];
+    else if (skylakex && n <= GEMV_INNER_INLINE && m * n < GEMV_INLINE)
+        matvec_order(m, n, a, x, out);
     else
         dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
 }
@@ -132,8 +316,52 @@ static inline void vecmat(blasint n, blasint m, const double *x, const double *a
     else if (n == 1)
         for (blasint k = 0; k < m; k++)
             out[k] = 0. + x[0] * a[k];
+    else if (skylakex && n * m < GEMV_INLINE)
+        vecmat_order(n, m, x, a, out);
     else
         dgemv(ROW_MAJOR, TRANS, n, m, 1.0, a, m, x, 1, 0.0, out, 1);
+}
+
+/* OPENBLAS: a product called OpenBLAS (returned by products, for the tests). */
+enum { OPENBLAS = 32 };
+static blasint blas_calls;
+
+static double counted_ddot(blasint n, const double *x, blasint incx, const double *y, blasint incy)
+{
+    blas_calls++;
+    return numpy_ddot(n, x, incx, y, incy);
+}
+
+static void counted_dgemv(int order, int trans, blasint m, blasint n, double alpha, const double *a, blasint lda,
+                          const double *x, blasint incx, double beta, double *y, blasint incy)
+{
+    blas_calls++;
+    numpy_dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy);
+}
+
+/*
+ * The products, for the tests: kind 0 puts vecdot(n, a, x) in out[0], 1
+ * matvec(m, n, a, x, out) and 2 vecmat(m, n, x, a, out), on the C-contiguous
+ * (m, n) a. Returns the events raised, plus OPENBLAS if the product called
+ * OpenBLAS. It counts the calls by routing them through counters, so it must
+ * not run beside a loop.
+ */
+int products(blasint kind, blasint m, blasint n, const double *a, const double *x, double *out)
+{
+    ddot = counted_ddot;
+    dgemv = counted_dgemv;
+    blas_calls = 0;
+    feclearexcept(FE_ALL_EXCEPT);
+    if (kind == 0)
+        out[0] = vecdot(n, a, x);
+    else if (kind == 1)
+        matvec(m, n, a, x, out);
+    else
+        vecmat(m, n, x, a, out);
+    int events = fp_events();
+    ddot = numpy_ddot;
+    dgemv = numpy_dgemv;
+    return events | (blas_calls ? OPENBLAS : 0);
 }
 
 /*
@@ -145,7 +373,8 @@ static inline void vecmat(blasint n, blasint m, const double *x, const double *a
  * 0. + a * b, and gcc vectorises the loop over trials: the B trials'
  * independent chains of operations run side by side in SIMD lanes, each lane
  * loading its trial's row through the address tables. At d > 1 a row step
- * calls BLAS, and the trials of a row run one after another. A lane does its
+ * sums its products (inline, or by a BLAS call), and the trials of a row run
+ * one after another. A lane does its
  * trial's scalar operations in the scalar order, with no sum across lanes,
  * and a trial runs the same operations in either order, so each trial's bits
  * are the same in either order and at any vector width, and a window's events
@@ -434,10 +663,11 @@ static int online_2sls_lanes(blasint b, double *theta, double *gamma, double *u,
  * the next trial, as that trial's later rows would step NaN on NaN.
  *
  * This is the one loop with two orders: rows outer at d = 1, and at d > 1
- * each trial through the whole window in turn. At d > 1 a rows-outer nest of
- * online_2sls_row took 4-8% more per trial-row than this order at B = 1, 6
- * and 10, at d_x = 4, d_z = 8 and at d_x = 8, d_z = 16 (measured on an
- * AVX-512 Xeon).
+ * each trial through the whole window in turn. At d > 1, with the products
+ * inline, a rows-outer nest of online_2sls_row took 6-18% more per trial-row
+ * than this order at d_x = 4, d_z = 8, though 6-9% less at d_x = 8,
+ * d_z = 16, at B = 1, 6 and 10 (medians of 41 alternating runs of each nest
+ * in one process, on an AVX-512 Xeon).
  */
 int online_2sls_window(blasint b, blasint d_z, blasint d_x, double *theta, double *gamma, double *u, double *v,
                        blocks z, blocks x, blocks y, blasint t0, blasint rows, const double *alphas,
@@ -978,10 +1208,7 @@ blasint checkpoint_metrics(blasint s, blasint b, blasint d_x, const double *thet
             dist[j][i * stride + col] = sq;
             any |= isfinite(sq) != 0;
             if (test_n > 0) {
-                if (test_n == 1) /* numpy's matvec takes the dot of a single row, not dgemv */
-                    r[0] = vecdot(d_x, test_x[i], th);
-                else
-                    matvec(test_n, d_x, test_x[i], th, r);
+                matvec(test_n, d_x, test_x[i], th, r);
                 for (blasint k = 0; k < test_n; k++)
                     r[k] = test_y[i][k] - r[k];
                 mse[j][i * stride + col] = vecdot(test_n, r, r) / (double)test_n;

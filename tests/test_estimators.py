@@ -1,5 +1,6 @@
 import _ctypes
 import copy
+import ctypes
 import functools
 import operator
 import os
@@ -830,6 +831,126 @@ class TestNativeLoops:
                 window.step(t0, rows, steps.ctypes.data, steps.ctypes.data)
         for got, want in zip(state, before):
             assert got.tobytes() == want.tobytes()
+
+
+def _openblas_core() -> str:
+    """The core whose kernels numpy's OpenBLAS runs, by the name OpenBLAS gives it."""
+    corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+#: The kinds of ``products``, and the bit it adds to the events when a product called OpenBLAS.
+VECDOT, MATVEC, VECMAT, OPENBLAS = 0, 1, 2, 32
+#: The bounds of the inline order in ``_windows.c``: the terms of a dot, m * n of a matvec or vecmat
+#: (below), and the inner length of a matvec.
+DOT_INLINE, GEMV_INLINE, GEMV_INNER_INLINE = 10_000, 9_216, 2_048
+
+
+def _inline(kind, m, n) -> bool:
+    """Whether the loops compute ``kind`` on an (m, n) matrix without calling OpenBLAS."""
+    terms = m if kind == VECMAT else n
+    if terms == 1:  # one product added to +0, on any core
+        return True
+    if _openblas_core() != "SkylakeX":
+        return False
+    if kind == VECDOT or (kind, m) == (MATVEC, 1) or (kind, n) == (VECMAT, 1):  # numpy's dot of the one row
+        return terms <= DOT_INLINE
+    return m * n < GEMV_INLINE and (kind == VECMAT or n <= GEMV_INNER_INLINE)
+
+
+def _scaled_normals(rng, shape):
+    """Normals scaled by powers of two in [2^-25, 2^25], so that the sums' roundings differ by order."""
+    return rng.standard_normal(shape) * 2.0 ** rng.integers(-25, 26, shape)
+
+
+class TestProducts:
+    """The loops' vecdot, matvec and vecmat, through ``products``, against np.vecdot, np.matvec and np.vecmat.
+
+    On OpenBLAS's SkylakeX core the loops compute each sum inline in that
+    core's order, within bounds; elsewhere, and past the bounds, they call
+    OpenBLAS. Either way each product has numpy's bits and raises numpy's
+    floating-point events, and each takes the path ``_inline`` names (on
+    another core, as under ``OPENBLAS_CORETYPE=Haswell``, every sum of more
+    than one term calls OpenBLAS).
+    """
+
+    @pytest.fixture(params=["default", "no_avx512"])
+    def lib(self, request):
+        return _native.loops() if request.param == "default" else request.getfixturevalue("no_avx512_build")
+
+    @staticmethod
+    def _check(lib, kind, a, x):
+        m, n = a.shape
+        out = np.full(1 if kind == VECDOT else m if kind == MATVEC else n, -7.0)
+        got = lib.products(kind, m, n, a.ctypes.data, x.ctypes.data, out.ctypes.data)
+        events = [0]
+        with np.errstate(all="call", call=lambda _, flag: events.__setitem__(0, events[0] | flag)):
+            want = (lambda: np.atleast_1d(np.vecdot(a[0], x)), lambda: np.matvec(a, x),
+                    lambda: np.vecmat(x, a))[kind]()
+        assert out.tobytes() == want.tobytes(), (kind, m, n)
+        assert got & ~OPENBLAS == events[0], (kind, m, n)
+        assert (got & OPENBLAS == 0) == _inline(kind, m, n), (kind, m, n)
+        return events[0]
+
+    def test_every_small_shape(self, lib):
+        rng = make_rng(35)
+        for n in range(1, 130):
+            self._check(lib, VECDOT, _scaled_normals(rng, (1, n)), _scaled_normals(rng, n))
+        for m in range(1, 41):
+            for n in range(1, 41):
+                a = _scaled_normals(rng, (m, n))
+                self._check(lib, MATVEC, a, _scaled_normals(rng, n))
+                self._check(lib, VECMAT, a, _scaled_normals(rng, m))
+
+    @pytest.mark.parametrize("kind, shapes", [
+        (VECDOT, [(1, DOT_INLINE), (1, DOT_INLINE + 1)]),
+        (MATVEC, [(2, GEMV_INNER_INLINE), (2, GEMV_INNER_INLINE + 1), (95, 97), (96, 96),
+                  (1, DOT_INLINE), (1, DOT_INLINE + 1)]),
+        (VECMAT, [(95, 97), (96, 96), (DOT_INLINE, 1), (DOT_INLINE + 1, 1)]),
+    ])
+    def test_each_bound_and_one_past(self, lib, kind, shapes):
+        # At each bound the sum is inline (on SkylakeX); one past it, OpenBLAS.
+        rng = make_rng(kind)
+        for m, n in shapes:
+            a = _scaled_normals(rng, (m, n))
+            self._check(lib, kind, a, _scaled_normals(rng, m if kind == VECMAT else n))
+
+    @pytest.mark.parametrize("edges, raised", [
+        # signed zeros, subnormals, and products that underflow and overflow
+        ([0.0, -0.0, 5e-324, -2.5e-310, 1e-200, -1e-170, 1e200, -1e200], 2 | 4),
+        # infinities, and zeros they multiply (each NaN made here is the same default NaN)
+        ([np.inf, -np.inf, 0.0, -0.0, 1e300], 2 | 8),
+        # a NaN among finite terms, which every sum carries through with its bits
+        ([np.nan, 0.0, -0.0, 5e-324], 4),
+    ])
+    def test_edge_rows(self, lib, edges, raised):
+        rng = make_rng(len(edges))
+        seen = 0
+        for _ in range(800):
+            kind = int(rng.integers(3))
+            m, n = (1 if kind == VECDOT else int(rng.integers(1, 24))), int(rng.integers(1, 70 if kind == VECDOT else 24))
+            a, x = _scaled_normals(rng, (m, n)), _scaled_normals(rng, m if kind == VECMAT else n)
+            for _ in range(int(rng.integers(1, 6))):
+                part = a if rng.random() < 0.5 else x
+                part.flat[rng.integers(part.size)] = rng.choice(edges)
+            seen |= self._check(lib, kind, a, x)
+        assert seen == raised  # the rows raised each event their values can
+
+    def test_two_nans_meeting_give_a_nan(self, lib):
+        # Where two NaNs of different bits meet in one sum (numpy's NaN and the
+        # default NaN of inf * 0), x86 keeps the one its instruction's operand
+        # order puts first, so the inline order may carry the other's bits.
+        # The result is a NaN either way, with numpy's events, and CSVs write
+        # each NaN as "nan".
+        if not _inline(VECDOT, 1, 16):
+            pytest.skip("OpenBLAS computes these sums here")
+        a, x = np.ones((1, 16)), np.ones(16)
+        a[0, 0], x[0], a[0, 4] = np.inf, 0.0, np.nan
+        out = np.empty(1)
+        assert lib.products(VECDOT, 1, 16, a.ctypes.data, x.ctypes.data, out.ctypes.data) == 8  # invalid
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(out[0]) and np.isnan(np.vecdot(a[0], x))
 
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation

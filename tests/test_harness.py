@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +423,34 @@ class TestCheckpointMetrics:
             for m, want in zip(names, (dist[j], mse[j] if test_n else None)):
                 assert rows[j][m][:, 2].tobytes() == want.tobytes()
                 assert (np.delete(rows[j][m], 2, axis=1) == -7.0).all()
+
+    def test_test_mse_depends_on_openblas_threads_past_10000_rows(self):
+        # test_mse sums test_n squared residuals in one dot, as numpy's vecdot
+        # does. OpenBLAS sums a dot of up to 10 000 terms on one thread, and
+        # splits a longer one across its threads, so a test_mse over more than
+        # 10 000 held-out rows has bytes that depend on OPENBLAS_NUM_THREADS
+        # (README, "Reproducibility contract"). In each process the compiled
+        # metric is numpy's.
+        script = """if True:
+            import numpy as np
+            from ivstream import harness
+            rng = np.random.default_rng(35)
+            for test_n in (10_000, 10_001):
+                theta, theta_star = rng.standard_normal((1, 1, 2)), np.zeros(2)
+                tests = (theta_star, [rng.standard_normal((test_n, 2))], [rng.standard_normal(test_n)])
+                rows = [{"dist_sq": np.zeros((1, 1)), "test_mse": np.zeros((1, 1))}]
+                harness._recorder(theta, tests, rows)(0)
+                r = tests[2][0] - np.matvec(tests[1][0], theta[0, 0])
+                assert rows[0]["test_mse"][0, 0].tobytes() == (np.vecdot(r, r) / test_n).tobytes()
+                print(rows[0]["test_mse"].tobytes().hex())
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        at_10000, past = zip(*(subprocess.run([sys.executable, "-c", script], env=dict(env, OPENBLAS_NUM_THREADS=k),
+                                              capture_output=True, text=True, check=True).stdout.split()
+                               for k in ("1", "2")))
+        assert at_10000[0] == at_10000[1]
+        if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS runs no more threads than CPUs
+            assert past[0] != past[1]
 
     def test_strided_theta_star_is_read_by_value(self):
         # checkpoint_metrics reads theta_star in place; a DgpConfig keeps a
