@@ -12,20 +12,19 @@ and the CPU (:func:`cpu`): a cache that two machines share never loads a
 build made for the other. A build is renamed into place once complete, so a
 later process loads it without a compiler; a new build removes the older
 builds beside it. The loops and the checkpoint metrics sum every product
-of more than one term as the scipy-openblas64 routines that numpy's own
-gufuncs call do: inline, in the order of OpenBLAS's SkylakeX kernels, when
-OpenBLAS names its core ``SkylakeX``, and otherwise, or past the lengths that
-order holds for, by calling those routines, found through numpy's extension
-module when the library is loaded (``_windows.c`` gives the orders and the
-lengths). They call libm's ``pow`` for the steps of a regressor's ``fit``.
+of more than one term inline, in one order on every CPU and at every length:
+that of the routines numpy's own gufuncs call on OpenBLAS's SkylakeX core
+(``_windows.c`` states it, and ``tests/reference.py`` states it again in
+Python). They call no BLAS, so neither the BLAS kernel nor its threads move
+their bits. They call libm's ``pow`` for the steps of a regressor's ``fit``.
 The sampler calls libm's ``exp`` and ``log1p``, the glibc functions numpy's
 random module calls, which glibc resolves for the same CPU in both. The CSV
 formatter ``shortest_reprs`` (:func:`reprs`) is integer arithmetic on the
 power-of-five tables of :func:`pow5_tables`, which are computed here with
-Python's exact integers and handed to the library once, on load, as numpy's
-BLAS routines are. The oracle's Monte-Carlo sums, ``cross_sums`` and
-``noise_norms``, are plain arithmetic in the order of the numpy reductions
-they replace, with no library call.
+Python's exact integers and handed to the library once, on load. The
+oracle's Monte-Carlo sums, ``cross_sums`` and ``noise_norms``, are plain
+arithmetic in the order of the numpy reductions they replace, with no
+library call.
 """
 
 from __future__ import annotations
@@ -94,18 +93,10 @@ def build(cache: Path) -> Path:
 
 @functools.cache
 def loops(path: Path | None = None) -> ctypes.CDLL:
-    """The window loops on numpy's BLAS: the build at ``path``, or by default the one in ``~/.cache/ivstream``,
-    built on the first call."""
-    try:  # a library's handle also finds the symbols of the libraries it loaded
-        numpy_lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        blas = [ctypes.cast(getattr(numpy_lib, f"scipy_cblas_{f}64_"), ctypes.c_void_p) for f in ("ddot", "dgemv")]
-        corename = numpy_lib.scipy_openblas_get_corename64_
-    except AttributeError:
-        raise RuntimeError("ivstream's window loops need a numpy that bundles the scipy-openblas64 BLAS, "
-                           f"as the numpy wheels do; numpy {np.__version__} here does not") from None
+    """The window loops: the build at ``path``, or by default the one in ``~/.cache/ivstream``, built on the
+    first call."""
     lib = ctypes.CDLL(str(path or build(Path.home() / ".cache" / "ivstream")))
     n, p = ctypes.c_int64, ctypes.c_void_p
-    lib.use_blas.argtypes, lib.use_blas.restype = (p, p, ctypes.c_int), None
     lib.fit_steps.argtypes, lib.fit_steps.restype = (n, n, n, p, p), None
     lib.standard_normals.argtypes, lib.standard_normals.restype = (p, n, p), None
     tail = (n, n, p, p)  # t0, rows, alphas, betas
@@ -122,8 +113,6 @@ def loops(path: Path | None = None) -> ctypes.CDLL:
     # n, d_x, x, x_prime, y, xx, xy; n, d_x, x, x_prime, m, cond_xx, sq_xx, sq_mm, work
     lib.cross_sums.argtypes, lib.cross_sums.restype = (n, n) + (p,) * 5, None
     lib.noise_norms.argtypes, lib.noise_norms.restype = (n, n) + (p,) * 7, None
-    corename.restype = ctypes.c_char_p
-    lib.use_blas(*blas, corename() == b"SkylakeX")  # the core whose orders the loops compute inline
     lib.pow5 = pow5_tables()  # the library reads them in place, so they live as long as it does
     lib.use_pow5(lib.pow5[:POW5_INV_ROWS].ctypes.data, lib.pow5[POW5_INV_ROWS:].ctypes.data)
     return lib

@@ -8,32 +8,34 @@
  * pairwise_dot), so that adding each moved no function before it. The sums
  * make no library call; they are numpy's reductions, in numpy's order (see
  * there). checkpoint_metrics computes each theta's metrics with the loops'
- * vecdot and matvec, numpy's bits:
+ * vecdot and matvec, in the products' order (below):
  *   dist_sq              np.vecdot(d, d), d = theta - theta_star
  *   test_mse             np.vecdot(r, r) / test_n, r = test_y - np.matvec(test_x, theta)
  *
- * Each trial's iterates are bitwise equal to numpy's gufuncs on the same
- * buffers, because every product sums its terms in the order of the OpenBLAS
- * routine numpy itself calls, with the same arguments:
+ * Every product is summed in one stated order, on every CPU and at every
+ * length, with no library call: the order of the OpenBLAS 0.3.31 routine
+ * numpy 2.4.6 calls for it on that library's SkylakeX core, with the same
+ * arguments:
  *   np.vecdot(a, b)      0. + ddot(n, a, 1, b, 1)
  *   np.matvec(A, x)      dgemv(RowMajor, NoTrans) on the C-contiguous (m, n) A,
  *                        and one ddot when A has a single row (m = 1: only a
  *                        held-out set of one row; the loops' A are square)
  *   np.vecmat(x, A)      dgemv(RowMajor, Trans) on the C-contiguous (n, m) A,
  *                        and one ddot when A has a single column (m = 1)
+ * So on that core each trial's iterates are bitwise equal to numpy's gufuncs
+ * on the same buffers; on any other core, or where OpenBLAS would split a
+ * long sum across its threads, numpy's bits may differ, and the loops' do
+ * not move. tests/reference.py states the same orders in Python, and the
+ * tests check the loops against it.
  * A sum of one term (a dot of length one, a matvec or vecmat whose inner
  * length is one: every product at d_x = d_z = 1, and fit's vecmat when
- * d_z = 1 < d_x) is computed inline as 0. + a * b, which has the same bits:
- * ddot, and dgemv with beta 0 (which zeroes y) and alpha 1, start the sum at
- * +0 and add the one product, so the product is rounded once and -0 becomes
- * +0, as here; numpy's own loop for a one-term matmul does the same. A longer
- * sum is computed inline too when OpenBLAS runs its SkylakeX kernels (numpy
- * 2.4.6's OpenBLAS 0.3.31 names its core; use_blas is told), in the order
- * those kernels use, written out term by term below (dot_order, matvec_order,
- * vecmat_order) with C's fma() where they fuse, and within the lengths where
- * OpenBLAS sums in one pass on one thread. Any other core, and a longer sum,
- * calls the routine. Where two NaNs of different bits meet in one sum, x86
- * keeps the one its instruction puts first, and the inline order may keep the
+ * d_z = 1 < d_x) is 0. + a * b: ddot, and dgemv with beta 0 (which zeroes y)
+ * and alpha 1, start the sum at +0 and add the one product, so the product
+ * is rounded once and -0 becomes +0, as here; numpy's own loop for a
+ * one-term matmul does the same. A longer sum is written out term by term
+ * below (dot_order, matvec_order, vecmat_order), with C's fma() where
+ * OpenBLAS's kernels fuse. Where two NaNs of different bits meet in one sum,
+ * x86 keeps the one its instruction puts first, and this order may keep the
  * other: the result is a NaN either way, with the same events.
  * Every other operation is one IEEE operation per element in numpy's order,
  * so the file must be compiled with -ffp-contract=off and without
@@ -76,29 +78,8 @@ typedef int64_t blasint;
 
 enum { NOT_POSITIVE = 16 };
 
-enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
-
-typedef double ddot_fn(blasint n, const double *x, blasint incx, const double *y, blasint incy);
-typedef void dgemv_fn(int order, int trans, blasint m, blasint n, double alpha, const double *a, blasint lda,
-                      const double *x, blasint incx, double beta, double *y, blasint incy);
 /* A table of B blocks, one per trial, each read in place. */
 typedef const double *const *blocks;
-
-static ddot_fn *numpy_ddot, *ddot;
-static dgemv_fn *numpy_dgemv, *dgemv;
-/* Whether OpenBLAS runs its SkylakeX kernels, whose orders the products compute inline. */
-static int skylakex;
-
-/*
- * numpy's own scipy_cblas_ddot64_ and scipy_cblas_dgemv64_, and whether
- * OpenBLAS named its core SkylakeX; set before any loop runs.
- */
-void use_blas(ddot_fn *ddot_routine, dgemv_fn *dgemv_routine, int skylakex_core)
-{
-    ddot = numpy_ddot = ddot_routine;
-    dgemv = numpy_dgemv = dgemv_routine;
-    skylakex = skylakex_core;
-}
 
 /* The flags raised since the loop began: divide 1, overflow 2, underflow 4, invalid 8, as numpy's. */
 static int fp_events(void)
@@ -275,25 +256,15 @@ static void vecmat_order(blasint n, blasint m, const double *x, const double *a,
 }
 
 /*
- * The orders above are OpenBLAS's where it sums each product in one pass on
- * one thread. It splits a ddot of more than DOT_INLINE terms across its
- * threads and may split a dgemv whose m * n reaches GEMV_INLINE; dgemv
- * NoTrans sums the inner length in blocks of GEMV_INNER_INLINE terms.
- */
-enum { DOT_INLINE = 10000, GEMV_INLINE = 9216, GEMV_INNER_INLINE = 2048 };
-
-/*
- * numpy's products: a sum of one term is 0. + a * b, as ddot and dgemv
- * (alpha 1, beta 0) compute it; a longer one is OpenBLAS's order, inline on
- * its SkylakeX core within the bounds above, else a call of the routine.
+ * The products: a sum of one term is 0. + a * b, as ddot and dgemv (alpha 1,
+ * beta 0) compute it; a longer one is summed in the order above, at every
+ * length.
  */
 static inline double vecdot(blasint n, const double *a, const double *b)
 {
     if (n == 1)
         return 0. + a[0] * b[0];
-    if (skylakex && n <= DOT_INLINE)
-        return dot_order(n, a, b);
-    return 0. + ddot(n, a, 1, b, 1);
+    return dot_order(n, a, b);
 }
 
 static inline void matvec(blasint m, blasint n, const double *a, const double *x, double *out)
@@ -303,10 +274,8 @@ static inline void matvec(blasint m, blasint n, const double *a, const double *x
     else if (n == 1)
         for (blasint k = 0; k < m; k++)
             out[k] = 0. + a[k] * x[0];
-    else if (skylakex && n <= GEMV_INNER_INLINE && m * n < GEMV_INLINE)
-        matvec_order(m, n, a, x, out);
     else
-        dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
+        matvec_order(m, n, a, x, out);
 }
 
 static inline void vecmat(blasint n, blasint m, const double *x, const double *a, double *out)
@@ -316,41 +285,17 @@ static inline void vecmat(blasint n, blasint m, const double *x, const double *a
     else if (n == 1)
         for (blasint k = 0; k < m; k++)
             out[k] = 0. + x[0] * a[k];
-    else if (skylakex && n * m < GEMV_INLINE)
-        vecmat_order(n, m, x, a, out);
     else
-        dgemv(ROW_MAJOR, TRANS, n, m, 1.0, a, m, x, 1, 0.0, out, 1);
-}
-
-/* OPENBLAS: a product called OpenBLAS (returned by products, for the tests). */
-enum { OPENBLAS = 32 };
-static blasint blas_calls;
-
-static double counted_ddot(blasint n, const double *x, blasint incx, const double *y, blasint incy)
-{
-    blas_calls++;
-    return numpy_ddot(n, x, incx, y, incy);
-}
-
-static void counted_dgemv(int order, int trans, blasint m, blasint n, double alpha, const double *a, blasint lda,
-                          const double *x, blasint incx, double beta, double *y, blasint incy)
-{
-    blas_calls++;
-    numpy_dgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy);
+        vecmat_order(n, m, x, a, out);
 }
 
 /*
  * The products, for the tests: kind 0 puts vecdot(n, a, x) in out[0], 1
  * matvec(m, n, a, x, out) and 2 vecmat(m, n, x, a, out), on the C-contiguous
- * (m, n) a. Returns the events raised, plus OPENBLAS if the product called
- * OpenBLAS. It counts the calls by routing them through counters, so it must
- * not run beside a loop.
+ * (m, n) a. Returns the events raised.
  */
 int products(blasint kind, blasint m, blasint n, const double *a, const double *x, double *out)
 {
-    ddot = counted_ddot;
-    dgemv = counted_dgemv;
-    blas_calls = 0;
     feclearexcept(FE_ALL_EXCEPT);
     if (kind == 0)
         out[0] = vecdot(n, a, x);
@@ -358,10 +303,7 @@ int products(blasint kind, blasint m, blasint n, const double *a, const double *
         matvec(m, n, a, x, out);
     else
         vecmat(m, n, x, a, out);
-    int events = fp_events();
-    ddot = numpy_ddot;
-    dgemv = numpy_dgemv;
-    return events | (blas_calls ? OPENBLAS : 0);
+    return fp_events();
 }
 
 /*
@@ -373,9 +315,8 @@ int products(blasint kind, blasint m, blasint n, const double *a, const double *
  * 0. + a * b, and gcc vectorises the loop over trials: the B trials'
  * independent chains of operations run side by side in SIMD lanes, each lane
  * loading its trial's row through the address tables. At d > 1 a row step
- * sums its products (inline, or by a BLAS call), and the trials of a row run
- * one after another. A lane does its
- * trial's scalar operations in the scalar order, with no sum across lanes,
+ * sums its products, and the trials of a row run one after another. A lane
+ * does its trial's scalar operations in the scalar order, with no sum across lanes,
  * and a trial runs the same operations in either order, so each trial's bits
  * are the same in either order and at any vector width, and a window's events
  * are the OR of each trial's own. A streaming 2SLS trial whose denominator is

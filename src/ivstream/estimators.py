@@ -49,26 +49,29 @@ operations.
 
 The window loops are the one executed copy of each update: the harness steps
 its lockstep trials through them, and each regressor's ``fit`` and
-``partial_fit`` with B = 1; the 1-d kernels above are exported as the tests'
-bitwise reference. A :class:`Window` binds a loop once to B trials' stacked
+``partial_fit`` with B = 1; the 1-d kernels above state each update in numpy.
+A :class:`Window` binds a loop once to B trials' stacked
 state and one sample block per trial; each call steps a window of rows of
 every block, read in place, and updates the state in place. The loops are C,
 in ``_windows.c``, compiled with the system ``cc`` on the first bind, for the
 CPU it runs on (see :mod:`ivstream._native`); importing the package, the 1-d
-kernels and ``predict`` need no compiler. A product of more than one term
-calls the scipy-openblas64 routine numpy's ``@`` calls, one of one term is a
-rounded multiply added to +0 as in numpy, and the elementwise arithmetic
-keeps the 1-d kernels' order without fused multiply-adds, so each trial is
-bitwise equal to the 1-d kernels (``tests/test_estimators.py`` checks this);
-like theirs, the bits depend on the BLAS kernel OpenBLAS picks for the CPU.
+kernels and ``predict`` need no compiler. A product of more than one term is
+summed in one order on every CPU and at every length, that of the OpenBLAS
+routine numpy's ``@`` calls on OpenBLAS's SkylakeX core; one of one term is a
+rounded multiply added to +0 as in numpy; and the elementwise arithmetic
+keeps the 1-d kernels' order without fused multiply-adds. So each trial is
+bitwise equal to the row updates of ``tests/reference.py``, the 1-d kernels
+on those products, which the tests check it against, and to the 1-d kernels
+themselves where OpenBLAS runs SkylakeX; no BLAS kernel or thread count moves
+the loops' bits.
 A loop steps every trial on each row before the next row; the one exception
 is :func:`online_2sls_window` at d > 1, which steps each trial through the
 whole window in turn, as that measured 4-8% cheaper per trial-row there
 (``_windows.c``). At d_x = d_z = 1 the trials of a row run side by side in
 SIMD lanes; a lane is its trial's scalar operations in their order, with no
-sum across lanes and no BLAS call, so the bits are the same at every vector
-width. A trial runs the same operations in either order, so a window's
-events are the OR of each trial's own.
+sum across lanes and no product of more than one term, so the bits are the
+same at every vector width. A trial runs the same operations in either
+order, so a window's events are the OR of each trial's own.
 :func:`two_timescale_window` steps S thetas on one gamma, for the specs that
 share a first stage.
 

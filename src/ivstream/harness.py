@@ -32,10 +32,10 @@ at d_x = d_z = 1, where a trial's row costs a few nanoseconds; streaming
 Either order gives each trial the same bits. A checkpoint's
 metrics are one call of the compiled ``checkpoint_metrics`` per lane, bound
 like the loop to tables of the held-out sets and of the metric rows, which it
-writes in place with numpy's arithmetic and BLAS calls, bit for bit;
-``oracle_mse`` is that call on theta_star. A trial's iterates are bitwise
-equal to a run of the 1-d kernel on its stream alone, so :func:`run_trial` is a
-pass whose one group is that trial. A pass allocates one buffer, which holds
+writes in place, its sums in the loops' order (numpy's vecdot and matvec, bit
+for bit, where OpenBLAS runs its SkylakeX kernels); ``oracle_mse`` is that
+call on theta_star. A trial's iterates are bitwise equal to a run of it alone
+on its stream, so :func:`run_trial` is a pass whose one group is that trial. A pass allocates one buffer, which holds
 a sample block of each trial of its largest group (:func:`_pass_blocks`), and
 draws every block of every group into it in place, so no block costs fresh
 pages (a freed array's pages, once the allocator returns them to the system,

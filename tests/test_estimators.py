@@ -2,6 +2,8 @@ import _ctypes
 import copy
 import ctypes
 import functools
+import hashlib
+import itertools
 import operator
 import os
 import pickle
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_rng
 from ivstream import _native, dgp, estimators as est, harness, oracle
 from ivstream.schedule import Constant, Polynomial, step
@@ -222,15 +225,26 @@ class TestOnline2SLSUpdate:
         np.testing.assert_allclose(theta, theta_ridge, atol=1e-10)
 
 
-def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta):
-    """One trial's step through the 1-d kernel, in the window kernels' state layout."""
+def _reference_step(algorithm, state, z, x, x_prime, y, alpha, beta, kernels=reference):
+    """One trial's step through the reference's row update, on lists, in the window kernels' state layout; or
+    through the numpy 1-d kernels, on arrays, with ``kernels=est``."""
     if algorithm == "two_sample_sgd":
-        return est.two_sample_update(state[0], x, x_prime, y, alpha), state[1]
+        return kernels.two_sample_update(state[0], x, x_prime, y, alpha), state[1]
     if algorithm == "two_stage_sgd":
-        return est.two_stage_update(*state, z, x, y, alpha, beta)
+        return kernels.two_stage_update(*state, z, x, y, alpha, beta)
     if algorithm == "direct_sgd":
-        return est.direct_residual_update(*state, z, x, y, alpha, beta)
-    return est.online_2sls_update(*state, z, x, y)
+        return kernels.direct_residual_update(*state, z, x, y, alpha, beta)
+    return kernels.online_2sls_update(*state, z, x, y)
+
+
+def _lists(*arrays):
+    """Each array as the lists ``tests/reference.py`` steps on."""
+    return [a.tolist() for a in arrays]
+
+
+def _same_bytes(got, want) -> bool:
+    """Whether the array ``got`` holds the bytes of the reference's lists ``want``."""
+    return got.tobytes() == np.array(want, np.float64).tobytes()
 
 
 def _step(window, start, rows, alphas=None, betas=None):
@@ -239,13 +253,14 @@ def _step(window, start, rows, alphas=None, betas=None):
 
 
 class TestBatchKernels:
-    """The window loops on B trials' blocks, each read in place, against the 1-d kernels row by row."""
+    """The window loops on B trials' blocks, each read in place, against the reference's row updates row by row
+    (``tests/reference.py``: the 1-d kernels on the loops' products)."""
 
     @pytest.mark.parametrize("algorithm", sorted(est.REGRESSORS))
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (4, 8), (8, 16)])
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_bitwise_equal_to_1d_kernel(self, algorithm, d_x, d_z, b):
-        # Windows of 1, 7 and 256 rows in turn, each against the 1-d kernel row by row.
+        # Windows of 1, 7 and 256 rows in turn, each against the reference row by row.
         windows = (1, 7, 256)
         n = sum(windows)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
@@ -256,10 +271,10 @@ class TestBatchKernels:
         alphas = np.array([0.9 / (d_x + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         betas = np.array([1.5 / (d_z + 2.0) * (t + 1.0) ** -0.95 for t in range(n)])
         rng = make_rng(7)
-        trials = [[rng.standard_normal(d_x), 0.1 * rng.standard_normal((d_z, d_x))] for _ in range(b)]
+        trials = [_lists(rng.standard_normal(d_x), 0.1 * rng.standard_normal((d_z, d_x))) for _ in range(b)]
         if algorithm == "online_2sls":
             for st in trials:
-                st += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
+                st += _lists(np.eye(d_x) / 0.1, np.eye(d_z) / 0.1)
         state = tuple(np.stack(parts) for parts in zip(*trials))
         reg = est.REGRESSORS[algorithm]  # its loop, on one theta: S = 1
         window = reg._loop((state[0][None], *state[1:]), *blocks, (reg._raw_residual,))
@@ -267,13 +282,13 @@ class TestBatchKernels:
         for rows in windows:
             _step(window, start, rows, alphas, betas)  # a loop ignores the steps it does not take
             for t in range(start, start + rows):
-                trials = [_reference_step(algorithm, st, z[t, i], x[t, i], x_prime[t, i], y[t, i], alphas[t], betas[t])
-                          for i, st in enumerate(trials)]
+                trials = [_reference_step(algorithm, st, *_lists(z[t, i], x[t, i], x_prime[t, i]), y[t, i], alphas[t],
+                                          betas[t]) for i, st in enumerate(trials)]
             start += rows
             for i, st in enumerate(trials):
                 for got, want in zip(state, st):
                     assert np.isfinite(want).all()
-                    assert got[i].tobytes() == want.tobytes()
+                    assert _same_bytes(got[i], want)
         for got, want in zip(blocks, inputs):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # the blocks are read, never written
 
@@ -281,7 +296,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("b", [1, 3])
     def test_two_thetas_on_one_gamma(self, d_x, d_z, b):
         # A predicted and a raw residual stepped on one gamma, in windows of 1,
-        # 7 and 256 rows, each against its own 1-d kernel row by row.
+        # 7 and 256 rows, each against its own reference update row by row.
         windows = (1, 7, 256)
         n = sum(windows)
         cfg = dgp.endogenous_linear_config(d_x, d_z, rho=1.0, sigma_eps=0.5)
@@ -293,22 +308,22 @@ class TestBatchKernels:
         rng = make_rng(9)
         gamma0 = 0.1 * rng.standard_normal((b, d_z, d_x))
         theta0 = rng.standard_normal((2, b, d_x))
-        updates = (est.two_stage_update, est.direct_residual_update)
-        trials = [[[theta0[s, i], gamma0[i]] for i in range(b)] for s in range(2)]
+        updates = (reference.two_stage_update, reference.direct_residual_update)
+        trials = [[_lists(theta0[s, i], gamma0[i]) for i in range(b)] for s in range(2)]
         state = (theta0.copy(), gamma0.copy())
         window = est.two_timescale_window(state, blocks[0], blocks[1], None, blocks[2], (False, True))
         start = 0
         for rows in windows:
             _step(window, start, rows, alphas, betas)
             for t in range(start, start + rows):
-                trials = [[update(*st, z[t, i], x[t, i], y[t, i], alphas[t], betas[t]) for i, st in enumerate(per)]
-                          for update, per in zip(updates, trials)]
+                trials = [[update(*st, *_lists(z[t, i], x[t, i]), y[t, i], alphas[t], betas[t])
+                           for i, st in enumerate(per)] for update, per in zip(updates, trials)]
             start += rows
             for s, per in enumerate(trials):
                 for i, (theta, gamma) in enumerate(per):
                     assert np.isfinite(theta).all()
-                    assert state[0][s, i].tobytes() == theta.tobytes()
-                    assert state[1][i].tobytes() == gamma.tobytes()
+                    assert _same_bytes(state[0][s, i], theta)
+                    assert _same_bytes(state[1][i], gamma)
 
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (2, 3), (4, 8)])
     @pytest.mark.parametrize("b", [3, 6, 9, 17])
@@ -316,7 +331,7 @@ class TestBatchKernels:
         # Every trial starts at gamma = I. Trial 1 carries U = -10 I, and its
         # instruments are zero before row k, so those rows leave its state as
         # it was; at row k, z is all ones, w = z^T gamma is too and
-        # 1 + w^T U w = 1 - 10 d_x < 0, where the 1-d kernel raises. The last
+        # 1 + w^T U w = 1 - 10 d_x < 0, where the reference raises. The last
         # trial carries V = -I and ends at row k + 4, after trial 1 has ended in
         # the same window, where z = e_1 makes 1 + z^T V z = +0, which no divide
         # may see. In the lanes at d = 1 each row steps every trial; at d > 1
@@ -332,15 +347,15 @@ class TestBatchKernels:
         z[k + 4, b - 1], trials[b - 1][3] = np.eye(d_z)[0], -np.eye(d_z)
         blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
         start = tuple(np.stack(parts) for parts in zip(*trials))
-        reference = {}  # 1-d states after each row, up to the row where a trial's kernel raises
+        after = {}  # the reference's states after each row, up to the row where it raises
         for i in range(b):
-            st = trials[i]
+            st = _lists(*trials[i])
             for t in range(ends.get(i, n)):
-                st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
-                reference[i, t + 1] = st
+                st = reference.online_2sls_update(*st, *_lists(z[t, i], x[t, i]), y[t, i])
+                after[i, t + 1] = st
         for i, row in ends.items():
             with pytest.raises(FloatingPointError):
-                est.online_2sls_update(*reference[i, row], z[row, i], x[row, i], y[row, i])
+                reference.online_2sls_update(*after[i, row], *_lists(z[row, i], x[row, i]), y[row, i])
         with np.errstate(invalid="raise", over="raise"):
             for rows in (k, k + 1, k + 4, k + 5, n):  # windows that end before, at and after each row
                 state = tuple(a.copy() for a in start)
@@ -351,18 +366,18 @@ class TestBatchKernels:
                     if rows > ends.get(i, n):
                         assert all(np.isnan(got[i]).all() for got in state)
                     else:
-                        for got, want in zip(state, reference[i, min(rows, ends.get(i, n))]):
+                        for got, want in zip(state, after[i, min(rows, ends.get(i, n))]):
                             assert np.isfinite(want).all()
-                            assert got[i].tobytes() == want.tobytes()
+                            assert _same_bytes(got[i], want)
 
     def test_online_2sls_nan_denominator_does_not_hide_a_negative_one(self):
         # U = diag(inf, -inf) makes w^T U w = inf - inf, a NaN denominator, in the
-        # same row where V = -10 I makes the other one negative: the 1-d kernel
+        # same row where V = -10 I makes the other one negative: the reference
         # raises there, so the trial must end the window NaN.
         z, x, y = np.ones((1, 2)), np.ones((1, 2)), np.ones(1)
         state = (np.zeros((1, 1, 2)), np.eye(2)[None], np.diag([np.inf, -np.inf])[None], -10.0 * np.eye(2)[None])
-        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            est.online_2sls_update(state[0][0, 0], *(a[0] for a in state[1:]), z[0], x[0], y[0])
+        with pytest.raises(FloatingPointError):
+            reference.online_2sls_update(*_lists(state[0][0, 0], *(a[0] for a in state[1:]), z[0], x[0]), y[0])
         with np.errstate(invalid="ignore"):
             est.online_2sls_window(state, [z], [x], None, [y], (False,)).step(0, 1)
         assert all(not np.isfinite(part).any() for part in state)
@@ -370,8 +385,8 @@ class TestBatchKernels:
     def test_online_2sls_nan_denominator_does_not_hide_a_negative_one_in_lanes(self, lane_build):
         # The d = 1 lanes at B = 9: trial 4 carries U = NaN, so its w U w is NaN
         # in every row, and V = -10; its instruments are zero before row k, and
-        # at row k, z = 1 makes 1 + z V z = -9, where the 1-d kernel raises. It
-        # ends NaN, and the trials beside it step as their own 1-d kernels do.
+        # at row k, z = 1 makes 1 + z V z = -9, where the reference raises. It
+        # ends NaN, and the trials beside it step as their own reference does.
         b, n, k, bad = 9, 12, 5, 4
         rng = make_rng(29)
         z, x, y = rng.standard_normal((n, b, 1)), rng.standard_normal((n, b, 1)), rng.standard_normal((n, b))
@@ -380,11 +395,11 @@ class TestBatchKernels:
         trials[bad][2:] = [np.full((1, 1), np.nan), np.full((1, 1), -10.0)]
         blocks = [[a[:, i].copy() for i in range(b)] for a in (z, x, y)]
         start = tuple(np.stack(parts) for parts in zip(*trials))
-        st = trials[bad]
+        st = _lists(*trials[bad])
         for t in range(k):
-            st = est.online_2sls_update(*st, z[t, bad], x[t, bad], y[t, bad])
+            st = reference.online_2sls_update(*st, *_lists(z[t, bad], x[t, bad]), y[t, bad])
         with pytest.raises(FloatingPointError):
-            est.online_2sls_update(*st, z[k, bad], x[k, bad], y[k, bad])
+            reference.online_2sls_update(*st, *_lists(z[k, bad], x[k, bad]), y[k, bad])
         for rows in (k, n):  # a window that ends before row k, and one that ends after it
             state = tuple(a.copy() for a in start)
             with np.errstate(invalid="raise", over="raise"):
@@ -392,12 +407,12 @@ class TestBatchKernels:
                                                 (False,))
                 assert window.step(0, rows) == (est._NOT_POSITIVE if rows > k else 0)
             for i in (i for i in range(b) if i != bad):
-                st = trials[i]
+                st = _lists(*trials[i])
                 for t in range(rows):
-                    st = est.online_2sls_update(*st, z[t, i], x[t, i], y[t, i])
+                    st = reference.online_2sls_update(*st, *_lists(z[t, i], x[t, i]), y[t, i])
                 for got, want in zip(state, st):
                     assert np.isfinite(want).all()
-                    assert got[i].tobytes() == want.tobytes()
+                    assert _same_bytes(got[i], want)
         assert all(np.isnan(part[bad]).all() for part in state)
 
     @pytest.mark.parametrize("b", [1, 3])
@@ -442,10 +457,12 @@ class TestBatchKernels:
         for name in reg._iterates:
             assert getattr(reg, name).tobytes() == getattr(ref, name).tobytes()
 
-    # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is numpy's single-column
-    # vecmat at d_z > 1, which takes one ddot where every other size takes a dgemv.
+    # d_x 1..9 with d_z >= d_x, B in {1, 2, 7, 50}. (1, 4) is the single-column
+    # vecmat at d_z > 1, one dot where every other size takes vecmat_order.
+    # B = 50 runs at d = 1, where the lanes' vector body and tails depend on B;
+    # at d > 1 the trials of a row step one after another.
     @pytest.mark.parametrize("d_x,d_z,b", [(1, 1, 50), (1, 4, 7), (2, 3, 2), (3, 7, 1), (4, 4, 7),
-                                           (5, 9, 2), (6, 8, 1), (7, 12, 50), (8, 8, 2), (9, 14, 7)])
+                                           (5, 9, 2), (6, 8, 1), (7, 12, 7), (8, 8, 2), (9, 14, 7)])
     @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
     def test_random_sizes_bitwise_equal_to_1d_kernels(self, lane, d_x, d_z, b):
         # Random states, and S = 1 or 2 thetas on one gamma, after windows of 1, 7 and 256 rows.
@@ -468,7 +485,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("lane", ["two_sample_sgd", "online_2sls", "two_stage_sgd", "direct_sgd", "both"])
     def test_edge_rows_bitwise_equal_to_1d_kernels(self, lane, d_x, d_z):
         # Rows, thetas and gammas of EDGE_VALUES, in windows of 1, 7 and 32
-        # rows: every byte, non-finite ones too, is the 1-d kernels'.
+        # rows: every byte, non-finite ones too, is the reference's.
         windows, b = (1, 7, 32), 16
         n = sum(windows)
         rng = make_rng(31 * d_x + d_z)
@@ -592,13 +609,14 @@ EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, 3.0]
 
 
 def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas):
-    """Step ``lane``'s loop on B trials' ``blocks`` in ``windows`` of rows, checking each trial against its 1-d kernel.
+    """Step ``lane``'s loop on B trials' ``blocks`` in ``windows`` of rows, checking each trial against the reference.
 
     ``lane`` is an algorithm, or "both" for a two-stage and a direct theta on
     one gamma; ``thetas`` holds one (B, d_x) theta per algorithm. After each
-    window every trial's bytes are its 1-d kernel's, row by row, except that a
-    trial whose kernel raised has ended NaN, as the loop's contract says.
-    Returns the kernels' final states and the (theta, trial) pairs that raised.
+    window every trial's bytes are its reference update's, row by row, except
+    that a trial whose update raised has ended NaN, as the loop's contract
+    says. Returns the reference's final states, as lists, and the (theta,
+    trial) pairs that raised.
     """
     algorithms = ("two_stage_sgd", "direct_sgd") if lane == "both" else (lane,)
     b, (d_z, d_x) = len(blocks[0]), gamma.shape[1:]
@@ -609,20 +627,19 @@ def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas
     trial = lambda s, i: (thetas[s, i], *(part[i] for part in state[1:]))  # noqa: E731
     regs = [est.REGRESSORS[a] for a in algorithms]
     window = regs[0]._loop(state, *blocks, [reg._raw_residual for reg in regs])
-    trials = [[tuple(part.copy() for part in trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
+    trials = [[_lists(*trial(s, i)) for i in range(b)] for s in range(len(algorithms))]
     raised, start = set(), 0
     for rows in windows:
-        with np.errstate(all="ignore"):
-            _step(window, start, rows, alphas, betas)
-            for t in range(start, start + rows):
-                for s, (a, per) in enumerate(zip(algorithms, trials)):
-                    for i, st in enumerate(per):
-                        if (s, i) not in raised:
-                            try:
-                                per[i] = _reference_step(a, st, z[t, i], x[t, i], x_prime[t, i], y[t, i],
-                                                         alphas[t], betas[t])
-                            except FloatingPointError:
-                                raised.add((s, i))
+        _step(window, start, rows, alphas, betas)
+        for t in range(start, start + rows):
+            for s, (a, per) in enumerate(zip(algorithms, trials)):
+                for i, st in enumerate(per):
+                    if (s, i) not in raised:
+                        try:
+                            per[i] = _reference_step(a, st, *_lists(z[t, i], x[t, i], x_prime[t, i]), y[t, i],
+                                                     alphas[t], betas[t])
+                        except FloatingPointError:
+                            raised.add((s, i))
         start += rows
         for s, per in enumerate(trials):
             for i, st in enumerate(per):
@@ -630,7 +647,7 @@ def _step_lane_as_1d_kernels(lane, blocks, thetas, gamma, windows, alphas, betas
                     if (s, i) in raised:
                         assert np.isnan(got).all()
                     else:
-                        assert got.tobytes() == want.tobytes()
+                        assert _same_bytes(got, want)
     return trials, raised
 
 
@@ -767,16 +784,36 @@ class TestNativeLoops:
         assert f"error: {message}" in done.stderr
         assert not (tmp_path / ".cache").exists()
 
-    def test_numpy_without_its_openblas_is_named(self, tmp_path, monkeypatch):
-        # A numpy whose extension loads no scipy-openblas64: here one stood in
-        # for by ctypes' own extension module.
-        fake = types.SimpleNamespace(__version__="0.0", _core=types.SimpleNamespace(
-            _multiarray_umath=types.SimpleNamespace(__file__=_ctypes.__file__)))
-        monkeypatch.setattr(_native, "np", fake)
+    def test_numpy_without_its_openblas_steps_the_loops(self, tmp_path, monkeypatch):
+        # The loops call no BLAS, so a numpy whose extension loads no
+        # scipy-openblas64 (here one stood in for by ctypes' own extension
+        # module) loads them from its cache and steps a window with the
+        # reference's bits. The build is a copy of this one, so that it loads
+        # as a library of its own.
+        class StandIn(types.ModuleType):
+            _core = types.SimpleNamespace(_multiarray_umath=types.SimpleNamespace(__file__=_ctypes.__file__))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        built = Path(_native.loops()._name)
+        cache = tmp_path / ".cache" / "ivstream"
+        cache.mkdir(parents=True)
+        shutil.copy(built, cache / built.name)
+        monkeypatch.setattr(_native, "np", StandIn("numpy"))
         monkeypatch.setattr(_native.Path, "home", lambda: tmp_path)
-        with pytest.raises(RuntimeError, match="need a numpy that bundles the scipy-openblas64 BLAS"):
-            _native.loops.__wrapped__()
-        assert not any(tmp_path.iterdir())  # nothing was built
+        lib = _native.loops.__wrapped__()
+        assert lib._name == str(cache / built.name)
+        monkeypatch.setattr(_native, "loops", lambda: lib)
+        state, blocks = _fresh_state("two_sample_sgd", d_x=5), _fresh_blocks(d_x=5)
+        steps = np.full(4, 0.1)
+        thetas = state[0][0].tolist()
+        _step(_window_of("two_sample_sgd", state, blocks), 0, 4, steps, steps)
+        for i, theta in enumerate(thetas):
+            for t in range(4):
+                theta = reference.two_sample_update(theta, *_lists(blocks["x"][i][t], blocks["x_prime"][i][t]),
+                                                    blocks["y"][i][t], steps[t])
+            assert _same_bytes(state[0][0, i], theta)
 
     @pytest.mark.parametrize("kernel", ["two_sample_sgd", "two_timescale", "online_2sls"])
     @pytest.mark.parametrize("bad", ["float32", "fortran", "strided", "read-only", "list", "shape"])
@@ -840,23 +877,10 @@ def _openblas_core() -> str:
     return corename().decode()
 
 
-#: The kinds of ``products``, and the bit it adds to the events when a product called OpenBLAS.
-VECDOT, MATVEC, VECMAT, OPENBLAS = 0, 1, 2, 32
-#: The bounds of the inline order in ``_windows.c``: the terms of a dot, m * n of a matvec or vecmat
-#: (below), and the inner length of a matvec.
-DOT_INLINE, GEMV_INLINE, GEMV_INNER_INLINE = 10_000, 9_216, 2_048
-
-
-def _inline(kind, m, n) -> bool:
-    """Whether the loops compute ``kind`` on an (m, n) matrix without calling OpenBLAS."""
-    terms = m if kind == VECMAT else n
-    if terms == 1:  # one product added to +0, on any core
-        return True
-    if _openblas_core() != "SkylakeX":
-        return False
-    if kind == VECDOT or (kind, m) == (MATVEC, 1) or (kind, n) == (VECMAT, 1):  # numpy's dot of the one row
-        return terms <= DOT_INLINE
-    return m * n < GEMV_INLINE and (kind == VECMAT or n <= GEMV_INNER_INLINE)
+#: The kinds of ``products``.
+VECDOT, MATVEC, VECMAT = 0, 1, 2
+#: The reference's products computed so far, by kind and input bytes: the two builds' tests share them.
+_REFERENCE_PRODUCTS: dict = {}
 
 
 def _scaled_normals(rng, shape):
@@ -864,15 +888,44 @@ def _scaled_normals(rng, shape):
     return rng.standard_normal(shape) * 2.0 ** rng.integers(-25, 26, shape)
 
 
-class TestProducts:
-    """The loops' vecdot, matvec and vecmat, through ``products``, against np.vecdot, np.matvec and np.vecmat.
+def _small_shapes():
+    """(kind, a, x) of every vecdot of 1 to 129 terms, and every matvec and vecmat of a (m, n) a up to 40 x 40."""
+    rng = make_rng(35)
+    for n in range(1, 130):
+        yield VECDOT, _scaled_normals(rng, (1, n)), _scaled_normals(rng, n)
+    for m in range(1, 41):
+        for n in range(1, 41):
+            a = _scaled_normals(rng, (m, n))
+            yield MATVEC, a, _scaled_normals(rng, n)
+            yield VECMAT, a, _scaled_normals(rng, m)
 
-    On OpenBLAS's SkylakeX core the loops compute each sum inline in that
-    core's order, within bounds; elsewhere, and past the bounds, they call
-    OpenBLAS. Either way each product has numpy's bits and raises numpy's
-    floating-point events, and each takes the path ``_inline`` names (on
-    another core, as under ``OPENBLAS_CORETYPE=Haswell``, every sum of more
-    than one term calls OpenBLAS).
+
+def _reference_product(kind, a, x):
+    """The reference's ``kind`` of product on the (m, n) ``a``, as an array, and the events it raised."""
+    key = (kind, a.shape, hashlib.sha256(a.tobytes() + x.tobytes()).digest())
+    if key not in _REFERENCE_PRODUCTS:
+        rows, vector = a.tolist(), x.tolist()
+        out, events = reference.run((lambda: [reference.vecdot(rows[0], vector)],
+                                     lambda: reference.matvec(rows, vector),
+                                     lambda: reference.vecmat(vector, rows))[kind])
+        _REFERENCE_PRODUCTS[key] = np.array(out, np.float64), events
+    return _REFERENCE_PRODUCTS[key]
+
+
+def _numpy_product(kind, a, x):
+    """np.vecdot, np.matvec or np.vecmat on the (m, n) ``a``, and the events numpy reports."""
+    events = [0]
+    with np.errstate(all="call", call=lambda _, flag: events.__setitem__(0, events[0] | flag)):
+        out = (lambda: np.atleast_1d(np.vecdot(a[0], x)), lambda: np.matvec(a, x), lambda: np.vecmat(x, a))[kind]()
+    return out, events[0]
+
+
+class TestProducts:
+    """The loops' vecdot, matvec and vecmat, through ``products``, against the reference's (``tests/reference.py``).
+
+    Each sums in one order on every core and at every length, so each
+    product has the reference's bits and raises its floating-point events,
+    whatever kernel OpenBLAS runs and however many threads it has.
     """
 
     @pytest.fixture(params=["default", "no_avx512"])
@@ -884,33 +937,24 @@ class TestProducts:
         m, n = a.shape
         out = np.full(1 if kind == VECDOT else m if kind == MATVEC else n, -7.0)
         got = lib.products(kind, m, n, a.ctypes.data, x.ctypes.data, out.ctypes.data)
-        events = [0]
-        with np.errstate(all="call", call=lambda _, flag: events.__setitem__(0, events[0] | flag)):
-            want = (lambda: np.atleast_1d(np.vecdot(a[0], x)), lambda: np.matvec(a, x),
-                    lambda: np.vecmat(x, a))[kind]()
+        want, events = _reference_product(kind, a, x)
         assert out.tobytes() == want.tobytes(), (kind, m, n)
-        assert got & ~OPENBLAS == events[0], (kind, m, n)
-        assert (got & OPENBLAS == 0) == _inline(kind, m, n), (kind, m, n)
-        return events[0]
+        assert got == events, (kind, m, n)
+        return events
 
     def test_every_small_shape(self, lib):
-        rng = make_rng(35)
-        for n in range(1, 130):
-            self._check(lib, VECDOT, _scaled_normals(rng, (1, n)), _scaled_normals(rng, n))
-        for m in range(1, 41):
-            for n in range(1, 41):
-                a = _scaled_normals(rng, (m, n))
-                self._check(lib, MATVEC, a, _scaled_normals(rng, n))
-                self._check(lib, VECMAT, a, _scaled_normals(rng, m))
+        for kind, a, x in _small_shapes():
+            self._check(lib, kind, a, x)
 
     @pytest.mark.parametrize("kind, shapes", [
-        (VECDOT, [(1, DOT_INLINE), (1, DOT_INLINE + 1)]),
-        (MATVEC, [(2, GEMV_INNER_INLINE), (2, GEMV_INNER_INLINE + 1), (95, 97), (96, 96),
-                  (1, DOT_INLINE), (1, DOT_INLINE + 1)]),
-        (VECMAT, [(95, 97), (96, 96), (DOT_INLINE, 1), (DOT_INLINE + 1, 1)]),
+        (VECDOT, [(1, 10_001)]),
+        (MATVEC, [(2, 2_049), (95, 97), (96, 96), (1, 10_001)]),
+        (VECMAT, [(95, 97), (96, 96), (10_001, 1)]),
     ])
-    def test_each_bound_and_one_past(self, lib, kind, shapes):
-        # At each bound the sum is inline (on SkylakeX); one past it, OpenBLAS.
+    def test_long_sums(self, lib, kind, shapes):
+        # Past the lengths where OpenBLAS sums a product in one pass on one
+        # thread (a dot of 10 000 terms, a dgemv of 9216 entries or an inner
+        # length of 2048), the loops keep the same order.
         rng = make_rng(kind)
         for m, n in shapes:
             a = _scaled_normals(rng, (m, n))
@@ -940,17 +984,61 @@ class TestProducts:
     def test_two_nans_meeting_give_a_nan(self, lib):
         # Where two NaNs of different bits meet in one sum (numpy's NaN and the
         # default NaN of inf * 0), x86 keeps the one its instruction's operand
-        # order puts first, so the inline order may carry the other's bits.
-        # The result is a NaN either way, with numpy's events, and CSVs write
-        # each NaN as "nan".
-        if not _inline(VECDOT, 1, 16):
-            pytest.skip("OpenBLAS computes these sums here")
+        # order puts first, so the loops' order may carry the other's bits.
+        # The result is a NaN either way, with the reference's events, and CSVs
+        # write each NaN as "nan".
         a, x = np.ones((1, 16)), np.ones(16)
         a[0, 0], x[0], a[0, 4] = np.inf, 0.0, np.nan
         out = np.empty(1)
         assert lib.products(VECDOT, 1, 16, a.ctypes.data, x.ctypes.data, out.ctypes.data) == 8  # invalid
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(out[0]) and np.isnan(np.vecdot(a[0], x))
+        want, events = reference.run(reference.vecdot, a[0].tolist(), x.tolist())
+        assert np.isnan(out[0]) and np.isnan(want) and events == 8
+
+
+def test_reference_is_numpy_where_openblas_runs_skylakex():
+    # The reference states the order of OpenBLAS 0.3.31's SkylakeX kernels,
+    # which numpy's vecdot, matvec and vecmat, and so the 1-d kernels, run on
+    # that core: there the two agree in bits and events, on every small shape
+    # of TestProducts, on edge rows, and on rows of each update, random and
+    # of EDGE_VALUES, at sizes of every product path.
+    if _openblas_core() != "SkylakeX":
+        pytest.skip(f"OpenBLAS runs its {_openblas_core()} kernels here, not the SkylakeX ones the reference states")
+    rng = make_rng(36)
+    shapes = list(_small_shapes())
+    for _ in range(400):  # edge rows, as in TestProducts.test_edge_rows
+        kind, m, n = int(rng.integers(3)), int(rng.integers(1, 24)), int(rng.integers(1, 24))
+        a, x = _scaled_normals(rng, (1 if kind == VECDOT else m, n)), _scaled_normals(rng, m if kind == VECMAT else n)
+        for _ in range(int(rng.integers(1, 6))):
+            part = a if rng.random() < 0.5 else x
+            part.flat[rng.integers(part.size)] = rng.choice([0.0, -0.0, 5e-324, 1e-200, 1e200, np.inf, -np.inf])
+        shapes.append((kind, a, x))
+    for kind, a, x in shapes:
+        want, events = _reference_product(kind, a, x)
+        got, numpy_events = _numpy_product(kind, a, x)
+        assert got.tobytes() == want.tobytes() and numpy_events == events, (kind, a.shape)
+    sizes = [(1, 1), (1, 4), (3, 1), (3, 5), (4, 8), (8, 16)]
+    for (d_x, d_z), algorithm, values in itertools.product(sizes, sorted(est.REGRESSORS), ("normal", "edge")):
+        draw = rng.standard_normal if values == "normal" else functools.partial(rng.choice, EDGE_VALUES)
+        state = [draw(d_x), 0.1 * draw((d_z, d_x))]
+        if algorithm == "online_2sls":
+            state += [np.eye(d_x) / 0.1, np.eye(d_z) / 0.1]
+        for _ in range(20):
+            z, x, x_prime, y = draw(d_z), draw(d_x), draw(d_x), float(draw(()))
+            want, events = reference.run(_reference_step, algorithm, _lists(*state), *_lists(z, x, x_prime), y,
+                                         0.25, 0.5)
+            flags = [0]
+            with np.errstate(all="call", call=lambda _, flag: flags.__setitem__(0, flags[0] | flag)):
+                try:
+                    got = _reference_step(algorithm, state, z, x, x_prime, y, 0.25, 0.5, kernels=est)
+                except FloatingPointError as e:
+                    got = e
+            assert flags[0] == events, (algorithm, d_x, d_z, values)
+            if isinstance(want, FloatingPointError):
+                assert isinstance(got, FloatingPointError)
+                break
+            assert all(_same_bytes(g, w) for g, w in zip(got, want)), (algorithm, d_x, d_z, values)
+            state = list(got)
+
 
 # ---------------------------------------------------------------------------
 # arithmetic-cost instrumentation
@@ -1042,10 +1130,10 @@ class TestRegressors:
         cfg = dgp.endogenous_linear_config(2, 3, rho=1.0, sigma_eps=0.5)
         z, x, y = dgp.sample_one_block(make_rng(10), cfg, 50)
         reg = est.TwoStageSGDRegressor(alpha=0.05, beta=0.2)
-        theta, gamma = np.zeros(2), np.zeros((3, 2))
+        theta, gamma = _lists(np.zeros(2), np.zeros((3, 2)))
         for t in range(50):
             reg.partial_fit(z[t], x[t], y[t])
-            theta, gamma = est.two_stage_update(theta, gamma, z[t], x[t], y[t], 0.05, 0.2)
+            theta, gamma = reference.two_stage_update(theta, gamma, *_lists(z[t], x[t]), y[t], 0.05, 0.2)
         np.testing.assert_array_equal(reg.theta_, theta)
         np.testing.assert_array_equal(reg.gamma_, gamma)
 
@@ -1069,10 +1157,10 @@ class TestRegressors:
         cfg = dgp.endogenous_linear_config(1, 2, rho=1.0, sigma_eps=0.5)
         z, x, y = dgp.sample_one_block(make_rng(12), cfg, 64)
         reg = est.Online2SLSRegressor(lam=0.1)
-        theta, gamma, u, v = np.zeros(1), np.zeros((2, 1)), np.eye(1) / 0.1, np.eye(2) / 0.1
+        theta, gamma, u, v = _lists(np.zeros(1), np.zeros((2, 1)), np.eye(1) / 0.1, np.eye(2) / 0.1)
         for t in range(64):
             reg.partial_fit(z[t], x[t], y[t])
-            theta, gamma, u, v = est.online_2sls_update(theta, gamma, u, v, z[t], x[t], y[t])
+            theta, gamma, u, v = reference.online_2sls_update(theta, gamma, u, v, *_lists(z[t], x[t]), y[t])
         np.testing.assert_array_equal(reg.theta_, theta)
         np.testing.assert_array_equal(reg.v_, v)
 
@@ -1229,6 +1317,8 @@ def _stream(d_x, d_z, n, seed=31):
 
 
 W = est.FIT_WINDOW_ROWS
+#: The fit window of TestFitThroughWindows.test_bitwise_equal_to_1d_kernel_rows, whose reference steps in Python.
+SMALL_W = 128
 
 
 class TestOneUpdateLoop:
@@ -1330,36 +1420,56 @@ class TestOneUpdateLoop:
         _assert_same_state(reg, ref)
 
 
+#: The reference's row update of each regressor, on its iterates, a row and the row's two steps.
+_REFERENCE_ROWS = {
+    "two_sample": lambda st, z, x, x_prime, y, a, b: [reference.two_sample_update(*st, x, x_prime, y, a)],
+    "two_stage": lambda st, z, x, x_prime, y, a, b: list(reference.two_stage_update(*st, z, x, y, a, b)),
+    "direct": lambda st, z, x, x_prime, y, a, b: list(reference.direct_residual_update(*st, z, x, y, a, b)),
+    "online_2sls": lambda st, z, x, x_prime, y, a, b: list(reference.online_2sls_update(*st, z, x, y)),
+}
+#: The kind numpy's error handling names each event bit by.
+_EVENT_KINDS = {1: "divide by zero", 2: "overflow", 4: "underflow", 8: "invalid value"}
+
+
 def _reference_fit(name, reg, z, x, x_prime, y):
-    """The iterates after the rows, stepped one by one through the 1-d kernel from ``reg``'s iterates."""
-    state = [getattr(reg, a) for a in reg._iterates]
+    """The iterates after the rows, stepped one by one through the reference's row update from ``reg``'s
+    iterates, as arrays, or the FloatingPointError it raised; and the events the rows raised."""
     alpha, beta = (est._as_schedule(reg.get_params()[p], p) if p in reg.get_params() else None
                    for p in ("alpha", "beta"))
-    for i, t in enumerate(range(reg.n_iter_ + 1, reg.n_iter_ + len(y) + 1)):
-        if name == "two_sample":
-            state = [est.two_sample_update(state[0], x[i], x_prime[i], float(y[i]), step(alpha, t))]
-        elif name == "online_2sls":
-            state = list(est.online_2sls_update(*state, z[i], x[i], float(y[i])))
-        else:
-            kernel = est.two_stage_update if name == "two_stage" else est.direct_residual_update
-            state = list(kernel(*state, z[i], x[i], float(y[i]), step(alpha, t), step(beta, t)))
-    return dict(zip(reg._iterates, state))
+    ts = range(reg.n_iter_ + 1, reg.n_iter_ + len(y) + 1)
+    alphas, betas = ([None if s is None else step(s, t) for t in ts] for s in (alpha, beta))
+    rows = list(zip(*_lists(z, x, x_prime, y), alphas, betas))
+
+    def stepped(state):
+        for row in rows:
+            state = _REFERENCE_ROWS[name](state, *row)
+        return state
+
+    state, events = reference.run(stepped, _lists(*(getattr(reg, a) for a in reg._iterates)))
+    if isinstance(state, FloatingPointError):
+        return state, events
+    return {a: np.array(v, np.float64) for a, v in zip(reg._iterates, state)}, events
 
 
 class TestFitThroughWindows:
-    """``fit`` steps windows of the compiled loops; its bytes are those of the 1-d kernels row by row."""
+    """``fit`` steps windows of the compiled loops; its bytes are those of the reference's row updates row by row."""
 
     @pytest.mark.parametrize("name", REGRESSOR_NAMES)
-    @pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 2 * W + 3])
+    @pytest.mark.parametrize("n", [1, SMALL_W - 1, SMALL_W, SMALL_W + 1, 2 * SMALL_W + 3])
     @pytest.mark.parametrize("steps", ["constant", "polynomial"])
     @pytest.mark.parametrize("d_x,d_z", [(1, 1), (3, 5), (8, 16)])
-    def test_bitwise_equal_to_1d_kernel_rows(self, name, n, steps, d_x, d_z):
+    def test_bitwise_equal_to_1d_kernel_rows(self, name, n, steps, d_x, d_z, monkeypatch):
+        # Windows of SMALL_W rows: the reference steps a row in Python, 10-20
+        # times slower than numpy's kernels, so n spans the window boundaries
+        # of a smaller window than FIT_WINDOW_ROWS. The tests that check fit
+        # against partial_fit run at FIT_WINDOW_ROWS.
+        monkeypatch.setattr(est, "FIT_WINDOW_ROWS", SMALL_W)
         z, x, x_prime, y = _stream(d_x, d_z, n, seed=41)
         reg = _regressor(name, d_x, d_z)
         if steps == "constant":
             reg.set_params(**{p: 0.5 / (d_x + 2.0) for p in ("alpha", "beta") if p in reg.get_params()})
         reg.fit(*_args(reg, z[:0], x[:0], y[:0], x_prime[:0]))  # the first iterates, no row
-        want = _reference_fit(name, reg, z, x, x_prime, y)
+        want, _ = _reference_fit(name, reg, z, x, x_prime, y)
         reg.fit(*_args(reg, z, x, y, x_prime))
         assert reg.n_iter_ == n
         for a, value in want.items():
@@ -1460,9 +1570,10 @@ class TestFitThroughWindows:
     def test_partial_fit_reports_the_events_of_the_1d_kernel(self, name, d_x, d_z):
         # Rows and first iterates of EDGE_VALUES, row by row from partial_fit's
         # own iterates: under np.errstate(all="call") its loop reports through
-        # the callback the set of events that the 1-d kernel raises on the same
-        # row, and ends with the kernel's bytes; under all="raise" the two
-        # raise at the same rows.
+        # the callback the set of events that the reference raises on the same
+        # row, and ends with the reference's bytes; under all="raise" it raises
+        # at the rows where the reference raises an event or a
+        # FloatingPointError.
         rng = make_rng(59 * d_x + d_z)
         for _ in range(40):
             n = int(rng.integers(1, 12))
@@ -1474,19 +1585,20 @@ class TestFitThroughWindows:
                 reg.set_params(**{p: v for p, v in start.items() if p in reg.get_params()})
                 reg.fit(*_args(reg, z[:0], x[:0], y[:0], x_prime[:0]))  # the first iterates, no row
                 for i in range(n):
-                    ends = []
-                    for how in ("kernel", "partial_fit"):
-                        flags, error = set(), None
-                        with np.errstate(all=mode, call=lambda kind, bits: flags.add(kind)):
-                            try:
-                                if how == "kernel":
-                                    want = _reference_fit(name, reg, z[i:i + 1], x[i:i + 1], x_prime[i:i + 1],
-                                                          y[i:i + 1])
-                                else:
-                                    reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
-                            except FloatingPointError as e:
-                                error = str(e) if mode == "call" else "raised"
-                        ends.append((flags, error))
+                    want, events = _reference_fit(name, reg, z[i:i + 1], x[i:i + 1], x_prime[i:i + 1], y[i:i + 1])
+                    failed = isinstance(want, FloatingPointError)
+                    if mode == "call":
+                        ends = [({kind for bit, kind in _EVENT_KINDS.items() if events & bit}, str(want) if failed
+                                 else None)]
+                    else:
+                        ends = [(set(), "raised" if events or failed else None)]
+                    flags, error = set(), None
+                    with np.errstate(all=mode, call=lambda kind, bits: flags.add(kind)):
+                        try:
+                            reg.partial_fit(*_args(reg, z[i], x[i], y[i], x_prime[i]))
+                        except FloatingPointError as e:
+                            error = str(e) if mode == "call" else "raised"
+                    ends.append((flags, error))
                     assert ends[0] == ends[1], (i, ends)
                     if ends[0][1] is None:
                         for a, value in want.items():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from ivstream import dgp, harness, metrics, presets
 from ivstream import estimators as est
 from ivstream.schedule import Constant, Polynomial, steps
@@ -332,39 +333,51 @@ class TestLockstep:
         assert max(peaks) <= harness._GROUP_BYTES + 8 * 512 + sampler_peak
 
 
+def _reference_metrics(theta, theta_star, test_x=None, test_y=None) -> tuple:
+    """``dist_sq`` and ``test_mse`` (None without a held-out set) of ``theta``, on lists: the arithmetic of
+    ``metrics.dist_to_opt`` and ``metrics.test_mse_arrays`` on the reference's products."""
+    d = [a - b for a, b in zip(theta, theta_star)]
+    if test_x is None:
+        return reference.vecdot(d, d), None
+    r = [y - p for y, p in zip(test_y, reference.matvec(test_x, theta))]
+    return reference.vecdot(d, d), reference.vecdot(r, r) / len(r)
+
+
 def _kernel_run(spec, i) -> dict[str, list[float]]:
-    """Trial i's ``dist_sq`` and, with a held-out set, ``test_mse`` at each checkpoint, from its 1-d kernel
-    stepped row by row over its blocks and :mod:`ivstream.metrics`.
+    """Trial i's ``dist_sq`` and, with a held-out set, ``test_mse`` at each checkpoint, from the reference's row
+    update stepped row by row over its blocks and :func:`_reference_metrics`.
 
     The blocks are drawn as the harness draws them, and the steps are one
     ``steps`` array over the whole run.
     """
     rng = np.random.Generator(np.random.PCG64(harness.mix_seed(spec.base_seed, i)))
+    held_out = ()
     if spec.test_n > 0:
-        _, test_x, test_y = dgp.sample_one_block(rng, spec.dgp, spec.test_n)
+        held_out = tuple(a.tolist() for a in dgp.sample_one_block(rng, spec.dgp, spec.test_n)[1:])
     two_sample = est.REGRESSORS[spec.algorithm]._reads_x_prime
-    alphas, betas = (None if s is None else steps(s, spec.T) for s in (spec.alpha, spec.beta))
-    state = est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
-                              spec.lam if spec.algorithm == "online_2sls" else None)
+    alphas, betas = (None if s is None else steps(s, spec.T).tolist() for s in (spec.alpha, spec.beta))
+    state = [part.tolist() for part in est.initial_state(spec.dgp.d_x, spec.dgp.d_z, spec.theta0, spec.gamma0,
+                                                         spec.lam if spec.algorithm == "online_2sls" else None)]
+    theta_star = spec.dgp.theta_star.tolist()
     got = {m: [] for m in (("dist_sq", "test_mse") if spec.test_n > 0 else ("dist_sq",))}
     t = 0
     while t < spec.T:
-        block = (dgp.sample_two_block if two_sample else dgp.sample_one_block)(
-            rng, spec.dgp, min(harness._SAMPLE_BLOCK, spec.T - t))
+        block = [a.tolist() for a in (dgp.sample_two_block if two_sample else dgp.sample_one_block)(
+            rng, spec.dgp, min(harness._SAMPLE_BLOCK, spec.T - t))]
         for r in range(len(block[-1])):
             if spec.algorithm == "two_sample_sgd":
-                z, x, x_prime, y = (a[r] for a in block)
-                state = (est.two_sample_update(state[0], x, x_prime, y, alphas[t]),)
+                _, x, x_prime, y = (a[r] for a in block)
+                state = [reference.two_sample_update(state[0], x, x_prime, y, alphas[t])]
             elif spec.algorithm == "online_2sls":
-                state = est.online_2sls_update(*state, *(a[r] for a in block))
+                state = reference.online_2sls_update(*state, *(a[r] for a in block))
             else:
-                update = est.direct_residual_update if spec.algorithm == "direct_sgd" else est.two_stage_update
+                update = (reference.direct_residual_update if spec.algorithm == "direct_sgd"
+                          else reference.two_stage_update)
                 state = update(*state, *(a[r] for a in block), alphas[t], betas[t])
             t += 1
             if t in spec.checkpoints:
-                got["dist_sq"].append(metrics.dist_to_opt(state[0], spec.dgp.theta_star))
-                if spec.test_n > 0:
-                    got["test_mse"].append(metrics.test_mse_arrays(state[0], test_x, test_y))
+                for m, value in zip(got, _reference_metrics(state[0], theta_star, *held_out)):
+                    got[m].append(value)
     return got
 
 
@@ -392,11 +405,12 @@ class TestCheckpointMetrics:
     @pytest.mark.parametrize("test_n", [0, 1, 400])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("b", [1, 3])
-    def test_equals_the_numpy_arithmetic(self, d_x, test_n, s, b):
-        # checkpoint_metrics against the same metrics in numpy (vecdot and
-        # matvec), bit for bit, on thetas with inf, NaN, -0 and subnormal entries
-        # beside ordinary ones; it writes only its column of each row block and
-        # counts the thetas with a finite dist_sq in some trial.
+    def test_equals_the_reference_arithmetic(self, d_x, test_n, s, b):
+        # checkpoint_metrics against the same metrics on the reference's
+        # products (_reference_metrics), bit for bit, on thetas with inf, NaN,
+        # -0 and subnormal entries beside ordinary ones; it writes only its
+        # column of each row block and counts the thetas with a finite dist_sq
+        # in some trial.
         rng = np.random.default_rng([d_x, test_n, s, b])
         theta_star = rng.standard_normal(d_x)
         theta_star[0] = -0.0
@@ -412,11 +426,10 @@ class TestCheckpointMetrics:
         names = ("dist_sq", "test_mse") if test_n else ("dist_sq",)
         rows = [{m: np.full((b, 5), -7.0) for m in names} for _ in range(s)]
         finite = harness._recorder(theta, (theta_star, test_x, test_y), rows)(2)
-        with np.errstate(all="ignore"):
-            d = theta - theta_star
-            dist = np.vecdot(d, d)
-            mse = [np.vecdot(r, r) / test_n for r in (np.stack(test_y) - np.matvec(np.stack(test_x), theta[j])
-                                                      for j in range(s))] if test_n else []
+        held_out = [(test_x[i].tolist(), test_y[i].tolist()) if test_n else () for i in range(b)]
+        want = [[_reference_metrics(theta[j, i].tolist(), theta_star.tolist(), *held_out[i]) for i in range(b)]
+                for j in range(s)]
+        dist, mse = (np.array([[w[k] for w in per] for per in want]) for k in (0, 1))
         # theta 0 is finite in trial 0; theta 1 is in no trial when (s, b) is (2, 3)
         assert finite == np.isfinite(dist).any(axis=1).sum() == (2 if (s, b) == (2, 1) else 1)
         for j in range(s):
@@ -424,33 +437,29 @@ class TestCheckpointMetrics:
                 assert rows[j][m][:, 2].tobytes() == want.tobytes()
                 assert (np.delete(rows[j][m], 2, axis=1) == -7.0).all()
 
-    def test_test_mse_depends_on_openblas_threads_past_10000_rows(self):
-        # test_mse sums test_n squared residuals in one dot, as numpy's vecdot
-        # does. OpenBLAS sums a dot of up to 10 000 terms on one thread, and
-        # splits a longer one across its threads, so a test_mse over more than
-        # 10 000 held-out rows has bytes that depend on OPENBLAS_NUM_THREADS
-        # (README, "Reproducibility contract"). In each process the compiled
-        # metric is numpy's.
+    def test_test_mse_past_10000_rows_does_not_depend_on_openblas_threads(self):
+        # test_mse sums test_n squared residuals in one dot, in the loops'
+        # order at every length. numpy's vecdot would split a dot of more than
+        # 10 000 terms across OpenBLAS's threads; the metric has the same
+        # bytes on one thread and on two, the reference's (README,
+        # "Reproducibility contract").
         script = """if True:
             import numpy as np
             from ivstream import harness
             rng = np.random.default_rng(35)
-            for test_n in (10_000, 10_001):
-                theta, theta_star = rng.standard_normal((1, 1, 2)), np.zeros(2)
-                tests = (theta_star, [rng.standard_normal((test_n, 2))], [rng.standard_normal(test_n)])
-                rows = [{"dist_sq": np.zeros((1, 1)), "test_mse": np.zeros((1, 1))}]
-                harness._recorder(theta, tests, rows)(0)
-                r = tests[2][0] - np.matvec(tests[1][0], theta[0, 0])
-                assert rows[0]["test_mse"][0, 0].tobytes() == (np.vecdot(r, r) / test_n).tobytes()
-                print(rows[0]["test_mse"].tobytes().hex())
+            theta, theta_star = rng.standard_normal((1, 1, 2)), np.zeros(2)
+            tests = (theta_star, [rng.standard_normal((10_001, 2))], [rng.standard_normal(10_001)])
+            rows = [{"dist_sq": np.zeros((1, 1)), "test_mse": np.zeros((1, 1))}]
+            harness._recorder(theta, tests, rows)(0)
+            print(rows[0]["test_mse"].tobytes().hex())
         """
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
-        at_10000, past = zip(*(subprocess.run([sys.executable, "-c", script], env=dict(env, OPENBLAS_NUM_THREADS=k),
-                                              capture_output=True, text=True, check=True).stdout.split()
-                               for k in ("1", "2")))
-        assert at_10000[0] == at_10000[1]
-        if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS runs no more threads than CPUs
-            assert past[0] != past[1]
+        got = [subprocess.run([sys.executable, "-c", script], env=dict(env, OPENBLAS_NUM_THREADS=k),
+                              capture_output=True, text=True, check=True).stdout.strip() for k in ("1", "2")]
+        rng = np.random.default_rng(35)
+        theta, test_x, test_y = rng.standard_normal(2), rng.standard_normal((10_001, 2)), rng.standard_normal(10_001)
+        _, want = _reference_metrics(theta.tolist(), [0.0, 0.0], test_x.tolist(), test_y.tolist())
+        assert got == [np.float64(want).tobytes().hex()] * 2
 
     def test_strided_theta_star_is_read_by_value(self):
         # checkpoint_metrics reads theta_star in place; a DgpConfig keeps a

@@ -143,9 +143,11 @@ def test_fig1_cell_is_its_config(cell):
 
 
 # Seed-0 SHA-256 of each fig1 cell's series.csv at T=5000 x 10 trials. fig1's
-# step is constant, so these do not depend on numpy's SIMD power routine; like
-# the alphas above, they do depend on the BLAS kernel chosen for the CPU
-# (README, reproducibility).
+# step is constant, so these do not depend on numpy's SIMD power routine, and
+# the loops call no BLAS. They depend on the BLAS kernel chosen for the CPU
+# only through the alphas above, whose mu comes from eigvalsh: on OpenBLAS's
+# Haswell kernels the three phi_id cells other than dx8_dz16_c0.1_phi_id keep
+# their bytes (README, reproducibility).
 FIG1_SHA256 = {
     "dx4_dz8_c0.1_phi_id": "27159a84f6755b7da601cdbfde7c150ba474a1596746be32725aad1efea5a97b",
     "dx4_dz8_c0.1_phi_sq": "99978b5ad9ea073f1db164a99b67ca7968032eec8d21668fc2131c5fdb36966a",
